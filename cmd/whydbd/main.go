@@ -12,8 +12,7 @@
 // Endpoints: POST /v1/explain, POST /v1/explain/stream (SSE),
 // POST /v1/match, GET /v1/datasets, GET /v1/stats, GET /healthz,
 // GET /readyz. Every v1 response is the unified {requestId, data|error}
-// envelope; -compat-v0 restores the deprecated pre-envelope shapes for one
-// release. See the README's "API v1 reference" and "Operations & resilience"
+// envelope. See the README's "API v1 reference" and "Operations & resilience"
 // sections for request bodies, error codes, brownout states, and
 // fault-injection flags.
 //
@@ -75,7 +74,6 @@ func main() {
 	enterHold := flag.Duration("brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold above a threshold before stepping up")
 	exitHold := flag.Duration("brownout-exit-hold", 2*time.Second, "how long pressure must hold below a threshold before stepping down")
 	inject := flag.String("inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms,rpc-error=0.1' (off by default)")
-	compatV0 := flag.Bool("compat-v0", false, "serve the deprecated pre-envelope response shapes alongside/instead of the v1 envelope (one deprecation release)")
 	shards := flag.Int("shards", 0, "split each dataset's counting across N in-process shards (0 = unsharded)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs for HTTP scatter-gather counting (e.g. 'http://h1:8080,http://h2:8080'); mutually exclusive with -shards")
 	snapDir := flag.String("snapshot", "", "load each dataset from <dir>/<name>.snap (whydb pack output) instead of generating it; -scale is ignored")
@@ -148,7 +146,6 @@ func main() {
 		MaxBudget:        *maxBudget,
 		QueueCap:         *queueCap,
 		MaxQueueWait:     *maxQueueWait,
-		CompatV0:         *compatV0,
 		MaxMutationBatch: *maxMutationBatch,
 		MaxBatch:         *maxBatch,
 		Resilience: resilience.Config{

@@ -25,8 +25,8 @@
 // on anything unexplained.
 //
 // Outcomes are classified by the v1 envelope's error code (shed, injected,
-// deadline_*, ...), falling back to HTTP status against pre-envelope
-// servers. Overload answers and dead connections are retried:
+// deadline_*, ...), falling back to HTTP status for an answer without one
+// (a proxy's bare 503). Overload answers and dead connections are retried:
 // shed/draining/shard_unavailable (429/503) back off exponentially with
 // jitter (honoring Retry-After) up to -retries attempts; exhausted retries
 // are counted (shedExhausted / injectedExhausted / transport), not treated
@@ -624,8 +624,8 @@ func normalize(c class, chaos bool) class {
 }
 
 // result is one HTTP attempt's parsed outcome. code is the envelope's
-// structured error code when the server sent one; empty against pre-envelope
-// servers, where the classifier falls back to the HTTP status.
+// structured error code when the server sent one; empty for a code-less
+// answer (a proxy's), where the classifier falls back to the HTTP status.
 type result struct {
 	status          int
 	code            wire.ErrorCode
@@ -647,7 +647,7 @@ type result struct {
 
 // retriable reports whether this attempt is a documented overload answer the
 // policy should back off and retry: by code shed/draining (and injected
-// faults surfacing as 503), by status 429/503 against pre-envelope servers.
+// faults surfacing as 503), by status 429/503 for a code-less answer.
 func (res result) retriable() bool {
 	if res.streamDead {
 		return false
@@ -744,8 +744,8 @@ func doJob(client *http.Client, addr string, j job, policy *retry.Policy, retrie
 }
 
 // parseError extracts the classifier's fields from a non-2xx (or SSE error
-// event) body: the v1 envelope's structured error first, the legacy
-// top-level shape as the fallback for pre-envelope servers.
+// event) body: the v1 envelope's structured error. A body without one (a
+// proxy's bare 503) leaves the code empty and is classified by HTTP status.
 func (res *result) parseError(blob []byte) {
 	var env wire.Envelope
 	if json.Unmarshal(blob, &env) == nil && env.Error != nil {
@@ -754,18 +754,13 @@ func (res *result) parseError(blob []byte) {
 		if res.retryAfter == 0 && env.Error.RetryAfterMs > 0 {
 			res.retryAfter = time.Duration(env.Error.RetryAfterMs) * time.Millisecond
 		}
-		return
-	}
-	var er wire.ErrorResponse
-	if json.Unmarshal(blob, &er) == nil {
-		res.injected = er.Injected
 	}
 }
 
 // parseReport checks a 2xx explain/match body for degradation and partial
-// markers. The body may be enveloped ({data: {...}}), spliced (-compat-v0),
-// or bare (pre-envelope server, stream done event) — decodeBody handles all
-// three; a body without the fields simply decodes with them absent.
+// markers. The body may be enveloped ({data: {...}}) or bare (the stream's
+// done event) — decodeBody handles both; a body without the fields simply
+// decodes with them absent.
 func (res *result) parseReport(blob []byte) {
 	var rep struct {
 		Degraded     bool               `json:"degraded"`
@@ -948,8 +943,7 @@ func sendStream(client *http.Client, url string, body []byte) result {
 }
 
 // decodeBody unwraps a v1 envelope's data field into v, falling back to
-// decoding the body as the bare legacy shape — so whyload works against
-// enveloped, -compat-v0 (spliced), and pre-envelope servers alike.
+// decoding the body as the bare payload (the stream's done event).
 func decodeBody(blob []byte, v any) error {
 	var env wire.Envelope
 	if json.Unmarshal(blob, &env) == nil && len(env.Data) > 0 {

@@ -58,9 +58,6 @@ type Options struct {
 	// Heavier edges are traversed first, so the MCS preferentially covers
 	// what the user cares about.
 	EdgeWeights map[int]float64
-	// TraversalBudget is the historical name of the execution budget; it is
-	// used when the promoted MaxExecuted is zero (0 = 1000).
-	TraversalBudget int
 }
 
 // DefaultTraversalBudget bounds the subquery executions per explanation.
@@ -123,9 +120,6 @@ func DiscoverMCS(m *match.Matcher, st *stats.Collector, q *query.Query, opts Opt
 // satisfies the bounds, the subquery with the smallest cardinality distance
 // is returned with Satisfied == false.
 func BoundedMCS(m *match.Matcher, st *stats.Collector, q *query.Query, bounds metrics.Interval, opts Options) Explanation {
-	if opts.MaxExecuted == 0 {
-		opts.MaxExecuted = opts.TraversalBudget
-	}
 	if opts.MaxExecuted <= 0 {
 		opts.MaxExecuted = DefaultTraversalBudget
 	}

@@ -248,7 +248,9 @@ func TestExplanationRank(t *testing.T) {
 func TestTraversalBudget(t *testing.T) {
 	m, st := env()
 	q := failingQuery()
-	ex := DiscoverMCS(m, st, q, Options{TraversalBudget: 1})
+	var opts Options
+	opts.MaxExecuted = 1
+	ex := DiscoverMCS(m, st, q, opts)
 	if ex.Traversals > 1 {
 		t.Fatalf("budget exceeded: %d", ex.Traversals)
 	}

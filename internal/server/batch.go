@@ -21,15 +21,11 @@ package server
 // would.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
+	"sync"
 
 	"repro/internal/faultinject"
-	"repro/internal/resilience"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -64,14 +60,8 @@ func groupKey(p *explainPrep) string {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.reqBatch.Add(1)
-	started := time.Now()
-	defer func() { s.res.ObserveLatency("batch", time.Since(started)) }()
-	inject := s.cfg.Injector.Decide("batch", s.batchSeq.Add(1)-1)
-	if inject.Kind == faultinject.Latency {
-		time.Sleep(inject.Latency)
-	}
+	inject, started := s.begin(epBatch)
+	defer s.end(epBatch, started)
 	var breq wire.BatchExplainRequest
 	if code, err := decodeBody(w, r, &breq); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
@@ -86,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if inject.Kind == faultinject.Error {
-		s.failInjected(w, r, http.StatusInternalServerError, "injected fault: error")
+		s.writeError(w, r, s.newInjectedError(http.StatusInternalServerError, "injected fault: error"))
 		return
 	}
 	s.reqBatchItems.Add(int64(len(breq.Items)))
@@ -100,10 +90,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	groups := make(map[string]*batchGroup)
 	order := make([]*batchGroup, 0, len(breq.Items))
 	for i, item := range breq.Items {
-		itemID := fmt.Sprintf("%s/%d", batchID, i)
-		prep, _, werr := s.validateExplain(item, faultinject.Decision{})
-		if werr != nil {
-			envs[i] = wire.Envelope{RequestID: itemID, Error: werr}
+		envs[i].RequestID = fmt.Sprintf("%s/%d", batchID, i)
+		prep, f := s.validateExplain(item, faultinject.Decision{})
+		if f != nil {
+			envs[i].Error = &f.err
 			continue
 		}
 		key := groupKey(&prep)
@@ -124,123 +114,42 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, g := range order {
 		byDataset[g.prep.ds] = append(byDataset[g.prep.ds], g)
 	}
-	done := make(chan struct{})
-	running := 0
+	var wg sync.WaitGroup
 	for ds, list := range byDataset {
-		workers := cap(ds.sem)
-		if workers > len(list) {
-			workers = len(list)
+		work := make(chan *batchGroup, len(list))
+		for _, g := range list {
+			work <- g
 		}
-		work := make(chan *batchGroup)
-		for w := 0; w < workers; w++ {
-			running++
+		close(work)
+		for n := min(cap(ds.sem), len(list)); n > 0; n-- {
+			wg.Add(1)
 			go func() {
-				defer func() { done <- struct{}{} }()
+				defer wg.Done()
 				for g := range work {
-					s.runBatchGroup(r, batchID, g, inject, envs)
+					s.runBatchGroup(r, g, inject, envs)
 				}
 			}()
 		}
-		go func(list []*batchGroup, work chan *batchGroup) {
-			for _, g := range list {
-				work <- g
-			}
-			close(work)
-		}(list, work)
 	}
-	for ; running > 0; running-- {
-		<-done
-	}
+	wg.Wait()
 	s.writeData(w, r, wire.BatchExplainResponse{Items: envs})
 }
 
-// runBatchGroup executes one distinct work group end to end — admission,
-// brownout degradation, shard session, search, response stamping — exactly
-// as handleExplain would for a single request, then fans the one marshaled
-// payload (or the one structured error) out to every item envelope of the
-// group. envs is written at the group's own indices only, so concurrent
-// groups never contend.
-func (s *Server) runBatchGroup(r *http.Request, batchID string, g *batchGroup, inject faultinject.Decision, envs []wire.Envelope) {
-	prep := &g.prep
-	fanError := func(werr wire.Error) {
-		for _, i := range g.items {
-			e := werr
-			envs[i] = wire.Envelope{RequestID: fmt.Sprintf("%s/%d", batchID, i), Error: &e}
-		}
-	}
-	ctx, cancel := s.requestContext(r, prep.req.TimeoutMs)
-	defer cancel()
-	release, state, _, werr := s.admitItem(r, ctx, prep.ds)
-	if release == nil {
-		fanError(*werr)
-		return
-	}
-	if inject.Kind == faultinject.Starve {
-		release = starveRelease(release, inject.Starve)
-	}
-	defer release()
-	var sess *shard.Session
-	if prep.ds.shards != nil {
-		sess = shard.NewSession(prep.req.AllowPartial, cancel)
-		ctx = shard.WithSession(ctx, sess)
-	}
-	opts := prep.opts
-	degraded := state == resilience.Degraded
-	var qbBudget, qbEps int
-	if degraded {
-		qbBudget, qbEps = degradeExplain(&opts, s.res.Degraded())
-	}
-	if inject.Kind == faultinject.Cancel {
-		after := inject.CancelAfter
-		opts.Probe = func(executions int) {
-			if executions >= after {
-				cancel()
-			}
-		}
-	}
-	rep, err := prep.eng.ExplainCtx(ctx, prep.q, opts)
-	if err != nil {
-		// The same classification ladder as handleExplain, built without
-		// writing: shard loss first (it cancels the context), then context
-		// faults, then a plain invalid-spec failure.
-		if sess != nil {
-			if serr := sess.Err(); serr != nil && errors.Is(serr, shard.ErrUnavailable) {
-				fanError(s.newError(http.StatusServiceUnavailable, wire.CodeShardUnavailable, "%v", serr))
-				return
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			if inject.Kind == faultinject.Cancel && r.Context().Err() == nil && s.drainCtx.Err() == nil {
-				fanError(s.newInjectedError(http.StatusServiceUnavailable, "injected fault: mid-search cancellation"))
-				return
-			}
-			_, e := s.ctxError(r, ctxErr, false)
-			fanError(e)
-			return
-		}
-		fanError(s.newError(http.StatusBadRequest, wire.CodeInvalidSpec, "%v", err))
-		return
-	}
-	resp := wire.FromReport(rep)
-	if degraded {
-		s.degradedServed.Add(int64(len(g.items)))
-		resp.Degraded = true
-		resp.QualityBound = qualityBound(rep, qbBudget, qbEps)
-	}
-	if sess != nil && sess.Partial() {
-		prep.ds.shards.NotePartialServed()
-		resp.Partial = true
-		if resp.QualityBound == nil {
-			resp.QualityBound = qualityBound(rep, opts.Budget, 0)
-		}
-		resp.QualityBound.Coverage = sess.Coverage(prep.ds.shards.Names())
-	}
-	blob, err := json.Marshal(resp)
-	if err != nil {
-		fanError(s.newError(http.StatusInternalServerError, wire.CodeInternal, "encoding failure: %v", err))
-		return
+// runBatchGroup runs one distinct work group through the explain pipeline
+// once and fans the marshaled report (or the one failure, counted once) out
+// to every item envelope of the group. envs is written at the group's own
+// indices only, so concurrent groups never contend.
+func (s *Server) runBatchGroup(r *http.Request, g *batchGroup, inject faultinject.Decision, envs []wire.Envelope) {
+	payload, resp, f := s.runExplain(r, &g.prep, inject, nil, nil)
+	if f == nil && resp.Degraded {
+		// runExplain counted one degraded answer; this run serves len(items).
+		s.degradedServed.Add(int64(len(g.items) - 1))
 	}
 	for _, i := range g.items {
-		envs[i] = wire.Envelope{RequestID: fmt.Sprintf("%s/%d", batchID, i), Data: blob}
+		if f != nil {
+			envs[i].Error = &f.err
+		} else {
+			envs[i].Data = payload
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	switch inject.Kind {
 	case faultinject.RPCError:
-		s.failInjected(w, r, http.StatusServiceUnavailable, "injected fault: rpc-error")
+		s.writeError(w, r, s.newInjectedError(http.StatusServiceUnavailable, "injected fault: rpc-error"))
 		return
 	case faultinject.RPCBlackhole:
 		// Hold the connection, then kill it without writing a response: the

@@ -3,11 +3,9 @@ package server
 // Table-driven coverage of the unified v1 envelope: every endpoint, success
 // and every pre-execution error path, must answer {requestId, data|error}
 // with the documented status and error code, echo X-Request-Id, and honor a
-// well-formed client-supplied request id. The -compat-v0 shapes get their
-// own test so the deprecation release stays decodable by v0 clients.
+// well-formed client-supplied request id.
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -94,47 +92,5 @@ func TestClientRequestIDEcho(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if env := envelope(t, rec); env.RequestID == "" || env.RequestID == "evil id\x00" {
 		t.Fatalf("hostile request id not replaced: %q", env.RequestID)
-	}
-}
-
-// TestCompatV0Shapes: with -compat-v0 the deprecated pre-envelope bodies
-// stay decodable — explain fields at the top level, datasets a bare array,
-// errors the legacy {error, injected, requestId} object — while the envelope
-// keys remain present on object successes so migrating clients can switch
-// one endpoint at a time.
-func TestCompatV0Shapes(t *testing.T) {
-	h := newTestServer(t, Config{CompatV0: true}).Handler()
-
-	rec := do(t, h, "POST", "/v1/explain", wire.ExplainRequest{
-		Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1, Budget: 50,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("explain = %d: %s", rec.Code, rec.Body)
-	}
-	var rep wire.Report
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("v0 client cannot decode spliced explain: %v", err)
-	}
-	if rep.Problem != "why-empty" {
-		t.Fatalf("spliced top-level report incomplete: %q", rep.Problem)
-	}
-	var env wire.Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.RequestID == "" || env.Data == nil {
-		t.Fatalf("spliced body lost the envelope: %v %s", err, rec.Body)
-	}
-
-	rec = do(t, h, "GET", "/v1/datasets", nil)
-	var infos []wire.DatasetInfo
-	if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil || len(infos) != 2 {
-		t.Fatalf("v0 datasets shape broken: %v %s", err, rec.Body)
-	}
-
-	rec = do(t, h, "POST", "/v1/explain", wire.ExplainRequest{Dataset: "imdb", Builtin: "Q"})
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("v0 error status = %d", rec.Code)
-	}
-	var er wire.ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" || er.RequestID == "" {
-		t.Fatalf("v0 error shape broken: %v %s", err, rec.Body)
 	}
 }

@@ -47,14 +47,8 @@ func decodeAttrs(m map[string]wire.Value) (graph.Attrs, error) {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.reqMutate.Add(1)
-	started := time.Now()
-	defer func() { s.res.ObserveLatency("mutate", time.Since(started)) }()
-	inject := s.cfg.Injector.Decide("mutate", s.mutateSeq.Add(1)-1)
-	if inject.Kind == faultinject.Latency {
-		time.Sleep(inject.Latency)
-	}
+	inject, started := s.begin(epMutate)
+	defer s.end(epMutate, started)
 	var req wire.MutateRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
@@ -93,17 +87,15 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if inject.Kind == faultinject.Error {
-		s.failInjected(w, r, http.StatusInternalServerError, "injected fault: error")
+		s.writeError(w, r, s.newInjectedError(http.StatusInternalServerError, "injected fault: error"))
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	release, _ := s.admit(w, r, ctx, ds)
-	if release == nil {
+	release, _, f := s.admit(r, ctx, ds, inject)
+	if f != nil {
+		s.writeError(w, r, f)
 		return
-	}
-	if inject.Kind == faultinject.Starve {
-		release = starveRelease(release, inject.Starve)
 	}
 	defer release()
 

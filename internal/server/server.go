@@ -54,7 +54,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/match"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/search"
@@ -112,14 +111,6 @@ type Config struct {
 	Resilience resilience.Config
 	// Injector, when non-nil, injects deterministic faults (whydbd -inject).
 	Injector *faultinject.Injector
-	// CompatV0, for one deprecation release (whydbd -compat-v0), splices the
-	// legacy pre-envelope top-level fields back into v1 responses: success
-	// objects carry their data fields at the top level alongside the
-	// envelope, /v1/datasets answers the legacy bare array, and error
-	// responses revert to the v0 {error, injected, requestId} shape (the
-	// structured error object cannot coexist with the legacy string under
-	// the same "error" key).
-	CompatV0 bool
 }
 
 func (c *Config) fill() {
@@ -232,12 +223,8 @@ type Server struct {
 	cancelDrain context.CancelFunc
 
 	reqTotal      atomic.Int64
-	reqExplain    atomic.Int64
-	reqStream     atomic.Int64
-	reqBatch      atomic.Int64
+	reqs          [numEndpoints]atomic.Int64 // per endpoint; also its fault-injection draw sequence
 	reqBatchItems atomic.Int64
-	reqMatch      atomic.Int64
-	reqMutate     atomic.Int64
 	reqErrors     atomic.Int64
 	reqCancelled  atomic.Int64
 
@@ -249,13 +236,45 @@ type Server struct {
 	panics         atomic.Int64
 	injected       atomic.Int64
 
-	reqSeq     atomic.Uint64 // request ids
-	explainSeq atomic.Uint64 // fault-injection draw sequence per site
-	streamSeq  atomic.Uint64
-	batchSeq   atomic.Uint64
-	matchSeq   atomic.Uint64
-	countSeq   atomic.Uint64
-	mutateSeq  atomic.Uint64
+	reqSeq   atomic.Uint64 // request ids
+	countSeq atomic.Uint64 // fault-injection draw sequence of the internal count RPC
+}
+
+// endpoint indexes the per-endpoint request table. Each row's name is at
+// once its fault-injection site, its latency-EWMA key in the brownout
+// controller, and (through handleStats) its /v1/stats request counter.
+type endpoint int
+
+const (
+	epExplain endpoint = iota
+	epStream
+	epBatch
+	epMatch
+	epMutate
+	numEndpoints
+)
+
+var endpointNames = [numEndpoints]string{"explain", "stream", "batch", "match", "mutate"}
+
+// begin opens one request on an endpoint: it counts the request, draws the
+// endpoint's next fault-injection decision (the n-th request of an endpoint
+// takes draw n, so a seeded injector replays the same faults) and sleeps an
+// injected latency. It returns the decision and the arrival time, which the
+// handler hands to end when it returns.
+func (s *Server) begin(ep endpoint) (faultinject.Decision, time.Time) {
+	s.reqTotal.Add(1)
+	n := s.reqs[ep].Add(1)
+	started := time.Now()
+	inject := s.cfg.Injector.Decide(endpointNames[ep], uint64(n-1))
+	if inject.Kind == faultinject.Latency {
+		time.Sleep(inject.Latency)
+	}
+	return inject, started
+}
+
+// end reports a request's latency to the brownout controller.
+func (s *Server) end(ep endpoint, started time.Time) {
+	s.res.ObserveLatency(endpointNames[ep], time.Since(started))
 }
 
 // New returns an empty server with the given configuration. The server
@@ -455,10 +474,10 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 			s.reqErrors.Add(1)
 			log.Printf("server: panic in %s %s (request %s): %v\n%s", r.Method, r.URL.Path, id, rec, debug.Stack())
 			// Best effort: if the handler already wrote, the write fails.
-			s.writeError(w, r, http.StatusInternalServerError, wire.Error{
+			s.writeError(w, r, &failure{http.StatusInternalServerError, wire.Error{
 				Code:    wire.CodeInternal,
 				Message: fmt.Sprintf("internal error (request %s)", id),
-			})
+			}})
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -489,57 +508,44 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(blob, '\n'))
 }
 
-// writeData answers a v1 success: {requestId, data}. Data's bytes are the
-// endpoint payload marshaled verbatim — the same bytes the stream's `done`
-// event carries, which is what makes the transports differential-testable.
-// Under -compat-v0 the legacy top-level fields are spliced back in (and
-// /v1/datasets answers its legacy bare array).
+// writeData answers a v1 success: {requestId, data}.
 func (s *Server) writeData(w http.ResponseWriter, r *http.Request, v any) {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		s.fail(w, r, http.StatusInternalServerError, wire.CodeInternal, "encoding failure: %v", err)
 		return
 	}
-	env, err := json.Marshal(wire.Envelope{RequestID: requestID(r), Data: blob})
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, wire.CodeInternal, "encoding failure: %v", err)
-		return
-	}
-	if s.cfg.CompatV0 {
-		switch blob[0] {
-		case '{':
-			if len(blob) > 2 {
-				// {"requestId":...,"data":{...}} + ,<data fields> — legal JSON
-				// because envelope keys and payload keys are disjoint.
-				env = append(env[:len(env)-1], ',')
-				env = append(env, blob[1:]...)
-			}
-		case '[':
-			env = blob // the v0 /v1/datasets shape was a bare array
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(env, '\n'))
+	s.writePayload(w, r, blob)
+}
+
+// writePayload answers a v1 success whose data is already marshaled. The
+// bytes go into the envelope verbatim — the same bytes the stream's `done`
+// event and a batch item carry, which is what makes the transports
+// differential-testable.
+func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, data []byte) {
+	s.writeJSON(w, http.StatusOK, wire.Envelope{RequestID: requestID(r), Data: data})
+}
+
+// failure is a structured v1 error together with the HTTP status the
+// blocking transports answer it with (a stream `error` event and a batch
+// item carry the error alone). One is built per failed request, by newError
+// or newInjectedError, which also do the counting.
+type failure struct {
+	status int
+	err    wire.Error
 }
 
 // writeError answers a v1 failure: {requestId, error} with the structured
-// error. Under -compat-v0 the whole body reverts to the v0 shape (the legacy
-// string and the structured object would collide on the "error" key). 5xx
-// answers are logged with the request id for correlation.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, e wire.Error) {
+// error. 5xx answers are logged with the request id for correlation.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, f *failure) {
 	id := requestID(r)
-	if e.RetryAfterMs > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa((e.RetryAfterMs+999)/1000))
+	if f.err.RetryAfterMs > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa((f.err.RetryAfterMs+999)/1000))
 	}
-	if status >= http.StatusInternalServerError {
-		log.Printf("server: %s %s request %s: %d %s: %s", r.Method, r.URL.Path, id, status, e.Code, e.Message)
+	if f.status >= http.StatusInternalServerError {
+		log.Printf("server: %s %s request %s: %d %s: %s", r.Method, r.URL.Path, id, f.status, f.err.Code, f.err.Message)
 	}
-	var body any = wire.Envelope{RequestID: id, Error: &e}
-	if s.cfg.CompatV0 {
-		body = wire.ErrorResponse{Error: e.Message, Injected: e.Injected, RequestID: id}
-	}
-	s.writeJSON(w, status, body)
+	s.writeJSON(w, f.status, wire.Envelope{RequestID: id, Error: &f.err})
 }
 
 // retryable reports whether a failure with this code may be retried verbatim
@@ -553,46 +559,40 @@ func retryable(code wire.ErrorCode) (bool, int) {
 	}
 }
 
-// newError builds a structured v1 error and bumps the error counters — the
-// shared failure path of whole-request errors (fail) and per-item batch
-// envelopes, so an item's error object is byte-identical to the one the
-// same request would have received from /v1/explain.
-func (s *Server) newError(status int, code wire.ErrorCode, format string, args ...any) wire.Error {
+// newError builds a structured v1 failure and bumps the error counters —
+// the one place a non-injected failure is made, whichever transport renders
+// it.
+func (s *Server) newError(status int, code wire.ErrorCode, format string, args ...any) *failure {
 	s.reqErrors.Add(1)
 	if status == StatusClientClosedRequest || status == http.StatusGatewayTimeout {
 		s.reqCancelled.Add(1)
 	}
 	retry, afterMs := retryable(code)
-	return wire.Error{
+	return &failure{status, wire.Error{
 		Code:         code,
 		Message:      fmt.Sprintf(format, args...),
 		Retryable:    retry,
 		RetryAfterMs: afterMs,
-	}
+	}}
 }
 
 // fail writes a v1 error envelope and bumps the error counters.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, code wire.ErrorCode, format string, args ...any) {
-	s.writeError(w, r, status, s.newError(status, code, format, args...))
+	s.writeError(w, r, s.newError(status, code, format, args...))
 }
 
 // newInjectedError builds a fault-injected failure, marked so load
 // generators count it as explained rather than as a service defect.
 // Injected 503s are retryable (the fault models a transient outage);
 // injected 500s are not.
-func (s *Server) newInjectedError(status int, msg string) wire.Error {
+func (s *Server) newInjectedError(status int, msg string) *failure {
 	s.injected.Add(1)
 	s.reqErrors.Add(1)
-	e := wire.Error{Code: wire.CodeInjected, Message: msg, Injected: true}
+	f := &failure{status, wire.Error{Code: wire.CodeInjected, Message: msg, Injected: true}}
 	if status == http.StatusServiceUnavailable {
-		e.Retryable, e.RetryAfterMs = true, 1000
+		f.err.Retryable, f.err.RetryAfterMs = true, 1000
 	}
-	return e
-}
-
-// failInjected writes a fault-injected failure (see newInjectedError).
-func (s *Server) failInjected(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	s.writeError(w, r, status, s.newInjectedError(status, msg))
+	return f
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -645,12 +645,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeMs: time.Since(s.start).Milliseconds(),
 		Requests: wire.ServerCounters{
 			Total:      s.reqTotal.Load(),
-			Explain:    s.reqExplain.Load(),
-			Stream:     s.reqStream.Load(),
-			Batch:      s.reqBatch.Load(),
+			Explain:    s.reqs[epExplain].Load(),
+			Stream:     s.reqs[epStream].Load(),
+			Batch:      s.reqs[epBatch].Load(),
 			BatchItems: s.reqBatchItems.Load(),
-			Match:      s.reqMatch.Load(),
-			Mutate:     s.reqMutate.Load(),
+			Match:      s.reqs[epMatch].Load(),
+			Mutate:     s.reqs[epMutate].Load(),
 			Errors:     s.reqErrors.Load(),
 			Cancelled:  s.reqCancelled.Load(),
 		},
@@ -793,33 +793,19 @@ func (s *Server) resolveQuery(ds *dataset, builtin string, failing bool, wq *wir
 //     queue wait; waiting out the latter answers 504 (expired-queued,
 //     distinguished from expired-running in stats).
 //
-// The returned release func is nil when admission failed (the error has
-// been written); otherwise the returned state is the brownout state the
+// On success the failure is nil, release frees the slot (late, under the
+// injected starve fault), and the returned state is the brownout state the
 // request must be served under.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Context, ds *dataset) (func(), resilience.State) {
-	release, state, status, werr := s.admitItem(r, ctx, ds)
-	if release == nil {
-		s.writeError(w, r, status, *werr)
-	}
-	return release, state
-}
-
-// admitItem is admit without the response write — the batch handler admits
-// each work group through it and turns a failure into per-item error
-// envelopes. On failure release is nil and (status, werr) carry the answer;
-// the counters fail would have bumped are already bumped.
-func (s *Server) admitItem(r *http.Request, ctx context.Context, ds *dataset) (func(), resilience.State, int, *wire.Error) {
-	state := s.res.ObserveAdmission(int(ds.queued.Load()), ds.queueCap, int(ds.inFlight.Load()), cap(ds.sem))
+func (s *Server) admit(r *http.Request, ctx context.Context, ds *dataset, inject faultinject.Decision) (release func(), state resilience.State, f *failure) {
+	state = s.res.ObserveAdmission(int(ds.queued.Load()), ds.queueCap, int(ds.inFlight.Load()), cap(ds.sem))
 	if state == resilience.Shedding {
 		s.shed.Add(1)
-		e := s.newError(http.StatusTooManyRequests, wire.CodeShed, "server shedding load, retry later")
-		return nil, state, http.StatusTooManyRequests, &e
+		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "server shedding load, retry later")
 	}
 	if int(ds.queued.Add(1)) > ds.queueCap {
 		ds.queued.Add(-1)
 		s.queueFull.Add(1)
-		e := s.newError(http.StatusTooManyRequests, wire.CodeShed, "admission queue full (%d queued), retry later", ds.queueCap)
-		return nil, state, http.StatusTooManyRequests, &e
+		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "admission queue full (%d queued), retry later", ds.queueCap)
 	}
 	defer ds.queued.Add(-1)
 	maxWait := time.NewTimer(s.cfg.MaxQueueWait)
@@ -827,26 +813,35 @@ func (s *Server) admitItem(r *http.Request, ctx context.Context, ds *dataset) (f
 	select {
 	case ds.sem <- struct{}{}:
 		ds.inFlight.Add(1)
-		return func() {
+		release = func() {
 			ds.inFlight.Add(-1)
 			<-ds.sem
-		}, state, 0, nil
+		}
+		if inject.Kind == faultinject.Starve {
+			// The slot-leak fault: the slot stays held for the injected
+			// duration past the response.
+			free, hold := release, inject.Starve
+			release = func() {
+				go func() {
+					time.Sleep(hold)
+					free()
+				}()
+			}
+		}
+		return release, state, nil
 	case <-maxWait.C:
 		s.expiredQueued.Add(1)
-		e := s.newError(http.StatusGatewayTimeout, wire.CodeDeadlineQueued, "no execution slot within %s", s.cfg.MaxQueueWait)
-		return nil, state, http.StatusGatewayTimeout, &e
+		return nil, state, s.newError(http.StatusGatewayTimeout, wire.CodeDeadlineQueued, "no execution slot within %s", s.cfg.MaxQueueWait)
 	case <-ctx.Done():
-		status, e := s.ctxError(r, ctx.Err(), true)
-		return nil, state, status, &e
+		return nil, state, s.ctxError(r, ctx.Err(), true)
 	}
 }
 
-// ctxError maps a context error to its HTTP status and structured error:
-// 504 for an expired deadline (counted as expired-queued or
-// expired-running), 503 + Retry-After when the drain cancelled the request
-// (the client did nothing wrong — it should retry against another
-// instance), 499 when the client went away.
-func (s *Server) ctxError(r *http.Request, err error, queued bool) (int, wire.Error) {
+// ctxError classifies a context error: 504 for an expired deadline (counted
+// as expired-queued or expired-running), 503 + Retry-After when the drain
+// cancelled the request (the client did nothing wrong — it should retry
+// against another instance), 499 when the client went away.
+func (s *Server) ctxError(r *http.Request, err error, queued bool) *failure {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		code := wire.CodeDeadlineRunning
@@ -856,18 +851,12 @@ func (s *Server) ctxError(r *http.Request, err error, queued bool) (int, wire.Er
 		} else {
 			s.expiredRunning.Add(1)
 		}
-		return http.StatusGatewayTimeout, s.newError(http.StatusGatewayTimeout, code, "request deadline exceeded")
+		return s.newError(http.StatusGatewayTimeout, code, "request deadline exceeded")
 	case s.drainCtx.Err() != nil && r.Context().Err() == nil:
-		return http.StatusServiceUnavailable, s.newError(http.StatusServiceUnavailable, wire.CodeDraining, "server draining, retry against another instance")
+		return s.newError(http.StatusServiceUnavailable, wire.CodeDraining, "server draining, retry against another instance")
 	default:
-		return StatusClientClosedRequest, s.newError(StatusClientClosedRequest, wire.CodeCanceled, "client closed request")
+		return s.newError(StatusClientClosedRequest, wire.CodeCanceled, "client closed request")
 	}
-}
-
-// failCtx writes the ctxError classification of a context failure.
-func (s *Server) failCtx(w http.ResponseWriter, r *http.Request, err error, queued bool) {
-	status, e := s.ctxError(r, err, queued)
-	s.writeError(w, r, status, e)
 }
 
 // requestContext derives the request's processing context: the client's
@@ -889,239 +878,9 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	}
 }
 
-// degradeExplain applies the brownout quality clamps to resolved explain
-// options and returns the (budget, ε) pair the response's quality bound
-// reports. The clamped run is an ordinary explain: re-running ExplainCtx
-// with these options sequentially reproduces the degraded answer byte for
-// byte.
-func degradeExplain(opts *core.Options, p resilience.DegradedParams) (int, int) {
-	budget := int(float64(opts.Budget) * p.BudgetFrac)
-	if budget < 1 {
-		budget = 1
-	}
-	opts.Budget = budget
-	if opts.MaxRewritings == 0 || opts.MaxRewritings > p.MaxRewritings {
-		opts.MaxRewritings = p.MaxRewritings
-	}
-	opts.Epsilon = p.Epsilon
-	return budget, p.Epsilon
-}
-
-// qualityBound states what a degraded answer is worth: the clamped budget
-// and ε it ran under, the executions spent, and the best cardinality
-// distance reached (the minimum over scored rewritings, falling back to the
-// fine-grained trace's best-so-far; -1 when nothing was found).
-func qualityBound(rep *core.Report, budget, eps int) *wire.QualityBound {
-	best := -1
-	for i := range rep.Rewritings {
-		if d := rep.Rewritings[i].CardinalityDistance; best < 0 || d < best {
-			best = d
-		}
-	}
-	if best < 0 && rep.FineGrained && len(rep.Trace) > 0 {
-		best = rep.Trace[len(rep.Trace)-1]
-	}
-	return &wire.QualityBound{Budget: budget, Epsilon: eps, Executed: rep.Executed, BestDistance: best}
-}
-
-// explainPrep is the decoded, validated, clamped input of one explain
-// request — shared by /v1/explain and /v1/explain/stream so both transports
-// run the engine under byte-identical options.
-type explainPrep struct {
-	req  wire.ExplainRequest
-	ds   *dataset
-	eng  *core.Engine // the epoch this request is pinned to
-	q    *query.Query
-	opts core.Options
-}
-
-// prepareExplain decodes and validates an explain request body, resolves the
-// query spec, applies the fault-injected error, and clamps the knobs into
-// core.Options. On failure the error response has been written and ok is
-// false. The validation sequence (and therefore which error a multiply
-// broken request reports) is part of the v1 contract shared by both explain
-// transports.
-func (s *Server) prepareExplain(w http.ResponseWriter, r *http.Request, inject faultinject.Decision) (prep explainPrep, ok bool) {
-	if code, err := decodeBody(w, r, &prep.req); err != nil {
-		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
-		return prep, false
-	}
-	prep, status, werr := s.validateExplain(prep.req, inject)
-	if werr != nil {
-		s.writeError(w, r, status, *werr)
-		return prep, false
-	}
-	return prep, true
-}
-
-// validateExplain is prepareExplain after body decoding, without the
-// response write: the batch handler validates each item through it and
-// turns a failure into that item's error envelope. The validation sequence
-// (and therefore which error a multiply broken spec reports) is identical
-// to a single /v1/explain call by construction.
-func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Decision) (prep explainPrep, status int, werr *wire.Error) {
-	fail := func(st int, code wire.ErrorCode, format string, args ...any) (explainPrep, int, *wire.Error) {
-		e := s.newError(st, code, format, args...)
-		return prep, st, &e
-	}
-	prep.req = req
-	ds, found := s.lookup(req.Dataset)
-	if !found {
-		return fail(http.StatusNotFound, wire.CodeInvalidSpec, "unknown dataset %q (see /v1/datasets)", req.Dataset)
-	}
-	prep.ds = ds
-	prep.eng = ds.engine()
-	if req.Lower < 0 || req.Upper < 0 {
-		return fail(http.StatusBadRequest, wire.CodeBoundViolation, "cardinality bounds must be non-negative (lower=%d upper=%d)", req.Lower, req.Upper)
-	}
-	if req.Upper > 0 && req.Upper < req.Lower {
-		return fail(http.StatusBadRequest, wire.CodeBoundViolation, "upper bound %d below lower bound %d", req.Upper, req.Lower)
-	}
-	if req.Budget < 0 || req.ResultSample < 0 || req.MaxRewritings < 0 || req.Workers < 0 || req.TimeoutMs < 0 {
-		return fail(http.StatusBadRequest, wire.CodeBoundViolation, "budget, resultSample, maxRewritings, workers, and timeoutMs must be non-negative")
-	}
-	q, code, err := s.resolveQuery(ds, req.Builtin, req.Failing, req.Query)
-	if err != nil {
-		return fail(code, wire.CodeInvalidSpec, "%v", err)
-	}
-	prep.q = q
-	if inject.Kind == faultinject.Error {
-		e := s.newInjectedError(http.StatusInternalServerError, "injected fault: error")
-		return prep, http.StatusInternalServerError, &e
-	}
-	budget := req.Budget
-	if budget == 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	if budget > s.cfg.MaxBudget {
-		budget = s.cfg.MaxBudget
-	}
-	resultSample := req.ResultSample
-	if resultSample > s.cfg.MaxResultSample {
-		resultSample = s.cfg.MaxResultSample
-	}
-	workers := req.Workers
-	if max := prep.eng.Workers(); workers > max {
-		workers = max
-	}
-	prep.opts = core.Options{
-		Expected:      metrics.Interval{Lower: req.Lower, Upper: req.Upper},
-		MaxRewritings: req.MaxRewritings,
-		FineGrained:   req.FineGrained,
-		AllowTopology: req.AllowTopology,
-		Budget:        budget,
-		ResultSample:  resultSample,
-		Workers:       workers,
-		SpecBudget:    s.specPool,
-	}
-	return prep, 0, nil
-}
-
-// starveRelease wraps an admission release in the slot-leak fault: the slot
-// is held for the injected duration past the response.
-func starveRelease(release func(), hold time.Duration) func() {
-	return func() {
-		go func() {
-			time.Sleep(hold)
-			release()
-		}()
-	}
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.reqExplain.Add(1)
-	started := time.Now()
-	defer func() { s.res.ObserveLatency("explain", time.Since(started)) }()
-	inject := s.cfg.Injector.Decide("explain", s.explainSeq.Add(1)-1)
-	if inject.Kind == faultinject.Latency {
-		time.Sleep(inject.Latency)
-	}
-	prep, ok := s.prepareExplain(w, r, inject)
-	if !ok {
-		return
-	}
-	ds, q, opts := prep.ds, prep.q, prep.opts
-	ctx, cancel := s.requestContext(r, prep.req.TimeoutMs)
-	defer cancel()
-	release, state := s.admit(w, r, ctx, ds)
-	if release == nil {
-		return
-	}
-	if inject.Kind == faultinject.Starve {
-		release = starveRelease(release, inject.Starve)
-	}
-	defer release()
-	var sess *shard.Session
-	if ds.shards != nil {
-		// Sharded dataset: the session carries allowPartial and per-request
-		// dead-shard state into the count delegate; a hard shard failure
-		// cancels the request context so the search stops promptly.
-		sess = shard.NewSession(prep.req.AllowPartial, cancel)
-		ctx = shard.WithSession(ctx, sess)
-	}
-	degraded := state == resilience.Degraded
-	var qbBudget, qbEps int
-	if degraded {
-		qbBudget, qbEps = degradeExplain(&opts, s.res.Degraded())
-	}
-	if inject.Kind == faultinject.Cancel {
-		// The kernel-layer fault: cancel the request context from inside the
-		// search, via the executor's pre-execution probe.
-		after := inject.CancelAfter
-		opts.Probe = func(executions int) {
-			if executions >= after {
-				cancel()
-			}
-		}
-	}
-	rep, err := prep.eng.ExplainCtx(ctx, q, opts)
-	if err != nil {
-		// A shard failure cancels the request context, so check the session
-		// first: the caller should see shard_unavailable, not a timeout.
-		if sess != nil {
-			if serr := sess.Err(); serr != nil && errors.Is(serr, shard.ErrUnavailable) {
-				s.fail(w, r, http.StatusServiceUnavailable, wire.CodeShardUnavailable, "%v", serr)
-				return
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			if inject.Kind == faultinject.Cancel && r.Context().Err() == nil && s.drainCtx.Err() == nil {
-				s.failInjected(w, r, http.StatusServiceUnavailable, "injected fault: mid-search cancellation")
-				return
-			}
-			s.failCtx(w, r, ctxErr, false)
-			return
-		}
-		s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "%v", err)
-		return
-	}
-	resp := wire.FromReport(rep)
-	if degraded {
-		s.degradedServed.Add(1)
-		resp.Degraded = true
-		resp.QualityBound = qualityBound(rep, qbBudget, qbEps)
-	}
-	if sess != nil && sess.Partial() {
-		ds.shards.NotePartialServed()
-		resp.Partial = true
-		if resp.QualityBound == nil {
-			resp.QualityBound = qualityBound(rep, opts.Budget, 0)
-		}
-		resp.QualityBound.Coverage = sess.Coverage(ds.shards.Names())
-	}
-	s.writeData(w, r, resp)
-}
-
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.reqMatch.Add(1)
-	started := time.Now()
-	defer func() { s.res.ObserveLatency("match", time.Since(started)) }()
-	inject := s.cfg.Injector.Decide("match", s.matchSeq.Add(1)-1)
-	if inject.Kind == faultinject.Latency {
-		time.Sleep(inject.Latency)
-	}
+	inject, started := s.begin(epMatch)
+	defer s.end(epMatch, started)
 	var req wire.MatchRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
@@ -1150,7 +909,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if inject.Kind == faultinject.Error {
-		s.failInjected(w, r, http.StatusInternalServerError, "injected fault: error")
+		s.writeError(w, r, s.newInjectedError(http.StatusInternalServerError, "injected fault: error"))
 		return
 	}
 	countCap := req.CountCap
@@ -1166,12 +925,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-	release, _ := s.admit(w, r, ctx, ds)
-	if release == nil {
+	release, _, f := s.admit(r, ctx, ds, inject)
+	if f != nil {
+		s.writeError(w, r, f)
 		return
-	}
-	if inject.Kind == faultinject.Starve {
-		release = starveRelease(release, inject.Starve)
 	}
 	// The matching engine has no in-flight cancellation hook (unlike the
 	// explanation searches), so the match runs on its own goroutine: the
@@ -1227,6 +984,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeData(w, r, res.resp)
 	case <-ctx.Done():
-		s.failCtx(w, r, ctx.Err(), false)
+		s.writeError(w, r, s.ctxError(r, ctx.Err(), false))
 	}
 }

@@ -1,186 +1,78 @@
 package server
 
-// POST /v1/explain/stream: the anytime explain transport. The search is the
-// same ExplainCtx run /v1/explain performs — same validation, admission,
-// brownout, and fault-injection paths — but every time the kernel's
-// incumbent improves, the new best explanation is flushed to the client as
-// an `improvement` SSE event with a monotone quality bound, and the final
-// ranked report follows as the `done` event with exactly the bytes
-// /v1/explain would have put in the envelope's data field. Failures before
-// the stream opens (bad spec, shedding 429, queue-full, queued deadline)
-// answer plain JSON envelopes; failures after it are `error` events carrying
-// the envelope shape. A client that disconnects mid-stream cancels the
-// request context, which stops the search before the next candidate
-// execution; so does a failed event write (proxy buffer gone).
+// POST /v1/explain/stream: the anytime rendering of the explain pipeline.
+// Every time the kernel's incumbent improves, the new best explanation is
+// flushed to the client as an `improvement` SSE event with a monotone
+// quality bound, and the final ranked report follows as the `done` event
+// with exactly the bytes /v1/explain puts in the envelope's data field. The
+// stream opens once the request is admitted: failures before that (bad spec,
+// shedding 429, queue-full, queued deadline) answer plain JSON envelopes,
+// failures after it are `error` events carrying the envelope shape. A client
+// that disconnects mid-stream cancels the request context, which stops the
+// search before the next candidate execution; so does a failed event write
+// (proxy buffer gone).
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/faultinject"
-	"repro/internal/resilience"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
-// writeSSE writes one server-sent event with a JSON payload.
-func writeSSE(w io.Writer, event string, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, blob)
-	return err
-}
-
-// streamCtxError classifies a mid-stream context failure like failCtx does
-// pre-stream, counting it the same way, but returns the structured error for
-// an SSE `error` event — the 200 header is already on the wire.
-func (s *Server) streamCtxError(r *http.Request, err error) wire.Error {
-	s.reqErrors.Add(1)
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.reqCancelled.Add(1)
-		s.expiredRunning.Add(1)
-		return wire.Error{Code: wire.CodeDeadlineRunning, Message: "request deadline exceeded"}
-	case s.drainCtx.Err() != nil && r.Context().Err() == nil:
-		return wire.Error{Code: wire.CodeDraining, Message: "server draining, retry against another instance", Retryable: true, RetryAfterMs: 1000}
-	default:
-		s.reqCancelled.Add(1)
-		return wire.Error{Code: wire.CodeCanceled, Message: "client closed request"}
-	}
-}
-
 func (s *Server) handleExplainStream(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.reqStream.Add(1)
-	started := time.Now()
-	defer func() { s.res.ObserveLatency("stream", time.Since(started)) }()
-	inject := s.cfg.Injector.Decide("stream", s.streamSeq.Add(1)-1)
-	if inject.Kind == faultinject.Latency {
-		time.Sleep(inject.Latency)
-	}
+	inject, started := s.begin(epStream)
+	defer s.end(epStream, started)
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
 		s.fail(w, r, http.StatusInternalServerError, wire.CodeInternal, "response writer cannot stream")
 		return
 	}
-	prep, ok := s.prepareExplain(w, r, inject)
-	if !ok {
+	var req wire.ExplainRequest
+	if code, err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
 		return
 	}
-	ds, q, opts := prep.ds, prep.q, prep.opts
-	ctx, cancel := s.requestContext(r, prep.req.TimeoutMs)
-	defer cancel()
-	// Admission runs before the stream opens: shedding and queue-full answer
-	// their plain 429 envelope, a queued-out deadline its 504.
-	release, state := s.admit(w, r, ctx, ds)
-	if release == nil {
+	prep, f := s.validateExplain(req, inject)
+	if f != nil {
+		s.writeError(w, r, f)
 		return
 	}
-	if inject.Kind == faultinject.Starve {
-		release = starveRelease(release, inject.Starve)
-	}
-	defer release()
-	var sess *shard.Session
-	if ds.shards != nil {
-		sess = shard.NewSession(prep.req.AllowPartial, cancel)
-		ctx = shard.WithSession(ctx, sess)
-	}
-	degraded := state == resilience.Degraded
-	var qbBudget, qbEps int
-	if degraded {
-		qbBudget, qbEps = degradeExplain(&opts, s.res.Degraded())
-	}
-	if inject.Kind == faultinject.Cancel {
-		after := inject.CancelAfter
-		opts.Probe = func(executions int) {
-			if executions >= after {
-				cancel()
-			}
-		}
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	// The improvement callback runs on this goroutine, inside ExplainCtx's
-	// deterministic sequential loop: writing and flushing here is safe, and
-	// a dead client (write error) cancels the context so the search stops
-	// before the next candidate execution instead of streaming into the
-	// void.
-	seq := 0
-	opts.OnImprovement = func(imp core.Improvement) {
-		if ctx.Err() != nil {
-			return
-		}
-		seq++
-		ev := wire.FromImprovement(imp)
-		ev.Seq = seq
-		if degraded {
-			ev.QualityBound = &wire.QualityBound{Budget: qbBudget, Epsilon: qbEps, Executed: imp.Executed, BestDistance: imp.Distance}
-		}
-		if err := writeSSE(w, "improvement", ev); err != nil {
-			cancel()
-			return
-		}
-		flusher.Flush()
-	}
-
-	rep, err := prep.eng.ExplainCtx(ctx, q, opts)
-	if err != nil {
-		var we wire.Error
-		if sess != nil {
-			if serr := sess.Err(); serr != nil && errors.Is(serr, shard.ErrUnavailable) {
-				s.reqErrors.Add(1)
-				we = wire.Error{Code: wire.CodeShardUnavailable, Message: serr.Error(), Retryable: true, RetryAfterMs: 1000}
-				if writeSSE(w, "error", wire.Envelope{RequestID: requestID(r), Error: &we}) == nil {
-					flusher.Flush()
-				}
-				return
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			if inject.Kind == faultinject.Cancel && r.Context().Err() == nil && s.drainCtx.Err() == nil {
-				s.injected.Add(1)
-				s.reqErrors.Add(1)
-				we = wire.Error{Code: wire.CodeInjected, Message: "injected fault: mid-search cancellation", Injected: true, Retryable: true, RetryAfterMs: 1000}
-			} else {
-				we = s.streamCtxError(r, ctxErr)
-			}
-		} else {
-			s.reqErrors.Add(1)
-			we = wire.Error{Code: wire.CodeInvalidSpec, Message: err.Error()}
-		}
-		if writeSSE(w, "error", wire.Envelope{RequestID: requestID(r), Error: &we}) == nil {
+	// send writes and flushes one server-sent event. It runs on this
+	// goroutine only (runExplain calls improved inline), so events never
+	// interleave.
+	send := func(event string, data []byte) error {
+		_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+		if err == nil {
 			flusher.Flush()
 		}
-		return
+		return err
 	}
-	resp := wire.FromReport(rep)
-	if degraded {
-		s.degradedServed.Add(1)
-		resp.Degraded = true
-		resp.QualityBound = qualityBound(rep, qbBudget, qbEps)
-	}
-	if sess != nil && sess.Partial() {
-		ds.shards.NotePartialServed()
-		resp.Partial = true
-		if resp.QualityBound == nil {
-			resp.QualityBound = qualityBound(rep, opts.Budget, 0)
-		}
-		resp.QualityBound.Coverage = sess.Coverage(ds.shards.Names())
-	}
-	if writeSSE(w, "done", resp) == nil {
+	opened := false
+	payload, _, f := s.runExplain(r, &prep, inject, func() {
+		opened = true
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
+		w.WriteHeader(http.StatusOK)
 		flusher.Flush()
+	}, func(ev wire.StreamEvent) error {
+		blob, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		return send("improvement", blob)
+	})
+	// A terminal event that cannot be written has no one left to read it.
+	switch {
+	case f == nil:
+		_ = send("done", payload)
+	case opened:
+		// The 200 is on the wire: the failure travels as an event.
+		if blob, err := json.Marshal(wire.Envelope{RequestID: requestID(r), Error: &f.err}); err == nil {
+			_ = send("error", blob)
+		}
+	default:
+		s.writeError(w, r, f)
 	}
 }

@@ -21,8 +21,14 @@ import (
 // cardShards is the shard count of each cardinality cache. Sixteen shards
 // keep the worker pools of the parallel explanation searches (typically
 // GOMAXPROCS wide) from serializing on one mutex while staying small enough
-// that CacheStats' full sweep is cheap.
-const cardShards = 16
+// that CacheStats' full sweep is cheap. cardCachePerCap bounds each shard
+// the way the matcher bounds its count cache (match.countCachePerCap): a
+// full shard is dropped wholesale, so a stream of never-repeating queries
+// cannot grow the collector for the life of the engine.
+const (
+	cardShards      = 16
+	cardCachePerCap = 1 << 12
+)
 
 // cardShard is one lock-striped slice of a cardinality cache.
 type cardShard struct {
@@ -69,6 +75,9 @@ func (c *cardCache) get(key []byte) (int, bool) {
 func (c *cardCache) put(key []byte, n int) {
 	s := c.shard(key)
 	s.mu.Lock()
+	if len(s.m) >= cardCachePerCap {
+		s.m = make(map[string]int)
+	}
 	s.m[string(key)] = n
 	s.mu.Unlock()
 }

@@ -60,6 +60,34 @@ func TestVertexAndEdgeCardinality(t *testing.T) {
 	}
 }
 
+// TestCardCacheBounded drives more distinct fragments through the collector
+// than its caches may hold: resident entries stay under the per-shard bound,
+// and a statistic evicted along the way is recomputed to the same value.
+func TestCardCacheBounded(t *testing.T) {
+	m := match.New(testGraph())
+	c, fresh := New(m), New(m)
+	agedPerson := func(lo int) *query.Vertex {
+		q := query.New()
+		return q.Vertex(q.AddVertex(map[string]query.Predicate{
+			"type": query.EqS("person"),
+			"age":  query.Between(float64(lo), float64(lo+10)),
+		}))
+	}
+	const bound = cardShards * cardCachePerCap
+	for lo := 0; lo < bound+bound/4; lo++ {
+		c.VertexCardinality(agedPerson(lo))
+	}
+	_, misses, entries := c.CacheStats()
+	if entries > bound || misses <= bound {
+		t.Fatalf("after %d distinct fragments the cache holds %d entries, want at most %d", misses, entries, bound)
+	}
+	for lo := 15; lo < 45; lo++ {
+		if got, want := c.VertexCardinality(agedPerson(lo)), fresh.VertexCardinality(agedPerson(lo)); got != want {
+			t.Fatalf("persons aged %d..%d = %d after eviction, want %d", lo, lo+10, got, want)
+		}
+	}
+}
+
 func TestPathCardinalities(t *testing.T) {
 	c := New(match.New(testGraph()))
 	q := personUniCity()

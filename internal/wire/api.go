@@ -179,20 +179,6 @@ type CountResponse struct {
 	Count int `json:"count"`
 }
 
-// ErrorResponse is the legacy (pre-envelope) body of a non-2xx response.
-//
-// Deprecated: v1 responses are wrapped in Envelope with a structured Error;
-// these top-level fields are only spliced back in by whydbd's -compat-v0
-// mode for one deprecation release. Decode Envelope instead.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// Injected marks a fault-injected failure (whydbd -inject): load
-	// generators count it as explained rather than as a service defect.
-	Injected bool `json:"injected,omitempty"`
-	// RequestID echoes the X-Request-Id header for log correlation.
-	RequestID string `json:"requestId,omitempty"`
-}
-
 // ErrorCode is the machine-readable failure classification of the v1 API.
 // Load generators and clients branch on the code — never on message text or
 // bare HTTP status — to decide retries and outcome accounting.
