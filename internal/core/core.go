@@ -62,16 +62,31 @@ type explainState struct {
 // Explanation searches run on GOMAXPROCS workers by default; see SetWorkers.
 func NewEngine(g *graph.Graph) *Engine {
 	m := match.New(g)
-	st := stats.New(m)
-	e := &Engine{
-		g: g, m: m, st: st,
-		domain:  stats.BuildDomain(g, 16),
-		workers: runtime.GOMAXPROCS(0),
-	}
+	return newEngine(g, m, stats.New(m), stats.BuildDomain(g, 16), runtime.GOMAXPROCS(0))
+}
+
+func newEngine(g *graph.Graph, m *match.Matcher, st *stats.Collector, domain *stats.Domain, workers int) *Engine {
+	e := &Engine{g: g, m: m, st: st, domain: domain, workers: workers}
 	e.states.New = func() any {
 		return &explainState{rw: relax.New(m, st), mt: modtree.New(m, st), ctx: m.NewContext()}
 	}
 	return e
+}
+
+// Successor publishes one batch of writes as the next epoch's engine. g must
+// be a graph.Fork of e's graph with the batch applied and nothing else done
+// to it; Successor seals it and derives everything above it from e — CSR and
+// attribute index (graph.Seal), domain catalog (stats.Domain.Derive), and the
+// candidate, count and statistics caches less the entries the batch may have
+// changed (match.NewSuccessor, stats.NewSuccessor) — so the cost follows the
+// batch, not the graph. The result answers every query exactly as
+// NewEngine(g) would. e is left untouched and keeps serving the requests
+// pinned to it; the successor inherits its worker count and starts its
+// counters at zero.
+func (e *Engine) Successor(g *graph.Graph) *Engine {
+	d := g.Seal()
+	m := match.NewSuccessor(e.m, g, d)
+	return newEngine(g, m, stats.NewSuccessor(m, e.st, d), e.domain.Derive(g, d), e.workers)
 }
 
 // SetWorkers sets the worker count the explanation searches (relaxation,

@@ -145,10 +145,7 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		outOff:    p.CSR.OutOff,
 		inOff:     p.CSR.InOff,
 		typeNames: p.CSR.TypeNames,
-		typeIDs:   make(map[string]int32, len(p.CSR.TypeNames)),
-	}
-	for i, t := range c.typeNames {
-		c.typeIDs[t] = int32(i)
+		typeIDs:   denseTypeIDs(p.CSR.TypeNames),
 	}
 	g.frozen.Store(c)
 	if len(p.IndexedKeys) > 0 {

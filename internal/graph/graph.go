@@ -90,6 +90,10 @@ type Graph struct {
 	// a half-built one. freezeMu only serializes concurrent builders.
 	frozen   atomic.Pointer[csr]
 	freezeMu sync.Mutex
+
+	// fork is non-nil between Fork and Seal: the journal of what the batch
+	// removed (see derive.go).
+	fork *fork
 }
 
 // csr is one immutable packed-adjacency snapshot: per-vertex half-edge lists
@@ -172,10 +176,7 @@ func (g *Graph) Freeze() {
 		return
 	}
 	c := &csr{typeNames: g.EdgeTypes()}
-	c.typeIDs = make(map[string]int32, len(c.typeNames))
-	for i, t := range c.typeNames {
-		c.typeIDs[t] = int32(i)
-	}
+	c.typeIDs = denseTypeIDs(c.typeNames)
 	nv, live := len(g.vertices), len(g.edges)-g.nRemovedE
 	c.outOff = make([]int32, nv+1)
 	c.inOff = make([]int32, nv+1)
@@ -199,6 +200,15 @@ func (g *Graph) Freeze() {
 	c.outOff[nv] = opos
 	c.inOff[nv] = ipos
 	g.frozen.Store(c)
+}
+
+// denseTypeIDs inverts a dense type table: name → index.
+func denseTypeIDs(names []string) map[string]int32 {
+	ids := make(map[string]int32, len(names))
+	for i, t := range names {
+		ids[t] = int32(i)
+	}
+	return ids
 }
 
 // snapshot returns the current packed-adjacency snapshot, building it when

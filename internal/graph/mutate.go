@@ -6,8 +6,9 @@ import "fmt"
 //
 // The mutation story for a serving graph is clone-and-swap, not in-place
 // update: readers hold the frozen CSR of an old clone while a writer applies
-// a batch to a fresh Clone, freezes it, and publishes the new graph behind
-// whatever pointer the caller owns. IDs are dense and never reused, so
+// a batch to a Fork (derive.go) — or, from scratch, to a Clone it then
+// indexes and freezes — and publishes the new graph behind whatever pointer
+// the caller owns. IDs are dense and never reused, so
 // removal tombstones the slot: a removed vertex keeps its ID with nil attrs
 // and no incident edges, a removed edge keeps its record (for audit) but
 // leaves every adjacency list, the type index, and the next frozen CSR.
@@ -73,8 +74,8 @@ func (g *Graph) ensureTombstones() {
 }
 
 // removeID filters one id out of a dense id list, preserving order. The
-// backing array is owned by this graph (Clone deep-copies adjacency), so the
-// in-place shift is safe.
+// backing array is owned by this graph (Clone copies adjacency into its own
+// flat arrays), so the in-place shift is safe.
 func removeID(ids []EdgeID, id EdgeID) []EdgeID {
 	for i, e := range ids {
 		if e == id {
@@ -107,6 +108,9 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	}
 	g.removedE[id] = true
 	g.nRemovedE++
+	if g.fork != nil {
+		g.fork.removedE = append(g.fork.removedE, id)
+	}
 	g.frozen.Store(nil)
 	return nil
 }
@@ -135,6 +139,10 @@ func (g *Graph) RemoveVertex(id VertexID) error {
 			}
 		}
 	}
+	if g.fork != nil {
+		g.fork.removedV = append(g.fork.removedV, id)
+		g.fork.removedAttrs = append(g.fork.removedAttrs, g.vertices[id].Attrs)
+	}
 	g.vertices[id].Attrs = nil
 	g.removedV[id] = true
 	g.nRemovedV++
@@ -148,8 +156,13 @@ func (g *Graph) RemoveVertex(id VertexID) error {
 // vertex attribute index is NOT cloned — after mutating a clone, rebuild it
 // with BuildVertexIndex(orig.IndexedKeys()...). The clone starts unfrozen;
 // its first Freeze builds a CSR independent of the original's.
+//
+// Only flat arrays are copied: every adjacency and type-index list of the
+// clone is a capacity-clamped window into one backing array, so the copy
+// allocates per graph, not per vertex, and an append to one list reallocates
+// that list instead of running into its neighbour's.
 func (g *Graph) Clone() *Graph {
-	nv := len(g.vertices)
+	nv, live := len(g.vertices), len(g.edges)-g.nRemovedE
 	c := &Graph{
 		vertices:  append([]Vertex(nil), g.vertices...),
 		edges:     append([]Edge(nil), g.edges...),
@@ -159,16 +172,25 @@ func (g *Graph) Clone() *Graph {
 		nRemovedV: g.nRemovedV,
 		nRemovedE: g.nRemovedE,
 	}
+	// Every live edge sits in exactly one out list, one in list and one type
+	// list, so each of the three families fills exactly `live` slots.
+	flat := make([]EdgeID, 3*live)
+	window := func(ids []EdgeID) []EdgeID {
+		w := flat[:len(ids):len(ids)]
+		flat = flat[len(ids):]
+		copy(w, ids)
+		return w
+	}
 	for v := range g.out {
 		if len(g.out[v]) > 0 {
-			c.out[v] = append([]EdgeID(nil), g.out[v]...)
+			c.out[v] = window(g.out[v])
 		}
 		if len(g.in[v]) > 0 {
-			c.in[v] = append([]EdgeID(nil), g.in[v]...)
+			c.in[v] = window(g.in[v])
 		}
 	}
 	for t, ids := range g.typeIndex {
-		c.typeIndex[t] = append([]EdgeID(nil), ids...)
+		c.typeIndex[t] = window(ids)
 	}
 	if g.removedV != nil {
 		c.removedV = append([]bool(nil), g.removedV...)

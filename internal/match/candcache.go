@@ -9,12 +9,17 @@ import (
 )
 
 // candEntry is one cached candidate resolution: the matching data vertices
-// and the same set as a bitset over all data vertices. Entries are shared
-// between plans and read-only after insertion.
+// and the same set as a bitset over all data vertices, with the predicates
+// that selected them (what NewSuccessor tests a batch's vertices against).
+// Entries are shared between plans and read-only after insertion.
 type candEntry struct {
-	list []graph.VertexID
-	bits []uint64
+	list  []graph.VertexID
+	bits  []uint64
+	preds []flatPred
 }
+
+// bytes approximates the entry's resident size under a key of keyLen bytes.
+func (e *candEntry) bytes(keyLen int) int { return len(e.list)*4 + len(e.bits)*8 + keyLen }
 
 // candCacheCap and candCacheMaxBytes bound the resident cache by entry
 // count and by approximate memory (every entry carries a bitset sized to
@@ -55,8 +60,8 @@ func (m *Matcher) resolveCandidates(key []byte, preds []flatPred, words int, scr
 	for _, id := range list {
 		bits[int(id)>>6] |= 1 << (uint(id) & 63)
 	}
-	e = &candEntry{list: list, bits: bits}
-	size := len(list)*4 + len(bits)*8 + len(key)
+	e = &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
+	size := e.bytes(len(key))
 	m.candMu.Lock()
 	if len(m.candCache) >= candCacheCap || m.candBytes+size > candCacheMaxBytes {
 		m.candCache = make(map[string]*candEntry)

@@ -231,7 +231,7 @@ func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 		}
 	} else {
 		for i := 0; i < m.g.NumEdges(); i++ {
-			if m.EdgeMatches(eq, graph.EdgeID(i)) {
+			if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.EdgeMatches(eq, id) {
 				count++
 			}
 		}

@@ -206,6 +206,106 @@ func appendKeyU64(dst []byte, v uint64) []byte {
 }
 
 // ---------------------------------------------------------------------------
+// What a keyed count reads
+
+// CountMayChange decides, from a query's key alone, whether a batch of graph
+// writes can have changed the query's result count. key is an AppendKey
+// encoding, optionally followed by one uvarint (the count cap the matcher
+// appends); edgeTypes holds the type of every data edge the batch added or
+// removed (cascades of vertex removals included) and vertices says whether it
+// added or removed any vertex. Existing vertices never change attributes, so
+// an embedding can only appear or vanish with an element the batch touched:
+//
+//   - a touched edge can only be bound by a query edge that admits its type —
+//     one that lists the type, or has no type constraint at all;
+//   - a touched vertex is bound either together with one of its incident data
+//     edges, all of which the batch touched too (they are new, or cascaded),
+//     or by a query vertex without any incident query edge.
+//
+// So the count stands unless the key has an edge admitting a touched type, or
+// a vertex no edge mentions while vertices were touched. Anything that does
+// not parse as such a key — the matcher's range-count keys among them —
+// reports true: when in doubt, recount.
+func CountMayChange(key string, edgeTypes map[string]struct{}, vertices bool) bool {
+	var stack [2 * keyScratch]int
+	vids, covered := stack[:0:keyScratch], stack[keyScratch:keyScratch]
+	pos := 0
+	// A record is at least three bytes; a last single byte is the cap, and a
+	// longer cap starts with a continuation byte, never with a record tag.
+	for len(key)-pos > 1 && (key[pos] == 'v' || key[pos] == 'e') {
+		tag := key[pos]
+		id, n := keyUvarint(key, pos+1)
+		if n <= 0 {
+			return true
+		}
+		pos += 1 + n
+		size, n := keyUvarint(key, pos)
+		if n <= 0 || uint64(len(key)-pos-n) < size {
+			return true
+		}
+		pos += n
+		payload := key[pos : pos+int(size)]
+		pos += int(size)
+		if tag == 'v' {
+			vids = append(vids, int(id))
+			continue
+		}
+		from, n := keyUvarint(payload, 0)
+		if n <= 0 {
+			return true
+		}
+		to, m := keyUvarint(payload, n)
+		if m <= 0 || len(payload) < n+m+1 {
+			return true
+		}
+		covered = append(covered, int(from), int(to))
+		if EdgeCountMayChange(payload[n+m+1:], edgeTypes) { // skip the record's own dirs byte
+			return true
+		}
+	}
+	if len(vids) == 0 {
+		return true
+	}
+	if vertices {
+		for _, id := range vids {
+			if !containsInt(covered, id) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// EdgeCountMayChange is CountMayChange for the number of data edges matching
+// one query edge regardless of endpoints: key is an AppendConstraintKey
+// encoding, and the count stands unless the edge admits a touched type.
+func EdgeCountMayChange(key string, edgeTypes map[string]struct{}) bool {
+	if len(key) < 2 {
+		return true
+	}
+	ntypes, n := keyUvarint(key, 1) // key[0] is the direction set
+	if n <= 0 {
+		return true
+	}
+	if ntypes == 0 {
+		return len(edgeTypes) > 0
+	}
+	pos := 1 + n
+	for ; ntypes > 0; ntypes-- {
+		size, n := keyUvarint(key, pos)
+		if n <= 0 || uint64(len(key)-pos-n) < size {
+			return true
+		}
+		pos += n
+		if _, hit := edgeTypes[key[pos:pos+int(size)]]; hit {
+			return true
+		}
+		pos += int(size)
+	}
+	return false
+}
+
+// ---------------------------------------------------------------------------
 // Delta-keyed candidate generation
 
 // ApplyKeyed derives a child candidate from parent incrementally: the child

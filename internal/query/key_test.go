@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -213,5 +214,83 @@ func TestSetTypesKeepsCanonicalSorted(t *testing.T) {
 	q.Edge(id).SetTypes([]string{"omega", "beta"})
 	if q.Key() != q2.Key() {
 		t.Fatal("SetTypes must refresh the sorted cache")
+	}
+}
+
+// TestCountMayChange pins the key-level footprint test the cache carry-over
+// across graph writes rests on: which (query, batch) pairs keep a cached
+// count, with and without the matcher's trailing cap, on keys long enough to
+// need multi-byte lengths, and on input that is not a query key at all.
+func TestCountMayChange(t *testing.T) {
+	types := func(ts ...string) map[string]struct{} {
+		m := make(map[string]struct{})
+		for _, t := range ts {
+			m[t] = struct{}{}
+		}
+		return m
+	}
+	// keyBaseQuery without its type-free edge and the vertex only that edge
+	// mentions: every edge typed, every vertex on an edge.
+	q := keyBaseQuery()
+	q.RemoveEdge(q.EdgeIDs()[3])
+	q.RemoveVertex(q.VertexIDs()[3])
+	used := []string{"follows", "knows", "livesIn"}
+	untyped := q.Clone()
+	untyped.Edge(untyped.EdgeIDs()[0]).SetTypes(nil)
+	lone := q.Clone()
+	lone.AddVertex(map[string]Predicate{"type": EqS("person")})
+	long := q.Clone()
+	long.Vertex(long.VertexIDs()[0]).Preds["bio"] = EqS(string(make([]byte, 300)))
+
+	for _, tc := range []struct {
+		name     string
+		q        *Query
+		types    map[string]struct{}
+		vertices bool
+		want     bool
+	}{
+		{"nothing it binds", q, types("loadtest"), true, false},
+		{"one of its types", q, types("loadtest", used[0]), false, true},
+		{"vertices only, every vertex on an edge", q, types(), true, false},
+		{"untyped edge, some edge touched", untyped, types("loadtest"), false, true},
+		{"untyped edge, vertices only", untyped, types(), true, false},
+		{"edge-free vertex, a vertex touched", lone, types(), true, true},
+		{"edge-free vertex, edges only", lone, types("loadtest"), false, false},
+		{"multi-byte payload length", long, types("loadtest"), true, false},
+		{"multi-byte payload length, touched", long, types(used[0]), true, true},
+	} {
+		key := tc.q.Key()
+		// Bare, and with every shape of trailing cap: none of them may be
+		// taken for a record — 101 and 118 are the bytes 'e' and 'v'.
+		for _, cap := range []uint64{0, 5, 'e', 'v', 128, 2000, 1 << 40} {
+			capped := string(binary.AppendUvarint([]byte(key), cap))
+			for _, k := range []string{key, capped} {
+				if got := CountMayChange(k, tc.types, tc.vertices); got != tc.want {
+					t.Errorf("%s (cap %d, %d key bytes): got %v, want %v", tc.name, cap, len(k), got, tc.want)
+				}
+			}
+		}
+	}
+
+	// When in doubt, recount: a range-count key (leading 0x00), an empty
+	// key, and truncated keys all report true.
+	key := q.Key()
+	for _, bad := range []string{"", "\x00" + key, key[:len(key)/2], key[:3], "e"} {
+		if !CountMayChange(bad, types(), false) {
+			t.Errorf("malformed key %q accepted as untouched", bad)
+		}
+	}
+
+	e := q.Edge(q.EdgeIDs()[0])
+	ck := string(e.AppendConstraintKey(nil))
+	if EdgeCountMayChange(ck, types("loadtest")) || !EdgeCountMayChange(ck, types(e.Types[0])) {
+		t.Error("typed edge constraint: touched only by its own types")
+	}
+	uk := string(untyped.Edge(untyped.EdgeIDs()[0]).AppendConstraintKey(nil))
+	if !EdgeCountMayChange(uk, types("loadtest")) || EdgeCountMayChange(uk, types()) {
+		t.Error("untyped edge constraint: touched by any edge, and only by edges")
+	}
+	if !EdgeCountMayChange("", types()) || !EdgeCountMayChange(ck[:3], types()) {
+		t.Error("malformed constraint key accepted as untouched")
 	}
 }

@@ -1,29 +1,32 @@
 package server
 
 // POST /v1/graph/mutate: epoch-based live mutation. One request is one
-// atomic batch of graph writes. The handler clones the dataset's current
-// graph, applies the whole batch to the clone, freezes a fresh CSR, rebuilds
-// the attribute indexes, constructs a new core.Engine, and publishes it with
-// one atomic pointer swap — the next epoch. In-flight searches pinned to the
-// old engine finish on the old CSR untouched; requests admitted after the
-// swap see the new graph; and because every cache (plans, counts,
-// candidates, statistics) hangs off the engine, the swap invalidates all of
-// them wholesale — a stale hit across epochs is impossible by construction.
+// atomic batch of graph writes. The handler forks the dataset's current
+// graph, applies the whole batch to the fork, asks the serving engine for its
+// successor over it (core.Engine.Successor: CSR, attribute index, domain and
+// caches derived from the current epoch's, at the cost of the batch), and
+// publishes that with one atomic pointer swap — the next epoch. In-flight
+// searches pinned to the old engine finish on the old CSR untouched; requests
+// admitted after the swap see the new graph. Every cache still hangs off its
+// engine; the successor starts with a filtered copy — the entries whose
+// footprint the batch's footprint cannot reach — so a stale hit across epochs
+// stays impossible by construction.
 //
 // Writers serialize on the dataset's mutation mutex, but still pass through
 // the shared admission/brownout path first: under overload a mutate sheds
 // with a retryable 429 exactly like a read — degrade, never corrupt.
 //
 // Validation is all-or-nothing: any bad element fails the batch with 400
-// before publication, and the discarded clone leaves the serving graph
-// untouched. Sharded datasets reject mutation — replicas would not see the
-// write and the vertex-range partition bounds would shift under the group.
+// before publication, and the discarded fork leaves the serving graph
+// untouched. What needs no graph — shapes, bounds, attribute values — is
+// checked before the request takes an admission slot or the write lock.
+// Sharded datasets reject mutation — replicas would not see the write and the
+// vertex-range partition bounds would shift under the group.
 
 import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -76,6 +79,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, wire.CodeBoundViolation, "timeoutMs must be non-negative")
 		return
 	}
+	vertexAttrs := make([]graph.Attrs, len(req.AddVertices))
+	for i, mv := range req.AddVertices {
+		attrs, err := decodeAttrs(mv.Attrs)
+		if err != nil {
+			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addVertices[%d]: %v", i, err)
+			return
+		}
+		vertexAttrs[i] = attrs
+	}
+	edgeAttrs := make([]graph.Attrs, len(req.AddEdges))
 	for i, e := range req.AddEdges {
 		if e.Type == "" {
 			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addEdges[%d]: missing edge type", i)
@@ -85,6 +98,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addEdges[%d]: batch-local reference %d/%d outside this batch's %d added vertices", i, e.From, e.To, len(req.AddVertices))
 			return
 		}
+		attrs, err := decodeAttrs(e.Attrs)
+		if err != nil {
+			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addEdges[%d]: %v", i, err)
+			return
+		}
+		edgeAttrs[i] = attrs
 	}
 	if inject.Kind == faultinject.Error {
 		s.writeError(w, r, s.newInjectedError(http.StatusInternalServerError, "injected fault: error"))
@@ -103,16 +122,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	defer ds.mutMu.Unlock()
 	old := ds.engine()
 	oldG := old.Graph()
-	g := oldG.Clone()
+	g := oldG.Fork()
 
 	resp := wire.MutateResponse{}
 	addedV := make([]graph.VertexID, 0, len(req.AddVertices))
-	for i, mv := range req.AddVertices {
-		attrs, err := decodeAttrs(mv.Attrs)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addVertices[%d]: %v", i, err)
-			return
-		}
+	for _, attrs := range vertexAttrs {
 		id := g.AddVertex(attrs)
 		addedV = append(addedV, id)
 		resp.AddedVertices = append(resp.AddedVertices, int(id))
@@ -134,12 +148,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addEdges[%d]: endpoint %d -> %d does not name a live vertex", i, me.From, me.To)
 			return
 		}
-		attrs, err := decodeAttrs(me.Attrs)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "addEdges[%d]: %v", i, err)
-			return
-		}
-		id := g.AddEdge(from, to, me.Type, attrs)
+		id := g.AddEdge(from, to, me.Type, edgeAttrs[i])
 		resp.AddedEdges = append(resp.AddedEdges, int(id))
 	}
 	for i, ref := range req.RemoveEdges {
@@ -167,19 +176,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	resp.RemovedVertices = g.NumRemovedVertices() - oldG.NumRemovedVertices()
 	resp.RemovedEdges = g.NumRemovedEdges() - oldG.NumRemovedEdges()
 
-	// Build the next epoch: indexes, CSR, engine — then publish atomically.
-	if keys := oldG.IndexedKeys(); len(keys) > 0 {
-		g.BuildVertexIndex(keys...)
-	}
-	g.Freeze()
-	eng := core.NewEngine(g)
-	eng.SetWorkers(old.Workers())
-	ds.eng.Store(eng)
+	// Derive the next epoch from this one, then publish atomically.
+	ds.eng.Store(old.Successor(g))
 	epoch := ds.epoch.Add(1)
 	ds.refreezes.Add(1)
 	ds.mutations.Add(1)
 	elapsed := time.Since(started)
-	ds.lastRefreezNs.Store(elapsed.Nanoseconds())
+	ds.lastRefreezeNs.Store(elapsed.Nanoseconds())
 
 	resp.Epoch = epoch
 	resp.Vertices = g.NumLiveVertices()

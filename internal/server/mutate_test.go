@@ -1,7 +1,7 @@
 package server
 
-// Tests for POST /v1/graph/mutate: epoch bumps, cache invalidation across
-// the engine swap, all-or-nothing validation, the sharded-dataset refusal,
+// Tests for POST /v1/graph/mutate: epoch bumps, cache invalidation and
+// carry-over across the engine swap, all-or-nothing validation, the sharded-dataset refusal,
 // and a -race hammer proving in-flight reads pinned to an old epoch finish
 // on the old engine while writers publish new ones.
 
@@ -100,11 +100,81 @@ func TestMutateEpochAndCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestMutateCarriesUntouchedCounts covers the directions the test above does
+// not: a count the batch cannot have changed is answered from the successor's
+// carried cache — a hit, with the new epoch's miss counter still at zero —
+// while a query that can bind any edge, or binds a vertex through no edge, is
+// never carried across a write that touched an edge or a vertex.
+func TestMutateCarriesUntouchedCounts(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	builtin := func() int {
+		t.Helper()
+		rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 1"})
+		if rec.Code != 200 {
+			t.Fatalf("match got %d: %s", rec.Code, rec.Body)
+		}
+		return decodeData[wire.MatchResponse](t, rec).Count
+	}
+	// LDBC QUERY 1 with its first edge's type deleted, and with a fourth
+	// vertex nothing connects: on the person/person pattern of mutTestQuery.
+	untyped := mutTestQuery("person", "knows")
+	untyped.Edges[0].Types = nil
+	lone := mutTestQuery("person", "knows")
+	lone.Vertices = append(lone.Vertices, wire.Vertex{ID: 2, Preds: lone.Vertices[0].Preds})
+	capped := func(q *wire.Query) int {
+		t.Helper()
+		rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Query: q, CountCap: 50})
+		if rec.Code != 200 {
+			t.Fatalf("match got %d: %s", rec.Code, rec.Body)
+		}
+		return decodeData[wire.MatchResponse](t, rec).Count
+	}
+
+	// The boot engine is shared with the package's other tests, so its
+	// counters are read as differences; the successor's start at zero.
+	boot := ldbcStats(t, h).CountCache
+	want := builtin()
+	capped(untyped)
+	capped(lone)
+	builtin()
+	if st := ldbcStats(t, h).CountCache; st.Hits-boot.Hits < 1 || st.Entries < 3 {
+		t.Fatalf("warm-up count cache: %+v after %+v", st, boot)
+	}
+
+	attrs := map[string]wire.Value{"type": mutTestValue("muttest")}
+	rec := do(t, h, "POST", "/v1/graph/mutate", wire.MutateRequest{
+		Dataset:     "ldbc",
+		AddVertices: []wire.MutVertex{{Attrs: attrs}, {Attrs: attrs}},
+		AddEdges:    []wire.MutEdge{{From: -1, To: -2, Type: "mutlink"}},
+	})
+	if rec.Code != 200 {
+		t.Fatalf("mutate got %d: %s", rec.Code, rec.Body)
+	}
+	// The successor starts with the entries the batch cannot have changed and
+	// with counters at zero.
+	if st := ldbcStats(t, h); st.Epoch != 2 || st.CountCache.Entries < 1 || st.CountCache.Hits != 0 || st.CountCache.Misses != 0 {
+		t.Fatalf("fresh epoch: %+v", st)
+	}
+	if got := builtin(); got != want {
+		t.Fatalf("builtin counts %d after an unrelated write, %d before", got, want)
+	}
+	if st := ldbcStats(t, h).CountCache; st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("count over untouched types was not carried: %+v", st)
+	}
+	capped(untyped)
+	capped(lone)
+	if st := ldbcStats(t, h).CountCache; st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("untyped-edge and edge-free-vertex counts must be recounted: %+v", st)
+	}
+}
+
 func TestMutateValidation(t *testing.T) {
 	s := newTestServer(t, Config{MaxMutationBatch: 3})
 	h := s.Handler()
 	v := wire.MutVertex{Attrs: map[string]wire.Value{"type": mutTestValue("x")}}
-	nv := refEngine(t, s).Graph().NumVertices()
+	eng := refEngine(t, s)
+	nv := eng.Graph().NumVertices()
+	bad := map[string]wire.Value{"type": {Kind: "colour", Str: "x"}}
 
 	for _, tc := range []struct {
 		name string
@@ -121,6 +191,8 @@ func TestMutateValidation(t *testing.T) {
 		{"remove unknown edge", wire.MutateRequest{Dataset: "ldbc", RemoveEdges: []int{1 << 30}}, 400, wire.CodeInvalidSpec},
 		{"remove unknown vertex", wire.MutateRequest{Dataset: "ldbc", RemoveVertices: []int{-5}}, 400, wire.CodeInvalidSpec},
 		{"negative timeout", wire.MutateRequest{Dataset: "ldbc", AddVertices: []wire.MutVertex{v}, TimeoutMs: -1}, 400, wire.CodeBoundViolation},
+		{"malformed vertex attribute", wire.MutateRequest{Dataset: "ldbc", AddVertices: []wire.MutVertex{v, {Attrs: bad}}}, 400, wire.CodeInvalidSpec},
+		{"malformed edge attribute", wire.MutateRequest{Dataset: "ldbc", AddEdges: []wire.MutEdge{{From: 0, To: 1, Type: "t", Attrs: bad}}}, 400, wire.CodeInvalidSpec},
 	} {
 		rec := do(t, h, "POST", "/v1/graph/mutate", tc.req)
 		if rec.Code != tc.code {
@@ -133,6 +205,55 @@ func TestMutateValidation(t *testing.T) {
 	// A failed batch publishes nothing.
 	if st := ldbcStats(t, h); st.Epoch != 1 || st.Mutations != 0 {
 		t.Fatalf("failed batches moved the epoch: %+v", st)
+	}
+	if refEngine(t, s) != eng {
+		t.Fatal("a failed batch replaced the engine")
+	}
+}
+
+// TestMutateRejectsMalformedAttrsBeforeLocking holds the dataset's write lock
+// and fills its admission slots, then posts a batch with a malformed
+// attribute value: it must be answered 400 at once — decoded and refused
+// before it queues for a slot, let alone clones the graph under the lock.
+func TestMutateRejectsMalformedAttrsBeforeLocking(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ds, _ := s.lookup("ldbc")
+	ds.mutMu.Lock()
+	defer ds.mutMu.Unlock()
+	for i := 0; i < cap(ds.sem); i++ {
+		ds.sem <- struct{}{}
+	}
+	rec := do(t, s.Handler(), "POST", "/v1/graph/mutate", wire.MutateRequest{
+		Dataset:     "ldbc",
+		AddVertices: []wire.MutVertex{{Attrs: map[string]wire.Value{"type": {Kind: "colour"}}}},
+		TimeoutMs:   50,
+	})
+	if rec.Code != 400 || decodeError(t, rec).Code != wire.CodeInvalidSpec {
+		t.Fatalf("got %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestDatasetsReportLiveCounts pins GET /v1/datasets to the counts the
+// mutate response reports: tombstoned slots are not vertices or edges.
+func TestDatasetsReportLiveCounts(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	g := refEngine(t, s).Graph()
+	rec := do(t, h, "POST", "/v1/graph/mutate", wire.MutateRequest{Dataset: "ldbc", RemoveVertices: []int{0}})
+	if rec.Code != 200 {
+		t.Fatalf("mutate got %d: %s", rec.Code, rec.Body)
+	}
+	mr := decodeData[wire.MutateResponse](t, rec)
+	if mr.RemovedVertices != 1 || mr.RemovedEdges != g.Degree(0) || mr.RemovedEdges == 0 {
+		t.Fatalf("mutate response: %+v, vertex 0 has degree %d", mr, g.Degree(0))
+	}
+	for _, info := range decodeData[[]wire.DatasetInfo](t, do(t, h, "GET", "/v1/datasets", nil)) {
+		if info.Name != "ldbc" {
+			continue
+		}
+		if info.Vertices != mr.Vertices || info.Edges != mr.Edges || info.Vertices != g.NumVertices()-1 {
+			t.Fatalf("datasets lists %d vertices / %d edges, the write left %d / %d live", info.Vertices, info.Edges, mr.Vertices, mr.Edges)
+		}
 	}
 }
 

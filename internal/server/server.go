@@ -150,12 +150,13 @@ func (c *Config) fill() {
 // and admission state.
 //
 // The engine lives behind an atomic pointer because mutation replaces it
-// wholesale: a mutate batch clones the graph, applies the writes, freezes a
-// new CSR, builds a fresh engine, and publishes it as the next epoch.
+// wholesale: a mutate batch forks the graph, applies the writes, and
+// publishes the engine's successor (core.Engine.Successor) as the next epoch.
 // Handlers snapshot the pointer once per request, so an in-flight search
 // finishes on the epoch it started on while new requests see the new one —
-// and since the plan/count/candidate caches hang off the engine, a swap
-// invalidates every cache by construction (no stale hits across epochs).
+// and since the plan/count/candidate caches hang off the engine, and the
+// successor copies only the entries the batch cannot have changed, there are
+// no stale hits across epochs by construction.
 type dataset struct {
 	name     string
 	eng      atomic.Pointer[core.Engine]
@@ -168,12 +169,12 @@ type dataset struct {
 	// mutations count publications and applied batches, lastRefreezeNs the
 	// latest publication's build time. source records where the boot graph
 	// came from ("datagen" or "snapshot:<file>").
-	mutMu         sync.Mutex
-	epoch         atomic.Int64
-	refreezes     atomic.Int64
-	mutations     atomic.Int64
-	lastRefreezNs atomic.Int64
-	source        string
+	mutMu          sync.Mutex
+	epoch          atomic.Int64
+	refreezes      atomic.Int64
+	mutations      atomic.Int64
+	lastRefreezeNs atomic.Int64
+	source         string
 
 	// sem is the admission semaphore: at most cap(sem) requests execute
 	// against the engine at once (sized off the engine's worker count);
@@ -627,8 +628,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		g := eng.Graph()
 		infos = append(infos, wire.DatasetInfo{
 			Name:     name,
-			Vertices: g.NumVertices(),
-			Edges:    g.NumEdges(),
+			Vertices: g.NumLiveVertices(),
+			Edges:    g.NumLiveEdges(),
 			Workers:  eng.Workers(),
 			AdmitCap: cap(ds.sem),
 			Builtins: append([]string(nil), ds.names...),
@@ -676,7 +677,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Source:         ds.source,
 			Refreezes:      ds.refreezes.Load(),
 			Mutations:      ds.mutations.Load(),
-			LastRefreezeMs: float64(ds.lastRefreezNs.Load()) / 1e6,
+			LastRefreezeMs: float64(ds.lastRefreezeNs.Load()) / 1e6,
 		}
 		st.PlanCache = wire.NewCacheStats(m.PlanCacheStats())
 		st.CountCache = wire.NewCacheStats(m.CountCacheStats())

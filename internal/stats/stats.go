@@ -8,6 +8,7 @@
 package stats
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -82,6 +83,21 @@ func (c *cardCache) put(key []byte, n int) {
 	s.mu.Unlock()
 }
 
+// carryTo copies the entries keep admits into dst, a cache nobody else can
+// reach yet. Shard for shard: both caches hash a key the same way.
+func (c *cardCache) carryTo(dst *cardCache, keep func(key string) bool) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		for k, n := range s.m {
+			if keep(k) {
+				dst.shards[i].m[k] = n
+			}
+		}
+		s.mu.RUnlock()
+	}
+}
+
 func (c *cardCache) len() int {
 	total := 0
 	for i := range c.shards {
@@ -132,6 +148,23 @@ func New(m *match.Matcher) *Collector {
 	}
 	c.ctxs.New = func() any { return m.NewContext() }
 	c.keys.New = func() any { b := make([]byte, 0, 128); return &b }
+	return c
+}
+
+// NewSuccessor returns a collector over m, the matcher of the engine that
+// succeeds prev's, holding the edge and path cardinalities of prev that the
+// batch d cannot have changed (query.CountMayChange says which) — the
+// re-use of processed queries carried across a write. Vertex cardinalities
+// are not carried: each is one hit in the matcher's own carried candidate
+// cache. prev keeps serving; its hit and miss counters stay with it.
+func NewSuccessor(m *match.Matcher, prev *Collector, d *graph.Delta) *Collector {
+	c := New(m)
+	prev.edgeCard.carryTo(c.edgeCard, func(key string) bool {
+		return !query.EdgeCountMayChange(key, d.EdgeTypes)
+	})
+	prev.pathCard.carryTo(c.pathCard, func(key string) bool {
+		return !query.CountMayChange(key, d.EdgeTypes, d.Vertices)
+	})
 	return c
 }
 
@@ -352,7 +385,22 @@ type Domain struct {
 	EdgeValues map[string][]graph.Value
 	// EdgeTypes lists the edge types ordered by descending frequency.
 	EdgeTypes []string
+
+	// The frequency tables the catalogs above are ranked from. BuildDomain
+	// drops them — a dataset nobody writes to should not pay for them — so
+	// they are nil until the first Derive, which builds them with one scan;
+	// from then on each Derive moves only the cells its batch touches. A
+	// cell that falls to zero is deleted, and so is a table that empties:
+	// derived tables equal built ones.
+	topK      int
+	vfreq     freqTable            // attribute → value → vertices
+	typedFreq map[string]freqTable // entity kind → attribute → value → vertices
+	efreq     freqTable            // attribute → value → live edges
+	tfreq     map[string]int       // edge type → live edges
 }
+
+// freqTable counts, per attribute, how many elements carry each value.
+type freqTable = map[string]map[graph.Value]int
 
 // VertexAttrValues returns the value catalog for an attribute, restricted
 // to the given entity kind when a per-kind catalog exists (kind "" or an
@@ -383,102 +431,265 @@ func (d *Domain) VertexAttrs(kind string) []string {
 	return attrs
 }
 
+// kindOf is a vertex's entity kind: its string-valued "type" attribute.
+func kindOf(attrs graph.Attrs) string {
+	if tv, ok := attrs["type"]; ok && tv.Kind == graph.KindString {
+		return tv.Str
+	}
+	return ""
+}
+
 // BuildDomain scans the data graph and collects per-attribute value
 // catalogs, keeping at most topK values per attribute (0 = unlimited).
+// Tombstoned elements do not count: a removed vertex has no attributes left,
+// and removed edges are skipped.
 func BuildDomain(g *graph.Graph, topK int) *Domain {
+	d := buildDomain(g, topK)
+	d.vfreq, d.typedFreq, d.efreq, d.tfreq = nil, nil, nil, nil
+	return d
+}
+
+// buildDomain is BuildDomain with the frequency tables left in place.
+func buildDomain(g *graph.Graph, topK int) *Domain {
 	d := &Domain{
 		VertexValues:       make(map[string][]graph.Value),
 		VertexValuesByType: make(map[string]map[string][]graph.Value),
 		EdgeValues:         make(map[string][]graph.Value),
+		topK:               topK,
+		vfreq:              make(freqTable),
+		typedFreq:          make(map[string]freqTable),
+		efreq:              make(freqTable),
+		tfreq:              make(map[string]int),
 	}
-	vfreq := make(map[string]map[graph.Value]int)
-	typedFreq := make(map[string]map[string]map[graph.Value]int)
 	for i := 0; i < g.NumVertices(); i++ {
 		attrs := g.Vertex(graph.VertexID(i)).Attrs
-		kind := ""
-		if tv, ok := attrs["type"]; ok && tv.Kind == graph.KindString {
-			kind = tv.Str
-		}
+		kind := kindOf(attrs)
 		for k, v := range attrs {
-			if vfreq[k] == nil {
-				vfreq[k] = make(map[graph.Value]int)
+			if d.vfreq[k] == nil {
+				d.vfreq[k] = make(map[graph.Value]int)
 			}
-			vfreq[k][v]++
+			d.vfreq[k][v]++
 			if kind != "" {
-				if typedFreq[kind] == nil {
-					typedFreq[kind] = make(map[string]map[graph.Value]int)
+				if d.typedFreq[kind] == nil {
+					d.typedFreq[kind] = make(freqTable)
 				}
-				if typedFreq[kind][k] == nil {
-					typedFreq[kind][k] = make(map[graph.Value]int)
+				if d.typedFreq[kind][k] == nil {
+					d.typedFreq[kind][k] = make(map[graph.Value]int)
 				}
-				typedFreq[kind][k][v]++
+				d.typedFreq[kind][k][v]++
 			}
 		}
 	}
-	for kind, byAttr := range typedFreq {
+	for kind, byAttr := range d.typedFreq {
 		d.VertexValuesByType[kind] = make(map[string][]graph.Value, len(byAttr))
 		for k, fm := range byAttr {
 			d.VertexValuesByType[kind][k] = topValues(fm, topK)
 		}
 	}
-	efreq := make(map[string]map[graph.Value]int)
-	tfreq := make(map[string]int)
 	for i := 0; i < g.NumEdges(); i++ {
+		if g.EdgeRemoved(graph.EdgeID(i)) {
+			continue
+		}
 		e := g.Edge(graph.EdgeID(i))
-		tfreq[e.Type]++
+		d.tfreq[e.Type]++
 		for k, v := range e.Attrs {
-			if efreq[k] == nil {
-				efreq[k] = make(map[graph.Value]int)
+			if d.efreq[k] == nil {
+				d.efreq[k] = make(map[graph.Value]int)
 			}
-			efreq[k][v]++
+			d.efreq[k][v]++
 		}
 	}
-	for k, fm := range vfreq {
+	for k, fm := range d.vfreq {
 		d.VertexValues[k] = topValues(fm, topK)
 	}
-	for k, fm := range efreq {
+	for k, fm := range d.efreq {
 		d.EdgeValues[k] = topValues(fm, topK)
 	}
-	type tf struct {
-		t string
-		n int
-	}
-	ts := make([]tf, 0, len(tfreq))
-	for t, n := range tfreq {
-		ts = append(ts, tf{t, n})
-	}
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].n != ts[j].n {
-			return ts[i].n > ts[j].n
-		}
-		return ts[i].t < ts[j].t
-	})
-	for _, x := range ts {
-		d.EdgeTypes = append(d.EdgeTypes, x.t)
-	}
+	d.EdgeTypes = rankTypes(d.tfreq)
 	return d
 }
 
+// cowTable updates one frequency table and the catalog ranked from it while
+// both still share their per-attribute entries with a predecessor domain:
+// the first bump of an attribute copies that attribute's value map, and rank
+// re-ranks exactly the attributes that were bumped.
+type cowTable struct {
+	freq  freqTable
+	ranks map[string][]graph.Value
+	own   map[string]struct{} // attributes whose value map is already a copy
+}
+
+// newCowTable starts an update on shallow copies of a predecessor's table and
+// catalog (nil for a table the predecessor did not have).
+func newCowTable(freq freqTable, ranks map[string][]graph.Value) *cowTable {
+	t := &cowTable{freq: maps.Clone(freq), ranks: maps.Clone(ranks), own: make(map[string]struct{})}
+	if t.freq == nil {
+		t.freq, t.ranks = make(freqTable), make(map[string][]graph.Value)
+	}
+	return t
+}
+
+func (t *cowTable) bump(attr string, v graph.Value, n int) {
+	m := t.freq[attr]
+	if _, ok := t.own[attr]; !ok {
+		if m = maps.Clone(m); m == nil {
+			m = make(map[graph.Value]int)
+		}
+		t.freq[attr] = m
+		t.own[attr] = struct{}{}
+	}
+	if m[v] += n; m[v] == 0 {
+		delete(m, v)
+	}
+}
+
+func (t *cowTable) rank(topK int) {
+	for attr := range t.own {
+		if m := t.freq[attr]; len(m) == 0 {
+			delete(t.freq, attr)
+			delete(t.ranks, attr)
+		} else {
+			t.ranks[attr] = topValues(m, topK)
+		}
+	}
+}
+
+// Derive returns the domain of g, a sealed fork of the graph d catalogs, from
+// d and what the batch changed: the frequency cells of the touched vertices'
+// and edges' values move by one, and only the attributes (and, if any edge
+// was touched, the edge types) those cells belong to are ranked again. The
+// catalogs equal BuildDomain(g, topK)'s. d is not written — untouched
+// attributes share their tables and catalogs with it, touched ones are
+// copied first — so d stays valid for the engine still serving from it. A
+// domain straight from BuildDomain has no tables to move: its first
+// successor is built by one scan of g, and keeps them.
+func (d *Domain) Derive(g *graph.Graph, delta *graph.Delta) *Domain {
+	if d.vfreq == nil {
+		return buildDomain(g, d.topK)
+	}
+	nd := &Domain{
+		VertexValuesByType: maps.Clone(d.VertexValuesByType),
+		EdgeValues:         d.EdgeValues,
+		EdgeTypes:          d.EdgeTypes,
+		topK:               d.topK,
+		typedFreq:          maps.Clone(d.typedFreq),
+		efreq:              d.efreq,
+		tfreq:              d.tfreq,
+	}
+	all := newCowTable(d.vfreq, d.VertexValues)
+	kinds := make(map[string]*cowTable)
+	vertex := func(attrs graph.Attrs, n int) {
+		var typed *cowTable
+		if kind := kindOf(attrs); kind != "" {
+			if typed = kinds[kind]; typed == nil {
+				typed = newCowTable(d.typedFreq[kind], d.VertexValuesByType[kind])
+				kinds[kind] = typed
+			}
+		}
+		for k, v := range attrs {
+			all.bump(k, v, n)
+			if typed != nil {
+				typed.bump(k, v, n)
+			}
+		}
+	}
+	for i, id := range delta.RemovedVertices {
+		if id < delta.FirstVertex {
+			vertex(delta.RemovedAttrs[i], -1)
+		}
+	}
+	for id := int(delta.FirstVertex); id < g.NumVertices(); id++ {
+		vertex(g.Vertex(graph.VertexID(id)).Attrs, +1) // nil if removed again
+	}
+	all.rank(d.topK)
+	nd.vfreq, nd.VertexValues = all.freq, all.ranks
+	for kind, typed := range kinds {
+		if typed.rank(d.topK); len(typed.freq) == 0 {
+			delete(nd.typedFreq, kind)
+			delete(nd.VertexValuesByType, kind)
+		} else {
+			nd.typedFreq[kind], nd.VertexValuesByType[kind] = typed.freq, typed.ranks
+		}
+	}
+	if len(delta.EdgeTypes) == 0 {
+		return nd
+	}
+	nd.tfreq = maps.Clone(d.tfreq)
+	edges := newCowTable(d.efreq, d.EdgeValues)
+	edge := func(id graph.EdgeID, n int) {
+		e := g.Edge(id)
+		if nd.tfreq[e.Type] += n; nd.tfreq[e.Type] == 0 {
+			delete(nd.tfreq, e.Type)
+		}
+		for k, v := range e.Attrs {
+			edges.bump(k, v, n)
+		}
+	}
+	for _, id := range delta.RemovedEdges {
+		if id < delta.FirstEdge {
+			edge(id, -1)
+		}
+	}
+	for id := int(delta.FirstEdge); id < g.NumEdges(); id++ {
+		if !g.EdgeRemoved(graph.EdgeID(id)) {
+			edge(graph.EdgeID(id), +1)
+		}
+	}
+	edges.rank(d.topK)
+	nd.efreq, nd.EdgeValues = edges.freq, edges.ranks
+	nd.EdgeTypes = rankTypes(nd.tfreq)
+	return nd
+}
+
+// rankTypes orders edge types by descending frequency, then by name.
+func rankTypes(tfreq map[string]int) []string {
+	var types []string
+	for t := range tfreq {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool {
+		if ni, nj := tfreq[types[i]], tfreq[types[j]]; ni != nj {
+			return ni > nj
+		}
+		return types[i] < types[j]
+	})
+	return types
+}
+
+// topValues ranks the values of one frequency map by descending frequency,
+// then by value, and keeps the first topK (0 = all). With a bound it is one
+// pass over the map holding the best topK seen so far, not a sort of every
+// distinct value: re-ranking a touched attribute costs a scan, not
+// n log n comparisons.
 func topValues(freq map[graph.Value]int, topK int) []graph.Value {
 	type vf struct {
 		v graph.Value
 		n int
 	}
-	vs := make([]vf, 0, len(freq))
-	for v, n := range freq {
-		vs = append(vs, vf{v, n})
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].n != vs[j].n {
-			return vs[i].n > vs[j].n
+	before := func(a, b vf) bool {
+		if a.n != b.n {
+			return a.n > b.n
 		}
-		return vs[i].v.Less(vs[j].v)
-	})
-	if topK > 0 && len(vs) > topK {
-		vs = vs[:topK]
+		return a.v.Less(b.v)
 	}
-	out := make([]graph.Value, len(vs))
-	for i, x := range vs {
+	keep := len(freq)
+	if topK > 0 && topK < keep {
+		keep = topK
+	}
+	top := make([]vf, 0, keep+1)
+	for v, n := range freq {
+		x := vf{v, n}
+		if len(top) == keep && !before(x, top[keep-1]) {
+			continue
+		}
+		i := sort.Search(len(top), func(i int) bool { return before(x, top[i]) })
+		top = append(top, vf{})
+		copy(top[i+1:], top[i:])
+		top[i] = x
+		top = top[:min(len(top), keep)]
+	}
+	out := make([]graph.Value, len(top))
+	for i, x := range top {
 		out[i] = x.v
 	}
 	return out

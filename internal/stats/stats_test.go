@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -229,5 +231,112 @@ func TestDomainPerKindCatalog(t *testing.T) {
 	}
 	if len(d.VertexAttrs("")) < 3 {
 		t.Fatalf("global attrs = %v", d.VertexAttrs(""))
+	}
+}
+
+// TestTombstonedEdgesLeaveStatistics removes every edge of one type — the
+// only carrier of the "sinceYear" attribute — and requires both statistics
+// that scan the edge table to forget them: the domain catalog must not rank
+// the type or its attribute values (modtree would propose them), and the
+// cardinality of an edge without type constraint is the live edge count.
+func TestTombstonedEdgesLeaveStatistics(t *testing.T) {
+	g := testGraph()
+	for _, id := range append([]graph.EdgeID(nil), g.EdgesByType("worksAt")...) {
+		if err := g.RemoveEdge(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := BuildDomain(g, 0)
+	for _, typ := range d.EdgeTypes {
+		if typ == "worksAt" {
+			t.Fatalf("removed type still ranked: %v", d.EdgeTypes)
+		}
+	}
+	if len(d.EdgeTypes) != g.NumEdgeTypes() {
+		t.Fatalf("domain has %d edge types, graph has %d", len(d.EdgeTypes), g.NumEdgeTypes())
+	}
+	if vals, ok := d.EdgeValues["sinceYear"]; ok {
+		t.Fatalf("values of removed edges still cataloged: %v", vals)
+	}
+	if got := len(d.EdgeValues["since"]); got != 3 {
+		t.Fatalf("since values = %d, want 3", got)
+	}
+
+	any := query.New()
+	a, b := any.AddVertex(nil), any.AddVertex(nil)
+	eid := any.AddEdge(a, b, nil, nil)
+	m := match.New(g)
+	if got, want := m.EdgeCandidateCount(any.Edge(eid)), g.NumLiveEdges(); got != want {
+		t.Fatalf("untyped edge cardinality %d, want the %d live edges", got, want)
+	}
+	if got, want := New(m).EdgeCardinality(any.Edge(eid)), g.NumLiveEdges(); got != want {
+		t.Fatalf("collector's untyped edge cardinality %d, want %d", got, want)
+	}
+}
+
+// TestDeriveDomain holds Domain.Derive to a rebuild, frequency tables
+// included, over a chain of random batches on the test graph: added vertices
+// of old and new kinds, attributes only one vertex carries, edges with and
+// without attributes, removals that cascade and that empty a kind, a type or
+// an attribute, and elements added and removed by the same batch. After every
+// batch the predecessor must also still equal a rebuild over its own graph:
+// deriving moves cells in copies, never in the tables it was given.
+func TestDeriveDomain(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, topK := range []int{0, 2} {
+		g := testGraph()
+		g.Freeze()
+		dom := BuildDomain(g, topK)
+		kinds := []string{"person", "university", "city", "robot"}
+		types := []string{"knows", "worksAt", "studyAt", "locatedIn", "builtBy"}
+		for batch := 0; batch < 60; batch++ {
+			f := g.Fork()
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				live := func() graph.VertexID {
+					for {
+						if v := graph.VertexID(rng.Intn(f.NumVertices())); !f.VertexRemoved(v) {
+							return v
+						}
+					}
+				}
+				switch op := rng.Intn(6); {
+				case op == 0:
+					attrs := graph.Attrs{"type": graph.S(kinds[rng.Intn(len(kinds))]), "age": graph.N(float64(20 + rng.Intn(4)))}
+					if rng.Intn(3) == 0 {
+						attrs["serial"] = graph.N(float64(batch))
+					}
+					f.AddVertex(attrs)
+				case op == 1:
+					f.AddVertex(nil)
+				case op <= 3:
+					var attrs graph.Attrs
+					if rng.Intn(2) == 0 {
+						attrs = graph.Attrs{"since": graph.N(float64(2010 + rng.Intn(3)))}
+					}
+					f.AddEdge(live(), live(), types[rng.Intn(len(types))], attrs)
+				case op == 4 && f.NumLiveEdges() > 0:
+					if id := graph.EdgeID(rng.Intn(f.NumEdges())); !f.EdgeRemoved(id) {
+						if err := f.RemoveEdge(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case f.NumLiveVertices() > 2:
+					if err := f.RemoveVertex(live()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			next := dom.Derive(f, f.Seal())
+			if want := buildDomain(f, topK); !reflect.DeepEqual(next, want) {
+				t.Fatalf("topK %d, batch %d: derived domain\n%+v\nwant\n%+v", topK, batch, next, want)
+			}
+			if want := buildDomain(g, topK); batch > 0 && !reflect.DeepEqual(dom, want) {
+				t.Fatalf("topK %d, batch %d: deriving wrote into its predecessor:\n%+v\nwant\n%+v", topK, batch, dom, want)
+			}
+			if got, want := BuildDomain(f, topK), next; !reflect.DeepEqual(got.VertexValues, want.VertexValues) || !reflect.DeepEqual(got.EdgeTypes, want.EdgeTypes) {
+				t.Fatalf("topK %d, batch %d: BuildDomain's catalogs differ from the derived ones", topK, batch)
+			}
+			g, dom = f, next
+		}
 	}
 }
