@@ -457,9 +457,7 @@ func protectedTargetOf(name string) query.Target {
 	}
 }
 
-// fig5Resources — cache effectiveness (App. B.2). The stat hits/entries
-// columns are exact at -workers 1; at higher worker counts concurrent
-// misses on the same key may each count, so treat them as approximate.
+// fig5Resources — cache effectiveness (App. B.2).
 func fig5Resources(e *env) {
 	fmt.Printf("== FIG-5.E: resource consumption of why-empty rewriting (workers=%d, %s) ==\n", e.workers, e.cacheStats())
 	fmt.Printf("%-22s %10s %10s %10s %12s %12s\n", "query", "executed", "generated", "cachehits", "stat hits", "stat entries")

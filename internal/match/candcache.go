@@ -24,10 +24,9 @@ func (e *candEntry) bytes(keyLen int) int { return len(e.list)*4 + len(e.bits)*8
 // candCacheCap and candCacheMaxBytes bound the resident cache by entry
 // count and by approximate memory (every entry carries a bitset sized to
 // the whole data graph, so entry count alone would not bound memory on
-// large graphs). When either limit is exceeded the cache is reset wholesale
-// (epoch eviction), which keeps steady-state workloads — whose distinct
-// vertex predicates number in the dozens — permanently warm while bounding
-// memory for adversarial predicate streams.
+// large graphs): steady-state workloads — whose distinct vertex predicates
+// number in the dozens — stay permanently warm while adversarial predicate
+// streams stay bounded.
 const (
 	candCacheCap      = 8192
 	candCacheMaxBytes = 64 << 20
@@ -43,34 +42,22 @@ func (m *Matcher) candidates(p *Plan, preds []flatPred, words int) ([]graph.Vert
 }
 
 // resolveCandidates returns the shared cache entry for one flattened
-// predicate set keyed by key, computing and inserting it on a miss. The
-// entry is read-only; scratch is the caller's reusable pool buffer for the
-// indexed access path.
+// predicate set keyed by key; a miss resolves it once however many requests
+// ask (cache.Do). The entry is read-only; scratch is the caller's reusable
+// pool buffer for the indexed access path.
 func (m *Matcher) resolveCandidates(key []byte, preds []flatPred, words int, scratch *[]graph.VertexID) *candEntry {
-	m.candMu.RLock()
-	e, ok := m.candCache[string(key)]
-	m.candMu.RUnlock()
-	if ok {
-		m.candHits.Add(1)
+	if e, ok := m.candCache.Get(key); ok {
 		return e
 	}
-	m.candMisses.Add(1)
-	list := m.candidatesFlat(nil, preds, scratch)
-	bits := make([]uint64, words)
-	for _, id := range list {
-		bits[int(id)>>6] |= 1 << (uint(id) & 63)
-	}
-	e = &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
-	size := e.bytes(len(key))
-	m.candMu.Lock()
-	if len(m.candCache) >= candCacheCap || m.candBytes+size > candCacheMaxBytes {
-		m.candCache = make(map[string]*candEntry)
-		m.candBytes = 0
-	}
-	m.candCache[string(key)] = e
-	m.candBytes += size
-	m.candMu.Unlock()
-	return e
+	return m.candCache.Do(key, nil, func() (*candEntry, int) {
+		list := m.candidatesFlat(nil, preds, scratch)
+		bits := make([]uint64, words)
+		for _, id := range list {
+			bits[int(id)>>6] |= 1 << (uint(id) & 63)
+		}
+		e := &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
+		return e, e.bytes(len(key))
+	})
 }
 
 // CandCacheStats reports the candidate cache's hit and miss counters and its
@@ -78,10 +65,7 @@ func (m *Matcher) resolveCandidates(key []byte, preds []flatPred, words int, scr
 // probe or a graph scan); a high hit rate means the rewriting searches and
 // the plan compiler are reusing candidate lists across query variants.
 func (m *Matcher) CandCacheStats() (hits, misses, entries int) {
-	m.candMu.RLock()
-	entries = len(m.candCache)
-	m.candMu.RUnlock()
-	return int(m.candHits.Load()), int(m.candMisses.Load()), entries
+	return m.candCache.Stats().Counts()
 }
 
 // appendPredKey appends an unambiguous binary encoding of a flattened

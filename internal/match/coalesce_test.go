@@ -10,11 +10,11 @@ import (
 	"repro/internal/query"
 )
 
-// TestCoalescedCountSharesOneExecution drives the count flight group
-// directly: a leader whose count is held open until every follower has
-// parked, then released — so the stampede counters are deterministic. All
-// 16 callers must see the same count, the cache must record exactly one
-// miss, and the 15 followers must be counted as waits on one shared flight.
+// TestCoalescedCountSharesOneExecution puts CountKeyed callers behind a
+// leader whose count is held open until every follower has parked, then
+// released — so the stampede counters are deterministic. All 16 callers must
+// see the same count, the cache must record exactly one miss, and the 15
+// followers must be counted as waits on one shared flight.
 func TestCoalescedCountSharesOneExecution(t *testing.T) {
 	m := New(testGraph())
 	q := query.New()
@@ -28,24 +28,26 @@ func TestCoalescedCountSharesOneExecution(t *testing.T) {
 
 	run := func(i int) {
 		c := m.NewContext()
-		c.loadKey(q, key)
-		c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
-		c.cntBuf = append(c.cntBuf, 0) // cap 0, uvarint-encoded
-		counts[i] = m.coalescedCount(c, q, func(p *Plan) int {
-			// Only the flight leader reaches this closure. Hold the count
-			// open until all 15 followers have bumped the waits counter
-			// (they do so before parking on the flight), so the stampede
-			// counters below are exact, not racy.
+		if i > 0 {
+			counts[i] = m.CountKeyed(c, q, key, 0)
+			return
+		}
+		// The leader enters the count cache's flight under the key CountKeyed
+		// builds — the query key plus cap 0, uvarint-encoded — and holds the
+		// count open until all 15 followers have bumped the waits counter
+		// (they do so before parking on the flight), so the stampede counters
+		// below are exact, not racy.
+		counts[i] = m.countCache.Do(append([]byte(key), 0), nil, func() (int, int) {
 			leaders.Add(1)
 			deadline := time.Now().Add(10 * time.Second)
-			for m.coalescedWaits.Load() < int64(callers-1) {
+			for m.countCache.Stats().Waits < int64(callers-1) {
 				if time.Now().After(deadline) {
 					t.Error("followers never reached the flight")
 					break
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
-			return p.Count(c, 0)
+			return m.Compile(q).Count(c, 0), 0
 		})
 	}
 
@@ -110,13 +112,10 @@ func TestCoalescedFollowerCancellation(t *testing.T) {
 	leaderIn := make(chan struct{})
 	go func() {
 		c := m.NewContext()
-		c.loadKey(q, key)
-		c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
-		c.cntBuf = append(c.cntBuf, 0)
-		m.coalescedCount(c, q, func(p *Plan) int {
+		m.countCache.Do(append([]byte(key), 0), nil, func() (int, int) {
 			close(leaderIn)
 			<-hold
-			return p.Count(c, 0)
+			return m.Compile(q).Count(c, 0), 0
 		})
 	}()
 	<-leaderIn
@@ -145,4 +144,42 @@ func TestCoalescedFollowerCancellation(t *testing.T) {
 		t.Fatal("cancelled follower never returned")
 	}
 	close(hold)
+}
+
+// TestCoalescedCandidateResolution releases 16 cold requests for one novel
+// predicate set at once: the graph is scanned once, one entry is resident and
+// it is accounted once — racing inserts used to add the entry's size sixteen
+// times over, tripping the byte bound early and resetting a warm cache.
+func TestCoalescedCandidateResolution(t *testing.T) {
+	m := New(testGraph())
+	vq := &query.Vertex{Preds: map[string]query.Predicate{"type": query.EqS("person"), "age": query.AtLeast(1)}}
+	const callers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]int, callers)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = m.CandidateCount(vq)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, n := range got {
+		if n != got[0] || n == 0 {
+			t.Fatalf("caller %d resolved %d candidates, caller 0 %d", i, n, got[0])
+		}
+	}
+	hits, misses, entries := m.CandCacheStats()
+	waits, _ := m.CoalesceStats()
+	if misses != 1 || entries != 1 || hits+int(waits) != callers-1 {
+		t.Fatalf("hits=%d misses=%d waits=%d entries=%d, want one resolution and %d hits or waits", hits, misses, waits, entries, callers-1)
+	}
+	e := m.candidateEntry(vq)
+	key := appendPredKey(nil, flattenPreds(nil, vq.Preds))
+	if got, want := m.candCache.Stats().Bytes, e.bytes(len(key)); got != want {
+		t.Fatalf("one resident entry is accounted at %d bytes, want %d", got, want)
+	}
 }

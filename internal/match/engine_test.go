@@ -60,6 +60,36 @@ func TestCountAllocsZero(t *testing.T) {
 	}
 }
 
+// TestCachedCountAllocsZero asserts the same of the cached entry points: a
+// warm Count, CountCtx or CountKeyed is a key derivation and one cache hit.
+func TestCachedCountAllocsZero(t *testing.T) {
+	m := New(testGraph())
+	q := query.New()
+	a := q.AddVertex(personType())
+	b := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
+	q.AddEdge(a, b, []string{"worksAt"}, nil)
+	key := q.Key()
+	ctx := m.NewContext()
+	want := m.Count(q, 0)
+	for name, count := range map[string]func() int{
+		"Count":      func() int { return m.Count(q, 0) },
+		"CountCtx":   func() int { return m.CountCtx(ctx, q, 0) },
+		"CountKeyed": func() int { return m.CountKeyed(ctx, q, key, 0) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := count(); got != want {
+				t.Fatalf("%s = %d, want %d", name, got, want)
+			}
+		})
+		if allocs != 0 && !(raceEnabled && name == "Count") {
+			t.Errorf("warm %s allocated %.1f times per run, want 0", name, allocs)
+		}
+	}
+	if _, misses, _ := m.CountCacheStats(); misses != 1 {
+		t.Fatalf("count-cache misses = %d, want 1: the warm calls must all have hit", misses)
+	}
+}
+
 // TestCompiledMatchesReference cross-checks the compiled engine against the
 // retained map-based engine on a spread of query shapes over the test graph.
 func TestCompiledMatchesReference(t *testing.T) {

@@ -99,16 +99,7 @@ func (c *Ctx) ensure(p *Plan) {
 // Count executes the plan and returns the number of embeddings C(Q). A
 // non-zero cap stops early once reached. Count performs no allocations on a
 // compiled plan.
-func (p *Plan) Count(c *Ctx, cap int) int {
-	if p.nv == 0 {
-		return 0
-	}
-	c.ensure(p)
-	c.p, c.mode, c.cap, c.n = p, modeCount, cap, 0
-	c.exec(0)
-	c.p = nil
-	return c.n
-}
+func (p *Plan) Count(c *Ctx, cap int) int { return p.count(c, cap, 0, 0, false) }
 
 // CountRange is Count restricted to embeddings whose binding of the plan's
 // root vertex — the first start op's slot — lies in [lo, hi). Because every
@@ -117,13 +108,15 @@ func (p *Plan) Count(c *Ctx, cap int) int {
 // evaluation of the scatter-gather counting (internal/shard). Enumeration
 // order within the range is identical to Count's, so capped range counts are
 // deterministic.
-func (p *Plan) CountRange(c *Ctx, cap, lo, hi int) int {
+func (p *Plan) CountRange(c *Ctx, cap, lo, hi int) int { return p.count(c, cap, lo, hi, true) }
+
+func (p *Plan) count(c *Ctx, cap, lo, hi int, ranged bool) int {
 	if p.nv == 0 {
 		return 0
 	}
 	c.ensure(p)
 	c.p, c.mode, c.cap, c.n = p, modeCount, cap, 0
-	c.rootLo, c.rootHi, c.rootRange = lo, hi, true
+	c.rootLo, c.rootHi, c.rootRange = lo, hi, ranged
 	c.exec(0)
 	c.p, c.rootRange = nil, false
 	return c.n

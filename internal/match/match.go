@@ -24,8 +24,8 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/query"
 )
@@ -70,45 +70,25 @@ type Matcher struct {
 	plans sync.Pool
 	ctxs  sync.Pool
 
-	// candidate cache: flattened-predicate key → shared candidate list and
-	// bitset, so compiling the thousands of query variants a rewriting
-	// search executes rescans the graph only for novel predicates.
-	candMu     sync.RWMutex
-	candCache  map[string]*candEntry
-	candBytes  int // approximate resident bytes of cached lists, bitsets, keys
-	candHits   atomic.Int64
-	candMisses atomic.Int64
+	// The three caches are instances of internal/cache (sharding, epoch
+	// eviction, counters, miss coalescing and carry-over live there); what
+	// this package adds is the key encoders and the bounds below.
+	//
+	// candCache: flattened-predicate key → shared candidate list and bitset,
+	// so compiling the thousands of query variants a rewriting search
+	// executes rescans the graph only for novel predicates.
+	// planCache: binary canonical key → shared read-only plan, so repeat
+	// queries — almost all of them, across the rewriting searches — skip
+	// compilation entirely (see plancache.go).
+	// countCache: (binary canonical key, cap) → exact count — the App. B.2
+	// executed-query cache shared across searches and runs. Gated together
+	// with the plan cache by planOff.
+	candCache  *cache.Cache[*candEntry]
+	planCache  *cache.Cache[*Plan]
+	countCache *cache.Cache[int]
+	planOff    bool
 
-	// edge-candidate-count cache: edge constraint key → matching data-edge
-	// count, for the §5.2.2 edge-cardinality statistic the collectors probe.
-	edgeCountMu sync.RWMutex
-	edgeCounts  map[string]int
-
-	// compiled-plan cache: binary canonical key → shared read-only plan, so
-	// repeat queries — almost all of them, across the rewriting searches —
-	// skip compilation entirely (see plancache.go).
-	planMu       sync.RWMutex
-	planCache    map[string]*Plan
-	planResident int
-	planOff      bool
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
-
-	// executed-count cache: (binary canonical key, cap) → exact count — the
-	// App. B.2 executed-query cache shared across searches and runs (see
-	// plancache.go). Gated together with the plan cache by planOff.
-	countCache  [countShards]countShard
-	countHits   atomic.Int64
-	countMisses atomic.Int64
-
-	// flight groups coalesce concurrent misses on the same key: one caller
-	// compiles/counts, the rest wait and share the result (see coalesce.go).
-	planFlight      flightGroup[*Plan]
-	countFlight     flightGroup[int]
-	coalescedWaits  atomic.Int64
-	coalescedShared atomic.Int64
-
-	// countDelegate, when set, intercepts every CountKeyed-routed count —
+	// countDelegate, when set, intercepts every whole-graph count —
 	// internal/shard installs its scatter-gather eval here. The delegate runs
 	// before the aggregate count cache is consulted, so sharded requests never
 	// read or write whole-graph cache entries from partial results; a delegate
@@ -133,9 +113,9 @@ func New(g *graph.Graph) *Matcher {
 	g.Freeze()
 	m := &Matcher{
 		g:          g,
-		candCache:  make(map[string]*candEntry),
-		edgeCounts: make(map[string]int),
-		planCache:  make(map[string]*Plan),
+		candCache:  cache.New[*candEntry](candCacheCap, candCacheMaxBytes),
+		planCache:  cache.New[*Plan](planCacheCap, planCacheMaxBytes),
+		countCache: cache.New[int](countCacheCap, 0),
 	}
 	m.plans.New = func() any { return new(Plan) }
 	m.ctxs.New = func() any { return newCtx(g) }
@@ -205,18 +185,9 @@ func (m *Matcher) candidateEntry(vq *query.Vertex) *candEntry {
 
 // EdgeCandidateCount returns the number of data edges matching eq's type and
 // predicates, ignoring endpoints (the edge cardinality statistic of §5.2.2).
-// Counts are cached by the edge's constraint key, so repeated probes — the
-// statistics collectors re-derive them per search — scan the type's edge
-// lists only once per distinct constraint.
+// It is a plain scan of the type's edge lists: stats.Collector caches the
+// result by the edge's constraint key and carries it across writes.
 func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
-	var keyBuf [96]byte
-	key := eq.AppendConstraintKey(keyBuf[:0])
-	m.edgeCountMu.RLock()
-	n, ok := m.edgeCounts[string(key)]
-	m.edgeCountMu.RUnlock()
-	if ok {
-		return n
-	}
 	count := 0
 	countType := func(ids []graph.EdgeID) {
 		for _, id := range ids {
@@ -236,12 +207,6 @@ func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 			}
 		}
 	}
-	m.edgeCountMu.Lock()
-	if len(m.edgeCounts) >= candCacheCap {
-		m.edgeCounts = make(map[string]int)
-	}
-	m.edgeCounts[string(key)] = count
-	m.edgeCountMu.Unlock()
 	return count
 }
 
@@ -272,46 +237,22 @@ func (m *Matcher) FindCtx(c *Ctx, q *query.Query, opts Options) []Result {
 func (m *Matcher) Count(q *query.Query, cap int) int {
 	c := m.getCtx()
 	defer m.putCtx(c)
-	return m.CountCtx(c, q, cap)
+	return m.count(c, q, "", cap, 0, 0, false)
 }
 
 // CountCtx is Count against a caller-owned execution context — the hot path
 // of the relaxation (relax), MCS (mcs), and modification-tree (modtree)
 // searches, which issue thousands of counts and reuse one context each.
-// The compiled plan comes from the plan cache: a repeat query (almost all
-// of them across a rewriting search) performs zero compilations.
 func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
-	return m.CountKeyed(c, q, "", cap)
+	return m.count(c, q, "", cap, 0, 0, false)
 }
 
 // CountKeyed is CountCtx for callers that already hold q's binary canonical
 // key (query.AppendKey) — the rewriting searches dedup executed candidates
 // on exactly that key, so passing it through skips re-deriving it. An empty
-// key means "derive it here". The (key, cap) pair is first resolved against
-// the executed-count cache; only a novel pair compiles (plan cache) and
-// executes.
+// key means "derive it here".
 func (m *Matcher) CountKeyed(c *Ctx, q *query.Query, key string, cap int) int {
-	if q.NumVertices() == 0 {
-		return 0
-	}
-	if d := m.countDelegate; d != nil {
-		if n, ok := d(c, q, key, cap); ok {
-			return n
-		}
-	}
-	if m.planOff {
-		p := m.getPlan(q)
-		defer m.plans.Put(p)
-		return p.Count(c, cap)
-	}
-	c.loadKey(q, key)
-	c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
-	c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
-	if n, ok := m.countGet(c.cntBuf); ok {
-		m.countHits.Add(1)
-		return n
-	}
-	return m.coalescedCount(c, q, func(p *Plan) int { return p.Count(c, cap) })
+	return m.count(c, q, key, cap, 0, 0, false)
 }
 
 // CountUnder is Count with the serving request's context attached to the
@@ -326,57 +267,68 @@ func (m *Matcher) CountUnder(ctx context.Context, q *query.Query, cap int) int {
 		c.SetRequest(nil)
 		m.putCtx(c)
 	}()
-	return m.CountCtx(c, q, cap)
+	return m.count(c, q, "", cap, 0, 0, false)
 }
 
 // CountRange counts embeddings whose root-vertex binding lies in [lo, hi) —
-// the shard-local slice of the scatter-gather count. key is q's binary
-// canonical key when the caller already holds one ("" = derive here). See
-// CountRangeKeyed.
+// the shard-local slice of the scatter-gather count, which is what a shard
+// evaluates for its vertex-range partition. key is q's binary canonical key
+// when the caller already holds one ("" = derive here).
 func (m *Matcher) CountRange(q *query.Query, key string, cap, lo, hi int) int {
 	c := m.getCtx()
 	defer m.putCtx(c)
-	return m.CountRangeKeyed(c, q, key, cap, lo, hi)
+	return m.count(c, q, key, cap, lo, hi, true)
 }
 
-// CountRangeKeyed is the range-restricted CountKeyed: it counts only the
-// embeddings binding the plan's root vertex inside [lo, hi), which is what a
-// shard evaluates for its vertex-range partition. Range counts never consult
-// the delegate (a shard answering an RPC must always count locally) and are
-// cached under a distinct key shape: a leading 0x00 tag byte — canonical
-// query keys always start with a 'v' or 'e' record tag, never 0x00 — followed
-// by the query key and fixed-width big-endian cap/lo/hi, so range entries can
-// never collide with whole-graph (key, cap) entries or with each other.
-func (m *Matcher) CountRangeKeyed(c *Ctx, q *query.Query, key string, cap, lo, hi int) int {
-	if q.NumVertices() == 0 || lo >= hi {
+// count is the one count path behind the Count* wrappers. The (key, cap)
+// pair is first resolved against the executed-count cache; only a novel pair
+// compiles (plan cache) and executes, and concurrent misses on one pair
+// share one execution (cache.Do). A repeat query — almost all of them across
+// a rewriting search — performs zero compilations and zero allocations.
+//
+// A ranged count binds the plan's root vertex inside [lo, hi) only. It never
+// consults the delegate (a shard answering an RPC must always count locally)
+// and is cached under a distinct key shape: a leading 0x00 tag byte —
+// canonical query keys always start with a 'v' or 'e' record tag, never 0x00
+// — followed by the query key and fixed-width big-endian cap/lo/hi, so range
+// entries can never collide with whole-graph (key, cap) entries or with each
+// other.
+func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap, lo, hi int, ranged bool) int {
+	if q.NumVertices() == 0 || ranged && lo >= hi {
 		return 0
+	}
+	if d := m.countDelegate; d != nil && !ranged {
+		if n, ok := d(c, q, key, cap); ok {
+			return n
+		}
 	}
 	if m.planOff {
 		p := m.getPlan(q)
 		defer m.plans.Put(p)
-		return p.CountRange(c, cap, lo, hi)
+		return p.count(c, cap, lo, hi, ranged)
 	}
 	c.loadKey(q, key)
-	c.cntBuf = append(c.cntBuf[:0], 0x00)
-	c.cntBuf = append(c.cntBuf, c.keyBuf...)
-	c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(cap))
-	c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(lo))
-	c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(hi))
-	if n, ok := m.countGet(c.cntBuf); ok {
-		m.countHits.Add(1)
+	if ranged {
+		c.cntBuf = append(c.cntBuf[:0], 0x00)
+		c.cntBuf = append(c.cntBuf, c.keyBuf...)
+		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(cap))
+		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(lo))
+		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(hi))
+	} else {
+		c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
+		c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
+	}
+	if n, ok := m.countCache.Get(c.cntBuf); ok {
 		return n
 	}
-	return m.coalescedCount(c, q, func(p *Plan) int { return p.CountRange(c, cap, lo, hi) })
+	return m.countCache.Do(c.cntBuf, c.Request().Done(), func() (int, int) {
+		return m.cachedPlan(c, q).count(c, cap, lo, hi, ranged), 0
+	})
 }
 
 // Exists reports whether q has at least one embedding.
 func (m *Matcher) Exists(q *query.Query) bool {
 	return m.Count(q, 1) > 0
-}
-
-// ExistsCtx is Exists against a caller-owned execution context.
-func (m *Matcher) ExistsCtx(c *Ctx, q *query.Query) bool {
-	return m.CountCtx(c, q, 1) > 0
 }
 
 func (m *Matcher) getPlan(q *query.Query) *Plan {
@@ -387,18 +339,6 @@ func (m *Matcher) getPlan(q *query.Query) *Plan {
 
 func (m *Matcher) getCtx() *Ctx  { return m.ctxs.Get().(*Ctx) }
 func (m *Matcher) putCtx(c *Ctx) { m.ctxs.Put(c) }
-
-// PathCount counts the data paths matching a chain of query edges starting
-// from any candidate of the chain's first vertex — the Path(n) statistic of
-// §5.2.3. The chain is given as consecutive edge ids of q forming a path;
-// vertex injectivity along the path is enforced.
-func (m *Matcher) PathCount(q *query.Query, chain []int, cap int) int {
-	if len(chain) == 0 {
-		return 0
-	}
-	sub := q.SubqueryByEdges(chain)
-	return m.Count(sub, cap)
-}
 
 // sortableResults pairs results with their precomputed sort keys so the
 // comparator never rebuilds a key.

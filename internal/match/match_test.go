@@ -251,25 +251,6 @@ func TestEdgeCandidateCount(t *testing.T) {
 	}
 }
 
-func TestPathCount(t *testing.T) {
-	m := New(testGraph())
-	q := query.New()
-	a := q.AddVertex(personType())
-	b := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
-	c := q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")})
-	e1 := q.AddEdge(a, b, []string{"worksAt"}, nil)
-	e2 := q.AddEdge(b, c, []string{"locatedIn"}, nil)
-	if got := m.PathCount(q, []int{e1}, 0); got != 3 {
-		t.Fatalf("path(1) = %d, want 3", got)
-	}
-	if got := m.PathCount(q, []int{e1, e2}, 0); got != 3 {
-		t.Fatalf("path(2) = %d, want 3", got)
-	}
-	if got := m.PathCount(q, nil, 0); got != 0 {
-		t.Fatalf("path(0) = %d", got)
-	}
-}
-
 func TestSortResultsDeterminism(t *testing.T) {
 	m := New(testGraph())
 	q := query.New()

@@ -1,10 +1,6 @@
 package match
 
-import (
-	"sync"
-
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // Compiled-plan cache.
 //
@@ -18,13 +14,9 @@ import (
 // read-only *Plan, so a repeat query pays one map lookup instead of a
 // compilation. Plans are immutable after publication and may be executed
 // concurrently against per-goroutine contexts, which makes the cache safe
-// for the parallel searches' worker pools.
-//
-// Eviction is the same wholesale epoch reset the candidate cache uses: when
-// the entry count or the approximate resident bytes exceed the bounds the
-// whole map is dropped. Steady-state workloads — whose distinct candidate
-// queries number in the hundreds — stay permanently warm; adversarial query
-// streams stay bounded.
+// for the parallel searches' worker pools. Bounded like the candidate cache:
+// steady-state workloads — whose distinct candidate queries number in the
+// hundreds — stay permanently warm; adversarial query streams stay bounded.
 const (
 	planCacheCap      = 8192
 	planCacheMaxBytes = 64 << 20
@@ -36,8 +28,8 @@ const (
 // them — but a plan can outlive a candidate-cache epoch reset, at which
 // point it pins entries no longer accounted anywhere; overcounting keeps
 // planCacheMaxBytes a real bound on what the plan cache can pin.
-func planBytes(key string, p *Plan) int {
-	n := len(key) + 96
+func planBytes(keyLen int, p *Plan) int {
+	n := keyLen + 96
 	n += len(p.vids)*8 + len(p.eids)*8
 	for i := range p.ops {
 		op := &p.ops[i]
@@ -58,55 +50,13 @@ func planBytes(key string, p *Plan) int {
 // stay (they also drive the CacheHits counters and candidate dedup); this
 // layer catches the repeats they cannot see: the same candidates generated
 // by different runs, different searches, and the statistics collectors'
-// Path(n) probes. Sharded like stats' cardinality caches so the parallel
-// searches' workers do not serialize on one mutex.
-const (
-	countShards      = 16
-	countCachePerCap = 1 << 12 // per-shard entry bound (epoch eviction)
-)
-
-type countShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-}
-
-func (m *Matcher) countShardOf(key []byte) *countShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &m.countCache[h%countShards]
-}
-
-func (m *Matcher) countGet(key []byte) (int, bool) {
-	s := m.countShardOf(key)
-	s.mu.RLock()
-	n, ok := s.m[string(key)]
-	s.mu.RUnlock()
-	return n, ok
-}
-
-func (m *Matcher) countPut(key []byte, n int) {
-	s := m.countShardOf(key)
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= countCachePerCap {
-		s.m = make(map[string]int)
-	}
-	s.m[string(key)] = n
-	s.mu.Unlock()
-}
+// Path(n) probes.
+const countCacheCap = 16 << 12
 
 // CountCacheStats reports the executed-count cache's hit and miss counters
-// and resident entries.
+// and resident entries. Every miss is exactly one execution.
 func (m *Matcher) CountCacheStats() (hits, misses, entries int) {
-	for i := range m.countCache {
-		s := &m.countCache[i]
-		s.mu.RLock()
-		entries += len(s.m)
-		s.mu.RUnlock()
-	}
-	return int(m.countHits.Load()), int(m.countMisses.Load()), entries
+	return m.countCache.Stats().Counts()
 }
 
 // SetPlanCache enables or disables the compiled-plan cache and the
@@ -122,10 +72,17 @@ func (m *Matcher) SetPlanCache(enabled bool) { m.planOff = !enabled }
 // hits-only delta between two points proves the executions in between
 // compiled nothing.
 func (m *Matcher) PlanCacheStats() (hits, misses, entries int) {
-	m.planMu.RLock()
-	entries = len(m.planCache)
-	m.planMu.RUnlock()
-	return int(m.planHits.Load()), int(m.planMisses.Load()), entries
+	return m.planCache.Stats().Counts()
+}
+
+// CoalesceStats reports the stampede counters over the three caches: waits
+// is the number of lookups that parked behind another request's in-flight
+// candidate resolution, compile or count instead of duplicating it, shared
+// the number of those computations whose result was delivered to at least
+// one waiter.
+func (m *Matcher) CoalesceStats() (waits, shared int64) {
+	a, b, c := m.candCache.Stats(), m.planCache.Stats(), m.countCache.Stats()
+	return a.Waits + b.Waits + c.Waits, a.Shared + b.Shared + c.Shared
 }
 
 // loadKey materializes q's binary canonical key into c.keyBuf, copying the
@@ -141,71 +98,16 @@ func (c *Ctx) loadKey(q *query.Query, key string) {
 }
 
 // cachedPlan resolves the shared compiled plan for the query whose binary
-// canonical key sits in c.keyBuf (see loadKey). Concurrent misses on the
-// same novel key coalesce through the plan flight group (coalesce.go): one
-// caller compiles and publishes, the rest wait and share the plan, so every
-// plan-cache miss is exactly one compilation even under a cold burst.
+// canonical key sits in c.keyBuf (see loadKey). Concurrent misses on one
+// novel key share one compilation (cache.Do), so every plan-cache miss is
+// exactly one compilation even under a cold burst.
 func (m *Matcher) cachedPlan(c *Ctx, q *query.Query) *Plan {
-	m.planMu.RLock()
-	p, ok := m.planCache[string(c.keyBuf)]
-	m.planMu.RUnlock()
-	if ok {
-		m.planHits.Add(1)
+	if p, ok := m.planCache.Get(c.keyBuf); ok {
 		return p
 	}
-	key := string(c.keyBuf)
-	fc, leader := m.planFlight.join(key)
-	if !leader {
-		m.coalescedWaits.Add(1)
-		select {
-		case <-fc.done:
-			if fc.ok {
-				return fc.val
-			}
-		case <-c.Request().Done():
-		}
-		// Leader died before publishing, or our request was cancelled
-		// mid-wait: compile locally, exactly as an uncoalesced miss would.
-		return m.compilePublish(q, key)
-	}
-	defer func() {
-		if m.planFlight.leave(key, fc) {
-			m.coalescedShared.Add(1)
-		}
-	}()
-	// Double-check under flight leadership: a previous leader may have
-	// published and left between our cache miss and our join.
-	m.planMu.RLock()
-	p, ok = m.planCache[key]
-	m.planMu.RUnlock()
-	if ok {
-		m.planHits.Add(1)
-		fc.val, fc.ok = p, true
-		return p
-	}
-	p = m.compilePublish(q, key)
-	fc.val, fc.ok = p, true
-	return p
-}
-
-// compilePublish is the plan-cache miss path: compile q and publish the plan
-// under key, with the wholesale epoch eviction when the cache is full.
-func (m *Matcher) compilePublish(q *query.Query, key string) *Plan {
-	m.planMisses.Add(1)
-	p := &Plan{}
-	m.compileInto(p, q)
-	size := planBytes(key, p)
-	m.planMu.Lock()
-	if prev, ok := m.planCache[key]; ok {
-		m.planMu.Unlock()
-		return prev
-	}
-	if len(m.planCache) >= planCacheCap || m.planResident+size > planCacheMaxBytes {
-		m.planCache = make(map[string]*Plan)
-		m.planResident = 0
-	}
-	m.planCache[key] = p
-	m.planResident += size
-	m.planMu.Unlock()
-	return p
+	return m.planCache.Do(c.keyBuf, c.Request().Done(), func() (*Plan, int) {
+		p := &Plan{}
+		m.compileInto(p, q)
+		return p, planBytes(len(c.keyBuf), p)
+	})
 }

@@ -13,15 +13,15 @@ import (
 //     satisfies the list's predicates (existing vertices keep their
 //     attributes, so nothing else enters or leaves it); its bitset is
 //     re-allocated only when the vertex count crossed a multiple of 64;
-//   - an executed count or an edge count survives unless its key admits a
-//     touched edge type or, with vertices touched, has a vertex no edge
-//     mentions (query.CountMayChange has the argument).
+//   - an executed count survives unless its key admits a touched edge type
+//     or, with vertices touched, has a vertex no edge mentions
+//     (query.CountMayChange has the argument).
 //
 // Compiled plans are not carried: they hold the dense type ids and the
 // selectivity order of prev's graph, and recompiling over warm candidate
-// lists is cheap. The copy is taken under prev's locks while prev keeps
-// serving — searches pinned to it go on reading and writing prev only — and
-// the new matcher's hit and miss counters start at zero.
+// lists is cheap. The copy is taken while prev keeps serving — searches
+// pinned to it go on reading and writing prev only — and the new matcher's
+// hit and miss counters start at zero.
 func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 	m := New(g)
 
@@ -30,12 +30,10 @@ func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 		touched = append(touched, g.Vertex(graph.VertexID(id)).Attrs)
 	}
 	words := (g.NumVertices() + 63) / 64
-	prev.candMu.RLock()
-candidates:
-	for key, e := range prev.candCache {
+	prev.candCache.Carry(m.candCache, func(_ string, e *candEntry) (*candEntry, bool) {
 		for _, attrs := range touched {
 			if matchFlat(attrs, e.preds) {
-				continue candidates
+				return nil, false
 			}
 		}
 		if len(e.bits) != words {
@@ -43,30 +41,10 @@ candidates:
 			copy(bits, e.bits)
 			e = &candEntry{list: e.list, bits: bits, preds: e.preds}
 		}
-		m.candCache[key] = e
-		m.candBytes += e.bytes(len(key))
-	}
-	prev.candMu.RUnlock()
-
-	prev.edgeCountMu.RLock()
-	for key, n := range prev.edgeCounts {
-		if !query.EdgeCountMayChange(key, d.EdgeTypes) {
-			m.edgeCounts[key] = n
-		}
-	}
-	prev.edgeCountMu.RUnlock()
-
-	for i := range prev.countCache {
-		s := &prev.countCache[i]
-		s.mu.RLock()
-		kept := make(map[string]int, len(s.m))
-		for key, n := range s.m {
-			if !query.CountMayChange(key, d.EdgeTypes, d.Vertices) {
-				kept[key] = n
-			}
-		}
-		s.mu.RUnlock()
-		m.countCache[i].m = kept // same hash, same shard
-	}
+		return e, true
+	})
+	prev.countCache.Carry(m.countCache, func(key string, n int) (int, bool) {
+		return n, !query.CountMayChange(key, d.EdgeTypes, d.Vertices)
+	})
 	return m
 }

@@ -12,121 +12,34 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/query"
 )
 
-// cardShards is the shard count of each cardinality cache. Sixteen shards
-// keep the worker pools of the parallel explanation searches (typically
-// GOMAXPROCS wide) from serializing on one mutex while staying small enough
-// that CacheStats' full sweep is cheap. cardCachePerCap bounds each shard
-// the way the matcher bounds its count cache (match.countCachePerCap): a
-// full shard is dropped wholesale, so a stream of never-repeating queries
-// cannot grow the collector for the life of the engine.
-const (
-	cardShards      = 16
-	cardCachePerCap = 1 << 12
-)
-
-// cardShard is one lock-striped slice of a cardinality cache.
-type cardShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-}
-
-// cardCache is a sharded string → cardinality map. Keys are binary canonical
-// encodings of query fragments (query.AppendKey and the id-free element
-// forms); values are immutable once computed, so double computation under
-// racing misses is harmless (both writers store the same number).
-type cardCache struct {
-	shards [cardShards]cardShard
-}
-
-func newCardCache() *cardCache {
-	c := &cardCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]int)
-	}
-	return c
-}
-
-// shard picks the shard of a key by FNV-1a.
-func (c *cardCache) shard(key []byte) *cardShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cardShards]
-}
-
-// get looks a key up without allocating: the []byte→string conversions in
-// the map index expressions are elided by the compiler.
-func (c *cardCache) get(key []byte) (int, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	n, ok := s.m[string(key)]
-	s.mu.RUnlock()
-	return n, ok
-}
-
-func (c *cardCache) put(key []byte, n int) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if len(s.m) >= cardCachePerCap {
-		s.m = make(map[string]int)
-	}
-	s.m[string(key)] = n
-	s.mu.Unlock()
-}
-
-// carryTo copies the entries keep admits into dst, a cache nobody else can
-// reach yet. Shard for shard: both caches hash a key the same way.
-func (c *cardCache) carryTo(dst *cardCache, keep func(key string) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, n := range s.m {
-			if keep(k) {
-				dst.shards[i].m[k] = n
-			}
-		}
-		s.mu.RUnlock()
-	}
-}
-
-func (c *cardCache) len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		total += len(s.m)
-		s.mu.RUnlock()
-	}
-	return total
-}
+// cardCacheCap bounds each of the three cardinality caches the way the
+// matcher bounds its count cache: a stream of never-repeating queries cannot
+// grow the collector for the life of the engine.
+const cardCacheCap = 16 << 12
 
 // Collector computes and caches query-dependent statistics over one data
-// graph. It is safe for concurrent use: the cardinality caches are sharded
-// (lock striping, so the parallel searches' workers do not serialize on one
-// mutex), hit/miss counters are atomic, and cache-missing cardinality
-// queries draw reusable matching contexts from a pool so concurrent
-// collectors stay allocation-free in the matching inner loop. Racing misses
-// on the same key may both compute it; the cached values are deterministic,
-// so the duplicate work only shows up in the miss counter.
+// graph. It is safe for concurrent use: the three cardinality caches are
+// internal/cache instances keyed by binary canonical encodings of query
+// fragments (query.AppendKey and the id-free element forms), and
+// cache-missing cardinality queries draw reusable matching contexts from a
+// pool so concurrent collectors stay allocation-free in the matching inner
+// loop. Racing misses on one key share one computation, so the miss counter
+// is the number of statistics computed.
 type Collector struct {
 	m    *match.Matcher
 	ctxs sync.Pool
 	keys sync.Pool // *[]byte scratch for building cache keys without garbage
 
-	vertexCard *cardCache
-	edgeCard   *cardCache
-	pathCard   *cardCache
-
-	hits, misses atomic.Int64
+	vertexCard *cache.Cache[int]
+	edgeCard   *cache.Cache[int]
+	pathCard   *cache.Cache[int]
 }
 
 // getKeyBuf returns an empty key scratch buffer; put it back with putKeyBuf.
@@ -142,9 +55,9 @@ func (c *Collector) putKeyBuf(kb *[]byte) { c.keys.Put(kb) }
 func New(m *match.Matcher) *Collector {
 	c := &Collector{
 		m:          m,
-		vertexCard: newCardCache(),
-		edgeCard:   newCardCache(),
-		pathCard:   newCardCache(),
+		vertexCard: cache.New[int](cardCacheCap, 0),
+		edgeCard:   cache.New[int](cardCacheCap, 0),
+		pathCard:   cache.New[int](cardCacheCap, 0),
 	}
 	c.ctxs.New = func() any { return m.NewContext() }
 	c.keys.New = func() any { b := make([]byte, 0, 128); return &b }
@@ -159,20 +72,23 @@ func New(m *match.Matcher) *Collector {
 // cache. prev keeps serving; its hit and miss counters stay with it.
 func NewSuccessor(m *match.Matcher, prev *Collector, d *graph.Delta) *Collector {
 	c := New(m)
-	prev.edgeCard.carryTo(c.edgeCard, func(key string) bool {
-		return !query.EdgeCountMayChange(key, d.EdgeTypes)
+	prev.edgeCard.Carry(c.edgeCard, func(key string, n int) (int, bool) {
+		return n, !query.EdgeCountMayChange(key, d.EdgeTypes)
 	})
-	prev.pathCard.carryTo(c.pathCard, func(key string) bool {
-		return !query.CountMayChange(key, d.EdgeTypes, d.Vertices)
+	prev.pathCard.Carry(c.pathCard, func(key string, n int) (int, bool) {
+		return n, !query.CountMayChange(key, d.EdgeTypes, d.Vertices)
 	})
 	return c
 }
 
-// CacheStats reports cache hits, misses, and resident entries — the resource
-// accounting of Appendix B.2.
+// CacheStats reports cache hits, misses, and resident entries over the three
+// cardinality caches — the resource accounting of Appendix B.2.
 func (c *Collector) CacheStats() (hits, misses, entries int) {
-	return int(c.hits.Load()), int(c.misses.Load()),
-		c.vertexCard.len() + c.edgeCard.len() + c.pathCard.len()
+	for _, cc := range []*cache.Cache[int]{c.vertexCard, c.edgeCard, c.pathCard} {
+		h, m, e := cc.Stats().Counts()
+		hits, misses, entries = hits+h, misses+m, entries+e
+	}
+	return hits, misses, entries
 }
 
 // VertexCardinality returns the exact number of data vertices matching the
@@ -183,14 +99,10 @@ func (c *Collector) VertexCardinality(v *query.Vertex) int {
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
 	*kb = v.AppendPredKey(*kb)
-	if n, ok := c.vertexCard.get(*kb); ok {
-		c.hits.Add(1)
+	if n, ok := c.vertexCard.Get(*kb); ok {
 		return n
 	}
-	c.misses.Add(1)
-	n := c.m.CandidateCount(v)
-	c.vertexCard.put(*kb, n)
-	return n
+	return c.vertexCard.Do(*kb, nil, func() (int, int) { return c.m.CandidateCount(v), 0 })
 }
 
 // EdgeCardinality returns the exact number of data edges matching the query
@@ -200,14 +112,10 @@ func (c *Collector) EdgeCardinality(e *query.Edge) int {
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
 	*kb = e.AppendConstraintKey(*kb)
-	if n, ok := c.edgeCard.get(*kb); ok {
-		c.hits.Add(1)
+	if n, ok := c.edgeCard.Get(*kb); ok {
 		return n
 	}
-	c.misses.Add(1)
-	n := c.m.EdgeCandidateCount(e)
-	c.edgeCard.put(*kb, n)
-	return n
+	return c.edgeCard.Do(*kb, nil, func() (int, int) { return c.m.EdgeCandidateCount(e), 0 })
 }
 
 // Path1Cardinality returns the exact number of data paths matching a single
@@ -230,16 +138,15 @@ func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
 	*kb = sub.AppendKey(*kb)
-	if n, ok := c.pathCard.get(*kb); ok {
-		c.hits.Add(1)
+	if n, ok := c.pathCard.Get(*kb); ok {
 		return n
 	}
-	c.misses.Add(1)
-	ctx := c.ctxs.Get().(*match.Ctx)
-	n := c.m.CountKeyed(ctx, sub, string(*kb), 0)
-	c.ctxs.Put(ctx)
-	c.pathCard.put(*kb, n)
-	return n
+	return c.pathCard.Do(*kb, nil, func() (int, int) {
+		ctx := c.ctxs.Get().(*match.Ctx)
+		n := c.m.CountKeyed(ctx, sub, string(*kb), 0)
+		c.ctxs.Put(ctx)
+		return n, 0
+	})
 }
 
 // AveragePath1Cardinality is the mean Path(1) cardinality over all query

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -63,7 +64,7 @@ func TestVertexAndEdgeCardinality(t *testing.T) {
 }
 
 // TestCardCacheBounded drives more distinct fragments through the collector
-// than its caches may hold: resident entries stay under the per-shard bound,
+// than its caches may hold: resident entries stay under the bound,
 // and a statistic evicted along the way is recomputed to the same value.
 func TestCardCacheBounded(t *testing.T) {
 	m := match.New(testGraph())
@@ -75,7 +76,7 @@ func TestCardCacheBounded(t *testing.T) {
 			"age":  query.Between(float64(lo), float64(lo+10)),
 		}))
 	}
-	const bound = cardShards * cardCachePerCap
+	const bound = cardCacheCap
 	for lo := 0; lo < bound+bound/4; lo++ {
 		c.VertexCardinality(agedPerson(lo))
 	}
@@ -108,6 +109,37 @@ func TestPathCardinalities(t *testing.T) {
 	avg := c.AveragePath1Cardinality(q)
 	if math.Abs(avg-2.5) > 1e-12 {
 		t.Fatalf("avg path1 = %v, want 2.5", avg)
+	}
+}
+
+// TestConcurrentMissesComputeOnce releases 8 workers on one cold chain at
+// once: racing misses share one computation, so the collector's miss counter
+// is the number of statistics computed — not a figure that drifts with the
+// worker count.
+func TestConcurrentMissesComputeOnce(t *testing.T) {
+	c := New(match.New(testGraph()))
+	q := personUniCity()
+	const workers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]int, workers)
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w] = c.PathCardinality(q, []int{0, 1})
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, n := range got {
+		if n != 3 {
+			t.Fatalf("worker %d: path2 = %d, want 3", w, n)
+		}
+	}
+	if hits, misses, entries := c.CacheStats(); misses != 1 || entries != 1 || hits > workers-1 {
+		t.Fatalf("cache stats = %d/%d/%d, want one miss, one entry and at most %d hits", hits, misses, entries, workers-1)
 	}
 }
 

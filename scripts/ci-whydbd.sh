@@ -1,6 +1,12 @@
 #!/usr/bin/env bash
-# The one way CI runs whydbd (built to bin/whydbd) in the background.
+# The one way CI builds the service binaries, packs their datasets and runs
+# whydbd in the background.
 #
+#   ci-whydbd.sh build
+#       Builds whydb, whydbd and whyload into bin/.
+#   ci-whydbd.sh pack <dir> [scale]
+#       Packs the ldbc and dbpedia snapshots into <dir> (at -scale <scale>
+#       when given) — the step a miss of the snapshot actions/cache falls to.
 #   ci-whydbd.sh start <addr> <pidfile> <log> -- <whydbd flags...>
 #       Starts the daemon on <addr> with its output appended to <log>, writes
 #       its pid to <pidfile>, and polls /readyz for up to 60 s. Prints the
@@ -12,6 +18,17 @@
 set -euo pipefail
 
 case "${1:-}" in
+build)
+  for cmd in whydb whydbd whyload; do
+    go build -o "bin/$cmd" "./cmd/$cmd"
+  done
+  ;;
+pack)
+  dir=$2
+  for ds in ldbc dbpedia; do
+    bin/whydb pack -dataset "$ds" ${3:+-scale "$3"} -out "$dir"
+  done
+  ;;
 start)
   addr=$2 pidfile=$3 log=$4
   [ "${5:-}" = "--" ] || { echo "usage: $0 start <addr> <pidfile> <log> -- <flags...>" >&2; exit 2; }
@@ -41,7 +58,7 @@ stop)
   done
   ;;
 *)
-  echo "usage: $0 start <addr> <pidfile> <log> -- <flags...> | stop <pidfile...>" >&2
+  echo "usage: $0 build | pack <dir> [scale] | start <addr> <pidfile> <log> -- <flags...> | stop <pidfile...>" >&2
   exit 2
   ;;
 esac
