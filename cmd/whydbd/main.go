@@ -55,37 +55,53 @@ import (
 	"repro/internal/workload"
 )
 
+// options is everything the daemon's flags set.
+type options struct {
+	addr, datasets                     string
+	scale                              float64
+	workers                            int
+	grace, drainDelay                  time.Duration
+	queueCap                           int
+	maxQueueWait                       time.Duration
+	degradeAt, shedAt                  float64
+	latencyBudget, enterHold, exitHold time.Duration
+	inject                             string
+	shards                             int
+	peers, snapDir                     string
+}
+
+// defineFlags declares the daemon's whole flag surface on fs (TestFlagSurface
+// holds it to a golden list, and to what the benchmark and CI pass).
+func defineFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.datasets, "datasets", "ldbc,dbpedia", "comma-separated datasets to load (ldbc, dbpedia)")
+	fs.Float64Var(&o.scale, "scale", 1.0, "dataset size factor (1.0 = the experiment-suite defaults)")
+	fs.IntVar(&o.workers, "workers", 0, "explanation-search workers per engine (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.grace, "shutdown-grace", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
+	fs.DurationVar(&o.drainDelay, "drain-delay", 0, "pause between flipping /readyz and starting shutdown (LB de-routing time)")
+	fs.IntVar(&o.queueCap, "queue-cap", 0, "admission queue bound per dataset (0 = 4x the dataset's execution slots)")
+	fs.DurationVar(&o.maxQueueWait, "max-queue-wait", 5*time.Second, "max time a request may wait for an execution slot before 504")
+	fs.Float64Var(&o.degradeAt, "degrade-at", 0.5, "pressure at which the brownout controller degrades explains")
+	fs.Float64Var(&o.shedAt, "shed-at", 0.9, "pressure at which the brownout controller sheds requests (429)")
+	fs.DurationVar(&o.latencyBudget, "latency-budget", 500*time.Millisecond, "latency EWMA mapping to pressure 1.0")
+	fs.DurationVar(&o.enterHold, "brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold above a threshold before stepping up")
+	fs.DurationVar(&o.exitHold, "brownout-exit-hold", 2*time.Second, "how long pressure must hold below a threshold before stepping down")
+	fs.StringVar(&o.inject, "inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms,rpc-error=0.1' (off by default)")
+	fs.IntVar(&o.shards, "shards", 0, "split each dataset's counting across N in-process shards (0 = unsharded)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs for HTTP scatter-gather counting (e.g. 'http://h1:8080,http://h2:8080'); mutually exclusive with -shards")
+	fs.StringVar(&o.snapDir, "snapshot", "", "load each dataset from <dir>/<name>.snap (whydb pack output) instead of generating it; -scale is ignored")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	datasets := flag.String("datasets", "ldbc,dbpedia", "comma-separated datasets to load (ldbc, dbpedia)")
-	scale := flag.Float64("scale", 1.0, "dataset size factor (1.0 = the experiment-suite defaults)")
-	workers := flag.Int("workers", 0, "explanation-search workers per engine (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-request processing deadline")
-	maxTimeout := flag.Duration("max-timeout", 120*time.Second, "upper clamp for client-requested timeouts")
-	budget := flag.Int("budget", 0, "default explanation candidate budget (0 = engine default, 300)")
-	maxBudget := flag.Int("max-budget", 20000, "upper clamp for client-requested budgets")
-	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	drainDelay := flag.Duration("drain-delay", 0, "pause between flipping /readyz and starting shutdown (LB de-routing time)")
-	queueCap := flag.Int("queue-cap", 0, "admission queue bound per dataset (0 = 4x the dataset's execution slots)")
-	maxQueueWait := flag.Duration("max-queue-wait", 5*time.Second, "max time a request may wait for an execution slot before 504")
-	degradeAt := flag.Float64("degrade-at", 0.5, "pressure at which the brownout controller degrades explains")
-	shedAt := flag.Float64("shed-at", 0.9, "pressure at which the brownout controller sheds requests (429)")
-	latencyBudget := flag.Duration("latency-budget", 500*time.Millisecond, "latency EWMA mapping to pressure 1.0")
-	enterHold := flag.Duration("brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold above a threshold before stepping up")
-	exitHold := flag.Duration("brownout-exit-hold", 2*time.Second, "how long pressure must hold below a threshold before stepping down")
-	inject := flag.String("inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms,rpc-error=0.1' (off by default)")
-	shards := flag.Int("shards", 0, "split each dataset's counting across N in-process shards (0 = unsharded)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs for HTTP scatter-gather counting (e.g. 'http://h1:8080,http://h2:8080'); mutually exclusive with -shards")
-	snapDir := flag.String("snapshot", "", "load each dataset from <dir>/<name>.snap (whydb pack output) instead of generating it; -scale is ignored")
-	snapMode := flag.String("snapshot-mode", "auto", "snapshot load path: auto (mmap where possible), mmap, or read")
-	maxMutationBatch := flag.Int("max-mutation-batch", 0, "max elements (adds + removes) per /v1/graph/mutate batch (0 = server default, 100000)")
-	maxBatch := flag.Int("max-batch", 0, "max items per /v1/explain/batch request (0 = server default, 64)")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Validate dataset names before opening the listener: a typo should be
 	// an immediate exit 2, not a daemon that never becomes ready.
 	var names []string
-	for _, name := range strings.Split(*datasets, ",") {
+	for _, name := range strings.Split(o.datasets, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -101,12 +117,12 @@ func main() {
 		os.Exit(2)
 	}
 	var peerURLs []string
-	if *peers != "" {
-		if *shards > 0 {
+	if o.peers != "" {
+		if o.shards > 0 {
 			fmt.Fprintln(os.Stderr, "-shards and -peers are mutually exclusive")
 			os.Exit(2)
 		}
-		for _, u := range strings.Split(*peers, ",") {
+		for _, u := range strings.Split(o.peers, ",") {
 			u = strings.TrimSpace(u)
 			if u == "" {
 				continue
@@ -122,42 +138,23 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *shards < 0 {
+	if o.shards < 0 {
 		fmt.Fprintln(os.Stderr, "-shards must be >= 0")
 		os.Exit(2)
 	}
-	var loadMode snapshot.Mode
-	switch *snapMode {
-	case "auto":
-		loadMode = snapshot.ModeAuto
-	case "mmap":
-		loadMode = snapshot.ModeMmap
-	case "read":
-		loadMode = snapshot.ModeRead
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -snapshot-mode %q (want auto, mmap, or read)\n", *snapMode)
-		os.Exit(2)
-	}
-
 	cfg := server.Config{
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		DefaultBudget:    *budget,
-		MaxBudget:        *maxBudget,
-		QueueCap:         *queueCap,
-		MaxQueueWait:     *maxQueueWait,
-		MaxMutationBatch: *maxMutationBatch,
-		MaxBatch:         *maxBatch,
+		QueueCap:     o.queueCap,
+		MaxQueueWait: o.maxQueueWait,
 		Resilience: resilience.Config{
-			DegradeAt:     *degradeAt,
-			ShedAt:        *shedAt,
-			LatencyBudget: *latencyBudget,
-			EnterHold:     *enterHold,
-			ExitHold:      *exitHold,
+			DegradeAt:     o.degradeAt,
+			ShedAt:        o.shedAt,
+			LatencyBudget: o.latencyBudget,
+			EnterHold:     o.enterHold,
+			ExitHold:      o.exitHold,
 		},
 	}
-	if *inject != "" {
-		icfg, err := faultinject.ParseSpec(*inject)
+	if o.inject != "" {
+		icfg, err := faultinject.ParseSpec(o.inject)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -170,7 +167,7 @@ func main() {
 	// Serve while loading: the listener opens first so liveness and
 	// readiness are observable during dataset generation.
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -178,7 +175,7 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("whydbd listening on %s (not ready: loading %s)", *addr, strings.Join(names, ","))
+		log.Printf("whydbd listening on %s (not ready: loading %s)", o.addr, strings.Join(names, ","))
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -193,9 +190,9 @@ func main() {
 			start := time.Now()
 			var eng *core.Engine
 			var source string
-			if *snapDir != "" {
-				path := filepath.Join(*snapDir, name+".snap")
-				loaded, err := snapshot.ReadFile(path, loadMode)
+			if o.snapDir != "" {
+				path := filepath.Join(o.snapDir, name+".snap")
+				loaded, err := snapshot.ReadFile(path, snapshot.ModeAuto)
 				if err != nil {
 					log.Fatalf("loading snapshot %s: %v", path, err)
 				}
@@ -203,10 +200,10 @@ func main() {
 				source = "snapshot:" + filepath.Base(path)
 				log.Printf("snapshot %s: %d bytes, checksum %08x, mapped=%v", path, loaded.Manifest.Bytes, loaded.Manifest.Checksum, loaded.Manifest.Mapped)
 			} else {
-				eng = core.NewEngine(generate(name, *scale))
+				eng = core.NewEngine(generate(name, o.scale))
 				source = "datagen"
 			}
-			eng.SetWorkers(*workers)
+			eng.SetWorkers(o.workers)
 			switch name {
 			case "ldbc":
 				srv.AddDataset(name, eng, workload.LDBCQueries(), workload.FailingVariant)
@@ -215,7 +212,7 @@ func main() {
 			}
 			srv.SetDatasetSource(name, source)
 			logLoaded(name, eng, start)
-			if err := shardDataset(srv, name, eng, *shards, peerURLs); err != nil {
+			if err := shardDataset(srv, name, eng, o.shards, peerURLs); err != nil {
 				log.Fatalf("sharding %s: %v", name, err)
 			}
 			if loading.done(name) {
@@ -233,13 +230,13 @@ func main() {
 		// shut down with the grace period — cancelling in-flight searches at
 		// the halfway mark so they answer 503 instead of being cut off.
 		srv.BeginDrain()
-		log.Printf("shutdown signal received: draining (delay %v, grace %v)", *drainDelay, *grace)
-		if *drainDelay > 0 {
-			time.Sleep(*drainDelay)
+		log.Printf("shutdown signal received: draining (delay %v, grace %v)", o.drainDelay, o.grace)
+		if o.drainDelay > 0 {
+			time.Sleep(o.drainDelay)
 		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), o.grace)
 		defer cancel()
-		halfway := time.AfterFunc(*grace/2, srv.CancelInFlight)
+		halfway := time.AfterFunc(o.grace/2, srv.CancelInFlight)
 		defer halfway.Stop()
 		err := httpSrv.Shutdown(shutdownCtx)
 		if errors.Is(err, context.DeadlineExceeded) {

@@ -47,9 +47,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -488,7 +490,7 @@ func main() {
 	fmt.Printf("whyload: %s mix against %s, %d workers\n", sum.Mix, sum.Target, sum.Concurrency)
 	fmt.Printf("  %d requests in %.2fs → %.1f req/s, %d errors\n", sum.Requests, elapsed.Seconds(), sum.RPS, sum.Errors)
 	fmt.Printf("  latency ms: p50=%.2f p95=%.2f p99=%.2f max=%.2f mean=%.2f\n", sum.P50Ms, sum.P95Ms, sum.P99Ms, sum.MaxMs, sum.MeanMs)
-	for _, kind := range sortedKinds(sum.PerKind) {
+	for _, kind := range slices.Sorted(maps.Keys(sum.PerKind)) {
 		ks := sum.PerKind[kind]
 		fmt.Printf("  %-8s %5d requests, %d errors, p50=%.2f p95=%.2f p99=%.2f max=%.2f\n",
 			kind, ks.Requests, ks.Errors, ks.P50Ms, ks.P95Ms, ks.P99Ms, ks.MaxMs)
@@ -520,11 +522,11 @@ func main() {
 		fmt.Printf("  speculation: pool=%d/%d granted=%d denied=%d returned=%d\n",
 			sp.Size, sp.Capacity, sp.Granted, sp.Denied, sp.Returned)
 	}
-	for _, ds := range sortedCoalesceDatasets(sum.Coalescing) {
+	for _, ds := range slices.Sorted(maps.Keys(sum.Coalescing)) {
 		c := sum.Coalescing[ds]
 		fmt.Printf("  coalesce %-7s waits=%d shared=%d\n", ds, c.Waits, c.Shared)
 	}
-	for _, ds := range sortedKernelDatasets(sum.Kernel) {
+	for _, ds := range slices.Sorted(maps.Keys(sum.Kernel)) {
 		families := sum.Kernel[ds]
 		line := fmt.Sprintf("  kernel %-7s", ds)
 		for _, fam := range []string{"relax", "modtree", "mcs"} {
@@ -533,7 +535,7 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	for _, ds := range sortedShardDatasets(sum.Shards) {
+	for _, ds := range slices.Sorted(maps.Keys(sum.Shards)) {
 		sh := sum.Shards[ds]
 		fmt.Printf("  shards %-7s mode=%s n=%d partialServed=%d\n", ds, sh.Mode, sh.NumShards, sh.PartialServed)
 		for _, st := range sh.Shards {
@@ -597,15 +599,6 @@ func batchJobs(corpus []job, size int, dupFrac float64) []job {
 		out = append(out, job{kind: "batch", body: body})
 	}
 	return out
-}
-
-func sortedCoalesceDatasets(m map[string]wire.CoalescingStats) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // normalize maps overload classes to hard errors outside chaos runs: a
@@ -979,24 +972,6 @@ func fetchStats(client *http.Client, addr string) *wire.StatsResponse {
 	return &stats
 }
 
-func sortedKernelDatasets(m map[string]map[string]wire.KernelCounters) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedShardDatasets(m map[string]*wire.ShardingStats) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // buildJobs derives the request corpus from the daemon's dataset listing.
 // A request that fails to marshal is counted and skipped, never fatal: one
 // bad record must not kill a load run.
@@ -1144,13 +1119,4 @@ func percentiles(lats []time.Duration) (p50, p95, p99, max float64) {
 		return float64(sorted[idx].Nanoseconds()) / 1e6
 	}
 	return at(0.50), at(0.95), at(0.99), float64(sorted[len(sorted)-1].Nanoseconds()) / 1e6
-}
-
-func sortedKinds(m map[string]kindStats) []string {
-	kinds := make([]string, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }

@@ -122,9 +122,6 @@ func (p *Plan) count(c *Ctx, cap, lo, hi int, ranged bool) int {
 	return c.n
 }
 
-// Exists reports whether the plan has at least one embedding.
-func (p *Plan) Exists(c *Ctx) bool { return p.Count(c, 1) > 0 }
-
 // Find executes the plan and materializes result graphs up to opts.Limit.
 func (p *Plan) Find(c *Ctx, opts Options) []Result {
 	if p.nv == 0 {

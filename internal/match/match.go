@@ -125,9 +125,9 @@ func New(g *graph.Graph) *Matcher {
 // Graph returns the underlying data graph.
 func (m *Matcher) Graph() *graph.Graph { return m.g }
 
-// VertexMatches reports whether data vertex vd satisfies every predicate
+// vertexMatches reports whether data vertex vd satisfies every predicate
 // interval of query vertex vq.
-func (m *Matcher) VertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
+func (m *Matcher) vertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
 	attrs := m.g.Vertex(vd).Attrs
 	for key, pred := range vq.Preds {
 		val, ok := attrs[key]
@@ -138,10 +138,10 @@ func (m *Matcher) VertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
 	return true
 }
 
-// EdgeMatches reports whether data edge ed satisfies the type disjunction and
+// edgeMatches reports whether data edge ed satisfies the type disjunction and
 // every predicate interval of query edge eq (direction is checked by the
 // expansion step, not here).
-func (m *Matcher) EdgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
+func (m *Matcher) edgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
 	e := m.g.Edge(ed)
 	if !eq.HasType(e.Type) {
 		return false
@@ -155,15 +155,6 @@ func (m *Matcher) EdgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
 	return true
 }
 
-// Candidates returns the data vertices satisfying query vertex vq, resolved
-// through the matcher's shared candidate cache (an attribute index or a
-// scan on a cache miss). The returned slice is a fresh copy the caller may
-// mutate.
-func (m *Matcher) Candidates(vq *query.Vertex) []graph.VertexID {
-	e := m.candidateEntry(vq)
-	return append([]graph.VertexID(nil), e.list...)
-}
-
 // CandidateCount returns the number of data vertices matching vq
 // (the vertex cardinality statistic of §5.2.2). Like compilation, it is
 // served from the matcher's candidate cache, so the statistics collectors'
@@ -172,7 +163,8 @@ func (m *Matcher) CandidateCount(vq *query.Vertex) int {
 	return len(m.candidateEntry(vq).list)
 }
 
-// candidateEntry resolves vq's shared candidate-cache entry.
+// candidateEntry resolves vq's shared candidate-cache entry (an attribute
+// index or a scan on a cache miss). Its list is shared: read only.
 func (m *Matcher) candidateEntry(vq *query.Vertex) *candEntry {
 	var keyBuf [128]byte
 	var predBuf [8]flatPred
@@ -191,7 +183,7 @@ func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 	count := 0
 	countType := func(ids []graph.EdgeID) {
 		for _, id := range ids {
-			if m.EdgeMatches(eq, id) {
+			if m.edgeMatches(eq, id) {
 				count++
 			}
 		}
@@ -202,7 +194,7 @@ func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 		}
 	} else {
 		for i := 0; i < m.g.NumEdges(); i++ {
-			if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.EdgeMatches(eq, id) {
+			if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.edgeMatches(eq, id) {
 				count++
 			}
 		}
@@ -324,11 +316,6 @@ func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap, lo, hi int, ran
 	return m.countCache.Do(c.cntBuf, c.Request().Done(), func() (int, int) {
 		return m.cachedPlan(c, q).count(c, cap, lo, hi, ranged), 0
 	})
-}
-
-// Exists reports whether q has at least one embedding.
-func (m *Matcher) Exists(q *query.Query) bool {
-	return m.Count(q, 1) > 0
 }
 
 func (m *Matcher) getPlan(q *query.Query) *Plan {

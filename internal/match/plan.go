@@ -16,7 +16,7 @@ type flatPred struct {
 }
 
 // matchFlat reports whether an attribute map satisfies every flattened
-// predicate — the slice-based twin of Matcher.VertexMatches.
+// predicate — the slice-based twin of Matcher.vertexMatches.
 func matchFlat(attrs graph.Attrs, preds []flatPred) bool {
 	for i := range preds {
 		fp := &preds[i]
@@ -81,9 +81,6 @@ type Plan struct {
 	bound    []bool
 	usedEdge []bool
 }
-
-// NumOps reports the number of compiled search steps (for tests/diagnostics).
-func (p *Plan) NumOps() int { return len(p.ops) }
 
 // CandidateCount returns the compiled candidate-list size of a query vertex
 // id, or -1 when the vertex is not part of the plan.

@@ -182,7 +182,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 			return emit(res)
 		}
 		vq := q.Vertex(isolated[i])
-		for _, cand := range m.Candidates(vq) {
+		for _, cand := range m.candidateEntry(vq).list {
 			if usedV[cand] {
 				continue
 			}
@@ -230,7 +230,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 		db := res.VertexMap[boundQ]
 		freeVertex := q.Vertex(freeQ)
 		return m.refEachAdjacent(e, db, st.fromIsSrc, func(de graph.EdgeID, dv graph.VertexID) bool {
-			if usedE[de] || usedV[dv] || !m.VertexMatches(freeVertex, dv) {
+			if usedE[de] || usedV[dv] || !m.vertexMatches(freeVertex, dv) {
 				return true
 			}
 			res.VertexMap[freeQ] = dv
@@ -252,7 +252,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 		return
 	}
 	startVertex := q.Vertex(start)
-	for _, cand := range m.Candidates(startVertex) {
+	for _, cand := range m.candidateEntry(startVertex).list {
 		res.VertexMap[start] = cand
 		usedV[cand] = true
 		cont := expand(0)
@@ -272,7 +272,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 func (m *Matcher) refEachDataEdge(e *query.Edge, df, dt graph.VertexID, yield func(graph.EdgeID) bool) bool {
 	if e.Dirs.Has(query.Forward) {
 		for _, de := range m.g.Out(df) {
-			if m.g.Edge(de).To == dt && m.EdgeMatches(e, de) {
+			if m.g.Edge(de).To == dt && m.edgeMatches(e, de) {
 				if !yield(de) {
 					return false
 				}
@@ -281,7 +281,7 @@ func (m *Matcher) refEachDataEdge(e *query.Edge, df, dt graph.VertexID, yield fu
 	}
 	if e.Dirs.Has(query.Backward) && !(df == dt && e.Dirs.Has(query.Forward)) {
 		for _, de := range m.g.Out(dt) {
-			if m.g.Edge(de).To == df && m.EdgeMatches(e, de) {
+			if m.g.Edge(de).To == df && m.edgeMatches(e, de) {
 				if !yield(de) {
 					return false
 				}
@@ -299,13 +299,13 @@ func (m *Matcher) refEachAdjacent(e *query.Edge, db graph.VertexID, fromIsSrc bo
 	if e.Dirs.Has(query.Forward) {
 		if fromIsSrc {
 			for _, de := range m.g.Out(db) {
-				if m.EdgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
+				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
 					return false
 				}
 			}
 		} else {
 			for _, de := range m.g.In(db) {
-				if m.EdgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
+				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
 					return false
 				}
 			}
@@ -315,13 +315,13 @@ func (m *Matcher) refEachAdjacent(e *query.Edge, db graph.VertexID, fromIsSrc bo
 	if e.Dirs.Has(query.Backward) {
 		if fromIsSrc {
 			for _, de := range m.g.In(db) {
-				if m.EdgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
+				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
 					return false
 				}
 			}
 		} else {
 			for _, de := range m.g.Out(db) {
-				if m.EdgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
+				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
 					return false
 				}
 			}

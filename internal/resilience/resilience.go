@@ -1,11 +1,20 @@
-// Package resilience is whydbd's overload-protection layer: a pressure
-// monitor and a three-state brownout controller.
+// Package resilience is whydbd's overload layer: it owns the occupancy of the
+// execution slots and every decision taken from it.
 //
-// The monitor ingests two signals the service layer already has on every
-// request: admission occupancy (queued + in-flight requests over the bounded
-// queue and execution capacity) and an exponentially weighted moving average
-// of per-endpoint latency. The controller maps the combined pressure to one
-// of three serving states:
+// One signal, three consumers. Each dataset admits requests through a Gate
+// (execution-slot semaphore plus a bounded queue) the Controller creates; the
+// gates keep the controller's server-wide slot totals current. From that
+// occupancy the layer decides
+//
+//   - who may run: Gate.Enter is the admission ladder — shed, queue full,
+//     queue wait, slot;
+//   - at what quality: every Enter samples the admitting gate's occupancy
+//     into a three-state brownout controller, combined with an exponentially
+//     weighted moving average of per-endpoint latency;
+//   - how much speculation fits: Controller.Free is the lock-free free-slot
+//     count the server's search.SpecPool sizes its token headroom from.
+//
+// The brownout states:
 //
 //	healthy   serve everything at full quality
 //	degraded  explains run with a reduced execution budget and an ε-optimal
@@ -28,6 +37,7 @@ package resilience
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -73,18 +83,6 @@ type Config struct {
 	// ExitHold is how long pressure must hold below a threshold before the
 	// controller steps back down one state (0 = 2s).
 	ExitHold time.Duration
-	// Alpha is the EWMA weight of a new latency sample (0 = 0.2).
-	Alpha float64
-	// DegradedBudgetFrac scales the explain execution budget in degraded
-	// mode (0 = 0.25; the result is clamped to at least one execution).
-	DegradedBudgetFrac float64
-	// DegradedMaxRewritings caps reported rewritings in degraded mode
-	// (0 = 1).
-	DegradedMaxRewritings int
-	// Epsilon is the ε-optimal early-stop threshold degraded fine-grained
-	// searches run under: the search may stop once its best-so-far
-	// cardinality distance is ≤ Epsilon (0 = 2).
-	Epsilon int
 	// Now is the controller's clock (nil = time.Now); injectable for
 	// deterministic tests.
 	Now func() time.Time
@@ -106,29 +104,26 @@ func (c *Config) fill() {
 	if c.ExitHold == 0 {
 		c.ExitHold = 2 * time.Second
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.2
-	}
-	if c.DegradedBudgetFrac == 0 {
-		c.DegradedBudgetFrac = 0.25
-	}
-	if c.DegradedMaxRewritings == 0 {
-		c.DegradedMaxRewritings = 1
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 2
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 }
 
-// DegradedParams are the quality clamps a degraded explain runs under.
-type DegradedParams struct {
-	BudgetFrac    float64
-	MaxRewritings int
-	Epsilon       int
-}
+// The quality clamps a degraded explain runs under.
+const (
+	// DegradedBudgetFrac scales the explain execution budget (the result is
+	// clamped to at least one execution).
+	DegradedBudgetFrac = 0.25
+	// DegradedMaxRewritings caps the reported rewritings.
+	DegradedMaxRewritings = 1
+	// DegradedEpsilon is the ε-optimal early-stop threshold of fine-grained
+	// searches: the search may stop once its best-so-far cardinality
+	// distance is ≤ DegradedEpsilon.
+	DegradedEpsilon = 2
+)
+
+// alpha is the EWMA weight of a new latency sample.
+const alpha = 0.2
 
 // Snapshot is the controller's observable state for /v1/stats.
 type Snapshot struct {
@@ -141,18 +136,26 @@ type Snapshot struct {
 	// Transitions counts entries into each state (the initial healthy state
 	// is not an entry). Keys are the State strings.
 	Transitions map[string]int64
+	// QueueDepth and QueueCap sum, over the controller's gates, the requests
+	// waiting for a slot and the queue bounds.
+	QueueDepth, QueueCap int
 }
 
-// Controller is the brownout state machine. All methods are safe for
-// concurrent use.
+// Controller is the brownout state machine and the owner of the server-wide
+// slot occupancy. All methods are safe for concurrent use.
 type Controller struct {
 	cfg Config
 
+	// slots and busy total the execution slots of the controller's gates and
+	// how many are held; the gates keep them current, Free reads them.
+	slots, busy atomic.Int64
+
 	mu          sync.Mutex
+	gates       []*Gate
 	state       State
 	forced      bool               // ForceState pinned the state (tests, ops drills)
 	pressure    float64            // last combined pressure
-	lastOcc     float64            // last admission-occupancy sample
+	occupancy   float64            // the latest admission's occupancy sample
 	aboveShed   time.Time          // since when pressure has held ≥ ShedAt (zero = not)
 	aboveDeg    time.Time          // since when pressure has held ≥ DegradeAt
 	belowShed   time.Time          // since when pressure has held < ShedAt
@@ -174,13 +177,22 @@ func (c *Controller) State() State {
 	return c.state
 }
 
-// Degraded returns the quality clamps for degraded explains.
-func (c *Controller) Degraded() DegradedParams {
-	return DegradedParams{
-		BudgetFrac:    c.cfg.DegradedBudgetFrac,
-		MaxRewritings: c.cfg.DegradedMaxRewritings,
-		Epsilon:       c.cfg.Epsilon,
+// Free reports the execution slots nobody holds right now, summed over the
+// controller's gates — the speculation pool's sizing signal. It takes no lock.
+func (c *Controller) Free() int {
+	return max(int(c.slots.Load()-c.busy.Load()), 0)
+}
+
+// Slots reports the execution slots of all gates together and of the widest
+// single gate — what the speculation pool is resized to as gates are added.
+func (c *Controller) Slots() (total, widest int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, g := range c.gates {
+		total += g.Slots()
+		widest = max(widest, g.Slots())
 	}
+	return total, widest
 }
 
 // ForceState pins the controller to a state, disabling automatic
@@ -192,23 +204,21 @@ func (c *Controller) ForceState(s State) {
 	c.forced = true
 }
 
-// ObserveAdmission records one admission-time occupancy sample: queued and
-// in-flight requests against the bounded queue and execution capacity. It
-// returns the serving state the request must be handled under.
-func (c *Controller) ObserveAdmission(queued, queueCap, inFlight, execCap int) State {
-	occ := 0.0
-	if total := queueCap + execCap; total > 0 {
-		occ = float64(queued+inFlight) / float64(total)
-	}
+// sample records the admitting gate's occupancy — queued and in-flight
+// requests over its queue bound and slots — and returns the serving state
+// the request must be handled under.
+func (c *Controller) sample(occupancy float64) State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastOcc = occ
-	c.note(occ)
+	c.occupancy = occupancy
+	c.evaluate()
 	return c.state
 }
 
 // ObserveLatency records one completed request's latency for an endpoint,
-// folding it into the endpoint's EWMA and re-evaluating the state.
+// folding it into the endpoint's EWMA and re-evaluating the state. The
+// occupancy signal stays what the latest admission sampled: a full queue
+// keeps its pressure hold alive between admissions.
 func (c *Controller) ObserveLatency(endpoint string, d time.Duration) {
 	ms := float64(d.Nanoseconds()) / 1e6
 	c.mu.Lock()
@@ -217,34 +227,21 @@ func (c *Controller) ObserveLatency(endpoint string, d time.Duration) {
 	if !ok {
 		c.ewma[endpoint] = ms
 	} else {
-		c.ewma[endpoint] = c.cfg.Alpha*ms + (1-c.cfg.Alpha)*prev
+		c.ewma[endpoint] = alpha*ms + (1-alpha)*prev
 	}
-	// A completion re-evaluates under the last admission occupancy rather
-	// than clearing it: a full queue keeps its pressure hold alive between
-	// admission samples (the next admission refreshes the occupancy).
-	c.note(c.lastOcc)
+	c.evaluate()
 }
 
-// pressureLocked recomputes pressure from the stored signals: the worst
-// endpoint EWMA over the latency budget. Admission occupancy arrives through
-// note's argument instead, so this is the latency floor.
-func (c *Controller) pressureLocked() float64 {
-	worst := 0.0
+// evaluate recomputes the pressure from the two stored signals and steps the
+// state machine. Callers hold mu.
+func (c *Controller) evaluate() {
+	// Pressure is the admission occupancy or the worst endpoint EWMA over the
+	// latency budget, whichever is higher: a queue that drained while the
+	// EWMA is still far past budget keeps the controller cautious.
+	p := c.occupancy
 	budget := float64(c.cfg.LatencyBudget.Nanoseconds()) / 1e6
 	for _, ms := range c.ewma {
-		if f := ms / budget; f > worst {
-			worst = f
-		}
-	}
-	return worst
-}
-
-// note folds one pressure sample into the state machine. Callers hold mu.
-func (c *Controller) note(p float64) {
-	// The latency floor applies to every sample: a queue that drained while
-	// the EWMA is still far past budget keeps the controller cautious.
-	if lp := c.pressureLocked(); lp > p {
-		p = lp
+		p = max(p, ms/budget)
 	}
 	c.pressure = p
 	now := c.cfg.Now()
@@ -313,6 +310,10 @@ func (c *Controller) Snapshot() Snapshot {
 	}
 	for s, n := range c.transitions {
 		snap.Transitions[State(s).String()] = n
+	}
+	for _, g := range c.gates {
+		snap.QueueDepth += g.Queued()
+		snap.QueueCap += g.queueCap
 	}
 	return snap
 }

@@ -42,7 +42,7 @@ func newTestController(ck *clock) *Controller {
 // observe pushes one occupancy sample expressed as queued/inFlight over a
 // 16+4 capacity split, matching the server's queueCap = 4×admitCap shape.
 func observe(c *Controller, queued, inFlight int) State {
-	return c.ObserveAdmission(queued, 16, inFlight, 4)
+	return c.sample(float64(queued+inFlight) / float64(16+4))
 }
 
 func TestControllerStaysHealthyUnderBriefSpike(t *testing.T) {
@@ -173,10 +173,6 @@ func TestControllerDefaults(t *testing.T) {
 	c := NewController(Config{})
 	if c.cfg.DegradeAt != 0.5 || c.cfg.ShedAt != 0.9 {
 		t.Fatalf("default thresholds = %v/%v", c.cfg.DegradeAt, c.cfg.ShedAt)
-	}
-	p := c.Degraded()
-	if p.BudgetFrac != 0.25 || p.MaxRewritings != 1 || p.Epsilon != 2 {
-		t.Fatalf("default degraded params = %+v", p)
 	}
 	if got := c.State(); got != Healthy {
 		t.Fatalf("initial state = %v, want healthy", got)

@@ -12,13 +12,16 @@ package search
 // work that definitely is not.
 //
 // SpecPool makes the trade explicit: a server-wide token pool sized off the
-// free admission slots. Every speculative wave must acquire one token per
-// candidate it wants to prefetch and returns them when the wave completes,
-// so the speculative work in flight can never exceed what the idle fraction
-// of the server can absorb. When every slot is busy the pool grants nothing
-// and the searches silently fall back to their sequential loop (which is
-// byte-identical by construction); when the server idles the full wave is
-// granted and speculation runs exactly as before.
+// free admission slots. The pool does not compute that number; in whydbd its
+// free function is resilience.Controller.Free, a lock-free read of the slot
+// totals the admission gates maintain — the same occupancy the gates admit
+// on and the brownout controller samples. Every speculative wave must
+// acquire one token per candidate it wants to prefetch and returns them when
+// the wave completes, so the speculative work in flight can never exceed what
+// the idle fraction of the server can absorb. When every slot is busy the
+// pool grants nothing and the searches silently fall back to their
+// sequential loop (which is byte-identical by construction); when the server
+// idles the full wave is granted and speculation runs exactly as before.
 //
 // The pool is additionally steered by the kernel's speculative-waste
 // counter: executors report each run's (speculated, consumed) outcome, and
@@ -36,8 +39,8 @@ import (
 // construct with NewSpecPool. A nil *SpecPool grants everything (no gating),
 // which is what library users and the benchmarks get.
 type SpecPool struct {
-	// free reports the server's free admission slots right now (the server
-	// sums cap(sem) - inFlight over its datasets). nil means "always idle".
+	// free reports the server's free admission slots right now (whydbd passes
+	// resilience.Controller.Free). nil means "always idle".
 	free func() int
 	// perSlot is how many speculative evaluations one free slot may absorb —
 	// the widest engine's worker count, so a sole tenant on an otherwise idle

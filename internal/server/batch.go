@@ -2,7 +2,7 @@ package server
 
 // POST /v1/explain/batch — fleet-grade request batching.
 //
-// A batch carries up to -max-batch independent explain specs and answers
+// A batch carries up to Config.MaxBatch (64) independent explain specs and answers
 // them in one round trip. The contract is strict: Items[i] of the response
 // is the full v1 envelope request Items[i] would have received from a
 // separate /v1/explain call, byte for byte (request ids aside — an item's
@@ -51,12 +51,12 @@ func groupKey(p *explainPrep) string {
 		}
 	}
 	key := p.q.AppendKey(nil)
-	return fmt.Sprintf("%s\x00%p\x00%d\x00%d\x00%d\x00%d\x00%c\x00%t\x00%d\x00%d\x00%d\x00%d\x00%t\x00%s",
+	return fmt.Sprintf("%s\x00%p\x00%d\x00%d\x00%d\x00%d\x00%c\x00%t\x00%d\x00%d\x00%d\x00%t\x00%s",
 		p.ds.name, p.eng,
 		p.opts.Expected.Lower, p.opts.Expected.Upper,
 		p.opts.MaxRewritings, p.opts.Budget, fg, p.opts.AllowTopology,
 		p.opts.ResultSample, p.opts.Workers,
-		p.req.TimeoutMs, p.opts.Epsilon, p.req.AllowPartial, key)
+		p.req.TimeoutMs, p.req.AllowPartial, key)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -106,9 +106,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		g.items = append(g.items, i)
 	}
 
-	// Fan the groups out per dataset, bounded by each dataset's admission
-	// capacity: distinct work runs concurrently on ordinary execution slots,
-	// but one batch can never hold more of a dataset than cap(sem) requests
+	// Fan the groups out per dataset, bounded by the slots of each dataset's
+	// gate: distinct work runs concurrently on ordinary execution slots, but
+	// one batch can never hold more of a dataset than that many requests
 	// could.
 	byDataset := make(map[*dataset][]*batchGroup)
 	for _, g := range order {
@@ -121,7 +121,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			work <- g
 		}
 		close(work)
-		for n := min(cap(ds.sem), len(list)); n > 0; n-- {
+		for n := min(ds.gate.Slots(), len(list)); n > 0; n-- {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -25,17 +25,13 @@ import (
 // reports. The clamped run is an ordinary explain: re-running ExplainCtx
 // with these options sequentially reproduces the degraded answer byte for
 // byte.
-func degradeExplain(opts *core.Options, p resilience.DegradedParams) (int, int) {
-	budget := int(float64(opts.Budget) * p.BudgetFrac)
-	if budget < 1 {
-		budget = 1
+func degradeExplain(opts *core.Options) (int, int) {
+	opts.Budget = max(int(float64(opts.Budget)*resilience.DegradedBudgetFrac), 1)
+	if opts.MaxRewritings == 0 || opts.MaxRewritings > resilience.DegradedMaxRewritings {
+		opts.MaxRewritings = resilience.DegradedMaxRewritings
 	}
-	opts.Budget = budget
-	if opts.MaxRewritings == 0 || opts.MaxRewritings > p.MaxRewritings {
-		opts.MaxRewritings = p.MaxRewritings
-	}
-	opts.Epsilon = p.Epsilon
-	return budget, p.Epsilon
+	opts.Epsilon = resilience.DegradedEpsilon
+	return opts.Budget, opts.Epsilon
 }
 
 // qualityBound states what a degraded answer is worth: the clamped budget
@@ -93,13 +89,8 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 	if inject.Kind == faultinject.Error {
 		return prep, s.newInjectedError(http.StatusInternalServerError, "injected fault: error")
 	}
-	budget := req.Budget
-	if budget == 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	if budget > s.cfg.MaxBudget {
-		budget = s.cfg.MaxBudget
-	}
+	// Budget 0 stays 0: the engine applies its own default (300).
+	budget := min(req.Budget, s.cfg.MaxBudget)
 	resultSample := req.ResultSample
 	if resultSample > s.cfg.MaxResultSample {
 		resultSample = s.cfg.MaxResultSample
@@ -155,7 +146,7 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 	degraded := state == resilience.Degraded
 	var qbBudget, qbEps int
 	if degraded {
-		qbBudget, qbEps = degradeExplain(&opts, s.res.Degraded())
+		qbBudget, qbEps = degradeExplain(&opts)
 	}
 	if inject.Kind == faultinject.Cancel {
 		// The kernel-layer fault: cancel the request context from inside the

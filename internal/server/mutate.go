@@ -50,8 +50,8 @@ func decodeAttrs(m map[string]wire.Value) (graph.Attrs, error) {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	inject, started := s.begin(epMutate)
-	defer s.end(epMutate, started)
+	inject, arrived := s.begin(epMutate)
+	defer s.end(epMutate, arrived)
 	var req wire.MutateRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)
@@ -120,6 +120,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	ds.mutMu.Lock()
 	defer ds.mutMu.Unlock()
+	// refreezeMs times the publication alone: fork, apply, derive, swap.
+	started := time.Now()
 	old := ds.engine()
 	oldG := old.Graph()
 	g := oldG.Fork()
@@ -179,8 +181,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Derive the next epoch from this one, then publish atomically.
 	ds.eng.Store(old.Successor(g))
 	epoch := ds.epoch.Add(1)
-	ds.refreezes.Add(1)
-	ds.mutations.Add(1)
 	elapsed := time.Since(started)
 	ds.lastRefreezeNs.Store(elapsed.Nanoseconds())
 

@@ -6,13 +6,16 @@ package server
 // on the old engine while writers publish new ones.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/wire"
@@ -211,6 +214,29 @@ func TestMutateValidation(t *testing.T) {
 	}
 }
 
+// TestRefreezeTimesThePublication pins refreezeMs / lastRefreezeMs to what
+// they are documented as: the time spent forking, applying and publishing
+// under the write lock — not the request's injected latency, decode or
+// queueing before it.
+func TestRefreezeTimesThePublication(t *testing.T) {
+	s := injectorServer(t, faultinject.Config{Seed: 1, PLatency: 1, LatencyDur: 50 * time.Millisecond}, Config{})
+	h := s.Handler()
+	rec := do(t, h, "POST", "/v1/graph/mutate", wire.MutateRequest{
+		Dataset:     "ldbc",
+		AddVertices: []wire.MutVertex{{Attrs: map[string]wire.Value{"type": mutTestValue("person")}}},
+	})
+	if rec.Code != 200 {
+		t.Fatalf("mutate got %d: %s", rec.Code, rec.Body)
+	}
+	resp := decodeData[wire.MutateResponse](t, rec)
+	if resp.RefreezeMs <= 0 || resp.RefreezeMs >= 25 {
+		t.Fatalf("refreezeMs = %.2f for a one-vertex batch behind 50ms of injected latency, want well under 50", resp.RefreezeMs)
+	}
+	if st := ldbcStats(t, h); st.LastRefreezeMs != resp.RefreezeMs || st.Refreezes != 1 || st.Mutations != 1 {
+		t.Fatalf("stats after one batch: %+v, want lastRefreezeMs %.2f", st, resp.RefreezeMs)
+	}
+}
+
 // TestMutateRejectsMalformedAttrsBeforeLocking holds the dataset's write lock
 // and fills its admission slots, then posts a batch with a malformed
 // attribute value: it must be answered 400 at once — decoded and refused
@@ -220,8 +246,10 @@ func TestMutateRejectsMalformedAttrsBeforeLocking(t *testing.T) {
 	ds, _ := s.lookup("ldbc")
 	ds.mutMu.Lock()
 	defer ds.mutMu.Unlock()
-	for i := 0; i < cap(ds.sem); i++ {
-		ds.sem <- struct{}{}
+	for i := 0; i < ds.gate.Slots(); i++ {
+		if _, _, err := ds.gate.Enter(context.Background(), time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec := do(t, s.Handler(), "POST", "/v1/graph/mutate", wire.MutateRequest{
 		Dataset:     "ldbc",

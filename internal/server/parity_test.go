@@ -99,7 +99,7 @@ func TestErrorParityAcrossTransports(t *testing.T) {
 						return
 					}
 					ds, _ := s.lookup(tc.req.Dataset)
-					for ds.inFlight.Load() == 0 {
+					for ds.gate.InFlight() == 0 {
 						time.Sleep(time.Millisecond)
 					}
 					tc.midRun(s)

@@ -102,8 +102,7 @@ func TestDegradedExplainDifferential(t *testing.T) {
 			Budget:        tc.req.Budget,
 			Workers:       1,
 		}
-		params := s.Resilience().Degraded()
-		qbBudget, qbEps := degradeExplain(&opts, params)
+		qbBudget, qbEps := degradeExplain(&opts)
 		var q = mustQuery(t, tc.req)
 		rep, err := tc.eng.ExplainCtx(context.Background(), q, opts)
 		if err != nil {
@@ -191,7 +190,7 @@ func TestSheddingAnswers429(t *testing.T) {
 func saturate(t *testing.T, s *Server, h http.Handler, extra int) (stop func()) {
 	t.Helper()
 	ds, _ := s.lookup("ldbc")
-	n := cap(ds.sem) + extra
+	n := ds.gate.Slots() + extra
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	blob, err := json.Marshal(slowExplain("ldbc"))
@@ -207,11 +206,11 @@ func saturate(t *testing.T, s *Server, h http.Handler, extra int) (stop func()) 
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for int(ds.inFlight.Load()) < cap(ds.sem) || int(ds.queued.Load()) < extra {
+	for ds.gate.InFlight() < ds.gate.Slots() || ds.gate.Queued() < extra {
 		if time.Now().After(deadline) {
 			cancel()
 			wg.Wait()
-			t.Fatalf("saturation never reached: inFlight=%d queued=%d", ds.inFlight.Load(), ds.queued.Load())
+			t.Fatalf("saturation never reached: inFlight=%d queued=%d", ds.gate.InFlight(), ds.gate.Queued())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -366,11 +365,11 @@ func TestInjectedStarvationServerLayer(t *testing.T) {
 	}
 	// The slot outlives the response (the injected leak), then frees.
 	ds, _ := s.lookup("ldbc")
-	if len(ds.sem) == 0 {
+	if ds.gate.InFlight() == 0 {
 		t.Fatal("slot already free right after the response; starvation not injected")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(ds.sem) != 0 {
+	for ds.gate.InFlight() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("starved slot never released")
 		}
@@ -446,9 +445,9 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 	ds, _ := s.lookup("ldbc")
 	deadline := time.Now().Add(10 * time.Second)
-	for int(ds.inFlight.Load()) < inflight {
+	for ds.gate.InFlight() < inflight {
 		if time.Now().After(deadline) {
-			t.Fatalf("in-flight load never built up: %d", ds.inFlight.Load())
+			t.Fatalf("in-flight load never built up: %d", ds.gate.InFlight())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -511,5 +510,84 @@ func TestStatsQueueShape(t *testing.T) {
 	}
 	if st.Resilience.State != "healthy" {
 		t.Fatalf("idle state = %q", st.Resilience.State)
+	}
+}
+
+// TestOverloadConsumersAgreeUnderSaturation holds the three consumers of the
+// slot occupancy to one another. While every execution slot of every dataset
+// is held — the last one by a running explain — the controller reports no
+// free slot, the speculation pool grants nothing, and the explain falls back
+// to its sequential loop, whose report is byte-identical to the idle,
+// speculating one. Once the slots are released all three recover.
+func TestOverloadConsumersAgreeUnderSaturation(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctl, pool := s.Resilience(), s.SpecPool()
+	total, widest := ctl.Slots()
+	explain := func(improved func(wire.StreamEvent) error) []byte {
+		t.Helper()
+		prep, f := s.validateExplain(wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3", Lower: 1, Upper: 5}, faultinject.Decision{})
+		if f != nil {
+			t.Fatalf("validate: %+v", f.err)
+		}
+		payload, _, f := s.runExplain(httptest.NewRequest("POST", "/v1/explain", nil), &prep, faultinject.Decision{}, nil, improved)
+		if f != nil {
+			t.Fatalf("explain: %+v", f.err)
+		}
+		return payload
+	}
+
+	idle := explain(nil)
+	speculated := pool.Snapshot().Granted
+	if speculated == 0 {
+		t.Fatal("the idle explain was granted no speculation token; the saturated run would prove nothing")
+	}
+	if free := ctl.Free(); free != total {
+		t.Fatalf("idle Free() = %d, want all %d slots", free, total)
+	}
+
+	// Hold every slot but one of ldbc's, which the explain below takes.
+	var releases []func()
+	for name, spare := range map[string]int{"ldbc": 1, "dbpedia": 0} {
+		ds, _ := s.lookup(name)
+		for i := ds.gate.Slots() - spare; i > 0; i-- {
+			release, _, err := ds.gate.Enter(context.Background(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			releases = append(releases, release)
+		}
+	}
+	improvements := 0
+	saturated := explain(func(wire.StreamEvent) error {
+		improvements++
+		if free := ctl.Free(); free != 0 {
+			t.Errorf("Free() = %d with every slot held, want 0", free)
+		}
+		if n := pool.Acquire(widest); n != 0 {
+			pool.Release(n)
+			t.Errorf("the pool granted %d tokens with every slot held, want 0", n)
+		}
+		return nil
+	})
+	if improvements == 0 {
+		t.Fatal("the saturated explain reported no improvement; nothing was observed mid-run")
+	}
+	if got := pool.Snapshot().Granted; got != speculated {
+		t.Fatalf("the saturated explain was granted %d speculation tokens, want none", got-speculated)
+	}
+	if !bytes.Equal(saturated, idle) {
+		t.Fatalf("saturated report differs from the idle one:\nsaturated %s\nidle      %s", saturated, idle)
+	}
+
+	for _, release := range releases {
+		release()
+	}
+	if free := ctl.Free(); free != total {
+		t.Fatalf("Free() after release = %d, want all %d slots", free, total)
+	}
+	if n := pool.Acquire(widest); n != widest {
+		t.Fatalf("the idle pool granted %d of a %d-wide wave", n, widest)
+	} else {
+		pool.Release(n)
 	}
 }

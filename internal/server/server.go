@@ -19,21 +19,18 @@
 //	GET  /healthz      liveness
 //	GET  /readyz       readiness: 503 while datasets load and during drain
 //
-// Concurrency model: requests are admitted per engine through a semaphore
-// sized off the engine's worker count, so a traffic burst queues instead of
-// oversubscribing the matcher; the queue itself is bounded (429 + Retry-After
-// when full, 504 when a request waits out the max queue time), and each
-// admitted request runs under its own context deadline threaded through
-// core.ExplainCtx into the searches, so an abandoned request stops burning
-// the worker pool within one candidate execution.
-//
-// Overload model: a resilience.Controller folds admission occupancy and
-// per-endpoint latency EWMAs into a three-state brownout. Degraded explains
-// run under a reduced budget with an ε-optimal kernel-level early stop and
-// carry `degraded: true` plus the achieved quality bound; shedding answers
-// 429 + Retry-After before touching a slot. A handler panic is recovered to
-// a 500 with a request id, counted and stack-logged. An optional seeded
-// fault injector (whydbd -inject) exercises every one of these paths
+// Concurrency and overload model: who may run, at what quality, and how much
+// speculation fits is decided in internal/resilience. Each dataset owns a
+// resilience.Gate sized off its engine's worker count, so a burst queues
+// instead of oversubscribing the matcher. This package maps the rung of the
+// gate's ladder that refused a request onto the wire (admit), applies the
+// degraded state's clamps to an explain and stamps the quality bound
+// (runExplain), reports every request's latency back (end), and hands the
+// controller's free-slot count to the speculation pool. An admitted request
+// runs under its own context deadline threaded through core.ExplainCtx, so an
+// abandoned one stops within one candidate execution. A handler panic is
+// recovered to a 500 with a request id, counted and stack-logged. An optional
+// seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
 package server
 
@@ -43,9 +40,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,16 +70,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps client-requested timeouts (0 = 120s).
 	MaxTimeout time.Duration
-	// DefaultBudget is the per-explanation candidate-execution budget when
-	// the request names none (0 = the engine default, 300).
-	DefaultBudget int
 	// MaxBudget clamps client-requested budgets (0 = 20000).
 	MaxBudget int
-	// DefaultFindLimit bounds /v1/match find-mode enumeration when the
-	// request names no limit (0 = 20).
-	DefaultFindLimit int
-	// MaxFindLimit clamps client-requested find limits (0 = 1000).
-	MaxFindLimit int
 	// MaxCountCap clamps /v1/match count-mode enumeration: a request asking
 	// for an exact count (countCap 0) or a larger cap counts at most this
 	// many results (0 = 10,000,000). Keeps a cross-product query from
@@ -123,12 +113,6 @@ func (c *Config) fill() {
 	if c.MaxBudget == 0 {
 		c.MaxBudget = 20000
 	}
-	if c.DefaultFindLimit == 0 {
-		c.DefaultFindLimit = 20
-	}
-	if c.MaxFindLimit == 0 {
-		c.MaxFindLimit = 1000
-	}
 	if c.MaxCountCap == 0 {
 		c.MaxCountCap = 10000000
 	}
@@ -146,8 +130,15 @@ func (c *Config) fill() {
 	}
 }
 
+// The /v1/match find-mode limits: the enumeration bound of a request that
+// names none, and the clamp on one that does.
+const (
+	defaultFindLimit = 20
+	maxFindLimit     = 1000
+)
+
 // dataset is one loaded graph with its engine, built-in workload queries,
-// and admission state.
+// and admission gate.
 //
 // The engine lives behind an atomic pointer because mutation replaces it
 // wholesale: a mutate batch forks the graph, applies the writes, and
@@ -165,25 +156,18 @@ type dataset struct {
 	failing  func(string) (*query.Query, error)
 
 	// Mutation state: mutMu serializes writers (readers never take it),
-	// epoch counts published graph versions (1 at boot), refreezes and
-	// mutations count publications and applied batches, lastRefreezeNs the
-	// latest publication's build time. source records where the boot graph
-	// came from ("datagen" or "snapshot:<file>").
+	// epoch counts published graph versions (1 at boot, one more per applied
+	// batch), lastRefreezeNs the latest publication's build time. source
+	// records where the boot graph came from ("datagen" or
+	// "snapshot:<file>").
 	mutMu          sync.Mutex
 	epoch          atomic.Int64
-	refreezes      atomic.Int64
-	mutations      atomic.Int64
 	lastRefreezeNs atomic.Int64
 	source         string
 
-	// sem is the admission semaphore: at most cap(sem) requests execute
-	// against the engine at once (sized off the engine's worker count);
-	// excess requests queue on it, bounded by queueCap and the max queue
-	// wait.
-	sem      chan struct{}
-	queueCap int
-	queued   atomic.Int64
-	inFlight atomic.Int64
+	// gate admits requests to the engine: as many execute at once as the
+	// engine has workers, excess requests wait in its bounded queue.
+	gate *resilience.Gate
 
 	// shards, when non-nil, is the dataset's scatter-gather counting group
 	// (whydbd -shards / -peers): requests carry a shard.Session and every
@@ -209,13 +193,10 @@ type Server struct {
 
 	// specPool is the server-wide speculation budget: every explain served
 	// by this server runs its speculative waves against tokens sized off the
-	// free admission slots, so speculation throttles itself to zero exactly
-	// when the admission layer is saturated. Resized under mu as datasets
-	// register (specSlots = total admission capacity, specPerSlot = the
-	// widest engine's worker count).
-	specPool    *search.SpecPool
-	specSlots   int
-	specPerSlot int
+	// controller's free slots, so speculation throttles itself to zero
+	// exactly when the gates are saturated. Resized under mu as datasets
+	// register.
+	specPool *search.SpecPool
 
 	notReady atomic.Value // string: why /readyz answers 503 ("" = ready)
 	draining atomic.Bool
@@ -291,23 +272,9 @@ func New(cfg Config) *Server {
 		drainCtx:    drainCtx,
 		cancelDrain: cancelDrain,
 	}
-	s.specPool = search.NewSpecPool(1, 1, s.freeSlots)
+	s.specPool = search.NewSpecPool(1, 1, s.res.Free)
 	s.notReady.Store("loading")
 	return s
-}
-
-// freeSlots reports the server's free admission slots across all datasets —
-// the speculation pool's live sizing signal.
-func (s *Server) freeSlots() int {
-	s.mu.RLock()
-	free := 0
-	for _, ds := range s.datasets {
-		if f := cap(ds.sem) - int(ds.inFlight.Load()); f > 0 {
-			free += f
-		}
-	}
-	s.mu.RUnlock()
-	return free
 }
 
 // SpecPool returns the server's shared speculation budget (stats, tests).
@@ -340,20 +307,10 @@ func (s *Server) CancelInFlight() { s.cancelDrain() }
 // workload queries and the failing-variant resolver (nil = no failing
 // variants). Safe to call while serving.
 func (s *Server) AddDataset(name string, eng *core.Engine, builtins []workload.Named, failing func(string) (*query.Query, error)) {
-	admitCap := eng.Workers()
-	if admitCap < 1 {
-		admitCap = 1
-	}
-	queueCap := s.cfg.QueueCap
-	if queueCap == 0 {
-		queueCap = 4 * admitCap
-	}
 	ds := &dataset{
 		name:     name,
 		builtins: make(map[string]func() *query.Query, len(builtins)),
 		failing:  failing,
-		sem:      make(chan struct{}, admitCap),
-		queueCap: queueCap,
 		source:   "datagen",
 	}
 	ds.eng.Store(eng)
@@ -363,12 +320,11 @@ func (s *Server) AddDataset(name string, eng *core.Engine, builtins []workload.N
 		ds.names = append(ds.names, nq.Name)
 	}
 	s.mu.Lock()
+	ds.gate = s.res.NewGate(eng.Workers(), s.cfg.QueueCap)
 	s.datasets[name] = ds
-	s.specSlots += admitCap
-	if w := eng.Workers(); w > s.specPerSlot {
-		s.specPerSlot = w
-	}
-	s.specPool.Resize(s.specSlots, s.specPerSlot)
+	// One free slot absorbs as many speculative evaluations as the widest
+	// engine has workers, so a sole tenant still gets full-width waves.
+	s.specPool.Resize(s.res.Slots())
 	s.mu.Unlock()
 }
 
@@ -482,17 +438,6 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// sortedNames returns the dataset names in ascending order. Callers hold at
-// least the read lock.
-func (s *Server) sortedNames() []string {
-	names := make([]string, 0, len(s.datasets))
-	for name := range s.datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // writeJSON writes v as the response body with the given status — the raw
@@ -622,7 +567,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	infos := make([]wire.DatasetInfo, 0, len(s.datasets))
-	for _, name := range s.sortedNames() {
+	for _, name := range slices.Sorted(maps.Keys(s.datasets)) {
 		ds := s.datasets[name]
 		eng := ds.engine()
 		g := eng.Graph()
@@ -631,7 +576,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			Vertices: g.NumLiveVertices(),
 			Edges:    g.NumLiveEdges(),
 			Workers:  eng.Workers(),
-			AdmitCap: cap(ds.sem),
+			AdmitCap: ds.gate.Slots(),
 			Builtins: append([]string(nil), ds.names...),
 		})
 	}
@@ -655,28 +600,40 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Errors:     s.reqErrors.Load(),
 			Cancelled:  s.reqCancelled.Load(),
 		},
-		Datasets:   make(map[string]wire.DatasetStats, len(s.datasets)),
-		Resilience: s.resilienceStats(),
+		Datasets: make(map[string]wire.DatasetStats, len(s.datasets)),
 	}
-	pool := s.specPool.Snapshot()
-	resp.Speculation = &wire.SpeculationPoolStats{
-		Size:     pool.Size,
-		Capacity: pool.Capacity,
-		Granted:  pool.Granted,
-		Denied:   pool.Denied,
-		Returned: pool.Returned,
+	snap := s.res.Snapshot()
+	resp.Resilience = &wire.ResilienceStats{
+		State:          snap.State.String(),
+		Pressure:       snap.Pressure,
+		LatencyEWMAMs:  snap.Latency,
+		Transitions:    snap.Transitions,
+		QueueDepth:     snap.QueueDepth,
+		QueueCap:       snap.QueueCap,
+		Shed:           s.shed.Load(),
+		QueueFull:      s.queueFull.Load(),
+		ExpiredQueued:  s.expiredQueued.Load(),
+		ExpiredRunning: s.expiredRunning.Load(),
+		DegradedServed: s.degradedServed.Load(),
+		Panics:         s.panics.Load(),
+		Injected:       s.injected.Load(),
 	}
+	pool := wire.SpeculationPoolStats(s.specPool.Snapshot())
+	resp.Speculation = &pool
 	for name, ds := range s.datasets {
 		eng := ds.engine()
 		m := eng.Matcher()
+		// Every applied batch publishes exactly one epoch, so both counters
+		// are the epochs after the boot one.
+		epoch := ds.epoch.Load()
 		st := wire.DatasetStats{
 			Workers:        eng.Workers(),
-			AdmitCap:       cap(ds.sem),
-			InFlight:       int(ds.inFlight.Load()),
-			Epoch:          ds.epoch.Load(),
+			AdmitCap:       ds.gate.Slots(),
+			InFlight:       ds.gate.InFlight(),
+			Epoch:          epoch,
 			Source:         ds.source,
-			Refreezes:      ds.refreezes.Load(),
-			Mutations:      ds.mutations.Load(),
+			Refreezes:      epoch - 1,
+			Mutations:      epoch - 1,
 			LastRefreezeMs: float64(ds.lastRefreezeNs.Load()) / 1e6,
 		}
 		st.PlanCache = wire.NewCacheStats(m.PlanCacheStats())
@@ -688,12 +645,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		kernel := eng.KernelCounters()
 		st.Kernel = make(map[string]wire.KernelCounters, len(kernel))
 		for family, c := range kernel {
-			st.Kernel[family] = wire.KernelCounters{
-				Executions: c.Executions,
-				DedupHits:  c.DedupHits,
-				Speculated: c.Speculated,
-				SpecWaste:  c.SpecWaste,
-			}
+			st.Kernel[family] = wire.KernelCounters(c)
 		}
 		if ds.shards != nil {
 			st.Sharding = ds.shards.Snapshot()
@@ -701,30 +653,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Datasets[name] = st
 	}
 	s.writeData(w, r, resp)
-}
-
-// resilienceStats assembles the brownout and overload counters. Callers
-// hold at least the read lock (it sums per-dataset queue state).
-func (s *Server) resilienceStats() *wire.ResilienceStats {
-	snap := s.res.Snapshot()
-	rs := &wire.ResilienceStats{
-		State:          snap.State.String(),
-		Pressure:       snap.Pressure,
-		LatencyEWMAMs:  snap.Latency,
-		Transitions:    snap.Transitions,
-		Shed:           s.shed.Load(),
-		QueueFull:      s.queueFull.Load(),
-		ExpiredQueued:  s.expiredQueued.Load(),
-		ExpiredRunning: s.expiredRunning.Load(),
-		DegradedServed: s.degradedServed.Load(),
-		Panics:         s.panics.Load(),
-		Injected:       s.injected.Load(),
-	}
-	for _, ds := range s.datasets {
-		rs.QueueDepth += int(ds.queued.Load())
-		rs.QueueCap += ds.queueCap
-	}
-	return rs
 }
 
 // decodeBody strictly decodes the request body into v (unknown fields and
@@ -784,58 +712,42 @@ func (s *Server) resolveQuery(ds *dataset, builtin string, failing bool, wq *wir
 	}
 }
 
-// admit runs the overload-aware admission sequence for one request:
-//
-//  1. Consult the brownout controller with the current occupancy; in the
-//     shedding state the request answers 429 + Retry-After immediately.
-//  2. Claim a bounded queue slot; a full queue answers 429 + Retry-After
-//     (not 504 — the client did nothing slow, the server is full).
-//  3. Wait for an execution slot under the request deadline AND the max
-//     queue wait; waiting out the latter answers 504 (expired-queued,
-//     distinguished from expired-running in stats).
-//
-// On success the failure is nil, release frees the slot (late, under the
-// injected starve fault), and the returned state is the brownout state the
-// request must be served under.
+// admit passes one request through its dataset's gate (resilience.Gate.Enter
+// is the ladder) and maps the rung that refused it onto the wire: 429 +
+// Retry-After when shedding or when the queue is full (not 504 — the client
+// did nothing slow, the server is full), 504 expired-queued past the max
+// queue wait, the context ladder when the request's own deadline or
+// cancellation ended the wait. On success release frees the slot (late,
+// under the injected starve fault) and state is the brownout state to serve
+// the request under.
 func (s *Server) admit(r *http.Request, ctx context.Context, ds *dataset, inject faultinject.Decision) (release func(), state resilience.State, f *failure) {
-	state = s.res.ObserveAdmission(int(ds.queued.Load()), ds.queueCap, int(ds.inFlight.Load()), cap(ds.sem))
-	if state == resilience.Shedding {
+	release, state, err := ds.gate.Enter(ctx, s.cfg.MaxQueueWait)
+	switch {
+	case err == nil:
+	case errors.Is(err, resilience.ErrShedding):
 		s.shed.Add(1)
 		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "server shedding load, retry later")
-	}
-	if int(ds.queued.Add(1)) > ds.queueCap {
-		ds.queued.Add(-1)
+	case errors.Is(err, resilience.ErrQueueFull):
 		s.queueFull.Add(1)
-		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "admission queue full (%d queued), retry later", ds.queueCap)
-	}
-	defer ds.queued.Add(-1)
-	maxWait := time.NewTimer(s.cfg.MaxQueueWait)
-	defer maxWait.Stop()
-	select {
-	case ds.sem <- struct{}{}:
-		ds.inFlight.Add(1)
-		release = func() {
-			ds.inFlight.Add(-1)
-			<-ds.sem
-		}
-		if inject.Kind == faultinject.Starve {
-			// The slot-leak fault: the slot stays held for the injected
-			// duration past the response.
-			free, hold := release, inject.Starve
-			release = func() {
-				go func() {
-					time.Sleep(hold)
-					free()
-				}()
-			}
-		}
-		return release, state, nil
-	case <-maxWait.C:
+		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "admission queue full (%d queued), retry later", ds.gate.QueueCap())
+	case errors.Is(err, resilience.ErrQueueWait):
 		s.expiredQueued.Add(1)
 		return nil, state, s.newError(http.StatusGatewayTimeout, wire.CodeDeadlineQueued, "no execution slot within %s", s.cfg.MaxQueueWait)
-	case <-ctx.Done():
-		return nil, state, s.ctxError(r, ctx.Err(), true)
+	default:
+		return nil, state, s.ctxError(r, err, true)
 	}
+	if inject.Kind == faultinject.Starve {
+		// The slot-leak fault: the slot stays held for the injected duration
+		// past the response.
+		free, hold := release, inject.Starve
+		release = func() {
+			go func() {
+				time.Sleep(hold)
+				free()
+			}()
+		}
+	}
+	return release, state, nil
 }
 
 // ctxError classifies a context error: 504 for an expired deadline (counted
@@ -868,10 +780,7 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 	if timeoutMs > 0 {
 		to = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if to > s.cfg.MaxTimeout {
-		to = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), to)
+	ctx, cancel := context.WithTimeout(r.Context(), min(to, s.cfg.MaxTimeout))
 	stop := context.AfterFunc(s.drainCtx, cancel)
 	return ctx, func() {
 		stop()
@@ -919,11 +828,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	limit := req.Limit
 	if limit == 0 {
-		limit = s.cfg.DefaultFindLimit
+		limit = defaultFindLimit
 	}
-	if limit > s.cfg.MaxFindLimit {
-		limit = s.cfg.MaxFindLimit
-	}
+	limit = min(limit, maxFindLimit)
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 	release, _, f := s.admit(r, ctx, ds, inject)

@@ -49,7 +49,7 @@ type ExplainRequest struct {
 }
 
 // BatchExplainRequest is the body of POST /v1/explain/batch: up to the
-// server's -max-batch independent explain specs answered in one round trip.
+// server's maximum (64) independent explain specs answered in one round trip.
 // Every item carries its own dataset, bounds, and knobs; the per-request
 // TimeoutMs of each item bounds that item alone. Items sharing a canonical
 // query run the search once and fan the answer out (coalescing), which is
@@ -154,8 +154,9 @@ type MutateResponse struct {
 	// Vertices/Edges are the live (non-tombstoned) totals after the batch.
 	Vertices int `json:"vertices"`
 	Edges    int `json:"edges"`
-	// RefreezeMs is the time spent cloning, applying, freezing, and
-	// rebuilding the engine for the new epoch.
+	// RefreezeMs is the time spent under the dataset's write lock forking
+	// the graph, applying the batch and deriving and publishing the engine
+	// of the new epoch — not the wait for a slot or for the lock.
 	RefreezeMs float64 `json:"refreezeMs"`
 }
 
@@ -310,9 +311,9 @@ type DatasetStats struct {
 	InFlight int `json:"inFlight"`
 	// Epoch is the dataset's mutation epoch (1 at boot; each applied mutate
 	// batch publishes the next). Source is where the boot graph came from:
-	// "datagen" or "snapshot:<file>". Refreezes counts epoch publications,
-	// Mutations counts applied batches (equal unless a future writer
-	// coalesces), and LastRefreezeMs is the latest publication's build time.
+	// "datagen" or "snapshot:<file>". Refreezes counts epoch publications
+	// and Mutations applied batches (both Epoch-1: one batch publishes one
+	// epoch); LastRefreezeMs is the latest publication's build time.
 	Epoch          int64                     `json:"epoch"`
 	Source         string                    `json:"source"`
 	Refreezes      int64                     `json:"refreezes"`
