@@ -519,3 +519,51 @@ func BenchmarkMatcher(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFindRows measures enumerating a limit-100 result sample into a
+// reused row buffer — the scoring stage's read of the matcher (plan cache
+// warm, zero allocations).
+func BenchmarkFindRows(b *testing.B) {
+	lg, _ := setup()
+	m := match.New(lg)
+	q := workload.LDBCQuery3()
+	ctx := m.NewContext()
+	var rows match.Rows
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m.FindRows(ctx, q, match.Options{Limit: 100}, &rows); rows.Len() != 100 {
+			b.Fatalf("%d rows, want 100", rows.Len())
+		}
+	}
+}
+
+// BenchmarkResultSetDistance measures the result-distance kernel on warmed
+// scratch at the shapes an explain meets: a why-so-many original against the
+// few results of its rewriting (100×3), two small sets (12×12), and two full
+// samples (100×100). The sets are overlapping windows of LDBC QUERY 3's
+// results, so some pairs match exactly and most do not.
+func BenchmarkResultSetDistance(b *testing.B) {
+	lg, _ := setup()
+	rs := match.New(lg).Find(workload.LDBCQuery3(), match.Options{})
+	for _, shape := range []struct {
+		name           string
+		a0, a1, b0, b1 int
+	}{
+		{"100x3", 0, 100, 98, 101},
+		{"12x12", 0, 12, 6, 18},
+		{"100x100", 0, 100, 60, 160},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			var x, y match.Rows
+			x.SetResults(rs[shape.a0:shape.a1])
+			y.SetResults(rs[shape.b0:shape.b1])
+			var s metrics.ResultScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if d := s.RowSetDistance(&x, &y); d <= 0 || d >= 1 {
+					b.Fatalf("distance %v, want inside (0, 1)", d)
+				}
+			}
+		})
+	}
+}

@@ -11,8 +11,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/mcs"
@@ -37,7 +37,7 @@ type Engine struct {
 	m       *match.Matcher
 	st      *stats.Collector
 	domain  *stats.Domain
-	states  sync.Pool // *explainState, one per in-flight Explain
+	states  cache.FreeList[*explainState] // one per in-flight Explain
 	workers int
 
 	// Search-kernel counters, one sink per explanation family. Every search
@@ -56,6 +56,13 @@ type explainState struct {
 	rw  *relax.Rewriter
 	mt  *modtree.Searcher
 	ctx *match.Ctx
+
+	// Scoring scratch: the original's and one rewriting's result samples in
+	// row form, and the result-distance kernel's matrix and solver arrays.
+	// It grows to ResultSample rows × pattern width (squared, for the
+	// matrix) and is kept only at the default sample size.
+	orig, cand match.Rows
+	score      metrics.ResultScratch
 }
 
 // NewEngine builds an engine (matcher, statistics, domain catalog) over g.
@@ -67,7 +74,7 @@ func NewEngine(g *graph.Graph) *Engine {
 
 func newEngine(g *graph.Graph, m *match.Matcher, st *stats.Collector, domain *stats.Domain, workers int) *Engine {
 	e := &Engine{g: g, m: m, st: st, domain: domain, workers: workers}
-	e.states.New = func() any {
+	e.states.New = func() *explainState {
 		return &explainState{rw: relax.New(m, st), mt: modtree.New(m, st), ctx: m.NewContext()}
 	}
 	return e
@@ -219,9 +226,13 @@ func (o *Options) fill() {
 		o.Budget = 300
 	}
 	if o.ResultSample == 0 {
-		o.ResultSample = 100
+		o.ResultSample = defaultResultSample
 	}
 }
+
+// defaultResultSample is Options.ResultSample's default, and the sample size
+// up to which a pooled explainState keeps its scoring scratch.
+const defaultResultSample = 100
 
 // Rewriting is a modification-based explanation scored on the three levels
 // of Chapter 3.
@@ -287,13 +298,16 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		return nil, err
 	}
 	opts.fill()
-	st := e.states.Get().(*explainState)
+	st := e.states.Get()
 	// The request context rides on the matching context so the matcher's
 	// count delegate (sharded counting) sees per-request state; detach before
 	// the state returns to the pool.
 	st.ctx.SetRequest(ctx)
 	defer func() {
 		st.ctx.SetRequest(nil)
+		if opts.ResultSample > defaultResultSample {
+			st.orig, st.cand, st.score = match.Rows{}, match.Rows{}, metrics.ResultScratch{}
+		}
 		e.states.Put(st)
 	}()
 	countCap := 0
@@ -426,7 +440,15 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		return nil, err
 	}
 
-	origResults := e.m.FindCtx(st.ctx, q, match.Options{Limit: opts.ResultSample})
+	// Result level (§3.2.4). The original's sample is enumerated once, and
+	// only when it can matter: with no results of the original (card counts
+	// them, capped or not) the distance follows from the rewriting's
+	// cardinality alone — 1 against any result, 0 against none — so a
+	// why-empty request enumerates nothing.
+	sample := match.Options{Limit: opts.ResultSample}
+	if card > 0 && len(candidates) > 0 {
+		e.m.FindRows(st.ctx, q, sample, &st.orig)
+	}
 	for i := range candidates {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -434,8 +456,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		c := &candidates[i]
 		c.Syntactic = metrics.SyntacticDistance(q, c.Query)
 		c.CardinalityDistance = opts.Expected.Distance(c.Cardinality)
-		newResults := e.m.FindCtx(st.ctx, c.Query, match.Options{Limit: opts.ResultSample})
-		c.ResultDistance = metrics.ResultSetDistance(origResults, newResults)
+		switch {
+		case card > 0:
+			e.m.FindRows(st.ctx, c.Query, sample, &st.cand)
+			c.ResultDistance = st.score.RowSetDistance(&st.orig, &st.cand)
+		case c.Cardinality > 0:
+			c.ResultDistance = 1
+		}
 	}
 	sortRewritings(candidates)
 	if len(candidates) > opts.MaxRewritings {

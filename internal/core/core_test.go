@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -156,4 +159,41 @@ func TestRewritingRanking(t *testing.T) {
 	if rs[0].Syntactic != 0.2 || rs[1].Syntactic != 0.9 || rs[2].CardinalityDistance != 5 {
 		t.Fatalf("ranking wrong: %+v", rs)
 	}
+}
+
+// TestRetiredEngineIsCollected pins what keeps write epochs cheap in memory:
+// once its successor is published and nothing serves from it, an engine —
+// matcher, statistics, its copy of the graph — is garbage at the very next
+// collection. With the per-epoch state in sync.Pools it was not: a used Pool
+// stays registered with the runtime, and keeps its owner alive, until the
+// second collection after its last use.
+func TestRetiredEngineIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	next := func() *Engine {
+		e := smallEngine(t)
+		q, err := workload.FailingVariant("LDBC QUERY 2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Explain(q, Options{Budget: 30}); err != nil { // touches every per-epoch free list
+			t.Fatal(err)
+		}
+		if e.Matcher().Count(workload.LDBCQuery1(), 0) == 0 {
+			t.Fatal("LDBC QUERY 1 must have results")
+		}
+		// The finalizer sits on the graph: the engine itself is on a cycle
+		// (its pooled search state points back at its counters), and cycles
+		// through a finalized object are never finalized.
+		runtime.SetFinalizer(e.Graph(), func(*graph.Graph) { close(collected) })
+		g := e.Graph().Fork()
+		g.AddVertex(graph.Attrs{"type": graph.S("loadtest")})
+		return e.Successor(g)
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the retired engine's graph survived a collection")
+	}
+	runtime.KeepAlive(next)
 }

@@ -36,8 +36,12 @@ type Ctx struct {
 	mode  uint8
 	cap   int // count cap (modeCount; 0 = exact)
 	n     int
-	limit int // result limit (modeFind; 0 = unlimited)
-	out   []Result
+	limit int   // result limit (modeFind; 0 = unlimited)
+	rows  *Rows // where modeFind appends embeddings
+
+	// found is the row buffer behind Find/FindCtx/Plan.Find, which hand out
+	// result graphs and have no caller-owned Rows to fill.
+	found Rows
 
 	// root-range restriction (CountRange): when rootRange is set, the plan's
 	// first start op only binds data vertices in [rootLo, rootHi) — the
@@ -124,16 +128,8 @@ func (p *Plan) count(c *Ctx, cap, lo, hi int, ranged bool) int {
 
 // Find executes the plan and materializes result graphs up to opts.Limit.
 func (p *Plan) Find(c *Ctx, opts Options) []Result {
-	if p.nv == 0 {
-		return nil
-	}
-	c.ensure(p)
-	c.p, c.mode, c.limit = p, modeFind, opts.Limit
-	c.out = nil
-	c.exec(0)
-	res := c.out
-	c.p, c.out = nil, nil
-	return res
+	p.FindRows(c, opts, &c.found)
+	return c.found.Results()
 }
 
 // emit consumes one complete embedding; it returns false to stop the search.
@@ -142,18 +138,15 @@ func (c *Ctx) emit() bool {
 		c.n++
 		return c.cap == 0 || c.n < c.cap
 	}
-	r := Result{
-		VertexMap: make(map[int]graph.VertexID, c.p.nv),
-		EdgeMap:   make(map[int]graph.EdgeID, len(c.p.eids)),
+	r := c.rows
+	for _, d := range c.vBind {
+		r.IDs = append(r.IDs, int32(d))
 	}
-	for s, qid := range c.p.vids {
-		r.VertexMap[qid] = c.vBind[s]
+	for _, d := range c.eBind {
+		r.IDs = append(r.IDs, int32(d))
 	}
-	for s, qid := range c.p.eids {
-		r.EdgeMap[qid] = c.eBind[s]
-	}
-	c.out = append(c.out, r)
-	return c.limit == 0 || len(c.out) < c.limit
+	r.n++
+	return c.limit == 0 || r.n < c.limit
 }
 
 // exec runs the compiled op at index i, recursing into i+1 for every local

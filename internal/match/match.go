@@ -14,16 +14,22 @@
 // The engine compiles each query into a Plan (dense vertex/edge slots,
 // per-vertex candidate lists computed once, selectivity-ordered steps) and
 // executes it against a flat, reusable Ctx — binding arrays plus visited
-// bitsets — so the backtracking inner loop performs zero allocations. The
-// original map-based engine is retained as ReferenceCount/ReferenceFind for
-// differential testing.
+// bitsets — so the backtracking inner loop performs zero allocations.
+//
+// Enumeration emits rows: since every result of one query binds the same
+// query elements, a result set is a column header (the plan's vertex and
+// edge ids) and one fixed-width tuple of data ids per result, appended to
+// the flat slice of a caller-owned Rows (FindRows) — the form the result
+// distance of internal/metrics is computed on, without a map per result.
+// Find and FindCtx convert those rows into Result maps for callers that want
+// result graphs. The original map-based engine is retained as
+// ReferenceCount/ReferenceFind for differential testing.
 package match
 
 import (
 	"context"
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
@@ -31,7 +37,8 @@ import (
 )
 
 // Result is a result graph (Definition 6): the mapping between query
-// vertices/edges and data vertex/edge identifiers.
+// vertices/edges and data vertex/edge identifiers. Rows holds a whole result
+// set without the maps.
 type Result struct {
 	VertexMap map[int]graph.VertexID
 	EdgeMap   map[int]graph.EdgeID
@@ -67,8 +74,8 @@ type Options struct {
 // variants let hot callers pin a reusable context explicitly.
 type Matcher struct {
 	g     *graph.Graph
-	plans sync.Pool
-	ctxs  sync.Pool
+	plans cache.FreeList[*Plan]
+	ctxs  cache.FreeList[*Ctx]
 
 	// The three caches are instances of internal/cache (sharding, epoch
 	// eviction, counters, miss coalescing and carry-over live there); what
@@ -117,8 +124,8 @@ func New(g *graph.Graph) *Matcher {
 		planCache:  cache.New[*Plan](planCacheCap, planCacheMaxBytes),
 		countCache: cache.New[int](countCacheCap, 0),
 	}
-	m.plans.New = func() any { return new(Plan) }
-	m.ctxs.New = func() any { return newCtx(g) }
+	m.plans.New = func() *Plan { return new(Plan) }
+	m.ctxs.New = func() *Ctx { return newCtx(g) }
 	return m
 }
 
@@ -209,18 +216,11 @@ func (m *Matcher) Find(q *query.Query, opts Options) []Result {
 	return m.FindCtx(c, q, opts)
 }
 
-// FindCtx is Find against a caller-owned execution context.
+// FindCtx is Find against a caller-owned execution context: FindRows into
+// the context's row buffer, converted to result graphs.
 func (m *Matcher) FindCtx(c *Ctx, q *query.Query, opts Options) []Result {
-	if q.NumVertices() == 0 {
-		return nil
-	}
-	if m.planOff {
-		p := m.getPlan(q)
-		defer m.plans.Put(p)
-		return p.Find(c, opts)
-	}
-	c.loadKey(q, "")
-	return m.cachedPlan(c, q).Find(c, opts)
+	m.FindRows(c, q, opts, &c.found)
+	return c.found.Results()
 }
 
 // Count returns the number of result graphs C(Q) (Definition 2). A non-zero
@@ -319,12 +319,12 @@ func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap, lo, hi int, ran
 }
 
 func (m *Matcher) getPlan(q *query.Query) *Plan {
-	p := m.plans.Get().(*Plan)
+	p := m.plans.Get()
 	m.compileInto(p, q)
 	return p
 }
 
-func (m *Matcher) getCtx() *Ctx  { return m.ctxs.Get().(*Ctx) }
+func (m *Matcher) getCtx() *Ctx  { return m.ctxs.Get() }
 func (m *Matcher) putCtx(c *Ctx) { m.ctxs.Put(c) }
 
 // sortableResults pairs results with their precomputed sort keys so the

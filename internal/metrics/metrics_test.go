@@ -304,31 +304,25 @@ func TestAssignAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestAssignRectPadding(t *testing.T) {
-	// 1 row, 3 columns: best single match plus no pad rows for the row side.
+func TestAssignRectangular(t *testing.T) {
+	// 1 row, 3 columns: the best single match; Algorithm 2's two pad rows
+	// would add their constant 2 to any assignment.
 	cost := [][]float64{{0.9, 0.2, 0.5}}
-	asg, total := AssignRect(cost, 1)
+	asg, total := Assign(cost)
 	if asg[0] != 1 {
 		t.Fatalf("assignment = %v", asg)
 	}
-	// padded to 3×3: one real match (0.2) + two pad rows (1 each).
-	if math.Abs(total-2.2) > 1e-9 {
-		t.Fatalf("total = %v, want 2.2", total)
+	if math.Abs(total-0.2) > 1e-9 {
+		t.Fatalf("total = %v, want 0.2", total)
 	}
-	// 3 rows, 1 column: two rows match padding (-1).
+	// 3 rows, 1 column: two rows stay unmatched (-1).
 	cost2 := [][]float64{{0.9}, {0.1}, {0.5}}
-	asg2, _ := AssignRect(cost2, 1)
-	matched := 0
-	for _, c := range asg2 {
-		if c == 0 {
-			matched++
-		}
+	asg2, total2 := Assign(cost2)
+	if asg2[0] != -1 || asg2[1] != 0 || asg2[2] != -1 || math.Abs(total2-0.1) > 1e-9 {
+		t.Fatalf("rect assignment = %v, total %v", asg2, total2)
 	}
-	if matched != 1 || asg2[1] != 0 {
-		t.Fatalf("rect assignment = %v", asg2)
-	}
-	if asg3, tot3 := AssignRect(nil, 1); asg3 != nil || tot3 != 0 {
-		t.Fatal("empty AssignRect")
+	if asg3, tot3 := Assign(nil); asg3 != nil || tot3 != 0 {
+		t.Fatal("empty Assign")
 	}
 }
 
@@ -371,7 +365,7 @@ func TestResultSetDistanceNormalizedExample(t *testing.T) {
 		{0.12, 0.29, 0.10, 0.15},
 		{0.23, 0.44, 0.13, 0.25},
 	}
-	_, total := AssignRect(cost, 1)
+	_, total := Assign(cost)
 	if got := total / 4; math.Abs(got-0.145) > 1e-9 {
 		t.Fatalf("normalized = %v, want 0.145", got)
 	}

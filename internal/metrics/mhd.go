@@ -1,60 +1,53 @@
 // Package metrics implements the comprehensive explanation-comparison model
 // of Chapter 3: the syntactic distance over the set-based query model
 // (§3.2.2, Eq. 3.10–3.13, Algorithm 1), the cardinality distance (§3.2.3,
-// Definition 5), and the result distance (§3.2.4, Definitions 6–8) computed
-// with a normalized graph edit distance per result pair and an optimal
-// Hungarian assignment (Algorithm 2) between result sets.
+// Definition 5), and the result distance (§3.2.4, Definitions 6–8) — a
+// normalized graph edit distance per result pair and an optimal Hungarian
+// assignment (Algorithm 2) between result sets.
+//
+// The result distance runs on result sets in row form (match.Rows: a column
+// header of query ids and fixed-width tuples of data ids). RowSetDistance
+// aligns the columns of the two sets once, fills a flat matrix of integer
+// edit counts, solves the rectangular assignment with the smaller set as
+// rows — O(min²·max), the leftover results charged as a constant instead of
+// padding the matrix to a square — and normalizes with one division, so the
+// value is a function of the two result multisets alone. Its working memory
+// is a caller-kept ResultScratch; ResultSetDistance is the same kernel for
+// callers that hold []match.Result, and Assign the same solver body on
+// float64 costs.
 package metrics
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // MHDInts computes the modified Hausdorff distance (Eq. 3.10) between two
 // identifier sets with the Boolean point-set distance of Eq. 3.9:
 // d(a,B) = 0 if a ∈ B else 1. Two empty sets are at distance 0; an empty set
 // against a non-empty one is at distance 1.
-func MHDInts(a, b []int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 1
-	}
-	return math.Max(fracMissingInts(a, b), fracMissingInts(b, a))
-}
-
-func fracMissingInts(xs, ys []int) float64 {
-	set := make(map[int]struct{}, len(ys))
-	for _, y := range ys {
-		set[y] = struct{}{}
-	}
-	miss := 0
-	for _, x := range xs {
-		if _, ok := set[x]; !ok {
-			miss++
-		}
-	}
-	return float64(miss) / float64(len(xs))
-}
+func MHDInts(a, b []int) float64 { return mhd(a, b) }
 
 // MHDStrings is MHDInts over string sets (used for edge-type disjunctions).
-func MHDStrings(a, b []string) float64 {
+func MHDStrings(a, b []string) float64 { return mhd(a, b) }
+
+func mhd[T comparable](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return 1
 	}
-	return math.Max(fracMissingStrings(a, b), fracMissingStrings(b, a))
+	return math.Max(fracMissing(a, b), fracMissing(b, a))
 }
 
-func fracMissingStrings(xs, ys []string) float64 {
-	set := make(map[string]struct{}, len(ys))
-	for _, y := range ys {
-		set[y] = struct{}{}
-	}
+// fracMissing is the share of xs absent from ys. The sets of the query model
+// — a vertex's IN/OUT edge ids, an edge's types — hold a handful of members,
+// so membership is a scan.
+func fracMissing[T comparable](xs, ys []T) float64 {
 	miss := 0
 	for _, x := range xs {
-		if _, ok := set[x]; !ok {
+		if !slices.Contains(ys, x) {
 			miss++
 		}
 	}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"repro/internal/query"
 )
 
@@ -100,36 +102,25 @@ func dirDistance(a, b query.Dir) float64 {
 	return MHDInts(as, bs)
 }
 
+// unionInts returns a followed by the members of b that a lacks.
 func unionInts(a, b []int) []int {
-	seen := make(map[int]struct{}, len(a)+len(b))
-	var out []int
-	for _, x := range a {
-		if _, dup := seen[x]; !dup {
-			seen[x] = struct{}{}
-			out = append(out, x)
-		}
-	}
+	out := slices.Clone(a)
 	for _, x := range b {
-		if _, dup := seen[x]; !dup {
-			seen[x] = struct{}{}
+		if !slices.Contains(a, x) {
 			out = append(out, x)
 		}
 	}
 	return out
 }
 
+// unionPredKeys returns the attribute keys either predicate set constrains.
 func unionPredKeys(a, b map[string]query.Predicate) []string {
-	seen := make(map[string]struct{}, len(a)+len(b))
-	var out []string
+	out := make([]string, 0, len(a)+len(b))
 	for k := range a {
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	for k := range b {
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
+		if _, both := a[k]; !both {
 			out = append(out, k)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -60,6 +61,32 @@ func (q *Query) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// AppendKeyByEdges appends the key of the subquery the given edges induce —
+// byte for byte q.SubqueryByEdges(edgeIDs).AppendKey(dst) — without building
+// that subquery: the records of the edges' endpoints, then of the edges, ids
+// ascending. Unknown and repeated edge ids are ignored, as SubqueryByEdges
+// ignores them.
+func (q *Query) AppendKeyByEdges(dst []byte, edgeIDs []int) []byte {
+	var vstack, estack [keyScratch]int
+	vids, eids := vstack[:0], estack[:0]
+	for _, eid := range edgeIDs {
+		e, ok := q.edges[eid]
+		if !ok {
+			continue
+		}
+		eids = insertSortedUnique(eids, eid)
+		vids = insertSortedUnique(vids, e.From)
+		vids = insertSortedUnique(vids, e.To)
+	}
+	for _, id := range vids {
+		dst = appendVertexRecord(dst, q.vertices[id])
+	}
+	for _, id := range eids {
+		dst = appendEdgeRecord(dst, q.edges[id])
+	}
+	return dst
+}
+
 // Key returns the binary canonical key as a string (usable as a map key).
 // Key equality is exactly Canonical() equality.
 func (q *Query) Key() string { return string(q.AppendKey(nil)) }
@@ -73,6 +100,14 @@ func insertSortedInt(ids []int, x int) []int {
 		ids[i-1] = x
 	}
 	return ids
+}
+
+// insertSortedUnique is insertSortedInt that leaves ids alone when it holds x.
+func insertSortedUnique(ids []int, x int) []int {
+	if slices.Contains(ids, x) {
+		return ids
+	}
+	return insertSortedInt(ids, x)
 }
 
 func appendVertexRecord(dst []byte, v *Vertex) []byte {

@@ -161,6 +161,47 @@ func TestKeyMatchesCanonical(t *testing.T) {
 	}
 }
 
+// TestAppendKeyByEdgesMatchesSubquery proves the in-place fragment key
+// equals the key of the materialized fragment: over random queries (Apply
+// chains from the base query) and random edge lists — subsets in any order,
+// with repeated and unknown ids mixed in — AppendKeyByEdges yields exactly
+// the bytes of SubqueryByEdges(ids).AppendKey.
+func TestAppendKeyByEdgesMatchesSubquery(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	checked := 0
+	for chain := 0; chain < 400; chain++ {
+		q := keyBaseQuery()
+		for d := rng.Intn(6); d > 0; d-- {
+			if op := randomKeyOp(q, rng); op != nil {
+				if child, err := Apply(q, op); err == nil {
+					q = child
+				}
+			}
+		}
+		eids := q.EdgeIDs()
+		for trial := 0; trial < 8; trial++ {
+			var ids []int
+			for n := rng.Intn(len(eids) + 3); n > 0; n-- {
+				if len(eids) == 0 || rng.Intn(8) == 0 {
+					ids = append(ids, 900+rng.Intn(3)) // not an edge of q
+				} else {
+					ids = append(ids, eids[rng.Intn(len(eids))])
+				}
+			}
+			prefix := []byte("p")
+			got := q.AppendKeyByEdges(prefix, ids)
+			want := q.SubqueryByEdges(ids).AppendKey([]byte("p"))
+			if string(got) != string(want) {
+				t.Fatalf("edges %v of\n%s\nAppendKeyByEdges %q\nsubquery key     %q", ids, q, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 3000 {
+		t.Fatalf("only %d fragments checked", checked)
+	}
+}
+
 // TestKeyRoundTrip pins simple structural facts of the encoding.
 func TestKeyRoundTrip(t *testing.T) {
 	q := keyBaseQuery()

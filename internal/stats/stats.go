@@ -34,22 +34,26 @@ const cardCacheCap = 16 << 12
 // is the number of statistics computed.
 type Collector struct {
 	m    *match.Matcher
-	ctxs sync.Pool
-	keys sync.Pool // *[]byte scratch for building cache keys without garbage
+	ctxs cache.FreeList[*match.Ctx]
 
 	vertexCard *cache.Cache[int]
 	edgeCard   *cache.Cache[int]
 	pathCard   *cache.Cache[int]
 }
 
+// keyBufs holds *[]byte scratch for building cache keys without garbage. The
+// buffers belong to no graph, so the pool is shared by all collectors; a
+// sync.Pool inside a Collector would pin its epoch (see cache.FreeList).
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
+
 // getKeyBuf returns an empty key scratch buffer; put it back with putKeyBuf.
 func (c *Collector) getKeyBuf() *[]byte {
-	kb := c.keys.Get().(*[]byte)
+	kb := keyBufs.Get().(*[]byte)
 	*kb = (*kb)[:0]
 	return kb
 }
 
-func (c *Collector) putKeyBuf(kb *[]byte) { c.keys.Put(kb) }
+func (c *Collector) putKeyBuf(kb *[]byte) { keyBufs.Put(kb) }
 
 // New returns a collector over the matcher's data graph.
 func New(m *match.Matcher) *Collector {
@@ -59,8 +63,7 @@ func New(m *match.Matcher) *Collector {
 		edgeCard:   cache.New[int](cardCacheCap, 0),
 		pathCard:   cache.New[int](cardCacheCap, 0),
 	}
-	c.ctxs.New = func() any { return m.NewContext() }
-	c.keys.New = func() any { b := make([]byte, 0, 128); return &b }
+	c.ctxs.New = m.NewContext
 	return c
 }
 
@@ -127,23 +130,24 @@ func (c *Collector) Path1Cardinality(q *query.Query, edgeID int) int {
 
 // PathCardinality returns the exact number of data paths matching the given
 // chain of query edges including endpoint predicates — Path(n), §5.2.3.
-// Cache-missing probes run on a collector-owned context and pass the
-// subquery's key straight through to the matcher's plan cache, so repeated
-// probes of the same fragment never recompile it.
+// The cache key is derived from q in place (query.AppendKeyByEdges); the
+// subquery itself is built only by a probe that misses, which runs it on a
+// collector-owned context and passes the key straight through to the
+// matcher's plan cache, so repeated probes of the same fragment never
+// recompile it.
 func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	if len(chain) == 0 {
 		return 0
 	}
-	sub := q.SubqueryByEdges(chain)
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
-	*kb = sub.AppendKey(*kb)
+	*kb = q.AppendKeyByEdges(*kb, chain)
 	if n, ok := c.pathCard.Get(*kb); ok {
 		return n
 	}
 	return c.pathCard.Do(*kb, nil, func() (int, int) {
-		ctx := c.ctxs.Get().(*match.Ctx)
-		n := c.m.CountKeyed(ctx, sub, string(*kb), 0)
+		ctx := c.ctxs.Get()
+		n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(*kb), 0)
 		c.ctxs.Put(ctx)
 		return n, 0
 	})
