@@ -380,9 +380,8 @@ func BenchmarkParallelMCS(b *testing.B) {
 // mixed-priority push/pops on a reused frontier; executor is one run of 256
 // keyed executions plus a full dedup re-scan (Seen/Execute/Record, trivial
 // eval, so only kernel bookkeeping is on the clock); speculate is the
-// prefetch-consume cycle at two workers over precomputed keys. The CI bench
-// job gates frontier and executor ns/op against the committed BENCH_pr5.json
-// baseline.
+// prefetch-consume cycle at two workers over precomputed keys. frontier and
+// executor allocate nothing (internal/search's TestKernelAllocsZero).
 func BenchmarkSearchKernel(b *testing.B) {
 	g, _ := setup()
 	m := match.New(g)

@@ -1,10 +1,63 @@
 package main
 
 import (
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// TestFlagSurface holds whyload's flag set to a golden list — adding or
+// removing a flag is a decision, made here — and to its callers: every flag
+// the CI workflow, the README and the verify skill pass to whyload must be
+// defined.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "allow-partial", "batch-size", "concurrency", "dup-frac",
+		"duration", "mix", "mutate-frac", "out", "requests",
+	}
+	fs := flag.NewFlagSet("whyload", flag.ContinueOnError)
+	defineFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("whyload flags:\n got %v\nwant %v", got, want)
+	}
+
+	// An invocation is "whyload" followed by -flag [value] pairs, across
+	// line continuations, in a script line or quoted in prose.
+	invocation := regexp.MustCompile(`whyload((?: +-[a-z][a-z-]*(?: +[^-\s]\S*)?)+)`)
+	flagWord := regexp.MustCompile(`^-[a-z][a-z-]*$`)
+	for _, path := range []string{"../../.github/workflows/ci.yml", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var passed []string
+		for _, m := range invocation.FindAllStringSubmatch(strings.ReplaceAll(string(src), "\\\n", " "), -1) {
+			for _, w := range strings.Fields(m[1]) {
+				if flagWord.MatchString(w) {
+					passed = append(passed, w[1:])
+				}
+			}
+		}
+		slices.Sort(passed)
+		passed = slices.Compact(passed)
+		t.Logf("%s passes %v", path, passed)
+		if len(passed) == 0 {
+			t.Errorf("%s: no whyload invocation found", path)
+		}
+		for _, name := range passed {
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s passes -%s to whyload, which does not define it", path, name)
+			}
+		}
+	}
+}
 
 // TestSendTransportClassification pins the outcome classifier's transport
 // rules: a daemon dying mid-answer must classify as a transport casualty —

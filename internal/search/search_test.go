@@ -424,3 +424,60 @@ func TestProbeHook(t *testing.T) {
 	}
 	ex.End()
 }
+
+// TestKernelAllocsZero pins the kernel's steady state: on warmed storage the
+// frontier's push/pop and the executor's per-candidate bookkeeping — on the
+// hot path of every explanation search — allocate nothing. The bodies are
+// the ones BenchmarkSearchKernel/frontier and /executor time.
+func TestKernelAllocsZero(t *testing.T) {
+	t.Run("frontier", func(t *testing.T) {
+		f := NewFrontier(func(a, b int) bool { return a > b })
+		run := func() {
+			f.Reset()
+			for j := 0; j < 256; j++ {
+				f.Push(j * 2654435761 % 97) // mixed priorities, heavy ties
+			}
+			for f.Len() > 0 {
+				f.Pop()
+			}
+		}
+		run() // grow the heap once
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("256 push/pops on a reused frontier allocated %.1f times per run, want 0", allocs)
+		}
+	})
+	t.Run("executor", func(t *testing.T) {
+		keys := make([]string, 256)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("kernel-key-%04d", i)
+		}
+		ex := NewExecutor(match.New(testGraph()))
+		eval := constEval(1)
+		run := func() {
+			ex.Begin(Control{MaxExecuted: 1 << 30})
+			for _, k := range keys {
+				if ex.Seen(k) {
+					t.Fatalf("%s seen before it was executed", k)
+				}
+				card, ok := ex.Execute(k, eval)
+				if !ok {
+					t.Fatal("budget must not run out")
+				}
+				ex.Record(card)
+			}
+			for _, k := range keys { // steady-state dedup-hit path
+				if !ex.Seen(k) {
+					t.Fatalf("executed key %s must be seen", k)
+				}
+			}
+			ex.End()
+		}
+		run() // grow the dedup map and the trace once
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("a 256-candidate run on a warmed executor allocated %.1f times, want 0", allocs)
+		}
+		if c := ex.Counters(); c.Executions != 256 || c.DedupHits != 256 {
+			t.Fatalf("the measured run did not do the work: %+v", c)
+		}
+	})
+}
