@@ -48,11 +48,12 @@ type Engine struct {
 	kMCS     search.Metrics
 }
 
-// explainState is the per-call mutable search state of Explain. The rewriter
-// and searcher each own a matching context and (lazily) a worker pool, none
-// of which tolerate concurrent use, so states are pooled and checked out for
+// explainState is the per-call mutable search state of Explain. The three
+// searchers each own a matching context and (lazily) a worker pool, none of
+// which tolerate concurrent use, so states are pooled and checked out for
 // the duration of one explanation.
 type explainState struct {
+	mc  *mcs.Searcher
 	rw  *relax.Rewriter
 	mt  *modtree.Searcher
 	ctx *match.Ctx
@@ -68,14 +69,18 @@ type explainState struct {
 // NewEngine builds an engine (matcher, statistics, domain catalog) over g.
 // Explanation searches run on GOMAXPROCS workers by default; see SetWorkers.
 func NewEngine(g *graph.Graph) *Engine {
+	// The domain catalog and the matcher's packed adjacency are two read-only
+	// scans of the finished graph: side by side, a tenth off a dataset load.
+	domain := make(chan *stats.Domain, 1)
+	go func() { domain <- stats.BuildDomain(g, 16) }()
 	m := match.New(g)
-	return newEngine(g, m, stats.New(m), stats.BuildDomain(g, 16), runtime.GOMAXPROCS(0))
+	return newEngine(g, m, stats.New(m), <-domain, runtime.GOMAXPROCS(0))
 }
 
 func newEngine(g *graph.Graph, m *match.Matcher, st *stats.Collector, domain *stats.Domain, workers int) *Engine {
 	e := &Engine{g: g, m: m, st: st, domain: domain, workers: workers}
 	e.states.New = func() *explainState {
-		return &explainState{rw: relax.New(m, st), mt: modtree.New(m, st), ctx: m.NewContext()}
+		return &explainState{mc: mcs.New(m, st), rw: relax.New(m, st), mt: modtree.New(m, st), ctx: m.NewContext()}
 	}
 	return e
 }
@@ -348,7 +353,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 			})
 		}
 	}
-	sub := mcs.BoundedMCS(e.m, e.st, q, opts.Expected, mcs.Options{
+	sub := st.mc.BoundedMCS(q, opts.Expected, mcs.Options{
 		Control: search.Control{
 			MaxExecuted:   opts.Budget,
 			Workers:       workers,

@@ -115,7 +115,7 @@ func (m *Matcher) refPlan(q *query.Query) (start int, steps []refStep, isolated 
 	// Start vertex: fewest candidates (cheap selectivity heuristic).
 	best, bestCount := -1, -1
 	for _, vid := range q.VertexIDs() {
-		if len(q.Incident(vid)) == 0 {
+		if q.Degree(vid) == 0 {
 			isolated = append(isolated, vid)
 			continue
 		}

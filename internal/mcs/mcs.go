@@ -22,11 +22,13 @@
 // contributes the strategy: the growth-with-backtracking traversal and the
 // closest-cardinality fallback (reconstructed from the thesis' Chapter 1–3
 // descriptions, see DESIGN.md — Chapter 4's algorithmic details arrive
-// truncated in the source text).
+// truncated in the source text). A Searcher keeps the kernel executor across
+// runs; the package-level BoundedMCS and DiscoverMCS are one run of a fresh one.
 package mcs
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/match"
@@ -95,10 +97,10 @@ func (e Explanation) Rank(weights map[int]float64, original *query.Query) float6
 		return 1
 	}
 	var covered, total float64
-	for _, id := range original.EdgeIDs() {
-		total += w(id)
-		if e.MCS != nil && e.MCS.Edge(id) != nil {
-			covered += w(id)
+	for _, oe := range original.Edges() {
+		total += w(oe.ID)
+		if e.MCS != nil && e.MCS.Edge(oe.ID) != nil {
+			covered += w(oe.ID)
 		}
 	}
 	if total == 0 {
@@ -107,10 +109,30 @@ func (e Explanation) Rank(weights map[int]float64, original *query.Query) float6
 	return covered / total
 }
 
+// Searcher runs MCS searches over one data graph. Like relax.Rewriter and
+// modtree.Searcher it keeps one search-kernel executor (matching context,
+// worker pool, dedup scratch) across its runs, so it must not be shared
+// between goroutines.
+type Searcher struct {
+	m  *match.Matcher
+	st *stats.Collector
+	ex *search.Executor
+}
+
+// New returns a searcher over the matcher and its statistics collector.
+func New(m *match.Matcher, st *stats.Collector) *Searcher {
+	return &Searcher{m: m, st: st, ex: search.NewExecutor(m)}
+}
+
 // DiscoverMCS runs the why-empty algorithm of §4.2.1: the cardinality
 // constraint is "at least one result".
 func DiscoverMCS(m *match.Matcher, st *stats.Collector, q *query.Query, opts Options) Explanation {
 	return BoundedMCS(m, st, q, metrics.AtLeastOne, opts)
+}
+
+// BoundedMCS is one run of a fresh Searcher.
+func BoundedMCS(m *match.Matcher, st *stats.Collector, q *query.Query, bounds metrics.Interval, opts Options) Explanation {
+	return New(m, st).BoundedMCS(q, bounds, opts)
 }
 
 // BoundedMCS runs the general algorithm of §4.2.2: it searches for the
@@ -119,14 +141,13 @@ func DiscoverMCS(m *match.Matcher, st *stats.Collector, q *query.Query, opts Opt
 // traversals cheap for the too-many-answers problem. If no subquery
 // satisfies the bounds, the subquery with the smallest cardinality distance
 // is returned with Satisfied == false.
-func BoundedMCS(m *match.Matcher, st *stats.Collector, q *query.Query, bounds metrics.Interval, opts Options) Explanation {
+func (s *Searcher) BoundedMCS(q *query.Query, bounds metrics.Interval, opts Options) Explanation {
 	if opts.MaxExecuted <= 0 {
 		opts.MaxExecuted = DefaultTraversalBudget
 	}
-	ex := search.NewExecutor(m)
-	ex.Begin(opts.Control)
-	defer ex.End()
-	r := &runner{m: m, st: st, q: q, bounds: bounds, opts: opts, ex: ex, fired: &firedFloor{}}
+	s.ex.Begin(opts.Control)
+	defer s.ex.End()
+	r := &runner{m: s.m, st: s.st, q: q, bounds: bounds, opts: opts, ex: s.ex, fired: &firedFloor{}}
 	if opts.UseWCC {
 		return r.runPerComponent()
 	}
@@ -182,16 +203,13 @@ func (r *runner) countCap() int {
 
 // execute counts the embeddings of the subquery induced by the given edges
 // and isolated vertices, spending one traversal. The kernel consumes
-// speculated probe results by the edge-set key; cardinalities are
-// deterministic, so a consumed probe is indistinguishable from an inline
-// execution. Baseline executions (no edges) run even when the budget is
-// already spent — the traversal loops gate on Stopped at a coarser
-// granularity — hence ExecuteAlways.
-func (r *runner) execute(edges, isolated []int) int {
-	key := ""
-	if len(edges) > 0 {
-		key = stateKey(edges)
-	}
+// speculated probe results by key, the edges' stateKey ("" without edges:
+// nothing to dedup or consume); cardinalities are deterministic, so a
+// consumed probe is indistinguishable from an inline execution. Baseline
+// executions (no edges) run even when the budget is already spent — the
+// traversal loops gate on Stopped at a coarser granularity — hence
+// ExecuteAlways.
+func (r *runner) execute(key string, edges, isolated []int) int {
 	return r.ex.ExecuteAlways(key, func(ctx *match.Ctx) int {
 		return r.m.CountCtx(ctx, r.q.Subquery(edges, isolated), r.countCap())
 	})
@@ -328,14 +346,12 @@ func (r *runner) runPerComponent() Explanation {
 	return r.finish()
 }
 
+// componentEdges lists the edges of the component with the given members
+// (ascending), or, when it has none, the members as isolated vertices.
 func componentEdges(q *query.Query, comp []int) (edges, isolated []int) {
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	for _, eid := range q.EdgeIDs() {
-		if inComp[q.Edge(eid).From] {
-			edges = append(edges, eid)
+	for _, e := range q.Edges() {
+		if _, in := slices.BinarySearch(comp, e.From); in {
+			edges = append(edges, e.ID)
 		}
 	}
 	if len(edges) == 0 {
@@ -360,7 +376,7 @@ func (r *runner) filterIsolated(isolated []int) []int {
 func (r *runner) grow(candidates, isolated []int) {
 	if len(candidates) == 0 {
 		if len(isolated) > 0 {
-			card := r.execute(nil, isolated)
+			card := r.execute("", nil, isolated)
 			r.record(nil, isolated, card)
 		} else {
 			r.record(nil, nil, 0)
@@ -369,7 +385,7 @@ func (r *runner) grow(candidates, isolated []int) {
 	}
 	if len(isolated) > 0 {
 		// Baseline candidate: the matchable isolated vertices alone.
-		card := r.execute(nil, isolated)
+		card := r.execute("", nil, isolated)
 		r.record(nil, isolated, card)
 	}
 	ordered := r.priority(candidates)
@@ -380,44 +396,43 @@ func (r *runner) grow(candidates, isolated []int) {
 			return
 		}
 		frontier := r.frontier(accepted, ordered)
-		extendWith := func(eid int) []int {
-			return append(append([]int(nil), accepted...), eid)
+		// Each extension's edge set and visited-state key are built once, for
+		// the speculation wave and the traversal alike.
+		type extension struct {
+			edges []int
+			key   string
 		}
-		extended := false
-		for fi, eid := range frontier {
+		exts, buf := make([]extension, len(frontier)), make([]int, 0, len(frontier)*(len(accepted)+1))
+		for i, eid := range frontier {
+			buf = append(append(buf, accepted...), eid)
+			exts[i].edges = buf[len(buf)-len(accepted)-1 : len(buf) : len(buf)]
+			exts[i].key = stateKey(exts[i].edges)
+		}
+		for fi, next := range exts {
 			if r.ex.Parallel() && fi%r.ex.Width() == 0 {
 				// Probe one worker-sized wave of extensions ahead: the
 				// traversal re-speculates wave by wave, so waste on an early
 				// exit (SinglePath success, budget out) stays bounded.
-				search.SpeculateSlice(r.ex, frontier[fi:],
-					func(eid int) string { return stateKey(extendWith(eid)) },
-					func(ctx *match.Ctx, eid int) int {
-						return r.m.CountCtx(ctx, r.q.Subquery(extendWith(eid), isolated), countCap)
+				search.SpeculateSlice(r.ex, exts[fi:],
+					func(x extension) string { return x.key },
+					func(ctx *match.Ctx, x extension) int {
+						return r.m.CountCtx(ctx, r.q.Subquery(x.edges, isolated), countCap)
 					})
 			}
-			next := extendWith(eid)
-			if !r.ex.Visit(stateKey(next)) {
+			if !r.ex.Visit(next.key) {
 				continue
 			}
 			if r.ex.Stopped() {
 				break
 			}
-			card := r.execute(next, isolated)
+			card := r.execute(next.key, next.edges, isolated)
+			r.record(next.edges, isolated, card)
 			if r.bounds.Contains(card) {
-				extended = true
-				r.record(next, isolated, card)
-				dfs(next)
+				dfs(next.edges)
 				if r.opts.SinglePath {
 					return // single traversal path: first success only
 				}
-			} else {
-				// Remember near-misses for the no-satisfying-subquery case.
-				r.record(next, isolated, card)
 			}
-		}
-		if !extended && len(accepted) > 0 {
-			// Maximal subquery along this branch; already recorded.
-			return
 		}
 	}
 	dfs(nil)
@@ -433,7 +448,7 @@ func (r *runner) grow(candidates, isolated []int) {
 				}
 				seen[v] = true
 				withV := append(append([]int(nil), isolated...), v)
-				card := r.execute(nil, withV)
+				card := r.execute("", nil, withV)
 				r.record(nil, withV, card)
 			}
 		}
@@ -486,18 +501,17 @@ func (r *runner) finish() Explanation {
 // not covered by the MCS — all failed edges plus the vertices that neither
 // the MCS nor a failed edge covers.
 func differential(q, mcs *query.Query) *query.Query {
-	var edges []int
-	for _, eid := range q.EdgeIDs() {
-		if mcs.Edge(eid) == nil {
-			edges = append(edges, eid)
+	var edges, uncovered []int
+	for _, e := range q.Edges() {
+		if mcs.Edge(e.ID) == nil {
+			edges = append(edges, e.ID)
 		}
 	}
-	var isolated []int
-	covered := q.SubqueryByEdges(edges)
-	for _, vid := range q.VertexIDs() {
-		if mcs.Vertex(vid) == nil && covered.Vertex(vid) == nil {
-			isolated = append(isolated, vid)
+	for _, v := range q.Vertices() {
+		if mcs.Vertex(v.ID) == nil {
+			uncovered = append(uncovered, v.ID)
 		}
 	}
-	return q.Subquery(edges, isolated)
+	// Subquery adds each uncovered vertex once, a failed edge's endpoint or not.
+	return q.Subquery(edges, uncovered)
 }

@@ -74,30 +74,43 @@ func modifiedQuery() *query.Query {
 // Eq. 3.13 value is (0.16̄+0.3̄+0.25+1+0.1+0+1)/7 ≈ 0.41. We assert the
 // equations, and the worked per-element values the equations confirm.
 func TestSyntacticDistanceWorkedExample(t *testing.T) {
+	// Per-element distances by id; an element only one query holds is at 1.
+	vertexByID := func(q1, q2 *query.Query, id int) float64 {
+		if a, b := q1.Vertex(id), q2.Vertex(id); a != nil && b != nil {
+			return vertexDistance(a, b, q1.Edges(), q2.Edges())
+		}
+		return 1
+	}
+	edgeByID := func(q1, q2 *query.Query, id int) float64 {
+		if a, b := q1.Edge(id), q2.Edge(id); a != nil && b != nil {
+			return edgeDistance(a, b)
+		}
+		return 1
+	}
 	q1, q2 := originalQuery(), modifiedQuery()
 
 	// Eq. 3.16: d(v2) = 1/3 from d_type = 1/2 (Eq. 3.14) and d_IN = 1/2
 	// (Eq. 3.15: e3 removed from IN(v2)).
-	if got := vertexDistance(q1, q2, 1); math.Abs(got-1.0/3) > 1e-12 {
+	if got := vertexByID(q1, q2, 1); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("d(v2) = %v, want 1/3", got)
 	}
 	// d(v1) = (0 + 2/3 + 0 + 0) / 4 = 1/6 ≈ 0.16.
-	if got := vertexDistance(q1, q2, 0); math.Abs(got-1.0/6) > 1e-12 {
+	if got := vertexByID(q1, q2, 0); math.Abs(got-1.0/6) > 1e-12 {
 		t.Errorf("d(v1) = %v, want 1/6", got)
 	}
 	// v4 missing from Q2 → 1.
-	if got := vertexDistance(q1, q2, 3); got != 1 {
+	if got := vertexByID(q1, q2, 3); got != 1 {
 		t.Errorf("d(v4) = %v, want 1", got)
 	}
 	// d(e1) = (1/2 + 0 + 0 + 0 + 0) / 5 = 0.1 (Eq. 3.17 and below).
-	if got := edgeDistance(q1, q2, 0); math.Abs(got-0.1) > 1e-12 {
+	if got := edgeByID(q1, q2, 0); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("d(e1) = %v, want 0.1", got)
 	}
 	// e2 unchanged → 0; e3 missing → 1.
-	if got := edgeDistance(q1, q2, 1); got != 0 {
+	if got := edgeByID(q1, q2, 1); got != 0 {
 		t.Errorf("d(e2) = %v, want 0", got)
 	}
-	if got := edgeDistance(q1, q2, 2); got != 1 {
+	if got := edgeByID(q1, q2, 2); got != 1 {
 		t.Errorf("d(e3) = %v, want 1", got)
 	}
 	// Eq. 3.13 aggregate with the Eq. 3.11-exact v3 value 0.25:
@@ -368,5 +381,78 @@ func TestResultSetDistanceNormalizedExample(t *testing.T) {
 	_, total := Assign(cost)
 	if got := total / 4; math.Abs(got-0.145) > 1e-9 {
 		t.Fatalf("normalized = %v, want 0.145", got)
+	}
+}
+
+// shiftedSets returns two one-vertex queries whose k value-set predicates
+// hold {1..s} on one side and {2..s+1} on the other, s differing per
+// attribute, so the k per-attribute distances 1/s are k different floats.
+func shiftedSets(k int) (q1, q2 *query.Query) {
+	sizes := []int{3, 7, 11, 13, 6, 9, 14}
+	p1, p2 := map[string]query.Predicate{}, map[string]query.Predicate{}
+	for a := 0; a < k; a++ {
+		var lo, hi []graph.Value
+		for x := 1; x <= sizes[a]; x++ {
+			lo, hi = append(lo, graph.N(float64(x))), append(hi, graph.N(float64(x+1)))
+		}
+		attr := string(rune('a' + a))
+		p1[attr], p2[attr] = query.In(lo...), query.In(hi...)
+	}
+	q1, q2 = query.New(), query.New()
+	q1.AddVertex(p1)
+	q2.AddVertex(p2)
+	return q1, q2
+}
+
+// TestSyntacticDistanceDeterministic: the distance is a function of its
+// arguments. Summing the per-attribute distances in map-iteration order, as
+// it once did, gives two or three different floats from four differing
+// predicates on — and rankings, the wire and every byte-identity
+// differential compare the value exactly.
+func TestSyntacticDistanceDeterministic(t *testing.T) {
+	for k := 3; k <= 7; k++ {
+		q1, q2 := shiftedSets(k)
+		seen := map[float64]int{}
+		for i := 0; i < 5000; i++ {
+			seen[SyntacticDistance(q1, q2)]++
+		}
+		if len(seen) != 1 {
+			t.Errorf("k=%d: %d distinct distances for one pair of queries: %v", k, len(seen), seen)
+		}
+	}
+}
+
+// TestSyntacticDistanceAllocsZero pins the priority signal both rewriting
+// searches take per generated candidate: a depth-3 copy-on-write candidate
+// against its root, and two queries that share no storage.
+func TestSyntacticDistanceAllocsZero(t *testing.T) {
+	root := originalQuery()
+	cand, key := root, root.Key()
+	for _, op := range []query.Op{
+		query.ExtendPredicate{On: query.Target{Kind: query.TargetVertex, ID: 0, Attr: "name"}, Value: graph.S("Alice")},
+		query.DeleteType{Edge: 1},
+		query.DeleteEdge{Edge: 2},
+	} {
+		var err error
+		if cand, key, err = query.ApplyKeyed(cand, key, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := SyntacticDistance(root, cand); d <= 0 || d >= 1 {
+		t.Fatalf("depth-3 candidate at distance %v", d)
+	}
+	other, _ := shiftedSets(5)
+	for i := 0; i < 2; i++ {
+		other.AddVertex(map[string]query.Predicate{"type": query.EqS("city")})
+		other.AddEdge(0, i+1, []string{"knows", "workAt"}, map[string]query.Predicate{"since": query.AtLeast(2011)})
+	}
+	other.AddEdge(2, 1, nil, nil)
+	if n := other.NumVertices() + other.NumEdges(); n < 6 || root.NumVertices()+root.NumEdges() < 6 {
+		t.Fatalf("unrelated queries too small: %d elements", n)
+	}
+	for name, pair := range map[string][2]*query.Query{"candidate": {root, cand}, "unrelated": {root, other}} {
+		if allocs := testing.AllocsPerRun(100, func() { SyntacticDistance(pair[0], pair[1]) }); allocs != 0 {
+			t.Errorf("%s: SyntacticDistance allocates %v times per call, want 0", name, allocs)
+		}
 	}
 }

@@ -41,6 +41,18 @@ func mhd[T comparable](a, b []T) float64 {
 	return math.Max(fracMissing(a, b), fracMissing(b, a))
 }
 
+// mhdCounts is mhd over two sets without repeats, from their sizes and the
+// size of their intersection.
+func mhdCounts(a, b, both int) float64 {
+	if a == 0 && b == 0 {
+		return 0
+	}
+	if a == 0 || b == 0 {
+		return 1
+	}
+	return math.Max(float64(a-both)/float64(a), float64(b-both)/float64(b))
+}
+
 // fracMissing is the share of xs absent from ys. The sets of the query model
 // — a vertex's IN/OUT edge ids, an edge's types — hold a handful of members,
 // so membership is a scan.

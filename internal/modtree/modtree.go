@@ -79,10 +79,13 @@ type Node struct {
 	// propagation) still gets one instead of dead-ending the search.
 	Demoted bool
 
-	// op is the modification that produced this node from its parent.
-	op query.Op
+	// op is the modification that produces this node from its parent; the
+	// node is derived — op applied, Query and key set — on first demand.
+	op      query.Op
+	derived bool
 	// key caches the query's binary canonical key (the executed-query cache
-	// key, derived incrementally from the parent's key on generation).
+	// key, derived incrementally from the parent's key on generation). It
+	// stays empty when op turned out inapplicable.
 	key string
 }
 
@@ -146,31 +149,35 @@ func New(m *match.Matcher, st *stats.Collector) *Searcher {
 	return &Searcher{m: m, st: st, ex: search.NewExecutor(m), pq: search.NewFrontier(nodeLess)}
 }
 
-// makeChildren applies every modification of the parent, returning the
-// resulting child nodes in enumeration order (failed applications dropped).
-// Dedup against already-executed queries stays with the caller so counters
-// match the sequential search exactly.
-func (s *Searcher) makeChildren(parent *Node, opts Options) []*Node {
+// expand lists the parent's children in enumeration order, one per
+// modification, none derived yet: the goal is usually reached mid-expansion,
+// so a child is derived only when the traversal, or the speculation wave
+// running ahead of it, gets to it.
+func (s *Searcher) expand(parent *Node, opts Options) []*Node {
 	ops := s.Modifications(parent.Query, parent.Cardinality, opts)
-	children := make([]*Node, 0, len(ops))
-	for _, op := range ops {
-		childQ, childKey, err := query.ApplyKeyed(parent.Query, parent.key, op)
-		if err != nil {
-			continue
-		}
-		children = append(children, &Node{
-			Query: childQ,
-			Depth: parent.Depth + 1,
-			op:    op,
-			key:   childKey,
-		})
+	nodes, children := make([]Node, len(ops)), make([]*Node, len(ops))
+	for i, op := range ops {
+		nodes[i] = Node{Depth: parent.Depth + 1, op: op}
+		children[i] = &nodes[i]
 	}
 	return children
 }
 
-// nodeKey and nodeEval adapt tree nodes to the kernel's speculation engine.
-func nodeKey(n *Node) string { return n.key }
+// derive applies n.op to the parent on first use and returns the child's key,
+// empty when the operation is inapplicable — the kernel skips such a node,
+// and so do the traversals. Dedup against already-executed queries stays
+// with the caller so counters match the sequential search exactly.
+func derive(parent, n *Node) string {
+	if !n.derived {
+		n.derived = true
+		if q, key, err := query.ApplyKeyed(parent.Query, parent.key, n.op); err == nil {
+			n.Query, n.key = q, key
+		}
+	}
+	return n.key
+}
 
+// nodeEval adapts tree nodes to the kernel's speculation engine.
 func (s *Searcher) nodeEval(countCap int) func(*match.Ctx, *Node) int {
 	return func(ctx *match.Ctx, n *Node) int {
 		return s.m.CountKeyed(ctx, n.Query, n.key, countCap)
@@ -217,8 +224,11 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 		return true
 	}
 
+	// Every node derives from this clone copy-on-write, so measuring against
+	// it (not the caller's q) lets the distance skip what they share.
 	root := &Node{Query: q.Clone()}
-	root.key = root.Query.Key()
+	q = root.Query
+	root.key = q.Key()
 	if !exec(root) {
 		return res
 	}
@@ -237,15 +247,19 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 		if parent.Depth >= opts.MaxDepth {
 			continue
 		}
-		children := s.makeChildren(parent, opts)
-		for ci, child := range children {
+		children, key := s.expand(parent, opts), func(n *Node) string { return derive(parent, n) }
+		for i, ci := 0, 0; i < len(children); i++ {
+			child := children[i]
+			if key(child) == "" {
+				continue
+			}
 			if ex.Parallel() && ci%ex.Width() == 0 {
 				// Speculate one worker-sized wave ahead: waste on an early
 				// exit (goal reached, budget out) stays bounded by the pool
 				// width instead of the whole expansion.
-				search.SpeculateSlice(ex, children[ci:], nodeKey, eval)
+				search.SpeculateSlice(ex, children[i:], key, eval)
 			}
-			if ex.Seen(child.key) {
+			if ci++; ex.Seen(child.key) {
 				continue
 			}
 			child.Ops = append(append([]query.Op(nil), parent.Ops...), child.op)
@@ -355,11 +369,10 @@ func (s *Searcher) relaxOps(q *query.Query, opts Options) []query.Op {
 			added++
 		}
 	}
-	for _, vid := range q.VertexIDs() {
-		v := q.Vertex(vid)
+	for _, v := range q.Vertices() {
 		for _, attr := range sortedAttrs(v.Preds) {
 			p := v.Preds[attr]
-			t := query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}
+			t := query.Target{Kind: query.TargetVertex, ID: v.ID, Attr: attr}
 			if p.Kind == query.Range {
 				ops = append(ops, query.WidenRange{On: t, Delta: 1})
 			} else if opts.Domain != nil {
@@ -368,8 +381,8 @@ func (s *Searcher) relaxOps(q *query.Query, opts Options) []query.Op {
 			ops = append(ops, query.DeletePredicate{On: t})
 		}
 	}
-	for _, eid := range q.EdgeIDs() {
-		e := q.Edge(eid)
+	for _, e := range q.Edges() {
+		eid := e.ID
 		for _, attr := range sortedAttrs(e.Preds) {
 			p := e.Preds[attr]
 			t := query.Target{Kind: query.TargetEdge, ID: eid, Attr: attr}
@@ -400,9 +413,9 @@ func (s *Searcher) relaxOps(q *query.Query, opts Options) []query.Op {
 		}
 	}
 	if opts.AllowTopology && q.NumVertices() > 1 {
-		for _, vid := range q.VertexIDs() {
-			if len(q.Incident(vid)) <= 1 {
-				ops = append(ops, query.DeleteVertex{Vertex: vid})
+		for _, v := range q.Vertices() {
+			if q.Degree(v.ID) <= 1 {
+				ops = append(ops, query.DeleteVertex{Vertex: v.ID})
 			}
 		}
 	}
@@ -414,8 +427,8 @@ func (s *Searcher) relaxOps(q *query.Query, opts Options) []query.Op {
 // predicates or edges from the domain.
 func (s *Searcher) concretizeOps(q *query.Query, opts Options) []query.Op {
 	var ops []query.Op
-	for _, vid := range q.VertexIDs() {
-		v := q.Vertex(vid)
+	for _, v := range q.Vertices() {
+		vid := v.ID
 		for _, attr := range sortedAttrs(v.Preds) {
 			p := v.Preds[attr]
 			t := query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}
@@ -452,8 +465,8 @@ func (s *Searcher) concretizeOps(q *query.Query, opts Options) []query.Op {
 			}
 		}
 	}
-	for _, eid := range q.EdgeIDs() {
-		e := q.Edge(eid)
+	for _, e := range q.Edges() {
+		eid := e.ID
 		for _, attr := range sortedAttrs(e.Preds) {
 			p := e.Preds[attr]
 			t := query.Target{Kind: query.TargetEdge, ID: eid, Attr: attr}
@@ -479,13 +492,13 @@ func (s *Searcher) concretizeOps(q *query.Query, opts Options) []query.Op {
 		}
 	}
 	if opts.AllowTopology && opts.Domain != nil && len(opts.Domain.EdgeTypes) > 0 {
-		vids := q.VertexIDs()
-		for i := 0; i < len(vids) && i < 3; i++ {
-			for j := 0; j < len(vids) && j < 3; j++ {
+		vs := q.Vertices()
+		for i := 0; i < len(vs) && i < 3; i++ {
+			for j := 0; j < len(vs) && j < 3; j++ {
 				if i == j {
 					continue
 				}
-				ops = append(ops, query.InsertEdge{From: vids[i], To: vids[j], Types: opts.Domain.EdgeTypes[:1]})
+				ops = append(ops, query.InsertEdge{From: vs[i].ID, To: vs[j].ID, Types: opts.Domain.EdgeTypes[:1]})
 			}
 		}
 	}
@@ -518,7 +531,8 @@ func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
 		return true
 	}
 	root := &Node{Query: q.Clone()}
-	root.key = root.Query.Key()
+	q = root.Query
+	root.key = q.Key()
 	if !exec(root) {
 		return res
 	}
@@ -536,12 +550,16 @@ func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
 		if cur.Depth >= opts.MaxDepth {
 			continue
 		}
-		children := s.makeChildren(cur, opts)
-		for ci, child := range children {
-			if ex.Parallel() && ci%ex.Width() == 0 {
-				search.SpeculateSlice(ex, children[ci:], nodeKey, eval)
+		children, key := s.expand(cur, opts), func(n *Node) string { return derive(cur, n) }
+		for i, ci := 0, 0; i < len(children); i++ {
+			child := children[i]
+			if key(child) == "" {
+				continue
 			}
-			if ex.Seen(child.key) {
+			if ex.Parallel() && ci%ex.Width() == 0 {
+				search.SpeculateSlice(ex, children[i:], key, eval)
+			}
+			if ci++; ex.Seen(child.key) {
 				continue
 			}
 			child.Ops = append(append([]query.Op(nil), cur.Ops...), child.op)
@@ -588,9 +606,11 @@ func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Res
 		})
 	}
 
+	// Every walk restarts from this clone, which nothing writes.
+	q = q.Clone()
 	rootKey := q.Key()
 	rootCard, _ := count(q, rootKey)
-	res.Best = Node{Query: q.Clone(), Cardinality: rootCard, Distance: opts.Goal.Distance(rootCard)}
+	res.Best = Node{Query: q, Cardinality: rootCard, Distance: opts.Goal.Distance(rootCard)}
 	res.Generated = 1
 	ex.Record(res.Best.Distance)
 	if opts.Goal.Contains(rootCard) {
@@ -598,7 +618,7 @@ func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Res
 		return res
 	}
 	for !ex.Stopped() {
-		cur, curKey := q.Clone(), rootKey
+		cur, curKey := q, rootKey
 		card := rootCard
 		var ops []query.Op
 		for depth := 0; depth < opts.MaxDepth && ex.Remaining() > 0; depth++ {

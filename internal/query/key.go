@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -40,49 +41,61 @@ import (
 const keyScratch = 16
 
 // AppendKey appends the query's binary canonical key to dst and returns the
-// extended slice. For queries of up to keyScratch vertices, edges, and
-// predicates per element it performs no allocations beyond growing dst.
+// extended slice. For up to keyScratch predicates per element it performs no
+// allocations beyond growing dst.
 func (q *Query) AppendKey(dst []byte) []byte {
-	var stack [keyScratch]int
-	ids := stack[:0]
-	for id := range q.vertices {
-		ids = insertSortedInt(ids, id)
+	for _, v := range q.vertices {
+		dst = appendVertexRecord(dst, v)
 	}
-	for _, id := range ids {
-		dst = appendVertexRecord(dst, q.vertices[id])
-	}
-	ids = ids[:0]
-	for id := range q.edges {
-		ids = insertSortedInt(ids, id)
-	}
-	for _, id := range ids {
-		dst = appendEdgeRecord(dst, q.edges[id])
+	for _, e := range q.edges {
+		dst = appendEdgeRecord(dst, e)
 	}
 	return dst
+}
+
+// fragment resolves the subquery the given edges induce to positions in
+// q.vertices and q.edges, ascending and without repeats; unknown edge ids
+// are ignored, as SubqueryByEdges ignores them. The results extend vs and es.
+func (q *Query) fragment(edgeIDs, vs, es []int) (vidx, eidx []int) {
+	for _, eid := range edgeIDs {
+		if j := indexOf(q.edges, eid); j >= 0 {
+			es = append(es, j)
+			vs = append(vs, indexOf(q.vertices, q.edges[j].From), indexOf(q.vertices, q.edges[j].To))
+		}
+	}
+	slices.Sort(vs)
+	slices.Sort(es)
+	return slices.Compact(vs), slices.Compact(es)
 }
 
 // AppendKeyByEdges appends the key of the subquery the given edges induce —
 // byte for byte q.SubqueryByEdges(edgeIDs).AppendKey(dst) — without building
 // that subquery: the records of the edges' endpoints, then of the edges, ids
-// ascending. Unknown and repeated edge ids are ignored, as SubqueryByEdges
-// ignores them.
+// ascending.
 func (q *Query) AppendKeyByEdges(dst []byte, edgeIDs []int) []byte {
 	var vstack, estack [keyScratch]int
-	vids, eids := vstack[:0], estack[:0]
-	for _, eid := range edgeIDs {
-		e, ok := q.edges[eid]
-		if !ok {
-			continue
-		}
-		eids = insertSortedUnique(eids, eid)
-		vids = insertSortedUnique(vids, e.From)
-		vids = insertSortedUnique(vids, e.To)
+	vidx, eidx := q.fragment(edgeIDs, vstack[:0], estack[:0])
+	for _, i := range vidx {
+		dst = appendVertexRecord(dst, q.vertices[i])
 	}
-	for _, id := range vids {
-		dst = appendVertexRecord(dst, q.vertices[id])
+	for _, j := range eidx {
+		dst = appendEdgeRecord(dst, q.edges[j])
 	}
-	for _, id := range eids {
-		dst = appendEdgeRecord(dst, q.edges[id])
+	return dst
+}
+
+// AppendKeyRecordsByEdges is AppendKeyByEdges for a caller that holds q's own
+// key and its record offsets (AppendRecordOffsets): the records are cut out
+// of the key instead of being encoded again from the predicate maps.
+func (q *Query) AppendKeyRecordsByEdges(dst, key []byte, offs, edgeIDs []int) []byte {
+	var vstack, estack [keyScratch]int
+	vidx, eidx := q.fragment(edgeIDs, vstack[:0], estack[:0])
+	for _, i := range vidx {
+		dst = append(dst, key[offs[2*i]:offs[2*i+2]]...)
+	}
+	for _, j := range eidx {
+		j += len(q.vertices)
+		dst = append(dst, key[offs[2*j]:offs[2*j+2]]...)
 	}
 	return dst
 }
@@ -91,23 +104,37 @@ func (q *Query) AppendKeyByEdges(dst []byte, edgeIDs []int) []byte {
 // Key equality is exactly Canonical() equality.
 func (q *Query) Key() string { return string(q.AppendKey(nil)) }
 
-// insertSortedInt inserts x into the ascending slice ids (insertion sort;
-// element counts are tiny and the backing array usually lives on the stack).
-func insertSortedInt(ids []int, x int) []int {
-	ids = append(ids, x)
-	for i := len(ids) - 1; i > 0 && ids[i-1] > x; i-- {
-		ids[i] = ids[i-1]
-		ids[i-1] = x
+// keyRecord decodes the framing of the element record at key[pos:]: its tag,
+// element id, and the offsets of its payload and of the next record. ok is
+// false for a malformed record.
+func keyRecord[K ~string | ~[]byte](key K, pos int) (tag byte, id, payload, end int, ok bool) {
+	rid, n := keyUvarint(key, pos+1)
+	if n <= 0 {
+		return 0, 0, 0, 0, false
 	}
-	return ids
+	size, m := keyUvarint(key, pos+1+n)
+	payload = pos + 1 + n + m
+	if m <= 0 || size > uint64(len(key)-payload) {
+		return 0, 0, 0, 0, false
+	}
+	return key[pos], int(rid), payload, payload + int(size), true
 }
 
-// insertSortedUnique is insertSortedInt that leaves ids alone when it holds x.
-func insertSortedUnique(ids []int, x int) []int {
-	if slices.Contains(ids, x) {
-		return ids
+// AppendRecordOffsets appends to dst, for each element record of key in
+// order, the offset of its tag and of its payload, and last len(key): record
+// i is key[o[2i]:o[2i+2]] and its payload key[o[2i+1]:o[2i+2]]. Record i of a
+// query's own key belongs to element i of Vertices() followed by Edges().
+// ok is false for a malformed key.
+func AppendRecordOffsets[K ~string | ~[]byte](dst []int, key K) (offs []int, ok bool) {
+	for pos := 0; pos < len(key); {
+		_, _, payload, end, ok := keyRecord(key, pos)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, pos, payload)
+		pos = end
 	}
-	return insertSortedInt(ids, x)
+	return append(dst, len(key)), true
 }
 
 func appendVertexRecord(dst []byte, v *Vertex) []byte {
@@ -268,21 +295,14 @@ func CountMayChange(key string, edgeTypes map[string]struct{}, vertices bool) bo
 	// A record is at least three bytes; a last single byte is the cap, and a
 	// longer cap starts with a continuation byte, never with a record tag.
 	for len(key)-pos > 1 && (key[pos] == 'v' || key[pos] == 'e') {
-		tag := key[pos]
-		id, n := keyUvarint(key, pos+1)
-		if n <= 0 {
+		tag, id, body, end, ok := keyRecord(key, pos)
+		if !ok {
 			return true
 		}
-		pos += 1 + n
-		size, n := keyUvarint(key, pos)
-		if n <= 0 || uint64(len(key)-pos-n) < size {
-			return true
-		}
-		pos += n
-		payload := key[pos : pos+int(size)]
-		pos += int(size)
+		payload := key[body:end]
+		pos = end
 		if tag == 'v' {
-			vids = append(vids, int(id))
+			vids = append(vids, id)
 			continue
 		}
 		from, n := keyUvarint(payload, 0)
@@ -303,7 +323,7 @@ func CountMayChange(key string, edgeTypes map[string]struct{}, vertices bool) bo
 	}
 	if vertices {
 		for _, id := range vids {
-			if !containsInt(covered, id) {
+			if !slices.Contains(covered, id) {
 				return true
 			}
 		}
@@ -344,142 +364,117 @@ func EdgeCountMayChange(key string, edgeTypes map[string]struct{}) bool {
 // Delta-keyed candidate generation
 
 // ApplyKeyed derives a child candidate from parent incrementally: the child
-// query shares every untouched element struct with the parent (only the
-// element the operation modifies is deep-cloned before mutation), and the
-// child's canonical key is derived from parentKey by splicing only the
-// touched element records — every untouched record is copied verbatim.
-// parentKey must be parent's key (parent.Key() or a key previously returned
-// by ApplyKeyed for parent). The hot child-generation loops of the
-// rewriting searches call this instead of Apply + Canonical, which
-// deep-cloned and re-canonicalized the entire query for every candidate.
+// query shares every untouched element struct with the parent, the element
+// the operation writes is copied only as deep as the write goes (the struct,
+// plus its type lists or its predicate map — predicate values stay shared:
+// no operation writes a value list in place), and the child's canonical key
+// is derived from parentKey by splicing only the touched element records —
+// every untouched record is copied verbatim. parentKey must be parent's key
+// (parent.Key() or a key previously returned by ApplyKeyed for parent).
 //
 // Because of the structural sharing, both parent and child must be treated
-// as immutable after the call (the searches only ever read candidates); use
-// Apply for an independent deep copy.
+// as immutable after the call (the searches only ever read candidates, from
+// any number of goroutines); use Apply for an independent deep copy.
 //
 // Unknown Op implementations (or a malformed parentKey) fall back to a full
 // deep clone and re-encode, so the result is always the child's exact
 // canonical key.
 func ApplyKeyed(parent *Query, parentKey string, op Op) (*Query, string, error) {
-	const (
-		editTouch = iota // re-encode the op's target element record
-		editDelEdge
-		editDelVertex // drop the vertex record and its incident edge records
-		editInsEdge   // append the new edge's record
-		editFull      // unknown op: re-encode from scratch
-	)
-	mode := editFull
-	var incident []int
+	child, t, tag := parent.cloneShallow(), op.Target(), byte('e')
 	switch op.(type) {
-	case DeleteEdge:
-		mode = editDelEdge
+	case DeleteEdge, InsertEdge:
 	case DeleteVertex:
-		mode = editDelVertex
-		incident = parent.Incident(op.Target().ID)
-	case InsertEdge:
-		mode = editInsEdge
-	case DeleteDirection, SetDirection, DeleteType, AddType, RemoveType,
-		DeletePredicate, InsertPredicate, ExtendPredicate, ShrinkPredicate,
-		WidenRange, NarrowRange:
-		mode = editTouch
-	}
-	var child *Query
-	if mode == editFull {
-		// Unknown operation: it may mutate anything, so pay the deep copy.
-		child = parent.Clone()
-	} else {
-		// Copy-on-write: fresh element maps sharing the element structs;
-		// only the element a touch op mutates gets its own deep clone
-		// (deletions and insertions never mutate an existing element).
-		child = parent.cloneShallow()
-		if mode == editTouch {
-			t := op.Target()
-			if t.Kind == TargetVertex {
-				if v := child.vertices[t.ID]; v != nil {
-					child.vertices[t.ID] = v.Clone()
-				}
-			} else if e := child.edges[t.ID]; e != nil {
-				child.edges[t.ID] = e.Clone()
-			}
+		tag = 'v'
+	case DeleteDirection, SetDirection:
+		child.own(t, false, false)
+	case DeleteType, AddType, RemoveType:
+		child.own(t, true, false)
+	case DeletePredicate, InsertPredicate, ExtendPredicate, ShrinkPredicate, WidenRange, NarrowRange:
+		child.own(t, false, true)
+		if t.Kind == TargetVertex {
+			tag = 'v'
 		}
+	default:
+		// Unknown operation: it may mutate anything, so pay the deep copy.
+		child, tag = parent.Clone(), 0
 	}
 	if err := op.Apply(child); err != nil {
 		return nil, "", fmt.Errorf("%w: %s", err, op)
 	}
-	switch mode {
-	case editInsEdge:
+	if _, ok := op.(InsertEdge); ok {
 		// AddEdge allocated the next ascending id, so the new record belongs
 		// at the very end of the edge-record region — the end of the key.
 		out := make([]byte, 0, len(parentKey)+48)
 		out = append(out, parentKey...)
-		out = appendEdgeRecord(out, child.edges[child.nextEID-1])
-		return child, string(out), nil
-	case editTouch:
-		t := op.Target()
-		tag := byte('v')
-		if t.Kind == TargetEdge {
-			tag = 'e'
-		}
-		if key, ok := spliceKey(parentKey, child, tag, t.ID, nil); ok {
-			return child, key, nil
-		}
-	case editDelEdge:
-		if key, ok := spliceKey(parentKey, child, 'e', op.Target().ID, nil); ok {
-			return child, key, nil
-		}
-	case editDelVertex:
-		if key, ok := spliceKey(parentKey, child, 'v', op.Target().ID, incident); ok {
+		return child, string(appendEdgeRecord(out, child.edges[len(child.edges)-1])), nil
+	}
+	if tag != 0 {
+		if key, ok := spliceKey(parentKey, child, tag, t.ID); ok {
 			return child, key, nil
 		}
 	}
 	return child, child.Key(), nil
 }
 
-// spliceKey rewrites parentKey for the child: the record (tag, id) is
-// re-encoded from the child when the child still holds the element and
-// dropped otherwise; records for dropEdges (incident edges of a deleted
-// vertex) are dropped. Reports ok=false on a malformed key, in which case
-// the caller re-encodes from scratch.
-func spliceKey(parentKey string, child *Query, tag byte, id int, dropEdges []int) (string, bool) {
-	out := make([]byte, 0, len(parentKey)+32)
-	pos := 0
-	for pos < len(parentKey) {
-		start := pos
-		rtag := parentKey[pos]
-		pos++
-		rid, n := keyUvarint(parentKey, pos)
-		if n <= 0 {
-			return "", false
+// own gives q, a shallow clone, a private copy of the element an operation
+// is about to write: the struct, and with it the type lists or the predicate
+// map when the operation writes those.
+func (q *Query) own(t Target, types, preds bool) {
+	if t.Kind == TargetVertex {
+		if i := indexOf(q.vertices, t.ID); i >= 0 {
+			q.vertices[i] = &Vertex{ID: t.ID, Preds: maps.Clone(q.vertices[i].Preds)}
 		}
-		pos += n
-		plen, n := keyUvarint(parentKey, pos)
-		if n <= 0 {
-			return "", false
+	} else if i := indexOf(q.edges, t.ID); i >= 0 {
+		c := *q.edges[i]
+		if types {
+			c.Types, c.sorted = slices.Clone(c.Types), nil
 		}
-		pos += n + int(plen)
-		if pos > len(parentKey) {
-			return "", false
+		if preds {
+			c.Preds = maps.Clone(c.Preds)
 		}
-		if rtag == tag && int(rid) == id {
-			switch {
-			case tag == 'v' && child.vertices[id] != nil:
-				out = appendVertexRecord(out, child.vertices[id])
-			case tag == 'e' && child.edges[id] != nil:
-				out = appendEdgeRecord(out, child.edges[id])
-			}
-			continue // element gone from the child: record dropped
-		}
-		if rtag == 'e' && containsInt(dropEdges, int(rid)) {
-			continue
-		}
-		out = append(out, parentKey[start:pos]...)
+		q.edges[i] = &c
 	}
-	return string(out), true
+}
+
+// spliceKey rewrites parentKey for the child: a record is copied when the
+// child still holds its element, re-encoded from the child when it is the
+// record (tag, id) the operation touched, and dropped otherwise (a deleted
+// element, the edges a deleted vertex took along). Records and elements are
+// both id-ordered, so one cursor per kind decides. Reports ok=false on a
+// malformed key, in which case the caller re-encodes from scratch.
+func spliceKey(parentKey string, child *Query, tag byte, id int) (string, bool) {
+	out := make([]byte, 0, len(parentKey)+32)
+	vs, es := child.vertices, child.edges
+	for pos := 0; pos < len(parentKey); {
+		rtag, rid, _, end, ok := keyRecord(parentKey, pos)
+		if !ok {
+			return "", false
+		}
+		touched := rtag == tag && rid == id
+		switch {
+		case rtag == 'v' && len(vs) > 0 && vs[0].ID == rid:
+			if touched {
+				out = appendVertexRecord(out, vs[0])
+			} else {
+				out = append(out, parentKey[pos:end]...)
+			}
+			vs = vs[1:]
+		case rtag == 'e' && len(es) > 0 && es[0].ID == rid:
+			if touched {
+				out = appendEdgeRecord(out, es[0])
+			} else {
+				out = append(out, parentKey[pos:end]...)
+			}
+			es = es[1:]
+		}
+		pos = end
+	}
+	return string(out), len(vs)+len(es) == 0
 }
 
 // keyUvarint decodes a uvarint from s at offset; n <= 0 signals a malformed
-// encoding (binary.Uvarint semantics, but over a string to avoid copying).
-func keyUvarint(s string, offset int) (v uint64, n int) {
+// encoding (binary.Uvarint semantics, over a string or bytes without copying).
+func keyUvarint[K ~string | ~[]byte](s K, offset int) (v uint64, n int) {
 	var shift uint
 	for i := offset; i < len(s); i++ {
 		b := s[i]
@@ -496,13 +491,4 @@ func keyUvarint(s string, offset int) (v uint64, n int) {
 		}
 	}
 	return 0, 0
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -164,8 +165,9 @@ func TestKeyMatchesCanonical(t *testing.T) {
 // TestAppendKeyByEdgesMatchesSubquery proves the in-place fragment key
 // equals the key of the materialized fragment: over random queries (Apply
 // chains from the base query) and random edge lists — subsets in any order,
-// with repeated and unknown ids mixed in — AppendKeyByEdges yields exactly
-// the bytes of SubqueryByEdges(ids).AppendKey.
+// with repeated and unknown ids mixed in — AppendKeyByEdges, and
+// AppendKeyRecordsByEdges cutting the records out of the query's own key,
+// yield exactly the bytes of SubqueryByEdges(ids).AppendKey.
 func TestAppendKeyByEdgesMatchesSubquery(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	checked := 0
@@ -179,6 +181,14 @@ func TestAppendKeyByEdgesMatchesSubquery(t *testing.T) {
 			}
 		}
 		eids := q.EdgeIDs()
+		key := q.AppendKey(nil)
+		offs, ok := AppendRecordOffsets(nil, key)
+		if soffs, sok := AppendRecordOffsets(nil, string(key)); !ok || !sok || !slices.Equal(offs, soffs) || len(offs) != 2*(q.NumVertices()+q.NumEdges())+1 {
+			t.Fatalf("record offsets %v (%v) / %v (%v) of\n%s", offs, ok, soffs, sok, q)
+		}
+		if _, ok := AppendRecordOffsets(nil, key[:max(0, len(key)-1)]); ok && len(key) > 0 {
+			t.Fatalf("a truncated key parsed: %q", key[:len(key)-1])
+		}
 		for trial := 0; trial < 8; trial++ {
 			var ids []int
 			for n := rng.Intn(len(eids) + 3); n > 0; n-- {
@@ -191,8 +201,9 @@ func TestAppendKeyByEdgesMatchesSubquery(t *testing.T) {
 			prefix := []byte("p")
 			got := q.AppendKeyByEdges(prefix, ids)
 			want := q.SubqueryByEdges(ids).AppendKey([]byte("p"))
-			if string(got) != string(want) {
-				t.Fatalf("edges %v of\n%s\nAppendKeyByEdges %q\nsubquery key     %q", ids, q, got, want)
+			cut := q.AppendKeyRecordsByEdges([]byte("p"), key, offs, ids)
+			if string(got) != string(want) || string(cut) != string(want) {
+				t.Fatalf("edges %v of\n%s\nAppendKeyByEdges %q\ncut from the key %q\nsubquery key     %q", ids, q, got, cut, want)
 			}
 			checked++
 		}

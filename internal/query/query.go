@@ -7,11 +7,17 @@
 //
 // Query vertices and edges carry numeric identifiers that stay stable across
 // modifications, so explanations remain comparable with the original query
-// (§3.2.2, "identifiers are uniquely defined in an original query").
+// (§3.2.2, "identifiers are uniquely defined in an original query"). A query
+// holds its elements in identifier order (Vertices, Edges), the order of the
+// records of its binary canonical key (key.go). Search candidates are derived
+// copy-on-write (ApplyKeyed): they share every untouched element and every
+// predicate value with their ancestors, so a query that was handed to
+// ApplyKeyed, or came from it, is never written again.
 package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -184,28 +190,37 @@ func (e *Edge) HasType(typ string) bool {
 }
 
 // Query is a pattern-matching graph query G_q with N_q vertices and M_q
-// edges. The zero value is not usable; construct with New.
+// edges, each kind held in ascending identifier order (identifiers only ever
+// grow, so appending keeps the order and lookup by id is a binary search).
+// The zero value is not usable; construct with New.
 type Query struct {
-	vertices map[int]*Vertex
-	edges    map[int]*Edge
+	vertices []*Vertex
+	edges    []*Edge
 	nextVID  int
 	nextEID  int
 }
 
 // New returns an empty query.
-func New() *Query {
-	return &Query{vertices: make(map[int]*Vertex), edges: make(map[int]*Edge)}
-}
+func New() *Query { return &Query{} }
 
 // AddVertex appends a query vertex with the given predicate intervals and
 // returns its identifier.
 func (q *Query) AddVertex(preds map[string]Predicate) int {
-	id := q.nextVID
-	q.nextVID++
+	return q.AddVertexID(q.nextVID, preds)
+}
+
+// AddVertexID is AddVertex under a caller-chosen identifier, which must
+// exceed every vertex identifier the query has held (it panics otherwise:
+// programmer error). Skipped identifiers stay unused, as after deletions.
+func (q *Query) AddVertexID(id int, preds map[string]Predicate) int {
+	if id < q.nextVID {
+		panic(fmt.Sprintf("query: AddVertexID: id %d below next id %d", id, q.nextVID))
+	}
+	q.nextVID = id + 1
 	if preds == nil {
 		preds = map[string]Predicate{}
 	}
-	q.vertices[id] = &Vertex{ID: id, Preds: preds}
+	q.vertices = append(q.vertices, &Vertex{ID: id, Preds: preds})
 	return id
 }
 
@@ -213,28 +228,72 @@ func (q *Query) AddVertex(preds map[string]Predicate) int {
 // disjunction and predicates and returns its identifier. It panics if either
 // endpoint is missing (programmer error).
 func (q *Query) AddEdge(from, to int, types []string, preds map[string]Predicate) int {
-	if _, ok := q.vertices[from]; !ok {
-		panic(fmt.Sprintf("query: AddEdge: no vertex %d", from))
+	return q.AddEdgeID(q.nextEID, from, to, types, preds)
+}
+
+// AddEdgeID is AddEdge under a caller-chosen identifier, ascending like
+// AddVertexID's.
+func (q *Query) AddEdgeID(id, from, to int, types []string, preds map[string]Predicate) int {
+	for _, v := range [2]int{from, to} {
+		if q.Vertex(v) == nil {
+			panic(fmt.Sprintf("query: AddEdge: no vertex %d", v))
+		}
 	}
-	if _, ok := q.vertices[to]; !ok {
-		panic(fmt.Sprintf("query: AddEdge: no vertex %d", to))
+	if id < q.nextEID {
+		panic(fmt.Sprintf("query: AddEdgeID: id %d below next id %d", id, q.nextEID))
 	}
-	id := q.nextEID
-	q.nextEID++
+	q.nextEID = id + 1
 	if preds == nil {
 		preds = map[string]Predicate{}
 	}
 	e := &Edge{ID: id, From: from, To: to, Types: append([]string(nil), types...), Dirs: Forward, Preds: preds}
 	e.refreshSortedTypes()
-	q.edges[id] = e
+	q.edges = append(q.edges, e)
 	return id
 }
 
+func (v *Vertex) elemID() int { return v.ID }
+func (e *Edge) elemID() int   { return e.ID }
+
+// indexOf returns the position of the element with the given id in an
+// id-ordered element slice, or -1. Distinct ascending ids put an element at
+// or before the index equal to its id, exactly there when no id was skipped.
+func indexOf[E interface{ elemID() int }](xs []E, id int) int {
+	if id >= 0 && id < len(xs) && xs[id].elemID() == id {
+		return id
+	}
+	if i, ok := slices.BinarySearchFunc(xs, id, func(x E, id int) int { return x.elemID() - id }); ok {
+		return i
+	}
+	return -1
+}
+
+// Vertices returns the query vertices in ascending identifier order. The
+// slice is the query's own: read it, never write it.
+func (q *Query) Vertices() []*Vertex { return q.vertices }
+
+// Edges returns the query edges in ascending identifier order, read-only
+// like Vertices.
+func (q *Query) Edges() []*Edge { return q.edges }
+
+// VertexIndex returns the position of vertex id in Vertices(), or -1.
+func (q *Query) VertexIndex(id int) int { return indexOf(q.vertices, id) }
+
 // Vertex returns the vertex with the given id, or nil.
-func (q *Query) Vertex(id int) *Vertex { return q.vertices[id] }
+func (q *Query) Vertex(id int) *Vertex {
+	if i := indexOf(q.vertices, id); i >= 0 {
+		return q.vertices[i]
+	}
+	return nil
+}
 
 // Edge returns the edge with the given id, or nil.
-func (q *Query) Edge(id int) *Edge { return q.edges[id] }
+func (q *Query) Edge(id int) *Edge {
+	if i := indexOf(q.edges, id); i >= 0 {
+		return q.edges[i]
+	}
+	return nil
+}
 
 // NumVertices returns N_q.
 func (q *Query) NumVertices() int { return len(q.vertices) }
@@ -242,162 +301,140 @@ func (q *Query) NumVertices() int { return len(q.vertices) }
 // NumEdges returns M_q.
 func (q *Query) NumEdges() int { return len(q.edges) }
 
-// VertexIDs returns the vertex identifiers in ascending order.
-func (q *Query) VertexIDs() []int {
-	ids := make([]int, 0, len(q.vertices))
-	for id := range q.vertices {
-		ids = append(ids, id)
+func idsOf[E interface{ elemID() int }](xs []E) []int {
+	ids := make([]int, len(xs))
+	for i, x := range xs {
+		ids[i] = x.elemID()
 	}
-	sort.Ints(ids)
 	return ids
 }
 
+// VertexIDs returns the vertex identifiers in ascending order.
+func (q *Query) VertexIDs() []int { return idsOf(q.vertices) }
+
 // EdgeIDs returns the edge identifiers in ascending order.
-func (q *Query) EdgeIDs() []int {
-	ids := make([]int, 0, len(q.edges))
-	for id := range q.edges {
-		ids = append(ids, id)
+func (q *Query) EdgeIDs() []int { return idsOf(q.edges) }
+
+// incident collects the ids of the edges whose source (out) or target (in)
+// is v, ascending.
+func (q *Query) incident(v int, out, in bool) []int {
+	var ids []int
+	for _, e := range q.edges {
+		if out && e.From == v || in && e.To == v {
+			ids = append(ids, e.ID)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
 // In returns the identifiers of edges whose target is v (the IN set of
 // Eq. 3.4), ascending.
-func (q *Query) In(v int) []int {
-	var ids []int
-	for id, e := range q.edges {
-		if e.To == v {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
+func (q *Query) In(v int) []int { return q.incident(v, false, true) }
 
 // Out returns the identifiers of edges whose source is v (the OUT set of
 // Eq. 3.4), ascending.
-func (q *Query) Out(v int) []int {
-	var ids []int
-	for id, e := range q.edges {
-		if e.From == v {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
+func (q *Query) Out(v int) []int { return q.incident(v, true, false) }
 
 // Incident returns all edge ids touching v, ascending.
-func (q *Query) Incident(v int) []int {
-	var ids []int
-	for id, e := range q.edges {
+func (q *Query) Incident(v int) []int { return q.incident(v, true, true) }
+
+// Degree returns the number of edges touching v, without building the list.
+func (q *Query) Degree(v int) int {
+	n := 0
+	for _, e := range q.edges {
 		if e.From == v || e.To == v {
-			ids = append(ids, id)
+			n++
 		}
 	}
-	sort.Ints(ids)
-	return ids
+	return n
 }
 
 // RemoveEdge deletes the edge with the given id. It reports whether the edge
 // existed. Vertex set is unchanged (edge deletion, Tab. 3.1).
 func (q *Query) RemoveEdge(id int) bool {
-	if _, ok := q.edges[id]; !ok {
+	i := indexOf(q.edges, id)
+	if i < 0 {
 		return false
 	}
-	delete(q.edges, id)
+	q.edges = slices.Delete(q.edges, i, i+1)
 	return true
 }
 
 // RemoveVertex deletes the vertex and all incident edges (vertex deletion,
 // Tab. 3.1). It reports whether the vertex existed.
 func (q *Query) RemoveVertex(id int) bool {
-	if _, ok := q.vertices[id]; !ok {
+	i := indexOf(q.vertices, id)
+	if i < 0 {
 		return false
 	}
-	delete(q.vertices, id)
-	for eid, e := range q.edges {
-		if e.From == id || e.To == id {
-			delete(q.edges, eid)
-		}
-	}
+	q.vertices = slices.Delete(q.vertices, i, i+1)
+	q.edges = slices.DeleteFunc(q.edges, func(e *Edge) bool { return e.From == id || e.To == id })
 	return true
 }
 
-// cloneShallow returns a child with fresh vertex/edge maps that share the
+// cloneShallow returns a child with element slices of its own that share the
 // element structs with q — the copy-on-write substrate of ApplyKeyed. The
-// caller must deep-clone any element it intends to mutate.
+// caller must copy any element it intends to mutate.
 func (q *Query) cloneShallow() *Query {
-	c := &Query{
-		vertices: make(map[int]*Vertex, len(q.vertices)),
-		edges:    make(map[int]*Edge, len(q.edges)),
-		nextVID:  q.nextVID,
-		nextEID:  q.nextEID,
-	}
-	for id, v := range q.vertices {
-		c.vertices[id] = v
-	}
-	for id, e := range q.edges {
-		c.edges[id] = e
-	}
-	return c
+	c := *q
+	c.vertices, c.edges = slices.Clone(q.vertices), slices.Clone(q.edges)
+	return &c
 }
 
 // Clone returns a deep copy sharing no storage; identifiers are preserved.
 func (q *Query) Clone() *Query {
 	c := &Query{
-		vertices: make(map[int]*Vertex, len(q.vertices)),
-		edges:    make(map[int]*Edge, len(q.edges)),
+		vertices: make([]*Vertex, len(q.vertices)),
+		edges:    make([]*Edge, len(q.edges)),
 		nextVID:  q.nextVID,
 		nextEID:  q.nextEID,
 	}
-	for id, v := range q.vertices {
-		c.vertices[id] = v.Clone()
+	for i, v := range q.vertices {
+		c.vertices[i] = v.Clone()
 	}
-	for id, e := range q.edges {
-		c.edges[id] = e.Clone()
+	for i, e := range q.edges {
+		c.edges[i] = e.Clone()
 	}
 	return c
+}
+
+// ascending returns ids sorted and without repeats: ids itself when it
+// already is, a sorted copy otherwise.
+func ascending(ids []int) []int {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			ids = slices.Clone(ids)
+			slices.Sort(ids)
+			return slices.Compact(ids)
+		}
+	}
+	return ids
 }
 
 // SubqueryByEdges returns the connected (or not) subquery induced by the
 // given edge ids: those edges plus their endpoints, with identifiers
 // preserved. Used by the MCS algorithms of Chapter 4.
-func (q *Query) SubqueryByEdges(edgeIDs []int) *Query {
-	c := &Query{
-		vertices: make(map[int]*Vertex),
-		edges:    make(map[int]*Edge, len(edgeIDs)),
-		nextVID:  q.nextVID,
-		nextEID:  q.nextEID,
-	}
-	for _, eid := range edgeIDs {
-		e, ok := q.edges[eid]
-		if !ok {
-			continue
-		}
-		c.edges[eid] = e.Clone()
-		if _, ok := c.vertices[e.From]; !ok {
-			c.vertices[e.From] = q.vertices[e.From].Clone()
-		}
-		if _, ok := c.vertices[e.To]; !ok {
-			c.vertices[e.To] = q.vertices[e.To].Clone()
-		}
-	}
-	return c
-}
+func (q *Query) SubqueryByEdges(edgeIDs []int) *Query { return q.Subquery(edgeIDs, nil) }
 
 // Subquery returns the subquery consisting of the given edges (with their
 // endpoints) plus the given extra vertices, all with identifiers preserved.
-// Extra vertices already covered by an edge are not duplicated.
+// Unknown and repeated ids are ignored.
 func (q *Query) Subquery(edgeIDs, extraVertices []int) *Query {
-	c := q.SubqueryByEdges(edgeIDs)
-	for _, vid := range extraVertices {
-		if c.vertices[vid] != nil {
-			continue
+	c := &Query{edges: make([]*Edge, 0, len(edgeIDs)), nextVID: q.nextVID, nextEID: q.nextEID}
+	vids := make([]int, 0, 2*len(edgeIDs)+len(extraVertices))
+	for _, eid := range ascending(edgeIDs) {
+		if e := q.Edge(eid); e != nil {
+			c.edges = append(c.edges, e.Clone())
+			vids = append(vids, e.From, e.To)
 		}
-		if v, ok := q.vertices[vid]; ok {
-			c.vertices[vid] = v.Clone()
+	}
+	vids = append(vids, extraVertices...)
+	slices.Sort(vids)
+	vids = slices.Compact(vids)
+	c.vertices = make([]*Vertex, 0, len(vids))
+	for _, vid := range vids {
+		if v := q.Vertex(vid); v != nil {
+			c.vertices = append(c.vertices, v.Clone())
 		}
 	}
 	return c
@@ -406,81 +443,85 @@ func (q *Query) Subquery(edgeIDs, extraVertices []int) *Query {
 // SubqueryByVertices returns the subquery induced by the given vertex ids:
 // those vertices plus all edges whose both endpoints are included.
 func (q *Query) SubqueryByVertices(vertexIDs []int) *Query {
-	keep := make(map[int]bool, len(vertexIDs))
-	for _, v := range vertexIDs {
-		keep[v] = true
-	}
-	c := &Query{
-		vertices: make(map[int]*Vertex, len(vertexIDs)),
-		edges:    make(map[int]*Edge),
-		nextVID:  q.nextVID,
-		nextEID:  q.nextEID,
-	}
-	for _, vid := range vertexIDs {
-		if v, ok := q.vertices[vid]; ok {
-			c.vertices[vid] = v.Clone()
+	c := &Query{nextVID: q.nextVID, nextEID: q.nextEID}
+	for _, vid := range ascending(vertexIDs) {
+		if v := q.Vertex(vid); v != nil {
+			c.vertices = append(c.vertices, v.Clone())
 		}
 	}
-	for id, e := range q.edges {
-		if keep[e.From] && keep[e.To] {
-			c.edges[id] = e.Clone()
+	for _, e := range q.edges {
+		if c.Vertex(e.From) != nil && c.Vertex(e.To) != nil {
+			c.edges = append(c.edges, e.Clone())
 		}
 	}
 	return c
+}
+
+// componentRoots runs union-find over the edges and returns, per position in
+// Vertices(), the position of its weakly connected component's
+// representative. scratch is reused when it is large enough.
+func (q *Query) componentRoots(scratch []int) []int {
+	root := slices.Grow(scratch[:0], len(q.vertices))[:len(q.vertices)]
+	for i := range root {
+		root[i] = i
+	}
+	for _, e := range q.edges {
+		a, b := FindRoot(root, q.VertexIndex(e.From)), FindRoot(root, q.VertexIndex(e.To))
+		root[a] = b
+	}
+	for i := range root {
+		root[i] = FindRoot(root, i)
+	}
+	return root
+}
+
+// FindRoot is union-find's find with path halving over a parent array.
+func FindRoot(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }
 
 // WeaklyConnectedComponents partitions the query's vertices into weakly
 // connected components (§4.3.1). Isolated vertices form singleton components.
 // Components are ordered by their smallest vertex id; members ascend.
 func (q *Query) WeaklyConnectedComponents() [][]int {
-	parent := make(map[int]int, len(q.vertices))
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	root := q.componentRoots(nil)
+	comp := make([]int, len(root)) // representative position → component number + 1
+	var comps [][]int
+	for i, v := range q.vertices {
+		r := root[i]
+		if comp[r] == 0 {
+			comps = append(comps, nil)
+			comp[r] = len(comps)
 		}
-		return x
+		comps[comp[r]-1] = append(comps[comp[r]-1], v.ID)
 	}
-	for id := range q.vertices {
-		parent[id] = id
-	}
-	for _, e := range q.edges {
-		a, b := find(e.From), find(e.To)
-		if a != b {
-			parent[a] = b
-		}
-	}
-	groups := make(map[int][]int)
-	for id := range q.vertices {
-		r := find(id)
-		groups[r] = append(groups[r], id)
-	}
-	comps := make([][]int, 0, len(groups))
-	for _, members := range groups {
-		sort.Ints(members)
-		comps = append(comps, members)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 	return comps
 }
 
 // IsConnected reports whether the query graph is weakly connected.
 func (q *Query) IsConnected() bool {
-	if len(q.vertices) <= 1 {
-		return true
+	var stack [keyScratch]int
+	root := q.componentRoots(stack[:0])
+	for _, r := range root {
+		if r != root[0] {
+			return false
+		}
 	}
-	return len(q.WeaklyConnectedComponents()) == 1
+	return true
 }
 
 // Validate checks referential integrity: every edge endpoint must exist.
 func (q *Query) Validate() error {
-	for id, e := range q.edges {
-		if _, ok := q.vertices[e.From]; !ok {
-			return fmt.Errorf("query: edge %d references missing source vertex %d", id, e.From)
+	for _, e := range q.edges {
+		if q.Vertex(e.From) == nil {
+			return fmt.Errorf("query: edge %d references missing source vertex %d", e.ID, e.From)
 		}
-		if _, ok := q.vertices[e.To]; !ok {
-			return fmt.Errorf("query: edge %d references missing target vertex %d", id, e.To)
+		if q.Vertex(e.To) == nil {
+			return fmt.Errorf("query: edge %d references missing target vertex %d", e.ID, e.To)
 		}
 	}
 	return nil
@@ -494,18 +535,16 @@ func (q *Query) Validate() error {
 func (q *Query) Canonical() string {
 	var b strings.Builder
 	b.Grow(32 * (len(q.vertices) + len(q.edges)))
-	for _, vid := range q.VertexIDs() {
-		v := q.vertices[vid]
+	for _, v := range q.vertices {
 		b.WriteByte('v')
-		b.WriteString(strconv.Itoa(vid))
+		b.WriteString(strconv.Itoa(v.ID))
 		b.WriteByte('{')
 		writePreds(&b, v.Preds)
 		b.WriteString("}\x1e")
 	}
-	for _, eid := range q.EdgeIDs() {
-		e := q.edges[eid]
+	for _, e := range q.edges {
 		b.WriteByte('e')
-		b.WriteString(strconv.Itoa(eid))
+		b.WriteString(strconv.Itoa(e.ID))
 		b.WriteByte('(')
 		b.WriteString(strconv.Itoa(e.From))
 		b.WriteString(e.Dirs.String())

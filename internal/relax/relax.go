@@ -187,7 +187,10 @@ func deterministicScore(p Priority) bool {
 // For the classic why-empty problem pass the zero Options (goal ≥ 1).
 func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 	opts.fill()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	var rng *rand.Rand
+	if !deterministicScore(opts.Priority) {
+		rng = rand.New(rand.NewSource(opts.Seed))
+	}
 	var out Outcome
 	ex, pq := r.ex, r.pq
 	ex.Begin(opts.Control)
@@ -199,7 +202,10 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 		return r.m.CountKeyed(ctx, c.Query, c.key(), countCap)
 	}
 
+	// Every candidate derives from this clone copy-on-write, so measuring
+	// against it (not the caller's q) lets the distance skip what they share.
 	root := &Candidate{Query: q.Clone(), Cardinality: -1, Score: math.Inf(1)}
+	q = root.Query
 	pq.Push(root)
 
 	// Child-expansion scratch, reused across iterations. key carries the
@@ -254,6 +260,12 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 		// in enumeration order), then score: scoring is the statistics-heavy
 		// part and — for rng-free priorities — order-independent, so the
 		// worker pool can compute all child scores of one expansion at once.
+		// The parent's estimate, the base of every child's induced change, is
+		// taken once.
+		var before float64
+		if opts.Priority == PriorityCombined {
+			before, _ = r.st.Estimates(c.Query, key)
+		}
 		children = children[:0]
 		for _, op := range r.relaxations(c.Query, opts) {
 			child, childKey, err := query.ApplyKeyed(c.Query, key, op)
@@ -272,11 +284,11 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 		scores = scores[:len(children)]
 		if ex.Parallel() && len(children) >= 2 && deterministicScore(opts.Priority) {
 			ex.Scatter(len(children), func(_ *match.Ctx, i int) {
-				scores[i] = r.score(q, c.Query, children[i].query, children[i].op, opts, nil)
+				scores[i] = r.score(q, children[i].query, children[i].key, before, opts, nil)
 			})
 		} else {
 			for i := range children {
-				scores[i] = r.score(q, c.Query, children[i].query, children[i].op, opts, rng)
+				scores[i] = r.score(q, children[i].query, children[i].key, before, opts, rng)
 			}
 		}
 		for i := range children {
@@ -295,24 +307,27 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 	return out
 }
 
-// score computes the scheduling priority of a child candidate.
-func (r *Rewriter) score(orig, parent, child *query.Query, op query.Op, opts Options, rng *rand.Rand) float64 {
-	switch opts.Priority {
-	case PrioritySyntactic:
-		return 1 - metrics.SyntacticDistance(orig, child)
-	case PriorityEstimatedCardinality:
-		return r.st.EstimateCardinality(child)
-	case PriorityAvgPath1:
-		return r.st.AveragePath1Cardinality(child)
-	case PriorityCombined:
-		induced := r.st.InducedChange(parent, op)
-		if math.IsInf(induced, 1) {
-			induced = 1e9
-		}
-		return r.st.AveragePath1Cardinality(child) * induced
-	default:
+// score computes the scheduling priority of a child candidate from the query
+// and key ApplyKeyed built for it; before is its parent's estimate.
+func (r *Rewriter) score(orig, child *query.Query, key string, before float64, opts Options, rng *rand.Rand) float64 {
+	switch {
+	case !deterministicScore(opts.Priority):
 		return rng.Float64()
+	case opts.Priority == PrioritySyntactic:
+		return 1 - metrics.SyntacticDistance(orig, child)
 	}
+	est, avg := r.st.Estimates(child, key)
+	switch opts.Priority {
+	case PriorityEstimatedCardinality:
+		return est
+	case PriorityAvgPath1:
+		return avg
+	}
+	induced := stats.InducedRatio(before, est)
+	if math.IsInf(induced, 1) {
+		induced = 1e9
+	}
+	return avg * induced
 }
 
 // relaxations enumerates the coarse-grained relaxation operations applicable
@@ -320,14 +335,13 @@ func (r *Rewriter) score(orig, parent, child *query.Query, op query.Op, opts Opt
 // with AllowTopology — edge and leaf-vertex discarding.
 func (r *Rewriter) relaxations(q *query.Query, opts Options) []query.Op {
 	var ops []query.Op
-	for _, vid := range q.VertexIDs() {
-		v := q.Vertex(vid)
+	for _, v := range q.Vertices() {
 		for attr := range v.Preds {
-			ops = append(ops, query.DeletePredicate{On: query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}})
+			ops = append(ops, query.DeletePredicate{On: query.Target{Kind: query.TargetVertex, ID: v.ID, Attr: attr}})
 		}
 	}
-	for _, eid := range q.EdgeIDs() {
-		e := q.Edge(eid)
+	for _, e := range q.Edges() {
+		eid := e.ID
 		for attr := range e.Preds {
 			ops = append(ops, query.DeletePredicate{On: query.Target{Kind: query.TargetEdge, ID: eid, Attr: attr}})
 		}
@@ -342,9 +356,9 @@ func (r *Rewriter) relaxations(q *query.Query, opts Options) []query.Op {
 		}
 	}
 	if opts.AllowTopology && q.NumVertices() > 1 {
-		for _, vid := range q.VertexIDs() {
-			if len(q.Incident(vid)) <= 1 {
-				ops = append(ops, query.DeleteVertex{Vertex: vid})
+		for _, v := range q.Vertices() {
+			if q.Degree(v.ID) <= 1 {
+				ops = append(ops, query.DeleteVertex{Vertex: v.ID})
 			}
 		}
 	}

@@ -457,8 +457,11 @@ func (e *Executor) runWave(compute func(*match.Ctx, int) int) {
 // SpeculateSlice speculatively evaluates the upcoming candidates of a
 // sequential consumption loop — modtree's next child wave, mcs's frontier
 // extensions. Candidates are considered in order; keys already executed (or
-// visited, or already speculated) are skipped, and the wave is capped at one
-// pool width and the remaining budget. No-op on sequential runs.
+// visited, or already speculated) are skipped, as is a node whose key is
+// empty (a modtree child whose operation turned out inapplicable), and the
+// wave is capped at one pool width and the remaining budget. key is called
+// on the candidates considered only, so it may derive them lazily. No-op on
+// sequential runs.
 func SpeculateSlice[N any](e *Executor, nodes []N, key func(N) string, eval func(*match.Ctx, N) int) {
 	if !e.parallel {
 		return
@@ -477,7 +480,7 @@ func SpeculateSlice[N any](e *Executor, nodes []N, key func(N) string, eval func
 			break
 		}
 		k := key(n)
-		if _, seen := e.executed[k]; seen {
+		if _, seen := e.executed[k]; seen || k == "" {
 			continue
 		}
 		e.wave.Add(k, i, e.spec)

@@ -4,12 +4,15 @@
 // and the induced-cardinality-change estimation that drives the
 // query-candidate selector of §5.3. Computed statistics are cached by the
 // canonical form of the query fragment they describe, mirroring the thesis'
-// re-use of already processed queries (§1.1, contribution 4).
+// re-use of already processed queries (§1.1, contribution 4). For a query
+// whose canonical key the caller holds — every search candidate — the
+// fragment keys are cut out of that key (Estimates), not encoded again.
 package stats
 
 import (
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -130,11 +133,7 @@ func (c *Collector) Path1Cardinality(q *query.Query, edgeID int) int {
 
 // PathCardinality returns the exact number of data paths matching the given
 // chain of query edges including endpoint predicates — Path(n), §5.2.3.
-// The cache key is derived from q in place (query.AppendKeyByEdges); the
-// subquery itself is built only by a probe that misses, which runs it on a
-// collector-owned context and passes the key straight through to the
-// matcher's plan cache, so repeated probes of the same fragment never
-// recompile it.
+// The cache key is derived from q in place (query.AppendKeyByEdges).
 func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	if len(chain) == 0 {
 		return 0
@@ -142,38 +141,32 @@ func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
 	*kb = q.AppendKeyByEdges(*kb, chain)
-	if n, ok := c.pathCard.Get(*kb); ok {
+	return c.pathCount(q, chain, *kb)
+}
+
+// pathCount resolves a path statistic under its fragment key. The subquery
+// itself is built only by a probe that misses, which runs it on a
+// collector-owned context and passes the key straight through to the
+// matcher's plan cache, so repeated probes of the same fragment never
+// recompile it.
+func (c *Collector) pathCount(q *query.Query, chain []int, key []byte) int {
+	if n, ok := c.pathCard.Get(key); ok {
 		return n
 	}
-	return c.pathCard.Do(*kb, nil, func() (int, int) {
+	return c.pathCard.Do(key, nil, func() (int, int) {
 		ctx := c.ctxs.Get()
-		n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(*kb), 0)
+		n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(key), 0)
 		c.ctxs.Put(ctx)
 		return n, 0
 	})
 }
 
 // AveragePath1Cardinality is the mean Path(1) cardinality over all query
-// edges — the priority signal of §5.5.3.
+// edges — the priority signal of §5.5.3. A query without edges falls back to
+// its mean vertex cardinality.
 func (c *Collector) AveragePath1Cardinality(q *query.Query) float64 {
-	ids := q.EdgeIDs()
-	if len(ids) == 0 {
-		// A query without edges: fall back to the mean vertex cardinality.
-		vids := q.VertexIDs()
-		if len(vids) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, vid := range vids {
-			sum += float64(c.VertexCardinality(q.Vertex(vid)))
-		}
-		return sum / float64(len(vids))
-	}
-	var sum float64
-	for _, eid := range ids {
-		sum += float64(c.Path1Cardinality(q, eid))
-	}
-	return sum / float64(len(ids))
+	_, avg := c.Estimates(q, "")
+	return avg
 }
 
 // EstimateCardinality estimates C(Q) without executing the full query,
@@ -182,100 +175,146 @@ func (c *Collector) AveragePath1Cardinality(q *query.Query) float64 {
 // remaining (cycle-closing) edges — the §5.2.3 estimation strategy for
 // Paths(n) composed from Path(1) building blocks.
 func (c *Collector) EstimateCardinality(q *query.Query) float64 {
-	comps := q.WeaklyConnectedComponents()
-	total := 1.0
-	for _, comp := range comps {
-		total *= c.estimateComponent(q, comp)
-		if total == 0 {
-			return 0
-		}
-	}
-	return total
-}
-
-func (c *Collector) estimateComponent(q *query.Query, comp []int) float64 {
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	var edges []int
-	for _, eid := range q.EdgeIDs() {
-		if inComp[q.Edge(eid).From] {
-			edges = append(edges, eid)
-		}
-	}
-	if len(edges) == 0 {
-		// Isolated vertex component.
-		return float64(c.VertexCardinality(q.Vertex(comp[0])))
-	}
-	// Spanning tree via union-find over the component's edges.
-	parent := make(map[int]int, len(comp))
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, v := range comp {
-		parent[v] = v
-	}
-	est := 1.0
-	treeDeg := make(map[int]int, len(comp))
-	for _, eid := range edges {
-		e := q.Edge(eid)
-		p1 := float64(c.Path1Cardinality(q, eid))
-		a, b := find(e.From), find(e.To)
-		if a != b {
-			// Tree edge: joins two partial results.
-			parent[a] = b
-			est *= p1
-			treeDeg[e.From]++
-			treeDeg[e.To]++
-		} else {
-			// Cycle-closing edge: apply its selectivity.
-			cf := float64(c.VertexCardinality(q.Vertex(e.From)))
-			ct := float64(c.VertexCardinality(q.Vertex(e.To)))
-			if cf == 0 || ct == 0 {
-				return 0
-			}
-			est *= p1 / (cf * ct)
-		}
-	}
-	// Normalize shared tree vertices: a vertex joining k tree edges was
-	// counted k times; divide by cand(v)^(k-1).
-	for _, v := range comp {
-		if k := treeDeg[v]; k > 1 {
-			cv := float64(c.VertexCardinality(q.Vertex(v)))
-			if cv == 0 {
-				return 0
-			}
-			est /= math.Pow(cv, float64(k-1))
-		}
-	}
+	est, _ := c.Estimates(q, "")
 	return est
 }
 
+// estScratch is the stack capacity of Estimates' per-element arrays; larger
+// queries spill to the heap.
+const estScratch = 16
+
+// Estimates returns EstimateCardinality and AveragePath1Cardinality of q from
+// one pass over its edges, each Path(1) looked up once. key is q's canonical
+// key when the caller holds it ("" derives it here): every statistics key is
+// cut out of it — a vertex record's payload is the vertex-cardinality key, two
+// endpoint records and an edge record are a Path(1) key — instead of being
+// encoded again from the predicate maps. Components multiply in order of
+// their smallest vertex id, edges and vertices in id order within each.
+func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 float64) {
+	vs, es := q.Vertices(), q.Edges()
+	kb := c.getKeyBuf()
+	defer c.putKeyBuf(kb)
+	var ostack [4*estScratch + 1]int
+	offs, ok := query.AppendRecordOffsets(ostack[:0], key)
+	if *kb = append(*kb, key...); !ok || len(offs) != 2*(len(vs)+len(es))+1 {
+		*kb = q.AppendKey((*kb)[:0])
+		offs, _ = query.AppendRecordOffsets(offs[:0], *kb)
+	}
+	// Fragment keys are built behind the key, in the same buffer.
+	*kb = slices.Grow(*kb, len(*kb))
+	qkey, frag := *kb, (*kb)[len(*kb):]
+	vcard := func(i int) float64 {
+		payload := qkey[offs[2*i+1]:offs[2*i+2]]
+		if n, ok := c.vertexCard.Get(payload); ok {
+			return float64(n)
+		}
+		return float64(c.vertexCard.Do(payload, nil, func() (int, int) { return c.m.CandidateCount(vs[i]), 0 }))
+	}
+
+	// Per vertex position: union-find parent, spanning-tree degree, then the
+	// running estimate of the component the position represents (dead: 0).
+	var istack [2 * estScratch]int
+	var fstack [2 * estScratch]float64
+	ints := slices.Grow(istack[:0], 2*len(vs))[:2*len(vs)]
+	floats := slices.Grow(fstack[:0], len(vs)+len(es))[:len(vs)+len(es)]
+	parent, treeDeg := ints[:len(vs)], ints[len(vs):]
+	est, factor := floats[:len(vs)], floats[len(vs):]
+	for i := range parent {
+		parent[i], treeDeg[i], est[i] = i, 0, -1 // -1: no edge seen yet
+	}
+	// First pass: every Path(1) once, and each edge's factor — its Path(1) as
+	// a spanning-tree edge (it joins two partial results), its selectivity as
+	// a cycle-closing one (-1: an endpoint has no candidates).
+	var sum float64
+	for j, e := range es {
+		fi, ti := q.VertexIndex(e.From), q.VertexIndex(e.To)
+		chain := [1]int{e.ID}
+		p1 := float64(c.pathCount(q, chain[:], q.AppendKeyRecordsByEdges(frag, qkey, offs, chain[:])))
+		sum += p1
+		if a, b := query.FindRoot(parent, fi), query.FindRoot(parent, ti); a != b {
+			parent[a] = b
+			factor[j] = p1
+			treeDeg[fi]++
+			treeDeg[ti]++
+		} else if cf, ct := vcard(fi), vcard(ti); cf == 0 || ct == 0 {
+			factor[j] = -1
+		} else {
+			factor[j] = p1 / (cf * ct)
+		}
+	}
+	// Second pass, components now final: multiply each one's factors in edge
+	// order, then normalize shared tree vertices — a vertex joining k tree
+	// edges was counted k times; divide by cand(v)^(k-1).
+	for j, e := range es {
+		r := query.FindRoot(parent, q.VertexIndex(e.From))
+		switch {
+		case factor[j] < 0 || est[r] == 0:
+			est[r] = 0
+		case est[r] < 0:
+			est[r] = factor[j]
+		default:
+			est[r] *= factor[j]
+		}
+	}
+	for i := range vs {
+		if k := treeDeg[i]; k > 1 {
+			r := query.FindRoot(parent, i)
+			if cv := vcard(i); cv == 0 {
+				est[r] = 0
+			} else if est[r] != 0 {
+				est[r] /= math.Pow(cv, float64(k-1))
+			}
+		}
+	}
+	// Components multiply in order of their smallest vertex; treeDeg, spent,
+	// marks the ones already in. A zero product stays zero.
+	estimate = 1
+	for i := range vs {
+		r := query.FindRoot(parent, i)
+		if treeDeg[r] < 0 || estimate == 0 && len(es) > 0 {
+			continue
+		}
+		treeDeg[r] = -1
+		if est[r] < 0 { // isolated vertex component
+			if est[r] = vcard(i); len(es) == 0 {
+				sum += est[r]
+			}
+		}
+		if estimate != 0 {
+			estimate *= est[r]
+		}
+	}
+	switch {
+	case len(es) > 0:
+		avgPath1 = sum / float64(len(es))
+	case len(vs) > 0:
+		avgPath1 = sum / float64(len(vs))
+	}
+	return estimate, avgPath1
+}
+
 // InducedChange estimates the relative cardinality change an operation would
-// induce (§5.3.2, calculation of induced cardinality changes): the ratio of
-// the estimated cardinality after the change to the estimate before it.
-// Ratios above 1 mean the change relaxes the query. If the operation is not
-// applicable the ratio is 1 (no change).
+// induce (§5.3.2, calculation of induced cardinality changes). If the
+// operation is not applicable the ratio is 1 (no change). A search that
+// already holds the modified query calls InducedRatio on two estimates.
 func (c *Collector) InducedChange(q *query.Query, op query.Op) float64 {
-	before := c.EstimateCardinality(q)
 	after, err := query.Apply(q, op)
 	if err != nil {
 		return 1
 	}
-	ea := c.EstimateCardinality(after)
+	return InducedRatio(c.EstimateCardinality(q), c.EstimateCardinality(after))
+}
+
+// InducedRatio is the ratio of the estimated cardinality after a change to
+// the estimate before it. Ratios above 1 mean the change relaxes the query.
+func InducedRatio(before, after float64) float64 {
 	if before <= 0 {
-		if ea > 0 {
+		if after > 0 {
 			return math.Inf(1)
 		}
 		return 1
 	}
-	return ea / before
+	return after / before
 }
 
 // Domain catalogs the attribute values and edge types present in a data
@@ -372,6 +411,29 @@ func buildDomain(g *graph.Graph, topK int) *Domain {
 		efreq:              make(freqTable),
 		tfreq:              make(map[string]int),
 	}
+	// The edge half — its own tables and catalogs — is scanned beside the
+	// vertex half: the domain is on the critical path of a dataset load.
+	edges := make(chan struct{})
+	go func() {
+		defer close(edges)
+		for i := 0; i < g.NumEdges(); i++ {
+			if g.EdgeRemoved(graph.EdgeID(i)) {
+				continue
+			}
+			e := g.Edge(graph.EdgeID(i))
+			d.tfreq[e.Type]++
+			for k, v := range e.Attrs {
+				if d.efreq[k] == nil {
+					d.efreq[k] = make(map[graph.Value]int)
+				}
+				d.efreq[k][v]++
+			}
+		}
+		for k, fm := range d.efreq {
+			d.EdgeValues[k] = topValues(fm, topK)
+		}
+		d.EdgeTypes = rankTypes(d.tfreq)
+	}()
 	for i := 0; i < g.NumVertices(); i++ {
 		attrs := g.Vertex(graph.VertexID(i)).Attrs
 		kind := kindOf(attrs)
@@ -397,26 +459,10 @@ func buildDomain(g *graph.Graph, topK int) *Domain {
 			d.VertexValuesByType[kind][k] = topValues(fm, topK)
 		}
 	}
-	for i := 0; i < g.NumEdges(); i++ {
-		if g.EdgeRemoved(graph.EdgeID(i)) {
-			continue
-		}
-		e := g.Edge(graph.EdgeID(i))
-		d.tfreq[e.Type]++
-		for k, v := range e.Attrs {
-			if d.efreq[k] == nil {
-				d.efreq[k] = make(map[graph.Value]int)
-			}
-			d.efreq[k][v]++
-		}
-	}
 	for k, fm := range d.vfreq {
 		d.VertexValues[k] = topValues(fm, topK)
 	}
-	for k, fm := range d.efreq {
-		d.EdgeValues[k] = topValues(fm, topK)
-	}
-	d.EdgeTypes = rankTypes(d.tfreq)
+	<-edges
 	return d
 }
 

@@ -191,26 +191,21 @@ func FromQuery(q *query.Query) Query {
 }
 
 // MaxElementID bounds vertex and edge identifiers in decoded queries. Real
-// queries carry a handful of elements; the ceiling exists because decoding
-// bridges identifier gaps with placeholder elements, and an astronomically
-// large id in a tiny request body must not translate into unbounded
-// allocation.
+// queries carry a handful of elements; identifiers far beyond what a request
+// body can hold elements for are rejected up front.
 const MaxElementID = 1<<16 - 1
 
-// ToQuery decodes into an executable query. Identifiers must be unique,
+// ToQuery decodes into an executable query holding exactly the declared
+// elements under their declared identifiers. Identifiers must be unique,
 // strictly ascending within vertices and within edges, and at most
 // MaxElementID; gaps are allowed (the engine's own rewritten queries have
-// them after deletions) and are bridged with placeholder elements that are
-// removed again, so the decoded query carries exactly the declared
-// identifiers.
+// them after deletions).
 func (wq Query) ToQuery() (*query.Query, error) {
 	if len(wq.Vertices) == 0 {
 		return nil, fmt.Errorf("wire: query needs at least one vertex")
 	}
 	q := query.New()
 	prev := -1
-	declared := make(map[int]bool, len(wq.Vertices))
-	var fillerVertices []int
 	for _, wv := range wq.Vertices {
 		if wv.ID <= prev {
 			return nil, fmt.Errorf("wire: vertex ids must be unique and ascending (got %d after %d)", wv.ID, prev)
@@ -218,22 +213,14 @@ func (wq Query) ToQuery() (*query.Query, error) {
 		if wv.ID > MaxElementID {
 			return nil, fmt.Errorf("wire: vertex id %d exceeds the maximum %d", wv.ID, MaxElementID)
 		}
-		for next := prev + 1; next < wv.ID; next++ {
-			fillerVertices = append(fillerVertices, q.AddVertex(nil))
-		}
 		preds, err := toPreds(wv.Preds)
 		if err != nil {
 			return nil, fmt.Errorf("wire: vertex %d: %w", wv.ID, err)
 		}
-		if got := q.AddVertex(preds); got != wv.ID {
-			return nil, fmt.Errorf("wire: internal id mismatch for vertex %d", wv.ID)
-		}
-		declared[wv.ID] = true
+		q.AddVertexID(wv.ID, preds)
 		prev = wv.ID
 	}
 	prev = -1
-	anchor := wq.Vertices[0].ID
-	var fillerEdges []int
 	for _, we := range wq.Edges {
 		if we.ID <= prev {
 			return nil, fmt.Errorf("wire: edge ids must be unique and ascending (got %d after %d)", we.ID, prev)
@@ -241,37 +228,19 @@ func (wq Query) ToQuery() (*query.Query, error) {
 		if we.ID > MaxElementID {
 			return nil, fmt.Errorf("wire: edge id %d exceeds the maximum %d", we.ID, MaxElementID)
 		}
-		// Endpoints must be declared vertices — a placeholder occupying a gap
-		// id does not count (it is removed below, and query.RemoveVertex would
-		// silently take the edge with it).
-		if !declared[we.From] || !declared[we.To] {
+		if q.Vertex(we.From) == nil || q.Vertex(we.To) == nil {
 			return nil, fmt.Errorf("wire: edge %d references missing vertex %d or %d", we.ID, we.From, we.To)
-		}
-		for next := prev + 1; next < we.ID; next++ {
-			fillerEdges = append(fillerEdges, q.AddEdge(anchor, anchor, nil, nil))
 		}
 		preds, err := toPreds(we.Preds)
 		if err != nil {
 			return nil, fmt.Errorf("wire: edge %d: %w", we.ID, err)
 		}
-		if got := q.AddEdge(we.From, we.To, we.Types, preds); got != we.ID {
-			return nil, fmt.Errorf("wire: internal id mismatch for edge %d", we.ID)
-		}
 		dir, err := parseDir(we.Dir)
 		if err != nil {
 			return nil, fmt.Errorf("wire: edge %d: %w", we.ID, err)
 		}
-		q.Edge(we.ID).Dirs = dir
+		q.Edge(q.AddEdgeID(we.ID, we.From, we.To, we.Types, preds)).Dirs = dir
 		prev = we.ID
-	}
-	for _, eid := range fillerEdges {
-		q.RemoveEdge(eid)
-	}
-	for _, vid := range fillerVertices {
-		q.RemoveVertex(vid)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return q, nil
 }

@@ -310,7 +310,7 @@ func randomOp(q *query.Query, dom *stats.Domain, rng *rand.Rand) query.Op {
 	case 7: // topology: delete a leaf vertex
 		if len(vids) > 2 {
 			vid := vids[rng.Intn(len(vids))]
-			if len(q.Incident(vid)) <= 1 {
+			if q.Degree(vid) <= 1 {
 				return query.DeleteVertex{Vertex: vid}
 			}
 		}
