@@ -4,8 +4,8 @@
 // carried entry is put to the test — and once the old way, to an independent
 // Clone that is re-indexed, re-frozen and handed to core.NewEngine. After
 // every batch the two sides must be indistinguishable: packed adjacency,
-// attribute index, domain catalog, counts, result sets, and explanation
-// reports byte for byte.
+// attribute columns, attribute index, domain catalog, counts, result sets, and
+// explanation reports byte for byte.
 package repro_test
 
 import (
@@ -248,6 +248,41 @@ func (p *deriveProbe) compare(t *testing.T, when string, derived, ref *core.Engi
 			}
 		}
 	}
+	// The attribute columns, by what they decode to (a derived dictionary
+	// keeps its numbering): the derived ones, Freeze's, and the attribute maps
+	// agree on every element and key; a tombstone has no value anywhere.
+	sameColumns := func(kind string, derived, frozen map[string]*graph.Column, n int, attrs func(id int) graph.Attrs) {
+		t.Helper()
+		for _, cols := range []map[string]*graph.Column{derived, frozen} {
+			for key, col := range cols {
+				if len(col.Codes) != n {
+					t.Fatalf("%s: %s column %q has %d codes for %d elements", when, kind, key, len(col.Codes), n)
+				}
+				for id, code := range col.Codes {
+					want, carried := attrs(id)[key]
+					if got := col.Vals[code]; (code != 0) != carried || carried && got != want {
+						t.Fatalf("%s: %s %d: column %q reads %v (code %d), the attribute map says %v (present: %v)", when, kind, id, key, got, code, want, carried)
+					}
+				}
+			}
+		}
+		for id := 0; id < n; id++ {
+			for key := range attrs(id) {
+				if derived[key] == nil || frozen[key] == nil {
+					t.Fatalf("%s: %s %d carries %q, which has no column", when, kind, id, key)
+				}
+			}
+		}
+	}
+	sameColumns("vertex", dg.VertexColumns(), rg.VertexColumns(), rg.NumVertices(), func(id int) graph.Attrs {
+		return rg.Vertex(graph.VertexID(id)).Attrs // nil once removed
+	})
+	sameColumns("edge", dg.EdgeColumns(), rg.EdgeColumns(), rg.NumEdges(), func(id int) graph.Attrs {
+		if rg.EdgeRemoved(graph.EdgeID(id)) {
+			return nil
+		}
+		return rg.Edge(graph.EdgeID(id)).Attrs
+	})
 	// The catalogs; the frequency tables behind them (which BuildDomain does
 	// not keep) are held to a rebuild by internal/stats' TestDeriveDomain.
 	dd, rd := derived.Domain(), ref.Domain()

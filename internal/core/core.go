@@ -69,12 +69,10 @@ type explainState struct {
 // NewEngine builds an engine (matcher, statistics, domain catalog) over g.
 // Explanation searches run on GOMAXPROCS workers by default; see SetWorkers.
 func NewEngine(g *graph.Graph) *Engine {
-	// The domain catalog and the matcher's packed adjacency are two read-only
-	// scans of the finished graph: side by side, a tenth off a dataset load.
-	domain := make(chan *stats.Domain, 1)
-	go func() { domain <- stats.BuildDomain(g, 16) }()
+	// match.New freezes the graph; the domain catalog is counted from the
+	// frozen layer's attribute columns, so it comes second.
 	m := match.New(g)
-	return newEngine(g, m, stats.New(m), <-domain, runtime.GOMAXPROCS(0))
+	return newEngine(g, m, stats.New(m), stats.BuildDomain(g, 16), runtime.GOMAXPROCS(0))
 }
 
 func newEngine(g *graph.Graph, m *match.Matcher, st *stats.Collector, domain *stats.Domain, workers int) *Engine {

@@ -87,6 +87,17 @@ var (
 // the configuration (including Seed).
 func LDBC(cfg LDBCConfig) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// One attribute map per (key, year) pair, not one per edge: attribute maps
+	// are immutable once added (graph.AddEdge).
+	years := func(key string, from, n int) []graph.Attrs {
+		maps := make([]graph.Attrs, n)
+		for i := range maps {
+			maps[i] = graph.Attrs{key: graph.N(float64(from + i))}
+		}
+		return maps
+	}
+	classYear, sinceYear, joinYear := years("classYear", 1995, 20), years("sinceYear", 1998, 18), years("joinYear", 2008, 8)
+	since, year := years("since", 2005, 11), years("year", 2010, 6)
 	g := graph.New(cfg.Persons+cfg.Countries*(1+cfg.CitiesPer)+cfg.Universities+cfg.Companies+cfg.Tags+cfg.Forums+cfg.Posts, cfg.Persons*(cfg.KnowsPer+cfg.InterestsPer+cfg.LikesPer+3)+cfg.Posts*2)
 
 	// Countries and cities.
@@ -171,7 +182,7 @@ func LDBC(cfg LDBCConfig) *graph.Graph {
 		// studyAt with classYear.
 		if rng.Float64() < 0.6 {
 			g.AddEdge(persons[i], universities[rng.Intn(len(universities))], "studyAt",
-				graph.Attrs{"classYear": graph.N(float64(1995 + rng.Intn(20)))})
+				classYear[rng.Intn(len(classYear))])
 		}
 		// workAt with sinceYear; a few people work at universities.
 		if rng.Float64() < 0.75 {
@@ -180,12 +191,12 @@ func LDBC(cfg LDBCConfig) *graph.Graph {
 				employer = universities[rng.Intn(len(universities))]
 			}
 			g.AddEdge(persons[i], employer, "workAt",
-				graph.Attrs{"sinceYear": graph.N(float64(1998 + rng.Intn(18)))})
+				sinceYear[rng.Intn(len(sinceYear))])
 		}
 		// memberOf forums.
 		if rng.Float64() < 0.5 {
 			g.AddEdge(persons[i], forums[rng.Intn(len(forums))], "memberOf",
-				graph.Attrs{"joinYear": graph.N(float64(2008 + rng.Intn(8)))})
+				joinYear[rng.Intn(len(joinYear))])
 		}
 	}
 
@@ -203,7 +214,7 @@ func LDBC(cfg LDBCConfig) *graph.Graph {
 				continue
 			}
 			g.AddEdge(p, q, "knows",
-				graph.Attrs{"since": graph.N(float64(2005 + rng.Intn(11)))})
+				since[rng.Intn(len(since))])
 		}
 	}
 
@@ -231,7 +242,7 @@ func LDBC(cfg LDBCConfig) *graph.Graph {
 		k := rng.Intn(cfg.LikesPer*2 + 1)
 		for j := 0; j < k; j++ {
 			g.AddEdge(p, posts[rng.Intn(len(posts))], "likes",
-				graph.Attrs{"year": graph.N(float64(2010 + rng.Intn(6)))})
+				year[rng.Intn(len(year))])
 		}
 	}
 

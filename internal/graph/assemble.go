@@ -34,9 +34,10 @@ type SnapshotParts struct {
 // Assemble reconstructs a Graph from snapshot parts without re-running
 // Freeze: the CSR is installed as the frozen snapshot directly, and the
 // mutable side (adjacency lists, type index, attribute indexes) is rebuilt
-// from it in one O(V+E) pass. The input is validated structurally — sizes,
-// offset monotonicity, id ranges, type-table consistency — so a logically
-// corrupt file fails here rather than panicking mid-query.
+// from it in one O(V+E) pass; the attribute columns, which a snapshot does not
+// store, are built from the attribute maps as Freeze builds them. The input is
+// validated structurally — sizes, offset monotonicity, id ranges, type-table
+// consistency — so a logically corrupt file fails here, not mid-query.
 func Assemble(p SnapshotParts) (*Graph, error) {
 	nv, ne := len(p.Vertices), len(p.Edges)
 	live := ne - len(p.RemovedEdges)
@@ -147,6 +148,7 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		typeNames: p.CSR.TypeNames,
 		typeIDs:   denseTypeIDs(p.CSR.TypeNames),
 	}
+	c.vcols, c.ecols = g.buildColumns()
 	g.frozen.Store(c)
 	if len(p.IndexedKeys) > 0 {
 		g.BuildVertexIndex(p.IndexedKeys...)

@@ -8,15 +8,17 @@ import (
 // Deriving the next epoch from the current one.
 //
 // Fork is Clone plus a journal; Seal ends the batch applied to the fork and
-// builds its frozen layer — the CSR and the attribute index — from the
-// predecessor's instead of from the fork's own tables: the rows of the
-// vertices the batch touched are rebuilt, everything between them is block-
-// copied, and only the index buckets whose values the batch touched are
-// rewritten. The result is what BuildVertexIndex and Freeze would build on
-// the same graph (the derive differential in the repo root holds them to
-// that), at the cost of a few array copies and work proportional to the
-// batch. Nothing the predecessor owns is written: a fork that is discarded
-// unsealed — a batch that failed validation — leaves no trace.
+// builds its frozen layer — the CSR, the attribute columns and the attribute
+// index — from the predecessor's instead of from the fork's own tables: the
+// rows of the vertices the batch touched are rebuilt, everything between them
+// is block-copied, the batch's elements are appended to the columns, and only
+// the index buckets whose values the batch touched are rewritten. The result
+// is what BuildVertexIndex and Freeze would build on the same graph (the
+// derive differential in the repo root holds them to that; columns compare by
+// what they decode to, since a derived dictionary keeps its code numbering),
+// at the cost of a few array copies and work proportional to the batch.
+// Nothing a reader of the predecessor can see is written: a fork that is
+// discarded unsealed — a batch that failed validation — leaves no trace.
 
 // fork is the journal of an open Fork. Additions need no record (they are
 // the ids at and above the base's sizes); removals are logged as they happen.
@@ -98,9 +100,40 @@ func (g *Graph) Seal() *Delta {
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
 
-	g.frozen.Store(g.spliceCSR(f.base.snapshot(), touched))
+	prev := f.base.snapshot()
+	c := g.spliceCSR(prev, touched)
+	g.spliceColumns(c, prev, d)
+	g.frozen.Store(c)
 	g.vattrIndex = g.deriveIndex(f.base.vattrIndex, d)
 	return d
+}
+
+// spliceColumns derives c's attribute columns from its predecessor's: the
+// batch's elements are encoded or cleared, everything else is shared.
+func (g *Graph) spliceColumns(c, prev *csr, d *Delta) {
+	var gone, born []cell
+	for i, id := range d.RemovedVertices {
+		if id < d.FirstVertex {
+			gone = append(gone, cell{int(id), d.RemovedAttrs[i]})
+		}
+	}
+	for id := int(d.FirstVertex); id < len(g.vertices); id++ {
+		born = append(born, cell{id, g.vertices[id].Attrs}) // nil attrs once removed
+	}
+	inPlace := prev.extended.CompareAndSwap(false, true)
+	c.vcols = deriveColumns(prev.vcols, inPlace, len(g.vertices), gone, born)
+	gone, born = gone[:0], born[:0]
+	for _, id := range d.RemovedEdges {
+		if id < d.FirstEdge {
+			gone = append(gone, cell{int(id), g.edges[id].Attrs})
+		}
+	}
+	for id := int(d.FirstEdge); id < len(g.edges); id++ {
+		if !g.EdgeRemoved(EdgeID(id)) {
+			born = append(born, cell{id, g.edges[id].Attrs})
+		}
+	}
+	c.ecols = deriveColumns(prev.ecols, inPlace, len(g.edges), gone, born)
 }
 
 // spliceCSR builds g's packed adjacency from its predecessor's: touched (old

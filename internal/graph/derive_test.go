@@ -8,8 +8,10 @@ import (
 )
 
 // frozenEqual compares the frozen layer g got from Seal with what a Clone of
-// it gets from BuildVertexIndex and Freeze.
-func frozenEqual(t *testing.T, g *Graph) {
+// it gets from BuildVertexIndex and Freeze. Columns compare by what they
+// decode to — a derived dictionary keeps its numbering and its stale values —
+// and are held to the attribute maps as well.
+func frozenEqual(t testing.TB, g *Graph) {
 	t.Helper()
 	want := g.Clone()
 	want.BuildVertexIndex(g.IndexedKeys()...)
@@ -18,6 +20,14 @@ func frozenEqual(t *testing.T, g *Graph) {
 	}
 	if !reflect.DeepEqual(g.vattrIndex, want.vattrIndex) {
 		t.Fatalf("derived index\n%v\nwant\n%v", g.vattrIndex, want.vattrIndex)
+	}
+	columnsEqualAttrs(t, g)
+	gc, wc := g.snapshot(), want.snapshot()
+	if got, want := decodeColumns(t, gc.vcols, g.NumVertices()), decodeColumns(t, wc.vcols, g.NumVertices()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("derived vertex columns\n%v\nwant\n%v", got, want)
+	}
+	if got, want := decodeColumns(t, gc.ecols, g.NumEdges()), decodeColumns(t, wc.ecols, g.NumEdges()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("derived edge columns\n%v\nwant\n%v", got, want)
 	}
 }
 

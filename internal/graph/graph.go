@@ -6,8 +6,10 @@
 // needs (weakly connected components, BFS).
 //
 // The store plays the role of the GRAPHITE/SAP HANA graph runtime used by the
-// thesis' evaluation: a substrate the pattern matcher (internal/match) and
-// the statistics collector (internal/stats) scan and traverse.
+// thesis' evaluation — a columnar one: a substrate the pattern matcher
+// (internal/match) and the statistics collector (internal/stats) scan and
+// traverse. Its frozen layer (Freeze, Assemble, Seal) is what they read: packed
+// adjacency and one dictionary-encoded column per attribute key (columns.go).
 package graph
 
 import (
@@ -96,10 +98,12 @@ type Graph struct {
 	fork *fork
 }
 
-// csr is one immutable packed-adjacency snapshot: per-vertex half-edge lists
-// (outAdj[outOff[v]:outOff[v+1]] are v's outgoing half-edges) plus the dense
-// edge-type numbering. A csr is read-only after construction and shared by
-// every concurrent reader of the graph.
+// csr is one immutable frozen snapshot: per-vertex half-edge lists
+// (outAdj[outOff[v]:outOff[v+1]] are v's outgoing half-edges), the dense
+// edge-type numbering, and the attribute columns (columns.go). A csr is
+// read-only after construction and shared by every concurrent reader of the
+// graph — but for extended, set once by the first fork sealed from it, which
+// thereby takes the spare capacity behind the column arrays.
 type csr struct {
 	outAdj    []Adj
 	inAdj     []Adj
@@ -107,6 +111,9 @@ type csr struct {
 	inOff     []int32
 	typeNames []string         // dense type id → name, sorted
 	typeIDs   map[string]int32 // name → dense type id
+	vcols     columns
+	ecols     columns
+	extended  atomic.Bool
 }
 
 // New returns an empty graph with capacity hints for vertices and edges.
@@ -160,9 +167,9 @@ func (g *Graph) AddEdge(from, to VertexID, typ string, attrs Attrs) EdgeID {
 	return id
 }
 
-// Freeze builds the packed adjacency layer: per-vertex CSR half-edge lists
-// carrying (edge id, far vertex, dense type id) so traversals avoid the
-// per-edge record lookup, plus the dense edge-type numbering. Freeze is
+// Freeze builds the frozen layer: per-vertex CSR half-edge lists carrying
+// (edge id, far vertex, dense type id) so traversals avoid the per-edge record
+// lookup, the dense edge-type numbering, and the attribute columns. Freeze is
 // idempotent; any mutation invalidates it and the next Freeze (or packed
 // accessor) rebuilds. Call it after construction when concurrent readers
 // will use OutAdj/InAdj.
@@ -177,6 +184,20 @@ func (g *Graph) Freeze() {
 	}
 	c := &csr{typeNames: g.EdgeTypes()}
 	c.typeIDs = denseTypeIDs(c.typeNames)
+	// The columns, an independent read of the same records, are built beside.
+	cols := make(chan struct{})
+	go func() {
+		defer close(cols)
+		c.vcols, c.ecols = g.buildColumns()
+	}()
+	// Each live edge's dense type id, resolved per type list instead of by
+	// hashing the type string at both of the edge's half-edges.
+	etype := make([]int32, len(g.edges))
+	for i, t := range c.typeNames {
+		for _, eid := range g.typeIndex[t] {
+			etype[eid] = int32(i)
+		}
+	}
 	nv, live := len(g.vertices), len(g.edges)-g.nRemovedE
 	c.outOff = make([]int32, nv+1)
 	c.inOff = make([]int32, nv+1)
@@ -186,19 +207,18 @@ func (g *Graph) Freeze() {
 	for v := 0; v < nv; v++ {
 		c.outOff[v] = opos
 		for _, eid := range g.out[v] {
-			e := &g.edges[eid]
-			c.outAdj[opos] = Adj{Edge: eid, Vertex: e.To, Type: c.typeIDs[e.Type]}
+			c.outAdj[opos] = Adj{Edge: eid, Vertex: g.edges[eid].To, Type: etype[eid]}
 			opos++
 		}
 		c.inOff[v] = ipos
 		for _, eid := range g.in[v] {
-			e := &g.edges[eid]
-			c.inAdj[ipos] = Adj{Edge: eid, Vertex: e.From, Type: c.typeIDs[e.Type]}
+			c.inAdj[ipos] = Adj{Edge: eid, Vertex: g.edges[eid].From, Type: etype[eid]}
 			ipos++
 		}
 	}
 	c.outOff[nv] = opos
 	c.inOff[nv] = ipos
+	<-cols
 	g.frozen.Store(c)
 }
 

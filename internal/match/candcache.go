@@ -50,11 +50,7 @@ func (m *Matcher) resolveCandidates(key []byte, preds []flatPred, words int, scr
 		return e
 	}
 	return m.candCache.Do(key, nil, func() (*candEntry, int) {
-		list := m.candidatesFlat(nil, preds, scratch)
-		bits := make([]uint64, words)
-		for _, id := range list {
-			bits[int(id)>>6] |= 1 << (uint(id) & 63)
-		}
+		list, bits := m.candidatesFlat(preds, words, scratch)
 		e := &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
 		return e, e.bytes(len(key))
 	})

@@ -240,7 +240,7 @@ func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
 		if c.visV[vw]&vb != 0 || bits[vw]&vb == 0 {
 			continue
 		}
-		if !edgeOK(p.g, op, a) {
+		if !edgeOK(op, a) {
 			continue
 		}
 		c.visV[vw] |= vb
@@ -260,7 +260,6 @@ func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
 // closeOver scans one packed adjacency list for the close op, admitting only
 // half-edges whose far endpoint is the already-bound want vertex.
 func (c *Ctx) closeOver(i int, op *planOp, adj []graph.Adj, want graph.VertexID) bool {
-	p := c.p
 	for k := range adj {
 		a := &adj[k]
 		if a.Vertex != want {
@@ -270,7 +269,7 @@ func (c *Ctx) closeOver(i int, op *planOp, adj []graph.Adj, want graph.VertexID)
 		if c.visE[ew]&eb != 0 {
 			continue
 		}
-		if !edgeOK(p.g, op, a) {
+		if !edgeOK(op, a) {
 			continue
 		}
 		c.visE[ew] |= eb
@@ -285,9 +284,9 @@ func (c *Ctx) closeOver(i int, op *planOp, adj []graph.Adj, want graph.VertexID)
 }
 
 // edgeOK checks the op's type disjunction (as dense type ids, no string
-// comparison) and flattened edge predicates against one half-edge. The edge
-// record is only dereferenced when predicates exist.
-func edgeOK(g *graph.Graph, op *planOp, a *graph.Adj) bool {
+// comparison) and bound edge predicates (one column load each, no edge record)
+// against one half-edge.
+func edgeOK(op *planOp, a *graph.Adj) bool {
 	if !op.anyType {
 		ok := false
 		for _, t := range op.types {
@@ -300,15 +299,5 @@ func edgeOK(g *graph.Graph, op *planOp, a *graph.Adj) bool {
 			return false
 		}
 	}
-	if len(op.epreds) > 0 {
-		attrs := g.Edge(a.Edge).Attrs
-		for i := range op.epreds {
-			fp := &op.epreds[i]
-			val, ok := attrs[fp.key]
-			if !ok || !fp.pred.Matches(val) {
-				return false
-			}
-		}
-	}
-	return true
+	return hasAll(op.epreds, int32(a.Edge))
 }

@@ -14,7 +14,11 @@
 // The engine compiles each query into a Plan (dense vertex/edge slots,
 // per-vertex candidate lists computed once, selectivity-ordered steps) and
 // executes it against a flat, reusable Ctx — binding arrays plus visited
-// bitsets — so the backtracking inner loop performs zero allocations.
+// bitsets — so the backtracking inner loop performs zero allocations. No
+// predicate is evaluated per data element: each is bound once, per compiled
+// edge or candidate-cache miss, to its attribute column of the frozen graph
+// (boundPred: the admitted dictionary codes as a bitset), and an element is
+// tested with one array load and one bit test.
 //
 // Enumeration emits rows: since every result of one query binds the same
 // query elements, a result set is a column header (the plan's vertex and
@@ -23,7 +27,8 @@
 // distance of internal/metrics is computed on, without a map per result.
 // Find and FindCtx convert those rows into Result maps for callers that want
 // result graphs. The original map-based engine is retained as
-// ReferenceCount/ReferenceFind for differential testing.
+// ReferenceCount/ReferenceFind for differential testing; it reads the
+// attribute maps only, nothing the compiled engine resolves.
 package match
 
 import (
@@ -132,36 +137,6 @@ func New(g *graph.Graph) *Matcher {
 // Graph returns the underlying data graph.
 func (m *Matcher) Graph() *graph.Graph { return m.g }
 
-// vertexMatches reports whether data vertex vd satisfies every predicate
-// interval of query vertex vq.
-func (m *Matcher) vertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
-	attrs := m.g.Vertex(vd).Attrs
-	for key, pred := range vq.Preds {
-		val, ok := attrs[key]
-		if !ok || !pred.Matches(val) {
-			return false
-		}
-	}
-	return true
-}
-
-// edgeMatches reports whether data edge ed satisfies the type disjunction and
-// every predicate interval of query edge eq (direction is checked by the
-// expansion step, not here).
-func (m *Matcher) edgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
-	e := m.g.Edge(ed)
-	if !eq.HasType(e.Type) {
-		return false
-	}
-	for key, pred := range eq.Preds {
-		val, ok := e.Attrs[key]
-		if !ok || !pred.Matches(val) {
-			return false
-		}
-	}
-	return true
-}
-
 // CandidateCount returns the number of data vertices matching vq
 // (the vertex cardinality statistic of §5.2.2). Like compilation, it is
 // served from the matcher's candidate cache, so the statistics collectors'
@@ -187,21 +162,24 @@ func (m *Matcher) candidateEntry(vq *query.Vertex) *candEntry {
 // It is a plain scan of the type's edge lists: stats.Collector caches the
 // result by the edge's constraint key and carries it across writes.
 func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
-	count := 0
-	countType := func(ids []graph.EdgeID) {
-		for _, id := range ids {
-			if m.edgeMatches(eq, id) {
-				count++
-			}
-		}
+	var predBuf [4]flatPred
+	var boundBuf [4]boundPred
+	bound, ok := bindPreds(boundBuf[:0], m.g.EdgeColumns(), flattenPreds(predBuf[:0], eq.Preds))
+	if !ok {
+		return 0
 	}
+	count := 0
 	if len(eq.Types) > 0 {
 		for _, t := range eq.Types {
-			countType(m.g.EdgesByType(t))
+			for _, id := range m.g.EdgesByType(t) {
+				if hasAll(bound, int32(id)) {
+					count++
+				}
+			}
 		}
 	} else {
 		for i := 0; i < m.g.NumEdges(); i++ {
-			if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.edgeMatches(eq, id) {
+			if hasAll(bound, int32(i)) && !m.g.EdgeRemoved(graph.EdgeID(i)) {
 				count++
 			}
 		}

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -8,20 +10,67 @@ import (
 )
 
 // flatPred is one (attribute key, predicate) pair of a query element,
-// flattened out of the predicate map so the inner loop iterates a slice
-// instead of ranging over a Go map.
+// flattened out of the predicate map in key order: the form candidate-cache
+// keys are encoded from, predicates are bound from and carry-over tests.
 type flatPred struct {
 	key  string
 	pred query.Predicate
 }
 
-// matchFlat reports whether an attribute map satisfies every flattened
-// predicate — the slice-based twin of Matcher.vertexMatches.
-func matchFlat(attrs graph.Attrs, preds []flatPred) bool {
+// boundPred is a flattened predicate resolved against its attribute column
+// (graph.Column): the column's codes by element id, and the values the
+// predicate admits as a bitset over the column's dictionary. Bit 0, the code of
+// an element that does not carry the attribute, is never set.
+type boundPred struct {
+	codes []uint32
+	admit []uint64
+}
+
+// has reports whether element id carries a value the predicate admits: one
+// array load and one bit test.
+func (b *boundPred) has(id int32) bool {
+	c := b.codes[id]
+	return b.admit[c>>6]&(1<<(c&63)) != 0
+}
+
+// bindPreds resolves preds against cols, once per compiled edge or candidate-
+// cache miss: a value disjunction is one dictionary lookup per value, a range
+// one pass over the dictionary — which holds at most one entry per element, so
+// binding never costs more than the scan it spares. ok is false when some
+// predicate admits no value of its column: nothing can match.
+func bindPreds(dst []boundPred, cols map[string]*graph.Column, preds []flatPred) (bound []boundPred, ok bool) {
 	for i := range preds {
 		fp := &preds[i]
-		val, ok := attrs[fp.key]
-		if !ok || !fp.pred.Matches(val) {
+		col := cols[fp.key]
+		if col == nil {
+			return dst, false
+		}
+		admit := make([]uint64, (len(col.Vals)+63)/64)
+		if fp.pred.Kind == query.Range {
+			for c := 1; c < len(col.Vals); c++ {
+				if fp.pred.Matches(col.Vals[c]) {
+					admit[c>>6] |= 1 << (c & 63)
+				}
+			}
+		} else {
+			for _, v := range fp.pred.Vals {
+				c := col.Code(v) // 0: no element carries v
+				admit[c>>6] |= 1 << (c & 63)
+			}
+			admit[0] &^= 1
+		}
+		if !slices.ContainsFunc(admit, func(w uint64) bool { return w != 0 }) {
+			return dst, false
+		}
+		dst = append(dst, boundPred{codes: col.Codes, admit: admit})
+	}
+	return dst, true
+}
+
+// hasAll reports whether element id satisfies every bound predicate.
+func hasAll(bound []boundPred, id int32) bool {
+	for i := range bound {
+		if !bound[i].has(id) {
 			return false
 		}
 	}
@@ -52,7 +101,7 @@ type planOp struct {
 	dirs      query.Dir
 	anyType   bool    // empty type disjunction: any type admitted
 	types     []int32 // dense type ids admitted; types absent from the data are dropped
-	epreds    []flatPred
+	epreds    []boundPred
 }
 
 // Plan is a compiled matching plan for one query over one data graph: query
@@ -149,23 +198,31 @@ func flattenPreds(dst []flatPred, preds map[string]query.Predicate) []flatPred {
 	for k, pr := range preds {
 		dst = append(dst, flatPred{key: k, pred: pr})
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].key < dst[j].key })
+	slices.SortFunc(dst, func(a, b flatPred) int { return cmp.Compare(a.key, b.key) })
 	return dst
 }
 
 // candidatesFlat computes the data vertices satisfying the flattened
-// predicates, preferring an indexed equality predicate as the access path
-// and scanning otherwise. scratch is a reusable pool buffer.
-func (m *Matcher) candidatesFlat(dst []graph.VertexID, preds []flatPred, scratch *[]graph.VertexID) []graph.VertexID {
+// predicates, bound to their columns first, as a list and as a bitset of words
+// words. An indexed equality predicate is preferred as the access path — its
+// posting lists, value after value, are the list's order — and a scan in id
+// order serves otherwise. The list is allocated at its final size. scratch is
+// a reusable pool buffer.
+func (m *Matcher) candidatesFlat(preds []flatPred, words int, scratch *[]graph.VertexID) ([]graph.VertexID, []uint64) {
+	bits := make([]uint64, words)
+	var boundBuf [8]boundPred
+	bound, ok := bindPreds(boundBuf[:0], m.g.VertexColumns(), preds)
+	if !ok {
+		return nil, bits
+	}
 	for i := range preds {
 		fp := &preds[i]
-		if fp.pred.Kind != query.Values || len(fp.pred.Vals) == 0 || fp.pred.Size() > 4 {
+		if fp.pred.Kind != query.Values || len(fp.pred.Vals) == 0 || len(fp.pred.Vals) > 4 {
 			continue
 		}
-		vals, _ := fp.pred.EnumerableValues()
 		pool := (*scratch)[:0]
 		indexed := true
-		for _, v := range vals {
+		for _, v := range fp.pred.Vals {
 			ids, ok := m.g.VerticesByAttr(fp.key, v)
 			if !ok {
 				indexed = false
@@ -174,25 +231,38 @@ func (m *Matcher) candidatesFlat(dst []graph.VertexID, preds []flatPred, scratch
 			pool = append(pool, ids...)
 		}
 		*scratch = pool
-		if indexed {
-			for _, id := range pool {
-				if !m.g.VertexRemoved(id) && matchFlat(m.g.Vertex(id).Attrs, preds) {
-					dst = append(dst, id)
-				}
+		if !indexed {
+			continue
+		}
+		// A tombstone is 0 in every column, and a predicate is bound here.
+		n := 0
+		for _, id := range pool {
+			if hasAll(bound, int32(id)) {
+				pool[n] = id
+				bits[int(id)>>6] |= 1 << (uint(id) & 63)
+				n++
 			}
-			return dst
+		}
+		list := make([]graph.VertexID, n)
+		copy(list, pool)
+		return list, bits
+	}
+	// The explicit tombstone check keeps predicate-free pattern vertices from
+	// binding removed slots.
+	n, nv := 0, m.g.NumVertices()
+	for i := 0; i < nv; i++ {
+		if hasAll(bound, int32(i)) && !m.g.VertexRemoved(graph.VertexID(i)) {
+			bits[i>>6] |= 1 << (uint(i) & 63)
+			n++
 		}
 	}
-	// Tombstoned vertices carry nil attrs, so any non-empty predicate list
-	// rejects them; the explicit check keeps predicate-free pattern vertices
-	// from binding removed slots.
-	for i := 0; i < m.g.NumVertices(); i++ {
-		id := graph.VertexID(i)
-		if !m.g.VertexRemoved(id) && matchFlat(m.g.Vertex(id).Attrs, preds) {
-			dst = append(dst, id)
+	list := make([]graph.VertexID, 0, n)
+	for i := 0; len(list) < n; i++ {
+		if bits[i>>6]&(1<<(uint(i)&63)) != 0 {
+			list = append(list, graph.VertexID(i))
 		}
 	}
-	return dst
+	return list, bits
 }
 
 // planOps orders the search: per weakly connected component, a start vertex
@@ -295,7 +365,13 @@ func (p *Plan) planOps(q *query.Query) {
 					op.types = append(op.types, id)
 				}
 			}
-			op.epreds = flattenPreds(nil, e.Preds)
+			var predBuf [4]flatPred
+			var ok bool
+			if op.epreds, ok = bindPreds(nil, p.g.EdgeColumns(), flattenPreds(predBuf[:0], e.Preds)); !ok {
+				// No data edge satisfies the predicates: an op that admits no
+				// type matches nothing.
+				op.anyType, op.types, op.epreds = false, nil, nil
+			}
 			if closing {
 				op.kind = opClose
 				op.vslot = -1

@@ -33,7 +33,10 @@ func planBytes(keyLen int, p *Plan) int {
 	n += len(p.vids)*8 + len(p.eids)*8
 	for i := range p.ops {
 		op := &p.ops[i]
-		n += 48 + len(op.types)*4 + len(op.epreds)*32
+		n += 48 + len(op.types)*4
+		for j := range op.epreds { // the codes belong to the graph
+			n += 48 + len(op.epreds[j].admit)*8
+		}
 	}
 	for s := 0; s < p.nv; s++ {
 		n += len(p.vpreds[s])*32 + len(p.cands[s])*4 + len(p.candBits[s])*8

@@ -9,7 +9,50 @@ import (
 // reference implementation. The differential tests execute randomized
 // workloads against both engines and assert identical counts and sorted
 // result sets, proving the compiled flat-state engine (plan.go/exec.go)
-// preserves the seed semantics.
+// preserves the seed semantics. It shares nothing with the engine it checks:
+// predicates are tested against the elements' attribute maps and candidates
+// are its own scan — no column, index or cache of the compiled engine is read.
+
+// vertexMatches reports whether data vertex vd satisfies every predicate
+// interval of query vertex vq.
+func (m *Matcher) vertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
+	attrs := m.g.Vertex(vd).Attrs
+	for key, pred := range vq.Preds {
+		val, ok := attrs[key]
+		if !ok || !pred.Matches(val) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeMatches reports whether data edge ed satisfies the type disjunction and
+// every predicate interval of query edge eq (direction is checked by the
+// expansion step, not here).
+func (m *Matcher) edgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
+	e := m.g.Edge(ed)
+	if !eq.HasType(e.Type) {
+		return false
+	}
+	for key, pred := range eq.Preds {
+		val, ok := e.Attrs[key]
+		if !ok || !pred.Matches(val) {
+			return false
+		}
+	}
+	return true
+}
+
+// refCandidates scans for the live data vertices matching vq, in id order.
+func (m *Matcher) refCandidates(vq *query.Vertex) []graph.VertexID {
+	var list []graph.VertexID
+	for i := 0; i < m.g.NumVertices(); i++ {
+		if id := graph.VertexID(i); !m.g.VertexRemoved(id) && m.vertexMatches(vq, id) {
+			list = append(list, id)
+		}
+	}
+	return list
+}
 
 // ReferenceFind enumerates result graphs with the retained map-based engine.
 func (m *Matcher) ReferenceFind(q *query.Query, opts Options) []Result {
@@ -110,22 +153,23 @@ type refStep struct {
 }
 
 // refPlan orders the edges of a connected query into a traversal starting at
-// the most selective vertex. Isolated vertices are returned separately.
-func (m *Matcher) refPlan(q *query.Query) (start int, steps []refStep, isolated []int) {
+// the most selective vertex, whose candidates it returns. Isolated vertices
+// are returned separately.
+func (m *Matcher) refPlan(q *query.Query) (start int, startCands []graph.VertexID, steps []refStep, isolated []int) {
 	// Start vertex: fewest candidates (cheap selectivity heuristic).
-	best, bestCount := -1, -1
+	best := -1
 	for _, vid := range q.VertexIDs() {
 		if q.Degree(vid) == 0 {
 			isolated = append(isolated, vid)
 			continue
 		}
-		c := m.CandidateCount(q.Vertex(vid))
-		if best == -1 || c < bestCount {
-			best, bestCount = vid, c
+		c := m.refCandidates(q.Vertex(vid))
+		if best == -1 || len(c) < len(startCands) {
+			best, startCands = vid, c
 		}
 	}
 	if best == -1 {
-		return -1, nil, isolated
+		return -1, nil, nil, isolated
 	}
 	bound := map[int]bool{best: true}
 	usedEdges := map[int]bool{}
@@ -164,14 +208,18 @@ func (m *Matcher) refPlan(q *query.Query) (start int, steps []refStep, isolated 
 			bound[e.From] = true
 		}
 	}
-	return best, steps, isolated
+	return best, startCands, steps, isolated
 }
 
 // refRunConnected enumerates embeddings of a query whose edge-bearing part
 // is connected; isolated query vertices are bound afterwards from their
 // candidate lists.
 func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
-	start, steps, isolated := m.refPlan(q)
+	start, startCands, steps, isolated := m.refPlan(q)
+	isoCands := make([][]graph.VertexID, len(isolated))
+	for i, vid := range isolated {
+		isoCands[i] = m.refCandidates(q.Vertex(vid))
+	}
 	res := Result{VertexMap: map[int]graph.VertexID{}, EdgeMap: map[int]graph.EdgeID{}}
 	usedV := map[graph.VertexID]bool{}
 	usedE := map[graph.EdgeID]bool{}
@@ -182,7 +230,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 			return emit(res)
 		}
 		vq := q.Vertex(isolated[i])
-		for _, cand := range m.candidateEntry(vq).list {
+		for _, cand := range isoCands[i] {
 			if usedV[cand] {
 				continue
 			}
@@ -251,8 +299,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 		bindIsolated(0)
 		return
 	}
-	startVertex := q.Vertex(start)
-	for _, cand := range m.candidateEntry(startVertex).list {
+	for _, cand := range startCands {
 		res.VertexMap[start] = cand
 		usedV[cand] = true
 		cont := expand(0)

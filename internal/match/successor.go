@@ -48,3 +48,17 @@ func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 	})
 	return m
 }
+
+// matchFlat reports whether an attribute map satisfies every flattened
+// predicate. The carry filter reads maps on purpose: the handful of vertices a
+// batch touched includes removed ones, whose attributes no column holds.
+func matchFlat(attrs graph.Attrs, preds []flatPred) bool {
+	for i := range preds {
+		fp := &preds[i]
+		val, ok := attrs[fp.key]
+		if !ok || !fp.pred.Matches(val) {
+			return false
+		}
+	}
+	return true
+}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,12 +36,13 @@ type Predicate struct {
 	IncLo, IncHi bool
 }
 
-// In returns a value-disjunction predicate over the given values.
+// In returns a value-disjunction predicate over the given values. A predicate
+// interval is a set (Eq. 3.2): a repeated value counts once.
 func In(vals ...graph.Value) Predicate {
 	c := make([]graph.Value, len(vals))
 	copy(c, vals)
 	sortValues(c)
-	return Predicate{Kind: Values, Vals: c}
+	return Predicate{Kind: Values, Vals: slices.Compact(c)}
 }
 
 // Eq returns a predicate matching exactly one value.

@@ -77,6 +77,12 @@ func TestPredicateSizeAndEnumeration(t *testing.T) {
 	if In(graph.S("a"), graph.S("b")).Size() != 2 {
 		t.Fatal("disjunction size wrong")
 	}
+	// A disjunction is a set: a repeated value is one value to Size, Equal
+	// and Distance alike.
+	twice, once := In(graph.S("b"), graph.S("a"), graph.S("b")), In(graph.S("a"), graph.S("b"))
+	if twice.Size() != 2 || !twice.Equal(once) || twice.Distance(once) != 0 {
+		t.Fatalf("In(b, a, b) = %v: size %d, distance to In(a, b) %v", twice.Vals, twice.Size(), twice.Distance(once))
+	}
 }
 
 func TestPredicateDistance(t *testing.T) {

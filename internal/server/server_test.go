@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -331,6 +332,27 @@ func TestMatchCountAndFind(t *testing.T) {
 	}
 	if rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3", Mode: "scan"}); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad mode accepted: %d", rec.Code)
+	}
+}
+
+// TestMatchRepeatedValue: a value named twice in a request's predicate is
+// named once as far as the answer goes (a predicate interval is a set).
+func TestMatchRepeatedValue(t *testing.T) {
+	g := graph.New(3, 0)
+	g.AddVertex(graph.Attrs{"type": graph.S("person")})
+	g.AddVertex(graph.Attrs{"type": graph.S("person")})
+	g.AddVertex(graph.Attrs{"type": graph.S("city")})
+	g.BuildVertexIndex("type")
+	s := New(Config{})
+	s.AddDataset("tiny", core.NewEngine(g), nil, nil)
+	body := []byte(`{"dataset":"tiny","query":{"vertices":[{"id":0,"preds":{"type":{"kind":"values","values":[
+		{"kind":"string","str":"person"},{"kind":"string","str":"city"},{"kind":"string","str":"person"}]}}}]}}`)
+	rec := do(t, s.Handler(), "POST", "/v1/match", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("got %d: %s", rec.Code, rec.Body)
+	}
+	if resp := decodeData[wire.MatchResponse](t, rec); resp.Count != 3 {
+		t.Fatalf("type ∈ {person, city, person} counts %d over 2 persons and 1 city, want 3", resp.Count)
 	}
 }
 

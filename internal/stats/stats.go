@@ -399,7 +399,10 @@ func BuildDomain(g *graph.Graph, topK int) *Domain {
 	return d
 }
 
-// buildDomain is BuildDomain with the frequency tables left in place.
+// buildDomain is BuildDomain with the frequency tables left in place. The
+// tables are integer passes over the graph's attribute columns — per column,
+// and per entity kind over the vertices of that kind — not a walk over every
+// attribute map.
 func buildDomain(g *graph.Graph, topK int) *Domain {
 	d := &Domain{
 		VertexValues:       make(map[string][]graph.Value),
@@ -409,61 +412,70 @@ func buildDomain(g *graph.Graph, topK int) *Domain {
 		vfreq:              make(freqTable),
 		typedFreq:          make(map[string]freqTable),
 		efreq:              make(freqTable),
-		tfreq:              make(map[string]int),
+		tfreq:              g.Summary().EdgeTypes,
 	}
+	vcols := g.VertexColumns()
 	// The edge half — its own tables and catalogs — is scanned beside the
 	// vertex half: the domain is on the critical path of a dataset load.
 	edges := make(chan struct{})
 	go func() {
 		defer close(edges)
-		for i := 0; i < g.NumEdges(); i++ {
-			if g.EdgeRemoved(graph.EdgeID(i)) {
-				continue
-			}
-			e := g.Edge(graph.EdgeID(i))
-			d.tfreq[e.Type]++
-			for k, v := range e.Attrs {
-				if d.efreq[k] == nil {
-					d.efreq[k] = make(map[graph.Value]int)
-				}
-				d.efreq[k][v]++
-			}
-		}
-		for k, fm := range d.efreq {
-			d.EdgeValues[k] = topValues(fm, topK)
-		}
 		d.EdgeTypes = rankTypes(d.tfreq)
+		rankColumns(g.EdgeColumns(), nil, topK, d.efreq, d.EdgeValues)
 	}()
-	for i := 0; i < g.NumVertices(); i++ {
-		attrs := g.Vertex(graph.VertexID(i)).Attrs
-		kind := kindOf(attrs)
-		for k, v := range attrs {
-			if d.vfreq[k] == nil {
-				d.vfreq[k] = make(map[graph.Value]int)
-			}
-			d.vfreq[k][v]++
-			if kind != "" {
-				if d.typedFreq[kind] == nil {
-					d.typedFreq[kind] = make(freqTable)
-				}
-				if d.typedFreq[kind][k] == nil {
-					d.typedFreq[kind][k] = make(map[graph.Value]int)
-				}
-				d.typedFreq[kind][k][v]++
+	rankColumns(vcols, nil, topK, d.vfreq, d.VertexValues)
+	// Entity kinds: the vertices grouped by the code of their "type" value.
+	if tc := vcols["type"]; tc != nil {
+		groups := make([][]int32, len(tc.Vals))
+		for id, c := range tc.Codes {
+			groups[c] = append(groups[c], int32(id))
+		}
+		for c := 1; c < len(groups); c++ {
+			if kind := tc.Vals[c]; kind.Kind == graph.KindString && kind.Str != "" && len(groups[c]) > 0 {
+				freq, ranks := make(freqTable), make(map[string][]graph.Value)
+				rankColumns(vcols, groups[c], topK, freq, ranks)
+				d.typedFreq[kind.Str], d.VertexValuesByType[kind.Str] = freq, ranks
 			}
 		}
-	}
-	for kind, byAttr := range d.typedFreq {
-		d.VertexValuesByType[kind] = make(map[string][]graph.Value, len(byAttr))
-		for k, fm := range byAttr {
-			d.VertexValuesByType[kind][k] = topValues(fm, topK)
-		}
-	}
-	for k, fm := range d.vfreq {
-		d.VertexValues[k] = topValues(fm, topK)
 	}
 	<-edges
 	return d
+}
+
+// rankColumns fills freq and ranks with the frequency table and the catalog of
+// every column, counted over the elements ids (nil: all of them). A column none
+// of them has a value in gets no entry.
+func rankColumns(cols map[string]*graph.Column, ids []int32, topK int, freq freqTable, ranks map[string][]graph.Value) {
+	var cnt []int      // per code, all zero between columns
+	var group []uint32 // the codes of ids
+	for k, col := range cols {
+		if len(cnt) < len(col.Vals) {
+			cnt = make([]int, len(col.Vals))
+		}
+		codes := col.Codes
+		if ids != nil {
+			group = group[:0]
+			for _, id := range ids {
+				group = append(group, col.Codes[id])
+			}
+			codes = group
+		}
+		for _, c := range codes {
+			cnt[c]++
+		}
+		// Emitted and reset along the elements, not along the dictionary: the
+		// cost follows the group, however many values other kinds hold.
+		fm := make(map[graph.Value]int)
+		for _, c := range codes {
+			if c != 0 && cnt[c] > 0 {
+				fm[col.Vals[c]] = cnt[c]
+			}
+			cnt[c] = 0
+		}
+		if len(fm) > 0 {
+			freq[k], ranks[k] = fm, topValues(fm, topK)
+		}
+	}
 }
 
 // cowTable updates one frequency table and the catalog ranked from it while
