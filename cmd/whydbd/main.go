@@ -51,7 +51,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/resilience"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
@@ -66,9 +65,7 @@ type options struct {
 	maxQueueWait                       time.Duration
 	degradeAt, shedAt                  float64
 	latencyBudget, enterHold, exitHold time.Duration
-	inject                             string
-	shards                             int
-	peers, snapDir                     string
+	inject, snapDir                    string
 }
 
 // defineFlags declares the daemon's whole flag surface on fs (TestFlagSurface
@@ -88,9 +85,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.latencyBudget, "latency-budget", 500*time.Millisecond, "latency EWMA mapping to pressure 1.0")
 	fs.DurationVar(&o.enterHold, "brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold above a threshold before stepping up")
 	fs.DurationVar(&o.exitHold, "brownout-exit-hold", 2*time.Second, "how long pressure must hold below a threshold before stepping down")
-	fs.StringVar(&o.inject, "inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms,rpc-error=0.1' (off by default)")
-	fs.IntVar(&o.shards, "shards", 0, "split each dataset's counting across N in-process shards (0 = unsharded)")
-	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs for HTTP scatter-gather counting (e.g. 'http://h1:8080,http://h2:8080'); mutually exclusive with -shards")
+	fs.StringVar(&o.inject, "inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms' (off by default)")
 	fs.StringVar(&o.snapDir, "snapshot", "", "load each dataset from <dir>/<name>.snap (whydb pack output) instead of generating it; -scale is ignored")
 	return o
 }
@@ -115,32 +110,6 @@ func main() {
 	}
 	if len(names) == 0 {
 		fmt.Fprintln(os.Stderr, "no datasets loaded")
-		os.Exit(2)
-	}
-	var peerURLs []string
-	if o.peers != "" {
-		if o.shards > 0 {
-			fmt.Fprintln(os.Stderr, "-shards and -peers are mutually exclusive")
-			os.Exit(2)
-		}
-		for _, u := range strings.Split(o.peers, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-				fmt.Fprintf(os.Stderr, "peer %q: want an http(s) base URL\n", u)
-				os.Exit(2)
-			}
-			peerURLs = append(peerURLs, strings.TrimSuffix(u, "/"))
-		}
-		if len(peerURLs) < 2 {
-			fmt.Fprintln(os.Stderr, "-peers wants at least two peer URLs")
-			os.Exit(2)
-		}
-	}
-	if o.shards < 0 {
-		fmt.Fprintln(os.Stderr, "-shards must be >= 0")
 		os.Exit(2)
 	}
 	cfg := server.Config{
@@ -219,9 +188,6 @@ func main() {
 			}
 			srv.SetDatasetSource(name, source)
 			logLoaded(name, eng, start)
-			if err := shardDataset(srv, name, eng, o.shards, peerURLs); err != nil {
-				log.Fatalf("sharding %s: %v", name, err)
-			}
 			if loading.done(name) {
 				debug.SetGCPercent(gcPercent)
 				srv.SetReady()
@@ -256,34 +222,6 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 	}
-}
-
-// shardDataset wires a dataset's counting into a scatter-gather group:
-// -shards N builds N in-process shards over the loaded matcher, -peers builds
-// one HTTP shard per peer daemon (each of which must serve the same dataset
-// at the same scale — the vertex-id space is partitioned by position in the
-// peer list).
-func shardDataset(srv *server.Server, name string, eng *core.Engine, shards int, peers []string) error {
-	switch {
-	case len(peers) > 0:
-		m := eng.Matcher()
-		members := make([]shard.Shard, len(peers))
-		for i, u := range peers {
-			members[i] = shard.NewClient(fmt.Sprintf("peer%d@%s", i, u), u, name, nil)
-		}
-		g, err := shard.New("http", members, shard.Partition(m.Graph().NumVertices(), len(peers)), shard.Config{})
-		if err != nil {
-			return err
-		}
-		return srv.AddShardGroup(name, g)
-	case shards > 0:
-		g, err := shard.NewLocalGroup(eng.Matcher(), shards, shard.Config{})
-		if err != nil {
-			return err
-		}
-		return srv.AddShardGroup(name, g)
-	}
-	return nil
 }
 
 // generate builds a dataset from internal/datagen at the given scale.

@@ -19,8 +19,8 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "brownout-enter-hold", "brownout-exit-hold", "datasets",
 		"degrade-at", "drain-delay", "inject", "latency-budget",
-		"max-queue-wait", "peers", "queue-cap", "scale", "shards", "shed-at",
-		"shutdown-grace", "snapshot", "workers",
+		"max-queue-wait", "queue-cap", "scale", "shed-at", "shutdown-grace",
+		"snapshot", "workers",
 	}
 	fs := flag.NewFlagSet("whydbd", flag.ContinueOnError)
 	defineFlags(fs)

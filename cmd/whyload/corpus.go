@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -28,15 +27,16 @@ var endpoints = map[string]string{
 // buildCorpus assembles the job list the workers cycle through for cfg.mix;
 // the second result counts requests that could not be marshaled.
 func buildCorpus(client *http.Client, cfg *config) ([]job, int, error) {
-	explains := cfg.mix != "match"
-	matches := cfg.mix == "match" || cfg.mix == "mixed" || cfg.mix == "chaos"
-	jobs, skipped, err := buildJobs(client, cfg.addr, explains, matches, cfg.allowPartial)
-	if err != nil {
-		return nil, 0, err
+	var infos []wire.DatasetInfo
+	if err := getData(client, cfg.addr+"/v1/datasets", &infos); err != nil {
+		return nil, 0, fmt.Errorf("discovering datasets: %w", err)
 	}
-	if len(jobs) == 0 {
+	if len(infos) == 0 {
 		return nil, 0, errors.New("the daemon serves no datasets")
 	}
+	explains := cfg.mix != "match"
+	matches := cfg.mix == "match" || cfg.mix == "mixed" || cfg.mix == "chaos"
+	jobs, skipped := buildJobs(infos, explains, matches)
 	switch cfg.mix {
 	case "stream":
 		for i := range jobs {
@@ -61,12 +61,9 @@ func buildCorpus(client *http.Client, cfg *config) ([]job, int, error) {
 		jobs = interleave(jobs, bjs[:min(len(bjs), len(jobs)/4+1)])
 	}
 	if cfg.mutateFrac > 0 {
-		mj, err := mutateJobs(client, cfg.addr, cfg.mutateFrac, len(jobs))
+		mj, err := mutateJobs(infos, cfg.mutateFrac, len(jobs))
 		if err != nil {
 			return nil, 0, err
-		}
-		if len(mj) == 0 {
-			fmt.Fprintln(os.Stderr, "whyload: -mutate-frac set but every dataset is sharded; no mutations sent")
 		}
 		jobs = interleave(jobs, mj)
 	}
@@ -77,11 +74,7 @@ func buildCorpus(client *http.Client, cfg *config) ([]job, int, error) {
 // per built-in query two explains and/or two matches. A request that fails
 // to marshal is counted and skipped, never fatal: one bad record must not
 // kill a load run.
-func buildJobs(client *http.Client, addr string, explains, matches, allowPartial bool) ([]job, int, error) {
-	var infos []wire.DatasetInfo
-	if err := getData(client, addr+"/v1/datasets", &infos); err != nil {
-		return nil, 0, fmt.Errorf("discovering datasets: %w", err)
-	}
+func buildJobs(infos []wire.DatasetInfo, explains, matches bool) ([]job, int) {
 	var jobs []job
 	skipped := 0
 	add := func(kind string, body any) {
@@ -98,24 +91,18 @@ func buildJobs(client *http.Client, addr string, explains, matches, allowPartial
 			if explains {
 				add("explain", wire.ExplainRequest{
 					Dataset: info.Name, Builtin: builtin, Failing: true, Lower: 1, Budget: explainBudget,
-					AllowPartial: allowPartial,
 				})
 				add("explain", wire.ExplainRequest{
 					Dataset: info.Name, Builtin: builtin, Lower: 1, Upper: 3, Budget: explainBudget,
-					AllowPartial: allowPartial,
 				})
 			}
 			if matches {
-				add("match", wire.MatchRequest{
-					Dataset: info.Name, Builtin: builtin, AllowPartial: allowPartial,
-				})
-				add("match", wire.MatchRequest{
-					Dataset: info.Name, Builtin: builtin, Mode: "find", Limit: 10, AllowPartial: allowPartial,
-				})
+				add("match", wire.MatchRequest{Dataset: info.Name, Builtin: builtin})
+				add("match", wire.MatchRequest{Dataset: info.Name, Builtin: builtin, Mode: "find", Limit: 10})
 			}
 		}
 	}
-	return jobs, skipped, nil
+	return jobs, skipped
 }
 
 // batchJobs wraps the corpus' explain bodies into /v1/explain/batch jobs.
@@ -162,25 +149,10 @@ func batchJobs(corpus []job, size int, dupFrac float64) []job {
 // batch-local references — so it always names live elements no matter how
 // many mutations ran before it, and its types match no built-in query, so
 // the read corpus' answers stay comparable while every write still publishes
-// a new epoch. Sharded datasets reject mutation, so they are skipped
-// (discovered from /v1/stats). The job count makes mutations ≈ frac of the
-// final corpus: n = frac·len(jobs)/(1−frac), at least one per dataset.
-func mutateJobs(client *http.Client, addr string, frac float64, corpus int) ([]job, error) {
-	stats := fetchStats(client, addr)
-	if stats == nil {
-		return nil, errors.New("discovering mutable datasets: /v1/stats unavailable")
-	}
-	var names []string
-	for name, ds := range stats.Datasets {
-		if ds.Sharding == nil {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sort.Strings(names)
-	n := max(int(math.Ceil(frac*float64(corpus)/(1-frac))), len(names))
+// a new epoch. The job count makes mutations ≈ frac of the final corpus:
+// n = frac·len(jobs)/(1−frac), at least one per dataset.
+func mutateJobs(infos []wire.DatasetInfo, frac float64, corpus int) ([]job, error) {
+	n := max(int(math.Ceil(frac*float64(corpus)/(1-frac))), len(infos))
 	vertex := func(tag string) wire.MutVertex {
 		return wire.MutVertex{Attrs: map[string]wire.Value{
 			"type": {Kind: "string", Str: "loadtest"},
@@ -190,7 +162,7 @@ func mutateJobs(client *http.Client, addr string, frac float64, corpus int) ([]j
 	jobs := make([]job, 0, n)
 	for i := 0; i < n; i++ {
 		body, err := json.Marshal(wire.MutateRequest{
-			Dataset:     names[i%len(names)],
+			Dataset:     infos[i%len(infos)].Name,
 			AddVertices: []wire.MutVertex{vertex("whyload-a"), vertex("whyload-b")},
 			AddEdges:    []wire.MutEdge{{From: -1, To: -2, Type: "loadtest"}},
 		})

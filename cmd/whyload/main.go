@@ -1,9 +1,9 @@
 // Command whyload drives a running whydbd and classifies every outcome: it
 // discovers the daemon's datasets and built-in queries, replays a request mix
 // at a target concurrency, and says what came back — served, retried, shed,
-// expired, injected, degraded, partial, or plain wrong. The CI e2e, chaos and
-// shard-chaos jobs assert on its summary. The latencies it prints describe
-// the run; speed baselines and verdicts live in bench/ (whybench).
+// expired, injected, degraded, or plain wrong. The CI e2e and chaos jobs
+// assert on its summary. The latencies it prints describe the run; speed
+// baselines and verdicts live in bench/ (whybench).
 //
 // Usage:
 //
@@ -27,16 +27,15 @@
 //
 // Outcomes are classified by the v1 envelope's error code, falling back to
 // the HTTP status for an answer without one (a proxy's bare 503). Overload
-// answers (shed, draining, shard_unavailable: 429/503) and dead connections
-// are retried maxRetries times with jittered exponential backoff, honoring
-// Retry-After; a request that exhausts them is counted under its own name,
-// not as an unexplained failure. A degraded explain must carry its quality
-// bound and, with -allow-partial, a partial answer its per-shard coverage map.
+// answers (shed, draining: 429/503) and dead connections are retried
+// maxRetries times with jittered exponential backoff, honoring Retry-After;
+// a request that exhausts them is counted under its own name, not as an
+// unexplained failure. A degraded explain must carry its quality bound.
 //
 // The summary (-out) ends with the daemon's post-run GET /v1/stats under
 // `stats`. whyload exits non-zero if any request failed hard (transport error,
-// malformed JSON, unexplained non-2xx, a failed batch item, a degraded or
-// partial answer missing its bound), so a CI run fails loudly.
+// malformed JSON, unexplained non-2xx, a failed batch item, a degraded
+// answer missing its bound), so a CI run fails loudly.
 package main
 
 import (
@@ -61,7 +60,6 @@ type config struct {
 	addr, mix, out                   string
 	concurrency, requests, batchSize int
 	duration                         time.Duration
-	allowPartial                     bool
 	mutateFrac, dupFrac              float64
 }
 
@@ -75,8 +73,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.requests, "requests", 0, "total requests to send (0 = run for -duration)")
 	fs.DurationVar(&c.duration, "duration", 10*time.Second, "run length when -requests is 0")
 	fs.StringVar(&c.out, "out", "", "write the JSON summary to this file")
-	fs.BoolVar(&c.allowPartial, "allow-partial", false, "set allowPartial on every request: a sharded daemon may answer from surviving shards")
-	fs.Float64Var(&c.mutateFrac, "mutate-frac", 0, "fraction of the corpus that is graph mutations (mixed/chaos only; sharded datasets are skipped)")
+	fs.Float64Var(&c.mutateFrac, "mutate-frac", 0, "fraction of the corpus that is graph mutations (mixed/chaos only)")
 	fs.IntVar(&c.batchSize, "batch-size", 8, "items per /v1/explain/batch request (batch and chaos mixes)")
 	fs.Float64Var(&c.dupFrac, "dup-frac", 0.5, "fraction of each batch's items duplicating its first item (cross-request coalescing pressure)")
 	return c

@@ -17,8 +17,8 @@ import (
 // defined.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "allow-partial", "batch-size", "concurrency", "dup-frac",
-		"duration", "mix", "mutate-frac", "out", "requests",
+		"addr", "batch-size", "concurrency", "dup-frac", "duration",
+		"mix", "mutate-frac", "out", "requests",
 	}
 	fs := flag.NewFlagSet("whyload", flag.ContinueOnError)
 	defineFlags(fs)
@@ -129,30 +129,5 @@ func TestNormalizeTransport(t *testing.T) {
 	}
 	if got := normalize(clsTransport, false); got != clsError {
 		t.Fatalf("smoke: %v, want clsError", got)
-	}
-}
-
-// TestParseReportPartial pins the partial-answer contract checks: partial
-// answers must carry a coverage map either top-level (match) or inside the
-// quality bound (explain); a partial answer without one is a violation.
-func TestParseReportPartial(t *testing.T) {
-	cases := []struct {
-		name            string
-		body            string
-		partial         bool
-		missingCoverage bool
-	}{
-		{"non-partial", `{"count": 3}`, false, false},
-		{"match partial with coverage", `{"count": 3, "partial": true, "coverage": {"s0": true, "s1": false}}`, true, false},
-		{"explain partial with coverage", `{"partial": true, "qualityBound": {"budget": 60, "coverage": {"s0": true, "s1": false}}}`, true, false},
-		{"partial missing coverage", `{"count": 3, "partial": true}`, true, true},
-		{"enveloped partial", `{"requestId": "r1", "data": {"partial": true, "coverage": {"s0": false}}}`, true, false},
-	}
-	for _, tc := range cases {
-		var res result
-		res.parseReport([]byte(tc.body))
-		if res.partial != tc.partial || res.missingCoverage != tc.missingCoverage {
-			t.Errorf("%s: partial=%v missingCoverage=%v, want %v/%v", tc.name, res.partial, res.missingCoverage, tc.partial, tc.missingCoverage)
-		}
 	}
 }

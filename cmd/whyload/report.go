@@ -69,18 +69,16 @@ type summary struct {
 	PerKind map[string]kindStats `json:"perKind"`
 
 	// Overload and fault accounting (see the class comments).
-	Retries                int `json:"retries"`
-	ShedExhausted          int `json:"shedExhausted"`
-	Injected               int `json:"injected"`
-	InjectedExhausted      int `json:"injectedExhausted"`
-	Expired                int `json:"expired"`
-	Transport              int `json:"transport"`
-	Degraded               int `json:"degraded"`
-	DegradedMissingBound   int `json:"degradedMissingBound"`
-	Partial                int `json:"partial"`
-	PartialMissingCoverage int `json:"partialMissingCoverage"`
-	Unexplained5xx         int `json:"unexplained5xx"`
-	CorpusSkipped          int `json:"corpusSkipped"`
+	Retries              int `json:"retries"`
+	ShedExhausted        int `json:"shedExhausted"`
+	Injected             int `json:"injected"`
+	InjectedExhausted    int `json:"injectedExhausted"`
+	Expired              int `json:"expired"`
+	Transport            int `json:"transport"`
+	Degraded             int `json:"degraded"`
+	DegradedMissingBound int `json:"degradedMissingBound"`
+	Unexplained5xx       int `json:"unexplained5xx"`
+	CorpusSkipped        int `json:"corpusSkipped"`
 
 	// Anytime latency of the stream mix: time from request start to the
 	// first improvement event (TTFE) and to the done event (converged).
@@ -99,7 +97,7 @@ type summary struct {
 	PerItemMs         *latStats `json:"perItemMs,omitempty"`
 
 	// Stats is the daemon's GET /v1/stats after the run — kernel counters,
-	// brownout transitions, speculation pool, shard health — unselected.
+	// brownout transitions, speculation pool — unselected.
 	Stats *wire.StatsResponse `json:"stats,omitempty"`
 }
 
@@ -151,8 +149,6 @@ func summarize(samples []sample, chaos bool, elapsed time.Duration) summary {
 		}
 		count(&sum.Degraded, s.degraded)
 		count(&sum.DegradedMissingBound, s.missingBound)
-		count(&sum.Partial, s.partial)
-		count(&sum.PartialMissingCoverage, s.missingCoverage)
 		count(&sum.Transport, s.class == clsTransport)
 		switch cls := normalize(s.class, chaos); cls {
 		case clsError:
@@ -197,7 +193,7 @@ func summarize(samples []sample, chaos bool, elapsed time.Duration) summary {
 
 // failed reports whether the run must exit non-zero.
 func (sum *summary) failed() bool {
-	return sum.Errors > 0 || sum.BatchItemErrors > 0 || sum.DegradedMissingBound > 0 || sum.PartialMissingCoverage > 0
+	return sum.Errors > 0 || sum.BatchItemErrors > 0 || sum.DegradedMissingBound > 0
 }
 
 // print writes the human-readable report: the run's own numbers only — the
@@ -226,9 +222,9 @@ func (sum *summary) print(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if sum.Retries+sum.Degraded+sum.Injected+sum.Expired+sum.Transport+sum.Partial+sum.ShedExhausted+sum.InjectedExhausted+sum.CorpusSkipped > 0 {
-		fmt.Fprintf(w, "  overload: %d retries, %d degraded (%d missing bound), %d partial (%d missing coverage), %d injected (%d exhausted), %d expired, %d shed-exhausted, %d transport, %d corpus-skipped\n",
-			sum.Retries, sum.Degraded, sum.DegradedMissingBound, sum.Partial, sum.PartialMissingCoverage, sum.Injected, sum.InjectedExhausted, sum.Expired, sum.ShedExhausted, sum.Transport, sum.CorpusSkipped)
+	if sum.Retries+sum.Degraded+sum.Injected+sum.Expired+sum.Transport+sum.ShedExhausted+sum.InjectedExhausted+sum.CorpusSkipped > 0 {
+		fmt.Fprintf(w, "  overload: %d retries, %d degraded (%d missing bound), %d injected (%d exhausted), %d expired, %d shed-exhausted, %d transport, %d corpus-skipped\n",
+			sum.Retries, sum.Degraded, sum.DegradedMissingBound, sum.Injected, sum.InjectedExhausted, sum.Expired, sum.ShedExhausted, sum.Transport, sum.CorpusSkipped)
 	}
 }
 

@@ -38,10 +38,9 @@ const (
 	// arrived, or arrived as a non-JSON half-answer) — a casualty of the
 	// drill, distinct from an unexplained 5xx the daemon actually composed.
 	clsTransport
-	// clsError is a hard failure: malformed JSON, unexplained non-2xx, a
-	// degraded explain without its bound, or a partial answer without its
-	// coverage map — and, outside a chaos run, any of the four classes
-	// before it (see normalize).
+	// clsError is a hard failure: malformed JSON, unexplained non-2xx, or a
+	// degraded explain without its bound — and, outside a chaos run, any of
+	// the four classes before it (see normalize).
 	clsError
 )
 
@@ -109,24 +108,22 @@ func run(client *http.Client, cfg *config, jobs []job) ([]sample, time.Duration)
 // produced no improvement / did not finish). items, itemErrors and
 // itemOverload are a batch answer's: items carried, items with a hard error
 // envelope, and items with a documented overload answer (shed, deadline,
-// injected, shard loss) — the latter tolerated in chaos runs, errors elsewhere.
+// injected) — the latter tolerated in chaos runs, errors elsewhere.
 type result struct {
-	status          int
-	code            wire.ErrorCode
-	transport       bool // connection-level failure; status kept when the line arrived
-	badJSON         bool
-	injected        bool
-	streamDead      bool // SSE error event or truncated stream: don't retry
-	degraded        bool
-	missingBound    bool
-	partial         bool
-	missingCoverage bool
-	retryAfter      time.Duration
-	ttfe            time.Duration
-	ttconverged     time.Duration
-	items           int
-	itemErrors      int
-	itemOverload    int
+	status       int
+	code         wire.ErrorCode
+	transport    bool // connection-level failure; status kept when the line arrived
+	badJSON      bool
+	injected     bool
+	streamDead   bool // SSE error event or truncated stream: don't retry
+	degraded     bool
+	missingBound bool
+	retryAfter   time.Duration
+	ttfe         time.Duration
+	ttconverged  time.Duration
+	items        int
+	itemErrors   int
+	itemOverload int
 }
 
 // retriable reports whether this attempt is a documented overload answer the
@@ -137,7 +134,7 @@ func (res result) retriable() bool {
 		return false
 	}
 	switch res.code {
-	case wire.CodeShed, wire.CodeDraining, wire.CodeShardUnavailable:
+	case wire.CodeShed, wire.CodeDraining:
 		return true
 	case wire.CodeInjected:
 		return res.status == http.StatusServiceUnavailable
@@ -168,10 +165,9 @@ func (res result) classify(exhausted bool) (c class, final bool) {
 	case res.transport:
 		return clsTransport, exhausted
 	case res.status >= 200 && res.status < 300 && !res.streamDead:
-		if res.missingBound || res.missingCoverage {
-			// A degraded explain without its quality bound, or a partial
-			// answer without its coverage map, is a contract violation,
-			// not an overload answer.
+		if res.missingBound {
+			// A degraded explain without its quality bound is a contract
+			// violation, not an overload answer.
 			return clsError, true
 		}
 		return clsOK, true
@@ -260,16 +256,14 @@ func (res *result) parseError(blob []byte) {
 	}
 }
 
-// parseReport checks a 2xx explain/match body for degradation and partial
-// markers, only ever raising them (parseBatch folds every item in). The body
-// may be enveloped ({data: {...}}) or bare (the stream's done event, a batch
-// item's data); a body without the fields decodes with them absent.
+// parseReport checks a 2xx explain/match body for the degradation marker,
+// only ever raising it (parseBatch folds every item in). The body may be
+// enveloped ({data: {...}}) or bare (the stream's done event, a batch item's
+// data); a body without the fields decodes with them absent.
 func (res *result) parseReport(blob []byte) {
 	var rep struct {
 		Degraded     bool               `json:"degraded"`
 		QualityBound *wire.QualityBound `json:"qualityBound"`
-		Partial      bool               `json:"partial"`
-		Coverage     map[string]bool    `json:"coverage"` // match answers carry it top-level
 	}
 	if decodeBody(blob, &rep) != nil {
 		return
@@ -278,17 +272,11 @@ func (res *result) parseReport(blob []byte) {
 		res.degraded = true
 		res.missingBound = res.missingBound || rep.QualityBound == nil
 	}
-	if rep.Partial {
-		res.partial = true
-		covered := len(rep.Coverage) > 0 ||
-			(rep.QualityBound != nil && len(rep.QualityBound.Coverage) > 0)
-		res.missingCoverage = res.missingCoverage || !covered
-	}
 }
 
 // parseBatch unpacks a 2xx /v1/explain/batch body: every item envelope is
 // classified independently — data items run the single-answer contract
-// checks (degraded bound, partial coverage), error items split into
+// check (degraded bound), error items split into
 // documented overload answers and hard failures.
 func (res *result) parseBatch(blob []byte) {
 	var batch wire.BatchExplainResponse
@@ -302,7 +290,7 @@ func (res *result) parseBatch(blob []byte) {
 		case item.Error != nil:
 			switch item.Error.Code {
 			case wire.CodeShed, wire.CodeDraining, wire.CodeDeadlineQueued,
-				wire.CodeDeadlineRunning, wire.CodeShardUnavailable, wire.CodeInjected:
+				wire.CodeDeadlineRunning, wire.CodeInjected:
 				res.itemOverload++
 			default:
 				res.itemErrors++

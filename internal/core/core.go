@@ -302,9 +302,9 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 	}
 	opts.fill()
 	st := e.states.Get()
-	// The request context rides on the matching context so the matcher's
-	// count delegate (sharded counting) sees per-request state; detach before
-	// the state returns to the pool.
+	// The request context rides on the matching context so a wait on another
+	// request's plan or count computation ends with this request; detach
+	// before the state returns to the pool.
 	st.ctx.SetRequest(ctx)
 	defer func() {
 		st.ctx.SetRequest(nil)

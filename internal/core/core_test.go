@@ -197,3 +197,25 @@ func TestRetiredEngineIsCollected(t *testing.T) {
 	}
 	runtime.KeepAlive(next)
 }
+
+// TestWideRangeExplainIsCheap pins the cost of a bounded range in the
+// syntactic distance: LDBC QUERY 3 with age ∈ [20; 20 020] debugged as
+// why-so-many. Every rewriting that narrows or widens that range is scored
+// against it, and comparing two 20 001-integer sets value by value took
+// about 23 s; computed from the integer bounds it takes milliseconds.
+func TestWideRangeExplainIsCheap(t *testing.T) {
+	e := smallEngine(t)
+	q := workload.LDBCQuery3()
+	q.Vertex(0).Preds["age"] = query.Between(20, 20+20000)
+	start := time.Now()
+	rep, err := e.Explain(q, Options{Expected: metrics.Interval{Lower: 1, Upper: 5}, Budget: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("explain took %v, want under 1s", took)
+	}
+	if rep.Problem != metrics.WhySoMany || len(rep.Rewritings) == 0 {
+		t.Fatalf("want a why-so-many answer with rewritings, got %v with %d", rep.Problem, len(rep.Rewritings))
+	}
+}

@@ -15,21 +15,9 @@
 //	starve   hold the admission slot extra time after finishing
 //	         (slot leak / slow release)
 //
-// plus three shard-RPC kinds drawn from a separate distribution (DecideRPC)
-// by the internal count endpoint, so a sharded topology's failure paths —
-// retry, hedge, breaker, partial answer — are just as reproducible:
-//
-//	rpc-latency    sleep before answering the shard RPC (slow shard;
-//	               triggers the coordinator's hedging)
-//	rpc-error      fail the RPC with an injected 500 (flaky shard;
-//	               triggers retry and, past retries, the breaker)
-//	rpc-blackhole  sleep, then kill the connection without a response
-//	               (dead shard / partition; the client sees EOF)
-//
-// The injector is wired at three layers: the server handlers consult Decide
-// at admission (latency, error, starve), the kernel's Control.Probe hook
-// consults it per search run (cancel), and the internal count handler
-// consults DecideRPC per shard call. It is enabled only by the explicit
+// The injector is wired at two layers: the server handlers consult Decide at
+// admission (latency, error, starve), and the kernel's Control.Probe hook
+// consults it per search run (cancel). It is enabled only by the explicit
 // whydbd -inject flag; a nil *Injector is inert and every call on it is safe.
 package faultinject
 
@@ -56,13 +44,6 @@ const (
 	// Starve holds the admission slot for Decision.Starve after the request
 	// finishes.
 	Starve
-	// RPCLatency sleeps Decision.Latency before answering a shard RPC.
-	RPCLatency
-	// RPCError fails a shard RPC with an injected error response.
-	RPCError
-	// RPCBlackhole sleeps Decision.Latency, then aborts the connection
-	// without writing a response.
-	RPCBlackhole
 )
 
 // String names the kind for logs and test failures.
@@ -76,12 +57,6 @@ func (k Kind) String() string {
 		return "cancel"
 	case Starve:
 		return "starve"
-	case RPCLatency:
-		return "rpc-latency"
-	case RPCError:
-		return "rpc-error"
-	case RPCBlackhole:
-		return "rpc-blackhole"
 	default:
 		return "none"
 	}
@@ -113,33 +88,17 @@ type Config struct {
 	CancelAfter int
 	// StarveDur is the slot-hold time for starve faults.
 	StarveDur time.Duration
-
-	// PRPCLatency, PRPCError, PRPCBlackhole are per-shard-RPC fault
-	// probabilities, drawn independently of the request faults above; their
-	// sum must be ≤ 1.
-	PRPCLatency, PRPCError, PRPCBlackhole float64
-	// RPCLatencyDur is the injected delay for rpc-latency faults.
-	RPCLatencyDur time.Duration
-	// RPCBlackholeDur is how long a blackholed RPC hangs before the
-	// connection is aborted.
-	RPCBlackholeDur time.Duration
 }
 
 // ParseSpec parses the whydbd -inject flag value, a comma-separated list:
 //
 //	seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms
-//	seed=7,rpc-latency=0.2:50ms,rpc-error=0.1,rpc-blackhole=0.05:100ms
 //
-// latency, starve, rpc-latency, and rpc-blackhole take
-// probability:duration, cancel takes probability:executions, error and
-// rpc-error take a bare probability. Omitted faults have probability zero.
-// The request faults and the shard-RPC faults are two independent
-// distributions; each group's probabilities must sum to ≤ 1.
+// latency and starve take probability:duration, cancel takes
+// probability:executions, error takes a bare probability. Omitted faults have
+// probability zero; the probabilities must sum to ≤ 1.
 func ParseSpec(spec string) (Config, error) {
-	cfg := Config{
-		Seed: 1, LatencyDur: 5 * time.Millisecond, CancelAfter: 4, StarveDur: 20 * time.Millisecond,
-		RPCLatencyDur: 50 * time.Millisecond, RPCBlackholeDur: 100 * time.Millisecond,
-	}
+	cfg := Config{Seed: 1, LatencyDur: 5 * time.Millisecond, CancelAfter: 4, StarveDur: 20 * time.Millisecond}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -159,7 +118,7 @@ func ParseSpec(spec string) (Config, error) {
 			}
 			cfg.Seed = n
 			continue
-		case "latency", "error", "cancel", "starve", "rpc-latency", "rpc-error", "rpc-blackhole":
+		case "latency", "error", "cancel", "starve":
 			if perr != nil || p < 0 || p > 1 {
 				return Config{}, fmt.Errorf("faultinject: bad probability in %q", part)
 			}
@@ -167,27 +126,6 @@ func ParseSpec(spec string) (Config, error) {
 			return Config{}, fmt.Errorf("faultinject: unknown fault %q", k)
 		}
 		switch k {
-		case "rpc-latency", "rpc-blackhole":
-			d := cfg.RPCLatencyDur
-			if k == "rpc-blackhole" {
-				d = cfg.RPCBlackholeDur
-			}
-			if hasArg {
-				var err error
-				if d, err = time.ParseDuration(arg); err != nil || d < 0 {
-					return Config{}, fmt.Errorf("faultinject: bad duration in %q", part)
-				}
-			}
-			if k == "rpc-latency" {
-				cfg.PRPCLatency, cfg.RPCLatencyDur = p, d
-			} else {
-				cfg.PRPCBlackhole, cfg.RPCBlackholeDur = p, d
-			}
-		case "rpc-error":
-			if hasArg {
-				return Config{}, fmt.Errorf("faultinject: rpc-error takes no argument in %q", part)
-			}
-			cfg.PRPCError = p
 		case "latency", "starve":
 			d := cfg.LatencyDur
 			if hasArg {
@@ -219,9 +157,6 @@ func ParseSpec(spec string) (Config, error) {
 	}
 	if sum := cfg.PLatency + cfg.PError + cfg.PCancel + cfg.PStarve; sum > 1 {
 		return Config{}, fmt.Errorf("faultinject: fault probabilities sum to %.2f > 1", sum)
-	}
-	if sum := cfg.PRPCLatency + cfg.PRPCError + cfg.PRPCBlackhole; sum > 1 {
-		return Config{}, fmt.Errorf("faultinject: rpc fault probabilities sum to %.2f > 1", sum)
 	}
 	return cfg, nil
 }
@@ -265,30 +200,6 @@ func (in *Injector) Decide(site string, seq uint64) Decision {
 		return Decision{Kind: Cancel, CancelAfter: c.CancelAfter}
 	case u < c.PLatency+c.PError+c.PCancel+c.PStarve:
 		return Decision{Kind: Starve, Starve: c.StarveDur}
-	default:
-		return Decision{}
-	}
-}
-
-// DecideRPC draws the shard-RPC fault decision for the seq-th call at a
-// named hook site (conventionally "rpc:<shard-name>"). Like Decide it is a
-// pure function of (seed, site, seq), but it draws from the independent
-// rpc-latency/rpc-error/rpc-blackhole distribution, so request faults and
-// shard faults can be injected in the same run without stealing each other's
-// probability mass.
-func (in *Injector) DecideRPC(site string, seq uint64) Decision {
-	if in == nil {
-		return Decision{}
-	}
-	u := uniform(in.cfg.Seed ^ siteHash(site) ^ (seq * 0x9e3779b97f4a7c15))
-	c := in.cfg
-	switch {
-	case u < c.PRPCLatency:
-		return Decision{Kind: RPCLatency, Latency: c.RPCLatencyDur}
-	case u < c.PRPCLatency+c.PRPCError:
-		return Decision{Kind: RPCError}
-	case u < c.PRPCLatency+c.PRPCError+c.PRPCBlackhole:
-		return Decision{Kind: RPCBlackhole, Latency: c.RPCBlackholeDur}
 	default:
 		return Decision{}
 	}

@@ -16,7 +16,6 @@ func TestParseSpec(t *testing.T) {
 		PError:  0.05,
 		PCancel: 0.03, CancelAfter: 4,
 		PStarve: 0.02, StarveDur: 20 * time.Millisecond,
-		RPCLatencyDur: 50 * time.Millisecond, RPCBlackholeDur: 100 * time.Millisecond,
 	}
 	if cfg != want {
 		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
@@ -39,6 +38,7 @@ func TestParseSpec(t *testing.T) {
 		"cancel=0.1:-1",        // negative execution count
 		"seed=abc",             // bad seed
 		"flood=0.5",            // unknown fault
+		"rpc-error=0.1",        // unknown fault: there is no RPC to fail
 		"error=0.6,cancel=0.6", // probabilities sum > 1
 	} {
 		if _, err := ParseSpec(bad); err == nil {
@@ -137,84 +137,5 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if cfg := in.Config(); cfg != (Config{}) {
 		t.Fatalf("nil injector config = %+v", cfg)
-	}
-}
-
-// TestParseSpecRPC parses the shard-RPC fault kinds and their independent
-// probability budget.
-func TestParseSpecRPC(t *testing.T) {
-	cfg, err := ParseSpec("seed=7,rpc-latency=0.2:40ms,rpc-error=0.1,rpc-blackhole=0.05:80ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{
-		Seed:        7,
-		LatencyDur:  5 * time.Millisecond,
-		CancelAfter: 4, StarveDur: 20 * time.Millisecond,
-		PRPCLatency: 0.2, RPCLatencyDur: 40 * time.Millisecond,
-		PRPCError:     0.1,
-		PRPCBlackhole: 0.05, RPCBlackholeDur: 80 * time.Millisecond,
-	}
-	if cfg != want {
-		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
-	}
-
-	// The two groups budget independently: each may approach 1 on its own.
-	if _, err := ParseSpec("error=0.9,rpc-error=0.9"); err != nil {
-		t.Fatalf("independent budgets rejected: %v", err)
-	}
-	for _, bad := range []string{
-		"rpc-error=0.1:5ms",             // rpc-error takes no argument
-		"rpc-latency=0.1:xx",            // bad duration
-		"rpc-latency=0.6,rpc-error=0.6", // rpc probabilities sum > 1
-		"rpc-blackhole=2",               // probability > 1
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
-		}
-	}
-}
-
-// TestDecideRPC proves the shard-RPC draw stream is deterministic, carries
-// the configured payloads, and is independent of the request-fault stream.
-func TestDecideRPC(t *testing.T) {
-	cfg, err := ParseSpec("seed=11,rpc-latency=0.2:40ms,rpc-error=0.1,rpc-blackhole=0.05:80ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := New(cfg), New(cfg)
-	counts := map[Kind]int{}
-	for seq := uint64(0); seq < 4096; seq++ {
-		da, db := a.DecideRPC("rpc:shard0", seq), b.DecideRPC("rpc:shard0", seq)
-		if da != db {
-			t.Fatalf("seq %d: %+v != %+v", seq, da, db)
-		}
-		counts[da.Kind]++
-		switch da.Kind {
-		case RPCLatency:
-			if da.Latency != 40*time.Millisecond {
-				t.Fatalf("rpc-latency payload = %v", da.Latency)
-			}
-		case RPCBlackhole:
-			if da.Latency != 80*time.Millisecond {
-				t.Fatalf("rpc-blackhole payload = %v", da.Latency)
-			}
-		}
-	}
-	for kind, p := range map[Kind]float64{RPCLatency: 0.2, RPCError: 0.1, RPCBlackhole: 0.05} {
-		got := float64(counts[kind]) / 4096
-		if got < p/2 || got > p*2 {
-			t.Errorf("kind %v rate = %.3f, want ≈ %.2f (counts %v)", kind, got, p, counts)
-		}
-	}
-
-	// Request faults draw zero here: the distributions are separate.
-	if d := a.Decide("explain", 3); d.Kind != None {
-		t.Fatalf("request fault drawn from rpc-only config: %+v", d)
-	}
-	// And a nil injector is inert for RPC draws too.
-	var nilIn *Injector
-	if d := nilIn.DecideRPC("rpc:shard0", 0); d.Kind != None {
-		t.Fatalf("nil injector decided %+v", d)
 	}
 }

@@ -26,9 +26,9 @@ type Ctx struct {
 	cntBuf []byte
 
 	// req is the serving request's context, carried on the execution context
-	// so a count delegate (internal/shard's scatter-gather eval) can recover
-	// per-request state — the shard session — from deep inside the search
-	// kernel's opaque eval closures. Nil outside a request.
+	// so that a follower waiting on another request's plan or count
+	// computation (cache.Do) stops waiting when its own request ends. Nil
+	// outside a request.
 	req context.Context
 
 	// per-run state
@@ -42,17 +42,12 @@ type Ctx struct {
 	// found is the row buffer behind Find/FindCtx/Plan.Find, which hand out
 	// result graphs and have no caller-owned Rows to fill.
 	found Rows
-
-	// root-range restriction (CountRange): when rootRange is set, the plan's
-	// first start op only binds data vertices in [rootLo, rootHi) — the
-	// vertex-range work partition of the sharded scatter-gather counting.
-	rootLo, rootHi int
-	rootRange      bool
 }
 
 // SetRequest attaches (or, with nil, detaches) the serving request's context.
-// The search layers set it when a run begins so the matcher's count delegate
-// can see per-request state; it never cancels or times the execution itself.
+// The search layers set it when a run begins so that waiting on a shared
+// plan or count computation ends with the request; it never cancels or times
+// the execution itself.
 func (c *Ctx) SetRequest(ctx context.Context) { c.req = ctx }
 
 // Request returns the attached request context, context.Background() when
@@ -103,26 +98,14 @@ func (c *Ctx) ensure(p *Plan) {
 // Count executes the plan and returns the number of embeddings C(Q). A
 // non-zero cap stops early once reached. Count performs no allocations on a
 // compiled plan.
-func (p *Plan) Count(c *Ctx, cap int) int { return p.count(c, cap, 0, 0, false) }
-
-// CountRange is Count restricted to embeddings whose binding of the plan's
-// root vertex — the first start op's slot — lies in [lo, hi). Because every
-// embedding binds the root exactly once, the counts of a partition of the
-// vertex-id space sum to the unrestricted count: this is the shard-local
-// evaluation of the scatter-gather counting (internal/shard). Enumeration
-// order within the range is identical to Count's, so capped range counts are
-// deterministic.
-func (p *Plan) CountRange(c *Ctx, cap, lo, hi int) int { return p.count(c, cap, lo, hi, true) }
-
-func (p *Plan) count(c *Ctx, cap, lo, hi int, ranged bool) int {
+func (p *Plan) Count(c *Ctx, cap int) int {
 	if p.nv == 0 {
 		return 0
 	}
 	c.ensure(p)
 	c.p, c.mode, c.cap, c.n = p, modeCount, cap, 0
-	c.rootLo, c.rootHi, c.rootRange = lo, hi, ranged
 	c.exec(0)
-	c.p, c.rootRange = nil, false
+	c.p = nil
 	return c.n
 }
 
@@ -160,13 +143,6 @@ func (c *Ctx) exec(i int) bool {
 	switch op.kind {
 	case opStart:
 		for _, dv := range p.cands[op.vslot] {
-			// The root-range restriction applies to the plan's first op only:
-			// ops[0] is always a start (planOps emits the densest component's
-			// start vertex first), and partitioning exactly one binding slot is
-			// what makes per-shard counts sum to the whole.
-			if i == 0 && c.rootRange && (int(dv) < c.rootLo || int(dv) >= c.rootHi) {
-				continue
-			}
 			w, b := int(dv)>>6, uint64(1)<<(uint(dv)&63)
 			if c.visV[w]&b != 0 {
 				continue

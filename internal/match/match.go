@@ -29,10 +29,14 @@
 // result graphs. The original map-based engine is retained as
 // ReferenceCount/ReferenceFind for differential testing; it reads the
 // attribute maps only, nothing the compiled engine resolves.
+//
+// Counting has one path. Every Count* entry point resolves (canonical key,
+// cap) against the executed-count cache and, on a miss, runs the cached plan's
+// Plan.Count over the whole graph; no caller can intercept a count or
+// restrict it to part of the graph.
 package match
 
 import (
-	"context"
 	"encoding/binary"
 	"sort"
 
@@ -99,25 +103,7 @@ type Matcher struct {
 	planCache  *cache.Cache[*Plan]
 	countCache *cache.Cache[int]
 	planOff    bool
-
-	// countDelegate, when set, intercepts every whole-graph count —
-	// internal/shard installs its scatter-gather eval here. The delegate runs
-	// before the aggregate count cache is consulted, so sharded requests never
-	// read or write whole-graph cache entries from partial results; a delegate
-	// that declines (ok=false) falls back to the local engine unchanged.
-	countDelegate CountDelegate
 }
-
-// CountDelegate intercepts counts. It receives the execution context (whose
-// Request() carries per-request state), the query, its canonical key if the
-// caller already held one, and the cap; returning ok=false falls back to the
-// local engine.
-type CountDelegate func(c *Ctx, q *query.Query, key string, cap int) (n int, ok bool)
-
-// SetCountDelegate installs (or, with nil, removes) the matcher's count
-// delegate. Set once at startup before serving; not synchronized against
-// in-flight counts.
-func (m *Matcher) SetCountDelegate(d CountDelegate) { m.countDelegate = d }
 
 // New returns a matcher over g. The graph's packed adjacency is frozen here
 // so concurrent matching never races on the lazy build.
@@ -207,14 +193,14 @@ func (m *Matcher) FindCtx(c *Ctx, q *query.Query, opts Options) []Result {
 func (m *Matcher) Count(q *query.Query, cap int) int {
 	c := m.getCtx()
 	defer m.putCtx(c)
-	return m.count(c, q, "", cap, 0, 0, false)
+	return m.count(c, q, "", cap)
 }
 
 // CountCtx is Count against a caller-owned execution context — the hot path
 // of the relaxation (relax), MCS (mcs), and modification-tree (modtree)
 // searches, which issue thousands of counts and reuse one context each.
 func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
-	return m.count(c, q, "", cap, 0, 0, false)
+	return m.count(c, q, "", cap)
 }
 
 // CountKeyed is CountCtx for callers that already hold q's binary canonical
@@ -222,32 +208,7 @@ func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
 // on exactly that key, so passing it through skips re-deriving it. An empty
 // key means "derive it here".
 func (m *Matcher) CountKeyed(c *Ctx, q *query.Query, key string, cap int) int {
-	return m.count(c, q, key, cap, 0, 0, false)
-}
-
-// CountUnder is Count with the serving request's context attached to the
-// pooled execution context for the duration of the call, so the count routes
-// through the matcher's delegate with per-request state (the shard session)
-// visible. It is the entry point for one-shot server handlers that have no
-// long-lived Ctx of their own.
-func (m *Matcher) CountUnder(ctx context.Context, q *query.Query, cap int) int {
-	c := m.getCtx()
-	c.SetRequest(ctx)
-	defer func() {
-		c.SetRequest(nil)
-		m.putCtx(c)
-	}()
-	return m.count(c, q, "", cap, 0, 0, false)
-}
-
-// CountRange counts embeddings whose root-vertex binding lies in [lo, hi) —
-// the shard-local slice of the scatter-gather count, which is what a shard
-// evaluates for its vertex-range partition. key is q's binary canonical key
-// when the caller already holds one ("" = derive here).
-func (m *Matcher) CountRange(q *query.Query, key string, cap, lo, hi int) int {
-	c := m.getCtx()
-	defer m.putCtx(c)
-	return m.count(c, q, key, cap, lo, hi, true)
+	return m.count(c, q, key, cap)
 }
 
 // count is the one count path behind the Count* wrappers. The (key, cap)
@@ -255,44 +216,23 @@ func (m *Matcher) CountRange(q *query.Query, key string, cap, lo, hi int) int {
 // compiles (plan cache) and executes, and concurrent misses on one pair
 // share one execution (cache.Do). A repeat query — almost all of them across
 // a rewriting search — performs zero compilations and zero allocations.
-//
-// A ranged count binds the plan's root vertex inside [lo, hi) only. It never
-// consults the delegate (a shard answering an RPC must always count locally)
-// and is cached under a distinct key shape: a leading 0x00 tag byte —
-// canonical query keys always start with a 'v' or 'e' record tag, never 0x00
-// — followed by the query key and fixed-width big-endian cap/lo/hi, so range
-// entries can never collide with whole-graph (key, cap) entries or with each
-// other.
-func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap, lo, hi int, ranged bool) int {
-	if q.NumVertices() == 0 || ranged && lo >= hi {
+func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
+	if q.NumVertices() == 0 {
 		return 0
-	}
-	if d := m.countDelegate; d != nil && !ranged {
-		if n, ok := d(c, q, key, cap); ok {
-			return n
-		}
 	}
 	if m.planOff {
 		p := m.getPlan(q)
 		defer m.plans.Put(p)
-		return p.count(c, cap, lo, hi, ranged)
+		return p.Count(c, cap)
 	}
 	c.loadKey(q, key)
-	if ranged {
-		c.cntBuf = append(c.cntBuf[:0], 0x00)
-		c.cntBuf = append(c.cntBuf, c.keyBuf...)
-		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(cap))
-		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(lo))
-		c.cntBuf = binary.BigEndian.AppendUint64(c.cntBuf, uint64(hi))
-	} else {
-		c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
-		c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
-	}
+	c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
+	c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
 	if n, ok := m.countCache.Get(c.cntBuf); ok {
 		return n
 	}
 	return m.countCache.Do(c.cntBuf, c.Request().Done(), func() (int, int) {
-		return m.cachedPlan(c, q).count(c, cap, lo, hi, ranged), 0
+		return m.cachedPlan(c, q).Count(c, cap), 0
 	})
 }
 

@@ -211,36 +211,57 @@ func (p Predicate) integerBounds() (lo, hi float64) {
 	return lo, hi
 }
 
-// EnumerableValues returns the concrete values of the predicate: the
-// disjunction itself, or the integers inside a bounded range. ok is false
-// for unbounded ranges.
-func (p Predicate) EnumerableValues() (vals []graph.Value, ok bool) {
-	switch p.Kind {
-	case Range:
-		lo, hi := p.integerBounds()
-		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || hi-lo > 1e6 {
-			return nil, false
-		}
-		for x := lo; x <= hi; x++ {
-			vals = append(vals, graph.N(x))
-		}
-		return vals, true
-	default:
-		return p.Vals, true
+// maxSetWidth is the widest bounded range (hi − lo of its integer bounds)
+// Distance compares as a set of integers; a wider or unbounded one is
+// compared by interval measure.
+const maxSetWidth = 1e6
+
+// integerSet returns the integers a Range admits as the bounds lo..hi and
+// their number n; ok is false when the range is unbounded or wider than
+// maxSetWidth.
+func (p Predicate) integerSet() (lo, hi float64, n int, ok bool) {
+	lo, hi = p.integerBounds()
+	if math.IsInf(lo, 0) || math.IsInf(hi, 0) || hi-lo > maxSetWidth {
+		return 0, 0, 0, false
 	}
+	if lo <= hi {
+		n = int(hi-lo) + 1
+	}
+	return lo, hi, n, true
 }
 
 // Distance computes the modified-Hausdorff set distance (Eq. 3.10 with the
 // Boolean point-point distance of Eq. 3.8/3.9) between two predicate
-// intervals, treating each as the set of values it admits. For ranges that
-// cannot be enumerated, the distance falls back to one minus the Jaccard
-// measure of interval overlap, which preserves the MHD identity and range
-// properties.
+// intervals, treating each as the set of values it admits: a disjunction's
+// values, or the integers inside a bounded range. A range enters by its
+// integer bounds alone, so a comparison involving one costs O(1) against a
+// range and one pass (plus the duplicate check of an in-range value) against
+// a disjunction, whatever its width. For ranges that cannot be compared as
+// sets, the distance falls back to one minus the Jaccard measure of interval
+// overlap, which preserves the MHD identity and range properties.
 func (p Predicate) Distance(o Predicate) float64 {
-	pv, pok := p.EnumerableValues()
-	ov, ook := o.EnumerableValues()
-	if pok && ook {
-		return setMHD(pv, ov, func(a, b graph.Value) bool { return a == b })
+	switch pr, or := p.Kind == Range, o.Kind == Range; {
+	case !pr && !or:
+		return mhdMissing(missing(p.Vals, o.Vals), len(p.Vals), missing(o.Vals, p.Vals), len(o.Vals))
+	case pr && or:
+		plo, phi, pn, pok := p.integerSet()
+		olo, ohi, on, ook := o.integerSet()
+		if pok && ook {
+			both := 0
+			if lo, hi := max(plo, olo), min(phi, ohi); lo <= hi {
+				both = int(hi-lo) + 1
+			}
+			return mhdMissing(pn-both, pn, on-both, on)
+		}
+	default:
+		r, d := p, o
+		if or {
+			r, d = o, p
+		}
+		if lo, hi, n, ok := r.integerSet(); ok {
+			hit, outside := rangeHits(d.Vals, lo, hi)
+			return mhdMissing(n-hit, n, outside, len(d.Vals))
+		}
 	}
 	if p.Equal(o) {
 		return 0
@@ -265,31 +286,44 @@ func (p Predicate) Distance(o Predicate) float64 {
 	return 1
 }
 
-// setMHD is MHD(A,B) = max( mean_{a∈A} [a ∉ B], mean_{b∈B} [b ∉ A] ).
-func setMHD(a, b []graph.Value, eq func(x, y graph.Value) bool) float64 {
-	if len(a) == 0 && len(b) == 0 {
+// mhdMissing is MHD(A,B) = max(missA/lenA, missB/lenB), where missA of A's
+// lenA members are absent from B and missB of B's lenB members from A. Two
+// empty sets are at distance 0, an empty and a non-empty one at 1.
+func mhdMissing(missA, lenA, missB, lenB int) float64 {
+	if lenA == 0 && lenB == 0 {
 		return 0
 	}
-	if len(a) == 0 || len(b) == 0 {
+	if lenA == 0 || lenB == 0 {
 		return 1
 	}
-	miss := func(xs, ys []graph.Value) float64 {
-		var m int
-		for _, x := range xs {
-			found := false
-			for _, y := range ys {
-				if eq(x, y) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				m++
-			}
+	return math.Max(float64(missA)/float64(lenA), float64(missB)/float64(lenB))
+}
+
+// missing counts the members of xs (a repeated one each time) absent from ys.
+func missing(xs, ys []graph.Value) int {
+	m := 0
+	for _, x := range xs {
+		if !slices.Contains(ys, x) {
+			m++
 		}
-		return float64(m) / float64(len(xs))
 	}
-	return math.Max(miss(a, b), miss(b, a))
+	return m
+}
+
+// rangeHits splits a disjunction against the integers lo..hi: hit is how
+// many distinct integers of the range it names, outside how many of its
+// values (a repeated one each time) lie outside the range. A value names an
+// integer only as the plain number graph.N of it.
+func rangeHits(vals []graph.Value, lo, hi float64) (hit, outside int) {
+	for i, v := range vals {
+		x := v.Num
+		if v != graph.N(x) || !(x >= lo && x <= hi) || x != math.Trunc(x) {
+			outside++
+		} else if !slices.Contains(vals[:i], v) {
+			hit++
+		}
+	}
+	return hit, outside
 }
 
 // String renders the predicate in query-text form.

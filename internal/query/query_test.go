@@ -64,12 +64,11 @@ func TestPredicateSizeAndEnumeration(t *testing.T) {
 	if p.Size() != 2 {
 		t.Fatalf("Size((1;4)) = %d, want 2", p.Size())
 	}
-	vals, ok := p.EnumerableValues()
-	if !ok || len(vals) != 2 || vals[0] != graph.N(2) || vals[1] != graph.N(3) {
-		t.Fatalf("EnumerableValues((1;4)) = %v ok=%v", vals, ok)
+	if d := p.Distance(In(graph.N(2), graph.N(3))); d != 0 {
+		t.Fatalf("Distance((1;4), {2, 3}) = %v, want 0", d)
 	}
-	if _, ok := AtLeast(0).EnumerableValues(); ok {
-		t.Fatal("unbounded range must not enumerate")
+	if d := AtLeast(0).Distance(In(graph.N(0))); d != 1 {
+		t.Fatalf("an unbounded range is no set of integers: Distance = %v, want 1", d)
 	}
 	if AtLeast(0).Size() != math.MaxInt32 {
 		t.Fatal("unbounded Size sentinel wrong")

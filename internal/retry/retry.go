@@ -1,8 +1,5 @@
-// Package retry is the shared jittered-exponential-backoff policy of the
-// why-query fleet. It was extracted from cmd/whyload's retry loop so the two
-// places that back off against an overloaded peer — the load generator
-// retrying 429/503 answers and the shard client retrying a flaky shard RPC —
-// compute the same waits from the same knobs.
+// Package retry is the jittered-exponential-backoff policy the load generator
+// (cmd/whyload) uses when it retries the daemon's 429/503 overload answers.
 //
 // The policy is AWS-style "full jitter on the top half": attempt n waits
 //

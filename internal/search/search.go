@@ -228,9 +228,8 @@ func (e *Executor) Begin(ctrl Control) {
 		}
 	}
 	// Attach the run's request context to every execution context (the
-	// sequential one and each pool worker's) so a matcher count delegate —
-	// internal/shard's scatter-gather eval — sees per-request state from
-	// inside the opaque eval closures. End detaches.
+	// sequential one and each pool worker's) so a wait on another request's
+	// plan or count computation ends with this run's request. End detaches.
 	e.mctx.SetRequest(ctrl.Ctx)
 	if e.parallel {
 		for _, c := range e.pool.States() {

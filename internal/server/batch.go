@@ -51,12 +51,12 @@ func groupKey(p *explainPrep) string {
 		}
 	}
 	key := p.q.AppendKey(nil)
-	return fmt.Sprintf("%s\x00%p\x00%d\x00%d\x00%d\x00%d\x00%c\x00%t\x00%d\x00%d\x00%d\x00%t\x00%s",
+	return fmt.Sprintf("%s\x00%p\x00%d\x00%d\x00%d\x00%d\x00%c\x00%t\x00%d\x00%d\x00%d\x00%s",
 		p.ds.name, p.eng,
 		p.opts.Expected.Lower, p.opts.Expected.Upper,
 		p.opts.MaxRewritings, p.opts.Budget, fg, p.opts.AllowTopology,
 		p.opts.ResultSample, p.opts.Workers,
-		p.req.TimeoutMs, p.req.AllowPartial, key)
+		p.req.TimeoutMs, key)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

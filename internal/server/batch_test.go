@@ -4,8 +4,8 @@ package server
 // cold-burst stampede test for cross-request count coalescing. The batch
 // contract under test: Items[i] of the response carries byte-for-byte the
 // data (or structured error) that request i would have received from a
-// separate /v1/explain call, whatever mixture of valid, invalid, degraded,
-// and partial items the batch carries.
+// separate /v1/explain call, whatever mixture of valid, invalid and degraded
+// items the batch carries.
 
 import (
 	"encoding/json"
@@ -165,34 +165,6 @@ func TestBatchDegradedUnderBrownout(t *testing.T) {
 	}
 }
 
-// TestBatchPartialDeadShard runs a batch against a coordinator with a dead
-// peer: the allowPartial item answers partial with a coverage map, the
-// strict item carries the shard_unavailable error envelope — independently,
-// in one batch.
-func TestBatchPartialDeadShard(t *testing.T) {
-	coord, _ := deadShardPair(t)
-	h := coord.Handler()
-	items := []wire.ExplainRequest{
-		{Dataset: "ldbc", Builtin: "LDBC QUERY 1", Failing: true, Lower: 1, Budget: 40, AllowPartial: true},
-		{Dataset: "ldbc", Builtin: "LDBC QUERY 1", Failing: true, Lower: 1, Budget: 40},
-	}
-	got := batchItems(t, h, items)
-	if got[0].Error != nil {
-		t.Fatalf("allowPartial item failed: %+v", got[0].Error)
-	}
-	var rep wire.Report
-	mustUnmarshal(t, got[0].Data, &rep)
-	if !rep.Partial || rep.QualityBound == nil || !rep.QualityBound.Coverage["s0"] || rep.QualityBound.Coverage["s1"] {
-		t.Fatalf("allowPartial item not stamped partial with coverage: %s", got[0].Data)
-	}
-	if got[1].Error == nil || got[1].Error.Code != wire.CodeShardUnavailable {
-		t.Fatalf("strict item: got %+v, want shard_unavailable", got[1].Error)
-	}
-	if !got[1].Error.Retryable || got[1].Error.RetryAfterMs <= 0 {
-		t.Fatalf("shard_unavailable item must advertise a retry: %+v", got[1].Error)
-	}
-}
-
 func mustUnmarshal(t *testing.T, blob []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(blob, v); err != nil {
@@ -200,14 +172,16 @@ func mustUnmarshal(t *testing.T, blob []byte, v any) {
 	}
 }
 
-// coldBurstServer builds a server over its own freshly generated engine, so
-// every matcher cache starts cold.
-func coldBurstServer() *Server {
+// smallLDBCServer serves "ldbc" alone, from its own freshly generated small
+// engine with the given worker count, so every matcher cache starts cold. The
+// brownout controller is pinned Healthy: a slow machine must not trip
+// latency-based shedding or degradation mid-test.
+func smallLDBCServer(workers int) *Server {
 	eng := core.NewEngine(datagen.LDBC(datagen.DefaultLDBC().Scaled(0.2)))
-	eng.SetWorkers(4)
+	eng.SetWorkers(workers)
 	s := New(Config{})
 	s.Resilience().ForceState(resilience.Healthy)
-	addLDBC(s, eng)
+	s.AddDataset("ldbc", eng, workload.LDBCQueries(), workload.FailingVariant)
 	return s
 }
 
@@ -221,7 +195,7 @@ func TestColdBurstCoalesces(t *testing.T) {
 
 	// Sequential baseline on a fresh engine: its miss totals are "one miss
 	// per distinct key" by construction.
-	seq := coldBurstServer()
+	seq := smallLDBCServer(4)
 	sh := seq.Handler()
 	var want []byte
 	for i := 0; i < 16; i++ {
@@ -235,7 +209,7 @@ func TestColdBurstCoalesces(t *testing.T) {
 	seqStats := decodeData[wire.StatsResponse](t, do(t, sh, "GET", "/v1/stats", nil)).Datasets["ldbc"]
 
 	// The burst: 16 goroutines released together against a cold engine.
-	burst := coldBurstServer()
+	burst := smallLDBCServer(4)
 	bh := burst.Handler()
 	start := make(chan struct{})
 	blobs := make([][]byte, 16)

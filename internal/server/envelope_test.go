@@ -34,6 +34,8 @@ func TestEnvelopeOnEveryEndpoint(t *testing.T) {
 		{name: "explain malformed", method: "POST", path: "/v1/explain", body: []byte(`{"dataset":`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
 		{name: "match malformed", method: "POST", path: "/v1/match", body: []byte(`{"dataset":`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
 		{name: "stream malformed", method: "POST", path: "/v1/explain/stream", body: []byte(`{"dataset":`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
+		// The decoder is strict: a field no request type has is malformed.
+		{name: "explain allowPartial", method: "POST", path: "/v1/explain", body: []byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1,"allowPartial":true}`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
 
 		{name: "explain unknown dataset", method: "POST", path: "/v1/explain", body: wire.ExplainRequest{Dataset: "imdb", Builtin: "Q"}, want: http.StatusNotFound, wantCode: wire.CodeInvalidSpec},
 		{name: "match unknown builtin", method: "POST", path: "/v1/match", body: wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 9"}, want: http.StatusNotFound, wantCode: wire.CodeInvalidSpec},
@@ -71,6 +73,9 @@ func TestEnvelopeOnEveryEndpoint(t *testing.T) {
 				t.Fatalf("unexpected retryable error: %s", rec.Body)
 			}
 		})
+	}
+	if rec := do(t, newTestServer(t, Config{}).Handler(), "POST", "/v1/internal/count", []byte(`{}`)); rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /v1/internal/count answered %d, want 404: the daemon serves no count RPC", rec.Code)
 	}
 }
 

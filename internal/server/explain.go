@@ -8,7 +8,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"repro/internal/core"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -113,8 +111,8 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 }
 
 // runExplain serves one validated explain: request context, admission,
-// shard session, brownout clamp, injected mid-search cancel, the search,
-// failure classification, and degraded/partial stamping. It returns the
+// brownout clamp, injected mid-search cancel, the search, failure
+// classification, and degraded stamping. It returns the
 // marshaled report (the bytes every transport carries as `data`) beside the
 // report itself, or the failure — already counted, whoever renders it.
 //
@@ -134,14 +132,6 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 	defer release()
 	if admitted != nil {
 		admitted()
-	}
-	var sess *shard.Session
-	if ds.shards != nil {
-		// Sharded dataset: the session carries allowPartial and per-request
-		// dead-shard state into the count delegate; a hard shard failure
-		// cancels the request context so the search stops promptly.
-		sess = shard.NewSession(prep.req.AllowPartial, cancel)
-		ctx = shard.WithSession(ctx, sess)
 	}
 	degraded := state == resilience.Degraded
 	var qbBudget, qbEps int
@@ -177,13 +167,6 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 	}
 	rep, err := prep.eng.ExplainCtx(ctx, prep.q, opts)
 	if err != nil {
-		// A shard failure cancels the request context, so check the session
-		// first: the caller should see shard_unavailable, not a timeout.
-		if sess != nil {
-			if serr := sess.Err(); serr != nil && errors.Is(serr, shard.ErrUnavailable) {
-				return nil, nil, s.newError(http.StatusServiceUnavailable, wire.CodeShardUnavailable, "%v", serr)
-			}
-		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			if inject.Kind == faultinject.Cancel && r.Context().Err() == nil && s.drainCtx.Err() == nil {
 				return nil, nil, s.newInjectedError(http.StatusServiceUnavailable, "injected fault: mid-search cancellation")
@@ -197,14 +180,6 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 		s.degradedServed.Add(1)
 		resp.Degraded = true
 		resp.QualityBound = qualityBound(rep, qbBudget, qbEps)
-	}
-	if sess != nil && sess.Partial() {
-		ds.shards.NotePartialServed()
-		resp.Partial = true
-		if resp.QualityBound == nil {
-			resp.QualityBound = qualityBound(rep, opts.Budget, 0)
-		}
-		resp.QualityBound.Coverage = sess.Coverage(ds.shards.Names())
 	}
 	payload, err := json.Marshal(&resp)
 	if err != nil {

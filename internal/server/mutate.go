@@ -20,8 +20,6 @@ package server
 // before publication, and the discarded fork leaves the serving graph
 // untouched. What needs no graph — shapes, bounds, attribute values — is
 // checked before the request takes an admission slot or the write lock.
-// Sharded datasets reject mutation — replicas would not see the write and the
-// vertex-range partition bounds would shift under the group.
 
 import (
 	"net/http"
@@ -60,10 +58,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	ds, ok := s.lookup(req.Dataset)
 	if !ok {
 		s.fail(w, r, http.StatusNotFound, wire.CodeInvalidSpec, "unknown dataset %q (see /v1/datasets)", req.Dataset)
-		return
-	}
-	if ds.shards != nil {
-		s.fail(w, r, http.StatusBadRequest, wire.CodeInvalidSpec, "dataset %q is sharded; mutation on a sharded deployment is not supported", req.Dataset)
 		return
 	}
 	total := len(req.AddVertices) + len(req.AddEdges) + len(req.RemoveVertices) + len(req.RemoveEdges)

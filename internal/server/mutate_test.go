@@ -1,8 +1,8 @@
 package server
 
 // Tests for POST /v1/graph/mutate: epoch bumps, cache invalidation and
-// carry-over across the engine swap, all-or-nothing validation, the sharded-dataset refusal,
-// and a -race hammer proving in-flight reads pinned to an old epoch finish
+// carry-over across the engine swap, all-or-nothing validation, and a -race
+// hammer proving in-flight reads pinned to an old epoch finish
 // on the old engine while writers publish new ones.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -171,11 +170,21 @@ func TestMutateCarriesUntouchedCounts(t *testing.T) {
 	}
 }
 
+// servedEngine returns the engine s currently serves "ldbc" from.
+func servedEngine(t *testing.T, s *Server) *core.Engine {
+	t.Helper()
+	ds, ok := s.lookup("ldbc")
+	if !ok {
+		t.Fatal("server lost its ldbc dataset")
+	}
+	return ds.engine()
+}
+
 func TestMutateValidation(t *testing.T) {
 	s := newTestServer(t, Config{MaxMutationBatch: 3})
 	h := s.Handler()
 	v := wire.MutVertex{Attrs: map[string]wire.Value{"type": mutTestValue("x")}}
-	eng := refEngine(t, s)
+	eng := servedEngine(t, s)
 	nv := eng.Graph().NumVertices()
 	bad := map[string]wire.Value{"type": {Kind: "colour", Str: "x"}}
 
@@ -209,7 +218,7 @@ func TestMutateValidation(t *testing.T) {
 	if st := ldbcStats(t, h); st.Epoch != 1 || st.Mutations != 0 {
 		t.Fatalf("failed batches moved the epoch: %+v", st)
 	}
-	if refEngine(t, s) != eng {
+	if servedEngine(t, s) != eng {
 		t.Fatal("a failed batch replaced the engine")
 	}
 }
@@ -266,7 +275,7 @@ func TestMutateRejectsMalformedAttrsBeforeLocking(t *testing.T) {
 func TestDatasetsReportLiveCounts(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	g := refEngine(t, s).Graph()
+	g := servedEngine(t, s).Graph()
 	rec := do(t, h, "POST", "/v1/graph/mutate", wire.MutateRequest{Dataset: "ldbc", RemoveVertices: []int{0}})
 	if rec.Code != 200 {
 		t.Fatalf("mutate got %d: %s", rec.Code, rec.Body)
@@ -282,27 +291,6 @@ func TestDatasetsReportLiveCounts(t *testing.T) {
 		if info.Vertices != mr.Vertices || info.Edges != mr.Edges || info.Vertices != g.NumVertices()-1 {
 			t.Fatalf("datasets lists %d vertices / %d edges, the write left %d / %d live", info.Vertices, info.Edges, mr.Vertices, mr.Edges)
 		}
-	}
-}
-
-func TestMutateShardedRejected(t *testing.T) {
-	s := newTestServer(t, Config{})
-	g, err := shard.NewLocalGroup(refEngine(t, s).Matcher(), 2, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddShardGroup("ldbc", g); err != nil {
-		t.Fatal(err)
-	}
-	rec := do(t, s.Handler(), "POST", "/v1/graph/mutate", wire.MutateRequest{
-		Dataset:     "ldbc",
-		AddVertices: []wire.MutVertex{{}},
-	})
-	if rec.Code != 400 {
-		t.Fatalf("got %d: %s", rec.Code, rec.Body)
-	}
-	if e := decodeError(t, rec); e.Code != wire.CodeInvalidSpec {
-		t.Fatalf("code %q", e.Code)
 	}
 }
 

@@ -49,15 +49,6 @@ func TestErrorParityAcrossTransports(t *testing.T) {
 			status: http.StatusServiceUnavailable, code: wire.CodeInjected,
 		},
 		{
-			name: "shard_unavailable",
-			server: func(t *testing.T) *Server {
-				coord, _ := deadShardPair(t)
-				return coord
-			},
-			req:    wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 1", Failing: true, Lower: 1, Budget: 40},
-			status: http.StatusServiceUnavailable, code: wire.CodeShardUnavailable,
-		},
-		{
 			// Reachable only through a builtin: wire queries are validated at
 			// decode, so the engine's own rejection needs a registered query
 			// with a dangling edge.

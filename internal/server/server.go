@@ -19,6 +19,10 @@
 //	GET  /healthz      liveness
 //	GET  /readyz       readiness: 503 while datasets load and during drain
 //
+// One process serves each dataset whole: every count an answer needs runs on
+// the dataset's own engine, and the daemon neither calls nor answers another
+// daemon.
+//
 // Concurrency and overload model: who may run, at what quality, and how much
 // speculation fits is decided in internal/resilience. Each dataset owns a
 // resilience.Gate sized off its engine's worker count, so a burst queues
@@ -55,7 +59,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/search"
-	"repro/internal/shard"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -168,11 +171,6 @@ type dataset struct {
 	// gate admits requests to the engine: as many execute at once as the
 	// engine has workers, excess requests wait in its bounded queue.
 	gate *resilience.Gate
-
-	// shards, when non-nil, is the dataset's scatter-gather counting group
-	// (whydbd -shards / -peers): requests carry a shard.Session and every
-	// CountKeyed-routed count fans out through it.
-	shards *shard.Group
 }
 
 // engine returns the dataset's current engine. Handlers call it once per
@@ -218,8 +216,7 @@ type Server struct {
 	panics         atomic.Int64
 	injected       atomic.Int64
 
-	reqSeq   atomic.Uint64 // request ids
-	countSeq atomic.Uint64 // fault-injection draw sequence of the internal count RPC
+	reqSeq atomic.Uint64 // request ids
 }
 
 // endpoint indexes the per-endpoint request table. Each row's name is at
@@ -337,21 +334,6 @@ func (s *Server) SetDatasetSource(name, source string) {
 	}
 }
 
-// AddShardGroup installs a scatter-gather counting group for a registered
-// dataset: the group becomes the matcher's count delegate, so every request
-// served with a shard session fans its counts out instead of counting
-// locally. Call before SetReady — the delegate installation is not
-// synchronized against in-flight counts.
-func (s *Server) AddShardGroup(name string, g *shard.Group) error {
-	ds, ok := s.lookup(name)
-	if !ok {
-		return fmt.Errorf("server: unknown dataset %q", name)
-	}
-	ds.shards = g
-	ds.engine().Matcher().SetCountDelegate(g.Delegate())
-	return nil
-}
-
 // lookup returns the named dataset under the read lock.
 func (s *Server) lookup(name string) (*dataset, bool) {
 	s.mu.RLock()
@@ -372,7 +354,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/explain/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/match", s.handleMatch)
 	mux.HandleFunc("POST /v1/graph/mutate", s.handleMutate)
-	mux.HandleFunc("POST /v1/internal/count", s.handleCount)
 	return s.recoverer(mux)
 }
 
@@ -498,7 +479,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, f *failure) 
 // (possibly against another replica) and the backoff hint to attach.
 func retryable(code wire.ErrorCode) (bool, int) {
 	switch code {
-	case wire.CodeShed, wire.CodeDraining, wire.CodeShardUnavailable:
+	case wire.CodeShed, wire.CodeDraining:
 		return true, 1000
 	default:
 		return false, 0
@@ -646,9 +627,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Kernel = make(map[string]wire.KernelCounters, len(kernel))
 		for family, c := range kernel {
 			st.Kernel[family] = wire.KernelCounters(c)
-		}
-		if ds.shards != nil {
-			st.Sharding = ds.shards.Snapshot()
 		}
 		resp.Datasets[name] = st
 	}
@@ -843,37 +821,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// handler answers at the deadline, while the execution slot stays held
 	// until the (count-capped / limit-bounded) enumeration finishes — a
 	// timed-out request never lets a new one oversubscribe the matcher.
-	type matchResult struct {
-		resp wire.MatchResponse
-		err  error
-	}
-	done := make(chan matchResult, 1)
+	done := make(chan wire.MatchResponse, 1)
 	eng := ds.engine() // pin this request's epoch
 	go func() {
 		defer release()
 		m := eng.Matcher()
 		if mode == "count" {
-			if ds.shards != nil {
-				// Sharded count: fan out through the group. The session gets
-				// no cancel hook — the single count's error comes back on the
-				// done channel, so cancelling ctx here would only race the
-				// select below.
-				sess := shard.NewSession(req.AllowPartial, nil)
-				n := m.CountUnder(shard.WithSession(ctx, sess), q, countCap)
-				if err := sess.Err(); err != nil {
-					done <- matchResult{err: err}
-					return
-				}
-				resp := wire.MatchResponse{Count: n}
-				if sess.Partial() {
-					ds.shards.NotePartialServed()
-					resp.Partial = true
-					resp.Coverage = sess.Coverage(ds.shards.Names())
-				}
-				done <- matchResult{resp: resp}
-				return
-			}
-			done <- matchResult{resp: wire.MatchResponse{Count: m.Count(q, countCap)}}
+			done <- wire.MatchResponse{Count: m.Count(q, countCap)}
 			return
 		}
 		results := m.Find(q, match.Options{Limit: limit})
@@ -882,15 +836,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		for _, res := range results {
 			resp.Results = append(resp.Results, wire.FromResult(res))
 		}
-		done <- matchResult{resp: resp}
+		done <- resp
 	}()
 	select {
-	case res := <-done:
-		if res.err != nil {
-			s.fail(w, r, http.StatusServiceUnavailable, wire.CodeShardUnavailable, "%v", res.err)
-			return
-		}
-		s.writeData(w, r, res.resp)
+	case resp := <-done:
+		s.writeData(w, r, resp)
 	case <-ctx.Done():
 		s.writeError(w, r, s.ctxError(r, ctx.Err(), false))
 	}

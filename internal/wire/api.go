@@ -40,12 +40,6 @@ type ExplainRequest struct {
 	// TimeoutMs bounds the request's processing time (0 = server default;
 	// clamped to the server's maximum).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// AllowPartial opts into degraded answers on a sharded deployment: when a
-	// shard stays unreachable past retries, the explanation continues on the
-	// surviving shards and the response is stamped "partial": true with a
-	// per-shard coverage map in qualityBound. Without it, a lost shard fails
-	// the request with code shard_unavailable.
-	AllowPartial bool `json:"allowPartial,omitempty"`
 }
 
 // BatchExplainRequest is the body of POST /v1/explain/batch: up to the
@@ -61,8 +55,8 @@ type BatchExplainRequest struct {
 
 // BatchExplainResponse answers POST /v1/explain/batch. Items[i] is the full
 // v1 envelope — {requestId, data} or {requestId, error} — that request
-// Items[i] would have received from /v1/explain: items fail, degrade, and
-// go partial independently. The enclosing response is itself wrapped in the
+// Items[i] would have received from /v1/explain: items fail and degrade
+// independently. The enclosing response is itself wrapped in the
 // usual envelope, whose requestId identifies the batch.
 type BatchExplainResponse struct {
 	Items []Envelope `json:"items"`
@@ -85,9 +79,6 @@ type MatchRequest struct {
 	// TimeoutMs bounds the request's processing time (0 = server default;
 	// clamped to the server's maximum).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// AllowPartial opts into partial counts from surviving shards when a
-	// shard is unreachable (count mode on a sharded deployment).
-	AllowPartial bool `json:"allowPartial,omitempty"`
 }
 
 // MatchResponse answers /v1/match. Count is the result-graph count (find
@@ -96,11 +87,9 @@ type MatchRequest struct {
 type MatchResponse struct {
 	Count   int      `json:"count"`
 	Results []Result `json:"results,omitempty"`
-	// Partial marks a count computed without every shard (allowPartial);
-	// Coverage maps shard name → reachable for the shards that did/didn't
-	// contribute.
-	Partial  bool            `json:"partial,omitempty"`
-	Coverage map[string]bool `json:"coverage,omitempty"`
+	// Partial is always false: every count covers the whole graph. The field
+	// stays until the benchmark that reads it drops it.
+	Partial bool `json:"partial,omitempty"`
 }
 
 // MutateRequest is the body of POST /v1/graph/mutate: one atomic batch of
@@ -160,26 +149,6 @@ type MutateResponse struct {
 	RefreezeMs float64 `json:"refreezeMs"`
 }
 
-// CountRequest is the body of the internal shard RPC POST /v1/internal/count:
-// count the embeddings of a query whose root-vertex binding lies in the
-// half-open vertex-id range [Lo, Hi), capped at Cap. The coordinator fans one
-// CountRequest per shard and sums the answers; only integers cross the wire,
-// which is what makes sharded results byte-identical to unsharded ones.
-type CountRequest struct {
-	Dataset string `json:"dataset"`
-	Query   *Query `json:"query"`
-	// Cap aborts counting once reached (0 = exact).
-	Cap int `json:"cap,omitempty"`
-	// Lo/Hi bound the root-vertex binding: the shard's vertex-range partition.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// CountResponse answers the internal count RPC.
-type CountResponse struct {
-	Count int `json:"count"`
-}
-
 // ErrorCode is the machine-readable failure classification of the v1 API.
 // Load generators and clients branch on the code — never on message text or
 // bare HTTP status — to decide retries and outcome accounting.
@@ -210,10 +179,6 @@ const (
 	// CodeDraining: the daemon is shutting down and no longer admits work
 	// (503, retryable against another replica).
 	CodeDraining ErrorCode = "draining"
-	// CodeShardUnavailable: a shard of the partitioned engine stayed
-	// unreachable past retries and the request did not allow a partial answer
-	// (503, retryable — the shard may recover or its breaker half-open).
-	CodeShardUnavailable ErrorCode = "shard_unavailable"
 )
 
 // Error is the structured failure payload of the v1 envelope.
@@ -326,12 +291,14 @@ type DatasetStats struct {
 	Kernel         map[string]KernelCounters `json:"kernel"`
 	// Coalescing reports the matcher's singleflight stampede counters.
 	Coalescing CoalescingStats `json:"coalescing"`
-	// Sharding reports the scatter-gather fan-out's health when the dataset
-	// is served by a shard group (whydbd -shards / -peers).
+	// Sharding is always nil: the daemon serves every dataset from one
+	// process. The field and its types stay until the benchmark that asserts
+	// on it drops it.
 	Sharding *ShardingStats `json:"sharding,omitempty"`
 }
 
-// ShardStats reports one shard's fault-tolerance state (GET /v1/stats).
+// ShardStats is one entry of ShardingStats, which no daemon reports any more
+// (DatasetStats.Sharding is always nil).
 type ShardStats struct {
 	Name string `json:"name"`
 	// Lo/Hi is the shard's vertex-range partition [lo, hi).
@@ -356,7 +323,9 @@ type ShardStats struct {
 	BreakerClosed int64 `json:"breakerClosed"`
 }
 
-// ShardingStats reports a dataset's shard-group health (GET /v1/stats).
+// ShardingStats was a dataset's shard-group health. No daemon reports it any
+// more (DatasetStats.Sharding is always nil); the type stays until the
+// benchmark that compiles against it drops it.
 type ShardingStats struct {
 	// Mode is "local" (single-process multi-shard) or "http" (peer fan-out).
 	Mode      string       `json:"mode"`

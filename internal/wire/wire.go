@@ -346,9 +346,8 @@ type Report struct {
 	// FromReport, so non-degraded responses are byte-identical with or
 	// without the resilience layer.
 	Degraded bool `json:"degraded,omitempty"`
-	// Partial marks an answer computed without every shard of a partitioned
-	// engine (the request allowed it): some counts cover only the surviving
-	// shards' vertex ranges. Set by the serving layer, never by FromReport.
+	// Partial is always false: every count covers the whole graph. The field
+	// stays until the benchmark that reads it drops it.
 	Partial bool `json:"partial,omitempty"`
 	// QualityBound is the achieved quality bound of a degraded answer.
 	QualityBound *QualityBound `json:"qualityBound,omitempty"`
@@ -364,9 +363,6 @@ type QualityBound struct {
 	Epsilon      int `json:"epsilon"`
 	Executed     int `json:"executed"`
 	BestDistance int `json:"bestDistance"`
-	// Coverage, on a partial answer, maps shard name → reachable: false
-	// entries name the vertex ranges the counts do not cover.
-	Coverage map[string]bool `json:"coverage,omitempty"`
 }
 
 // FromReport encodes an explanation report.

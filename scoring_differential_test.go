@@ -6,8 +6,7 @@
 // (Algorithm 2, Step 0), a float sum normalized by the larger set — and must
 // carry the same rewritings in the same order with result distances equal to
 // 1e-12. The why-empty shortcut (no enumeration: the distance follows from
-// the rewriting's cardinality) must agree with what enumeration says, also
-// when counts come from a count delegate.
+// the rewriting's cardinality) must agree with what enumeration says.
 package repro_test
 
 import (
@@ -19,7 +18,6 @@ import (
 	"repro"
 	"repro/internal/match"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -154,21 +152,6 @@ func TestScoringDifferential(t *testing.T) {
 			t.Fatalf("%s: corpus of %d cases, want the 8 hot specs and at least 100 variants", ds.name, len(corpus))
 		}
 
-		// A second engine whose every count comes from a delegate that
-		// scatters it over two vertex ranges of a third matcher, the way
-		// internal/shard does.
-		delegated := repro.NewEngine(ds.g)
-		delegated.SetWorkers(1)
-		parts := match.New(ds.g)
-		mid := ds.g.NumVertices() / 2
-		delegated.Matcher().SetCountDelegate(func(_ *match.Ctx, q *query.Query, key string, cap int) (int, bool) {
-			n := parts.CountRange(q, key, cap, 0, mid) + parts.CountRange(q, key, cap, mid, ds.g.NumVertices())
-			if cap > 0 && n > cap {
-				n = cap
-			}
-			return n, true
-		})
-
 		assigned, shortcut, unshared := 0, 0, 0
 		for _, c := range corpus {
 			rep, err := eng.Explain(c.q, c.opts)
@@ -182,14 +165,6 @@ func TestScoringDifferential(t *testing.T) {
 					unshared++
 				}
 			}
-			drep, err := delegated.Explain(c.q, c.opts)
-			if err != nil {
-				t.Fatalf("%s %s (delegate): %v", ds.name, c.name, err)
-			}
-			if got, want := explainFingerprint(drep), explainFingerprint(rep); got != want {
-				t.Errorf("%s %s: a count delegate changed the report:\n--- local\n%s\n--- delegated\n%s", ds.name, c.name, want, got)
-			}
-			checkScoring(t, m, c, drep)
 		}
 		t.Logf("%s: %d cases, %d by assignment (%d unshared), %d shortcut", ds.name, len(corpus), assigned, unshared, shortcut)
 		if assigned < 20 || shortcut < 20 || unshared == 0 {
