@@ -486,7 +486,7 @@ func BenchmarkCandidates(b *testing.B) {
 // a person predicate set that names no indexed attribute (gender and an age
 // range, no type), resolved by a matcher with an empty cache over whybench's
 // graph (LDBC at -scale 8, 30 k vertices). The count is held to a scan of the
-// attribute maps.
+// decoded attributes.
 func BenchmarkCandidatesCold(b *testing.B) {
 	g := datagen.LDBC(datagen.DefaultLDBC().Scaled(8))
 	g.Freeze()
@@ -494,7 +494,7 @@ func BenchmarkCandidatesCold(b *testing.B) {
 	v := q.Vertex(q.AddVertex(map[string]query.Predicate{"gender": query.EqS("female"), "age": query.Between(30, 39)}))
 	want := 0
 	for i := 0; i < g.NumVertices(); i++ {
-		a := g.Vertex(repro.VertexID(i)).Attrs
+		a := g.VertexAttrs(repro.VertexID(i))
 		if a["gender"] == graph.S("female") && v.Preds["age"].Matches(a["age"]) {
 			want++
 		}
@@ -505,7 +505,7 @@ func BenchmarkCandidatesCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := match.New(g).CandidateCount(v); got != want {
-			b.Fatalf("%d candidates, the attribute maps say %d", got, want)
+			b.Fatalf("%d candidates, the decoded attributes say %d", got, want)
 		}
 	}
 }

@@ -2,15 +2,17 @@
 // write batches is applied once through graph.Fork + core.Engine.Successor —
 // on an engine whose caches the previous round's checks warmed, so every
 // carried entry is put to the test — and once the old way, to an independent
-// Clone that is re-indexed, re-frozen and handed to core.NewEngine. After
-// every batch the two sides must be indistinguishable: packed adjacency,
-// attribute columns, attribute index, domain catalog, counts, result sets, and
-// explanation reports byte for byte.
+// Clone that is re-frozen and handed to core.NewEngine. After every batch the
+// two sides must be indistinguishable — packed adjacency, domain catalog,
+// counts, result sets, and explanation reports byte for byte — and the
+// attribute columns and posting lists of both must say what the ledger the
+// test keeps of the attributes it wrote says.
 package repro_test
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -30,8 +32,57 @@ import (
 // clone alike, and reports the first failing write.
 type batch struct {
 	name  string
-	apply func(g *graph.Graph) error
+	apply func(g writes) error
 	fails bool // a batch meant to be rejected: nothing may be published
+}
+
+// ledger is what the chain put into a graph, kept by the test itself: id →
+// the attributes passed to AddVertex or AddEdge — for the generated boot
+// graph, what it decodes to at boot — and nil once the element is removed.
+type ledger struct{ v, e []graph.Attrs }
+
+func bootLedger(g *graph.Graph) *ledger {
+	l := &ledger{}
+	for v := 0; v < g.NumVertices(); v++ {
+		l.v = append(l.v, g.VertexAttrs(graph.VertexID(v)))
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		l.e = append(l.e, g.EdgeAttrs(graph.EdgeID(e)))
+	}
+	return l
+}
+
+func (l *ledger) fork() *ledger { return &ledger{v: slices.Clone(l.v), e: slices.Clone(l.e)} }
+
+// removed clears the entries of everything g has tombstoned.
+func (l *ledger) removed(g *graph.Graph) {
+	for id := range l.v {
+		if g.VertexRemoved(graph.VertexID(id)) {
+			l.v[id] = nil
+		}
+	}
+	for id := range l.e {
+		if g.EdgeRemoved(graph.EdgeID(id)) {
+			l.e[id] = nil
+		}
+	}
+}
+
+// writes is a batch's view of one graph: reads and removals go to the graph,
+// additions to the graph and to its ledger.
+type writes struct {
+	*graph.Graph
+	l *ledger
+}
+
+func (w writes) AddVertex(attrs graph.Attrs) graph.VertexID {
+	w.l.v = append(w.l.v, attrs)
+	return w.Graph.AddVertex(attrs)
+}
+
+func (w writes) AddEdge(from, to graph.VertexID, typ string, attrs graph.Attrs) graph.EdgeID {
+	w.l.e = append(w.l.e, attrs)
+	return w.Graph.AddEdge(from, to, typ, attrs)
 }
 
 // deriveChain is the scripted part of the batch chain: each structural case
@@ -39,7 +90,7 @@ type batch struct {
 // depend on earlier ones.
 func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 	nv, ne := g.NumVertices(), g.NumEdges()
-	kind := g.Vertex(0).Attrs["type"]
+	kind := g.VertexAttrs(0)["type"]
 	// rarest is the existing type with the fewest edges; hub the vertex of
 	// highest degree, so its removal cascades widely.
 	var rarest string
@@ -62,15 +113,15 @@ func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 		return v
 	}
 	return []batch{
-		{name: "new kind and a new first type", apply: func(g *graph.Graph) error {
+		{name: "new kind and a new first type", apply: func(g writes) error {
 			// "!first" sorts before every generated type: all dense ids shift.
 			a := g.AddVertex(graph.Attrs{"type": graph.S("derivetest"), "tag": graph.S("a")})
 			b := g.AddVertex(graph.Attrs{"type": graph.S("derivetest"), "tag": graph.S("b")})
 			g.AddEdge(a, b, "!first", graph.Attrs{"weight": graph.N(1)})
-			g.AddEdge(b, live(g, 1), "!first", nil)
+			g.AddEdge(b, live(g.Graph, 1), "!first", nil)
 			return nil
 		}},
-		{name: "remove edges of existing types", apply: func(g *graph.Graph) error {
+		{name: "remove edges of existing types", apply: func(g writes) error {
 			for _, id := range []graph.EdgeID{0, 7, graph.EdgeID(ne / 2), graph.EdgeID(ne - 1)} {
 				if err := g.RemoveEdge(id); err != nil {
 					return err
@@ -78,18 +129,18 @@ func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 			}
 			return nil
 		}},
-		{name: "rejected in the middle", fails: true, apply: func(g *graph.Graph) error {
+		{name: "rejected in the middle", fails: true, apply: func(g writes) error {
 			g.AddVertex(graph.Attrs{"type": kind})
-			g.AddEdge(live(g, 2), live(g, 3), rarest, nil)
-			if err := g.RemoveVertex(live(g, 4)); err != nil {
+			g.AddEdge(live(g.Graph, 2), live(g.Graph, 3), rarest, nil)
+			if err := g.RemoveVertex(live(g.Graph, 4)); err != nil {
 				return err
 			}
 			return g.RemoveEdge(0) // removed by the batch before
 		}},
-		{name: "remove the hub, cascading", apply: func(g *graph.Graph) error {
+		{name: "remove the hub, cascading", apply: func(g writes) error {
 			return g.RemoveVertex(hub)
 		}},
-		{name: "the new type's last edges disappear", apply: func(g *graph.Graph) error {
+		{name: "the new type's last edges disappear", apply: func(g writes) error {
 			for _, id := range append([]graph.EdgeID(nil), g.EdgesByType("!first")...) {
 				if err := g.RemoveEdge(id); err != nil {
 					return err
@@ -97,7 +148,7 @@ func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 			}
 			return nil
 		}},
-		{name: "an existing type disappears", apply: func(g *graph.Graph) error {
+		{name: "an existing type disappears", apply: func(g writes) error {
 			for _, id := range append([]graph.EdgeID(nil), g.EdgesByType(rarest)...) {
 				if err := g.RemoveEdge(id); err != nil {
 					return err
@@ -105,25 +156,25 @@ func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 			}
 			return nil
 		}},
-		{name: "vertex count crosses a multiple of 64", apply: func(g *graph.Graph) error {
+		{name: "vertex count crosses a multiple of 64", apply: func(g writes) error {
 			// Copies of live vertices, wired like them: the additions land in
 			// the candidate lists and counts of the workload queries.
 			for want := g.NumVertices() + 64 - g.NumVertices()%64 + 3; g.NumVertices() < want; {
-				src := live(g, graph.VertexID(rng.Intn(nv)))
-				v := g.AddVertex(g.Vertex(src).Attrs)
+				src := live(g.Graph, graph.VertexID(rng.Intn(nv)))
+				v := g.AddVertex(g.l.v[src])
 				for _, eid := range g.Out(src) {
-					g.AddEdge(v, g.Edge(eid).To, g.Edge(eid).Type, g.Edge(eid).Attrs)
+					g.AddEdge(v, g.Edge(eid).To, g.Edge(eid).Type, g.l.e[eid])
 				}
 				for _, eid := range g.In(src) {
-					g.AddEdge(g.Edge(eid).From, v, g.Edge(eid).Type, g.Edge(eid).Attrs)
+					g.AddEdge(g.Edge(eid).From, v, g.Edge(eid).Type, g.l.e[eid])
 				}
 			}
 			return nil
 		}},
-		{name: "add and remove in one batch", apply: func(g *graph.Graph) error {
+		{name: "add and remove in one batch", apply: func(g writes) error {
 			v := g.AddVertex(graph.Attrs{"type": kind, "name": graph.S("ephemeral")})
-			e := g.AddEdge(v, live(g, 5), "ephemeral", nil)
-			g.AddEdge(live(g, 5), v, g.EdgeTypes()[0], nil)
+			e := g.AddEdge(v, live(g.Graph, 5), "ephemeral", graph.Attrs{"weight": graph.N(2)})
+			g.AddEdge(live(g.Graph, 5), v, g.EdgeTypes()[0], nil)
 			if err := g.RemoveEdge(e); err != nil {
 				return err
 			}
@@ -134,7 +185,7 @@ func deriveChain(g *graph.Graph, rng *rand.Rand) []batch {
 
 // randomBatch draws a mixed batch of adds and removes over whatever is live.
 func randomBatch(rng *rand.Rand, i int) batch {
-	return batch{name: fmt.Sprintf("random %d", i), apply: func(g *graph.Graph) error {
+	return batch{name: fmt.Sprintf("random %d", i), apply: func(g writes) error {
 		types := g.EdgeTypes()
 		liveVertex := func() graph.VertexID {
 			for {
@@ -146,7 +197,7 @@ func randomBatch(rng *rand.Rand, i int) batch {
 		for n := 1 + rng.Intn(12); n > 0; n-- {
 			switch rng.Intn(5) {
 			case 0:
-				g.AddVertex(g.Vertex(liveVertex()).Attrs)
+				g.AddVertex(g.l.v[liveVertex()])
 			case 1, 2:
 				g.AddEdge(liveVertex(), liveVertex(), types[rng.Intn(len(types))], nil)
 			case 3:
@@ -210,9 +261,10 @@ func explainBlob(t *testing.T, eng *core.Engine, q *query.Query, iv metrics.Inte
 }
 
 // compare requires the derived engine and the from-scratch reference to be
-// indistinguishable. values collects every indexed value seen so far, so
-// buckets that should have emptied are probed too.
-func (p *deriveProbe) compare(t *testing.T, when string, derived, ref *core.Engine, values map[string]map[graph.Value]bool) {
+// indistinguishable, and the attributes of both to be what the ledger says.
+// values collects every indexed value seen so far, so posting lists that
+// should have emptied are probed too.
+func (p *deriveProbe) compare(t *testing.T, when string, derived, ref *core.Engine, led *ledger, values map[string]map[graph.Value]bool) {
 	t.Helper()
 	dg, rg := derived.Graph(), ref.Graph()
 	dc, rc := dg.FrozenCSR(), rg.FrozenCSR()
@@ -235,54 +287,56 @@ func (p *deriveProbe) compare(t *testing.T, when string, derived, ref *core.Engi
 		if values[key] == nil {
 			values[key] = make(map[graph.Value]bool)
 		}
-		for v := 0; v < rg.NumVertices(); v++ {
-			if val, ok := rg.Vertex(graph.VertexID(v)).Attrs[key]; ok {
+		for _, a := range led.v {
+			if val, ok := a[key]; ok {
 				values[key][val] = true
 			}
 		}
 		for val := range values[key] {
-			got, _ := dg.VerticesByAttr(key, val)
-			want, _ := rg.VerticesByAttr(key, val)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: index bucket %s=%v is %v, want %v", when, key, val, got, want)
+			var want []graph.VertexID
+			for id, a := range led.v {
+				if got, ok := a[key]; ok && got == val {
+					want = append(want, graph.VertexID(id))
+				}
+			}
+			for side, g := range map[string]*graph.Graph{"derived": dg, "rebuilt": rg} {
+				if got, _ := g.VerticesByAttr(key, val); len(got)+len(want) > 0 && !slices.Equal(got, want) {
+					t.Fatalf("%s: %s posting list %s=%v is %v, the ledger says %v", when, side, key, val, got, want)
+				}
 			}
 		}
 	}
 	// The attribute columns, by what they decode to (a derived dictionary
-	// keeps its numbering): the derived ones, Freeze's, and the attribute maps
-	// agree on every element and key; a tombstone has no value anywhere.
-	sameColumns := func(kind string, derived, frozen map[string]*graph.Column, n int, attrs func(id int) graph.Attrs) {
+	// keeps its numbering): derived and rebuilt say what the ledger says on
+	// every element and key; a tombstone has no value anywhere.
+	sameColumns := func(kind string, cols map[string]*graph.Column, want []graph.Attrs, decode func(id int) graph.Attrs) {
 		t.Helper()
-		for _, cols := range []map[string]*graph.Column{derived, frozen} {
-			for key, col := range cols {
-				if len(col.Codes) != n {
-					t.Fatalf("%s: %s column %q has %d codes for %d elements", when, kind, key, len(col.Codes), n)
-				}
-				for id, code := range col.Codes {
-					want, carried := attrs(id)[key]
-					if got := col.Vals[code]; (code != 0) != carried || carried && got != want {
-						t.Fatalf("%s: %s %d: column %q reads %v (code %d), the attribute map says %v (present: %v)", when, kind, id, key, got, code, want, carried)
-					}
+		for key, col := range cols {
+			if len(col.Codes) != len(want) {
+				t.Fatalf("%s: %s column %q has %d codes for %d elements", when, kind, key, len(col.Codes), len(want))
+			}
+			for id, code := range col.Codes {
+				w, carried := want[id][key]
+				if got := col.Vals[code]; (code != 0) != carried || carried && got != w {
+					t.Fatalf("%s: %s %d: column %q reads %v (code %d), the ledger says %v (present: %v)", when, kind, id, key, got, code, w, carried)
 				}
 			}
 		}
-		for id := 0; id < n; id++ {
-			for key := range attrs(id) {
-				if derived[key] == nil || frozen[key] == nil {
+		for id, a := range want {
+			for key := range a {
+				if cols[key] == nil {
 					t.Fatalf("%s: %s %d carries %q, which has no column", when, kind, id, key)
 				}
 			}
+			if got := decode(id); len(got)+len(a) > 0 && !maps.Equal(got, a) {
+				t.Fatalf("%s: %s %d decodes to %v, the ledger says %v", when, kind, id, got, a)
+			}
 		}
 	}
-	sameColumns("vertex", dg.VertexColumns(), rg.VertexColumns(), rg.NumVertices(), func(id int) graph.Attrs {
-		return rg.Vertex(graph.VertexID(id)).Attrs // nil once removed
-	})
-	sameColumns("edge", dg.EdgeColumns(), rg.EdgeColumns(), rg.NumEdges(), func(id int) graph.Attrs {
-		if rg.EdgeRemoved(graph.EdgeID(id)) {
-			return nil
-		}
-		return rg.Edge(graph.EdgeID(id)).Attrs
-	})
+	for _, g := range []*graph.Graph{dg, rg} {
+		sameColumns("vertex", g.VertexColumns(), led.v, func(id int) graph.Attrs { return g.VertexAttrs(graph.VertexID(id)) })
+		sameColumns("edge", g.EdgeColumns(), led.e, func(id int) graph.Attrs { return g.EdgeAttrs(graph.EdgeID(id)) })
+	}
 	// The catalogs; the frequency tables behind them (which BuildDomain does
 	// not keep) are held to a rebuild by internal/stats' TestDeriveDomain.
 	dd, rd := derived.Domain(), ref.Domain()
@@ -335,7 +389,8 @@ func runDeriveDifferential(t *testing.T, g *repro.Graph, named []workload.Named,
 	derived, ref := core.NewEngine(g), core.NewEngine(rg)
 	probe := newDeriveProbe(t, derived, named, failing, seed)
 	values := make(map[string]map[graph.Value]bool)
-	probe.compare(t, "boot", derived, ref, values)
+	led := bootLedger(g)
+	probe.compare(t, "boot", derived, ref, led, values)
 
 	chain := deriveChain(g, rng)
 	for i := 0; i < 4; i++ {
@@ -346,27 +401,29 @@ func runDeriveDifferential(t *testing.T, g *repro.Graph, named []workload.Named,
 		// Both sides draw the same random numbers.
 		state := rng.Int63()
 		rng.Seed(state)
-		fork := derived.Graph().Fork()
-		errFork := b.apply(fork)
+		fork, lf := derived.Graph().Fork(), led.fork()
+		errFork := b.apply(writes{fork, lf})
 		rng.Seed(state)
 		clone := ref.Graph().Clone()
-		errClone := b.apply(clone)
+		errClone := b.apply(writes{clone, led.fork()})
 		if (errFork == nil) != (errClone == nil) || b.fails != (errFork != nil) {
 			t.Fatalf("%s: fork says %v, clone says %v, batch should fail: %v", b.name, errFork, errClone, b.fails)
 		}
 		if b.fails {
 			// Nothing is published, and the discarded fork shows nowhere in
 			// the engine it was forked from.
-			probe.compare(t, "after rejected batch "+b.name, derived, ref, values)
+			probe.compare(t, "after rejected batch "+b.name, derived, ref, led, values)
 			continue
 		}
+		lf.removed(fork)
+		led = lf
 		derived = derived.Successor(fork)
 		_, _, entries := derived.Matcher().CountCacheStats()
 		carried += entries
 		clone.BuildVertexIndex(ref.Graph().IndexedKeys()...)
 		clone.Freeze()
 		ref = core.NewEngine(clone)
-		probe.compare(t, "after "+b.name, derived, ref, values)
+		probe.compare(t, "after "+b.name, derived, ref, led, values)
 	}
 	if carried == 0 {
 		t.Fatal("no successor ever started with a carried count: the differential did not test the carry-over")
@@ -414,9 +471,10 @@ func runCarryOverProperty(t *testing.T, g *repro.Graph, named []workload.Named, 
 	}
 
 	kept, dropped := 0, 0
+	led := bootLedger(g)
 	for round := 0; round < 12; round++ {
 		fork := boot.Graph().Fork()
-		if err := randomBatch(rng, round).apply(fork); err != nil {
+		if err := randomBatch(rng, round).apply(writes{fork, led.fork()}); err != nil {
 			t.Fatal(err)
 		}
 		vertices := fork.NumVertices() != g.NumVertices() || fork.NumRemovedVertices() != g.NumRemovedVertices()

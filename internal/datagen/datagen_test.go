@@ -85,7 +85,7 @@ func TestDBpediaDeterminismAndSchema(t *testing.T) {
 	// All five kinds appear; persons dominate (Zipf over kinds).
 	counts := map[string]int{}
 	for i := 0; i < a.NumVertices(); i++ {
-		counts[a.Vertex(graph.VertexID(i)).Attrs["type"].Str]++
+		counts[a.VertexAttrs(graph.VertexID(i))["type"].Str]++
 	}
 	for _, kind := range dbpKinds {
 		if counts[kind] == 0 {
@@ -102,7 +102,7 @@ func TestDBpediaIrregularSchema(t *testing.T) {
 	persons, _ := g.VerticesByAttr("type", graph.S("person"))
 	withBirth, without := 0, 0
 	for _, p := range persons {
-		if _, ok := g.Vertex(p).Attrs["birthYear"]; ok {
+		if _, ok := g.VertexAttrs(p)["birthYear"]; ok {
 			withBirth++
 		} else {
 			without++

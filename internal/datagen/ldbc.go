@@ -87,8 +87,8 @@ var (
 // the configuration (including Seed).
 func LDBC(cfg LDBCConfig) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// One attribute map per (key, year) pair, not one per edge: attribute maps
-	// are immutable once added (graph.AddEdge).
+	// One attribute map per (key, year) pair, not one per edge: AddEdge holds
+	// the map, immutable, until Freeze encodes it.
 	years := func(key string, from, n int) []graph.Attrs {
 		maps := make([]graph.Attrs, n)
 		for i := range maps {

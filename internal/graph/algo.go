@@ -7,7 +7,7 @@ package graph
 // generators) and — through the analogous routine in internal/query — on
 // query graphs (§4.3.1, processing of weakly connected components).
 func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
-	n := len(g.vertices)
+	n := len(g.out)
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1

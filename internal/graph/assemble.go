@@ -19,12 +19,14 @@ func (g *Graph) FrozenCSR() CSR {
 }
 
 // SnapshotParts is the complete frozen state a snapshot loader hands to
-// Assemble: the dense vertex/edge tables (tombstoned slots included, with
-// nil attrs for removed vertices), the tombstone lists, the prebuilt CSR,
-// and the attribute keys to index. Assemble takes ownership of every slice.
+// Assemble: every vertex's attributes and the dense edge table with every
+// edge's attributes (tombstoned slots included; their attributes are
+// ignored), the tombstone lists, the prebuilt CSR, and the attribute keys to
+// index. Assemble takes ownership of every slice.
 type SnapshotParts struct {
-	Vertices        []Vertex
+	VertexAttrs     []Attrs
 	Edges           []Edge
+	EdgeAttrs       []Attrs
 	RemovedVertices []VertexID
 	RemovedEdges    []EdgeID
 	CSR             CSR
@@ -33,14 +35,17 @@ type SnapshotParts struct {
 
 // Assemble reconstructs a Graph from snapshot parts without re-running
 // Freeze: the CSR is installed as the frozen snapshot directly, and the
-// mutable side (adjacency lists, type index, attribute indexes) is rebuilt
-// from it in one O(V+E) pass; the attribute columns, which a snapshot does not
-// store, are built from the attribute maps as Freeze builds them. The input is
-// validated structurally — sizes, offset monotonicity, id ranges, type-table
-// consistency — so a logically corrupt file fails here, not mid-query.
+// mutable side (adjacency lists, type index) is rebuilt from it in one O(V+E)
+// pass; the attribute maps are encoded into the columns, and the posting lists
+// sorted, as Freeze does. The input is validated structurally — sizes, offset
+// monotonicity, id ranges, type-table consistency — so a logically corrupt
+// file fails here, not mid-query.
 func Assemble(p SnapshotParts) (*Graph, error) {
-	nv, ne := len(p.Vertices), len(p.Edges)
+	nv, ne := len(p.VertexAttrs), len(p.Edges)
 	live := ne - len(p.RemovedEdges)
+	if len(p.EdgeAttrs) != ne {
+		return nil, fmt.Errorf("graph: assemble: %d edge attribute sets for %d edges", len(p.EdgeAttrs), ne)
+	}
 	if len(p.CSR.OutOff) != nv+1 || len(p.CSR.InOff) != nv+1 {
 		return nil, fmt.Errorf("graph: assemble: offset tables sized %d/%d, want %d", len(p.CSR.OutOff), len(p.CSR.InOff), nv+1)
 	}
@@ -48,16 +53,12 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		return nil, fmt.Errorf("graph: assemble: adjacency sized %d/%d, want %d live edges", len(p.CSR.OutAdj), len(p.CSR.InAdj), live)
 	}
 	g := &Graph{
-		vertices:  p.Vertices,
 		edges:     p.Edges,
 		out:       make([][]EdgeID, nv),
 		in:        make([][]EdgeID, nv),
 		typeIndex: make(map[string][]EdgeID),
-	}
-	for i := range g.vertices {
-		if g.vertices[i].ID != VertexID(i) {
-			return nil, fmt.Errorf("graph: assemble: vertex %d carries id %d", i, g.vertices[i].ID)
-		}
+		pendV:     p.VertexAttrs,
+		pendE:     p.EdgeAttrs,
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
@@ -93,15 +94,16 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 	// neighbor's region.
 	flatOut := make([]EdgeID, live)
 	flatIn := make([]EdgeID, live)
+	nTypes := int32(len(p.CSR.TypeNames))
 	for i, a := range p.CSR.OutAdj {
-		if a.Edge < 0 || int(a.Edge) >= ne {
-			return nil, fmt.Errorf("graph: assemble: out-adjacency %d references edge %d of %d", i, a.Edge, ne)
+		if a.Edge < 0 || int(a.Edge) >= ne || a.Vertex < 0 || int(a.Vertex) >= nv || a.Type < 0 || a.Type >= nTypes {
+			return nil, fmt.Errorf("graph: assemble: out-adjacency %d is %+v (%d edges, %d vertices, %d types)", i, a, ne, nv, nTypes)
 		}
 		flatOut[i] = a.Edge
 	}
 	for i, a := range p.CSR.InAdj {
-		if a.Edge < 0 || int(a.Edge) >= ne {
-			return nil, fmt.Errorf("graph: assemble: in-adjacency %d references edge %d of %d", i, a.Edge, ne)
+		if a.Edge < 0 || int(a.Edge) >= ne || a.Vertex < 0 || int(a.Vertex) >= nv || a.Type < 0 || a.Type >= nTypes {
+			return nil, fmt.Errorf("graph: assemble: in-adjacency %d is %+v (%d edges, %d vertices, %d types)", i, a, ne, nv, nTypes)
 		}
 		flatIn[i] = a.Edge
 	}
@@ -140,6 +142,7 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 			return nil, fmt.Errorf("graph: assemble: CSR type %d is %q, edge table says %q", i, p.CSR.TypeNames[i], t)
 		}
 	}
+	g.BuildVertexIndex(p.IndexedKeys...)
 	c := &csr{
 		outAdj:    p.CSR.OutAdj,
 		inAdj:     p.CSR.InAdj,
@@ -148,10 +151,8 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		typeNames: p.CSR.TypeNames,
 		typeIDs:   denseTypeIDs(p.CSR.TypeNames),
 	}
-	c.vcols, c.ecols = g.buildColumns()
+	c.attrs = g.encode()
+	c.post = g.postings(c.attrs, nil, nil)
 	g.frozen.Store(c)
-	if len(p.IndexedKeys) > 0 {
-		g.BuildVertexIndex(p.IndexedKeys...)
-	}
 	return g, nil
 }

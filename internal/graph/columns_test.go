@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,40 +42,115 @@ func decodeColumns(t testing.TB, cols columns, n int) map[string]map[int]Value {
 	return out
 }
 
-// attrCells is the same table read off the attribute maps of g's live
-// elements — what the columns have to say.
-func attrCells(g *Graph) (v, e map[string]map[int]Value) {
-	v, e = make(map[string]map[int]Value), make(map[string]map[int]Value)
-	put := func(m map[string]map[int]Value, id int, attrs Attrs) {
-		for k, val := range attrs {
-			if m[k] == nil {
-				m[k] = make(map[int]Value)
-			}
-			m[k][id] = val
-		}
-	}
-	for i := range g.vertices {
-		put(v, i, g.vertices[i].Attrs) // nil once removed
-	}
-	for i := range g.edges {
-		if !g.EdgeRemoved(EdgeID(i)) {
-			put(e, i, g.edges[i].Attrs)
-		}
-	}
-	return v, e
+// ledger is what a test put into a graph, kept by the test: every element's
+// attributes as passed to AddVertex or AddEdge, nil once the element is
+// removed. seen collects every vertex value ever put in, so that posting
+// lists which should have emptied are probed too.
+type ledger struct {
+	v, e []Attrs
+	seen map[string]map[Value]bool
 }
 
-// columnsEqualAttrs holds g's frozen columns to its attribute maps: for every
-// element and key vals[codes[id]] ⇔ Attrs[key], absent ⇔ 0, tombstones 0.
-func columnsEqualAttrs(t testing.TB, g *Graph) {
-	t.Helper()
-	c := g.snapshot()
-	wantV, wantE := attrCells(g)
-	if got := decodeColumns(t, c.vcols, len(g.vertices)); !reflect.DeepEqual(got, wantV) {
-		t.Fatalf("vertex columns decode to\n%v\nthe attribute maps say\n%v", got, wantV)
+func newLedger() *ledger { return &ledger{seen: make(map[string]map[Value]bool)} }
+
+// fork is the ledger of a fork or clone: its own lists, the shared history.
+func (l *ledger) fork() *ledger {
+	return &ledger{v: slices.Clone(l.v), e: slices.Clone(l.e), seen: l.seen}
+}
+
+func (l *ledger) addVertex(g *Graph, attrs Attrs) VertexID {
+	l.v = append(l.v, attrs)
+	for k, val := range attrs {
+		if l.seen[k] == nil {
+			l.seen[k] = make(map[Value]bool)
+		}
+		l.seen[k][val] = true
 	}
-	if got := decodeColumns(t, c.ecols, len(g.edges)); !reflect.DeepEqual(got, wantE) {
-		t.Fatalf("edge columns decode to\n%v\nthe attribute maps say\n%v", got, wantE)
+	return g.AddVertex(attrs)
+}
+
+func (l *ledger) addEdge(g *Graph, from, to VertexID, typ string, attrs Attrs) EdgeID {
+	l.e = append(l.e, attrs)
+	return g.AddEdge(from, to, typ, attrs)
+}
+
+// removed clears the entries of everything g has tombstoned — a vertex
+// removal's cascade included.
+func (l *ledger) removed(g *Graph) {
+	for id := range l.v {
+		if g.VertexRemoved(VertexID(id)) {
+			l.v[id] = nil
+		}
+	}
+	for id := range l.e {
+		if g.EdgeRemoved(EdgeID(id)) {
+			l.e[id] = nil
+		}
+	}
+}
+
+// cellsOf is a ledger side as key → id → value, present cells only.
+func cellsOf(attrs []Attrs) map[string]map[int]Value {
+	out := make(map[string]map[int]Value)
+	for id, a := range attrs {
+		for k, val := range a {
+			if out[k] == nil {
+				out[k] = make(map[int]Value)
+			}
+			out[k][id] = val
+		}
+	}
+	return out
+}
+
+// orNil maps an empty attribute set to nil, which is what a decode returns.
+func orNil(a Attrs) Attrs {
+	if len(a) == 0 {
+		return nil
+	}
+	return a
+}
+
+// check holds g to the ledger: its columns, VertexAttrs and EdgeAttrs say
+// what the ledger says, for every element and key — absent ⇔ code 0,
+// tombstones 0 everywhere — and VerticesByAttr of every indexed key lists, in
+// ascending order, exactly the vertices the ledger gives each value ever seen.
+// Values compare with ==, under which -0 and 0 are one value.
+func (l *ledger) check(t testing.TB, g *Graph) {
+	t.Helper()
+	if len(l.v) != g.NumVertices() || len(l.e) != g.NumEdges() {
+		t.Fatalf("ledger has %d/%d elements, the graph %d/%d", len(l.v), len(l.e), g.NumVertices(), g.NumEdges())
+	}
+	c := g.snapshot()
+	if got, want := decodeColumns(t, c.attrs.v, len(l.v)), cellsOf(l.v); !reflect.DeepEqual(got, want) {
+		t.Fatalf("vertex columns decode to\n%v\nthe ledger says\n%v", got, want)
+	}
+	if got, want := decodeColumns(t, c.attrs.e, len(l.e)), cellsOf(l.e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("edge columns decode to\n%v\nthe ledger says\n%v", got, want)
+	}
+	for id, want := range l.v {
+		if got := g.VertexAttrs(VertexID(id)); !reflect.DeepEqual(got, orNil(want)) {
+			t.Fatalf("VertexAttrs(%d) = %v, the ledger says %v", id, got, want)
+		}
+	}
+	for id, want := range l.e {
+		if got := g.EdgeAttrs(EdgeID(id)); !reflect.DeepEqual(got, orNil(want)) {
+			t.Fatalf("EdgeAttrs(%d) = %v, the ledger says %v", id, got, want)
+		}
+	}
+	for _, key := range g.IndexedKeys() {
+		for val := range l.seen[key] {
+			var want []VertexID
+			for id, a := range l.v {
+				if got, ok := a[key]; ok && got == val {
+					want = append(want, VertexID(id))
+				}
+			}
+			got, ok := g.VerticesByAttr(key, val)
+			if !ok || len(got) != len(want) || len(want) > 0 && !slices.Equal(got, want) {
+				t.Fatalf("VerticesByAttr(%q, %v) = %v, %v; the ledger says %v", key, val, got, ok, want)
+			}
+		}
 	}
 }
 
@@ -91,7 +169,8 @@ func (s *byteStream) next(n int) int {
 var fuzzKeys = []string{"type", "name", "age", "flag", "k4", "k5"}
 
 // attrs draws an attribute map: up to three keys, values of all three kinds
-// out of a range wide enough that later batches bring new ones.
+// out of a range wide enough that later batches bring new ones, -0 among the
+// numbers.
 func (s *byteStream) attrs() Attrs {
 	n := s.next(4)
 	if n == 0 {
@@ -102,7 +181,11 @@ func (s *byteStream) attrs() Attrs {
 		k := fuzzKeys[s.next(len(fuzzKeys))]
 		switch x := s.next(24); x % 3 {
 		case 0:
-			a[k] = N(float64(x))
+			if x == 21 {
+				a[k] = N(math.Copysign(0, -1))
+			} else {
+				a[k] = N(float64(x))
+			}
 		case 1:
 			a[k] = S(fmt.Sprint("s", x))
 		default:
@@ -112,9 +195,10 @@ func (s *byteStream) attrs() Attrs {
 	return a
 }
 
-// batch applies a random batch to f: additions, edge removals and cascading
-// vertex removals in one, elements added by the batch itself among the removed.
-func (s *byteStream) batch(t testing.TB, f *Graph) {
+// batch applies a random batch to f and its ledger: additions, edge removals
+// and cascading vertex removals in one, elements added by the batch itself
+// among the removed, and reads of the half-applied batch.
+func (s *byteStream) batch(t testing.TB, f *Graph, l *ledger) {
 	live := func() (ids []VertexID) {
 		for i := 0; i < f.NumVertices(); i++ {
 			if !f.VertexRemoved(VertexID(i)) {
@@ -125,70 +209,195 @@ func (s *byteStream) batch(t testing.TB, f *Graph) {
 	}
 	for ops := 1 + s.next(6); ops > 0; ops-- {
 		var err error
-		switch vs := live(); s.next(4) {
+		switch vs := live(); s.next(5) {
 		case 0:
-			f.AddVertex(s.attrs())
+			l.addVertex(f, s.attrs())
 		case 1:
 			if len(vs) > 0 {
-				f.AddEdge(vs[s.next(len(vs))], vs[s.next(len(vs))], []string{"knows", "likes", "owns"}[s.next(3)], s.attrs())
+				l.addEdge(f, vs[s.next(len(vs))], vs[s.next(len(vs))], []string{"knows", "likes", "owns"}[s.next(3)], s.attrs())
 			}
 		case 2:
 			if id := EdgeID(s.next(f.NumEdges())); f.NumEdges() > 0 && !f.EdgeRemoved(id) {
 				err = f.RemoveEdge(id)
 			}
-		default:
+		case 3:
 			if len(vs) > 0 {
 				err = f.RemoveVertex(vs[s.next(len(vs))])
 			}
+		default: // a read in the middle of the batch freezes it half-applied
+			f.Freeze()
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	l.removed(f)
 }
 
 // FuzzSealColumns builds a random small graph and seals a chain of random
-// batches onto it, every batch applied to two forks of the current epoch.
-// After every Seal: the columns say what the attribute maps say; the frozen
-// layer equals what Freeze and BuildVertexIndex build on a Clone; the
-// predecessor's columns — whose spare capacity the first fork may have
-// written — still read as before; and the second fork, which had to copy, is
-// as right as the first and shows nothing of it.
+// batches onto it, every batch applied to two forks of the current epoch and
+// the first one's replayed on a plain Clone that is frozen. After every Seal
+// each graph reads as its own ledger says (ledger.check) — so neither fork
+// shows anything of the other — the frozen layer equals what Freeze builds on
+// a Clone, and the predecessor, whose spare capacity the first fork may have
+// written, still reads as before.
 func FuzzSealColumns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteStream{data}
-		g := New(0, 0)
+		g, l := New(0, 0), newLedger()
 		for n := 1 + s.next(8); n > 0; n-- {
-			g.AddVertex(s.attrs())
+			l.addVertex(g, s.attrs())
 		}
 		for n := s.next(8); n > 0; n-- {
-			g.AddEdge(VertexID(s.next(g.NumVertices())), VertexID(s.next(g.NumVertices())), "knows", s.attrs())
+			l.addEdge(g, VertexID(s.next(g.NumVertices())), VertexID(s.next(g.NumVertices())), "knows", s.attrs())
 		}
-		g.BuildVertexIndex("type")
+		g.BuildVertexIndex("type", "age")
 		g.Freeze()
-		columnsEqualAttrs(t, g)
+		l.check(t, g)
 		for step := 0; step < 6 && len(s.data) > 0; step++ {
-			beforeV := decodeColumns(t, g.snapshot().vcols, g.NumVertices())
-			beforeE := decodeColumns(t, g.snapshot().ecols, g.NumEdges())
-			first, second := g.Fork(), g.Fork()
-			s.batch(t, first)
-			s.batch(t, second)
+			first, second, frozen := g.Fork(), g.Fork(), g.Clone()
+			lf, ls, lz := l.fork(), l.fork(), l.fork()
+			replay := byteStream{s.data}
+			s.batch(t, first, lf)
+			replay.batch(t, frozen, lz)
+			s.batch(t, second, ls)
 			first.Seal()
 			second.Seal()
-			for _, fork := range []*Graph{first, second} {
-				frozenEqual(t, fork) // columns included
-			}
-			if got := decodeColumns(t, g.snapshot().vcols, g.NumVertices()); !reflect.DeepEqual(got, beforeV) {
-				t.Fatalf("sealing its forks changed the predecessor's vertex columns:\n%v\nwere\n%v", got, beforeV)
-			}
-			if got := decodeColumns(t, g.snapshot().ecols, g.NumEdges()); !reflect.DeepEqual(got, beforeE) {
-				t.Fatalf("sealing its forks changed the predecessor's edge columns:\n%v\nwere\n%v", got, beforeE)
-			}
-			if g = first; s.next(4) == 0 {
-				g = second
+			frozen.Freeze()
+			lf.check(t, first)
+			ls.check(t, second)
+			lz.check(t, frozen)
+			frozenEqual(t, first)
+			frozenEqual(t, second)
+			l.check(t, g)
+			if g, l = first, lf; s.next(4) == 0 {
+				g, l = second, ls
 			}
 		}
 	})
+}
+
+// TestSealLedgerCases runs the batches the column derivation has a branch for
+// through Seal, through Freeze on a Clone of the predecessor, and against the
+// ledger — a vertex removed by the batch that added it, a removed edge that
+// had attributes, an indexed value whose last carrier goes, a key that leaves
+// the graph, a batch read (and so frozen) half-applied — and pins what a
+// removal hands on in the Delta.
+func TestSealLedgerCases(t *testing.T) {
+	g, l := New(0, 0), newLedger()
+	for i := 0; i < 4; i++ {
+		l.addVertex(g, Attrs{"type": S("person"), "age": N(float64(20 + i))})
+	}
+	l.addVertex(g, Attrs{"type": S("city"), "rare": B(true)})
+	l.addEdge(g, 0, 1, "knows", Attrs{"since": N(2011)})
+	l.addEdge(g, 1, 4, "livesIn", nil)
+	g.BuildVertexIndex("type", "age")
+	g.Freeze()
+	l.check(t, g)
+	for _, step := range []struct {
+		name  string
+		apply func(g *Graph, l *ledger) error
+		check func(d *Delta) error
+	}{
+		{"vertex removed by the batch that added it", func(g *Graph, l *ledger) error {
+			v := l.addVertex(g, Attrs{"type": S("ghost"), "age": N(99)})
+			l.addEdge(g, v, 0, "knows", Attrs{"since": N(1)})
+			return g.RemoveVertex(v)
+		}, func(d *Delta) error {
+			if len(d.RemovedVertices) != 1 || d.RemovedAttrs[0] != nil || len(d.RemovedEdges) != 1 || d.RemovedEdgeAttrs[0] != nil {
+				return fmt.Errorf("delta %+v: an element no column held must hand on no attributes", d)
+			}
+			return nil
+		}},
+		{"removed edge with attributes", func(g *Graph, l *ledger) error {
+			return g.RemoveEdge(0)
+		}, func(d *Delta) error {
+			if want := (Attrs{"since": N(2011)}); !reflect.DeepEqual(d.RemovedEdgeAttrs, []Attrs{want}) {
+				return fmt.Errorf("removed edge attributes %v, want [%v]", d.RemovedEdgeAttrs, want)
+			}
+			return nil
+		}},
+		{"indexed value loses its last carrier, a key leaves", func(g *Graph, l *ledger) error {
+			return g.RemoveVertex(4) // the only city, the only "rare"; cascades to edge 1
+		}, func(d *Delta) error {
+			if want := (Attrs{"type": S("city"), "rare": B(true)}); !reflect.DeepEqual(d.RemovedAttrs, []Attrs{want}) || len(d.RemovedEdges) != 1 {
+				return fmt.Errorf("delta %+v, want vertex 4 with %v and one cascade", d, want)
+			}
+			return nil
+		}},
+		{"an age value comes back on a new vertex", func(g *Graph, l *ledger) error {
+			l.addVertex(g, Attrs{"type": S("city"), "age": N(20)})
+			return nil
+		}, nil},
+		{"read half-applied", func(g *Graph, l *ledger) error {
+			v := l.addVertex(g, Attrs{"type": S("person"), "age": N(21)})
+			if got := g.VertexAttrs(v); got["age"] != N(21) { // freezes the open batch
+				return fmt.Errorf("the added vertex reads %v", got)
+			}
+			l.addEdge(g, v, 1, "knows", Attrs{"since": N(2020)})
+			return g.RemoveVertex(2)
+		}, func(d *Delta) error {
+			want := []Attrs{{"type": S("person"), "age": N(22)}}
+			if !slices.Equal(d.RemovedVertices, []VertexID{2}) || !reflect.DeepEqual(d.RemovedAttrs, want) || !slices.Equal(d.RemovedEdges, nil) {
+				return fmt.Errorf("delta %+v, want vertex 2 with %v and no edge", d, want)
+			}
+			return nil
+		}},
+	} {
+		f, z := g.Fork(), g.Clone()
+		lf, lz := l.fork(), l.fork()
+		if err := step.apply(f, lf); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if err := step.apply(z, lz); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		lf.removed(f)
+		lz.removed(z)
+		d := f.Seal()
+		z.Freeze()
+		lf.check(t, f)
+		lz.check(t, z)
+		l.check(t, g)
+		frozenEqual(t, f)
+		if step.check != nil {
+			if err := step.check(d); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+		}
+		g, l = f, lf
+	}
+	if ids, ok := g.VerticesByAttr("type", S("city")); !ok || !slices.Equal(ids, []VertexID{6}) {
+		t.Fatalf("cities %v %v, want [6]", ids, ok)
+	}
+	if ids, _ := g.VerticesByAttr("type", S("person")); !slices.Equal(ids, []VertexID{0, 1, 3, 7}) {
+		t.Fatalf("persons %v, want [0 1 3 7]", ids)
+	}
+}
+
+// TestNegativeZeroSharesCode states what a decode returns for -0: a column's
+// dictionary is keyed by ==, under which -0 and 0 are one value, so the code
+// is the one of whichever was encoded first, and so are the bits decoded.
+func TestNegativeZeroSharesCode(t *testing.T) {
+	negZero := N(math.Copysign(0, -1))
+	g := New(0, 0)
+	g.AddVertex(Attrs{"x": N(0)})
+	g.AddVertex(Attrs{"x": negZero})
+	g.AddVertex(Attrs{"y": negZero})
+	g.AddVertex(Attrs{"y": N(0)})
+	if c := g.VertexColumns()["x"]; len(c.Vals) != 2 || c.Codes[0] != c.Codes[1] {
+		t.Fatalf("0 and -0 hold codes %v over %v", c.Codes, c.Vals)
+	}
+	for id, want := range map[VertexID]bool{0: false, 1: false, 2: true, 3: true} {
+		a := g.VertexAttrs(id)
+		v, ok := a["x"]
+		if !ok {
+			v = a["y"]
+		}
+		if v != N(0) || math.Signbit(v.Num) != want {
+			t.Fatalf("vertex %d decodes to %v with sign bit %v, want %v", id, v, math.Signbit(v.Num), want)
+		}
+	}
 }
 
 // TestSealExtendsInPlace pins the cost rule of the column derivation: the
@@ -204,7 +413,10 @@ func TestSealExtendsInPlace(t *testing.T) {
 		f := base.Fork()
 		f.AddVertex(attrs)
 		f.Seal()
-		columnsEqualAttrs(t, f)
+		frozenEqual(t, f)
+		if got := f.VertexAttrs(VertexID(f.NumVertices() - 1)); !reflect.DeepEqual(got, attrs) {
+			t.Fatalf("the added vertex decodes to %v, want %v", got, attrs)
+		}
 		return f
 	}
 	same := func(a, b *Graph, key string) bool {
@@ -245,8 +457,10 @@ func TestSealExtendsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Seal()
-	columnsEqualAttrs(t, f)
-	columnsEqualAttrs(t, e3)
+	frozenEqual(t, f)
+	if f.VertexAttrs(3) != nil || e3.VertexAttrs(3) == nil {
+		t.Fatalf("vertex 3 reads %v after its removal, %v before", f.VertexAttrs(3), e3.VertexAttrs(3))
+	}
 	if same(e3, f, "type") || same(e3, f, "i") {
 		t.Fatal("a removal cleared a code in the predecessor's array")
 	}
@@ -260,8 +474,16 @@ func TestSealExtendsInPlace(t *testing.T) {
 // Under -race it pins that a Seal writes nothing a reader of an earlier epoch
 // can reach.
 func TestColumnsOldEpochRace(t *testing.T) {
-	g := buildChain(256)
+	const n = 256
+	g := buildChain(n)
 	g.Freeze()
+	// What buildChain and the loop below put in: vertex id's "i".
+	want := func(id int) Value {
+		if id < n {
+			return N(float64(id))
+		}
+		return N(float64((id - n) % 300))
+	}
 	var cur atomic.Pointer[Graph]
 	cur.Store(g)
 	stop := make(chan struct{})
@@ -283,8 +505,9 @@ func TestColumnsOldEpochRace(t *testing.T) {
 						return
 					}
 					for id, code := range col.Codes {
-						if got, want := col.Vals[code], g.Vertex(VertexID(id)).Attrs[k]; code != 0 && got != want {
-							t.Errorf("vertex %d %q reads %v, want %v", id, k, got, want)
+						got := col.Vals[code]
+						if code == 0 || k == "type" && got != S("person") || k == "i" && got != want(id) {
+							t.Errorf("vertex %d %q reads %v (code %d)", id, k, got, code)
 							return
 						}
 					}
@@ -311,7 +534,11 @@ func TestColumnsOldEpochRace(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
-	columnsEqualAttrs(t, g)
+	for id := 0; id < g.NumVertices(); id++ {
+		if got := g.VertexAttrs(VertexID(id)); !maps.Equal(got, Attrs{"type": S("person"), "i": want(id)}) {
+			t.Fatalf("vertex %d decodes to %v", id, got)
+		}
+	}
 	if inPlace < 150 {
 		t.Fatalf("only %d of 200 epochs extended their predecessor's column in place", inPlace)
 	}

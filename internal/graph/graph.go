@@ -9,11 +9,13 @@
 // thesis' evaluation — a columnar one: a substrate the pattern matcher
 // (internal/match) and the statistics collector (internal/stats) scan and
 // traverse. Its frozen layer (Freeze, Assemble, Seal) is what they read: packed
-// adjacency and one dictionary-encoded column per attribute key (columns.go).
+// adjacency and one dictionary-encoded column per attribute key (columns.go),
+// the only place an attribute is kept.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,20 +33,13 @@ const NoVertex VertexID = -1
 // NoEdge is the invalid edge sentinel.
 const NoEdge EdgeID = -1
 
-// Vertex is a data vertex: an entity with attribute values.
-type Vertex struct {
-	ID    VertexID
-	Attrs Attrs
-}
-
 // Edge is a directed data edge with a type (a special attribute in the
-// property-graph model, see Eq. 3.7) and further attribute values.
+// property-graph model, see Eq. 3.7); EdgeAttrs decodes its attributes.
 type Edge struct {
-	ID    EdgeID
-	From  VertexID
-	To    VertexID
-	Type  string
-	Attrs Attrs
+	ID   EdgeID
+	From VertexID
+	To   VertexID
+	Type string
 }
 
 // Adj is one packed adjacency entry: the incident edge, the far endpoint,
@@ -61,22 +56,27 @@ type Adj struct {
 // readers are safe once construction finished (call Freeze after the last
 // mutation if readers use the packed adjacency accessors concurrently).
 type Graph struct {
-	vertices []Vertex
-	edges    []Edge
-	out      [][]EdgeID // outgoing edge ids per vertex
-	in       [][]EdgeID // incoming edge ids per vertex
+	edges []Edge
+	out   [][]EdgeID // outgoing edge ids per vertex; one entry per vertex
+	in    [][]EdgeID // incoming edge ids per vertex
 
 	// typeIndex maps an edge type to all edges of that type.
 	typeIndex map[string][]EdgeID
-	// vattrIndex maps attribute key → value → vertices carrying it.
-	// It is built lazily by BuildVertexIndex for the keys requested.
-	vattrIndex map[string]map[Value][]VertexID
+	// indexed lists the vertex attribute keys BuildVertexIndex was given.
+	indexed []string
+
+	// attrs is the last encoding (columns.go); pendV/pendE hold the maps of
+	// the elements added since, goneV/goneE the removals since, in order.
+	attrs        *store
+	pendV, pendE []Attrs
+	goneV        []VertexID
+	goneE        []EdgeID
 
 	// Tombstones. IDs are dense and never reused, so removal marks the slot
-	// instead of compacting: removed vertices keep their ID with nil attrs and
-	// no incident edges, removed edges keep their record but leave every
-	// adjacency list and the type index. Both slices are nil until the first
-	// removal, so purely additive graphs pay nothing.
+	// instead of compacting: removed vertices and edges keep their ID with no
+	// attributes, removed edges keep their record but leave every adjacency
+	// list and the type index. Both slices are nil until the first removal,
+	// so purely additive graphs pay nothing.
 	removedV  []bool
 	removedE  []bool
 	nRemovedV int
@@ -93,17 +93,14 @@ type Graph struct {
 	frozen   atomic.Pointer[csr]
 	freezeMu sync.Mutex
 
-	// fork is non-nil between Fork and Seal: the journal of what the batch
-	// removed (see derive.go).
-	fork *fork
+	base *Graph // the graph an open Fork was taken from (derive.go)
 }
 
 // csr is one immutable frozen snapshot: per-vertex half-edge lists
 // (outAdj[outOff[v]:outOff[v+1]] are v's outgoing half-edges), the dense
-// edge-type numbering, and the attribute columns (columns.go). A csr is
-// read-only after construction and shared by every concurrent reader of the
-// graph — but for extended, set once by the first fork sealed from it, which
-// thereby takes the spare capacity behind the column arrays.
+// edge-type numbering, the attribute columns and the posting lists of the
+// indexed vertex keys. A csr is read-only after construction and shared by
+// every concurrent reader of the graph.
 type csr struct {
 	outAdj    []Adj
 	inAdj     []Adj
@@ -111,15 +108,13 @@ type csr struct {
 	inOff     []int32
 	typeNames []string         // dense type id → name, sorted
 	typeIDs   map[string]int32 // name → dense type id
-	vcols     columns
-	ecols     columns
-	extended  atomic.Bool
+	attrs     *store
+	post      map[string]*postings // indexed key → posting lists, nil without a column
 }
 
 // New returns an empty graph with capacity hints for vertices and edges.
 func New(vcap, ecap int) *Graph {
 	return &Graph{
-		vertices:  make([]Vertex, 0, vcap),
 		edges:     make([]Edge, 0, ecap),
 		out:       make([][]EdgeID, 0, vcap),
 		in:        make([][]EdgeID, 0, vcap),
@@ -128,10 +123,11 @@ func New(vcap, ecap int) *Graph {
 }
 
 // AddVertex inserts a vertex with the given attributes and returns its id.
-// The attribute map is stored as-is; callers must not mutate it afterwards.
+// The map is held until the next Freeze encodes it; callers must not mutate
+// it afterwards.
 func (g *Graph) AddVertex(attrs Attrs) VertexID {
-	id := VertexID(len(g.vertices))
-	g.vertices = append(g.vertices, Vertex{ID: id, Attrs: attrs})
+	id := VertexID(len(g.out))
+	g.pendV = append(g.pendV, attrs)
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	if g.removedV != nil {
@@ -144,16 +140,17 @@ func (g *Graph) AddVertex(attrs Attrs) VertexID {
 // AddEdge inserts a directed edge from → to of the given type and returns its
 // id. Multiple edges between the same endpoints are allowed (multigraph).
 // AddEdge panics if either endpoint does not exist, mirroring slice
-// out-of-range semantics for programmer errors.
+// out-of-range semantics for programmer errors. attrs is held as AddVertex's.
 func (g *Graph) AddEdge(from, to VertexID, typ string, attrs Attrs) EdgeID {
-	if int(from) >= len(g.vertices) || int(to) >= len(g.vertices) || from < 0 || to < 0 {
-		panic(fmt.Sprintf("graph: AddEdge endpoints out of range: %d -> %d (have %d vertices)", from, to, len(g.vertices)))
+	if int(from) >= len(g.out) || int(to) >= len(g.out) || from < 0 || to < 0 {
+		panic(fmt.Sprintf("graph: AddEdge endpoints out of range: %d -> %d (have %d vertices)", from, to, len(g.out)))
 	}
 	if g.VertexRemoved(from) || g.VertexRemoved(to) {
 		panic(fmt.Sprintf("graph: AddEdge endpoint removed: %d -> %d", from, to))
 	}
 	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Type: typ, Attrs: attrs})
+	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Type: typ})
+	g.pendE = append(g.pendE, attrs)
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	if g.typeIndex == nil {
@@ -169,10 +166,10 @@ func (g *Graph) AddEdge(from, to VertexID, typ string, attrs Attrs) EdgeID {
 
 // Freeze builds the frozen layer: per-vertex CSR half-edge lists carrying
 // (edge id, far vertex, dense type id) so traversals avoid the per-edge record
-// lookup, the dense edge-type numbering, and the attribute columns. Freeze is
-// idempotent; any mutation invalidates it and the next Freeze (or packed
-// accessor) rebuilds. Call it after construction when concurrent readers
-// will use OutAdj/InAdj.
+// lookup, the dense edge-type numbering, the attribute columns (encoding the
+// maps added since) and the posting lists. Freeze is idempotent; any mutation
+// invalidates it and the next Freeze (or packed accessor) rebuilds. Call it
+// after construction when concurrent readers will use OutAdj/InAdj.
 func (g *Graph) Freeze() {
 	if g.frozen.Load() != nil {
 		return
@@ -184,11 +181,12 @@ func (g *Graph) Freeze() {
 	}
 	c := &csr{typeNames: g.EdgeTypes()}
 	c.typeIDs = denseTypeIDs(c.typeNames)
-	// The columns, an independent read of the same records, are built beside.
+	// The columns, an independent read of the graph, are encoded beside.
 	cols := make(chan struct{})
 	go func() {
 		defer close(cols)
-		c.vcols, c.ecols = g.buildColumns()
+		c.attrs = g.encode()
+		c.post = g.postings(c.attrs, nil, nil)
 	}()
 	// Each live edge's dense type id, resolved per type list instead of by
 	// hashing the type string at both of the edge's half-edges.
@@ -198,7 +196,7 @@ func (g *Graph) Freeze() {
 			etype[eid] = int32(i)
 		}
 	}
-	nv, live := len(g.vertices), len(g.edges)-g.nRemovedE
+	nv, live := len(g.out), len(g.edges)-g.nRemovedE
 	c.outOff = make([]int32, nv+1)
 	c.inOff = make([]int32, nv+1)
 	c.outAdj = make([]Adj, live)
@@ -276,13 +274,10 @@ func (g *Graph) NumEdgeTypes() int { return len(g.typeIndex) }
 func (g *Graph) TypeEdgeCount(typ string) int { return len(g.typeIndex[typ]) }
 
 // NumVertices returns the number of vertices (N_d in the thesis).
-func (g *Graph) NumVertices() int { return len(g.vertices) }
+func (g *Graph) NumVertices() int { return len(g.out) }
 
 // NumEdges returns the number of edges (M_d in the thesis).
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// Vertex returns the vertex with the given id.
-func (g *Graph) Vertex(id VertexID) *Vertex { return &g.vertices[id] }
 
 // Edge returns the edge with the given id.
 func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
@@ -314,41 +309,35 @@ func (g *Graph) EdgeTypes() []string {
 // BuildVertexIndex builds an equality index over the given vertex attribute
 // keys, used by the matcher and the statistics collector to avoid full scans
 // for highly selective predicates (for example the entity "type" attribute).
+// Its posting lists are part of the frozen layer, which a new key invalidates.
 func (g *Graph) BuildVertexIndex(keys ...string) {
-	if g.vattrIndex == nil {
-		g.vattrIndex = make(map[string]map[Value][]VertexID, len(keys))
-	}
-	for _, key := range keys {
-		idx := make(map[Value][]VertexID)
-		for i := range g.vertices {
-			if v, ok := g.vertices[i].Attrs[key]; ok {
-				idx[v] = append(idx[v], g.vertices[i].ID)
-			}
+	for _, k := range keys {
+		if !slices.Contains(g.indexed, k) {
+			g.indexed = append(g.indexed, k)
+			g.frozen.Store(nil)
 		}
-		g.vattrIndex[key] = idx
 	}
+	slices.Sort(g.indexed)
 }
 
-// VerticesByAttr returns the vertices whose attribute key equals value, and
-// whether an index over key exists. With no index it returns (nil, false)
-// and callers fall back to a scan.
+// VerticesByAttr returns the vertices whose attribute key equals value, in
+// ascending order (shared: read only), and whether an index over key exists.
+// With no index it returns (nil, false) and callers fall back to a scan.
 func (g *Graph) VerticesByAttr(key string, value Value) ([]VertexID, bool) {
-	idx, ok := g.vattrIndex[key]
-	if !ok {
+	if !slices.Contains(g.indexed, key) {
 		return nil, false
 	}
-	return idx[value], true
+	c := g.snapshot()
+	p := c.post[key]
+	if p == nil {
+		return nil, true
+	}
+	code := c.attrs.v[key].Code(value)
+	return p.ids[p.off[code]:p.off[code+1]], true
 }
 
-// IndexedKeys reports the vertex attribute keys covered by an index.
-func (g *Graph) IndexedKeys() []string {
-	keys := make([]string, 0, len(g.vattrIndex))
-	for k := range g.vattrIndex {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// IndexedKeys reports the vertex attribute keys covered by an index, sorted.
+func (g *Graph) IndexedKeys() []string { return slices.Clone(g.indexed) }
 
 // Neighbors returns the distinct vertices adjacent to v (either direction).
 func (g *Graph) Neighbors(v VertexID) []VertexID {
@@ -380,7 +369,7 @@ type Stats struct {
 
 // Summary computes the per-type edge counts.
 func (g *Graph) Summary() Stats {
-	s := Stats{Vertices: len(g.vertices), Edges: len(g.edges), EdgeTypes: make(map[string]int, len(g.typeIndex))}
+	s := Stats{Vertices: len(g.out), Edges: len(g.edges), EdgeTypes: make(map[string]int, len(g.typeIndex))}
 	for t, ids := range g.typeIndex {
 		s.EdgeTypes[t] = len(ids)
 	}

@@ -43,18 +43,6 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
-func TestAttrsClone(t *testing.T) {
-	a := Attrs{"k": S("v")}
-	c := a.Clone()
-	c["k"] = S("w")
-	if a["k"] != S("v") {
-		t.Fatal("Clone must not share storage")
-	}
-	if Attrs(nil).Clone() != nil {
-		t.Fatal("nil clone should stay nil")
-	}
-}
-
 func buildTriangle(t *testing.T) *Graph {
 	t.Helper()
 	g := New(3, 3)

@@ -9,9 +9,9 @@ import "fmt"
 // a batch to a Fork (derive.go) — or, from scratch, to a Clone it then
 // indexes and freezes — and publishes the new graph behind whatever pointer
 // the caller owns. IDs are dense and never reused, so
-// removal tombstones the slot: a removed vertex keeps its ID with nil attrs
-// and no incident edges, a removed edge keeps its record (for audit) but
-// leaves every adjacency list, the type index, and the next frozen CSR.
+// removal tombstones the slot: a removed vertex keeps its ID, a removed edge
+// its record; either loses its attributes, and an edge leaves every adjacency
+// list, the type index, and the next frozen CSR.
 
 // VertexRemoved reports whether v has been tombstoned. False for graphs that
 // never saw a removal (the bitmap is allocated lazily).
@@ -31,7 +31,7 @@ func (g *Graph) NumRemovedVertices() int { return g.nRemovedV }
 func (g *Graph) NumRemovedEdges() int { return g.nRemovedE }
 
 // NumLiveVertices returns the number of non-tombstoned vertices.
-func (g *Graph) NumLiveVertices() int { return len(g.vertices) - g.nRemovedV }
+func (g *Graph) NumLiveVertices() int { return len(g.out) - g.nRemovedV }
 
 // NumLiveEdges returns the number of non-tombstoned edges.
 func (g *Graph) NumLiveEdges() int { return len(g.edges) - g.nRemovedE }
@@ -66,7 +66,7 @@ func (g *Graph) RemovedEdges() []EdgeID {
 
 func (g *Graph) ensureTombstones() {
 	if g.removedV == nil {
-		g.removedV = make([]bool, len(g.vertices))
+		g.removedV = make([]bool, len(g.out))
 	}
 	if g.removedE == nil {
 		g.removedE = make([]bool, len(g.edges))
@@ -87,9 +87,9 @@ func removeID(ids []EdgeID, id EdgeID) []EdgeID {
 }
 
 // RemoveEdge tombstones an edge: it disappears from both endpoints'
-// adjacency lists, the type index, and the next frozen CSR, while its record
-// stays addressable under the old id. Removing an unknown or already-removed
-// edge is an error.
+// adjacency lists, the type index, the attribute columns and the next frozen
+// CSR, while its record stays addressable under the old id. Removing an
+// unknown or already-removed edge is an error.
 func (g *Graph) RemoveEdge(id EdgeID) error {
 	if id < 0 || int(id) >= len(g.edges) {
 		return fmt.Errorf("graph: RemoveEdge: edge %d out of range (have %d edges)", id, len(g.edges))
@@ -108,20 +108,17 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 	}
 	g.removedE[id] = true
 	g.nRemovedE++
-	if g.fork != nil {
-		g.fork.removedE = append(g.fork.removedE, id)
-	}
+	g.goneE = append(g.goneE, id)
 	g.frozen.Store(nil)
 	return nil
 }
 
 // RemoveVertex tombstones a vertex and every incident edge. The slot keeps
-// its dense id with nil attrs, so candidate scans and the attribute domain
-// skip it naturally; callers that keep an attribute index must rebuild it
-// (BuildVertexIndex) before serving from the mutated graph.
+// its dense id and no attribute, so candidate scans, the posting lists and
+// the attribute domain skip it naturally.
 func (g *Graph) RemoveVertex(id VertexID) error {
-	if id < 0 || int(id) >= len(g.vertices) {
-		return fmt.Errorf("graph: RemoveVertex: vertex %d out of range (have %d vertices)", id, len(g.vertices))
+	if id < 0 || int(id) >= len(g.out) {
+		return fmt.Errorf("graph: RemoveVertex: vertex %d out of range (have %d vertices)", id, len(g.out))
 	}
 	if g.VertexRemoved(id) {
 		return fmt.Errorf("graph: RemoveVertex: vertex %d already removed", id)
@@ -139,36 +136,39 @@ func (g *Graph) RemoveVertex(id VertexID) error {
 			}
 		}
 	}
-	if g.fork != nil {
-		g.fork.removedV = append(g.fork.removedV, id)
-		g.fork.removedAttrs = append(g.fork.removedAttrs, g.vertices[id].Attrs)
-	}
-	g.vertices[id].Attrs = nil
+	g.goneV = append(g.goneV, id)
 	g.removedV[id] = true
 	g.nRemovedV++
 	g.frozen.Store(nil)
 	return nil
 }
 
-// Clone returns a deep copy of the graph's structure: vertex and edge
-// records, adjacency lists, the type index, and tombstones. Attribute maps
-// are shared (they are immutable by the AddVertex/AddEdge contract), and the
-// vertex attribute index is NOT cloned — after mutating a clone, rebuild it
-// with BuildVertexIndex(orig.IndexedKeys()...). The clone starts unfrozen;
-// its first Freeze builds a CSR independent of the original's.
+// Clone returns a deep copy of the graph's structure: edge records,
+// adjacency lists, the type index, indexed keys and tombstones. The attribute
+// store is shared (no encode writes where a holder can read, columns.go), as
+// are the maps not yet encoded (immutable by the AddVertex/AddEdge contract).
+// The clone starts unfrozen; its first Freeze builds a CSR and posting lists
+// independent of the original's.
 //
 // Only flat arrays are copied: every adjacency and type-index list of the
 // clone is a capacity-clamped window into one backing array, so the copy
 // allocates per graph, not per vertex, and an append to one list reallocates
 // that list instead of running into its neighbour's.
 func (g *Graph) Clone() *Graph {
-	nv, live := len(g.vertices), len(g.edges)-g.nRemovedE
+	nv, live := len(g.out), len(g.edges)-g.nRemovedE
 	c := &Graph{
-		vertices:  append([]Vertex(nil), g.vertices...),
 		edges:     append([]Edge(nil), g.edges...),
 		out:       make([][]EdgeID, nv),
 		in:        make([][]EdgeID, nv),
 		typeIndex: make(map[string][]EdgeID, len(g.typeIndex)),
+		indexed:   append([]string(nil), g.indexed...),
+		attrs:     g.attrs,
+		pendV:     append([]Attrs(nil), g.pendV...),
+		pendE:     append([]Attrs(nil), g.pendE...),
+		goneV:     append([]VertexID(nil), g.goneV...),
+		goneE:     append([]EdgeID(nil), g.goneE...),
+		removedV:  append([]bool(nil), g.removedV...),
+		removedE:  append([]bool(nil), g.removedE...),
 		nRemovedV: g.nRemovedV,
 		nRemovedE: g.nRemovedE,
 	}
@@ -191,12 +191,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	for t, ids := range g.typeIndex {
 		c.typeIndex[t] = window(ids)
-	}
-	if g.removedV != nil {
-		c.removedV = append([]bool(nil), g.removedV...)
-	}
-	if g.removedE != nil {
-		c.removedE = append([]bool(nil), g.removedE...)
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -31,9 +32,13 @@ func TestRemoveEdge(t *testing.T) {
 	if g.NumLiveEdges() != 2 || g.NumEdges() != 3 {
 		t.Fatalf("live=%d total=%d, want 2/3", g.NumLiveEdges(), g.NumEdges())
 	}
-	// The record stays addressable; adjacency and type index forget it.
+	// The record stays addressable; adjacency, type index and columns forget
+	// it.
 	if e := g.Edge(1); e.From != 1 || e.To != 2 || e.Type != "knows" {
 		t.Fatalf("removed edge record mangled: %+v", e)
+	}
+	if a := g.EdgeAttrs(1); a != nil {
+		t.Fatalf("removed edge keeps attrs: %v", a)
 	}
 	if got := g.Out(1); len(got) != 0 {
 		t.Fatalf("out(1) = %v, want empty", got)
@@ -70,8 +75,11 @@ func TestRemoveVertexCascades(t *testing.T) {
 	if g.NumRemovedEdges() != 3 {
 		t.Fatalf("removed %d edges, want 3", g.NumRemovedEdges())
 	}
-	if g.Vertex(2).Attrs != nil {
-		t.Fatalf("removed vertex keeps attrs: %v", g.Vertex(2).Attrs)
+	if a := g.VertexAttrs(2); a != nil {
+		t.Fatalf("removed vertex keeps attrs: %v", a)
+	}
+	if a := g.EdgeAttrs(1); a != nil {
+		t.Fatalf("cascaded edge keeps attrs: %v", a)
 	}
 	if got := g.EdgesByType("self"); got != nil {
 		t.Fatalf("self index survives: %v", got)
@@ -105,6 +113,7 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	c.AddVertex(Attrs{"type": S("person")})
 	c.AddEdge(0, 3, "knows", nil)
+	c.Freeze() // encodes the clone's batch beside the original's columns
 
 	// The original is untouched: counts, adjacency, tombstones, CSR.
 	if after := g.Summary(); !reflect.DeepEqual(before, after) {
@@ -119,9 +128,18 @@ func TestCloneIsolation(t *testing.T) {
 	if adj := g.OutAdj(1); len(adj) != 1 {
 		t.Fatalf("original CSR changed: out-adjacency of 1 = %v", adj)
 	}
+	if a := g.VertexAttrs(1); a["type"] != S("person") || g.EdgeAttrs(1)["since"] != N(2011) {
+		t.Fatalf("original columns changed: vertex 1 %v, edge 1 %v", a, g.EdgeAttrs(1))
+	}
+	if ids, _ := g.VerticesByAttr("type", S("person")); !reflect.DeepEqual(ids, []VertexID{0, 1, 2}) {
+		t.Fatalf("original index changed: persons %v", ids)
+	}
 	// And the clone sees its own state.
 	if c.NumLiveVertices() != 3 || c.NumLiveEdges() != 2 {
 		t.Fatalf("clone live counts %d/%d, want 3/2", c.NumLiveVertices(), c.NumLiveEdges())
+	}
+	if ids, _ := c.VerticesByAttr("type", S("person")); !reflect.DeepEqual(ids, []VertexID{0, 2, 3}) {
+		t.Fatalf("clone persons %v, want [0 2 3]", ids)
 	}
 }
 
@@ -135,14 +153,9 @@ func TestAssembleRoundTrip(t *testing.T) {
 	g.BuildVertexIndex("type")
 	g.Freeze()
 
-	got, err := Assemble(SnapshotParts{
-		Vertices:        append([]Vertex(nil), g.vertices...),
-		Edges:           append([]Edge(nil), g.edges...),
-		RemovedVertices: g.RemovedVertices(),
-		RemovedEdges:    g.RemovedEdges(),
-		CSR:             g.FrozenCSR(),
-		IndexedKeys:     g.IndexedKeys(),
-	})
+	p := partsOf(g)
+	p.RemovedVertices, p.RemovedEdges, p.IndexedKeys = g.RemovedVertices(), g.RemovedEdges(), g.IndexedKeys()
+	got, err := Assemble(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +194,16 @@ func TestAssembleRoundTrip(t *testing.T) {
 	if !ok || len(ids) != 3 {
 		t.Fatalf("rebuilt index: %v %v", ids, ok)
 	}
+	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+		if !reflect.DeepEqual(got.VertexAttrs(v), g.VertexAttrs(v)) {
+			t.Fatalf("vertex %d attrs %v, want %v", v, got.VertexAttrs(v), g.VertexAttrs(v))
+		}
+	}
+	for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if !reflect.DeepEqual(got.EdgeAttrs(e), g.EdgeAttrs(e)) {
+			t.Fatalf("edge %d attrs %v, want %v", e, got.EdgeAttrs(e), g.EdgeAttrs(e))
+		}
+	}
 
 	// Mutating the assembled graph must not stomp a neighbor's adjacency:
 	// the flat-backed lists are capacity-capped, so append reallocates.
@@ -194,15 +217,13 @@ func TestAssembleRoundTrip(t *testing.T) {
 func TestAssembleRejectsCorruptParts(t *testing.T) {
 	g := chain(t)
 	g.Freeze()
-	base := func() SnapshotParts {
-		return SnapshotParts{
-			Vertices: append([]Vertex(nil), g.vertices...),
-			Edges:    append([]Edge(nil), g.edges...),
-			CSR:      g.FrozenCSR(),
-		}
-	}
 	for name, corrupt := range map[string]func(*SnapshotParts){
-		"short offsets":      func(p *SnapshotParts) { p.CSR.OutOff = p.CSR.OutOff[:2] },
+		"short offsets":    func(p *SnapshotParts) { p.CSR.OutOff = p.CSR.OutOff[:2] },
+		"short edge attrs": func(p *SnapshotParts) { p.EdgeAttrs = p.EdgeAttrs[:1] },
+		"far vertex out of range": func(p *SnapshotParts) {
+			p.CSR.OutAdj = append([]Adj(nil), p.CSR.OutAdj...)
+			p.CSR.OutAdj[0].Vertex = 7
+		},
 		"bad removed vertex": func(p *SnapshotParts) { p.RemovedVertices = []VertexID{99} },
 		"bad endpoint": func(p *SnapshotParts) {
 			p.Edges = append([]Edge(nil), p.Edges...)
@@ -210,10 +231,22 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 		},
 		"type table mismatch": func(p *SnapshotParts) { p.CSR.TypeNames = []string{"knows", "zzz"} },
 	} {
-		p := base()
+		p := partsOf(g)
 		corrupt(&p)
 		if _, err := Assemble(p); err == nil {
 			t.Errorf("%s: Assemble accepted corrupt parts", name)
 		}
 	}
+}
+
+// partsOf is what a snapshot of g holds, tombstones and index left out.
+func partsOf(g *Graph) SnapshotParts {
+	p := SnapshotParts{Edges: slices.Clone(g.edges), CSR: g.FrozenCSR()}
+	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+		p.VertexAttrs = append(p.VertexAttrs, g.VertexAttrs(v))
+	}
+	for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
+		p.EdgeAttrs = append(p.EdgeAttrs, g.EdgeAttrs(e))
+	}
+	return p
 }

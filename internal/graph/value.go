@@ -80,17 +80,6 @@ func (v Value) GoString() string {
 	}
 }
 
-// Attrs is the attribute map of a vertex or edge: key → value.
+// Attrs is the attribute map of a vertex or edge: key → value — the input
+// of AddVertex and AddEdge, and what VertexAttrs and EdgeAttrs decode.
 type Attrs map[string]Value
-
-// Clone returns a deep copy of the attribute map.
-func (a Attrs) Clone() Attrs {
-	if a == nil {
-		return nil
-	}
-	c := make(Attrs, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
-	return c
-}

@@ -35,35 +35,66 @@ func TestRepeatedValueCountsOnce(t *testing.T) {
 	}
 }
 
-// TestReferenceReadsMapsOnly corrupts what the compiled engine resolves
-// candidates from — the candidate cache — and requires the reference engine
-// not to notice: an oracle that took its candidates from the code under test
-// could not see a wrong column binding.
-func TestReferenceReadsMapsOnly(t *testing.T) {
-	m := New(testGraph())
+// TestReferenceIgnoresCompiledState corrupts, one at a time, what the
+// compiled engine resolves a query through — the candidate cache, the bound
+// predicate bitset of a cached plan, an attribute posting list — and requires
+// the compiled count to move and the reference count not to: the reference
+// shares only the columns with the engine it checks, so it can see a wrong
+// binding, a stale cache entry or a bad index.
+func TestReferenceIgnoresCompiledState(t *testing.T) {
 	q := query.New()
 	a := q.AddVertex(personType())
 	b := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
-	q.AddEdge(a, b, []string{"worksAt"}, nil)
+	q.AddEdge(a, b, []string{"worksAt"}, map[string]query.Predicate{"sinceYear": query.AtLeast(2000)})
 	q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")}) // isolated
-	want := m.ReferenceCount(q, 0)
-	if want != 6 || m.Count(q, 0) != want {
-		t.Fatalf("reference %d, compiled %d, want 6", want, m.Count(q, 0))
-	}
-	for _, v := range q.Vertices() {
-		e := m.candidateEntry(v)
-		e.list = e.list[:0]
-		clear(e.bits)
-	}
-	if got := m.ReferenceCount(q, 0); got != want {
-		t.Fatalf("the reference counts %d over an emptied candidate cache, %d before", got, want)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *Matcher) *Matcher // returns the matcher to count with
+	}{
+		{"emptied candidate cache", func(m *Matcher) *Matcher {
+			for _, v := range q.Vertices() {
+				e := m.candidateEntry(v)
+				e.list = e.list[:0]
+				clear(e.bits)
+			}
+			return m
+		}},
+		{"cleared bound predicate bitset", func(m *Matcher) *Matcher {
+			c := m.NewContext()
+			c.loadKey(q, "")
+			for _, op := range m.cachedPlan(c, q).ops {
+				for i := range op.epreds {
+					clear(op.epreds[i].admit)
+				}
+			}
+			return m
+		}},
+		{"posting list pointed elsewhere", func(m *Matcher) *Matcher {
+			persons, _ := m.Graph().VerticesByAttr("type", graph.S("person"))
+			for i := range persons {
+				persons[i] = 6 // a city: the bound type predicate rejects every entry
+			}
+			return New(m.Graph()) // a candidate cache that has not seen the list yet
+		}},
+	} {
+		m := New(testGraph())
+		want := m.ReferenceCount(q, 0)
+		if want != 6 || m.Count(q, 0) != want {
+			t.Fatalf("%s: reference %d, compiled %d, want 6", tc.name, want, m.Count(q, 0))
+		}
+		cm := tc.corrupt(m)
+		if got := cm.Count(q, 1000); got == want { // a cap of its own: not a count-cache hit
+			t.Fatalf("%s: the compiled engine still counts %d: the corruption is not read", tc.name, got)
+		}
+		if got := m.ReferenceCount(q, 0); got != want {
+			t.Fatalf("%s: the reference counts %d, %d before", tc.name, got, want)
+		}
 	}
 }
 
 // TestHighCardinalityColumns: every vertex and every edge carries a distinct
 // numeric value, so each dictionary is as long as its column. Range and value
-// predicates, on vertices and on edges, count what the map-based reference
-// counts.
+// predicates, on vertices and on edges, count what the reference counts.
 func TestHighCardinalityColumns(t *testing.T) {
 	const n = 500
 	g := graph.New(n, 2*n)
@@ -102,16 +133,17 @@ func TestHighCardinalityColumns(t *testing.T) {
 			t.Errorf("%s: compiled %d, reference %d, want %d", tc.name, got, ref, tc.want)
 		}
 		if got, ref := m.EdgeCandidateCount(q.Edge(e)), m.refEdgeCount(q.Edge(e)); got != ref {
-			t.Errorf("%s: %d edge candidates, the maps say %d", tc.name, got, ref)
+			t.Errorf("%s: %d edge candidates, the reference says %d", tc.name, got, ref)
 		}
 	}
 }
 
-// refEdgeCount is EdgeCandidateCount over the attribute maps.
+// refEdgeCount is EdgeCandidateCount through the reference's predicate test.
 func (m *Matcher) refEdgeCount(eq *query.Edge) int {
 	n := 0
+	preds := refResolve(m.g.EdgeColumns(), eq.Preds)
 	for i := 0; i < m.g.NumEdges(); i++ {
-		if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.edgeMatches(eq, id) {
+		if id := graph.EdgeID(i); !m.g.EdgeRemoved(id) && m.edgeMatches(eq, preds, id) {
 			n++
 		}
 	}

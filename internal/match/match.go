@@ -26,9 +26,10 @@
 // the flat slice of a caller-owned Rows (FindRows) — the form the result
 // distance of internal/metrics is computed on, without a map per result.
 // Find and FindCtx convert those rows into Result maps for callers that want
-// result graphs. The original map-based engine is retained as
-// ReferenceCount/ReferenceFind for differential testing; it reads the
-// attribute maps only, nothing the compiled engine resolves.
+// result graphs. The original backtracking engine is retained as
+// ReferenceCount/ReferenceFind for differential testing; it decodes the
+// attribute columns value by value and reads nothing the compiled engine
+// binds, indexes or caches.
 //
 // Counting has one path. Every Count* entry point resolves (canonical key,
 // cap) against the executed-count cache and, on a miss, runs the cached plan's

@@ -5,56 +5,59 @@ import (
 	"repro/internal/query"
 )
 
-// This file retains the original map-based backtracking engine as a
-// reference implementation. The differential tests execute randomized
-// workloads against both engines and assert identical counts and sorted
-// result sets, proving the compiled flat-state engine (plan.go/exec.go)
-// preserves the seed semantics. It shares nothing with the engine it checks:
-// predicates are tested against the elements' attribute maps and candidates
-// are its own scan — no column, index or cache of the compiled engine is read.
+// This file retains the original backtracking engine as a reference
+// implementation. The differential tests execute randomized workloads against
+// both engines and assert identical counts and sorted result sets, proving the
+// compiled flat-state engine (plan.go/exec.go) preserves the seed semantics.
+// It shares only the attribute columns with the engine it checks, read as
+// data — Vals[Codes[id]] tested with Predicate.Matches — and no bound bitset,
+// posting list or cache; candidates are its own scan.
 
-// vertexMatches reports whether data vertex vd satisfies every predicate
-// interval of query vertex vq.
-func (m *Matcher) vertexMatches(vq *query.Vertex, vd graph.VertexID) bool {
-	attrs := m.g.Vertex(vd).Attrs
-	for key, pred := range vq.Preds {
-		val, ok := attrs[key]
-		if !ok || !pred.Matches(val) {
+// refPred is a query element's predicate and its column, nil (admitting
+// nothing) when no element carries the key.
+type refPred struct {
+	col  *graph.Column
+	pred query.Predicate
+}
+
+// refResolve resolves an element's predicates, once per run, not per element.
+func refResolve(cols map[string]*graph.Column, preds map[string]query.Predicate) []refPred {
+	rp := make([]refPred, 0, len(preds))
+	for k, pred := range preds {
+		rp = append(rp, refPred{col: cols[k], pred: pred})
+	}
+	return rp
+}
+
+// refMatches reports whether element id satisfies every predicate.
+func refMatches(preds []refPred, id int) bool {
+	for _, rp := range preds {
+		if rp.col == nil || rp.col.Codes[id] == 0 || !rp.pred.Matches(rp.col.Vals[rp.col.Codes[id]]) {
 			return false
 		}
 	}
 	return true
 }
 
-// edgeMatches reports whether data edge ed satisfies the type disjunction and
-// every predicate interval of query edge eq (direction is checked by the
+// edgeMatches reports whether data edge ed satisfies the type disjunction of
+// query edge eq and its resolved predicates (direction is checked by the
 // expansion step, not here).
-func (m *Matcher) edgeMatches(eq *query.Edge, ed graph.EdgeID) bool {
-	e := m.g.Edge(ed)
-	if !eq.HasType(e.Type) {
-		return false
-	}
-	for key, pred := range eq.Preds {
-		val, ok := e.Attrs[key]
-		if !ok || !pred.Matches(val) {
-			return false
-		}
-	}
-	return true
+func (m *Matcher) edgeMatches(eq *query.Edge, preds []refPred, ed graph.EdgeID) bool {
+	return eq.HasType(m.g.Edge(ed).Type) && refMatches(preds, int(ed))
 }
 
-// refCandidates scans for the live data vertices matching vq, in id order.
-func (m *Matcher) refCandidates(vq *query.Vertex) []graph.VertexID {
+// refCandidates scans for the live data vertices matching preds, in id order.
+func (m *Matcher) refCandidates(preds []refPred) []graph.VertexID {
 	var list []graph.VertexID
 	for i := 0; i < m.g.NumVertices(); i++ {
-		if id := graph.VertexID(i); !m.g.VertexRemoved(id) && m.vertexMatches(vq, id) {
+		if id := graph.VertexID(i); !m.g.VertexRemoved(id) && refMatches(preds, i) {
 			list = append(list, id)
 		}
 	}
 	return list
 }
 
-// ReferenceFind enumerates result graphs with the retained map-based engine.
+// ReferenceFind enumerates result graphs with the retained reference engine.
 func (m *Matcher) ReferenceFind(q *query.Query, opts Options) []Result {
 	var out []Result
 	m.refRun(q, func(r Result) bool {
@@ -64,7 +67,7 @@ func (m *Matcher) ReferenceFind(q *query.Query, opts Options) []Result {
 	return out
 }
 
-// ReferenceCount counts result graphs with the retained map-based engine.
+// ReferenceCount counts result graphs with the retained reference engine.
 func (m *Matcher) ReferenceCount(q *query.Query, cap int) int {
 	n := 0
 	m.refRun(q, func(Result) bool {
@@ -155,7 +158,7 @@ type refStep struct {
 // refPlan orders the edges of a connected query into a traversal starting at
 // the most selective vertex, whose candidates it returns. Isolated vertices
 // are returned separately.
-func (m *Matcher) refPlan(q *query.Query) (start int, startCands []graph.VertexID, steps []refStep, isolated []int) {
+func (m *Matcher) refPlan(q *query.Query, vpreds map[int][]refPred) (start int, startCands []graph.VertexID, steps []refStep, isolated []int) {
 	// Start vertex: fewest candidates (cheap selectivity heuristic).
 	best := -1
 	for _, vid := range q.VertexIDs() {
@@ -163,7 +166,7 @@ func (m *Matcher) refPlan(q *query.Query) (start int, startCands []graph.VertexI
 			isolated = append(isolated, vid)
 			continue
 		}
-		c := m.refCandidates(q.Vertex(vid))
+		c := m.refCandidates(vpreds[vid])
 		if best == -1 || len(c) < len(startCands) {
 			best, startCands = vid, c
 		}
@@ -215,10 +218,17 @@ func (m *Matcher) refPlan(q *query.Query) (start int, startCands []graph.VertexI
 // is connected; isolated query vertices are bound afterwards from their
 // candidate lists.
 func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
-	start, startCands, steps, isolated := m.refPlan(q)
+	vpreds, epreds := map[int][]refPred{}, map[int][]refPred{}
+	for _, v := range q.Vertices() {
+		vpreds[v.ID] = refResolve(m.g.VertexColumns(), v.Preds)
+	}
+	for _, e := range q.Edges() {
+		epreds[e.ID] = refResolve(m.g.EdgeColumns(), e.Preds)
+	}
+	start, startCands, steps, isolated := m.refPlan(q, vpreds)
 	isoCands := make([][]graph.VertexID, len(isolated))
 	for i, vid := range isolated {
-		isoCands[i] = m.refCandidates(q.Vertex(vid))
+		isoCands[i] = m.refCandidates(vpreds[vid])
 	}
 	res := Result{VertexMap: map[int]graph.VertexID{}, EdgeMap: map[int]graph.EdgeID{}}
 	usedV := map[graph.VertexID]bool{}
@@ -256,7 +266,7 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 		if st.newVertex == -1 {
 			// Closing step: both endpoints bound; find an unused data edge.
 			df, dt := res.VertexMap[e.From], res.VertexMap[e.To]
-			return m.refEachDataEdge(e, df, dt, func(de graph.EdgeID) bool {
+			return m.refEachDataEdge(e, epreds[e.ID], df, dt, func(de graph.EdgeID) bool {
 				if usedE[de] {
 					return true
 				}
@@ -276,9 +286,9 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 			boundQ, freeQ = e.To, e.From
 		}
 		db := res.VertexMap[boundQ]
-		freeVertex := q.Vertex(freeQ)
-		return m.refEachAdjacent(e, db, st.fromIsSrc, func(de graph.EdgeID, dv graph.VertexID) bool {
-			if usedE[de] || usedV[dv] || !m.vertexMatches(freeVertex, dv) {
+		freePreds := vpreds[freeQ]
+		return m.refEachAdjacent(e, epreds[e.ID], db, st.fromIsSrc, func(de graph.EdgeID, dv graph.VertexID) bool {
+			if usedE[de] || usedV[dv] || !refMatches(freePreds, int(dv)) {
 				return true
 			}
 			res.VertexMap[freeQ] = dv
@@ -316,10 +326,10 @@ func (m *Matcher) refRunConnected(q *query.Query, emit func(Result) bool) {
 // self-loop (df == dt) with both directions admitted is scanned only once —
 // forward and backward cover the same data edges, and scanning both would
 // double-count every embedding.
-func (m *Matcher) refEachDataEdge(e *query.Edge, df, dt graph.VertexID, yield func(graph.EdgeID) bool) bool {
+func (m *Matcher) refEachDataEdge(e *query.Edge, preds []refPred, df, dt graph.VertexID, yield func(graph.EdgeID) bool) bool {
 	if e.Dirs.Has(query.Forward) {
 		for _, de := range m.g.Out(df) {
-			if m.g.Edge(de).To == dt && m.edgeMatches(e, de) {
+			if m.g.Edge(de).To == dt && m.edgeMatches(e, preds, de) {
 				if !yield(de) {
 					return false
 				}
@@ -328,7 +338,7 @@ func (m *Matcher) refEachDataEdge(e *query.Edge, df, dt graph.VertexID, yield fu
 	}
 	if e.Dirs.Has(query.Backward) && !(df == dt && e.Dirs.Has(query.Forward)) {
 		for _, de := range m.g.Out(dt) {
-			if m.g.Edge(de).To == df && m.edgeMatches(e, de) {
+			if m.g.Edge(de).To == df && m.edgeMatches(e, preds, de) {
 				if !yield(de) {
 					return false
 				}
@@ -341,18 +351,18 @@ func (m *Matcher) refEachDataEdge(e *query.Edge, df, dt graph.VertexID, yield fu
 // refEachAdjacent yields (data edge, far vertex) pairs adjacent to the bound
 // vertex db that satisfy the query edge's constraints. fromIsSrc tells
 // whether db plays the edge's source role.
-func (m *Matcher) refEachAdjacent(e *query.Edge, db graph.VertexID, fromIsSrc bool, yield func(graph.EdgeID, graph.VertexID) bool) bool {
+func (m *Matcher) refEachAdjacent(e *query.Edge, preds []refPred, db graph.VertexID, fromIsSrc bool, yield func(graph.EdgeID, graph.VertexID) bool) bool {
 	// Forward direction: data edge runs source → target.
 	if e.Dirs.Has(query.Forward) {
 		if fromIsSrc {
 			for _, de := range m.g.Out(db) {
-				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
+				if m.edgeMatches(e, preds, de) && !yield(de, m.g.Edge(de).To) {
 					return false
 				}
 			}
 		} else {
 			for _, de := range m.g.In(db) {
-				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
+				if m.edgeMatches(e, preds, de) && !yield(de, m.g.Edge(de).From) {
 					return false
 				}
 			}
@@ -362,13 +372,13 @@ func (m *Matcher) refEachAdjacent(e *query.Edge, db graph.VertexID, fromIsSrc bo
 	if e.Dirs.Has(query.Backward) {
 		if fromIsSrc {
 			for _, de := range m.g.In(db) {
-				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).From) {
+				if m.edgeMatches(e, preds, de) && !yield(de, m.g.Edge(de).From) {
 					return false
 				}
 			}
 		} else {
 			for _, de := range m.g.Out(db) {
-				if m.edgeMatches(e, de) && !yield(de, m.g.Edge(de).To) {
+				if m.edgeMatches(e, preds, de) && !yield(de, m.g.Edge(de).To) {
 					return false
 				}
 			}

@@ -27,7 +27,7 @@ func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 
 	touched := append([]graph.Attrs(nil), d.RemovedAttrs...)
 	for id := int(d.FirstVertex); id < g.NumVertices(); id++ {
-		touched = append(touched, g.Vertex(graph.VertexID(id)).Attrs)
+		touched = append(touched, g.VertexAttrs(graph.VertexID(id)))
 	}
 	words := (g.NumVertices() + 63) / 64
 	prev.candCache.Carry(m.candCache, func(_ string, e *candEntry) (*candEntry, bool) {
@@ -50,8 +50,8 @@ func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 }
 
 // matchFlat reports whether an attribute map satisfies every flattened
-// predicate. The carry filter reads maps on purpose: the handful of vertices a
-// batch touched includes removed ones, whose attributes no column holds.
+// predicate: the handful of vertices a batch touched are tested decoded, the
+// removed ones as Seal decoded them from the predecessor's columns.
 func matchFlat(attrs graph.Attrs, preds []flatPred) bool {
 	for i := range preds {
 		fp := &preds[i]

@@ -21,8 +21,9 @@
 // reference it by index. Fixed-width sections are 8-aligned so a loader on a
 // little-endian host can reinterpret them in place over an mmap'd file
 // (zero-copy); a portable decode path copies through encoding/binary
-// instead. Attribute maps are always materialized at load — the mmap win is
-// the O(E) CSR arrays, which dominate the image.
+// instead. Attribute records are decoded from the graph's columns at pack and
+// encoded back into columns at load (graph.Assemble) — the mmap win is the
+// O(E) CSR arrays, which dominate the image. A removed element has none.
 //
 // The writer walks the graph in one deterministic order (type table, indexed
 // keys, vertices by id with key-sorted attrs, edges by id), interning heap

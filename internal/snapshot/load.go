@@ -103,7 +103,8 @@ func ReadFile(path string, mode Mode) (*Loaded, error) {
 // Load reconstructs a graph from a snapshot image. With zeroCopy the CSR
 // and record sections are reinterpreted in place (the graph then aliases
 // data, which must stay mapped and unmodified); without it every section is
-// decoded into fresh memory, independent of byte order.
+// decoded into fresh memory, independent of byte order. The attribute records
+// are handed to graph.Assemble, which encodes them into the columns.
 func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	var man Manifest
 	if len(data) < headerSize {
@@ -129,7 +130,11 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	nIndexed := int(le.Uint64(data[64:]))
 	nRemovedV := int(le.Uint64(data[72:]))
 	nRemovedE := int(le.Uint64(data[80:]))
-	if nv < 0 || ne < 0 || nStrings < 0 || nAttrRecs < 0 || nRemovedE > ne || nRemovedV > nv {
+	// A count that does not fit an int is implausible; every other one is
+	// bounded below, before anything is allocated, by the bytes of its section
+	// — compared by division, so no product of a count can wrap.
+	if nv < 0 || ne < 0 || nStrings < 0 || nAttrRecs < 0 || nTypes < 0 || nIndexed < 0 || nRemovedV < 0 || nRemovedE < 0 ||
+		nRemovedE > ne || nRemovedV > nv {
 		return nil, man, fmt.Errorf("%w: implausible element counts", ErrFormat)
 	}
 	live := ne - nRemovedE
@@ -155,7 +160,7 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	}
 
 	want := func(i int, n, width int) error {
-		if len(secs[i]) != n*width {
+		if len(secs[i])%width != 0 || len(secs[i])/width != n {
 			return fmt.Errorf("%w: section %d is %d bytes, want %d×%d", ErrFormat, i, len(secs[i]), n, width)
 		}
 		return nil
@@ -254,21 +259,20 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	}
 
 	vAttrOff := decUint32(secs[secVAttrOff])
-	vertices := make([]graph.Vertex, nv)
+	vertexAttrs := make([]graph.Attrs, nv)
 	for i := 0; i < nv; i++ {
 		a, b, err := attrSpan(vAttrOff, i)
 		if err != nil {
 			return nil, man, err
 		}
-		attrs, err := buildAttrs(a, b)
-		if err != nil {
+		if vertexAttrs[i], err = buildAttrs(a, b); err != nil {
 			return nil, man, err
 		}
-		vertices[i] = graph.Vertex{ID: graph.VertexID(i), Attrs: attrs}
 	}
 
 	eAttrOff := decUint32(secs[secEAttrOff])
 	edges := make([]graph.Edge, ne)
+	edgeAttrs := make([]graph.Attrs, ne)
 	eb := secs[secEdges]
 	for i := 0; i < ne; i++ {
 		p := eb[edgeRecSize*i:]
@@ -280,16 +284,14 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 		if err != nil {
 			return nil, man, err
 		}
-		attrs, err := buildAttrs(a, b)
-		if err != nil {
+		if edgeAttrs[i], err = buildAttrs(a, b); err != nil {
 			return nil, man, err
 		}
 		edges[i] = graph.Edge{
-			ID:    graph.EdgeID(i),
-			From:  graph.VertexID(int32(le.Uint32(p))),
-			To:    graph.VertexID(int32(le.Uint32(p[4:]))),
-			Type:  typ,
-			Attrs: attrs,
+			ID:   graph.EdgeID(i),
+			From: graph.VertexID(int32(le.Uint32(p))),
+			To:   graph.VertexID(int32(le.Uint32(p[4:]))),
+			Type: typ,
 		}
 	}
 
@@ -319,8 +321,9 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	}
 
 	g, err := graph.Assemble(graph.SnapshotParts{
-		Vertices:        vertices,
+		VertexAttrs:     vertexAttrs,
 		Edges:           edges,
+		EdgeAttrs:       edgeAttrs,
 		RemovedVertices: removedV,
 		RemovedEdges:    removedE,
 		CSR: graph.CSR{

@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -60,15 +61,18 @@ func Pack(g *graph.Graph) ([]byte, error) {
 		indexedRefs[i] = h.ref(k)
 	}
 
+	// Attribute records are decoded from the columns, in key order.
 	var recs []attrRec
-	appendAttrs := func(attrs graph.Attrs) error {
-		keys := make([]string, 0, len(attrs))
-		for k := range attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+	vcols, ecols := g.VertexColumns(), g.EdgeColumns()
+	vkeys, ekeys := slices.Sorted(maps.Keys(vcols)), slices.Sorted(maps.Keys(ecols))
+	appendAttrs := func(cols map[string]*graph.Column, keys []string, id int) error {
 		for _, k := range keys {
-			v := attrs[k]
+			c := cols[k]
+			code := c.Codes[id]
+			if code == 0 {
+				continue
+			}
+			v := c.Vals[code]
 			rec := attrRec{Key: h.ref(k), Kind: uint32(v.Kind)}
 			switch v.Kind {
 			case graph.KindString:
@@ -90,7 +94,7 @@ func Pack(g *graph.Graph) ([]byte, error) {
 	vAttrOff := make([]uint32, nv+1)
 	for i := 0; i < nv; i++ {
 		vAttrOff[i] = uint32(len(recs))
-		if err := appendAttrs(g.Vertex(graph.VertexID(i)).Attrs); err != nil {
+		if err := appendAttrs(vcols, vkeys, i); err != nil {
 			return nil, err
 		}
 	}
@@ -102,7 +106,7 @@ func Pack(g *graph.Graph) ([]byte, error) {
 		e := g.Edge(graph.EdgeID(i))
 		edges[i] = edgeRec{From: int32(e.From), To: int32(e.To), TypeRef: h.ref(e.Type)}
 		eAttrOff[i] = uint32(len(recs))
-		if err := appendAttrs(e.Attrs); err != nil {
+		if err := appendAttrs(ecols, ekeys, i); err != nil {
 			return nil, err
 		}
 	}

@@ -12,8 +12,9 @@ import (
 
 // testGraph builds a small graph exercising every encodable feature: all
 // three attribute kinds, multiple edge types, an attribute index, and
-// tombstoned vertices and edges.
-func testGraph(t *testing.T) *graph.Graph {
+// tombstoned vertices and edges — one of them with attributes, which its
+// removal drops.
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := graph.New(6, 8)
 	for i := 0; i < 6; i++ {
@@ -58,8 +59,8 @@ func assertSame(t *testing.T, got, want *graph.Graph) {
 	}
 	for i := 0; i < want.NumVertices(); i++ {
 		v := graph.VertexID(i)
-		if !reflect.DeepEqual(got.Vertex(v).Attrs, want.Vertex(v).Attrs) {
-			t.Fatalf("vertex %d attrs %v, want %v", i, got.Vertex(v).Attrs, want.Vertex(v).Attrs)
+		if !reflect.DeepEqual(got.VertexAttrs(v), want.VertexAttrs(v)) {
+			t.Fatalf("vertex %d attrs %v, want %v", i, got.VertexAttrs(v), want.VertexAttrs(v))
 		}
 		if !reflect.DeepEqual(got.OutAdj(v), want.OutAdj(v)) || !reflect.DeepEqual(got.InAdj(v), want.InAdj(v)) {
 			t.Fatalf("vertex %d adjacency differs", i)
@@ -68,8 +69,8 @@ func assertSame(t *testing.T, got, want *graph.Graph) {
 	for i := 0; i < want.NumEdges(); i++ {
 		e := graph.EdgeID(i)
 		ge, we := got.Edge(e), want.Edge(e)
-		if ge.From != we.From || ge.To != we.To || ge.Type != we.Type || !reflect.DeepEqual(ge.Attrs, we.Attrs) {
-			t.Fatalf("edge %d: %+v, want %+v", i, ge, we)
+		if *ge != *we || !reflect.DeepEqual(got.EdgeAttrs(e), want.EdgeAttrs(e)) {
+			t.Fatalf("edge %d: %+v %v, want %+v %v", i, ge, got.EdgeAttrs(e), we, want.EdgeAttrs(e))
 		}
 	}
 	if !reflect.DeepEqual(got.EdgeTypes(), want.EdgeTypes()) {
@@ -211,7 +212,7 @@ func TestWriteAndReadFile(t *testing.T) {
 		}
 		// Copy out something attr-backed before Close, proving the graph is
 		// usable, then release the mapping.
-		if loaded.Graph.Vertex(0).Attrs["type"] != graph.S("person") {
+		if loaded.Graph.VertexAttrs(0)["type"] != graph.S("person") {
 			t.Fatal("loaded graph unusable")
 		}
 		if err := loaded.Close(); err != nil {

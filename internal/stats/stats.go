@@ -391,8 +391,8 @@ func kindOf(attrs graph.Attrs) string {
 
 // BuildDomain scans the data graph and collects per-attribute value
 // catalogs, keeping at most topK values per attribute (0 = unlimited).
-// Tombstoned elements do not count: a removed vertex has no attributes left,
-// and removed edges are skipped.
+// Tombstoned elements do not count: a removed vertex or edge has no
+// attributes left, and removed edges have no type in the type index.
 func BuildDomain(g *graph.Graph, topK int) *Domain {
 	d := buildDomain(g, topK)
 	d.vfreq, d.typedFreq, d.efreq, d.tfreq = nil, nil, nil, nil
@@ -568,7 +568,7 @@ func (d *Domain) Derive(g *graph.Graph, delta *graph.Delta) *Domain {
 		}
 	}
 	for id := int(delta.FirstVertex); id < g.NumVertices(); id++ {
-		vertex(g.Vertex(graph.VertexID(id)).Attrs, +1) // nil if removed again
+		vertex(g.VertexAttrs(graph.VertexID(id)), +1) // nil if removed again
 	}
 	all.rank(d.topK)
 	nd.vfreq, nd.VertexValues = all.freq, all.ranks
@@ -585,23 +585,23 @@ func (d *Domain) Derive(g *graph.Graph, delta *graph.Delta) *Domain {
 	}
 	nd.tfreq = maps.Clone(d.tfreq)
 	edges := newCowTable(d.efreq, d.EdgeValues)
-	edge := func(id graph.EdgeID, n int) {
-		e := g.Edge(id)
-		if nd.tfreq[e.Type] += n; nd.tfreq[e.Type] == 0 {
-			delete(nd.tfreq, e.Type)
+	edge := func(id graph.EdgeID, attrs graph.Attrs, n int) {
+		typ := g.Edge(id).Type
+		if nd.tfreq[typ] += n; nd.tfreq[typ] == 0 {
+			delete(nd.tfreq, typ)
 		}
-		for k, v := range e.Attrs {
+		for k, v := range attrs {
 			edges.bump(k, v, n)
 		}
 	}
-	for _, id := range delta.RemovedEdges {
+	for i, id := range delta.RemovedEdges {
 		if id < delta.FirstEdge {
-			edge(id, -1)
+			edge(id, delta.RemovedEdgeAttrs[i], -1)
 		}
 	}
 	for id := int(delta.FirstEdge); id < g.NumEdges(); id++ {
 		if !g.EdgeRemoved(graph.EdgeID(id)) {
-			edge(graph.EdgeID(id), +1)
+			edge(graph.EdgeID(id), g.EdgeAttrs(graph.EdgeID(id)), +1)
 		}
 	}
 	edges.rank(d.topK)
