@@ -66,27 +66,22 @@ func main() {
 		return
 	}
 
-	var engine *core.Engine
-	var q *query.Query
-	var err error
-	switch *dataset {
-	case "ldbc":
-		engine = core.NewEngine(datagen.LDBC(datagen.DefaultLDBC()))
-		if *fail {
-			q, err = workload.FailingVariant(*name)
-		} else {
-			q = buildNamed(workload.LDBCQueries(), *name)
-		}
-	case "dbpedia":
-		engine = core.NewEngine(datagen.DBpedia(datagen.DefaultDBpedia()))
-		if *fail {
-			q, err = workload.DBpediaFailingVariant(*name)
-		} else {
-			q = buildNamed(workload.DBpediaQueries(), *name)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
+	g, err := datagen.Generate(*dataset, 1)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	engine := core.NewEngine(g)
+	var q *query.Query
+	switch {
+	case *dataset == "ldbc" && *fail:
+		q, err = workload.FailingVariant(*name)
+	case *dataset == "ldbc":
+		q = buildNamed(workload.LDBCQueries(), *name)
+	case *fail:
+		q, err = workload.DBpediaFailingVariant(*name)
+	default:
+		q = buildNamed(workload.DBpediaQueries(), *name)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -139,9 +134,9 @@ func buildNamed(qs []workload.Named, name string) *query.Query {
 }
 
 // pack implements `whydb pack`: generate (or reload) a dataset and write it
-// as a snapshot file under -out. The dataset construction mirrors whydbd's
-// exactly, so a daemon booted from the snapshot serves byte-identical answers
-// to one that generated the dataset itself.
+// as a snapshot file under -out. The dataset is built by datagen.Generate,
+// as whydbd builds it, so a daemon booted from the snapshot serves
+// byte-identical answers to one that generated the dataset itself.
 func pack(args []string) {
 	fs := flag.NewFlagSet("pack", flag.ExitOnError)
 	dataset := fs.String("dataset", "ldbc", "data set to pack: ldbc or dbpedia")
@@ -170,18 +165,9 @@ func pack(args []string) {
 		g = loaded.Graph
 		name = strings.TrimSuffix(filepath.Base(*from), ".snap")
 	} else {
-		switch name {
-		case "ldbc":
-			g = datagen.LDBC(datagen.DefaultLDBC().Scaled(*scale))
-		case "dbpedia":
-			cfg := datagen.DefaultDBpedia()
-			cfg.Entities = int(float64(cfg.Entities) * *scale)
-			if cfg.Entities < 1 {
-				cfg.Entities = 1
-			}
-			g = datagen.DBpedia(cfg)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown dataset %q (want ldbc or dbpedia)\n", name)
+		var err error
+		if g, err = datagen.Generate(name, *scale); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}

@@ -48,7 +48,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
-	"repro/internal/graph"
 	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -176,7 +175,11 @@ func main() {
 				source = "snapshot:" + filepath.Base(path)
 				log.Printf("snapshot %s: %d bytes, checksum %08x, mapped=%v", path, loaded.Manifest.Bytes, loaded.Manifest.Checksum, loaded.Manifest.Mapped)
 			} else {
-				eng = core.NewEngine(generate(name, o.scale))
+				g, err := datagen.Generate(name, o.scale)
+				if err != nil {
+					log.Fatal(err)
+				}
+				eng = core.NewEngine(g)
 				source = "datagen"
 			}
 			eng.SetWorkers(o.workers)
@@ -224,19 +227,6 @@ func main() {
 	}
 }
 
-// generate builds a dataset from internal/datagen at the given scale.
-func generate(name string, scale float64) *graph.Graph {
-	switch name {
-	case "ldbc":
-		return datagen.LDBC(datagen.DefaultLDBC().Scaled(scale))
-	case "dbpedia":
-		cfg := datagen.DefaultDBpedia()
-		cfg.Entities = scaleCount(cfg.Entities, scale)
-		return datagen.DBpedia(cfg)
-	}
-	panic("unreachable: dataset names validated at startup")
-}
-
 // loadTracker tracks which datasets are still loading and keeps the /readyz
 // reason naming them.
 type loadTracker struct {
@@ -277,12 +267,4 @@ func logLoaded(name string, eng *core.Engine, start time.Time) {
 	g := eng.Graph()
 	log.Printf("loaded dataset %s: %d vertices, %d edges, %d workers (%.2fs)",
 		name, g.NumVertices(), g.NumEdges(), eng.Workers(), time.Since(start).Seconds())
-}
-
-func scaleCount(n int, f float64) int {
-	v := int(float64(n) * f)
-	if v < 1 {
-		v = 1
-	}
-	return v
 }

@@ -74,6 +74,29 @@ func TestLDBCScaled(t *testing.T) {
 	}
 }
 
+// TestGenerateByName: the one constructor the daemon and the packer share
+// scales both generators, and refuses a name it does not know.
+func TestGenerateByName(t *testing.T) {
+	if c := DefaultDBpedia().Scaled(0.0001); c.Entities != 1 {
+		t.Fatalf("DBpedia scaled to %d entities, want 1", c.Entities)
+	}
+	for name, want := range map[string]int{
+		"ldbc":    LDBC(DefaultLDBC().Scaled(0.5)).NumVertices(),
+		"dbpedia": DefaultDBpedia().Entities / 2,
+	} {
+		g, err := Generate(name, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumVertices() != want {
+			t.Fatalf("Generate(%q, 0.5) has %d vertices, want %d", name, g.NumVertices(), want)
+		}
+	}
+	if _, err := Generate("nope", 1); err == nil {
+		t.Fatal("Generate accepted an unknown dataset")
+	}
+}
+
 func TestDBpediaDeterminismAndSchema(t *testing.T) {
 	cfg := DefaultDBpedia()
 	cfg.Entities = 500

@@ -21,6 +21,12 @@ func DefaultDBpedia() DBpediaConfig {
 	return DBpediaConfig{Seed: 7, Entities: 2500, EdgesPer: 4}
 }
 
+// Scaled multiplies the entity count by f, as LDBCConfig.Scaled does.
+func (c DBpediaConfig) Scaled(f float64) DBpediaConfig {
+	c.Entities = scaled(c.Entities, f)
+	return c
+}
+
 var (
 	dbpKinds = []string{"person", "place", "work", "organization", "event"}
 	// Per-kind attribute catalogs; entities carry a random subset — the

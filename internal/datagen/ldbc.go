@@ -53,20 +53,30 @@ func DefaultLDBC() LDBCConfig {
 
 // Scaled multiplies the entity counts by f (≥ 0.05) for size sweeps.
 func (c LDBCConfig) Scaled(f float64) LDBCConfig {
-	scale := func(n int) int {
-		v := int(float64(n) * f)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	c.Persons = scale(c.Persons)
-	c.Universities = scale(c.Universities)
-	c.Companies = scale(c.Companies)
-	c.Tags = scale(c.Tags)
-	c.Forums = scale(c.Forums)
-	c.Posts = scale(c.Posts)
+	c.Persons = scaled(c.Persons, f)
+	c.Universities = scaled(c.Universities, f)
+	c.Companies = scaled(c.Companies, f)
+	c.Tags = scaled(c.Tags, f)
+	c.Forums = scaled(c.Forums, f)
+	c.Posts = scaled(c.Posts, f)
 	return c
+}
+
+// scaled is n·f rounded down, at least 1.
+func scaled(n int, f float64) int { return max(int(float64(n)*f), 1) }
+
+// Generate builds the dataset called name — "ldbc" or "dbpedia" — from its
+// default configuration scaled by f: what whydbd serves at -scale f and
+// `whydb pack -scale f` writes, so a daemon booted from the snapshot serves
+// what one that generated the dataset does.
+func Generate(name string, f float64) (*graph.Graph, error) {
+	switch name {
+	case "ldbc":
+		return LDBC(DefaultLDBC().Scaled(f)), nil
+	case "dbpedia":
+		return DBpedia(DefaultDBpedia().Scaled(f)), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want ldbc or dbpedia)", name)
 }
 
 var (

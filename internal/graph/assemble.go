@@ -19,14 +19,15 @@ func (g *Graph) FrozenCSR() CSR {
 }
 
 // SnapshotParts is the complete frozen state a snapshot loader hands to
-// Assemble: every vertex's attributes and the dense edge table with every
-// edge's attributes (tombstoned slots included; their attributes are
-// ignored), the tombstone lists, the prebuilt CSR, and the attribute keys to
-// index. Assemble takes ownership of every slice.
+// Assemble: the dense edge table (tombstoned slots included), the attribute
+// columns of the vertices and of the edges, the tombstone lists, the prebuilt
+// CSR — whose offset tables give the vertex count — and the attribute keys to
+// index. Assemble takes ownership of every slice and column; a column's Codes
+// may alias read-only memory (a mapped file), which no later write touches.
 type SnapshotParts struct {
-	VertexAttrs     []Attrs
 	Edges           []Edge
-	EdgeAttrs       []Attrs
+	VertexColumns   map[string]*Column
+	EdgeColumns     map[string]*Column
 	RemovedVertices []VertexID
 	RemovedEdges    []EdgeID
 	CSR             CSR
@@ -34,20 +35,17 @@ type SnapshotParts struct {
 }
 
 // Assemble reconstructs a Graph from snapshot parts without re-running
-// Freeze: the CSR is installed as the frozen snapshot directly, and the
-// mutable side (adjacency lists, type index) is rebuilt from it in one O(V+E)
-// pass; the attribute maps are encoded into the columns, and the posting lists
-// sorted, as Freeze does. The input is validated structurally — sizes, offset
-// monotonicity, id ranges, type-table consistency — so a logically corrupt
-// file fails here, not mid-query.
+// Freeze: the CSR and the columns are installed as the frozen layer directly,
+// the mutable side (adjacency lists, type index) is rebuilt from the CSR in
+// one O(V+E) pass, and the posting lists are sorted as Freeze does. The input
+// is validated structurally — sizes, offset monotonicity, id ranges,
+// type-table consistency, every column's codes and dictionary — so a
+// logically corrupt file fails here, not mid-query.
 func Assemble(p SnapshotParts) (*Graph, error) {
-	nv, ne := len(p.VertexAttrs), len(p.Edges)
+	nv, ne := len(p.CSR.OutOff)-1, len(p.Edges)
 	live := ne - len(p.RemovedEdges)
-	if len(p.EdgeAttrs) != ne {
-		return nil, fmt.Errorf("graph: assemble: %d edge attribute sets for %d edges", len(p.EdgeAttrs), ne)
-	}
-	if len(p.CSR.OutOff) != nv+1 || len(p.CSR.InOff) != nv+1 {
-		return nil, fmt.Errorf("graph: assemble: offset tables sized %d/%d, want %d", len(p.CSR.OutOff), len(p.CSR.InOff), nv+1)
+	if nv < 0 || len(p.CSR.InOff) != nv+1 {
+		return nil, fmt.Errorf("graph: assemble: offset tables sized %d/%d", len(p.CSR.OutOff), len(p.CSR.InOff))
 	}
 	if len(p.CSR.OutAdj) != live || len(p.CSR.InAdj) != live {
 		return nil, fmt.Errorf("graph: assemble: adjacency sized %d/%d, want %d live edges", len(p.CSR.OutAdj), len(p.CSR.InAdj), live)
@@ -57,8 +55,7 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		out:       make([][]EdgeID, nv),
 		in:        make([][]EdgeID, nv),
 		typeIndex: make(map[string][]EdgeID),
-		pendV:     p.VertexAttrs,
-		pendE:     p.EdgeAttrs,
+		attrs:     &store{v: p.VertexColumns, e: p.EdgeColumns, nv: nv, ne: ne},
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
@@ -87,6 +84,12 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		}
 		g.nRemovedV = len(p.RemovedVertices)
 		g.nRemovedE = len(p.RemovedEdges)
+	}
+	if err := g.attrs.v.install(nv, g.removedV); err != nil {
+		return nil, err
+	}
+	if err := g.attrs.e.install(ne, g.removedE); err != nil {
+		return nil, err
 	}
 	// Rebuild per-vertex adjacency from the CSR. The lists subslice one flat
 	// backing array with capped capacity, so a later append on one vertex
@@ -151,7 +154,7 @@ func Assemble(p SnapshotParts) (*Graph, error) {
 		typeNames: p.CSR.TypeNames,
 		typeIDs:   denseTypeIDs(p.CSR.TypeNames),
 	}
-	c.attrs = g.encode()
+	c.attrs = g.attrs
 	c.post = g.postings(c.attrs, nil, nil)
 	g.frozen.Store(c)
 	return g, nil

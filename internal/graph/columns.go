@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 type Column struct {
 	// Codes[id] is the code of the value element id carries, 0 when it does
 	// not carry the attribute. A tombstoned element is 0 in every column.
+	// Loaded from a snapshot, the array may be a read-only file mapping.
 	Codes []uint32
 	// Vals[code] is the value a code stands for; Vals[0] is unused. A derived
 	// column may keep values no live element carries any more. Values that
@@ -78,7 +80,7 @@ type store struct {
 	extended atomic.Bool
 }
 
-// encode, the one encoder behind Freeze, Seal and Assemble, derives the store
+// encode, the one encoder behind Freeze and Seal, derives the store
 // of g's elements from g.attrs and the removals and maps since, and — but on
 // an open Fork — installs it and drops those. It writes nothing a holder of
 // the old store can read (deriveColumns).
@@ -100,6 +102,33 @@ func (g *Graph) encode() *store {
 		g.attrs, g.pendV, g.pendE, g.goneV, g.goneE = s, nil, nil, nil, nil
 	}
 	return s
+}
+
+// install checks the columns of n elements Assemble installs — one code per
+// element, each below its dictionary's length and 0 on a removed element, no
+// two dictionary values == — and builds each dictionary's index. Their arrays
+// are clipped, so the first derivation copies before it appends: a column may
+// be a window of a larger array, or of a read-only mapping.
+func (cols columns) install(n int, removed []bool) error {
+	for k, c := range cols {
+		if len(c.Codes) != n || len(c.Vals) == 0 {
+			return fmt.Errorf("graph: assemble: column %q holds %d codes and %d values for %d elements", k, len(c.Codes), len(c.Vals), n)
+		}
+		c.Codes, c.Vals = slices.Clip(c.Codes), slices.Clip(c.Vals)
+		c.index = make(map[Value]uint32, len(c.Vals)-1)
+		for code := 1; code < len(c.Vals); code++ {
+			if _, dup := c.index[c.Vals[code]]; dup {
+				return fmt.Errorf("graph: assemble: column %q holds %v twice", k, c.Vals[code])
+			}
+			c.index[c.Vals[code]] = uint32(code)
+		}
+		for id, code := range c.Codes {
+			if int(code) >= len(c.Vals) || code != 0 && removed != nil && removed[id] {
+				return fmt.Errorf("graph: assemble: column %q gives element %d code %d of %d", k, id, code, len(c.Vals))
+			}
+		}
+	}
+	return nil
 }
 
 // set encodes the attributes of element id of n. Columns and values come into

@@ -218,8 +218,21 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 	g := chain(t)
 	g.Freeze()
 	for name, corrupt := range map[string]func(*SnapshotParts){
-		"short offsets":    func(p *SnapshotParts) { p.CSR.OutOff = p.CSR.OutOff[:2] },
-		"short edge attrs": func(p *SnapshotParts) { p.EdgeAttrs = p.EdgeAttrs[:1] },
+		"short offsets": func(p *SnapshotParts) { p.CSR.OutOff = p.CSR.OutOff[:2] },
+		"short edge column": func(p *SnapshotParts) {
+			c := p.EdgeColumns["since"]
+			c.Codes = c.Codes[:1]
+		},
+		"code past its dictionary": func(p *SnapshotParts) {
+			c := p.VertexColumns["type"]
+			c.Codes = slices.Clone(c.Codes)
+			c.Codes[0] = uint32(len(c.Vals))
+		},
+		"value twice in a dictionary": func(p *SnapshotParts) {
+			c := p.VertexColumns["type"]
+			c.Vals = append(slices.Clip(c.Vals), c.Vals[1])
+		},
+		"removed vertex with a code": func(p *SnapshotParts) { p.RemovedVertices = []VertexID{0} },
 		"far vertex out of range": func(p *SnapshotParts) {
 			p.CSR.OutAdj = append([]Adj(nil), p.CSR.OutAdj...)
 			p.CSR.OutAdj[0].Vertex = 7
@@ -239,14 +252,16 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 	}
 }
 
-// partsOf is what a snapshot of g holds, tombstones and index left out.
+// partsOf is what a snapshot of g holds, tombstones and index left out: its
+// columns' codes and dictionaries, in columns of Assemble's own.
 func partsOf(g *Graph) SnapshotParts {
-	p := SnapshotParts{Edges: slices.Clone(g.edges), CSR: g.FrozenCSR()}
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		p.VertexAttrs = append(p.VertexAttrs, g.VertexAttrs(v))
+	own := func(cols map[string]*Column) map[string]*Column {
+		out := make(map[string]*Column, len(cols))
+		for k, c := range cols {
+			out[k] = &Column{Codes: c.Codes, Vals: c.Vals}
+		}
+		return out
 	}
-	for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
-		p.EdgeAttrs = append(p.EdgeAttrs, g.EdgeAttrs(e))
-	}
-	return p
+	return SnapshotParts{Edges: slices.Clone(g.edges), VertexColumns: own(g.VertexColumns()),
+		EdgeColumns: own(g.EdgeColumns()), CSR: g.FrozenCSR()}
 }

@@ -35,9 +35,9 @@ const (
 // candidates resolves the candidate list and bitset for one flattened
 // predicate set, consulting the cache first. words is the bitset length for
 // the current graph.
-func (m *Matcher) candidates(p *Plan, preds []flatPred, words int) ([]graph.VertexID, []uint64) {
-	p.keyBuf = appendPredKey(p.keyBuf[:0], preds)
-	e := m.resolveCandidates(p.keyBuf, preds, words, &p.scratch)
+func (m *Matcher) candidates(cs *compileScratch, preds []flatPred, words int) ([]graph.VertexID, []uint64) {
+	cs.key = appendPredKey(cs.key[:0], preds)
+	e := m.resolveCandidates(cs.key, preds, words, &cs.ids)
 	return e.list, e.bits
 }
 

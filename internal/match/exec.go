@@ -25,6 +25,9 @@ type Ctx struct {
 	keyBuf []byte
 	cntBuf []byte
 
+	// compile is the scratch of the plans this context compiles.
+	compile compileScratch
+
 	// req is the serving request's context, carried on the execution context
 	// so that a follower waiting on another request's plan or count
 	// computation (cache.Do) stops waiting when its own request ends. Nil

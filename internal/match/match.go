@@ -222,7 +222,7 @@ func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
 		return 0
 	}
 	if m.planOff {
-		p := m.getPlan(q)
+		p := m.getPlan(c, q)
 		defer m.plans.Put(p)
 		return p.Count(c, cap)
 	}
@@ -237,9 +237,9 @@ func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
 	})
 }
 
-func (m *Matcher) getPlan(q *query.Query) *Plan {
+func (m *Matcher) getPlan(c *Ctx, q *query.Query) *Plan {
 	p := m.plans.Get()
-	m.compileInto(p, q)
+	m.compileInto(p, q, &c.compile)
 	return p
 }
 

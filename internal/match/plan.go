@@ -123,10 +123,15 @@ type Plan struct {
 	cands    [][]graph.VertexID // per vertex slot, candidates computed once
 	candBits [][]uint64         // per vertex slot, candidate bitset over data vertices
 	ops      []planOp
+}
 
-	// compile scratch, reused across compileInto calls on a pooled Plan
-	scratch  []graph.VertexID
-	keyBuf   []byte
+// compileScratch is what a compilation uses and no execution reads: the
+// indexed access path's posting-list ids, the candidate-cache key and the
+// planner's bound-vertex and used-edge flags. It lives on the compiling Ctx,
+// so a cached plan pins none of it.
+type compileScratch struct {
+	ids      []graph.VertexID
+	key      []byte
 	bound    []bool
 	usedEdge []bool
 }
@@ -156,12 +161,12 @@ func (p *Plan) vertexSlot(qid int) int {
 // contexts with Plan.Count, Plan.Find, and Plan.Exists.
 func (m *Matcher) Compile(q *query.Query) *Plan {
 	p := &Plan{}
-	m.compileInto(p, q)
+	m.compileInto(p, q, new(compileScratch))
 	return p
 }
 
-// compileInto (re)compiles q into p, reusing p's backing storage.
-func (m *Matcher) compileInto(p *Plan, q *query.Query) {
+// compileInto (re)compiles q into p, reusing p's backing storage and cs.
+func (m *Matcher) compileInto(p *Plan, q *query.Query, cs *compileScratch) {
 	g := m.g
 	p.g = g
 	vids := q.VertexIDs()
@@ -187,10 +192,10 @@ func (m *Matcher) compileInto(p *Plan, q *query.Query) {
 	for s := 0; s < nv; s++ {
 		v := q.Vertex(vids[s])
 		p.vpreds[s] = flattenPreds(p.vpreds[s][:0], v.Preds)
-		p.cands[s], p.candBits[s] = m.candidates(p, p.vpreds[s], words)
+		p.cands[s], p.candBits[s] = m.candidates(cs, p.vpreds[s], words)
 	}
 
-	p.planOps(q)
+	p.planOps(q, cs)
 }
 
 // flattenPreds appends the predicate map as key-sorted (key, pred) pairs.
@@ -207,7 +212,7 @@ func flattenPreds(dst []flatPred, preds map[string]query.Predicate) []flatPred {
 // words. An indexed equality predicate is preferred as the access path — its
 // posting lists, value after value, are the list's order — and a scan in id
 // order serves otherwise. The list is allocated at its final size. scratch is
-// a reusable pool buffer.
+// a reusable buffer for the posting-list ids.
 func (m *Matcher) candidatesFlat(preds []flatPred, words int, scratch *[]graph.VertexID) ([]graph.VertexID, []uint64) {
 	bits := make([]uint64, words)
 	var boundBuf [8]boundPred
@@ -272,7 +277,7 @@ func (m *Matcher) candidatesFlat(preds []flatPred, words int, scratch *[]graph.V
 // Isolated vertices become bare opStart steps. All components share one
 // global step sequence, so injectivity is enforced by the shared visited
 // bitsets instead of a per-component result product.
-func (p *Plan) planOps(q *query.Query) {
+func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 	comps := q.WeaklyConnectedComponents()
 	eidsAll := q.EdgeIDs()
 
@@ -290,13 +295,11 @@ func (p *Plan) planOps(q *query.Query) {
 		edgesByComp[ci] = append(edgesByComp[ci], eid)
 	}
 
-	if cap(p.bound) < p.nv {
-		p.bound = make([]bool, p.nv)
+	if cap(cs.bound) < p.nv {
+		cs.bound = make([]bool, p.nv)
 	}
-	bound := p.bound[:p.nv]
-	for i := range bound {
-		bound[i] = false
-	}
+	bound := cs.bound[:p.nv]
+	clear(bound)
 
 	for ci, comp := range comps {
 		edges := edgesByComp[ci]
@@ -320,13 +323,11 @@ func (p *Plan) planOps(q *query.Query) {
 		bound[startSlot] = true
 		p.ops = append(p.ops, planOp{kind: opStart, vslot: int32(startSlot), eslot: -1})
 
-		if cap(p.usedEdge) < len(edges) {
-			p.usedEdge = make([]bool, len(edges))
+		if cap(cs.usedEdge) < len(edges) {
+			cs.usedEdge = make([]bool, len(edges))
 		}
-		used := p.usedEdge[:len(edges)]
-		for i := range used {
-			used[i] = false
-		}
+		used := cs.usedEdge[:len(edges)]
+		clear(used)
 		for picked := 0; picked < len(edges); picked++ {
 			chosen, closing := -1, false
 			var bestScore int64

@@ -110,7 +110,7 @@ func (m *Matcher) cachedPlan(c *Ctx, q *query.Query) *Plan {
 	}
 	return m.planCache.Do(c.keyBuf, c.Request().Done(), func() (*Plan, int) {
 		p := &Plan{}
-		m.compileInto(p, q)
+		m.compileInto(p, q, &c.compile)
 		return p, planBytes(len(c.keyBuf), p)
 	})
 }

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -170,5 +171,35 @@ func TestPlanCacheEpochEviction(t *testing.T) {
 	}
 	if got := m.Count(base, 0); got != want {
 		t.Fatalf("post-eviction count %d, want %d", got, want)
+	}
+}
+
+// TestCachedPlanHoldsNoScratch: a plan in the plan cache holds what executing
+// it reads, all of it counted by planBytes, and none of its compile scratch —
+// the posting-list ids, the candidate key and the planner's flags stay on the
+// compiling context.
+func TestCachedPlanHoldsNoScratch(t *testing.T) {
+	m := New(testGraph())
+	q := query.New()
+	a := q.AddVertex(personType()) // an indexed equality: the posting-list path
+	b := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
+	c := q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")})
+	q.AddEdge(a, b, []string{"worksAt"}, nil)
+	q.AddEdge(b, c, []string{"locatedIn"}, nil)
+	ctx := m.NewContext()
+	ctx.loadKey(q, "")
+	p := m.cachedPlan(ctx, q)
+	if p.Count(ctx, 0) == 0 {
+		t.Fatal("query must have results")
+	}
+	accounted := map[string]bool{"g": true, "nv": true, "ne": true, "vids": true, "eids": true,
+		"vpreds": true, "cands": true, "candBits": true, "ops": true}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(*p)) {
+		if !accounted[f.Name] {
+			t.Errorf("Plan.%s is neither read by an execution nor counted by planBytes", f.Name)
+		}
+	}
+	if cs := ctx.compile; cap(cs.ids) == 0 || cap(cs.key) == 0 || cap(cs.bound) == 0 || cap(cs.usedEdge) == 0 {
+		t.Fatalf("the compile scratch is not on the context: %+v", cs)
 	}
 }

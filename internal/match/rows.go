@@ -118,7 +118,7 @@ func (m *Matcher) FindRows(c *Ctx, q *query.Query, opts Options, rows *Rows) {
 		return
 	}
 	if m.planOff {
-		p := m.getPlan(q)
+		p := m.getPlan(c, q)
 		defer m.plans.Put(p)
 		p.FindRows(c, opts, rows)
 		return

@@ -101,10 +101,10 @@ func ReadFile(path string, mode Mode) (*Loaded, error) {
 }
 
 // Load reconstructs a graph from a snapshot image. With zeroCopy the CSR
-// and record sections are reinterpreted in place (the graph then aliases
-// data, which must stay mapped and unmodified); without it every section is
-// decoded into fresh memory, independent of byte order. The attribute records
-// are handed to graph.Assemble, which encodes them into the columns.
+// and the column codes are reinterpreted in place (the graph then aliases
+// data, which must stay mapped and unmodified: a later Seal copies what it
+// writes); without it every section is decoded into fresh memory, independent
+// of byte order. The columns are handed to graph.Assemble as stored.
 func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	var man Manifest
 	if len(data) < headerSize {
@@ -113,31 +113,29 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	if string(data[:8]) != magic {
 		return nil, man, fmt.Errorf("%w: %q", ErrMagic, string(data[:8]))
 	}
-	if em := le.Uint32(data[12:]); em != endianMark {
+	if em := le.Uint32(data[offEndian:]); em != endianMark {
 		return nil, man, fmt.Errorf("%w: marker %#08x, want %#08x", ErrEndianness, em, uint32(endianMark))
 	}
-	if v := le.Uint32(data[8:]); v != formatVersion {
+	if v := le.Uint32(data[offVersion:]); v != formatVersion {
 		return nil, man, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, formatVersion)
 	}
-	if n := le.Uint32(data[16:]); n != nSections {
+	if n := le.Uint32(data[offSections:]); n != nSections {
 		return nil, man, fmt.Errorf("%w: %d sections, want %d", ErrFormat, n, nSections)
 	}
-	nv := int(le.Uint64(data[24:]))
-	ne := int(le.Uint64(data[32:]))
-	nStrings := int(le.Uint64(data[40:]))
-	nAttrRecs := int(le.Uint64(data[48:]))
-	nTypes := int(le.Uint64(data[56:]))
-	nIndexed := int(le.Uint64(data[64:]))
-	nRemovedV := int(le.Uint64(data[72:]))
-	nRemovedE := int(le.Uint64(data[80:]))
 	// A count that does not fit an int is implausible; every other one is
 	// bounded below, before anything is allocated, by the bytes of its section
-	// — compared by division, so no product of a count can wrap.
-	if nv < 0 || ne < 0 || nStrings < 0 || nAttrRecs < 0 || nTypes < 0 || nIndexed < 0 || nRemovedV < 0 || nRemovedE < 0 ||
-		nRemovedE > ne || nRemovedV > nv {
+	// — compared by division or subtraction, so no product of counts can wrap.
+	var n [nCounts]int
+	for i := range n {
+		if n[i] = count(data, i); n[i] < 0 {
+			return nil, man, fmt.Errorf("%w: implausible element counts", ErrFormat)
+		}
+	}
+	nv, ne, nStrings := n[cntVertices], n[cntEdges], n[cntStrings]
+	if n[cntRemovedE] > ne || n[cntRemovedV] > nv {
 		return nil, man, fmt.Errorf("%w: implausible element counts", ErrFormat)
 	}
-	live := ne - nRemovedE
+	live := ne - n[cntRemovedE]
 
 	if len(data) < headerSize+tableSize {
 		return nil, man, fmt.Errorf("%w: no room for section table", ErrTruncated)
@@ -155,8 +153,8 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 		secs[i] = data[off : off+length]
 	}
 
-	if sum := crc32.Checksum(data[headerSize:], castagnoli); sum != le.Uint32(data[88:]) {
-		return nil, man, fmt.Errorf("%w: computed %#08x, header says %#08x", ErrChecksum, sum, le.Uint32(data[88:]))
+	if sum := crc32.Checksum(data[headerSize:], castagnoli); sum != le.Uint32(data[offCRC:]) {
+		return nil, man, fmt.Errorf("%w: computed %#08x, header says %#08x", ErrChecksum, sum, le.Uint32(data[offCRC:]))
 	}
 
 	want := func(i int, n, width int) error {
@@ -167,35 +165,35 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	}
 	for _, chk := range []error{
 		want(secStrOff, nStrings+1, 4),
-		want(secTypes, nTypes, 4),
-		want(secVAttrOff, nv+1, 4),
-		want(secEAttrOff, ne+1, 4),
-		want(secAttrRecs, nAttrRecs, attrRecSize),
+		want(secTypes, n[cntTypes], 4),
+		want(secColumns, n[cntColumns], colRecSize),
+		want(secCodes, n[cntCodes], 4),
+		want(secDict, n[cntDict], dictRecSize),
 		want(secEdges, ne, edgeRecSize),
 		want(secOutOff, nv+1, 4),
 		want(secInOff, nv+1, 4),
 		want(secOutAdj, live, adjSize),
 		want(secInAdj, live, adjSize),
-		want(secIndexed, nIndexed, 4),
-		want(secRemovedV, nRemovedV, 4),
-		want(secRemovedE, nRemovedE, 4),
+		want(secIndexed, n[cntIndexed], 4),
+		want(secRemovedV, n[cntRemovedV], 4),
+		want(secRemovedE, n[cntRemovedE], 4),
 	} {
 		if chk != nil {
 			return nil, man, chk
 		}
 	}
 
-	// String heap. Strings are always materialized (string() copies), so the
-	// heap sections never alias the mapping.
-	strOff := decUint32(secs[secStrOff])
-	heapBytes := secs[secStrBytes]
+	// String heap: one copy of its bytes (so no string aliases the mapping),
+	// every string a slice of it.
+	strOff := dec32[uint32](secs[secStrOff])
+	heapStr := string(secs[secStrBytes])
 	strs := make([]string, nStrings)
 	for i := 0; i < nStrings; i++ {
 		a, b := strOff[i], strOff[i+1]
-		if a > b || int(b) > len(heapBytes) {
-			return nil, man, fmt.Errorf("%w: string %d spans [%d,%d) of %d-byte heap", ErrFormat, i, a, b, len(heapBytes))
+		if a > b || int(b) > len(heapStr) {
+			return nil, man, fmt.Errorf("%w: string %d spans [%d,%d) of %d-byte heap", ErrFormat, i, a, b, len(heapStr))
 		}
-		strs[i] = string(heapBytes[a:b])
+		strs[i] = heapStr[a:b]
 	}
 	getStr := func(ref uint32) (string, error) {
 		if int(ref) >= nStrings {
@@ -204,87 +202,78 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 		return strs[ref], nil
 	}
 
-	var recs []attrRec
+	var codes []uint32
 	var outOff, inOff []int32
 	var outAdj, inAdj []graph.Adj
 	if zeroCopy {
-		recs = asAttrRecs(secs[secAttrRecs])
-		outOff = asInt32(secs[secOutOff])
-		inOff = asInt32(secs[secInOff])
-		outAdj = asAdj(secs[secOutAdj])
-		inAdj = asAdj(secs[secInAdj])
+		codes = view[uint32](secs[secCodes])
+		outOff = view[int32](secs[secOutOff])
+		inOff = view[int32](secs[secInOff])
+		outAdj = view[graph.Adj](secs[secOutAdj])
+		inAdj = view[graph.Adj](secs[secInAdj])
 	} else {
-		recs = decAttrRecs(secs[secAttrRecs])
-		outOff = decInt32(secs[secOutOff])
-		inOff = decInt32(secs[secInOff])
+		codes = dec32[uint32](secs[secCodes])
+		outOff = dec32[int32](secs[secOutOff])
+		inOff = dec32[int32](secs[secInOff])
 		outAdj = decAdj(secs[secOutAdj])
 		inAdj = decAdj(secs[secInAdj])
 	}
 
-	attrSpan := func(offs []uint32, i int) (int, int, error) {
-		a, b := int(offs[i]), int(offs[i+1])
-		if a > b || b > nAttrRecs {
-			return 0, 0, fmt.Errorf("%w: attr span %d is [%d,%d) of %d records", ErrFormat, i, a, b, nAttrRecs)
-		}
-		return a, b, nil
-	}
-	buildAttrs := func(a, b int) (graph.Attrs, error) {
-		if a == b {
-			return nil, nil
-		}
-		attrs := make(graph.Attrs, b-a)
-		for _, r := range recs[a:b] {
-			key, err := getStr(r.Key)
-			if err != nil {
-				return nil, err
-			}
-			var v graph.Value
-			switch graph.ValueKind(r.Kind) {
-			case graph.KindString:
-				s, err := getStr(uint32(r.Val))
-				if err != nil {
-					return nil, err
-				}
-				v = graph.S(s)
-			case graph.KindNumber:
-				v = graph.N(math.Float64frombits(r.Val))
-			case graph.KindBool:
-				v = graph.B(r.Val != 0)
-			default:
-				return nil, fmt.Errorf("%w: attribute kind %d", ErrFormat, r.Kind)
-			}
-			attrs[key] = v
-		}
-		return attrs, nil
-	}
-
-	vAttrOff := decUint32(secs[secVAttrOff])
-	vertexAttrs := make([]graph.Attrs, nv)
-	for i := 0; i < nv; i++ {
-		a, b, err := attrSpan(vAttrOff, i)
+	// The columns, in directory order, as windows of one codes and one value
+	// array. Each record takes its codes and its dictionary from what the
+	// sections have left, so a header naming K columns of N elements over a
+	// short codes section is refused before anything is allocated for them.
+	cols := [2]map[string]*graph.Column{make(map[string]*graph.Column), make(map[string]*graph.Column)}
+	vals := make([]graph.Value, n[cntDict]+n[cntColumns])
+	dir, dict := secs[secColumns], secs[secDict]
+	codeAt, dictAt := 0, 0
+	var prevKind uint32
+	var prevKey string
+	for i := 0; i < n[cntColumns]; i++ {
+		p := dir[colRecSize*i:]
+		kind, off, size := le.Uint32(p), int(le.Uint32(p[8:])), int(le.Uint32(p[12:]))
+		key, err := getStr(le.Uint32(p[4:]))
 		if err != nil {
 			return nil, man, err
 		}
-		if vertexAttrs[i], err = buildAttrs(a, b); err != nil {
-			return nil, man, err
+		if kind > 1 || i > 0 && (kind < prevKind || kind == prevKind && key <= prevKey) {
+			return nil, man, fmt.Errorf("%w: column %d (%d, %q) out of order", ErrFormat, i, kind, key)
 		}
+		per := [2]int{nv, ne}[kind]
+		if off != dictAt || size > n[cntDict]-dictAt || per > n[cntCodes]-codeAt {
+			return nil, man, fmt.Errorf("%w: column %q wants dictionary [%d,+%d) and %d codes, %d and %d are left",
+				ErrFormat, key, off, size, per, n[cntDict]-dictAt, n[cntCodes]-codeAt)
+		}
+		c := &graph.Column{Codes: codes[codeAt : codeAt+per], Vals: vals[dictAt+i : dictAt+i+size+1]}
+		for j := 1; j <= size; j++ {
+			r := dict[dictRecSize*(dictAt+j-1):]
+			kind, bits := le.Uint64(r), le.Uint64(r[8:])
+			switch {
+			case kind == uint64(graph.KindString) && bits < uint64(nStrings):
+				c.Vals[j] = graph.S(strs[bits])
+			case kind == uint64(graph.KindNumber):
+				c.Vals[j] = graph.N(math.Float64frombits(bits))
+			case kind == uint64(graph.KindBool) && bits <= 1:
+				c.Vals[j] = graph.B(bits == 1)
+			default:
+				return nil, man, fmt.Errorf("%w: column %q value %d is kind %d, bits %#x", ErrFormat, key, j, kind, bits)
+			}
+		}
+		cols[kind][key] = c
+		codeAt, dictAt = codeAt+per, dictAt+size
+		prevKind, prevKey = kind, key
+	}
+	if codeAt != n[cntCodes] || dictAt != n[cntDict] {
+		return nil, man, fmt.Errorf("%w: the columns hold %d of %d codes and %d of %d dictionary values",
+			ErrFormat, codeAt, n[cntCodes], dictAt, n[cntDict])
 	}
 
-	eAttrOff := decUint32(secs[secEAttrOff])
 	edges := make([]graph.Edge, ne)
-	edgeAttrs := make([]graph.Attrs, ne)
 	eb := secs[secEdges]
 	for i := 0; i < ne; i++ {
 		p := eb[edgeRecSize*i:]
 		typ, err := getStr(le.Uint32(p[8:]))
 		if err != nil {
-			return nil, man, err
-		}
-		a, b, err := attrSpan(eAttrOff, i)
-		if err != nil {
-			return nil, man, err
-		}
-		if edgeAttrs[i], err = buildAttrs(a, b); err != nil {
 			return nil, man, err
 		}
 		edges[i] = graph.Edge{
@@ -295,37 +284,29 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 		}
 	}
 
-	typeNames := make([]string, nTypes)
-	for i, ref := range decUint32(secs[secTypes]) {
+	typeNames := make([]string, n[cntTypes])
+	for i, ref := range dec32[uint32](secs[secTypes]) {
 		s, err := getStr(ref)
 		if err != nil {
 			return nil, man, err
 		}
 		typeNames[i] = s
 	}
-	indexedKeys := make([]string, nIndexed)
-	for i, ref := range decUint32(secs[secIndexed]) {
+	indexedKeys := make([]string, n[cntIndexed])
+	for i, ref := range dec32[uint32](secs[secIndexed]) {
 		s, err := getStr(ref)
 		if err != nil {
 			return nil, man, err
 		}
 		indexedKeys[i] = s
 	}
-	removedV := make([]graph.VertexID, nRemovedV)
-	for i, id := range decUint32(secs[secRemovedV]) {
-		removedV[i] = graph.VertexID(id)
-	}
-	removedE := make([]graph.EdgeID, nRemovedE)
-	for i, id := range decUint32(secs[secRemovedE]) {
-		removedE[i] = graph.EdgeID(id)
-	}
 
 	g, err := graph.Assemble(graph.SnapshotParts{
-		VertexAttrs:     vertexAttrs,
 		Edges:           edges,
-		EdgeAttrs:       edgeAttrs,
-		RemovedVertices: removedV,
-		RemovedEdges:    removedE,
+		VertexColumns:   cols[0],
+		EdgeColumns:     cols[1],
+		RemovedVertices: dec32[graph.VertexID](secs[secRemovedV]),
+		RemovedEdges:    dec32[graph.EdgeID](secs[secRemovedE]),
 		CSR: graph.CSR{
 			OutOff:    outOff,
 			InOff:     inOff,
@@ -340,28 +321,21 @@ func Load(data []byte, zeroCopy bool) (*graph.Graph, Manifest, error) {
 	}
 	man = Manifest{
 		Bytes:     int64(len(data)),
-		Checksum:  le.Uint32(data[88:]),
+		Checksum:  le.Uint32(data[offCRC:]),
 		Version:   formatVersion,
 		Vertices:  nv,
 		Edges:     ne,
 		LiveEdges: live,
-		EdgeTypes: nTypes,
+		EdgeTypes: n[cntTypes],
 	}
 	return g, man, nil
 }
 
-func decUint32(b []byte) []uint32 {
-	v := make([]uint32, len(b)/4)
+// dec32 decodes little-endian 32-bit words.
+func dec32[T ~int32 | ~uint32](b []byte) []T {
+	v := make([]T, len(b)/4)
 	for i := range v {
-		v[i] = le.Uint32(b[4*i:])
-	}
-	return v
-}
-
-func decInt32(b []byte) []int32 {
-	v := make([]int32, len(b)/4)
-	for i := range v {
-		v[i] = int32(le.Uint32(b[4*i:]))
+		v[i] = T(le.Uint32(b[4*i:]))
 	}
 	return v
 }
@@ -375,15 +349,6 @@ func decAdj(b []byte) []graph.Adj {
 			Vertex: graph.VertexID(int32(le.Uint32(p[4:]))),
 			Type:   int32(le.Uint32(p[8:])),
 		}
-	}
-	return v
-}
-
-func decAttrRecs(b []byte) []attrRec {
-	v := make([]attrRec, len(b)/attrRecSize)
-	for i := range v {
-		p := b[attrRecSize*i:]
-		v[i] = attrRec{Key: le.Uint32(p), Kind: le.Uint32(p[4:]), Val: le.Uint64(p[8:])}
 	}
 	return v
 }

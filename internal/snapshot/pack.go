@@ -50,7 +50,7 @@ func Pack(g *graph.Graph) ([]byte, error) {
 	h := &heap{index: make(map[string]uint32, 256)}
 
 	// Deterministic walk order — mirrored exactly on repack of a loaded
-	// graph: type table, indexed keys, vertex attrs by id, edges by id.
+	// graph: type table, indexed keys, columns, edges by id.
 	typeRefs := make([]uint32, len(csr.TypeNames))
 	for i, t := range csr.TypeNames {
 		typeRefs[i] = h.ref(t)
@@ -61,56 +61,45 @@ func Pack(g *graph.Graph) ([]byte, error) {
 		indexedRefs[i] = h.ref(k)
 	}
 
-	// Attribute records are decoded from the columns, in key order.
-	var recs []attrRec
+	// The columns as they are in memory: vertex columns, then edge columns,
+	// each in key order, with their codes and dictionaries verbatim.
 	vcols, ecols := g.VertexColumns(), g.EdgeColumns()
-	vkeys, ekeys := slices.Sorted(maps.Keys(vcols)), slices.Sorted(maps.Keys(ecols))
-	appendAttrs := func(cols map[string]*graph.Column, keys []string, id int) error {
-		for _, k := range keys {
+	var dir, dict []byte
+	codes := make([]byte, 0, 4*(len(vcols)*nv+len(ecols)*ne))
+	for kind, cols := range []map[string]*graph.Column{vcols, ecols} {
+		for _, k := range slices.Sorted(maps.Keys(cols)) {
 			c := cols[k]
-			code := c.Codes[id]
-			if code == 0 {
-				continue
-			}
-			v := c.Vals[code]
-			rec := attrRec{Key: h.ref(k), Kind: uint32(v.Kind)}
-			switch v.Kind {
-			case graph.KindString:
-				rec.Val = uint64(h.ref(v.Str))
-			case graph.KindNumber:
-				rec.Val = math.Float64bits(v.Num)
-			case graph.KindBool:
-				if v.Bool {
-					rec.Val = 1
+			dir = le.AppendUint32(dir, uint32(kind))
+			dir = le.AppendUint32(dir, h.ref(k))
+			dir = le.AppendUint32(dir, uint32(len(dict)/dictRecSize))
+			dir = le.AppendUint32(dir, uint32(len(c.Vals)-1))
+			codes = appendU32(codes, c.Codes)
+			for _, v := range c.Vals[1:] {
+				var bits uint64
+				switch v.Kind {
+				case graph.KindString:
+					bits = uint64(h.ref(v.Str))
+				case graph.KindNumber:
+					bits = math.Float64bits(v.Num)
+				case graph.KindBool:
+					if v.Bool {
+						bits = 1
+					}
+				default:
+					return nil, fmt.Errorf("snapshot: unencodable attribute kind %d for key %q", v.Kind, k)
 				}
-			default:
-				return fmt.Errorf("snapshot: unencodable attribute kind %d for key %q", v.Kind, k)
+				dict = le.AppendUint64(dict, uint64(v.Kind))
+				dict = le.AppendUint64(dict, bits)
 			}
-			recs = append(recs, rec)
-		}
-		return nil
-	}
-
-	vAttrOff := make([]uint32, nv+1)
-	for i := 0; i < nv; i++ {
-		vAttrOff[i] = uint32(len(recs))
-		if err := appendAttrs(vcols, vkeys, i); err != nil {
-			return nil, err
 		}
 	}
-	vAttrOff[nv] = uint32(len(recs))
-
-	edges := make([]edgeRec, ne)
-	eAttrOff := make([]uint32, ne+1)
+	edges := make([]byte, 0, edgeRecSize*ne)
 	for i := 0; i < ne; i++ {
 		e := g.Edge(graph.EdgeID(i))
-		edges[i] = edgeRec{From: int32(e.From), To: int32(e.To), TypeRef: h.ref(e.Type)}
-		eAttrOff[i] = uint32(len(recs))
-		if err := appendAttrs(ecols, ekeys, i); err != nil {
-			return nil, err
-		}
+		edges = le.AppendUint32(edges, uint32(e.From))
+		edges = le.AppendUint32(edges, uint32(e.To))
+		edges = le.AppendUint32(edges, h.ref(e.Type))
 	}
-	eAttrOff[ne] = uint32(len(recs))
 
 	removedV := g.RemovedVertices()
 	removedE := g.RemovedEdges()
@@ -130,17 +119,17 @@ func Pack(g *graph.Graph) ([]byte, error) {
 		secStrOff:   strOff,
 		secStrBytes: strBytes,
 		secTypes:    u32Bytes(typeRefs),
-		secVAttrOff: u32Bytes(vAttrOff),
-		secEAttrOff: u32Bytes(eAttrOff),
-		secAttrRecs: attrRecBytes(recs),
-		secEdges:    edgeRecBytes(edges),
-		secOutOff:   i32Bytes(csr.OutOff),
-		secInOff:    i32Bytes(csr.InOff),
+		secColumns:  dir,
+		secCodes:    codes,
+		secDict:     dict,
+		secEdges:    edges,
+		secOutOff:   u32Bytes(csr.OutOff),
+		secInOff:    u32Bytes(csr.InOff),
 		secOutAdj:   adjBytes(csr.OutAdj),
 		secInAdj:    adjBytes(csr.InAdj),
 		secIndexed:  u32Bytes(indexedRefs),
-		secRemovedV: vidBytes(removedV),
-		secRemovedE: eidBytes(removedE),
+		secRemovedV: u32Bytes(removedV),
+		secRemovedE: u32Bytes(removedE),
 	}
 
 	// Lay out: header, section table, then 8-aligned sections.
@@ -162,18 +151,24 @@ func Pack(g *graph.Graph) ([]byte, error) {
 
 	hdr := buf[:headerSize]
 	copy(hdr, magic)
-	le.PutUint32(hdr[8:], formatVersion)
-	le.PutUint32(hdr[12:], endianMark)
-	le.PutUint32(hdr[16:], nSections)
-	le.PutUint64(hdr[24:], uint64(nv))
-	le.PutUint64(hdr[32:], uint64(ne))
-	le.PutUint64(hdr[40:], uint64(len(h.strs)))
-	le.PutUint64(hdr[48:], uint64(len(recs)))
-	le.PutUint64(hdr[56:], uint64(len(csr.TypeNames)))
-	le.PutUint64(hdr[64:], uint64(len(indexedRefs)))
-	le.PutUint64(hdr[72:], uint64(len(removedV)))
-	le.PutUint64(hdr[80:], uint64(len(removedE)))
-	le.PutUint32(hdr[88:], crc32.Checksum(buf[headerSize:], castagnoli))
+	le.PutUint32(hdr[offVersion:], formatVersion)
+	le.PutUint32(hdr[offEndian:], endianMark)
+	le.PutUint32(hdr[offSections:], nSections)
+	for i, n := range [nCounts]int{
+		cntVertices: nv,
+		cntEdges:    ne,
+		cntStrings:  len(h.strs),
+		cntColumns:  len(dir) / colRecSize,
+		cntDict:     len(dict) / dictRecSize,
+		cntCodes:    len(codes) / 4,
+		cntTypes:    len(csr.TypeNames),
+		cntIndexed:  len(indexedRefs),
+		cntRemovedV: len(removedV),
+		cntRemovedE: len(removedE),
+	} {
+		le.PutUint64(hdr[offCounts+8*i:], uint64(n))
+	}
+	le.PutUint32(hdr[offCRC:], crc32.Checksum(buf[headerSize:], castagnoli))
 	return buf, nil
 }
 
@@ -187,12 +182,12 @@ func WriteFile(path string, g *graph.Graph) (Manifest, error) {
 	man := Manifest{
 		Path:      path,
 		Bytes:     int64(len(blob)),
-		Checksum:  le.Uint32(blob[88:]),
+		Checksum:  le.Uint32(blob[offCRC:]),
 		Version:   formatVersion,
-		Vertices:  int(le.Uint64(blob[24:])),
-		Edges:     int(le.Uint64(blob[32:])),
-		LiveEdges: int(le.Uint64(blob[32:])) - int(le.Uint64(blob[80:])),
-		EdgeTypes: int(le.Uint64(blob[56:])),
+		Vertices:  count(blob, cntVertices),
+		Edges:     count(blob, cntEdges),
+		LiveEdges: count(blob, cntEdges) - count(blob, cntRemovedE),
+		EdgeTypes: count(blob, cntTypes),
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snap-*")
@@ -212,67 +207,24 @@ func WriteFile(path string, g *graph.Graph) (Manifest, error) {
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-func u32Bytes(v []uint32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		le.PutUint32(b[4*i:], x)
+// count reads header count i of a snapshot image.
+func count(b []byte, i int) int { return int(le.Uint64(b[offCounts+8*i:])) }
+
+func appendU32[T ~int32 | ~uint32](b []byte, v []T) []byte {
+	for _, x := range v {
+		b = le.AppendUint32(b, uint32(x))
 	}
 	return b
 }
 
-func i32Bytes(v []int32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		le.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-func vidBytes(v []graph.VertexID) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		le.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-func eidBytes(v []graph.EdgeID) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		le.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-func attrRecBytes(recs []attrRec) []byte {
-	b := make([]byte, attrRecSize*len(recs))
-	for i, r := range recs {
-		p := b[attrRecSize*i:]
-		le.PutUint32(p, r.Key)
-		le.PutUint32(p[4:], r.Kind)
-		le.PutUint64(p[8:], r.Val)
-	}
-	return b
-}
-
-func edgeRecBytes(recs []edgeRec) []byte {
-	b := make([]byte, edgeRecSize*len(recs))
-	for i, r := range recs {
-		p := b[edgeRecSize*i:]
-		le.PutUint32(p, uint32(r.From))
-		le.PutUint32(p[4:], uint32(r.To))
-		le.PutUint32(p[8:], r.TypeRef)
-	}
-	return b
-}
+func u32Bytes[T ~int32 | ~uint32](v []T) []byte { return appendU32(make([]byte, 0, 4*len(v)), v) }
 
 func adjBytes(adj []graph.Adj) []byte {
-	b := make([]byte, adjSize*len(adj))
-	for i, a := range adj {
-		p := b[adjSize*i:]
-		le.PutUint32(p, uint32(a.Edge))
-		le.PutUint32(p[4:], uint32(a.Vertex))
-		le.PutUint32(p[8:], uint32(a.Type))
+	b := make([]byte, 0, adjSize*len(adj))
+	for _, a := range adj {
+		b = le.AppendUint32(b, uint32(a.Edge))
+		b = le.AppendUint32(b, uint32(a.Vertex))
+		b = le.AppendUint32(b, uint32(a.Type))
 	}
 	return b
 }

@@ -10,35 +10,20 @@ import (
 // little-endian host over 8-aligned section bytes (the writer aligns every
 // section); callers gate on hostLittleEndian().
 
-// Compile-time layout asserts: the on-disk record widths must equal the
-// in-memory struct sizes, or reinterpretation would shear.
-var (
-	_ [adjSize]byte     = [unsafe.Sizeof(graph.Adj{})]byte{}
-	_ [attrRecSize]byte = [unsafe.Sizeof(attrRec{})]byte{}
-)
+// Compile-time layout assert: the on-disk record width must equal the
+// in-memory struct size, or reinterpretation would shear.
+var _ [adjSize]byte = [unsafe.Sizeof(graph.Adj{})]byte{}
 
 func hostLittleEndian() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-func asInt32(b []byte) []int32 {
+// view reinterprets b as a slice of T in place.
+func view[T int32 | uint32 | graph.Adj](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func asAdj(b []byte) []graph.Adj {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*graph.Adj)(unsafe.Pointer(&b[0])), len(b)/adjSize)
-}
-
-func asAttrRecs(b []byte) []attrRec {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*attrRec)(unsafe.Pointer(&b[0])), len(b)/attrRecSize)
+	var z T
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(z)))
 }
