@@ -6,9 +6,6 @@ package repro_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -38,23 +35,6 @@ func setup() (*repro.Graph, *repro.Graph) {
 		benchDBp = datagen.DBpedia(datagen.DefaultDBpedia())
 	})
 	return benchLDBC, benchDBp
-}
-
-// benchWorkers is the worker count the explanation-search benchmarks run
-// with: BENCH_WORKERS when set, otherwise min(4, GOMAXPROCS) — the paper
-// figures' searches at four workers on CI-class machines, sequential on a
-// single core. Results are byte-identical at any setting; only wall-clock
-// changes.
-func benchWorkers() int {
-	if s := os.Getenv("BENCH_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	if p := runtime.GOMAXPROCS(0); p < 4 {
-		return p
-	}
-	return 4
 }
 
 // BenchmarkTableA1 measures executing LDBC QUERY 1–4 (Table A.1 row
@@ -204,13 +184,12 @@ func BenchmarkFig5Priority(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workers := benchWorkers()
 	for _, p := range []relax.Priority{relax.PriorityRandom, relax.PrioritySyntactic, relax.PriorityEstimatedCardinality, relax.PriorityAvgPath1, relax.PriorityCombined} {
 		b.Run(p.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := stats.New(m) // fresh cache: measure the full cost
 				rw := relax.New(m, st)
-				out := rw.Rewrite(q, relax.Options{Control: search.Control{Workers: workers}, Priority: p, MaxSolutions: 1, Seed: 7})
+				out := rw.Rewrite(q, relax.Options{Priority: p, MaxSolutions: 1, Seed: 7})
 				if len(out.Solutions) == 0 {
 					b.Fatal("no solution")
 				}
@@ -276,7 +255,7 @@ func BenchmarkFig6Baselines(b *testing.B) {
 	s := modtree.New(m, st)
 	q := workload.LDBCQuery1()
 	goal := metrics.Interval{Lower: workload.Threshold(20, 2)}
-	opts := modtree.Options{Control: search.Control{MaxExecuted: 100, Workers: benchWorkers()}, Goal: goal, Domain: dom}
+	opts := modtree.Options{Control: search.Control{MaxExecuted: 100}, Goal: goal, Domain: dom}
 	b.Run("tst", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = s.TraverseSearchTree(q, opts)
@@ -310,80 +289,12 @@ func BenchmarkFig6Topology(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFig5 measures one coarse-grained rewriting run per worker
-// count — the Fig. 5.A search under the worker-pool layer. Results are
-// byte-identical across worker counts (see the differential tests); the
-// series shows the wall-clock scaling alone.
-func BenchmarkParallelFig5(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	q, err := workload.FailingVariant("LDBC QUERY 1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := stats.New(m) // fresh cache: measure the full cost
-				rw := relax.New(m, st)
-				out := rw.Rewrite(q, relax.Options{Control: search.Control{Workers: workers}, Priority: relax.PriorityCombined, MaxSolutions: 1, Seed: 7})
-				if len(out.Solutions) == 0 {
-					b.Fatal("no solution")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelFig6 measures one TRAVERSESEARCHTREE run per worker count
-// — the Fig. 6.A search under parallel child evaluation.
-func BenchmarkParallelFig6(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	dom := stats.BuildDomain(g, 16)
-	s := modtree.New(m, st)
-	q := workload.LDBCQuery1()
-	goal := metrics.Interval{Lower: workload.Threshold(20, 2)}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			opts := modtree.Options{Control: search.Control{MaxExecuted: 100, Workers: workers}, Goal: goal, Domain: dom}
-			for i := 0; i < b.N; i++ {
-				_ = s.TraverseSearchTree(q, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkParallelMCS measures DISCOVERMCS per worker count — the Fig. 4
-// search under parallel frontier probing.
-func BenchmarkParallelMCS(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	q, err := workload.FailingVariant("LDBC QUERY 2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ex := mcs.DiscoverMCS(m, st, q, mcs.Options{Control: search.Control{Workers: workers}})
-				if !ex.Satisfied {
-					b.Fatal("MCS must exist")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSearchKernel measures the internal/search hot loop in isolation:
 // the machinery every explanation search now runs on. frontier is 256
 // mixed-priority push/pops on a reused frontier; executor is one run of 256
 // keyed executions plus a full dedup re-scan (Seen/Execute/Record, trivial
-// eval, so only kernel bookkeeping is on the clock); speculate is the
-// prefetch-consume cycle at two workers over precomputed keys. frontier and
-// executor allocate nothing (internal/search's TestKernelAllocsZero).
+// eval, so only kernel bookkeeping is on the clock). Neither allocates
+// (internal/search's TestKernelAllocsZero).
 func BenchmarkSearchKernel(b *testing.B) {
 	g, _ := setup()
 	m := match.New(g)
@@ -423,28 +334,6 @@ func BenchmarkSearchKernel(b *testing.B) {
 			for _, k := range keys { // steady-state dedup-hit path
 				if !ex.Seen(k) {
 					b.Fatal("executed key must be seen")
-				}
-			}
-			ex.End()
-		}
-	})
-	b.Run("speculate", func(b *testing.B) {
-		ex := search.NewExecutor(m)
-		nodes := make([]int, 256)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		key := func(n int) string { return keys[n] }
-		eval := func(_ *match.Ctx, n int) int { return n }
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ex.Begin(search.Control{MaxExecuted: 1 << 30, Workers: 2})
-			for j := range nodes {
-				if j%2 == 0 {
-					search.SpeculateSlice(ex, nodes[j:], key, eval)
-				}
-				if card, ok := ex.Execute(keys[j], func(*match.Ctx) int { return nodes[j] }); !ok || card != nodes[j] {
-					b.Fatalf("consume %d = (%d, %v)", j, card, ok)
 				}
 			}
 			ex.End()

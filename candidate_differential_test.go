@@ -318,11 +318,7 @@ func TestCandidateDifferential(t *testing.T) {
 		{"dbpedia", dg, workload.DBpediaQueries()},
 	} {
 		eng := repro.NewEngine(ds.g)
-		eng.SetWorkers(1)
-		wide := repro.NewEngine(ds.g)
-		wide.SetWorkers(4)
 		uncached := repro.NewEngine(ds.g)
-		uncached.SetWorkers(2)
 		uncached.Matcher().SetPlanCache(false)
 		st, ref := eng.Stats(), stats.New(eng.Matcher()) // the references fill a collector of their own
 		mt := modtree.New(eng.Matcher(), st)
@@ -333,19 +329,17 @@ func TestCandidateDifferential(t *testing.T) {
 		}
 		scored, sliced, skipped, solutions := 0, 0, 0, 0
 		for _, c := range corpus {
-			// Whole reports: one worker ≡ four ≡ no plan cache.
+			// Whole reports: plan cache ≡ no plan cache.
 			rep, err := eng.Explain(c.q, c.opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", ds.name, c.name, err)
 			}
-			for name, other := range map[string]*repro.Engine{"4 workers": wide, "no plan cache": uncached} {
-				orep, err := other.Explain(c.q, c.opts)
-				if err != nil {
-					t.Fatalf("%s %s (%s): %v", ds.name, c.name, name, err)
-				}
-				if got, want := candidateFingerprint(orep), candidateFingerprint(rep); got != want {
-					t.Errorf("%s %s: %s changed the report:\n--- 1 worker\n%s\n--- %s\n%s", ds.name, c.name, name, want, name, got)
-				}
+			orep, err := uncached.Explain(c.q, c.opts)
+			if err != nil {
+				t.Fatalf("%s %s (no plan cache): %v", ds.name, c.name, err)
+			}
+			if got, want := candidateFingerprint(orep), candidateFingerprint(rep); got != want {
+				t.Errorf("%s %s: no plan cache changed the report:\n--- plan cache\n%s\n--- no plan cache\n%s", ds.name, c.name, want, got)
 			}
 			for _, r := range rep.Rewritings {
 				if want := refSyntacticDistance(c.q, r.Query); r.Syntactic != want {
@@ -439,10 +433,9 @@ func TestCandidateDifferential(t *testing.T) {
 }
 
 // TestCandidateSharingRace: the siblings of one parent share its untouched
-// elements and predicate values, and are read from many goroutines at once —
-// the pool workers key, score, measure and count them — while the search
-// goroutine derives their children. Nothing may write what is shared; run
-// under -race -count=10.
+// elements and predicate values, and nothing may write what is shared. Here
+// they are keyed, scored, measured and counted from many goroutines at once
+// while this goroutine derives their children; run under -race -count=10.
 func TestCandidateSharingRace(t *testing.T) {
 	lg, _ := setup()
 	eng := repro.NewEngine(lg)

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	benchrunner -exp all
-//	benchrunner -workers 4 -exp fig5.priority
 //	benchrunner -exp tab-a1
 //	benchrunner -exp fig3.7 | fig3.8 | fig3.9 | fig3.10
 //	benchrunner -exp fig4.discover | fig4.size | fig4.bounded
@@ -26,7 +25,6 @@ import (
 	"repro/internal/mcs"
 	"repro/internal/metrics"
 	"repro/internal/modtree"
-	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/relax"
 	"repro/internal/search"
@@ -37,10 +35,6 @@ import (
 type env struct {
 	ldbc    *matchEnv
 	dbpedia *matchEnv
-	// workers is the resolved worker count of the explanation searches
-	// (-workers flag; 0 resolves to GOMAXPROCS). Parallelism never changes
-	// any experiment's numbers except runtime columns.
-	workers int
 
 	// Search-kernel counter sinks, one per explanation family, accumulated
 	// across all experiments of the process and printed in report headers.
@@ -50,18 +44,18 @@ type env struct {
 }
 
 // relaxCtl/modCtl/mcsCtl assemble the shared kernel-control block of a
-// search run: the -workers setting, the per-family metrics sink, and an
-// optional execution budget (0 = the search's default).
+// search run: the per-family metrics sink and an optional execution budget
+// (0 = the search's default).
 func (e *env) relaxCtl(maxExecuted int) search.Control {
-	return search.Control{Workers: e.workers, MaxExecuted: maxExecuted, Metrics: &e.kRelax}
+	return search.Control{MaxExecuted: maxExecuted, Metrics: &e.kRelax}
 }
 
 func (e *env) modCtl(maxExecuted int) search.Control {
-	return search.Control{Workers: e.workers, MaxExecuted: maxExecuted, Metrics: &e.kModtree}
+	return search.Control{MaxExecuted: maxExecuted, Metrics: &e.kModtree}
 }
 
 func (e *env) mcsCtl() search.Control {
-	return search.Control{Workers: e.workers, Metrics: &e.kMCS}
+	return search.Control{Metrics: &e.kMCS}
 }
 
 type matchEnv struct {
@@ -84,7 +78,7 @@ func newEnv() *env {
 // cacheStats summarizes the matcher-level cache counters of both data sets
 // and the search-kernel counters per explanation family for report headers:
 // everything accumulated so far in this process. Kernel counters read
-// executions(x) / dedup hits(h) / speculative waste(w).
+// executions(x) / dedup hits(h).
 func (e *env) cacheStats() string {
 	ph, pm := 0, 0
 	ch, cm := 0, 0
@@ -96,7 +90,7 @@ func (e *env) cacheStats() string {
 	}
 	k := func(name string, m *search.Metrics) string {
 		c := m.Snapshot()
-		return fmt.Sprintf("%s %dx/%dh/%dw", name, c.Executions, c.DedupHits, c.SpecWaste)
+		return fmt.Sprintf("%s %dx/%dh", name, c.Executions, c.DedupHits)
 	}
 	return fmt.Sprintf("plan-cache %dh/%dm, count-cache %dh/%dm; kernel %s, %s, %s",
 		ph, pm, ch, cm, k("relax", &e.kRelax), k("modtree", &e.kModtree), k("mcs", &e.kMCS))
@@ -104,10 +98,8 @@ func (e *env) cacheStats() string {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (see doc comment)")
-	workers := flag.Int("workers", 0, "explanation-search workers (0 = GOMAXPROCS)")
 	flag.Parse()
 	e := newEnv()
-	e.workers = parallel.Workers(*workers)
 	experiments := map[string]func(*env){
 		"tab-a1":           tabA1,
 		"fig3.7":           fig37,
@@ -265,7 +257,7 @@ func fig310(e *env) {
 
 // fig4Discover — DISCOVERMCS optimizations on why-empty variants (§4.5.1).
 func fig4Discover(e *env) {
-	fmt.Printf("== FIG-4.A: DISCOVERMCS — naive vs WCC vs single-path (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-4.A: DISCOVERMCS — naive vs WCC vs single-path (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %-16s %10s %12s %10s\n", "query", "variant", "traversals", "runtime", "MCS edges")
 	run := func(name string, me *matchEnv, q *query.Query) {
 		variants := []struct {
@@ -301,7 +293,7 @@ func fig4Discover(e *env) {
 
 // fig4Size — DISCOVERMCS cost vs query size (§4.5.1).
 func fig4Size(e *env) {
-	fmt.Printf("== FIG-4.B: DISCOVERMCS cost vs query size (failing chains, workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-4.B: DISCOVERMCS cost vs query size (failing chains, %s) ==\n", e.cacheStats())
 	fmt.Printf("%8s %12s %12s %12s\n", "edges", "naive", "wcc", "single-path")
 	for size := 1; size <= 5; size++ {
 		q := chainQuery(size)
@@ -331,7 +323,7 @@ func chainQuery(edges int) *query.Query {
 
 // fig4Bounded — BOUNDEDMCS for the too-many-answers problem (§4.5.2).
 func fig4Bounded(e *env) {
-	fmt.Printf("== FIG-4.C: BOUNDEDMCS under too-many thresholds (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-4.C: BOUNDEDMCS under too-many thresholds (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-14s %8s %10s %12s %10s %10s\n", "query", "factor", "threshold", "traversals", "MCS edges", "satisfied")
 	for _, nq := range workload.LDBCQueries() {
 		for _, factor := range []float64{0.2, 0.5} {
@@ -345,7 +337,7 @@ func fig4Bounded(e *env) {
 
 // fig5Priority — executed candidates per priority function (§5.5.1).
 func fig5Priority(e *env) {
-	fmt.Printf("== FIG-5.A: priority functions of the query-candidate selector (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-5.A: priority functions of the query-candidate selector (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %-22s %10s %10s %12s\n", "query", "priority", "executed", "solutions", "runtime")
 	prios := []relax.Priority{relax.PriorityRandom, relax.PrioritySyntactic, relax.PriorityEstimatedCardinality, relax.PriorityAvgPath1, relax.PriorityCombined}
 	run := func(name string, me *matchEnv, q *query.Query) {
@@ -369,7 +361,7 @@ func fig5Priority(e *env) {
 // fig5Convergence — best-so-far cardinality over executed candidates
 // (§5.5.2).
 func fig5Convergence(e *env) {
-	fmt.Printf("== FIG-5.B: runtime convergence (LDBC QUERY 2 why-empty, workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-5.B: runtime convergence (LDBC QUERY 2 why-empty, %s) ==\n", e.cacheStats())
 	q, _ := workload.FailingVariant("LDBC QUERY 2")
 	rw := relax.New(e.ldbc.m, e.ldbc.st)
 	for _, p := range []relax.Priority{relax.PriorityRandom, relax.PriorityCombined} {
@@ -388,7 +380,7 @@ func fig5Convergence(e *env) {
 
 // fig5Induced — combined Path(1)+induced-change priority (§5.5.3).
 func fig5Induced(e *env) {
-	fmt.Printf("== FIG-5.C: avg Path(1) + induced-change priority comparison (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-5.C: avg Path(1) + induced-change priority comparison (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %-22s %10s %10s\n", "query", "priority", "executed", "generated")
 	for _, nq := range workload.LDBCQueries() {
 		q, _ := workload.FailingVariant(nq.Name)
@@ -403,7 +395,7 @@ func fig5Induced(e *env) {
 // fig5User — non-intrusive user integration (§5.5.4 + App. B.1): a simulated
 // user protects one query element; count proposals until acceptance.
 func fig5User(e *env) {
-	fmt.Printf("== FIG-5.D: user integration — proposals until acceptance (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-5.D: user integration — proposals until acceptance (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %16s %16s\n", "query", "no model", "with model")
 	for _, nq := range workload.LDBCQueries() {
 		q, _ := workload.FailingVariant(nq.Name)
@@ -459,7 +451,7 @@ func protectedTargetOf(name string) query.Target {
 
 // fig5Resources — cache effectiveness (App. B.2).
 func fig5Resources(e *env) {
-	fmt.Printf("== FIG-5.E: resource consumption of why-empty rewriting (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-5.E: resource consumption of why-empty rewriting (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %10s %10s %10s %12s %12s\n", "query", "executed", "generated", "cachehits", "stat hits", "stat entries")
 	for _, nq := range workload.LDBCQueries() {
 		q, _ := workload.FailingVariant(nq.Name)
@@ -473,11 +465,8 @@ func fig5Resources(e *env) {
 
 // fig6Baseline — TRAVERSESEARCHTREE vs baselines (§6.4.2).
 func fig6Baseline(e *env) {
-	fmt.Printf("== FIG-6.A: fine-grained modification vs baselines (workers=%d, %s) ==\n", e.workers, e.cacheStats())
-	// The workers column is each run's effective worker count as reported by
-	// the search itself: RandomWalk is inherently sequential and always
-	// reports 1, whatever -workers says.
-	fmt.Printf("%-14s %8s %-12s %8s %10s %10s %10s %12s\n", "query", "factor", "method", "workers", "executed", "bestCard", "cardΔ", "runtime")
+	fmt.Printf("== FIG-6.A: fine-grained modification vs baselines (%s) ==\n", e.cacheStats())
+	fmt.Printf("%-14s %8s %-12s %10s %10s %10s %12s\n", "query", "factor", "method", "executed", "bestCard", "cardΔ", "runtime")
 	for _, nq := range workload.LDBCQueries() {
 		for _, factor := range workload.CardinalityFactors {
 			cthr := workload.Threshold(nq.C1, factor)
@@ -500,8 +489,8 @@ func fig6Baseline(e *env) {
 			rnd := s.RandomWalk(nq.Build(), opts, 7)
 			rs = append(rs, res{"random", rnd, time.Since(start)})
 			for _, x := range rs {
-				fmt.Printf("%-14s %8.1f %-12s %8d %10d %10d %10d %12s\n",
-					nq.Name, factor, x.label, x.r.Workers, x.r.Executed, x.r.Best.Cardinality, x.r.Best.Distance, x.dt.Round(time.Microsecond))
+				fmt.Printf("%-14s %8.1f %-12s %10d %10d %10d %12s\n",
+					nq.Name, factor, x.label, x.r.Executed, x.r.Best.Cardinality, x.r.Best.Distance, x.dt.Round(time.Microsecond))
 			}
 		}
 	}
@@ -518,7 +507,7 @@ func goalFor(factor float64, cthr int) metrics.Interval {
 
 // fig6Topology — topology consideration (§6.4.3).
 func fig6Topology(e *env) {
-	fmt.Printf("== FIG-6.B: TST with and without topology modifications (workers=%d, %s) ==\n", e.workers, e.cacheStats())
+	fmt.Printf("== FIG-6.B: TST with and without topology modifications (%s) ==\n", e.cacheStats())
 	fmt.Printf("%-22s %-12s %10s %10s %10s\n", "query", "topology", "executed", "bestCard", "satisfied")
 	for _, nq := range workload.LDBCQueries() {
 		q, _ := workload.FailingVariant(nq.Name)

@@ -74,7 +74,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.datasets, "datasets", "ldbc,dbpedia", "comma-separated datasets to load (ldbc, dbpedia)")
 	fs.Float64Var(&o.scale, "scale", 1.0, "dataset size factor (1.0 = the experiment-suite defaults)")
-	fs.IntVar(&o.workers, "workers", 0, "explanation-search workers per engine (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "explains each dataset runs at once (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.grace, "shutdown-grace", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	fs.DurationVar(&o.drainDelay, "drain-delay", 0, "pause between flipping /readyz and starting shutdown (LB de-routing time)")
 	fs.IntVar(&o.queueCap, "queue-cap", 0, "admission queue bound per dataset (0 = 4x the dataset's execution slots)")

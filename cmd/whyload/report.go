@@ -97,7 +97,7 @@ type summary struct {
 	PerItemMs         *latStats `json:"perItemMs,omitempty"`
 
 	// Stats is the daemon's GET /v1/stats after the run — kernel counters,
-	// brownout transitions, speculation pool — unselected.
+	// brownout transitions, caches — unselected.
 	Stats *wire.StatsResponse `json:"stats,omitempty"`
 }
 

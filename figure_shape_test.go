@@ -17,8 +17,7 @@ import (
 // TestFigureShape asserts what the reproduced figures are there to show, in
 // the thesis' own cost currency — executed candidates, which no machine and
 // no cache state can move — on the evaluation workload itself, set up as
-// cmd/benchrunner sets it up (workers 1; the searches are byte-identical at
-// any worker count). A speed-up that bends a figure fails here; the relax
+// cmd/benchrunner sets it up. A speed-up that bends a figure fails here; the relax
 // and modtree packages' own TestStatisticsPrioritiesBeatRandomOnExecutions
 // and TestTSTBeatsExhaustiveOnExecutions cover toy graphs only.
 func TestFigureShape(t *testing.T) {
@@ -39,7 +38,7 @@ func TestFigureShape(t *testing.T) {
 				}
 				rw := relax.New(m, st)
 				executed := func(p relax.Priority) int {
-					out := rw.Rewrite(q, relax.Options{Control: search.Control{Workers: 1}, Priority: p, MaxSolutions: 1, Seed: 7})
+					out := rw.Rewrite(q, relax.Options{Priority: p, MaxSolutions: 1, Seed: 7})
 					if len(out.Solutions) == 0 {
 						t.Fatalf("%s, %s: no solution after %d executions", nq.Name, p, out.Executed)
 					}
@@ -77,7 +76,7 @@ func TestFigureShape(t *testing.T) {
 					goal = metrics.Interval{Lower: 1, Upper: cthr} // too many: at most cthr
 				}
 				s := modtree.New(m, st)
-				opts := modtree.Options{Control: search.Control{Workers: 1, MaxExecuted: 150}, Goal: goal, Domain: dom}
+				opts := modtree.Options{Control: search.Control{MaxExecuted: 150}, Goal: goal, Domain: dom}
 				tst := s.TraverseSearchTree(nq.Build(), opts)
 				ex := s.Exhaustive(nq.Build(), opts)
 				if tst.Executed > ex.Executed || tst.Best.Distance > ex.Best.Distance {

@@ -16,16 +16,18 @@ import (
 
 // TestHotExplainAllocs pins what one hot explain — every plan, count and
 // statistics lookup a hit — leaves for the collector: the bookkeeping around
-// the hits. The corpus is the service benchmark's 16 hot specs at budget 150
-// on two workers. Machine-independent; the speed itself is whybench's
+// the hits. The corpus is the service benchmark's 16 hot specs at budget 150.
+// Machine-independent; the speed itself is whybench's
 // explain_repeat. The graphs are whybench's (-scale 8): a matching context's
 // visited bitsets grow with the data graph, and a search that builds contexts
 // per request shows it here.
 func TestHotExplainAllocs(t *testing.T) {
-	// 473 objects / 41 KB when written (1 335 / 169 KB before candidates
-	// shared storage); scoring children through stats.InducedChange again —
-	// the parent re-estimated and deep-cloned per child — reads 705 / 69 KB.
-	const maxObjects, maxBytes = 600, 56 << 10
+	// 409 objects / 38.3 KB since every search runs on its request's
+	// goroutine (473 / 41.6 KB with speculative prefetch on two workers,
+	// 1 335 / 169 KB before candidates shared storage); scoring children
+	// through stats.InducedChange again — the parent re-estimated and
+	// deep-cloned per child — read 705 / 69 KB.
+	const maxObjects, maxBytes = 500, 48 << 10
 	lg := datagen.LDBC(datagen.DefaultLDBC().Scaled(8))
 	dcfg := datagen.DefaultDBpedia()
 	dcfg.Entities *= 8
@@ -41,7 +43,6 @@ func TestHotExplainAllocs(t *testing.T) {
 		base []workload.Named
 	}{{"ldbc", lg, workload.LDBCQueries()}, {"dbpedia", dg, workload.DBpediaQueries()}} {
 		eng := repro.NewEngine(ds.g)
-		eng.SetWorkers(2)
 		for _, c := range scoringCorpus(t, ds.name, eng.Matcher(), eng.Domain(), ds.base, 0) {
 			specs = append(specs, hot{eng, c})
 		}

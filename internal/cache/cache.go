@@ -7,7 +7,7 @@
 // A Cache maps binary canonical keys to values that are deterministic over
 // one frozen graph, so a resident value, a recomputed one and one shared
 // between requests are interchangeable. It is lock-striped over 16 shards
-// so worker pools do not serialize on one mutex. Eviction is a
+// so concurrent requests do not serialize on one mutex. Eviction is a
 // per-shard wholesale epoch reset: a shard that reaches its share of the
 // entry bound (or, when one is set, of the byte bound) is dropped and starts
 // over — steady-state workloads, whose distinct keys number in the hundreds,

@@ -30,8 +30,9 @@ import (
 // are concurrency-safe by construction, and every Explain call draws a
 // private search state (relaxation rewriter, modification-tree searcher,
 // matching context) from an internal pool, so a long-running service can
-// serve Explain requests from many goroutines against one loaded graph.
-// SetWorkers is the exception: call it before sharing the engine.
+// serve Explain requests from many goroutines against one loaded graph. Each
+// Explain runs on its caller's goroutine and starts none. SetWorkers is the
+// exception: call it before sharing the engine.
 type Engine struct {
 	g       *graph.Graph
 	m       *match.Matcher
@@ -41,17 +42,17 @@ type Engine struct {
 	workers int
 
 	// Search-kernel counters, one sink per explanation family. Every search
-	// run — from any pooled explainState — flushes its executions, dedup
-	// hits, and speculation counters here; GET /v1/stats reads them out.
+	// run — from any pooled explainState — flushes its executions and dedup
+	// hits here; GET /v1/stats reads them out.
 	kRelax   search.Metrics
 	kModtree search.Metrics
 	kMCS     search.Metrics
 }
 
 // explainState is the per-call mutable search state of Explain. The three
-// searchers each own a matching context and (lazily) a worker pool, none of
-// which tolerate concurrent use, so states are pooled and checked out for
-// the duration of one explanation.
+// searchers each own a matching context, which does not tolerate concurrent
+// use, so states are pooled and checked out for the duration of one
+// explanation.
 type explainState struct {
 	mc  *mcs.Searcher
 	rw  *relax.Rewriter
@@ -67,7 +68,7 @@ type explainState struct {
 }
 
 // NewEngine builds an engine (matcher, statistics, domain catalog) over g.
-// Explanation searches run on GOMAXPROCS workers by default; see SetWorkers.
+// Its worker count defaults to GOMAXPROCS; see SetWorkers.
 func NewEngine(g *graph.Graph) *Engine {
 	// match.New freezes the graph; the domain catalog is counted from the
 	// frozen layer's attribute columns, so it comes second.
@@ -99,12 +100,12 @@ func (e *Engine) Successor(g *graph.Graph) *Engine {
 	return newEngine(g, m, stats.NewSuccessor(m, e.st, d), e.domain.Derive(g, d), e.workers)
 }
 
-// SetWorkers sets the worker count the explanation searches (relaxation,
-// modification tree, MCS) evaluate query candidates with. Values below one
-// reset to the default, GOMAXPROCS. Parallelism never changes explanations:
-// every search is byte-identical to its sequential run; only wall-clock time
-// shrinks. Not safe to call concurrently with Explain — configure the engine
-// before serving.
+// SetWorkers sets the engine's worker count: how many explains whydbd admits
+// on this engine at once (the slots of its dataset's admission gate). Values
+// below one reset to the default, GOMAXPROCS. The engine itself does not read
+// it — every Explain runs on its caller's goroutine — so it never changes an
+// explanation. Not safe to call concurrently with Explain — configure the
+// engine before serving.
 func (e *Engine) SetWorkers(n int) {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
@@ -112,7 +113,7 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers reports the engine's explanation-search worker count.
+// Workers reports the engine's worker count (see SetWorkers).
 func (e *Engine) Workers() int { return e.workers }
 
 // Graph returns the engine's data graph.
@@ -128,8 +129,8 @@ func (e *Engine) Stats() *stats.Collector { return e.st }
 func (e *Engine) Domain() *stats.Domain { return e.domain }
 
 // KernelCounters reports the search kernel's accumulated counters per
-// explanation family ("relax", "modtree", "mcs"): candidate executions,
-// dedup hits, speculative evaluations launched, and speculative waste.
+// explanation family ("relax", "modtree", "mcs"): candidate executions and
+// dedup hits.
 func (e *Engine) KernelCounters() map[string]search.Counters {
 	return map[string]search.Counters{
 		"relax":   e.kRelax.Snapshot(),
@@ -163,33 +164,25 @@ type Options struct {
 	// ResultSample bounds the result graphs enumerated per query when
 	// computing result distances (0 = 100).
 	ResultSample int
-	// Workers overrides the engine's worker count for this explanation
-	// (0 = use the engine's setting).
-	Workers int
 	// Epsilon, when > 0, arms the ε-optimal early stop on the fine-grained
 	// search: the modification tree may stop as soon as its best-so-far
 	// cardinality distance is ≤ Epsilon, instead of exhausting the budget.
-	// The predicate reads only deterministic search state, so a speculating
-	// run stops byte-identically to the sequential run. This is whydbd's
-	// degraded (brownout) mode.
+	// The predicate reads only deterministic search state, so the stop is
+	// reproducible. This is whydbd's degraded (brownout) mode.
 	Epsilon int
 	// Probe, when non-nil, is forwarded to every search kernel as
 	// Control.Probe: it runs before each candidate execution with the
 	// execution count — whydbd's fault-injection hook.
 	Probe func(executions int)
-	// SpecBudget, when non-nil, is forwarded to every search kernel as
-	// Control.SpecBudget: the shared admission-aware speculation-token pool
-	// that throttles prefetch waves while the server is loaded. Outputs are
-	// unchanged — speculation is byte-identical by construction — only the
-	// amount of prefetched work varies.
+	// SpecBudget is inert: nothing reads it. It stays only because the
+	// benchmark module sets it.
 	SpecBudget *search.SpecPool
 	// OnImprovement, when non-nil, is invoked on the calling goroutine each
 	// time an explanation family's incumbent strictly improves — the anytime
-	// hook behind whydbd's /v1/explain/stream. The callback sequence is fired
-	// from the kernel's deterministic sequential progress, so it is identical
-	// at any Workers setting. Distances are monotone non-increasing within
-	// one Family; families use different distance currencies and must not be
-	// compared.
+	// hook behind whydbd's /v1/explain/stream. The callback sequence follows
+	// the kernel's deterministic progress, so it is the same on every run.
+	// Distances are monotone non-increasing within one Family; families use
+	// different distance currencies and must not be compared.
 	OnImprovement func(Improvement)
 }
 
@@ -292,7 +285,7 @@ func (e *Engine) Explain(q *query.Query, opts Options) (*Report, error) {
 // (client gone, deadline hit), the explanation searches stop within one
 // candidate execution and the context's error is returned — the partial
 // explanation is discarded. This is the entry point of the whydbd service
-// layer, where an abandoned request must stop burning the worker pool.
+// layer, where an abandoned request must stop burning the matcher.
 func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (*Report, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid query: %w", err)
@@ -327,11 +320,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		return rep, nil
 	}
 
-	// Subgraph-based explanation (Chapter 4).
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = e.workers
-	}
 	// improve adapts the kernel's per-family improvement callback to the
 	// engine-level Improvement, stamping the family and its budget arithmetic.
 	improve := func(family string) func(search.Progress, search.Candidate) {
@@ -351,14 +339,14 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 			})
 		}
 	}
+
+	// Subgraph-based explanation (Chapter 4).
 	sub := st.mc.BoundedMCS(q, opts.Expected, mcs.Options{
 		Control: search.Control{
 			MaxExecuted:   opts.Budget,
-			Workers:       workers,
 			Ctx:           ctx,
 			Metrics:       &e.kMCS,
 			Probe:         opts.Probe,
-			SpecBudget:    opts.SpecBudget,
 			OnImprovement: improve("mcs"),
 		},
 		UseWCC:      true,
@@ -389,12 +377,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		res := st.mt.TraverseSearchTree(q, modtree.Options{
 			Control: search.Control{
 				MaxExecuted:   opts.Budget,
-				Workers:       workers,
 				Ctx:           ctx,
 				Metrics:       &e.kModtree,
 				Stop:          stop,
 				Probe:         opts.Probe,
-				SpecBudget:    opts.SpecBudget,
 				OnImprovement: improve("modtree"),
 			},
 			Goal:          opts.Expected,
@@ -414,11 +400,9 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		out := st.rw.Rewrite(q, relax.Options{
 			Control: search.Control{
 				MaxExecuted:   opts.Budget,
-				Workers:       workers,
 				Ctx:           ctx,
 				Metrics:       &e.kRelax,
 				Probe:         opts.Probe,
-				SpecBudget:    opts.SpecBudget,
 				OnImprovement: improve("relax"),
 			},
 			Goal:          opts.Expected,

@@ -12,7 +12,7 @@ import (
 // one Ctx across the thousands of Count/Exists calls issued by the
 // relaxation and modification searches keeps the inner matching loop
 // allocation-free. A Ctx must not be shared between goroutines; create one
-// per worker with Matcher.NewContext.
+// per goroutine with Matcher.NewContext.
 type Ctx struct {
 	visV  []uint64 // visited data vertices (injectivity)
 	visE  []uint64 // visited data edges (injectivity)

@@ -14,7 +14,7 @@ import "repro/internal/query"
 // read-only *Plan, so a repeat query pays one map lookup instead of a
 // compilation. Plans are immutable after publication and may be executed
 // concurrently against per-goroutine contexts, which makes the cache safe
-// for the parallel searches' worker pools. Bounded like the candidate cache:
+// for concurrent requests. Bounded like the candidate cache:
 // steady-state workloads — whose distinct candidate queries number in the
 // hundreds — stay permanently warm; adversarial query streams stay bounded.
 const (

@@ -17,12 +17,11 @@
 // User integration (§4.4) supplies per-edge relevance weights that steer the
 // traversal path and rank the produced explanations.
 //
-// Budgeting, visited-state dedup, cancellation, and speculative frontier
-// probing run on the shared kernel of internal/search; this package
-// contributes the strategy: the growth-with-backtracking traversal and the
-// closest-cardinality fallback (reconstructed from the thesis' Chapter 1–3
-// descriptions, see DESIGN.md — Chapter 4's algorithmic details arrive
-// truncated in the source text). A Searcher keeps the kernel executor across
+// Budgeting, visited-state dedup and cancellation run on the shared kernel
+// of internal/search; this package contributes the strategy: the
+// growth-with-backtracking traversal and the closest-cardinality fallback
+// (reconstructed from the thesis' Chapter 1–3 descriptions, see DESIGN.md —
+// Chapter 4's algorithmic details arrive truncated in the source text). A Searcher keeps the kernel executor across
 // runs; the package-level BoundedMCS and DiscoverMCS are one run of a fresh one.
 package mcs
 
@@ -39,13 +38,8 @@ import (
 )
 
 // Options configures the MCS search. The embedded search.Control supplies
-// the kernel knobs — Workers, Ctx, MaxExecuted (the traversal budget),
-// CountCap (0 = derived from the bounds), Metrics — via field promotion.
-// With Workers > 1 the frontier's candidate extensions are probed
-// concurrently; the explanation, its path, and the Traversals count stay
-// byte-identical to the sequential search (Traversals counts logical
-// executions — speculative probes the search never consumes are prefetch
-// work and do not count).
+// the kernel knobs — Ctx, MaxExecuted (the traversal budget), CountCap
+// (0 = derived from the bounds), Metrics — via field promotion.
 type Options struct {
 	search.Control
 	// UseWCC processes weakly connected query components independently
@@ -111,8 +105,8 @@ func (e Explanation) Rank(weights map[int]float64, original *query.Query) float6
 
 // Searcher runs MCS searches over one data graph. Like relax.Rewriter and
 // modtree.Searcher it keeps one search-kernel executor (matching context,
-// worker pool, dedup scratch) across its runs, so it must not be shared
-// between goroutines.
+// dedup scratch) across its runs, so it must not be shared between
+// goroutines.
 type Searcher struct {
 	m  *match.Matcher
 	st *stats.Collector
@@ -162,7 +156,7 @@ type runner struct {
 	opts   Options
 
 	// ex is the shared search-kernel executor: traversal budget,
-	// visited-state dedup, cancellation, and speculative frontier probes.
+	// visited-state dedup, cancellation.
 	ex *search.Executor
 
 	// fired is the improvement-callback floor, shared across the fresh
@@ -202,13 +196,10 @@ func (r *runner) countCap() int {
 }
 
 // execute counts the embeddings of the subquery induced by the given edges
-// and isolated vertices, spending one traversal. The kernel consumes
-// speculated probe results by key, the edges' stateKey ("" without edges:
-// nothing to dedup or consume); cardinalities are deterministic, so a
-// consumed probe is indistinguishable from an inline execution. Baseline
-// executions (no edges) run even when the budget is already spent — the
-// traversal loops gate on Stopped at a coarser granularity — hence
-// ExecuteAlways.
+// and isolated vertices, spending one traversal recorded under key, the
+// edges' stateKey ("" without edges: nothing to dedup). Baseline executions
+// (no edges) run even when the budget is already spent — the traversal loops
+// gate on Stopped at a coarser granularity — hence ExecuteAlways.
 func (r *runner) execute(key string, edges, isolated []int) int {
 	return r.ex.ExecuteAlways(key, func(ctx *match.Ctx) int {
 		return r.m.CountCtx(ctx, r.q.Subquery(edges, isolated), r.countCap())
@@ -284,8 +275,8 @@ func (r *runner) priority(edges []int) []int {
 
 // stateKey encodes a traversal state (an edge-id set) as a compact binary
 // string: sorted ids, uvarint-encoded. It keys the kernel's visited-state
-// dedup and speculation maps; the binary form avoids the per-probe
-// strconv/strings.Builder garbage of the textual encoding it replaced.
+// dedup; the binary form avoids the per-probe strconv/strings.Builder garbage
+// of the textual encoding it replaced.
 func stateKey(edges []int) string {
 	var stack [16]int
 	c := append(stack[:0], edges...)
@@ -327,7 +318,7 @@ func (r *runner) runPerComponent() Explanation {
 		edges, iso := componentEdges(r.q, comp)
 		okIso := r.filterIsolated(iso)
 		sub := &runner{m: r.m, st: r.st, q: r.q, bounds: r.bounds, opts: r.opts, ex: r.ex, fired: r.fired}
-		r.ex.ResetDedup() // component states are disjoint; leftover probes are waste
+		r.ex.ResetDedup() // component states are disjoint
 		sub.grow(edges, okIso)
 		mergedEdges = append(mergedEdges, sub.bestEdges...)
 		mergedIsolated = append(mergedIsolated, sub.bestIsolated...)
@@ -389,46 +380,30 @@ func (r *runner) grow(candidates, isolated []int) {
 		r.record(nil, isolated, card)
 	}
 	ordered := r.priority(candidates)
-	countCap := r.countCap()
 	var dfs func(accepted []int)
 	dfs = func(accepted []int) {
 		if r.ex.Stopped() {
 			return
 		}
 		frontier := r.frontier(accepted, ordered)
-		// Each extension's edge set and visited-state key are built once, for
-		// the speculation wave and the traversal alike.
-		type extension struct {
-			edges []int
-			key   string
-		}
-		exts, buf := make([]extension, len(frontier)), make([]int, 0, len(frontier)*(len(accepted)+1))
-		for i, eid := range frontier {
+		// One backing array holds every extension's edge set (accepted plus
+		// one edge). Each set is a window capped at its own length, so the
+		// deeper level it is handed to copies before appending.
+		buf := make([]int, 0, len(frontier)*(len(accepted)+1))
+		for _, eid := range frontier {
 			buf = append(append(buf, accepted...), eid)
-			exts[i].edges = buf[len(buf)-len(accepted)-1 : len(buf) : len(buf)]
-			exts[i].key = stateKey(exts[i].edges)
-		}
-		for fi, next := range exts {
-			if r.ex.Parallel() && fi%r.ex.Width() == 0 {
-				// Probe one worker-sized wave of extensions ahead: the
-				// traversal re-speculates wave by wave, so waste on an early
-				// exit (SinglePath success, budget out) stays bounded.
-				search.SpeculateSlice(r.ex, exts[fi:],
-					func(x extension) string { return x.key },
-					func(ctx *match.Ctx, x extension) int {
-						return r.m.CountCtx(ctx, r.q.Subquery(x.edges, isolated), countCap)
-					})
-			}
-			if !r.ex.Visit(next.key) {
+			edges := buf[len(buf)-len(accepted)-1 : len(buf) : len(buf)]
+			key := stateKey(edges)
+			if !r.ex.Visit(key) {
 				continue
 			}
 			if r.ex.Stopped() {
 				break
 			}
-			card := r.execute(next.key, next.edges, isolated)
-			r.record(next.edges, isolated, card)
+			card := r.execute(key, edges, isolated)
+			r.record(edges, isolated, card)
 			if r.bounds.Contains(card) {
-				dfs(next.edges)
+				dfs(edges)
 				if r.opts.SinglePath {
 					return // single traversal path: first success only
 				}

@@ -23,8 +23,7 @@ import (
 // TestMCSSearcherReuse: on the service benchmark's 16 hot specs a Searcher
 // that has run before returns what a fresh BoundedMCS returns, and a run on
 // it no longer pays for what the one-shot form builds per call — an executor
-// with three matching contexts (the sequential one and two workers') whose
-// visited bitsets are sized to the data graph.
+// with a matching context whose visited bitsets are sized to the data graph.
 func TestMCSSearcherReuse(t *testing.T) {
 	render := func(ex mcs.Explanation) string {
 		return fmt.Sprintf("card=%d satisfied=%v traversals=%d path=%v\n%s\n%s",
@@ -48,8 +47,8 @@ func TestMCSSearcherReuse(t *testing.T) {
 	} {
 		m := match.New(ds.g)
 		st := stats.New(m)
-		bitsets := uint64(3 * 8 * ((ds.g.NumVertices()+63)/64 + (ds.g.NumEdges()+63)/64))
-		opts := mcs.Options{Control: search.Control{MaxExecuted: 150, Workers: 2}, UseWCC: true}
+		bitsets := uint64(8 * ((ds.g.NumVertices()+63)/64 + (ds.g.NumEdges()+63)/64))
+		opts := mcs.Options{Control: search.Control{MaxExecuted: 150}, UseWCC: true}
 		reused := mcs.New(m, st)
 		for _, nq := range ds.base {
 			failing, err := ds.failing(nq.Name)
@@ -72,7 +71,7 @@ func TestMCSSearcherReuse(t *testing.T) {
 					t.Errorf("%s %s %+v: fresh\n%s\nsearcher's first run\n%s\nits second\n%s\nshared searcher\n%s", ds.name, nq.Name, spec.bounds, want, got, again, shared)
 				}
 				if first < second+bitsets {
-					t.Errorf("%s %s %+v: first run allocated %d bytes, second %d: reuse should save at least the three contexts' bitsets (%d bytes)",
+					t.Errorf("%s %s %+v: first run allocated %d bytes, second %d: reuse should save at least the context's bitsets (%d bytes)",
 						ds.name, nq.Name, spec.bounds, first, second, bitsets)
 				}
 			}

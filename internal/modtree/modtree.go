@@ -1,10 +1,10 @@
 // Package modtree implements the fine-grained modification tree of
 // Chapter 6: TRAVERSESEARCHTREE and its evaluation baselines. The search
 // loop — deterministic frontier, budgeted execution, executed-candidate
-// dedup, cancellation, speculation — is the shared kernel of
-// internal/search; this package contributes the strategy: the fine-grained
-// modification operators (§6.2.2), the non-contributing-change pruning
-// (§6.3.2), and the tree orderings.
+// dedup, cancellation — is the shared kernel of internal/search; this
+// package contributes the strategy: the fine-grained modification operators
+// (§6.2.2), the non-contributing-change pruning (§6.3.2), and the tree
+// orderings.
 package modtree
 
 import (
@@ -20,11 +20,9 @@ import (
 )
 
 // Options tunes TRAVERSESEARCHTREE and its baselines. The embedded
-// search.Control supplies the kernel knobs — Workers, Ctx, MaxExecuted
-// (0 = 300), CountCap (0 = derived from the goal's upper bound, at least
-// 1000), Metrics — under their historical names via field promotion.
-// RandomWalk is inherently sequential (each step depends on the previous
-// count) and ignores Workers; its Result reports Workers == 1.
+// search.Control supplies the kernel knobs — Ctx, MaxExecuted (0 = 300),
+// CountCap (0 = derived from the goal's upper bound, at least 1000),
+// Metrics — via field promotion.
 type Options struct {
 	search.Control
 	// Goal is the cardinality interval the rewriting must reach.
@@ -121,11 +119,6 @@ type Result struct {
 	// Pruned counts discarded non-contributing changes and branches
 	// (§6.3.2).
 	Pruned int
-	// Workers is the run's effective evaluation worker count: the
-	// configured pool width for TraverseSearchTree and Exhaustive, always 1
-	// for RandomWalk, which is sequential by construction and ignores the
-	// Workers knob.
-	Workers int
 	// Trace records the best-so-far cardinality distance after every
 	// execution (convergence series, §6.4.2). The slice is owned by the
 	// Result.
@@ -133,10 +126,9 @@ type Result struct {
 }
 
 // Searcher runs fine-grained modifications over one data graph.
-// A Searcher reuses one search-kernel executor (matching context, worker
-// pool, dedup scratch) across all candidate executions of its searches, so
-// it must not be shared between goroutines; speculation results are consumed
-// on the calling goroutine only.
+// A Searcher reuses one search-kernel executor (matching context, dedup
+// scratch) across all candidate executions of its searches, so it must not
+// be shared between goroutines.
 type Searcher struct {
 	m  *match.Matcher
 	st *stats.Collector
@@ -151,8 +143,7 @@ func New(m *match.Matcher, st *stats.Collector) *Searcher {
 
 // expand lists the parent's children in enumeration order, one per
 // modification, none derived yet: the goal is usually reached mid-expansion,
-// so a child is derived only when the traversal, or the speculation wave
-// running ahead of it, gets to it.
+// so a child is derived only when the traversal gets to it.
 func (s *Searcher) expand(parent *Node, opts Options) []*Node {
 	ops := s.Modifications(parent.Query, parent.Cardinality, opts)
 	nodes, children := make([]Node, len(ops)), make([]*Node, len(ops))
@@ -164,9 +155,7 @@ func (s *Searcher) expand(parent *Node, opts Options) []*Node {
 }
 
 // derive applies n.op to the parent on first use and returns the child's key,
-// empty when the operation is inapplicable — the kernel skips such a node,
-// and so do the traversals. Dedup against already-executed queries stays
-// with the caller so counters match the sequential search exactly.
+// empty when the operation is inapplicable — the traversals skip such a node.
 func derive(parent, n *Node) string {
 	if !n.derived {
 		n.derived = true
@@ -177,19 +166,25 @@ func derive(parent, n *Node) string {
 	return n.key
 }
 
-// nodeEval adapts tree nodes to the kernel's speculation engine.
-func (s *Searcher) nodeEval(countCap int) func(*match.Ctx, *Node) int {
-	return func(ctx *match.Ctx, n *Node) int {
-		return s.m.CountKeyed(ctx, n.Query, n.key, countCap)
+// execute sets n's cardinality and goal distance: the value of an equivalent
+// node already executed this run, else one budgeted execution of n.Query. It
+// reports false, with cardinality 0, once the search must stop.
+func (s *Searcher) execute(n *Node, opts *Options) bool {
+	card, ok := s.ex.Cached(n.key)
+	if !ok {
+		card, ok = s.ex.Execute(n.key, func(ctx *match.Ctx) int {
+			return s.m.CountKeyed(ctx, n.Query, n.key, opts.CountCap)
+		})
 	}
+	n.Cardinality, n.Distance = card, opts.Goal.Distance(card)
+	return ok
 }
 
 // finish copies the kernel's run records into the result and flushes the
 // kernel counters — shared by every search variant's return paths.
-func (s *Searcher) finish(res *Result, workers int) {
+func (s *Searcher) finish(res *Result) {
 	res.Executed = s.ex.Executions()
 	res.Trace = append([]int(nil), s.ex.Trace()...)
-	res.Workers = workers
 	s.ex.End()
 }
 
@@ -203,36 +198,18 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 	opts.fill()
 	ex := s.ex
 	ex.Begin(opts.Control)
-	defer func() { s.finish(&res, ex.Width()) }()
+	defer s.finish(&res)
 	pq := s.pq
 	pq.Reset()
-	eval := s.nodeEval(opts.CountCap)
-
-	exec := func(n *Node) bool {
-		card, seen := ex.Cached(n.key)
-		if !seen {
-			var ok bool
-			card, ok = ex.Execute(n.key, func(ctx *match.Ctx) int {
-				return s.m.CountKeyed(ctx, n.Query, n.key, opts.CountCap)
-			})
-			if !ok {
-				return false
-			}
-		}
-		n.Cardinality = card
-		n.Distance = opts.Goal.Distance(card)
-		return true
-	}
 
 	// Every node derives from this clone copy-on-write, so measuring against
 	// it (not the caller's q) lets the distance skip what they share.
 	root := &Node{Query: q.Clone()}
 	q = root.Query
 	root.key = q.Key()
-	if !exec(root) {
+	if !s.execute(root, &opts) {
 		return res
 	}
-	root.Syntactic = 0
 	res.Best = *root
 	res.Satisfied = opts.Goal.Contains(root.Cardinality)
 	ex.Record(res.Best.Distance)
@@ -247,23 +224,12 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 		if parent.Depth >= opts.MaxDepth {
 			continue
 		}
-		children, key := s.expand(parent, opts), func(n *Node) string { return derive(parent, n) }
-		for i, ci := 0, 0; i < len(children); i++ {
-			child := children[i]
-			if key(child) == "" {
-				continue
-			}
-			if ex.Parallel() && ci%ex.Width() == 0 {
-				// Speculate one worker-sized wave ahead: waste on an early
-				// exit (goal reached, budget out) stays bounded by the pool
-				// width instead of the whole expansion.
-				search.SpeculateSlice(ex, children[i:], key, eval)
-			}
-			if ci++; ex.Seen(child.key) {
+		for _, child := range s.expand(parent, opts) {
+			if derive(parent, child) == "" || ex.Seen(child.key) {
 				continue
 			}
 			child.Ops = append(append([]query.Op(nil), parent.Ops...), child.op)
-			if !exec(child) {
+			if !s.execute(child, &opts) {
 				break
 			}
 			res.Generated++
@@ -511,29 +477,13 @@ func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
 	opts.fill()
 	ex := s.ex
 	ex.Begin(opts.Control)
-	defer func() { s.finish(&res, ex.Width()) }()
-	eval := s.nodeEval(opts.CountCap)
+	defer s.finish(&res)
 	var queue []*Node
 
-	exec := func(n *Node) bool {
-		card, seen := ex.Cached(n.key)
-		if !seen {
-			var ok bool
-			card, ok = ex.Execute(n.key, func(ctx *match.Ctx) int {
-				return s.m.CountKeyed(ctx, n.Query, n.key, opts.CountCap)
-			})
-			if !ok {
-				return false
-			}
-		}
-		n.Cardinality = card
-		n.Distance = opts.Goal.Distance(card)
-		return true
-	}
 	root := &Node{Query: q.Clone()}
 	q = root.Query
 	root.key = q.Key()
-	if !exec(root) {
+	if !s.execute(root, &opts) {
 		return res
 	}
 	res.Best = *root
@@ -550,20 +500,12 @@ func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
 		if cur.Depth >= opts.MaxDepth {
 			continue
 		}
-		children, key := s.expand(cur, opts), func(n *Node) string { return derive(cur, n) }
-		for i, ci := 0, 0; i < len(children); i++ {
-			child := children[i]
-			if key(child) == "" {
-				continue
-			}
-			if ex.Parallel() && ci%ex.Width() == 0 {
-				search.SpeculateSlice(ex, children[i:], key, eval)
-			}
-			if ci++; ex.Seen(child.key) {
+		for _, child := range s.expand(cur, opts) {
+			if derive(cur, child) == "" || ex.Seen(child.key) {
 				continue
 			}
 			child.Ops = append(append([]query.Op(nil), cur.Ops...), child.op)
-			if !exec(child) {
+			if !s.execute(child, &opts) {
 				break
 			}
 			res.Generated++
@@ -585,70 +527,50 @@ func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
 }
 
 // RandomWalk is the §6.4.1 random baseline: chains of randomly chosen
-// applicable modifications, restarted from the original query. The walk is
-// sequential by construction — each step's modification set depends on the
-// previous count — so Options.Workers is ignored and the Result reports
-// Workers == 1.
+// applicable modifications, restarted from the original query.
 func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Result) {
 	opts.fill()
-	opts.Workers = 1 // inherently sequential: the knob is a documented no-op
 	rng := rand.New(rand.NewSource(seed))
 	ex := s.ex
 	ex.Begin(opts.Control)
-	defer func() { s.finish(&res, 1) }()
-
-	count := func(cand *query.Query, key string) (int, bool) {
-		if card, seen := ex.Cached(key); seen {
-			return card, true
-		}
-		return ex.Execute(key, func(ctx *match.Ctx) int {
-			return s.m.CountKeyed(ctx, cand, key, opts.CountCap)
-		})
-	}
+	defer s.finish(&res)
 
 	// Every walk restarts from this clone, which nothing writes.
-	q = q.Clone()
-	rootKey := q.Key()
-	rootCard, _ := count(q, rootKey)
-	res.Best = Node{Query: q, Cardinality: rootCard, Distance: opts.Goal.Distance(rootCard)}
+	root := Node{Query: q.Clone()}
+	q = root.Query
+	root.key = q.Key()
+	s.execute(&root, &opts)
+	res.Best = root
 	res.Generated = 1
 	ex.Record(res.Best.Distance)
-	if opts.Goal.Contains(rootCard) {
+	if opts.Goal.Contains(root.Cardinality) {
 		res.Satisfied = true
 		return res
 	}
 	for !ex.Stopped() {
-		cur, curKey := q, rootKey
-		card := rootCard
-		var ops []query.Op
+		cur := root
 		for depth := 0; depth < opts.MaxDepth && ex.Remaining() > 0; depth++ {
-			avail := s.Modifications(cur, card, opts)
+			avail := s.Modifications(cur.Query, cur.Cardinality, opts)
 			if len(avail) == 0 {
 				break
 			}
-			op := avail[rng.Intn(len(avail))]
-			next, nextKey, err := query.ApplyKeyed(cur, curKey, op)
-			if err != nil {
+			next := Node{Depth: depth + 1, op: avail[rng.Intn(len(avail))]}
+			if derive(&cur, &next) == "" {
 				continue
 			}
-			c, ok := count(next, nextKey)
-			if !ok {
+			if !s.execute(&next, &opts) {
 				break
 			}
 			res.Generated++
-			cur, curKey, card = next, nextKey, c
-			ops = append(ops, op)
-			node := Node{
-				Query: cur, Ops: append([]query.Op(nil), ops...),
-				Cardinality: card, Distance: opts.Goal.Distance(card),
-				Syntactic: metrics.SyntacticDistance(q, cur), Depth: depth + 1,
-			}
-			if better(&node, &res.Best) {
-				res.Best = node
-				ex.Improved(search.Candidate{Query: node.Query, Ops: node.Ops, Cardinality: node.Cardinality, Distance: node.Distance})
+			next.Ops = append(append([]query.Op(nil), cur.Ops...), next.op)
+			next.Syntactic = metrics.SyntacticDistance(q, next.Query)
+			cur = next
+			if better(&cur, &res.Best) {
+				res.Best = cur
+				ex.Improved(search.Candidate{Query: cur.Query, Ops: cur.Ops, Cardinality: cur.Cardinality, Distance: cur.Distance})
 			}
 			ex.Record(res.Best.Distance)
-			if opts.Goal.Contains(card) {
+			if opts.Goal.Contains(cur.Cardinality) {
 				res.Satisfied = true
 				return res
 			}

@@ -8,8 +8,8 @@
 // user-preference model learned from ratings adapts the rewriting (§5.4).
 //
 // The search loop itself — deterministic frontier, budgeted execution,
-// executed-candidate dedup, cancellation, speculation — is the shared
-// kernel of internal/search; this package contributes the strategy:
+// executed-candidate dedup, cancellation — is the shared kernel of
+// internal/search; this package contributes the strategy:
 // relaxation enumeration (§5.1.2) and the priority functions (§5.3).
 package relax
 
@@ -62,8 +62,8 @@ func (p Priority) String() string {
 }
 
 // Options tunes the rewriting search. The embedded search.Control supplies
-// the kernel knobs — Workers, Ctx, MaxExecuted (0 = 200), CountCap
-// (0 = 1000), Metrics — under their historical names via field promotion.
+// the kernel knobs — Ctx, MaxExecuted (0 = 200), CountCap (0 = 1000),
+// Metrics — via field promotion.
 type Options struct {
 	search.Control
 	// Priority selects the candidate-selection function.
@@ -134,7 +134,7 @@ func (c *Candidate) key() string {
 
 // moreUrgent is the frontier's strict order: larger scores pop first; equal
 // scores fall back to the kernel's insertion-sequence tie-break, so the pop
-// sequence is a total order and speculation cannot reorder it.
+// sequence is a total order.
 func moreUrgent(a, b *Candidate) bool { return a.Score > b.Score }
 
 // Outcome reports a rewriting run.
@@ -157,10 +157,9 @@ type Outcome struct {
 }
 
 // Rewriter generates coarse-grained modification-based explanations.
-// A Rewriter reuses one search-kernel executor (matching context, worker
-// pool, dedup and trace scratch) across its rewriting runs, so it must not
-// be shared between goroutines; speculation results are consumed on the
-// calling goroutine only.
+// A Rewriter reuses one search-kernel executor (matching context, dedup and
+// trace scratch) across its rewriting runs, so it must not be shared between
+// goroutines.
 type Rewriter struct {
 	m  *match.Matcher
 	st *stats.Collector
@@ -173,8 +172,8 @@ func New(m *match.Matcher, st *stats.Collector) *Rewriter {
 	return &Rewriter{m: m, st: st, ex: search.NewExecutor(m), pq: search.NewFrontier(moreUrgent)}
 }
 
-// deterministicScore reports whether the priority function is rng-free, so
-// child scores may be computed out of order (and therefore in parallel).
+// deterministicScore reports whether the priority function is rng-free; the
+// random priority draws one number per child from the seeded source.
 func deterministicScore(p Priority) bool {
 	switch p {
 	case PrioritySyntactic, PriorityEstimatedCardinality, PriorityAvgPath1, PriorityCombined:
@@ -197,28 +196,11 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 	defer ex.End()
 	pq.Reset()
 
-	countCap := opts.CountCap
-	specEval := func(ctx *match.Ctx, c *Candidate) int {
-		return r.m.CountKeyed(ctx, c.Query, c.key(), countCap)
-	}
-
 	// Every candidate derives from this clone copy-on-write, so measuring
 	// against it (not the caller's q) lets the distance skip what they share.
 	root := &Candidate{Query: q.Clone(), Cardinality: -1, Score: math.Inf(1)}
 	q = root.Query
 	pq.Push(root)
-
-	// Child-expansion scratch, reused across iterations. key carries the
-	// binary canonical key already computed by the delta encoder for the
-	// dedup check into the pushed Candidate, so it is never rebuilt on pop
-	// or prefetch.
-	type childCand struct {
-		op    query.Op
-		query *query.Query
-		key   string
-	}
-	var children []childCand
-	var scores []float64
 
 	// Anytime incumbent: the executed rewriting closest to the goal so far,
 	// ordered by (goal distance, syntactic distance). The first executed
@@ -227,7 +209,6 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 	bestDist, bestSyn, haveBest := 0, 0.0, false
 
 	for pq.Len() > 0 && !ex.Stopped() && len(out.Solutions) < opts.MaxSolutions {
-		search.SpeculateTop(ex, pq, (*Candidate).key, specEval)
 		c, _ := pq.Pop()
 		key := c.key()
 		if ex.Seen(key) {
@@ -235,7 +216,7 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 			continue
 		}
 		card, ok := ex.Execute(key, func(ctx *match.Ctx) int {
-			return r.m.CountKeyed(ctx, c.Query, key, countCap)
+			return r.m.CountKeyed(ctx, c.Query, key, opts.CountCap)
 		})
 		if !ok {
 			break
@@ -256,17 +237,14 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 		if len(c.Ops) >= opts.MaxDepth {
 			continue
 		}
-		// Generate children first (Apply and the executed-query dedup stay
-		// in enumeration order), then score: scoring is the statistics-heavy
-		// part and — for rng-free priorities — order-independent, so the
-		// worker pool can compute all child scores of one expansion at once.
-		// The parent's estimate, the base of every child's induced change, is
-		// taken once.
+		// Children in enumeration order. The parent's estimate, the base of
+		// every child's induced change, is taken once; a child's key comes
+		// from the delta encoder and rides on the pushed Candidate, so it is
+		// never rebuilt on pop.
 		var before float64
 		if opts.Priority == PriorityCombined {
 			before, _ = r.st.Estimates(c.Query, key)
 		}
-		children = children[:0]
 		for _, op := range r.relaxations(c.Query, opts) {
 			child, childKey, err := query.ApplyKeyed(c.Query, key, op)
 			if err != nil {
@@ -276,28 +254,12 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 				out.CacheHits++
 				continue
 			}
-			children = append(children, childCand{op: op, query: child, key: childKey})
-		}
-		if cap(scores) < len(children) {
-			scores = make([]float64, len(children))
-		}
-		scores = scores[:len(children)]
-		if ex.Parallel() && len(children) >= 2 && deterministicScore(opts.Priority) {
-			ex.Scatter(len(children), func(_ *match.Ctx, i int) {
-				scores[i] = r.score(q, children[i].query, children[i].key, before, opts, nil)
-			})
-		} else {
-			for i := range children {
-				scores[i] = r.score(q, children[i].query, children[i].key, before, opts, rng)
-			}
-		}
-		for i := range children {
-			ops := append(append([]query.Op(nil), c.Ops...), children[i].op)
-			score := scores[i]
+			ops := append(append([]query.Op(nil), c.Ops...), op)
+			score := r.score(q, child, childKey, before, opts, rng)
 			if opts.Prefs != nil {
 				score *= 1 - opts.Prefs.Penalty(ops)
 			}
-			pq.Push(&Candidate{Query: children[i].query, Ops: ops, Cardinality: -1, Score: score, ckey: children[i].key})
+			pq.Push(&Candidate{Query: child, Ops: ops, Cardinality: -1, Score: score, ckey: childKey})
 		}
 	}
 	out.Executed = ex.Executions()

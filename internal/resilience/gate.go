@@ -31,8 +31,7 @@ type Gate struct {
 }
 
 // NewGate returns a gate over the given number of execution slots (at least
-// one) whose queue holds queueCap waiting requests (0 = 4× the slots), and
-// adds its slots to the controller's totals.
+// one) whose queue holds queueCap waiting requests (0 = 4× the slots).
 func (c *Controller) NewGate(slots, queueCap int) *Gate {
 	slots = max(slots, 1)
 	if queueCap == 0 {
@@ -41,7 +40,6 @@ func (c *Controller) NewGate(slots, queueCap int) *Gate {
 	g := &Gate{ctl: c, sem: make(chan struct{}, slots), queueCap: queueCap}
 	c.mu.Lock()
 	c.gates = append(c.gates, g)
-	c.slots.Add(int64(slots))
 	c.mu.Unlock()
 	return g
 }
@@ -86,7 +84,6 @@ func (g *Gate) Enter(ctx context.Context, maxWait time.Duration) (release func()
 	select {
 	case g.sem <- struct{}{}:
 		g.inFlight.Add(1)
-		g.ctl.busy.Add(1)
 		return g.leave, state, nil
 	case <-timer.C:
 		return nil, state, ErrQueueWait
@@ -97,7 +94,6 @@ func (g *Gate) Enter(ctx context.Context, maxWait time.Duration) (release func()
 
 // leave frees the slot Enter claimed.
 func (g *Gate) leave() {
-	g.ctl.busy.Add(-1)
 	g.inFlight.Add(-1)
 	<-g.sem
 }

@@ -8,13 +8,12 @@ import (
 )
 
 // TestGateLadder walks every rung of Enter on a one-slot, one-place gate and
-// checks the controller's totals follow the gate.
+// checks the controller's queue totals follow the gate.
 func TestGateLadder(t *testing.T) {
 	c := NewController(Config{})
 	g := c.NewGate(1, 1)
-	c.NewGate(0, 0) // clamped to one slot, queue 4× that
-	if total, widest := c.Slots(); total != 2 || widest != 1 {
-		t.Fatalf("Slots() = %d, %d, want 2, 1", total, widest)
+	if other := c.NewGate(0, 0); g.Slots() != 1 || other.Slots() != 1 || other.QueueCap() != 4 {
+		t.Fatalf("slots %d and %d, second queue %d, want 1, 1 (clamped) and 4", g.Slots(), other.Slots(), other.QueueCap())
 	}
 	if snap := c.Snapshot(); snap.QueueCap != 1+4 || snap.QueueDepth != 0 {
 		t.Fatalf("queue shape = depth %d cap %d, want 0/5", snap.QueueDepth, snap.QueueCap)
@@ -25,8 +24,8 @@ func TestGateLadder(t *testing.T) {
 	if err != nil || state != Healthy {
 		t.Fatalf("Enter on an idle gate = %v, %v", state, err)
 	}
-	if g.InFlight() != 1 || c.Free() != 1 {
-		t.Fatalf("after Enter: inFlight %d, free %d, want 1, 1", g.InFlight(), c.Free())
+	if g.InFlight() != 1 {
+		t.Fatalf("after Enter: inFlight %d, want 1", g.InFlight())
 	}
 
 	if _, _, err := g.Enter(ctx, 10*time.Millisecond); !errors.Is(err, ErrQueueWait) {
@@ -62,15 +61,15 @@ func TestGateLadder(t *testing.T) {
 	}
 	release()
 	(<-admitted)()
-	if g.InFlight() != 0 || g.Queued() != 0 || c.Free() != 2 {
-		t.Fatalf("after release: inFlight %d queued %d free %d, want 0 0 2", g.InFlight(), g.Queued(), c.Free())
+	if g.InFlight() != 0 || g.Queued() != 0 {
+		t.Fatalf("after release: inFlight %d queued %d, want 0 0", g.InFlight(), g.Queued())
 	}
 
 	c.ForceState(Shedding)
 	if _, state, err := g.Enter(ctx, time.Minute); !errors.Is(err, ErrShedding) || state != Shedding {
 		t.Fatalf("Enter while shedding = %v, %v", state, err)
 	}
-	if g.Queued() != 0 || c.Free() != 2 {
-		t.Fatalf("a shed request touched the gate: queued %d free %d", g.Queued(), c.Free())
+	if g.Queued() != 0 || g.InFlight() != 0 {
+		t.Fatalf("a shed request touched the gate: queued %d inFlight %d", g.Queued(), g.InFlight())
 	}
 }

@@ -1,18 +1,15 @@
 // Package resilience is whydbd's overload layer: it owns the occupancy of the
 // execution slots and every decision taken from it.
 //
-// One signal, three consumers. Each dataset admits requests through a Gate
-// (execution-slot semaphore plus a bounded queue) the Controller creates; the
-// gates keep the controller's server-wide slot totals current. From that
-// occupancy the layer decides
+// One signal, two consumers. Each dataset admits requests through a Gate
+// (execution-slot semaphore plus a bounded queue) the Controller creates.
+// From that gate's occupancy the layer decides
 //
 //   - who may run: Gate.Enter is the admission ladder — shed, queue full,
 //     queue wait, slot;
 //   - at what quality: every Enter samples the admitting gate's occupancy
 //     into a three-state brownout controller, combined with an exponentially
-//     weighted moving average of per-endpoint latency;
-//   - how much speculation fits: Controller.Free is the lock-free free-slot
-//     count the server's search.SpecPool sizes its token headroom from.
+//     weighted moving average of per-endpoint latency.
 //
 // The brownout states:
 //
@@ -37,7 +34,6 @@ package resilience
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -141,14 +137,10 @@ type Snapshot struct {
 	QueueDepth, QueueCap int
 }
 
-// Controller is the brownout state machine and the owner of the server-wide
-// slot occupancy. All methods are safe for concurrent use.
+// Controller is the brownout state machine over its gates' occupancy. All
+// methods are safe for concurrent use.
 type Controller struct {
 	cfg Config
-
-	// slots and busy total the execution slots of the controller's gates and
-	// how many are held; the gates keep them current, Free reads them.
-	slots, busy atomic.Int64
 
 	mu          sync.Mutex
 	gates       []*Gate
@@ -175,24 +167,6 @@ func (c *Controller) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state
-}
-
-// Free reports the execution slots nobody holds right now, summed over the
-// controller's gates — the speculation pool's sizing signal. It takes no lock.
-func (c *Controller) Free() int {
-	return max(int(c.slots.Load()-c.busy.Load()), 0)
-}
-
-// Slots reports the execution slots of all gates together and of the widest
-// single gate — what the speculation pool is resized to as gates are added.
-func (c *Controller) Slots() (total, widest int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, g := range c.gates {
-		total += g.Slots()
-		widest = max(widest, g.Slots())
-	}
-	return total, widest
 }
 
 // ForceState pins the controller to a state, disabling automatic

@@ -4,9 +4,8 @@ package search
 // a binary heap ordered by the strategy's strict order with an
 // insertion-sequence tie-break. The tie-break makes the pop sequence a total
 // order — candidates the strategy considers equal pop in insertion order
-// regardless of the heap's internal array layout — which the speculation
-// engine relies on: SpeculateTop pops a batch and pushes it back, and the
-// next sequential Pop must be unaffected.
+// regardless of the heap's internal array layout — so a search's expansion
+// order, and with it every answer, is a function of its inputs alone.
 type Frontier[N any] struct {
 	// less is the strategy's strict order: less(a, b) means a pops before b.
 	// It must be irreflexive; when neither less(a, b) nor less(b, a) holds,
@@ -14,8 +13,6 @@ type Frontier[N any] struct {
 	less   func(a, b N) bool
 	heap   []ranked[N]
 	pushed int
-
-	batch []ranked[N] // SpeculateTop scratch: popped prefix awaiting re-push
 }
 
 // ranked pairs a node with its insertion sequence number.
@@ -48,7 +45,8 @@ func (f *Frontier[N]) Reset() {
 
 // Push inserts a node, assigning the next insertion sequence number.
 func (f *Frontier[N]) Push(n N) {
-	f.pushRanked(ranked[N]{node: n, seq: f.pushed})
+	f.heap = append(f.heap, ranked[N]{node: n, seq: f.pushed})
+	f.up(len(f.heap) - 1)
 	f.pushed++
 }
 
@@ -57,28 +55,15 @@ func (f *Frontier[N]) Pop() (n N, ok bool) {
 	if len(f.heap) == 0 {
 		return n, false
 	}
-	return f.popRanked().node, true
-}
-
-// pushRanked inserts an entry keeping its existing sequence number — the
-// speculation engine's push-back path.
-func (f *Frontier[N]) pushRanked(r ranked[N]) {
-	f.heap = append(f.heap, r)
-	f.up(len(f.heap) - 1)
-}
-
-// popRanked removes and returns the best entry with its sequence number.
-func (f *Frontier[N]) popRanked() ranked[N] {
-	top := f.heap[0]
+	n = f.heap[0].node
 	last := len(f.heap) - 1
 	f.heap[0] = f.heap[last]
-	var zero ranked[N]
-	f.heap[last] = zero // release the node for GC
+	f.heap[last] = ranked[N]{} // release the node for GC
 	f.heap = f.heap[:last]
 	if last > 0 {
 		f.down(0)
 	}
-	return top
+	return n, true
 }
 
 // before is the heap's full order: the strategy's strict order, then the

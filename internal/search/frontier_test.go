@@ -65,41 +65,6 @@ func TestFrontierTotalOrder(t *testing.T) {
 	}
 }
 
-// TestFrontierPopPushBackInvariance proves the speculation engine's
-// pop/push-back round trip is invisible: after popping any prefix and
-// pushing it back (sequence numbers retained), the pop order equals that of
-// an untouched twin frontier.
-func TestFrontierPopPushBackInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(40)
-		a, b := NewFrontier(itemLess), NewFrontier(itemLess)
-		for i := 0; i < n; i++ {
-			it := item{prio: rng.Intn(4), id: i}
-			a.Push(it)
-			b.Push(it)
-		}
-		// Round-trip a random prefix of a, possibly repeatedly.
-		for round := 0; round < 1+rng.Intn(3); round++ {
-			k := 1 + rng.Intn(n)
-			batch := make([]ranked[item], 0, k)
-			for len(batch) < k && a.Len() > 0 {
-				batch = append(batch, a.popRanked())
-			}
-			for _, r := range batch {
-				a.pushRanked(r)
-			}
-		}
-		for i := 0; i < n; i++ {
-			ga, _ := a.Pop()
-			gb, _ := b.Pop()
-			if ga != gb {
-				t.Fatalf("trial %d: pop %d diverged after push-back: %+v vs %+v", trial, i, ga, gb)
-			}
-		}
-	}
-}
-
 // TestFrontierReset checks Reset restarts the insertion sequence so reused
 // frontiers behave like fresh ones.
 func TestFrontierReset(t *testing.T) {

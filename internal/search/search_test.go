@@ -47,9 +47,8 @@ func TestExecutorDedupAndBudget(t *testing.T) {
 	ex := NewExecutor(match.New(testGraph()))
 	var m Metrics
 	ex.Begin(Control{MaxExecuted: 2, Metrics: &m})
-	if ex.Stopped() || ex.Remaining() != 2 || ex.Width() != 1 || ex.Parallel() {
-		t.Fatalf("fresh sequential run: stopped=%v remaining=%d width=%d parallel=%v",
-			ex.Stopped(), ex.Remaining(), ex.Width(), ex.Parallel())
+	if ex.Stopped() || ex.Remaining() != 2 {
+		t.Fatalf("fresh run: stopped=%v remaining=%d", ex.Stopped(), ex.Remaining())
 	}
 	if ex.Seen("a") {
 		t.Fatal("unexecuted key reported seen")
@@ -89,7 +88,7 @@ func TestExecutorDedupAndBudget(t *testing.T) {
 	}
 	ex.End()
 	c := m.Snapshot()
-	if c.Executions != 3 || c.DedupHits != 3 || c.Speculated != 0 || c.SpecWaste != 0 {
+	if c.Executions != 3 || c.DedupHits != 3 {
 		t.Fatalf("metrics = %+v", c)
 	}
 	// Begin resets per-run state but End keeps accumulating.
@@ -101,127 +100,18 @@ func TestExecutorDedupAndBudget(t *testing.T) {
 	if c := m.Snapshot(); c.Executions != 3 {
 		t.Fatalf("accumulated executions = %d, want 3", c.Executions)
 	}
-}
 
-// TestSpeculateSliceBudgetMidWave proves speculation never outruns the
-// execution budget: a wave is capped at the remaining budget even when the
-// pool is wider, and once the budget is spent mid-search no further wave
-// runs at all.
-func TestSpeculateSliceBudgetMidWave(t *testing.T) {
-	ex := NewExecutor(match.New(testGraph()))
-	var m Metrics
-	ex.Begin(Control{MaxExecuted: 3, Workers: 4, Metrics: &m})
-	nodes := []int{10, 11, 12, 13, 14, 15}
-	key := func(n int) string { return fmt.Sprintf("k%d", n) }
-	eval := func(_ *match.Ctx, n int) int { return n }
-	SpeculateSlice(ex, nodes, key, eval)
-	if c := ex.Counters(); c.Speculated != 3 {
-		t.Fatalf("wave must cap at the remaining budget 3, speculated %d", c.Speculated)
-	}
-	// Consume the three speculated results; the values must be the
-	// deterministic eval values, and each counts as one execution.
-	for _, n := range nodes[:3] {
-		card, ok := ex.Execute(key(n), func(*match.Ctx) int {
-			t.Fatalf("key %s was speculated and must not evaluate inline", key(n))
-			return -1
-		})
-		if !ok || card != n {
-			t.Fatalf("consume %d = (%d, %v)", n, card, ok)
-		}
-	}
-	if !ex.Stopped() {
-		t.Fatal("budget must be spent")
-	}
-	// Budget is gone mid-search: a new wave must not launch anything.
-	SpeculateSlice(ex, nodes[3:], key, eval)
-	if c := ex.Counters(); c.Speculated != 3 {
-		t.Fatalf("speculation after budget exhaustion: %d", c.Speculated)
-	}
-	ex.End()
-	if c := m.Snapshot(); c.Executions != 3 || c.Speculated != 3 || c.SpecWaste != 0 {
-		t.Fatalf("metrics = %+v", c)
-	}
-}
-
-// TestCancellationBetweenSpeculationAndConsumption fires the context after a
-// wave was launched but before the sequential loop consumed it: Execute must
-// refuse (the stop-before-next-execution contract) and every speculated
-// value must be accounted as waste.
-func TestCancellationBetweenSpeculationAndConsumption(t *testing.T) {
-	ex := NewExecutor(match.New(testGraph()))
-	var m Metrics
+	// A cancelled context stops the run before the next execution.
 	ctx, cancel := context.WithCancel(context.Background())
-	ex.Begin(Control{MaxExecuted: 100, Workers: 2, Ctx: ctx, Metrics: &m})
-	nodes := []int{1, 2}
-	key := func(n int) string { return fmt.Sprintf("k%d", n) }
-	SpeculateSlice(ex, nodes, key, func(_ *match.Ctx, n int) int { return n })
-	if c := ex.Counters(); c.Speculated != 2 {
-		t.Fatalf("speculated = %d, want 2", c.Speculated)
-	}
+	ex.Begin(Control{MaxExecuted: 100, Ctx: ctx})
 	cancel()
 	if !ex.Stopped() {
 		t.Fatal("cancelled context must stop the run")
 	}
-	if _, ok := ex.Execute(key(1), constEval(-1)); ok {
-		t.Fatal("Execute must refuse after cancellation")
+	if _, ok := ex.Execute("e", constEval(1)); ok || ex.Executions() != 0 {
+		t.Fatalf("Execute after cancellation: ok=%v executions=%d", ok, ex.Executions())
 	}
 	ex.End()
-	if c := m.Snapshot(); c.Executions != 0 || c.SpecWaste != 2 {
-		t.Fatalf("metrics = %+v (want 0 executions, 2 wasted)", c)
-	}
-}
-
-// TestSpeculationParityWithSequential runs the same toy consumption loop
-// sequentially and speculatively over real matcher counts: consumed values,
-// execution counts, and traces must be byte-identical.
-func TestSpeculationParityWithSequential(t *testing.T) {
-	mt := match.New(testGraph())
-	queries := []*query.Query{
-		personQuery(""), personQuery("Anna"), personQuery("Bert"),
-		personQuery("Cara"), personQuery("Nobody"), personQuery("Anna"), // dup
-	}
-	run := func(workers int) (trace []int, counters Counters) {
-		ex := NewExecutor(mt)
-		ex.Begin(Control{MaxExecuted: 100, CountCap: 100, Workers: workers})
-		keys := make([]string, len(queries))
-		for i, q := range queries {
-			keys[i] = q.Key()
-		}
-		for i, q := range queries {
-			if ex.Parallel() && i%ex.Width() == 0 {
-				SpeculateSlice(ex, queries[i:],
-					func(q *query.Query) string { return q.Key() },
-					func(ctx *match.Ctx, q *query.Query) int { return mt.CountKeyed(ctx, q, q.Key(), 100) })
-			}
-			if ex.Seen(keys[i]) {
-				continue
-			}
-			card, ok := ex.Execute(keys[i], func(ctx *match.Ctx) int {
-				return mt.CountKeyed(ctx, q, keys[i], 100)
-			})
-			if !ok {
-				break
-			}
-			ex.Record(card)
-		}
-		trace = append([]int(nil), ex.Trace()...)
-		counters = ex.Counters()
-		ex.End()
-		return trace, counters
-	}
-	seqTrace, seqC := run(1)
-	if len(seqTrace) != 5 {
-		t.Fatalf("sequential executed %d distinct queries, want 5", len(seqTrace))
-	}
-	for _, workers := range []int{2, 4} {
-		parTrace, parC := run(workers)
-		if fmt.Sprint(parTrace) != fmt.Sprint(seqTrace) {
-			t.Fatalf("workers=%d trace diverged: %v vs %v", workers, parTrace, seqTrace)
-		}
-		if parC.Executions != seqC.Executions || parC.DedupHits != seqC.DedupHits {
-			t.Fatalf("workers=%d counters diverged: %+v vs %+v", workers, parC, seqC)
-		}
-	}
 }
 
 // TestResetDedupKeepsBudget covers the mcs per-component contract: the
@@ -242,22 +132,24 @@ func TestResetDedupKeepsBudget(t *testing.T) {
 }
 
 // TestConcurrentExecutorsSharedMatcher is the -race hammer: many kernel
-// instances — each with its own speculation pool — run concurrently against
-// ONE matcher (shared plan/count/candidate caches) and flush into ONE
-// metrics sink, as pooled engine states do in the whydbd service.
+// instances run concurrently against ONE matcher (shared plan/count/candidate
+// caches) and flush into ONE metrics sink, as pooled engine states do in the
+// whydbd service. Each runs a consumption loop over real matcher counts with
+// one duplicate, which the dedup answers without an execution.
 func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 	mt := match.New(testGraph())
 	var m Metrics
 	queries := []*query.Query{
 		personQuery(""), personQuery("Anna"), personQuery("Bert"),
 		personQuery("Cara"), personQuery("Dora"), personQuery("Nobody"),
+		personQuery("Anna"), // dup
 	}
 	want := make([]int, len(queries))
 	warm := mt.NewContext()
 	for i, q := range queries {
 		want[i] = mt.CountKeyed(warm, q, q.Key(), 100)
 	}
-	const goroutines = 8
+	const goroutines, rounds, distinct = 8, 25, 6
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -265,14 +157,12 @@ func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ex := NewExecutor(mt)
-			for round := 0; round < 25; round++ {
-				ex.Begin(Control{MaxExecuted: 100, Workers: 1 + g%3, Metrics: &m})
+			for round := 0; round < rounds; round++ {
+				ex.Begin(Control{MaxExecuted: 100, Metrics: &m})
 				for i, q := range queries {
 					key := q.Key()
-					if ex.Parallel() && i%ex.Width() == 0 {
-						SpeculateSlice(ex, queries[i:],
-							func(q *query.Query) string { return q.Key() },
-							func(ctx *match.Ctx, q *query.Query) int { return mt.CountKeyed(ctx, q, q.Key(), 100) })
+					if ex.Seen(key) {
+						continue
 					}
 					card, ok := ex.Execute(key, func(ctx *match.Ctx) int {
 						return mt.CountKeyed(ctx, q, key, 100)
@@ -285,6 +175,11 @@ func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 						errc <- fmt.Errorf("goroutine %d round %d query %d: count %d, want %d", g, round, i, card, want[i])
 						return
 					}
+					ex.Record(card)
+				}
+				if got := len(ex.Trace()); got != distinct {
+					errc <- fmt.Errorf("goroutine %d round %d: executed %d queries, want the %d distinct ones", g, round, got, distinct)
+					return
 				}
 				ex.End()
 			}
@@ -295,8 +190,9 @@ func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if c := m.Snapshot(); c.Executions != goroutines*25*int64(len(queries)) {
-		t.Fatalf("accumulated executions = %d, want %d", c.Executions, goroutines*25*len(queries))
+	if c := m.Snapshot(); c.Executions != goroutines*rounds*distinct || c.DedupHits != goroutines*rounds {
+		t.Fatalf("accumulated counters = %+v, want %d executions and %d dedup hits",
+			c, goroutines*rounds*distinct, goroutines*rounds)
 	}
 }
 
@@ -343,49 +239,20 @@ func TestStopPredicate(t *testing.T) {
 		t.Fatal("new run inherited previous run's recorded state")
 	}
 	ex.End()
-}
 
-// TestStopPredicateParityWithSpeculation proves the stop predicate fires at
-// the same sequential point whether or not the run speculates: the trace up
-// to the stop is byte-identical.
-func TestStopPredicateParityWithSpeculation(t *testing.T) {
-	g := testGraph()
-	run := func(workers int) []int {
-		ex := NewExecutor(match.New(g))
-		ex.Begin(Control{
-			Workers:     workers,
-			MaxExecuted: 50,
-			Stop: func(p Progress) bool {
-				return p.Recorded > 0 && p.Last <= 3
-			},
-		})
-		// Descending values 10, 9, 8, ... recorded until the predicate stops
-		// the loop — with speculation prefetching ahead of consumption.
-		nodes := make([]int, 20)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		key := func(n int) string { return fmt.Sprintf("k%02d", n) }
-		for i := 0; !ex.Stopped() && i < len(nodes); i++ {
-			v := 10 - i
-			if ex.Parallel() {
-				SpeculateSlice(ex, nodes[i:], key, func(_ *match.Ctx, n int) int { return 10 - n })
-			}
-			ex.Execute(key(nodes[i]), constEval(v))
-			ex.Record(v)
-		}
-		tr := append([]int(nil), ex.Trace()...)
-		ex.End()
-		return tr
+	// A loop recording descending values 10, 9, 8, ... stops right after
+	// the first value within ε = 3.
+	ex.Begin(Control{MaxExecuted: 50, Stop: func(p Progress) bool {
+		return p.Recorded > 0 && p.Last <= 3
+	}})
+	for i := 0; !ex.Stopped() && i < 20; i++ {
+		ex.Execute(fmt.Sprintf("k%02d", i), constEval(10-i))
+		ex.Record(10 - i)
 	}
-	seq := run(1)
-	par := run(4)
-	if fmt.Sprint(seq) != fmt.Sprint(par) {
-		t.Fatalf("trace diverged: sequential %v, speculative %v", seq, par)
+	if got, want := fmt.Sprint(ex.Trace()), fmt.Sprint([]int{10, 9, 8, 7, 6, 5, 4, 3}); got != want {
+		t.Fatalf("trace = %v, want %v: stop right after recording 3", got, want)
 	}
-	if want := []int{10, 9, 8, 7, 6, 5, 4, 3}; fmt.Sprint(seq) != fmt.Sprint(want) {
-		t.Fatalf("trace = %v, want stop right after recording 3", seq)
-	}
+	ex.End()
 }
 
 // TestProbeHook proves Control.Probe runs before every candidate execution

@@ -36,6 +36,7 @@ func TestEnvelopeOnEveryEndpoint(t *testing.T) {
 		{name: "stream malformed", method: "POST", path: "/v1/explain/stream", body: []byte(`{"dataset":`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
 		// The decoder is strict: a field no request type has is malformed.
 		{name: "explain allowPartial", method: "POST", path: "/v1/explain", body: []byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1,"allowPartial":true}`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
+		{name: "explain workers", method: "POST", path: "/v1/explain", body: []byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1,"workers":1}`), want: http.StatusBadRequest, wantCode: wire.CodeInvalidSpec},
 
 		{name: "explain unknown dataset", method: "POST", path: "/v1/explain", body: wire.ExplainRequest{Dataset: "imdb", Builtin: "Q"}, want: http.StatusNotFound, wantCode: wire.CodeInvalidSpec},
 		{name: "match unknown builtin", method: "POST", path: "/v1/match", body: wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 9"}, want: http.StatusNotFound, wantCode: wire.CodeInvalidSpec},

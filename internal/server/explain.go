@@ -76,8 +76,8 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 	if req.Upper > 0 && req.Upper < req.Lower {
 		return prep, s.newError(http.StatusBadRequest, wire.CodeBoundViolation, "upper bound %d below lower bound %d", req.Upper, req.Lower)
 	}
-	if req.Budget < 0 || req.ResultSample < 0 || req.MaxRewritings < 0 || req.Workers < 0 || req.TimeoutMs < 0 {
-		return prep, s.newError(http.StatusBadRequest, wire.CodeBoundViolation, "budget, resultSample, maxRewritings, workers, and timeoutMs must be non-negative")
+	if req.Budget < 0 || req.ResultSample < 0 || req.MaxRewritings < 0 || req.TimeoutMs < 0 {
+		return prep, s.newError(http.StatusBadRequest, wire.CodeBoundViolation, "budget, resultSample, maxRewritings, and timeoutMs must be non-negative")
 	}
 	q, code, err := s.resolveQuery(ds, req.Builtin, req.Failing, req.Query)
 	if err != nil {
@@ -93,10 +93,6 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 	if resultSample > s.cfg.MaxResultSample {
 		resultSample = s.cfg.MaxResultSample
 	}
-	workers := req.Workers
-	if max := prep.eng.Workers(); workers > max {
-		workers = max
-	}
 	prep.opts = core.Options{
 		Expected:      metrics.Interval{Lower: req.Lower, Upper: req.Upper},
 		MaxRewritings: req.MaxRewritings,
@@ -104,8 +100,6 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 		AllowTopology: req.AllowTopology,
 		Budget:        budget,
 		ResultSample:  resultSample,
-		Workers:       workers,
-		SpecBudget:    s.specPool,
 	}
 	return prep, nil
 }

@@ -19,12 +19,12 @@ import (
 // The committed corpus (testdata/fuzz/FuzzExplainSpec) holds the query of
 // TestToQueryHugeGapIsCheap, whose identifier gap once cost seconds to
 // decode, a disjunction that repeats a value, LDBC QUERY 3 with a 20 001-
-// integer age range, and a body carrying allowPartial, which the strict
-// decoder refuses.
+// integer age range, and two bodies the strict decoder refuses: one carrying
+// allowPartial, one carrying workers.
 func FuzzExplainSpec(f *testing.F) {
 	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1}`))
 	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 3","lower":5,"upper":1}`))
-	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 1","fineGrained":true,"allowTopology":true,"budget":-1,"resultSample":5,"maxRewritings":2,"workers":1,"timeoutMs":100}`))
+	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 1","fineGrained":true,"allowTopology":true,"budget":-1,"resultSample":5,"maxRewritings":2,"timeoutMs":100}`))
 	f.Add([]byte(`{"dataset":"ldbc","query":{"vertices":[{"id":0},{"id":2,"preds":{"age":{"kind":"range","lo":-1.5,"incLo":true}}}],"edges":[{"id":0,"from":2,"to":0,"dir":"--","types":["knows","likes"]},{"id":3,"from":0,"to":0,"dir":"<-"}]},"upper":4}`))
 	s := smallLDBCServer(1)
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -93,14 +93,11 @@ func TestDegradedExplainDifferential(t *testing.T) {
 				tc.name, got.Degraded, got.QualityBound)
 		}
 
-		// Reference: the same clamps through the public engine API, forced
-		// sequential. Byte-identity across worker counts is the kernel's
-		// speculation-parity guarantee.
+		// Reference: the same clamps through the public engine API.
 		opts := core.Options{
 			Expected:      metrics.Interval{Lower: tc.req.Lower, Upper: tc.req.Upper},
 			AllowTopology: tc.req.AllowTopology,
 			Budget:        tc.req.Budget,
-			Workers:       1,
 		}
 		qbBudget, qbEps := degradeExplain(&opts)
 		var q = mustQuery(t, tc.req)
@@ -513,16 +510,13 @@ func TestStatsQueueShape(t *testing.T) {
 	}
 }
 
-// TestOverloadConsumersAgreeUnderSaturation holds the three consumers of the
-// slot occupancy to one another. While every execution slot of every dataset
-// is held — the last one by a running explain — the controller reports no
-// free slot, the speculation pool grants nothing, and the explain falls back
-// to its sequential loop, whose report is byte-identical to the idle,
-// speculating one. Once the slots are released all three recover.
+// TestOverloadConsumersAgreeUnderSaturation holds the consumers of the slot
+// occupancy to one another. While every execution slot of every dataset is
+// held — the last one by a running explain — every gate reports itself full
+// mid-search, and the explain's report is byte-identical to the idle one.
+// Once the slots are released the gates are empty again.
 func TestOverloadConsumersAgreeUnderSaturation(t *testing.T) {
 	s := newTestServer(t, Config{})
-	ctl, pool := s.Resilience(), s.SpecPool()
-	total, widest := ctl.Slots()
 	explain := func(improved func(wire.StreamEvent) error) []byte {
 		t.Helper()
 		prep, f := s.validateExplain(wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3", Lower: 1, Upper: 5}, faultinject.Decision{})
@@ -535,15 +529,13 @@ func TestOverloadConsumersAgreeUnderSaturation(t *testing.T) {
 		}
 		return payload
 	}
-
+	gates := func(check func(name string, g *resilience.Gate)) {
+		for _, name := range []string{"ldbc", "dbpedia"} {
+			ds, _ := s.lookup(name)
+			check(name, ds.gate)
+		}
+	}
 	idle := explain(nil)
-	speculated := pool.Snapshot().Granted
-	if speculated == 0 {
-		t.Fatal("the idle explain was granted no speculation token; the saturated run would prove nothing")
-	}
-	if free := ctl.Free(); free != total {
-		t.Fatalf("idle Free() = %d, want all %d slots", free, total)
-	}
 
 	// Hold every slot but one of ldbc's, which the explain below takes.
 	var releases []func()
@@ -560,20 +552,15 @@ func TestOverloadConsumersAgreeUnderSaturation(t *testing.T) {
 	improvements := 0
 	saturated := explain(func(wire.StreamEvent) error {
 		improvements++
-		if free := ctl.Free(); free != 0 {
-			t.Errorf("Free() = %d with every slot held, want 0", free)
-		}
-		if n := pool.Acquire(widest); n != 0 {
-			pool.Release(n)
-			t.Errorf("the pool granted %d tokens with every slot held, want 0", n)
-		}
+		gates(func(name string, g *resilience.Gate) {
+			if g.InFlight() != g.Slots() {
+				t.Errorf("%s: %d of %d slots held mid-explain, want all", name, g.InFlight(), g.Slots())
+			}
+		})
 		return nil
 	})
 	if improvements == 0 {
 		t.Fatal("the saturated explain reported no improvement; nothing was observed mid-run")
-	}
-	if got := pool.Snapshot().Granted; got != speculated {
-		t.Fatalf("the saturated explain was granted %d speculation tokens, want none", got-speculated)
 	}
 	if !bytes.Equal(saturated, idle) {
 		t.Fatalf("saturated report differs from the idle one:\nsaturated %s\nidle      %s", saturated, idle)
@@ -582,12 +569,9 @@ func TestOverloadConsumersAgreeUnderSaturation(t *testing.T) {
 	for _, release := range releases {
 		release()
 	}
-	if free := ctl.Free(); free != total {
-		t.Fatalf("Free() after release = %d, want all %d slots", free, total)
-	}
-	if n := pool.Acquire(widest); n != widest {
-		t.Fatalf("the idle pool granted %d of a %d-wide wave", n, widest)
-	} else {
-		pool.Release(n)
-	}
+	gates(func(name string, g *resilience.Gate) {
+		if g.InFlight() != 0 {
+			t.Fatalf("%s: %d slots held after release, want 0", name, g.InFlight())
+		}
+	})
 }

@@ -13,9 +13,9 @@
 //	POST /v1/match     count/find through the compiled-plan path
 //	GET  /v1/datasets  loaded datasets and their built-in queries
 //	GET  /v1/stats     plan-/count-/candidate-/statistics-cache hit rates,
-//	                   search-kernel counters (executions / dedup hits /
-//	                   speculation) per explanation family, worker
-//	                   configuration, request counters, resilience counters
+//	                   search-kernel counters (executions / dedup hits) per
+//	                   explanation family, worker configuration, request
+//	                   counters, resilience counters
 //	GET  /healthz      liveness
 //	GET  /readyz       readiness: 503 while datasets load and during drain
 //
@@ -23,16 +23,15 @@
 // the dataset's own engine, and the daemon neither calls nor answers another
 // daemon.
 //
-// Concurrency and overload model: who may run, at what quality, and how much
-// speculation fits is decided in internal/resilience. Each dataset owns a
-// resilience.Gate sized off its engine's worker count, so a burst queues
-// instead of oversubscribing the matcher. This package maps the rung of the
-// gate's ladder that refused a request onto the wire (admit), applies the
-// degraded state's clamps to an explain and stamps the quality bound
-// (runExplain), reports every request's latency back (end), and hands the
-// controller's free-slot count to the speculation pool. An admitted request
-// runs under its own context deadline threaded through core.ExplainCtx, so an
-// abandoned one stops within one candidate execution. A handler panic is
+// Concurrency and overload model: who may run and at what quality is decided
+// in internal/resilience. Each dataset owns a resilience.Gate sized off its
+// engine's worker count, so a burst queues instead of oversubscribing the
+// matcher; an admitted explain runs on its request's goroutine. This package
+// maps the rung of the gate's ladder that refused a request onto the wire
+// (admit), applies the degraded state's clamps to an explain and stamps the
+// quality bound (runExplain), and reports every request's latency back (end).
+// An admitted request runs under its own context deadline threaded through
+// core.ExplainCtx, so an abandoned one stops within one candidate execution. A handler panic is
 // recovered to a 500 with a request id, counted and stack-logged. An optional
 // seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
@@ -58,7 +57,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/query"
 	"repro/internal/resilience"
-	"repro/internal/search"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -189,13 +187,6 @@ type Server struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset
 
-	// specPool is the server-wide speculation budget: every explain served
-	// by this server runs its speculative waves against tokens sized off the
-	// controller's free slots, so speculation throttles itself to zero
-	// exactly when the gates are saturated. Resized under mu as datasets
-	// register.
-	specPool *search.SpecPool
-
 	notReady atomic.Value // string: why /readyz answers 503 ("" = ready)
 	draining atomic.Bool
 
@@ -269,13 +260,9 @@ func New(cfg Config) *Server {
 		drainCtx:    drainCtx,
 		cancelDrain: cancelDrain,
 	}
-	s.specPool = search.NewSpecPool(1, 1, s.res.Free)
 	s.notReady.Store("loading")
 	return s
 }
-
-// SpecPool returns the server's shared speculation budget (stats, tests).
-func (s *Server) SpecPool() *search.SpecPool { return s.specPool }
 
 // Resilience returns the server's brownout controller (whydbd flags and
 // tests reach through it; ForceState pins the state for drills).
@@ -319,9 +306,6 @@ func (s *Server) AddDataset(name string, eng *core.Engine, builtins []workload.N
 	s.mu.Lock()
 	ds.gate = s.res.NewGate(eng.Workers(), s.cfg.QueueCap)
 	s.datasets[name] = ds
-	// One free slot absorbs as many speculative evaluations as the widest
-	// engine has workers, so a sole tenant still gets full-width waves.
-	s.specPool.Resize(s.res.Slots())
 	s.mu.Unlock()
 }
 
@@ -599,8 +583,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Panics:         s.panics.Load(),
 		Injected:       s.injected.Load(),
 	}
-	pool := wire.SpeculationPoolStats(s.specPool.Snapshot())
-	resp.Speculation = &pool
 	for name, ds := range s.datasets {
 		eng := ds.engine()
 		m := eng.Matcher()
@@ -626,7 +608,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		kernel := eng.KernelCounters()
 		st.Kernel = make(map[string]wire.KernelCounters, len(kernel))
 		for family, c := range kernel {
-			st.Kernel[family] = wire.KernelCounters(c)
+			st.Kernel[family] = wire.KernelCounters{Executions: c.Executions, DedupHits: c.DedupHits}
 		}
 		resp.Datasets[name] = st
 	}

@@ -35,8 +35,6 @@ type ExplainRequest struct {
 	Budget int `json:"budget,omitempty"`
 	// ResultSample bounds result enumeration per result-distance computation.
 	ResultSample int `json:"resultSample,omitempty"`
-	// Workers overrides the search worker count (clamped to the engine's).
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMs bounds the request's processing time (0 = server default;
 	// clamped to the server's maximum).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
@@ -242,24 +240,10 @@ type CoalescingStats struct {
 	Shared int64 `json:"shared"`
 }
 
-// SpeculationPoolStats reports the server-wide admission-aware speculation
-// budget (GET /v1/stats): the pool grants speculative-execution tokens to
-// search workers only while admission slots sit free, so speculation
-// throttles to zero under load. Size is the current number of grantable
-// tokens, Capacity the idle-server maximum, and Granted/Denied/Returned
-// count token requests over the server's lifetime.
-type SpeculationPoolStats struct {
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-	Granted  int64 `json:"granted"`
-	Denied   int64 `json:"denied"`
-	Returned int64 `json:"returned"`
-}
-
 // KernelCounters reports one explanation family's accumulated search-kernel
-// counters (GET /v1/stats): candidate executions, executed-key dedup hits,
-// speculative evaluations launched on the worker pool, and the speculative
-// evaluations the sequential search never consumed (waste).
+// counters (GET /v1/stats): candidate executions and executed-key dedup hits.
+// Speculated and SpecWaste are always 0: no search speculates. They stay
+// until the benchmark that reads them drops them.
 type KernelCounters struct {
 	Executions int64 `json:"executions"`
 	DedupHits  int64 `json:"dedupHits"`
@@ -342,8 +326,6 @@ type StatsResponse struct {
 	Requests   ServerCounters          `json:"requests"`
 	Datasets   map[string]DatasetStats `json:"datasets"`
 	Resilience *ResilienceStats        `json:"resilience,omitempty"`
-	// Speculation reports the server-wide admission-aware speculation budget.
-	Speculation *SpeculationPoolStats `json:"speculation,omitempty"`
 }
 
 // ResilienceStats reports the brownout controller and overload counters

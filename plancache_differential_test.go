@@ -31,6 +31,49 @@ func cachePair(g *repro.Graph) (on, off *match.Matcher) {
 	return on, off
 }
 
+func relaxFingerprint(out relax.Outcome) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "executed=%d generated=%d cachehits=%d trace=%v\n",
+		out.Executed, out.Generated, out.CacheHits, out.Trace)
+	for i, s := range out.Solutions {
+		fmt.Fprintf(&b, "solution %d: card=%d syn=%.9f score=%.9f ops=%v\n%s\n",
+			i, s.Cardinality, s.Syntactic, s.Score, s.Ops, s.Query.Canonical())
+	}
+	return b.String()
+}
+
+func modtreeFingerprint(res modtree.Result) string {
+	return fmt.Sprintf("executed=%d generated=%d pruned=%d satisfied=%v trace=%v best{card=%d dist=%d syn=%.9f ops=%v}\n%s",
+		res.Executed, res.Generated, res.Pruned, res.Satisfied, res.Trace,
+		res.Best.Cardinality, res.Best.Distance, res.Best.Syntactic, res.Best.Ops,
+		res.Best.Query.Canonical())
+}
+
+func mcsFingerprint(ex mcs.Explanation) string {
+	return fmt.Sprintf("card=%d satisfied=%v traversals=%d path=%v\n%s\n%s",
+		ex.Cardinality, ex.Satisfied, ex.Traversals, ex.Path,
+		ex.MCS.Canonical(), ex.Differential.Canonical())
+}
+
+// failingVariantFor resolves the why-empty variant of a named query on
+// either data set.
+func failingVariantFor(t *testing.T, dataset string, name string) *repro.Query {
+	t.Helper()
+	var (
+		q   *repro.Query
+		err error
+	)
+	if dataset == "ldbc" {
+		q, err = workload.FailingVariant(name)
+	} else {
+		q, err = workload.DBpediaFailingVariant(name)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestPlanCacheDifferentialRelax(t *testing.T) {
 	lg, _ := setup()
 	on, off := cachePair(lg)
@@ -117,9 +160,6 @@ func TestPlanCacheDifferentialExplain(t *testing.T) {
 	engOn := repro.NewEngine(lg)
 	engOff := repro.NewEngine(lg)
 	engOff.Matcher().SetPlanCache(false)
-	// Fixed worker count: this differential isolates the plan cache.
-	engOn.SetWorkers(2)
-	engOff.SetWorkers(2)
 	for _, nq := range workload.LDBCQueries() {
 		q, err := workload.FailingVariant(nq.Name)
 		if err != nil {

@@ -145,7 +145,6 @@ func TestScoringDifferential(t *testing.T) {
 		{"dbpedia", dg, workload.DBpediaQueries()},
 	} {
 		eng := repro.NewEngine(ds.g)
-		eng.SetWorkers(1)
 		m := eng.Matcher()
 		corpus := scoringCorpus(t, ds.name, m, eng.Domain(), ds.base, 110)
 		if len(corpus) < 8+100 {
