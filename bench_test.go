@@ -6,6 +6,7 @@ package repro_test
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -459,22 +460,32 @@ func BenchmarkFindRows(b *testing.B) {
 // scratch at the shapes an explain meets: a why-so-many original against the
 // few results of its rewriting (100×3), two small sets (12×12), and two full
 // samples (100×100). The sets are overlapping windows of LDBC QUERY 3's
-// results, so some pairs match exactly and most do not.
+// results, so some pairs match exactly and most do not. In 100x100-hub both
+// windows bind vertex 0 to one constant id, as the results of a pattern
+// anchored at a hub vertex do.
 func BenchmarkResultSetDistance(b *testing.B) {
 	lg, _ := setup()
 	rs := match.New(lg).Find(workload.LDBCQuery3(), match.Options{})
+	hub := make([]match.Result, len(rs))
+	for i, r := range rs {
+		vm := maps.Clone(r.VertexMap)
+		vm[0] = rs[0].VertexMap[0]
+		hub[i] = match.Result{VertexMap: vm, EdgeMap: r.EdgeMap}
+	}
 	for _, shape := range []struct {
 		name           string
+		from           []match.Result
 		a0, a1, b0, b1 int
 	}{
-		{"100x3", 0, 100, 98, 101},
-		{"12x12", 0, 12, 6, 18},
-		{"100x100", 0, 100, 60, 160},
+		{"100x3", rs, 0, 100, 98, 101},
+		{"12x12", rs, 0, 12, 6, 18},
+		{"100x100", rs, 0, 100, 60, 160},
+		{"100x100-hub", hub, 0, 100, 60, 160},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			var x, y match.Rows
-			x.SetResults(rs[shape.a0:shape.a1])
-			y.SetResults(rs[shape.b0:shape.b1])
+			x.SetResults(shape.from[shape.a0:shape.a1])
+			y.SetResults(shape.from[shape.b0:shape.b1])
 			var s metrics.ResultScratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

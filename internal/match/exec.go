@@ -9,7 +9,7 @@ import (
 
 // Ctx is a reusable execution context: flat binding slots for query vertices
 // and edges plus data-side visited bitsets sized to the data graph. Reusing
-// one Ctx across the thousands of Count/Exists calls issued by the
+// one Ctx across the thousands of capped Count calls issued by the
 // relaxation and modification searches keeps the inner matching loop
 // allocation-free. A Ctx must not be shared between goroutines; create one
 // per goroutine with Matcher.NewContext.

@@ -79,7 +79,7 @@ type Options struct {
 
 // Matcher executes pattern-matching queries over one data graph.
 // A Matcher is safe for concurrent use once constructed: the implicit
-// Find/Count/Exists entry points draw execution contexts from an internal
+// Find/Count entry points draw execution contexts from an internal
 // pool and compiled plans from the shared plan cache, while the *Ctx
 // variants let hot callers pin a reusable context explicitly.
 type Matcher struct {

@@ -158,7 +158,7 @@ func (p *Plan) vertexSlot(qid int) int {
 
 // Compile builds a reusable plan for q over the matcher's data graph. The
 // plan can be executed repeatedly — and concurrently — against per-goroutine
-// contexts with Plan.Count, Plan.Find, and Plan.Exists.
+// contexts with Plan.Count, Plan.Find, and Plan.FindRows.
 func (m *Matcher) Compile(q *query.Query) *Plan {
 	p := &Plan{}
 	m.compileInto(p, q, new(compileScratch))

@@ -7,77 +7,113 @@ import "math"
 type costType interface{ ~int32 | ~float64 }
 
 // assigner solves minimum-cost assignment problems (the Hungarian method,
-// Algorithm 2 of the thesis, in the potential formulation) and owns the
-// arrays a solve needs, so a kept assigner solves without allocating.
+// Algorithm 2 of the thesis, as warm-started shortest augmenting paths) and
+// owns the arrays a solve needs, so a kept assigner solves without
+// allocating.
 type assigner[T costType] struct {
-	u, v, minv []T
-	p, way     []int32 // p[j] = row assigned to column j; 1-based, 0 = none
-	used       []bool
+	u, v, dist []T
+	p          []int32 // p[j] = row assigned to column j, -1 = none
+	x, pred    []int32 // x[i] = column of row i; pred[j] = row that reached j
+	free       []int32 // rows the greedy start left unassigned
+	todo, done []int32 // a phase's unlabelled and labelled matched columns
 }
 
 // solve assigns each of the rows to a column of its own so that the summed
 // cost is minimal, and returns that sum. cost is the rows×cols matrix, row
-// after row, and rows ≤ cols: the matrix is never squared, a column left
-// without a row is simply not paid for, which makes the work O(rows²·cols).
-// inf is a value above every reduced cost. On return s.p holds the optimum.
+// after row, and rows ≤ cols. inf is a value above every path length. On
+// return s.p holds the optimum.
+//
+// The duals start warm: u[i] is row i's minimum and v = 0, and a greedy pass
+// gives each row the first free column at its minimum — a tight pair, so the
+// duals stay feasible. Every row the greedy pass left free then grows the
+// matching along a shortest augmenting path (Dijkstra over reduced costs:
+// only the row reached last is relaxed, over the still unlabelled columns),
+// and the potentials are updated once, at the sink. v only ever decreases
+// and only on matched columns, so a column left without a row keeps v = 0
+// and is simply not paid for: the matrix is never squared. The worst case is
+// O(rows²·cols); on the result-distance traffic most rows are seated by the
+// greedy pass and most phases label a handful of columns.
 func (s *assigner[T]) solve(cost []T, rows, cols int, inf T) T {
-	s.u = zeroed(s.u, rows+1)
-	s.v = zeroed(s.v, cols+1)
-	s.p = zeroed(s.p, cols+1)
-	s.way = zeroed(s.way, cols+1)
-	s.minv = zeroed(s.minv, cols+1)
-	s.used = zeroed(s.used, cols+1)
-	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
-	for i := 1; i <= rows; i++ {
-		// Grow the matching by row i along a shortest augmenting path.
-		p[0] = int32(i)
-		j0 := 0
-		for j := range minv {
-			minv[j] = inf
-			used[j] = false
+	s.u = zeroed(s.u, rows)
+	s.v = zeroed(s.v, cols)
+	s.dist = zeroed(s.dist, cols)
+	s.p = zeroed(s.p, cols)
+	s.x = zeroed(s.x, rows)
+	s.pred = zeroed(s.pred, cols)
+	u, v, dist, p, x, pred := s.u, s.v, s.dist, s.p, s.x, s.pred
+	for j := range p {
+		p[j] = -1
+	}
+	free := s.free[:0]
+	for i := 0; i < rows; i++ {
+		row := cost[i*cols : (i+1)*cols]
+		lo, at := row[0], int32(-1)
+		for j, c := range row {
+			if c < lo {
+				lo, at = c, -1
+			}
+			if c == lo && at < 0 && p[j] < 0 {
+				at = int32(j)
+			}
 		}
+		u[i] = lo
+		if x[i] = at; at < 0 {
+			free = append(free, int32(i))
+		} else {
+			p[at] = int32(i)
+		}
+	}
+	todo, done := s.todo, s.done
+	for _, start := range free {
+		todo, done = todo[:0], done[:0]
+		for j := range cols {
+			todo = append(todo, int32(j))
+			dist[j] = inf
+		}
+		i, d := start, T(0)
+		var sink int32
 		for {
-			used[j0] = true
-			i0 := int(p[j0])
-			row := cost[(i0-1)*cols : i0*cols]
-			delta, j1 := inf, 0
-			for j := 1; j <= cols; j++ {
-				if used[j] {
-					continue
+			row, ui := cost[int(i)*cols:(int(i)+1)*cols], u[i]
+			best, at := inf, 0
+			for t, j := range todo {
+				if c := d + row[j] - ui - v[j]; c < dist[j] {
+					dist[j], pred[j] = c, i
 				}
-				if cur := row[j-1] - u[i0] - v[j]; cur < minv[j] {
-					minv[j] = cur
-					way[j] = int32(j0)
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
+				// Among equally near columns a free one ends the phase.
+				if c := dist[j]; c < best || c == best && p[j] < 0 {
+					best, at = c, t
 				}
 			}
-			for j := 0; j <= cols; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
+			j := todo[at]
+			todo[at] = todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			d = best
+			if p[j] < 0 {
+				sink = j
+				break
 			}
-			j0 = j1
-			if p[j0] == 0 {
+			done = append(done, j)
+			i = p[j]
+		}
+		u[start] += d
+		for _, j := range done {
+			delta := d - dist[j]
+			v[j] -= delta
+			u[p[j]] += delta
+		}
+		for j := sink; ; {
+			i := pred[j]
+			p[j] = i
+			x[i], j = j, x[i]
+			if i == start {
 				break
 			}
 		}
-		for j0 != 0 {
-			j1 := int(way[j0])
-			p[j0] = p[j1]
-			j0 = j1
-		}
 	}
+	s.free, s.todo, s.done = free, todo, done
 	var total T
-	for j := 1; j <= cols; j++ {
-		if i := int(p[j]); i > 0 {
-			total += cost[(i-1)*cols+j-1]
-		}
+	for i, j := range x {
+		total += cost[i*cols+int(j)]
 	}
 	return total
 }
@@ -126,13 +162,13 @@ func Assign(cost [][]float64) (rowToCol []int, total float64) {
 	}
 	var s assigner[float64]
 	total = s.solve(flat, rows, cols, math.MaxFloat64)
-	for j := 1; j <= cols; j++ {
-		switch i := int(s.p[j]); {
-		case i == 0:
+	for j, i := range s.p {
+		switch {
+		case i < 0:
 		case flip:
-			rowToCol[j-1] = i - 1
+			rowToCol[j] = int(i)
 		default:
-			rowToCol[i-1] = j - 1
+			rowToCol[i] = j
 		}
 	}
 	return rowToCol, total

@@ -72,11 +72,12 @@ type colPair struct{ a, b int }
 // element only one set binds costs every pair the same edit. The kernel
 // therefore aligns the columns once, fills the matrix with integer edit
 // counts (mismatches on the shared columns plus the unshared count), solves
-// the rectangular problem with the smaller set as rows — O(min²·max); the
-// max−min results left over cost E edits each, which is Algorithm 2's Step 0
-// padding without the padded matrix — and divides once, by E·max. The value
-// is a function of the two result multisets alone: no order of enumeration
-// or tie between equally good assignments can move its last bits.
+// the rectangular problem with the smaller set as rows — warm-started
+// shortest augmenting paths, O(min²·max) at worst; the max−min results left
+// over cost E edits each, which is Algorithm 2's Step 0 padding without the
+// padded matrix — and divides once, by E·max. The value is a function of the
+// two result multisets alone: no order of enumeration or tie between equally
+// good assignments can move its last bits.
 func (s *ResultScratch) RowSetDistance(a, b *match.Rows) float64 {
 	if a.Len() > b.Len() {
 		a, b = b, a

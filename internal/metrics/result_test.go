@@ -15,8 +15,9 @@ import (
 // `onlyA` more and the second `onlyB` more (a topology-changing rewriting
 // leaves few or none in common); data ids are drawn from [0, domain), so a
 // small domain yields duplicate rows. Elements alternate between vertices and
-// edges.
-func randomResultSets(rng *rand.Rand, na, nb, shared, onlyA, onlyB, domain int) (a, b []match.Result) {
+// edges. With hub, the first shared element is a vertex every result of
+// both sets binds to the same id, as the anchor of an anchored pattern is.
+func randomResultSets(rng *rand.Rand, na, nb, shared, onlyA, onlyB, domain int, hub bool) (a, b []match.Result) {
 	gen := func(n, own, ownBase int) []match.Result {
 		rs := make([]match.Result, n)
 		for i := range rs {
@@ -31,6 +32,9 @@ func randomResultSets(rng *rand.Rand, na, nb, shared, onlyA, onlyB, domain int) 
 			for c := 0; c < shared; c++ {
 				bind(c)
 			}
+			if hub && shared > 0 {
+				r.VertexMap[0] = graph.VertexID(domain)
+			}
 			for c := 0; c < own; c++ {
 				bind(ownBase + c)
 			}
@@ -44,22 +48,24 @@ func randomResultSets(rng *rand.Rand, na, nb, shared, onlyA, onlyB, domain int) 
 // FuzzResultSetDistance holds the row-form kernel against the retained
 // map-and-float reference and against the properties of the measure.
 func FuzzResultSetDistance(f *testing.F) {
-	// seed, |A|, |B|, shared, only-A, only-B columns, id domain
-	f.Add(int64(1), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(5))   // both empty
-	f.Add(int64(2), uint8(0), uint8(7), uint8(3), uint8(0), uint8(0), uint8(5))   // empty original
-	f.Add(int64(3), uint8(7), uint8(0), uint8(3), uint8(0), uint8(0), uint8(5))   // empty explanation
-	f.Add(int64(4), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(2))   // 1×1
-	f.Add(int64(5), uint8(100), uint8(3), uint8(7), uint8(0), uint8(0), uint8(9)) // why-so-many: 100×3
-	f.Add(int64(6), uint8(3), uint8(100), uint8(7), uint8(0), uint8(0), uint8(9)) // 3×100
-	f.Add(int64(7), uint8(100), uint8(100), uint8(5), uint8(1), uint8(1), uint8(4))
-	f.Add(int64(8), uint8(12), uint8(9), uint8(0), uint8(3), uint8(4), uint8(6))   // disjoint columns
-	f.Add(int64(9), uint8(20), uint8(20), uint8(4), uint8(0), uint8(0), uint8(1))  // every row the same
-	f.Add(int64(10), uint8(30), uint8(17), uint8(2), uint8(0), uint8(2), uint8(2)) // many duplicates
-	f.Add(int64(11), uint8(5), uint8(8), uint8(0), uint8(0), uint8(0), uint8(3))   // nothing bound
-	f.Fuzz(func(t *testing.T, seed int64, na, nb, shared, onlyA, onlyB, domain uint8) {
+	// seed, |A|, |B|, shared, only-A, only-B columns, id domain, hub
+	f.Add(int64(1), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(5), false)   // both empty
+	f.Add(int64(2), uint8(0), uint8(7), uint8(3), uint8(0), uint8(0), uint8(5), false)   // empty original
+	f.Add(int64(3), uint8(7), uint8(0), uint8(3), uint8(0), uint8(0), uint8(5), false)   // empty explanation
+	f.Add(int64(4), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(2), false)   // 1×1
+	f.Add(int64(5), uint8(100), uint8(3), uint8(7), uint8(0), uint8(0), uint8(9), false) // why-so-many: 100×3
+	f.Add(int64(6), uint8(3), uint8(100), uint8(7), uint8(0), uint8(0), uint8(9), false) // 3×100
+	f.Add(int64(7), uint8(100), uint8(100), uint8(5), uint8(1), uint8(1), uint8(4), false)
+	f.Add(int64(8), uint8(12), uint8(9), uint8(0), uint8(3), uint8(4), uint8(6), false)     // disjoint columns
+	f.Add(int64(9), uint8(20), uint8(20), uint8(4), uint8(0), uint8(0), uint8(1), false)    // every row the same
+	f.Add(int64(10), uint8(30), uint8(17), uint8(2), uint8(0), uint8(2), uint8(2), false)   // many duplicates
+	f.Add(int64(11), uint8(5), uint8(8), uint8(0), uint8(0), uint8(0), uint8(3), false)     // nothing bound
+	f.Add(int64(12), uint8(100), uint8(100), uint8(4), uint8(0), uint8(0), uint8(9), true)  // hub vertex
+	f.Add(int64(13), uint8(100), uint8(100), uint8(4), uint8(0), uint8(0), uint8(1), false) // ids from {0, 1}
+	f.Fuzz(func(t *testing.T, seed int64, na, nb, shared, onlyA, onlyB, domain uint8, hub bool) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomResultSets(rng, int(na)%101, int(nb)%101,
-			int(shared)%8, int(onlyA)%5, int(onlyB)%5, 1+int(domain)%16)
+			int(shared)%8, int(onlyA)%5, int(onlyB)%5, 1+int(domain)%16, hub)
 		var ra, rb match.Rows
 		ra.SetResults(a)
 		rb.SetResults(b)
@@ -187,6 +193,141 @@ func cheapestByEnumeration(cost [][]float64) float64 {
 	}
 	rec(0, 0)
 	return best
+}
+
+// checkAgainstReference solves cost through Assign and through the int32
+// kernel on the kept assigner s (the shorter side as rows) and holds both
+// against the O(n³) reference refAssignRect: the same total, and an
+// assignment that pairs min(m, n) lines one to one and adds up to it. The
+// costs must be integers.
+func checkAgainstReference(t *testing.T, s *assigner[int32], cost [][]float64) {
+	t.Helper()
+	m, n := len(cost), len(cost[0])
+	_, want := refAssignRect(cost, 0)
+	asg, got := Assign(cost)
+	if got != want {
+		t.Fatalf("%d×%d: Assign total %v, reference %v", m, n, got, want)
+	}
+	var sum float64
+	matched, usedCol := 0, make([]bool, n)
+	for i, j := range asg {
+		if j < 0 {
+			continue
+		}
+		if usedCol[j] {
+			t.Fatalf("%d×%d: Assign gives column %d twice", m, n, j)
+		}
+		usedCol[j] = true
+		matched++
+		sum += cost[i][j]
+	}
+	if matched != min(m, n) || sum != got {
+		t.Fatalf("%d×%d: Assign pairs %d lines for %v, total %v", m, n, matched, sum, got)
+	}
+
+	rows, cols, at := m, n, func(i, j int) float64 { return cost[i][j] }
+	if m > n {
+		rows, cols, at = n, m, func(i, j int) float64 { return cost[j][i] }
+	}
+	flat := make([]int32, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			flat = append(flat, int32(at(i, j)))
+		}
+	}
+	if ints := s.solve(flat, rows, cols, math.MaxInt32); float64(ints) != want {
+		t.Fatalf("%d×%d: int32 solver %d, reference %v", m, n, ints, want)
+	}
+	var isum int32
+	matched, usedRow := 0, make([]bool, rows)
+	for j, i := range s.p {
+		if i < 0 {
+			continue
+		}
+		if usedRow[i] {
+			t.Fatalf("%d×%d: int32 solver gives row %d twice", m, n, i)
+		}
+		usedRow[i] = true
+		matched++
+		isum += flat[int(i)*cols+j]
+	}
+	if matched != rows || float64(isum) != want {
+		t.Fatalf("%d×%d: int32 solver pairs %d rows for %d, reference %v", m, n, matched, isum, want)
+	}
+}
+
+// costGrid builds an m×n cost matrix from a cell function.
+func costGrid(m, n int, cell func(i, j int) float64) [][]float64 {
+	cost := make([][]float64, m)
+	for i := range cost {
+		cost[i] = make([]float64, n)
+		for j := range cost[i] {
+			cost[i][j] = cell(i, j)
+		}
+	}
+	return cost
+}
+
+// FuzzAssign holds the solver against the retained O(n³) reference on
+// matrices nobody hand-picked: up to 12×12 in either shape, integer costs in
+// a fuzzed range [lo, lo+span) — a span of 1 or 2 makes ties the rule. Since
+// Assign and the result-distance kernel share one solver body, refAssign is
+// the only independent oracle of it. The int32 solver first solves a larger
+// problem on the same assigner, so scratch a solve fails to reset would show.
+func FuzzAssign(f *testing.F) {
+	// seed, rows, columns, span, lo
+	f.Add(int64(1), uint8(1), uint8(1), uint8(1), int8(0))
+	f.Add(int64(2), uint8(12), uint8(12), uint8(2), int8(0))
+	f.Add(int64(3), uint8(3), uint8(12), uint8(5), int8(-2))
+	f.Add(int64(4), uint8(12), uint8(3), uint8(100), int8(0))
+	f.Add(int64(5), uint8(7), uint8(9), uint8(1), int8(5)) // constant
+	f.Fuzz(func(t *testing.T, seed int64, m, n, span uint8, lo int8) {
+		rng := rand.New(rand.NewSource(seed))
+		width := 1 + int(span)%16
+		cost := costGrid(1+int(m)%12, 1+int(n)%12, func(int, int) float64 {
+			return float64(int(lo) + rng.Intn(width))
+		})
+		var s assigner[int32]
+		warm := make([]int32, 12*12)
+		for k := range warm {
+			warm[k] = int32(rng.Intn(50))
+		}
+		s.solve(warm, 12, 12, math.MaxInt32)
+		checkAgainstReference(t, &s, cost)
+	})
+}
+
+// TestAssignWarmStartAdversarial holds the solver against the reference at
+// full sample size on the shapes that give the warm start least: every row's
+// minimum in column 0 (the greedy pass seats one row and 99 augment), a
+// constant matrix (every column ties at every row's minimum), the identity,
+// and the 100×3 and 3×100 shapes of a why-so-many comparison.
+func TestAssignWarmStartAdversarial(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	spread := func(int, int) float64 { return float64(rng.Intn(50)) }
+	var s assigner[int32]
+	for _, c := range []struct {
+		name string
+		cost [][]float64
+	}{
+		{"column0", costGrid(100, 100, func(_, j int) float64 {
+			if j == 0 {
+				return 0
+			}
+			return float64(1 + rng.Intn(1000))
+		})},
+		{"constant", costGrid(100, 100, func(int, int) float64 { return 3 })},
+		{"identity", costGrid(100, 100, func(i, j int) float64 {
+			if i == j {
+				return 1
+			}
+			return 0
+		})},
+		{"100x3", costGrid(100, 3, spread)},
+		{"3x100", costGrid(3, 100, spread)},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkAgainstReference(t, &s, c.cost) })
+	}
 }
 
 // TestScoringAllocsZero pins the allocation profile of the scoring stage: on

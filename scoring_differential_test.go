@@ -7,6 +7,13 @@
 // carry the same rewritings in the same order with result distances equal to
 // 1e-12. The why-empty shortcut (no enumeration: the distance follows from
 // the rewriting's cardinality) must agree with what enumeration says.
+//
+// The re-scoring solves its square matrix with metrics.Assign, which runs
+// the same solver body as the kernel. So this differential checks the row
+// form, the column alignment, the padding and the normalization, not the
+// solver: the solver's one independent oracle is refAssign, the O(n³)
+// Hungarian method kept in internal/metrics/reference_test.go (FuzzAssign,
+// TestAssignWarmStartAdversarial, FuzzResultSetDistance).
 package repro_test
 
 import (
