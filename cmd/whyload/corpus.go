@@ -47,7 +47,7 @@ func buildCorpus(client *http.Client, cfg *config) ([]job, int, error) {
 	case "chaos":
 		// The overload drill also carries fleet traffic: every fourth explain
 		// replays over SSE, and duplicate-heavy batches ride along so batching
-		// and coalescing face the same epoch swaps and brownouts as singles.
+		// and batch grouping face the same epoch swaps and brownouts as singles.
 		nExplain := 0
 		for i := range jobs {
 			if jobs[i].kind == "explain" {
@@ -107,7 +107,7 @@ func buildJobs(infos []wire.DatasetInfo, explains, matches bool) ([]job, int) {
 
 // batchJobs wraps the corpus' explain bodies into /v1/explain/batch jobs.
 // Each batch anchors on one distinct spec: ceil(dupFrac·size) items repeat
-// the anchor (the coalescing pressure a duplicate-heavy fleet workload
+// the anchor (the batch-grouping pressure a duplicate-heavy fleet workload
 // exerts), and the rest walk the remaining specs round-robin, so every
 // batch still carries distinct work. Bodies are spliced as raw JSON — the
 // specs were marshaled once when the corpus was built.

@@ -75,7 +75,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.out, "out", "", "write the JSON summary to this file")
 	fs.Float64Var(&c.mutateFrac, "mutate-frac", 0, "fraction of the corpus that is graph mutations (mixed/chaos only)")
 	fs.IntVar(&c.batchSize, "batch-size", 8, "items per /v1/explain/batch request (batch and chaos mixes)")
-	fs.Float64Var(&c.dupFrac, "dup-frac", 0.5, "fraction of each batch's items duplicating its first item (cross-request coalescing pressure)")
+	fs.Float64Var(&c.dupFrac, "dup-frac", 0.5, "fraction of each batch's items duplicating its first item (batch grouping pressure)")
 	return c
 }
 

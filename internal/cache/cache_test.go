@@ -3,27 +3,10 @@ package cache
 import (
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func key(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)) }
-
-// waitFor polls cond until it holds; the flights under test park in other
-// goroutines, so there is no event to block on. It reports a timeout with
-// t.Error because leaders call it from inside compute, off the test goroutine.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Errorf("timed out waiting for %s", what)
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
 
 // TestEntryBoundResetsOneShard fills a cache far past its entry bound: the
 // total never exceeds the bound, a shard at its share is dropped wholesale,
@@ -139,146 +122,6 @@ func TestGetAllocsZero(t *testing.T) {
 	}
 }
 
-// TestDoSharesOneComputation holds a leader's computation open until every
-// follower has parked, then releases it — so the counters are deterministic:
-// one computation, one miss, 15 waits on one shared flight, and no flight
-// left behind.
-func TestDoSharesOneComputation(t *testing.T) {
-	c := New[int](1024, 0)
-	const callers = 16
-	k := key(1)
-	var computes atomic.Int32
-	got := make([]int, callers)
-	run := func(i int) {
-		got[i] = c.Do(k, nil, func() (int, int) {
-			computes.Add(1)
-			// Followers bump waits before parking on the flight.
-			waitFor(t, "15 followers on the flight", func() bool { return c.Stats().Waits == callers-1 })
-			return 42, 0
-		})
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); run(0) }()
-	waitFor(t, "the leader", func() bool { return computes.Load() == 1 })
-	for i := 1; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); run(i) }(i)
-	}
-	wg.Wait()
-	for i, v := range got {
-		if v != 42 {
-			t.Fatalf("caller %d got %d, want 42", i, v)
-		}
-	}
-	st := c.Stats()
-	if computes.Load() != 1 || st.Misses != 1 || st.Waits != callers-1 || st.Shared != 1 {
-		t.Fatalf("computes=%d misses=%d waits=%d shared=%d, want 1/1/%d/1", computes.Load(), st.Misses, st.Waits, st.Shared, callers-1)
-	}
-	if len(c.flights) != 0 {
-		t.Fatalf("%d flights left behind", len(c.flights))
-	}
-	// The published entry serves everyone from here on: Do re-checks before
-	// computing, so even a caller that skipped Get computes nothing.
-	if v := c.Do(k, nil, func() (int, int) { t.Error("computed a resident key"); return 0, 0 }); v != 42 {
-		t.Fatalf("post-flight Do = %d, want 42", v)
-	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("post-flight hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
-	}
-}
-
-// TestDoCancelledFollowerRecomputes parks a follower behind a stuck leader
-// and fires its cancel channel: it computes locally instead of wedging.
-func TestDoCancelledFollowerRecomputes(t *testing.T) {
-	c := New[int](1024, 0)
-	k := key(1)
-	hold, leaderIn := make(chan struct{}), make(chan struct{})
-	leaderDone := make(chan int, 1)
-	go func() {
-		leaderDone <- c.Do(k, nil, func() (int, int) {
-			close(leaderIn)
-			<-hold
-			return 42, 0
-		})
-	}()
-	<-leaderIn
-
-	cancel := make(chan struct{})
-	followerDone := make(chan int, 1)
-	go func() {
-		followerDone <- c.Do(k, cancel, func() (int, int) { return 42, 0 })
-	}()
-	waitFor(t, "the follower to park", func() bool { return c.Stats().Waits == 1 })
-	close(cancel)
-	select {
-	case v := <-followerDone:
-		if v != 42 {
-			t.Fatalf("cancelled follower got %d, want 42", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled follower never returned")
-	}
-	close(hold)
-	if v := <-leaderDone; v != 42 {
-		t.Fatalf("leader got %d, want 42", v)
-	}
-	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
-		t.Fatalf("misses=%d entries=%d, want 2 computations and 1 entry", st.Misses, st.Entries)
-	}
-}
-
-// TestDoLeaderPanicReleasesFollowers kills the leader inside compute: its
-// followers are released, compute for themselves, and no flight stays
-// registered to wedge later callers.
-func TestDoLeaderPanicReleasesFollowers(t *testing.T) {
-	c := New[int](1024, 0)
-	const followers = 4
-	k := key(1)
-	leaderIn, die := make(chan struct{}), make(chan struct{})
-	leaderDone := make(chan any, 1)
-	go func() {
-		defer func() { leaderDone <- recover() }()
-		c.Do(k, nil, func() (int, int) {
-			close(leaderIn)
-			<-die
-			panic("leader died")
-		})
-	}()
-	<-leaderIn
-
-	var computes atomic.Int32
-	var wg sync.WaitGroup
-	got := make([]int, followers)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = c.Do(k, nil, func() (int, int) { computes.Add(1); return 42, 0 })
-		}(i)
-	}
-	waitFor(t, "the followers to park", func() bool { return c.Stats().Waits == followers })
-	close(die)
-	wg.Wait()
-	if r := <-leaderDone; r != "leader died" {
-		t.Fatalf("leader recovered %v, want its own panic", r)
-	}
-	for i, v := range got {
-		if v != 42 {
-			t.Fatalf("follower %d got %d, want 42", i, v)
-		}
-	}
-	if n := computes.Load(); n != followers {
-		t.Fatalf("%d followers recomputed, want %d", n, followers)
-	}
-	if len(c.flights) != 0 {
-		t.Fatalf("%d flights left behind by the dead leader", len(c.flights))
-	}
-	if v, ok := c.Get(k); !ok || v != 42 {
-		t.Fatalf("the recomputed value is not resident: %d, %v", v, ok)
-	}
-}
-
 // TestCarryRewrites carries a filtered, rewritten copy: dropped keys are
 // gone, kept ones hold keep's value at the size they had, and the source is
 // untouched.
@@ -308,21 +151,23 @@ func TestCarryRewrites(t *testing.T) {
 }
 
 // TestConcurrentMixed hammers one small cache with every method at once; run
-// under -race it certifies the locking, and the bound must hold throughout.
+// under -race it certifies the locking, the bound must hold throughout, and
+// every Get counts exactly one hit or one miss.
 func TestConcurrentMixed(t *testing.T) {
-	const bound = 8 * numShards
+	const bound, workers, gets = 8 * numShards, 8, 2000
 	c := New[int](bound, 0)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < gets; i++ {
 				k := key((i*7 + w) % 400)
 				want := int(binary.BigEndian.Uint32(k))
 				v, ok := c.Get(k)
 				if !ok {
-					v = c.Do(k, nil, func() (int, int) { return want, 0 })
+					v = want
+					c.Put(k, v, 0)
 				}
 				if v != want {
 					t.Errorf("key %d resolved to %d", want, v)
@@ -339,4 +184,7 @@ func TestConcurrentMixed(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if st := c.Stats(); st.Hits+st.Misses != workers*gets {
+		t.Fatalf("%d hits + %d misses, want %d lookups", st.Hits, st.Misses, workers*gets)
+	}
 }

@@ -295,12 +295,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 	}
 	opts.fill()
 	st := e.states.Get()
-	// The request context rides on the matching context so a wait on another
-	// request's plan or count computation ends with this request; detach
-	// before the state returns to the pool.
-	st.ctx.SetRequest(ctx)
 	defer func() {
-		st.ctx.SetRequest(nil)
 		if opts.ResultSample > defaultResultSample {
 			st.orig, st.cand, st.score = match.Rows{}, match.Rows{}, metrics.ResultScratch{}
 		}

@@ -42,18 +42,17 @@ func (m *Matcher) candidates(cs *compileScratch, preds []flatPred, words int) ([
 }
 
 // resolveCandidates returns the shared cache entry for one flattened
-// predicate set keyed by key; a miss resolves it once however many requests
-// ask (cache.Do). The entry is read-only; scratch is the caller's reusable
-// pool buffer for the indexed access path.
+// predicate set keyed by key; a miss resolves it and Puts it. The entry is
+// read-only; scratch is the caller's reusable pool buffer for the indexed
+// access path.
 func (m *Matcher) resolveCandidates(key []byte, preds []flatPred, words int, scratch *[]graph.VertexID) *candEntry {
 	if e, ok := m.candCache.Get(key); ok {
 		return e
 	}
-	return m.candCache.Do(key, nil, func() (*candEntry, int) {
-		list, bits := m.candidatesFlat(preds, words, scratch)
-		e := &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
-		return e, e.bytes(len(key))
-	})
+	list, bits := m.candidatesFlat(preds, words, scratch)
+	e := &candEntry{list: list, bits: bits, preds: append([]flatPred(nil), preds...)}
+	m.candCache.Put(key, e, e.bytes(len(key)))
+	return e
 }
 
 // CandCacheStats reports the candidate cache's hit and miss counters and its

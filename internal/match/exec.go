@@ -28,12 +28,6 @@ type Ctx struct {
 	// compile is the scratch of the plans this context compiles.
 	compile compileScratch
 
-	// req is the serving request's context, carried on the execution context
-	// so that a follower waiting on another request's plan or count
-	// computation (cache.Do) stops waiting when its own request ends. Nil
-	// outside a request.
-	req context.Context
-
 	// per-run state
 	p     *Plan
 	mode  uint8
@@ -47,20 +41,9 @@ type Ctx struct {
 	found Rows
 }
 
-// SetRequest attaches (or, with nil, detaches) the serving request's context.
-// The search layers set it when a run begins so that waiting on a shared
-// plan or count computation ends with the request; it never cancels or times
-// the execution itself.
-func (c *Ctx) SetRequest(ctx context.Context) { c.req = ctx }
-
-// Request returns the attached request context, context.Background() when
-// none is attached.
-func (c *Ctx) Request() context.Context {
-	if c.req == nil {
-		return context.Background()
-	}
-	return c.req
-}
+// SetRequest does nothing: an execution context holds no request state. It
+// stays, inert, until the benchmark harness that calls it stops doing so.
+func (c *Ctx) SetRequest(context.Context) {}
 
 const (
 	modeCount uint8 = iota

@@ -88,8 +88,8 @@ type Matcher struct {
 	ctxs  cache.FreeList[*Ctx]
 
 	// The three caches are instances of internal/cache (sharding, epoch
-	// eviction, counters, miss coalescing and carry-over live there); what
-	// this package adds is the key encoders and the bounds below.
+	// eviction, counters and carry-over live there); what this package adds
+	// is the key encoders and the bounds below.
 	//
 	// candCache: flattened-predicate key → shared candidate list and bitset,
 	// so compiling the thousands of query variants a rewriting search
@@ -214,9 +214,9 @@ func (m *Matcher) CountKeyed(c *Ctx, q *query.Query, key string, cap int) int {
 
 // count is the one count path behind the Count* wrappers. The (key, cap)
 // pair is first resolved against the executed-count cache; only a novel pair
-// compiles (plan cache) and executes, and concurrent misses on one pair
-// share one execution (cache.Do). A repeat query — almost all of them across
-// a rewriting search — performs zero compilations and zero allocations.
+// compiles (plan cache), executes and is Put. A repeat query — almost all of
+// them across a rewriting search — performs zero compilations and zero
+// allocations.
 func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
 	if q.NumVertices() == 0 {
 		return 0
@@ -232,9 +232,9 @@ func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
 	if n, ok := m.countCache.Get(c.cntBuf); ok {
 		return n
 	}
-	return m.countCache.Do(c.cntBuf, c.Request().Done(), func() (int, int) {
-		return m.cachedPlan(c, q).Count(c, cap), 0
-	})
+	n := m.cachedPlan(c, q).Count(c, cap)
+	m.countCache.Put(c.cntBuf, n, 0)
+	return n
 }
 
 func (m *Matcher) getPlan(c *Ctx, q *query.Query) *Plan {

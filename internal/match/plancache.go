@@ -78,16 +78,6 @@ func (m *Matcher) PlanCacheStats() (hits, misses, entries int) {
 	return m.planCache.Stats().Counts()
 }
 
-// CoalesceStats reports the stampede counters over the three caches: waits
-// is the number of lookups that parked behind another request's in-flight
-// candidate resolution, compile or count instead of duplicating it, shared
-// the number of those computations whose result was delivered to at least
-// one waiter.
-func (m *Matcher) CoalesceStats() (waits, shared int64) {
-	a, b, c := m.candCache.Stats(), m.planCache.Stats(), m.countCache.Stats()
-	return a.Waits + b.Waits + c.Waits, a.Shared + b.Shared + c.Shared
-}
-
 // loadKey materializes q's binary canonical key into c.keyBuf, copying the
 // caller's precomputed key when one is given (the searches dedup executed
 // candidates on exactly that key) and deriving it otherwise. Either way the
@@ -101,16 +91,14 @@ func (c *Ctx) loadKey(q *query.Query, key string) {
 }
 
 // cachedPlan resolves the shared compiled plan for the query whose binary
-// canonical key sits in c.keyBuf (see loadKey). Concurrent misses on one
-// novel key share one compilation (cache.Do), so every plan-cache miss is
-// exactly one compilation even under a cold burst.
+// canonical key sits in c.keyBuf (see loadKey). A miss compiles and Puts the
+// plan, so every plan-cache miss is exactly one compilation.
 func (m *Matcher) cachedPlan(c *Ctx, q *query.Query) *Plan {
 	if p, ok := m.planCache.Get(c.keyBuf); ok {
 		return p
 	}
-	return m.planCache.Do(c.keyBuf, c.Request().Done(), func() (*Plan, int) {
-		p := &Plan{}
-		m.compileInto(p, q, &c.compile)
-		return p, planBytes(len(c.keyBuf), p)
-	})
+	p := &Plan{}
+	m.compileInto(p, q, &c.compile)
+	m.planCache.Put(c.keyBuf, p, planBytes(len(c.keyBuf), p))
+	return p
 }

@@ -61,8 +61,10 @@ func (g *Gate) Queued() int { return int(g.queued.Load()) }
 //  1. Sample this gate's occupancy, (queued + in-flight) / (queue bound +
 //     slots), into the brownout controller; in the shedding state the
 //     request is refused with ErrShedding before it touches the queue.
-//  2. Claim a place in the bounded queue; none left is ErrQueueFull.
-//  3. Wait for an execution slot under ctx and maxWait; waiting out maxWait
+//  2. Take a free execution slot at once, if there is one.
+//  3. Otherwise claim a place in the bounded queue; none left is
+//     ErrQueueFull.
+//  4. Wait for an execution slot under ctx and maxWait; waiting out maxWait
 //     is ErrQueueWait, ctx ending first is ctx.Err().
 //
 // On success err is nil and the caller must call release exactly once to
@@ -73,6 +75,14 @@ func (g *Gate) Enter(ctx context.Context, maxWait time.Duration) (release func()
 	state = g.ctl.sample(occupancy)
 	if state == Shedding {
 		return nil, state, ErrShedding
+	}
+	// Only a request that must wait takes a queue place: simultaneous
+	// arrivals at a gate with free slots are never refused as a full queue.
+	select {
+	case g.sem <- struct{}{}:
+		g.inFlight.Add(1)
+		return g.leave, state, nil
+	default:
 	}
 	if int(g.queued.Add(1)) > g.queueCap {
 		g.queued.Add(-1)

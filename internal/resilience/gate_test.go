@@ -73,3 +73,20 @@ func TestGateLadder(t *testing.T) {
 		t.Fatalf("a shed request touched the gate: queued %d inFlight %d", g.Queued(), g.InFlight())
 	}
 }
+
+// TestGateFreeSlotNeedsNoQueuePlace sets the queue count to its bound while a
+// slot is free, as concurrent arrivals leave it in the instant between
+// claiming a place and taking their slots: the next request takes the free
+// slot instead of being refused as a full queue.
+func TestGateFreeSlotNeedsNoQueuePlace(t *testing.T) {
+	g := NewController(Config{}).NewGate(2, 1)
+	g.queued.Store(1)
+	release, _, err := g.Enter(context.Background(), time.Second)
+	if err != nil {
+		t.Fatalf("Enter with a free slot and a counted-full queue = %v, want admission", err)
+	}
+	if g.InFlight() != 1 || g.Queued() != 1 {
+		t.Fatalf("after Enter: inFlight %d queued %d, want 1 1", g.InFlight(), g.Queued())
+	}
+	release()
+}

@@ -182,16 +182,11 @@ func (e *Executor) Begin(ctrl Control) {
 	e.trace = e.trace[:0]
 	e.last = 0
 	e.executions, e.dedupHits = 0, 0
-	// Attach the run's request context to the execution context so a wait on
-	// another request's plan or count computation ends with this run's
-	// request. End detaches.
-	e.mctx.SetRequest(ctrl.Ctx)
 }
 
 // End closes the run, flushing the kernel counters into Control.Metrics when
 // one was supplied.
 func (e *Executor) End() {
-	e.mctx.SetRequest(nil)
 	if e.ctrl.Metrics != nil {
 		e.ctrl.Metrics.add(e.Counters())
 	}

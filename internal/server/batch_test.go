@@ -1,11 +1,11 @@
 package server
 
 // Differential and fault tests for POST /v1/explain/batch, plus the
-// cold-burst stampede test for cross-request count coalescing. The batch
-// contract under test: Items[i] of the response carries byte-for-byte the
-// data (or structured error) that request i would have received from a
-// separate /v1/explain call, whatever mixture of valid, invalid and degraded
-// items the batch carries.
+// cold-burst stampede test (identical explains at once on a cold engine).
+// The batch contract under test: Items[i] of the response carries
+// byte-for-byte the data (or structured error) that request i would have
+// received from a separate /v1/explain call, whatever mixture of valid,
+// invalid and degraded items the batch carries.
 
 import (
 	"encoding/json"
@@ -185,16 +185,13 @@ func smallLDBCServer(workers int) *Server {
 	return s
 }
 
-// TestColdBurstCoalesces is the stampede test: 16 identical explains hit a
-// cold engine concurrently, and cross-request coalescing must hold the
-// plan-compilation and executed-count miss totals to exactly what one
-// sequential warm-up pays — one miss per distinct key — while every caller
-// still gets byte-identical answers. Run under -race in CI.
-func TestColdBurstCoalesces(t *testing.T) {
+// TestColdBurstIdentical is the stampede test: 16 identical explains hit a
+// cold engine concurrently — each may compute the same plans and counts —
+// and every caller must still get the answer a sequential run gives, byte for
+// byte. Run under -race in CI.
+func TestColdBurstIdentical(t *testing.T) {
 	req := wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 1", Failing: true, Lower: 1, Budget: 60}
 
-	// Sequential baseline on a fresh engine: its miss totals are "one miss
-	// per distinct key" by construction.
 	seq := smallLDBCServer(4)
 	sh := seq.Handler()
 	var want []byte
@@ -206,11 +203,9 @@ func TestColdBurstCoalesces(t *testing.T) {
 			t.Fatalf("sequential run %d nondeterministic", i)
 		}
 	}
-	seqStats := decodeData[wire.StatsResponse](t, do(t, sh, "GET", "/v1/stats", nil)).Datasets["ldbc"]
 
 	// The burst: 16 goroutines released together against a cold engine.
-	burst := smallLDBCServer(4)
-	bh := burst.Handler()
+	bh := smallLDBCServer(4).Handler()
 	start := make(chan struct{})
 	blobs := make([][]byte, 16)
 	var wg sync.WaitGroup
@@ -228,32 +223,6 @@ func TestColdBurstCoalesces(t *testing.T) {
 		if string(blob) != string(want) {
 			t.Errorf("burst caller %d differs from sequential answer:\n burst: %s\n seq: %s", i, blob, want)
 		}
-	}
-	burstStats := decodeData[wire.StatsResponse](t, do(t, bh, "GET", "/v1/stats", nil)).Datasets["ldbc"]
-	if burstStats.PlanCache.Misses != seqStats.PlanCache.Misses {
-		t.Errorf("burst compiled %d plans, sequential %d — plan stampede not coalesced",
-			burstStats.PlanCache.Misses, seqStats.PlanCache.Misses)
-	}
-	if burstStats.CountCache.Misses != seqStats.CountCache.Misses {
-		t.Errorf("burst executed %d count misses, sequential %d — count stampede not coalesced",
-			burstStats.CountCache.Misses, seqStats.CountCache.Misses)
-	}
-
-	// The stampede counters surface in /v1/stats straight from the matcher.
-	// Their non-zero semantics are asserted deterministically in
-	// internal/match's coalescing race test, where the overlap is forced via
-	// channels — a burst on a single-CPU runner may legitimately serialize
-	// and record no waits, so here we pin the plumbing, not the value.
-	ds, ok := burst.lookup("ldbc")
-	if !ok {
-		t.Fatal("burst server lost its dataset")
-	}
-	waits, shared := ds.engine().Matcher().CoalesceStats()
-	if burstStats.Coalescing.Waits != waits || burstStats.Coalescing.Shared != shared {
-		t.Errorf("stats coalescing %+v != matcher counters (%d, %d)", burstStats.Coalescing, waits, shared)
-	}
-	if seqStats.Coalescing.Waits != 0 {
-		t.Errorf("sequential run recorded %d coalesced waits, want 0", seqStats.Coalescing.Waits)
 	}
 }
 

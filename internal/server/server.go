@@ -603,8 +603,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.CountCache = wire.NewCacheStats(m.CountCacheStats())
 		st.CandCache = wire.NewCacheStats(m.CandCacheStats())
 		st.StatsCache = wire.NewCacheStats(eng.Stats().CacheStats())
-		waits, shared := m.CoalesceStats()
-		st.Coalescing = wire.CoalescingStats{Waits: waits, Shared: shared}
 		kernel := eng.KernelCounters()
 		st.Kernel = make(map[string]wire.KernelCounters, len(kernel))
 		for family, c := range kernel {

@@ -53,7 +53,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // do runs one request against the handler and returns the recorder.
-func do(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+func do(t testing.TB, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *bytes.Reader
 	if raw, ok := body.([]byte); ok {
@@ -85,7 +85,7 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 // envelope decodes the body's v1 envelope and checks the transport
 // invariants every v1 response must hold: a non-empty requestId echoed in
 // the X-Request-Id header, and exactly one of data or error.
-func envelope(t *testing.T, rec *httptest.ResponseRecorder) wire.Envelope {
+func envelope(t testing.TB, rec *httptest.ResponseRecorder) wire.Envelope {
 	t.Helper()
 	var env wire.Envelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
@@ -104,7 +104,7 @@ func envelope(t *testing.T, rec *httptest.ResponseRecorder) wire.Envelope {
 }
 
 // decodeData unwraps the envelope's data field of a success response.
-func decodeData[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
+func decodeData[T any](t testing.TB, rec *httptest.ResponseRecorder) T {
 	t.Helper()
 	env := envelope(t, rec)
 	if env.Error != nil {
@@ -129,7 +129,7 @@ func decodeError(t *testing.T, rec *httptest.ResponseRecorder) wire.Error {
 
 // dataBytes returns the raw data bytes of a success envelope — the payload
 // the differential tests compare byte-for-byte against direct engine calls.
-func dataBytes(t *testing.T, rec *httptest.ResponseRecorder) []byte {
+func dataBytes(t testing.TB, rec *httptest.ResponseRecorder) []byte {
 	t.Helper()
 	env := envelope(t, rec)
 	if env.Error != nil {

@@ -33,8 +33,8 @@ const cardCacheCap = 16 << 12
 // fragments (query.AppendKey and the id-free element forms), and
 // cache-missing cardinality queries draw reusable matching contexts from a
 // pool so concurrent collectors stay allocation-free in the matching inner
-// loop. Racing misses on one key share one computation, so the miss counter
-// is the number of statistics computed.
+// loop. Every miss computes its statistic and Puts it, so the miss counter is
+// the number of statistics computed.
 type Collector struct {
 	m    *match.Matcher
 	ctxs cache.FreeList[*match.Ctx]
@@ -108,7 +108,9 @@ func (c *Collector) VertexCardinality(v *query.Vertex) int {
 	if n, ok := c.vertexCard.Get(*kb); ok {
 		return n
 	}
-	return c.vertexCard.Do(*kb, nil, func() (int, int) { return c.m.CandidateCount(v), 0 })
+	n := c.m.CandidateCount(v)
+	c.vertexCard.Put(*kb, n, 0)
+	return n
 }
 
 // EdgeCardinality returns the exact number of data edges matching the query
@@ -121,7 +123,9 @@ func (c *Collector) EdgeCardinality(e *query.Edge) int {
 	if n, ok := c.edgeCard.Get(*kb); ok {
 		return n
 	}
-	return c.edgeCard.Do(*kb, nil, func() (int, int) { return c.m.EdgeCandidateCount(e), 0 })
+	n := c.m.EdgeCandidateCount(e)
+	c.edgeCard.Put(*kb, n, 0)
+	return n
 }
 
 // Path1Cardinality returns the exact number of data paths matching a single
@@ -153,12 +157,11 @@ func (c *Collector) pathCount(q *query.Query, chain []int, key []byte) int {
 	if n, ok := c.pathCard.Get(key); ok {
 		return n
 	}
-	return c.pathCard.Do(key, nil, func() (int, int) {
-		ctx := c.ctxs.Get()
-		n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(key), 0)
-		c.ctxs.Put(ctx)
-		return n, 0
-	})
+	ctx := c.ctxs.Get()
+	n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(key), 0)
+	c.ctxs.Put(ctx)
+	c.pathCard.Put(key, n, 0)
+	return n
 }
 
 // AveragePath1Cardinality is the mean Path(1) cardinality over all query
@@ -205,10 +208,12 @@ func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 fl
 	qkey, frag := *kb, (*kb)[len(*kb):]
 	vcard := func(i int) float64 {
 		payload := qkey[offs[2*i+1]:offs[2*i+2]]
-		if n, ok := c.vertexCard.Get(payload); ok {
-			return float64(n)
+		n, ok := c.vertexCard.Get(payload)
+		if !ok {
+			n = c.m.CandidateCount(vs[i])
+			c.vertexCard.Put(payload, n, 0)
 		}
-		return float64(c.vertexCard.Do(payload, nil, func() (int, int) { return c.m.CandidateCount(vs[i]), 0 }))
+		return float64(n)
 	}
 
 	// Per vertex position: union-find parent, spanning-tree degree, then the

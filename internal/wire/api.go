@@ -44,7 +44,7 @@ type ExplainRequest struct {
 // server's maximum (64) independent explain specs answered in one round trip.
 // Every item carries its own dataset, bounds, and knobs; the per-request
 // TimeoutMs of each item bounds that item alone. Items sharing a canonical
-// query run the search once and fan the answer out (coalescing), which is
+// query run the search once and fan the answer out (grouping), which is
 // observable only in /v1/stats — each item's payload is byte-identical to
 // what a separate /v1/explain call would have returned.
 type BatchExplainRequest struct {
@@ -230,11 +230,10 @@ func NewCacheStats(hits, misses, entries int) CacheStats {
 	return cs
 }
 
-// CoalescingStats reports the matcher's cross-request singleflight counters
-// (GET /v1/stats): Waits is the number of lookups that parked behind another
-// request's in-flight plan compile or executed count instead of duplicating
-// it, Shared the number of compiles/counts whose result was handed to at
-// least one waiter. Both zero means no cache stampede occurred.
+// CoalescingStats is always zero (GET /v1/stats): concurrent cache misses on
+// one key each compute it, so no lookup waits on another and no computation
+// is shared. The type stays until the benchmark that reads
+// coalescing.shared drops it.
 type CoalescingStats struct {
 	Waits  int64 `json:"waits"`
 	Shared int64 `json:"shared"`
@@ -273,7 +272,7 @@ type DatasetStats struct {
 	CandCache      CacheStats                `json:"candCache"`
 	StatsCache     CacheStats                `json:"statsCache"`
 	Kernel         map[string]KernelCounters `json:"kernel"`
-	// Coalescing reports the matcher's singleflight stampede counters.
+	// Coalescing is always zero; see CoalescingStats.
 	Coalescing CoalescingStats `json:"coalescing"`
 	// Sharding is always nil: the daemon serves every dataset from one
 	// process. The field and its types stay until the benchmark that asserts

@@ -9,7 +9,9 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -246,40 +248,40 @@ func randomOp(q *query.Query, dom *stats.Domain, rng *rand.Rand) query.Op {
 	switch rng.Intn(8) {
 	case 0: // delete a vertex predicate
 		vid := vids[rng.Intn(len(vids))]
-		if attr := randKey(q.Vertex(vid).Preds, rng); attr != "" {
+		if attr := randKey(q.Vertex(vid).Preds, rng, nil); attr != "" {
 			return query.DeletePredicate{On: query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}}
 		}
 	case 1: // extend a vertex predicate with a domain value
 		vid := vids[rng.Intn(len(vids))]
-		if attr := randKey(q.Vertex(vid).Preds, rng); attr != "" {
+		if attr := randKey(q.Vertex(vid).Preds, rng, nil); attr != "" {
 			if vals := dom.VertexValues[attr]; len(vals) > 0 {
 				return query.ExtendPredicate{On: query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}, Value: vals[rng.Intn(len(vals))]}
 			}
 		}
 	case 2: // shrink a multi-value vertex predicate
 		vid := vids[rng.Intn(len(vids))]
-		for attr, p := range q.Vertex(vid).Preds {
-			if p.Kind == query.Values && len(p.Vals) > 1 {
-				return query.ShrinkPredicate{On: query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}, Value: p.Vals[rng.Intn(len(p.Vals))]}
-			}
+		preds := q.Vertex(vid).Preds
+		multi := func(p query.Predicate) bool { return p.Kind == query.Values && len(p.Vals) > 1 }
+		if attr := randKey(preds, rng, multi); attr != "" {
+			vals := preds[attr].Vals
+			return query.ShrinkPredicate{On: query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}, Value: vals[rng.Intn(len(vals))]}
 		}
 	case 3: // widen or narrow a range
 		vid := vids[rng.Intn(len(vids))]
-		for attr, p := range q.Vertex(vid).Preds {
-			if p.Kind == query.Range {
-				t := query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}
-				if rng.Intn(2) == 0 {
-					return query.WidenRange{On: t, Delta: float64(1 + rng.Intn(3))}
-				}
-				return query.NarrowRange{On: t, Delta: 1}
+		isRange := func(p query.Predicate) bool { return p.Kind == query.Range }
+		if attr := randKey(q.Vertex(vid).Preds, rng, isRange); attr != "" {
+			t := query.Target{Kind: query.TargetVertex, ID: vid, Attr: attr}
+			if rng.Intn(2) == 0 {
+				return query.WidenRange{On: t, Delta: float64(1 + rng.Intn(3))}
 			}
+			return query.NarrowRange{On: t, Delta: 1}
 		}
 	case 4: // edge predicate delete / extend
 		if len(eids) == 0 {
 			return nil
 		}
 		eid := eids[rng.Intn(len(eids))]
-		if attr := randKey(q.Edge(eid).Preds, rng); attr != "" {
+		if attr := randKey(q.Edge(eid).Preds, rng, nil); attr != "" {
 			t := query.Target{Kind: query.TargetEdge, ID: eid, Attr: attr}
 			if rng.Intn(2) == 0 {
 				return query.DeletePredicate{On: t}
@@ -318,19 +320,16 @@ func randomOp(q *query.Query, dom *stats.Domain, rng *rand.Rand) query.Op {
 	return nil
 }
 
-func randKey(preds map[string]query.Predicate, rng *rand.Rand) string {
-	if len(preds) == 0 {
+// randKey draws one of preds' attributes that keep admits (every attribute
+// when keep is nil), "" when none does. The attributes are sorted before the
+// draw, so the draw depends on the rng alone, never on map order.
+func randKey(preds map[string]query.Predicate, rng *rand.Rand, keep func(query.Predicate) bool) string {
+	keys := slices.Sorted(maps.Keys(preds))
+	if keep != nil {
+		keys = slices.DeleteFunc(keys, func(k string) bool { return !keep(preds[k]) })
+	}
+	if len(keys) == 0 {
 		return ""
-	}
-	keys := make([]string, 0, len(preds))
-	for k := range preds {
-		keys = append(keys, k)
-	}
-	// Deterministic order before the random draw.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
 	}
 	return keys[rng.Intn(len(keys))]
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/match"
+	"repro/internal/query"
 	"repro/internal/stats"
 )
 
@@ -117,5 +119,26 @@ func TestRandomExplanations(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("seeds do not change the stream")
+	}
+
+	// A vertex with two multi-value and two range predicates: which of them
+	// a shrink or a range change picks must not depend on map order, so
+	// every seed generates the same corpus twice.
+	q = LDBCQuery3()
+	preds := q.Vertex(0).Preds
+	preds["type"] = query.In(graph.S("person"), graph.S("forum"))
+	preds["gender"] = query.In(graph.S("female"), graph.S("male"))
+	preds["age"] = query.Between(20, 60)
+	preds["birthYear"] = query.Between(1960, 2000)
+	for seed := int64(1); seed <= 50; seed++ {
+		a, b := RandomExplanations(q, dom, 50, seed), RandomExplanations(q, dom, 50, seed)
+		if len(a) != len(b) {
+			t.Fatalf("seed %d: %d then %d explanations", seed, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Canonical() != b[i].Canonical() {
+				t.Fatalf("seed %d: explanation %d differs between two generations", seed, i)
+			}
+		}
 	}
 }
