@@ -1,6 +1,6 @@
 // Package cache is the engine's one cache: the thesis' re-use of already
 // processed queries (§1.1 contribution 4, the App. B.2 executed-query cache)
-// as a mechanism, instantiated by internal/match for candidate lists,
+// as a mechanism, instantiated by internal/match for candidate sets,
 // compiled plans and executed counts and by internal/stats for the three
 // cardinality statistics.
 //

@@ -54,8 +54,9 @@ func TestReferenceIgnoresCompiledState(t *testing.T) {
 		{"emptied candidate cache", func(m *Matcher) *Matcher {
 			for _, v := range q.Vertices() {
 				e := m.candidateEntry(v)
-				e.list = e.list[:0]
+				e.n = 0
 				clear(e.bits)
+				e.order = e.order[:0]
 			}
 			return m
 		}},

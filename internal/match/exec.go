@@ -2,6 +2,7 @@ package match
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -128,17 +129,21 @@ func (c *Ctx) exec(i int) bool {
 	op := &p.ops[i]
 	switch op.kind {
 	case opStart:
-		for _, dv := range p.cands[op.vslot] {
-			w, b := int(dv)>>6, uint64(1)<<(uint(dv)&63)
-			if c.visV[w]&b != 0 {
-				continue
+		e := p.cands[op.vslot]
+		if e.order != nil {
+			for _, dv := range e.order {
+				if !c.start(i, op, dv) {
+					return false
+				}
 			}
-			c.visV[w] |= b
-			c.vBind[op.vslot] = dv
-			cont := c.exec(i + 1)
-			c.visV[w] &^= b
-			if !cont {
-				return false
+			return true
+		}
+		for k, w := range e.bits {
+			base := (e.lo + k) << 6
+			for ; w != 0; w &= w - 1 {
+				if !c.start(i, op, graph.VertexID(base|bits.TrailingZeros64(w))) {
+					return false
+				}
 			}
 		}
 		return true
@@ -186,11 +191,25 @@ func (c *Ctx) exec(i int) bool {
 	}
 }
 
+// start binds the opStart op's vertex to candidate dv unless an earlier step
+// bound dv, and runs the rest of the plan.
+func (c *Ctx) start(i int, op *planOp, dv graph.VertexID) bool {
+	w, b := int(dv)>>6, uint64(1)<<(uint(dv)&63)
+	if c.visV[w]&b != 0 {
+		return true
+	}
+	c.visV[w] |= b
+	c.vBind[op.vslot] = dv
+	cont := c.exec(i + 1)
+	c.visV[w] &^= b
+	return cont
+}
+
 // expandOver scans one packed adjacency list for the expand op, binding the
 // free vertex and edge for every admissible half-edge.
 func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
-	p := c.p
-	bits := p.candBits[op.vslot]
+	cand := c.p.cands[op.vslot]
+	lo, words := cand.lo, cand.bits
 	for k := range adj {
 		a := &adj[k]
 		ew, eb := int(a.Edge)>>6, uint64(1)<<(uint(a.Edge)&63)
@@ -199,7 +218,7 @@ func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
 		}
 		dv := a.Vertex
 		vw, vb := int(dv)>>6, uint64(1)<<(uint(dv)&63)
-		if c.visV[vw]&vb != 0 || bits[vw]&vb == 0 {
+		if c.visV[vw]&vb != 0 || uint(vw-lo) >= uint(len(words)) || words[vw-lo]&vb == 0 {
 			continue
 		}
 		if !edgeOK(op, a) {

@@ -12,7 +12,7 @@
 // per-component embeddings (§4.3.3).
 //
 // The engine compiles each query into a Plan (dense vertex/edge slots,
-// per-vertex candidate lists computed once, selectivity-ordered steps) and
+// per-vertex candidate sets resolved once, selectivity-ordered steps) and
 // executes it against a flat, reusable Ctx — binding arrays plus visited
 // bitsets — so the backtracking inner loop performs zero allocations. No
 // predicate is evaluated per data element: each is bound once, per compiled
@@ -91,9 +91,9 @@ type Matcher struct {
 	// eviction, counters and carry-over live there); what this package adds
 	// is the key encoders and the bounds below.
 	//
-	// candCache: flattened-predicate key → shared candidate list and bitset,
-	// so compiling the thousands of query variants a rewriting search
-	// executes rescans the graph only for novel predicates.
+	// candCache: flattened-predicate key → shared candidate set, so
+	// compiling the thousands of query variants a rewriting search executes
+	// rescans the graph only for novel predicates.
 	// planCache: binary canonical key → shared read-only plan, so repeat
 	// queries — almost all of them, across the rewriting searches — skip
 	// compilation entirely (see plancache.go).
@@ -129,19 +129,17 @@ func (m *Matcher) Graph() *graph.Graph { return m.g }
 // served from the matcher's candidate cache, so the statistics collectors'
 // cold-cache probes rescan the graph only for novel predicate sets.
 func (m *Matcher) CandidateCount(vq *query.Vertex) int {
-	return len(m.candidateEntry(vq).list)
+	return m.candidateEntry(vq).n
 }
 
 // candidateEntry resolves vq's shared candidate-cache entry (an attribute
-// index or a scan on a cache miss). Its list is shared: read only.
+// index or a scan on a cache miss, collected in a pooled context's compile
+// scratch). The entry is shared: read only.
 func (m *Matcher) candidateEntry(vq *query.Vertex) *candEntry {
-	var keyBuf [128]byte
+	c := m.getCtx()
+	defer m.putCtx(c)
 	var predBuf [8]flatPred
-	preds := flattenPreds(predBuf[:0], vq.Preds)
-	key := appendPredKey(keyBuf[:0], preds)
-	var scratch []graph.VertexID
-	words := (m.g.NumVertices() + 63) / 64
-	return m.resolveCandidates(key, preds, words, &scratch)
+	return m.candidates(&c.compile, flattenPreds(predBuf[:0], vq.Preds))
 }
 
 // EdgeCandidateCount returns the number of data edges matching eq's type and

@@ -81,7 +81,7 @@ type opKind uint8
 
 const (
 	// opStart binds a component start vertex (or an isolated vertex) by
-	// scanning its precomputed candidate list.
+	// walking its precomputed candidate set.
 	opStart opKind = iota
 	// opExpand matches a query edge from a bound endpoint to a free vertex.
 	opExpand
@@ -105,8 +105,8 @@ type planOp struct {
 }
 
 // Plan is a compiled matching plan for one query over one data graph: query
-// vertex/edge ids remapped to dense 0..n-1 slots, per-vertex candidate lists
-// and bitsets computed once (shared by start scans, expansion filtering, and
+// vertex/edge ids remapped to dense 0..n-1 slots, per-vertex candidate sets
+// resolved once (shared by start scans, expansion filtering, and
 // isolated-vertex binding), and search steps ordered by estimated
 // selectivity (candidate count × per-type adjacency volume). A Plan is
 // read-only during execution and may be shared by contexts on different
@@ -119,14 +119,13 @@ type Plan struct {
 	vids []int // vertex slot → query vertex id (ascending)
 	eids []int // edge slot → query edge id (in step order)
 
-	vpreds   [][]flatPred       // per vertex slot, key-sorted
-	cands    [][]graph.VertexID // per vertex slot, candidates computed once
-	candBits [][]uint64         // per vertex slot, candidate bitset over data vertices
-	ops      []planOp
+	vpreds [][]flatPred // per vertex slot, key-sorted
+	cands  []*candEntry // per vertex slot, the shared candidate set
+	ops    []planOp
 }
 
-// compileScratch is what a compilation uses and no execution reads: the
-// indexed access path's posting-list ids, the candidate-cache key and the
+// compileScratch is what a compilation uses and no execution reads: the ids
+// a candidate access path collects, the candidate-cache key and the
 // planner's bound-vertex and used-edge flags. It lives on the compiling Ctx,
 // so a cached plan pins none of it.
 type compileScratch struct {
@@ -136,14 +135,14 @@ type compileScratch struct {
 	usedEdge []bool
 }
 
-// CandidateCount returns the compiled candidate-list size of a query vertex
+// CandidateCount returns the compiled candidate-set size of a query vertex
 // id, or -1 when the vertex is not part of the plan.
 func (p *Plan) CandidateCount(qid int) int {
 	s := p.vertexSlot(qid)
 	if s < 0 {
 		return -1
 	}
-	return len(p.cands[s])
+	return p.cands[s].n
 }
 
 // vertexSlot maps a query vertex id to its dense slot via binary search
@@ -181,18 +180,16 @@ func (m *Matcher) compileInto(p *Plan, q *query.Query, cs *compileScratch) {
 	for len(p.vpreds) < nv {
 		p.vpreds = append(p.vpreds, nil)
 		p.cands = append(p.cands, nil)
-		p.candBits = append(p.candBits, nil)
 	}
-	words := (g.NumVertices() + 63) / 64
 
-	// Flatten predicates and resolve each vertex's candidate list and bitset
-	// exactly once, through the matcher's candidate cache: the rewriting
-	// searches execute thousands of query variants that share almost all of
-	// their vertex predicates, so most compilations never rescan the graph.
+	// Flatten predicates and resolve each vertex's candidate set exactly
+	// once, through the matcher's candidate cache: the rewriting searches
+	// execute thousands of query variants that share almost all of their
+	// vertex predicates, so most compilations never rescan the graph.
 	for s := 0; s < nv; s++ {
 		v := q.Vertex(vids[s])
 		p.vpreds[s] = flattenPreds(p.vpreds[s][:0], v.Preds)
-		p.cands[s], p.candBits[s] = m.candidates(cs, p.vpreds[s], words)
+		p.cands[s] = m.candidates(cs, p.vpreds[s])
 	}
 
 	p.planOps(q, cs)
@@ -207,18 +204,16 @@ func flattenPreds(dst []flatPred, preds map[string]query.Predicate) []flatPred {
 	return dst
 }
 
-// candidatesFlat computes the data vertices satisfying the flattened
-// predicates, bound to their columns first, as a list and as a bitset of words
-// words. An indexed equality predicate is preferred as the access path — its
-// posting lists, value after value, are the list's order — and a scan in id
-// order serves otherwise. The list is allocated at its final size. scratch is
-// a reusable buffer for the posting-list ids.
-func (m *Matcher) candidatesFlat(preds []flatPred, words int, scratch *[]graph.VertexID) ([]graph.VertexID, []uint64) {
-	bits := make([]uint64, words)
+// candidatesFlat collects the data vertices satisfying the flattened
+// predicates, bound to their columns first, into *scratch and returns them.
+// An indexed equality predicate is preferred as the access path — its posting
+// lists, value after value, are the order returned — and a scan in id order
+// serves otherwise.
+func (m *Matcher) candidatesFlat(preds []flatPred, scratch *[]graph.VertexID) []graph.VertexID {
 	var boundBuf [8]boundPred
 	bound, ok := bindPreds(boundBuf[:0], m.g.VertexColumns(), preds)
 	if !ok {
-		return nil, bits
+		return nil
 	}
 	for i := range preds {
 		fp := &preds[i]
@@ -244,30 +239,21 @@ func (m *Matcher) candidatesFlat(preds []flatPred, words int, scratch *[]graph.V
 		for _, id := range pool {
 			if hasAll(bound, int32(id)) {
 				pool[n] = id
-				bits[int(id)>>6] |= 1 << (uint(id) & 63)
 				n++
 			}
 		}
-		list := make([]graph.VertexID, n)
-		copy(list, pool)
-		return list, bits
+		return pool[:n]
 	}
 	// The explicit tombstone check keeps predicate-free pattern vertices from
 	// binding removed slots.
-	n, nv := 0, m.g.NumVertices()
-	for i := 0; i < nv; i++ {
+	ids := (*scratch)[:0]
+	for i, nv := 0, m.g.NumVertices(); i < nv; i++ {
 		if hasAll(bound, int32(i)) && !m.g.VertexRemoved(graph.VertexID(i)) {
-			bits[i>>6] |= 1 << (uint(i) & 63)
-			n++
+			ids = append(ids, graph.VertexID(i))
 		}
 	}
-	list := make([]graph.VertexID, 0, n)
-	for i := 0; len(list) < n; i++ {
-		if bits[i>>6]&(1<<(uint(i)&63)) != 0 {
-			list = append(list, graph.VertexID(i))
-		}
-	}
-	return list, bits
+	*scratch = ids
+	return ids
 }
 
 // planOps orders the search: per weakly connected component, a start vertex
@@ -314,7 +300,7 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 		// (comp is ascending).
 		best, bestCount := -1, -1
 		for _, vid := range comp {
-			c := len(p.cands[p.vertexSlot(vid)])
+			c := p.cands[p.vertexSlot(vid)].n
 			if best == -1 || c < bestCount {
 				best, bestCount = vid, c
 			}
@@ -349,7 +335,7 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 				if fb {
 					free = ts
 				}
-				score := int64(len(p.cands[free])+1) * (p.typeVolume(e) + 1)
+				score := int64(p.cands[free].n+1) * (p.typeVolume(e) + 1)
 				if chosen == -1 || score < bestScore {
 					chosen, bestScore = i, score
 				}

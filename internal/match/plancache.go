@@ -17,17 +17,23 @@ import "repro/internal/query"
 // for concurrent requests. Bounded like the candidate cache:
 // steady-state workloads — whose distinct candidate queries number in the
 // hundreds — stay permanently warm; adversarial query streams stay bounded.
+// The entry bound is what binds: a plan holds a dozen small pointer-rich
+// slices, and 1024 of them is about the residency the byte bound allowed
+// while every plan was accounted a whole-graph bitset per vertex. At 8192
+// entries a never-repeating query stream kept several times as many plans,
+// for half again the collector's CPU and no hits.
 const (
-	planCacheCap      = 8192
+	planCacheCap      = 1024
 	planCacheMaxBytes = 64 << 20
 )
 
 // planBytes approximates a cached plan's resident size, including the
-// candidate lists and bitsets it references. Those are shared with the
-// candidate cache — counting them here double-counts while both caches hold
-// them — but a plan can outlive a candidate-cache epoch reset, at which
-// point it pins entries no longer accounted anywhere; overcounting keeps
-// planCacheMaxBytes a real bound on what the plan cache can pin.
+// candidate sets it references (their windowed bitsets and, on an interleaved
+// posting path, their order lists). Those are shared with the candidate cache
+// — counting them here double-counts while both caches hold them — but a plan
+// can outlive a candidate-cache epoch reset, at which point it pins entries
+// no longer accounted anywhere; overcounting keeps planCacheMaxBytes a real
+// bound on what the plan cache can pin.
 func planBytes(keyLen int, p *Plan) int {
 	n := keyLen + 96
 	n += len(p.vids)*8 + len(p.eids)*8
@@ -39,7 +45,7 @@ func planBytes(keyLen int, p *Plan) int {
 		}
 	}
 	for s := 0; s < p.nv; s++ {
-		n += len(p.vpreds[s])*32 + len(p.cands[s])*4 + len(p.candBits[s])*8
+		n += len(p.vpreds[s])*32 + len(p.cands[s].bits)*8 + len(p.cands[s].order)*4
 	}
 	return n
 }

@@ -193,7 +193,7 @@ func TestCachedPlanHoldsNoScratch(t *testing.T) {
 		t.Fatal("query must have results")
 	}
 	accounted := map[string]bool{"g": true, "nv": true, "ne": true, "vids": true, "eids": true,
-		"vpreds": true, "cands": true, "candBits": true, "ops": true}
+		"vpreds": true, "cands": true, "ops": true}
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(*p)) {
 		if !accounted[f.Name] {
 			t.Errorf("Plan.%s is neither read by an execution nor counted by planBytes", f.Name)

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -106,6 +108,59 @@ func (r *Rows) SetResults(rs []Result) {
 		}
 	}
 	r.n = len(rs)
+}
+
+// FindSorted enumerates result graphs for q up to opts.Limit into rows on a
+// pooled context, like FindRows, and sorts them in place into SortResults'
+// order: the edge columns are put in ascending query-edge id order and the
+// rows in lexicographic order of their tuples (vertex bindings by ascending
+// query-vertex id, then edge bindings by ascending query-edge id). It is Find
+// followed by SortResults without a map per result.
+func (m *Matcher) FindSorted(q *query.Query, opts Options, rows *Rows) {
+	c := m.getCtx()
+	defer m.putCtx(c)
+	m.FindRows(c, q, opts, rows)
+	rows.sort()
+}
+
+// sort orders the edge columns by query-edge id and then the rows
+// lexicographically. A plan emits its edge columns in step order, which
+// differs from id order whenever the selectivity order does.
+func (r *Rows) sort() {
+	nv, ne := len(r.VIDs), len(r.EIDs)
+	tmp := make([]int32, r.Width())
+	if !slices.IsSorted(r.EIDs) {
+		perm := make([]int, ne) // new edge column s is old column perm[s]
+		for s := range perm {
+			perm[s] = s
+		}
+		slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(r.EIDs[a], r.EIDs[b]) })
+		for i := 0; i < r.n; i++ {
+			row := r.Row(i)[nv:]
+			for s, old := range perm {
+				tmp[s] = row[old]
+			}
+			copy(row, tmp[:ne])
+		}
+		slices.Sort(r.EIDs)
+	}
+	sort.Sort(rowOrder{r, tmp})
+}
+
+// rowOrder sorts a Rows' tuples lexicographically in place; tmp is one
+// row of swap space.
+type rowOrder struct {
+	r   *Rows
+	tmp []int32
+}
+
+func (o rowOrder) Len() int           { return o.r.n }
+func (o rowOrder) Less(i, j int) bool { return slices.Compare(o.r.Row(i), o.r.Row(j)) < 0 }
+func (o rowOrder) Swap(i, j int) {
+	a, b := o.r.Row(i), o.r.Row(j)
+	copy(o.tmp, a)
+	copy(a, b)
+	copy(b, o.tmp)
 }
 
 // FindRows enumerates result graphs for q up to opts.Limit into rows,

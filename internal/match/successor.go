@@ -9,10 +9,10 @@ import (
 // with d what its batch changed — that starts with the cache entries of prev
 // the batch provably cannot have changed:
 //
-//   - a candidate list survives unless a vertex the batch added or removed
-//     satisfies the list's predicates (existing vertices keep their
-//     attributes, so nothing else enters or leaves it); its bitset is
-//     re-allocated only when the vertex count crossed a multiple of 64;
+//   - a candidate set survives unless a vertex the batch added or removed
+//     satisfies the set's predicates (existing vertices keep their
+//     attributes, so nothing else enters or leaves it) and is shared as it
+//     is: its bitset spans its own members, which the batch did not move;
 //   - an executed count survives unless its key admits a touched edge type
 //     or, with vertices touched, has a vertex no edge mentions
 //     (query.CountMayChange has the argument).
@@ -29,17 +29,11 @@ func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 	for id := int(d.FirstVertex); id < g.NumVertices(); id++ {
 		touched = append(touched, g.VertexAttrs(graph.VertexID(id)))
 	}
-	words := (g.NumVertices() + 63) / 64
 	prev.candCache.Carry(m.candCache, func(_ string, e *candEntry) (*candEntry, bool) {
 		for _, attrs := range touched {
 			if matchFlat(attrs, e.preds) {
 				return nil, false
 			}
-		}
-		if len(e.bits) != words {
-			bits := make([]uint64, words)
-			copy(bits, e.bits)
-			e = &candEntry{list: e.list, bits: bits, preds: e.preds}
 		}
 		return e, true
 	})

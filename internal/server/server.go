@@ -810,11 +810,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			done <- wire.MatchResponse{Count: m.Count(q, countCap)}
 			return
 		}
-		results := m.Find(q, match.Options{Limit: limit})
-		match.SortResults(results)
-		resp := wire.MatchResponse{Count: len(results)}
-		for _, res := range results {
-			resp.Results = append(resp.Results, wire.FromResult(res))
+		var rows match.Rows
+		m.FindSorted(q, match.Options{Limit: limit}, &rows)
+		resp := wire.MatchResponse{Count: rows.Len()}
+		for i := 0; i < rows.Len(); i++ {
+			resp.Results = append(resp.Results, wire.FromRow(&rows, i))
 		}
 		done <- resp
 	}()

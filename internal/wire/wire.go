@@ -415,3 +415,21 @@ func FromResult(r match.Result) Result {
 	}
 	return wr
 }
+
+// FromRow encodes result i of a result set in row form, as FromResult
+// encodes the same result graph.
+func FromRow(r *match.Rows, i int) Result {
+	row := r.Row(i)
+	nv := len(r.VIDs)
+	wr := Result{Vertices: make(map[string]int64, nv)}
+	for s, q := range r.VIDs {
+		wr.Vertices[strconv.Itoa(q)] = int64(row[s])
+	}
+	if len(r.EIDs) > 0 {
+		wr.Edges = make(map[string]int64, len(r.EIDs))
+		for s, q := range r.EIDs {
+			wr.Edges[strconv.Itoa(q)] = int64(row[nv+s])
+		}
+	}
+	return wr
+}
