@@ -1,0 +1,98 @@
+//go:build !race
+
+// The race detector's instrumentation allocates, so this pin exists only in
+// uninstrumented builds.
+
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"repro/internal/resilience"
+	"repro/internal/wire"
+	"repro/internal/workload"
+)
+
+// TestTransportAllocs pins what a warm answer of each hot endpoint leaves
+// for the collector, driven through Server.Handler() with every cache hit:
+// the LDBC failing-variant explains at budget 150, and a find-mode
+// /v1/match at limit 100. Request and recorder set-up are counted on both,
+// so the figures are whole-request costs. Machine-independent; the speed
+// itself is whybench's explain_repeat and match_unique.
+func TestTransportAllocs(t *testing.T) {
+	// An explain reads 653 objects / 67 KB and a find 117 objects / 28 KB.
+	// Encoding wire values through encoding/json, with the envelope
+	// re-marshaling the payload, read 802 / 86 KB and 1 328 / 109 KB.
+	const (
+		maxExplainObjects, maxExplainBytes = 700, 72 << 10
+		maxFindObjects, maxFindBytes       = 150, 34 << 10
+	)
+	s := newTestServer(t, Config{})
+	s.Resilience().ForceState(resilience.Healthy)
+	h := s.Handler()
+	var explains [][]byte
+	for _, nq := range workload.LDBCQueries() {
+		body, err := json.Marshal(wire.ExplainRequest{Dataset: "ldbc", Builtin: nq.Name, Failing: true, Lower: 1, Budget: 150})
+		if err != nil {
+			t.Fatal(err)
+		}
+		explains = append(explains, body)
+	}
+	person := map[string]wire.Predicate{"type": {Kind: "values", Values: []wire.Value{{Kind: "string", Str: "person"}}}}
+	find, err := json.Marshal(wire.MatchRequest{Dataset: "ldbc", Mode: "find", Limit: 100, Query: &wire.Query{
+		Vertices: []wire.Vertex{{ID: 0, Preds: person}, {ID: 1, Preds: person}},
+		Edges:    []wire.Edge{{ID: 0, From: 0, To: 1, Types: []string{"knows"}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: got %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	if n := decodeData[wire.MatchResponse](t, serve("/v1/match", find)).Count; n != 100 {
+		t.Fatalf("the find answers %d results, want the limit 100", n)
+	}
+	perRequest := func(path string, bodies [][]byte) (objects, bytes uint64) {
+		cycle := func(n int) {
+			for ; n > 0; n-- {
+				for _, body := range bodies {
+					serve(path, body)
+				}
+			}
+		}
+		cycle(10)
+		const cycles = 50
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		cycle(cycles)
+		runtime.ReadMemStats(&after)
+		n := uint64(cycles * len(bodies))
+		return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	for _, c := range []struct {
+		name                 string
+		path                 string
+		bodies               [][]byte
+		maxObjects, maxBytes uint64
+	}{
+		{"explain", "/v1/explain", explains, maxExplainObjects, maxExplainBytes},
+		{"find", "/v1/match", [][]byte{find}, maxFindObjects, maxFindBytes},
+	} {
+		objects, bytes := perRequest(c.path, c.bodies)
+		t.Logf("%s: %d objects, %d bytes per request", c.name, objects, bytes)
+		if objects > c.maxObjects || bytes > c.maxBytes {
+			t.Errorf("a warm %s allocates %d objects / %d bytes, want at most %d / %d", c.name, objects, bytes, c.maxObjects, c.maxBytes)
+		}
+	}
+}

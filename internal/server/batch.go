@@ -12,7 +12,7 @@ package server
 // The point of the transport is work sharing. Items are grouped by their
 // full execution identity — dataset, engine epoch, canonical query key, and
 // every knob that reaches core.Options — and each group runs the search
-// exactly once, fanning the marshaled payload out to all its items. A
+// exactly once, fanning the encoded payload out to all its items. A
 // duplicate-heavy batch therefore costs one admission slot and one search
 // per distinct spec instead of one per item. Distinct groups of one dataset
 // fan out concurrently, bounded by the dataset's admission capacity so a
@@ -135,12 +135,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // runBatchGroup runs one distinct work group through the explain pipeline
-// once and fans the marshaled report (or the one failure, counted once) out
+// once and fans the encoded report (or the one failure, counted once) out
 // to every item envelope of the group. envs is written at the group's own
 // indices only, so concurrent groups never contend.
 func (s *Server) runBatchGroup(r *http.Request, g *batchGroup, inject faultinject.Decision, envs []wire.Envelope) {
-	payload, resp, f := s.runExplain(r, &g.prep, inject, nil, nil)
-	if f == nil && resp.Degraded {
+	payload, degraded, f := s.runExplain(r, &g.prep, inject, nil, nil)
+	if f == nil && degraded {
 		// runExplain counted one degraded answer; this run serves len(items).
 		s.degradedServed.Add(int64(len(g.items) - 1))
 	}

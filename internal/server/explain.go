@@ -4,10 +4,9 @@ package server
 // explain the daemon serves — POST /v1/explain, /v1/explain/stream and each
 // work group of /v1/explain/batch — passes through validateExplain and
 // runExplain; the three transports differ only in how they render the
-// marshaled report or the failure that comes back.
+// encoded report or the failure that comes back.
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/core"
@@ -48,6 +47,10 @@ func qualityBound(rep *core.Report, budget, eps int) *wire.QualityBound {
 	}
 	return &wire.QualityBound{Budget: budget, Epsilon: eps, Executed: rep.Executed, BestDistance: best}
 }
+
+// reportSizeHint is the encoded report's initial capacity: a hot report is
+// 3–4 KB, so most are encoded without growing the buffer.
+const reportSizeHint = 4 << 10
 
 // explainPrep is the validated, clamped input of one explain run.
 type explainPrep struct {
@@ -106,22 +109,23 @@ func (s *Server) validateExplain(req wire.ExplainRequest, inject faultinject.Dec
 
 // runExplain serves one validated explain: request context, admission,
 // brownout clamp, injected mid-search cancel, the search, failure
-// classification, and degraded stamping. It returns the
-// marshaled report (the bytes every transport carries as `data`) beside the
-// report itself, or the failure — already counted, whoever renders it.
+// classification, and degraded stamping. It returns the encoded report —
+// wire.AppendReport straight from the engine's report, the bytes every
+// transport carries as `data` — and whether the answer is degraded, or the
+// failure, already counted, whoever renders it.
 //
 // admitted, when non-nil, fires once the request holds an execution slot:
 // any later failure happened mid-run. improved, when non-nil, receives each
 // improvement of the search's incumbent, on the calling goroutine; returning
 // an error (the client is gone) cancels the run before the next candidate
 // execution.
-func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinject.Decision, admitted func(), improved func(wire.StreamEvent) error) ([]byte, *wire.Report, *failure) {
+func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinject.Decision, admitted func(), improved func(wire.StreamEvent) error) ([]byte, bool, *failure) {
 	ds, opts := prep.ds, prep.opts
 	ctx, cancel := s.requestContext(r, prep.req.TimeoutMs)
 	defer cancel()
 	release, state, f := s.admit(r, ctx, ds, inject)
 	if f != nil {
-		return nil, nil, f
+		return nil, false, f
 	}
 	defer release()
 	if admitted != nil {
@@ -163,23 +167,22 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			if inject.Kind == faultinject.Cancel && r.Context().Err() == nil && s.drainCtx.Err() == nil {
-				return nil, nil, s.newInjectedError(http.StatusServiceUnavailable, "injected fault: mid-search cancellation")
+				return nil, false, s.newInjectedError(http.StatusServiceUnavailable, "injected fault: mid-search cancellation")
 			}
-			return nil, nil, s.ctxError(r, ctxErr, false)
+			return nil, false, s.ctxError(r, ctxErr, false)
 		}
-		return nil, nil, s.newError(http.StatusBadRequest, wire.CodeInvalidSpec, "%v", err)
+		return nil, false, s.newError(http.StatusBadRequest, wire.CodeInvalidSpec, "%v", err)
 	}
-	resp := wire.FromReport(rep)
+	var qb *wire.QualityBound
 	if degraded {
 		s.degradedServed.Add(1)
-		resp.Degraded = true
-		resp.QualityBound = qualityBound(rep, qbBudget, qbEps)
+		qb = qualityBound(rep, qbBudget, qbEps)
 	}
-	payload, err := json.Marshal(&resp)
+	payload, err := wire.AppendReport(make([]byte, 0, reportSizeHint), rep, qb)
 	if err != nil {
-		return nil, nil, s.newError(http.StatusInternalServerError, wire.CodeInternal, "encoding failure: %v", err)
+		return nil, false, s.newError(http.StatusInternalServerError, wire.CodeInternal, "encoding failure: %v", err)
 	}
-	return payload, &resp, nil
+	return payload, degraded, nil
 }
 
 // handleExplain is the blocking rendering: the report, or the failure under

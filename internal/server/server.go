@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"maps"
 	"net/http"
@@ -429,13 +430,29 @@ func (s *Server) writeData(w http.ResponseWriter, r *http.Request, v any) {
 	s.writePayload(w, r, blob)
 }
 
-// writePayload answers a v1 success whose data is already marshaled. The
-// bytes go into the envelope verbatim — the same bytes the stream's `done`
-// event and a batch item carry, which is what makes the transports
+// writePayload answers a v1 success whose data is already encoded. The
+// envelope is appended around the bytes verbatim, in a pooled buffer, with
+// no second scan of the payload — the same bytes the stream's `done` event
+// and a batch item carry, which is what makes the transports
 // differential-testable.
 func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, data []byte) {
-	s.writeJSON(w, http.StatusOK, wire.Envelope{RequestID: requestID(r), Data: data})
+	bp := envelopeBufs.Get().(*[]byte)
+	b := wire.AppendEnvelope((*bp)[:0], requestID(r), data)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	if cap(b) <= maxPooledEnvelope {
+		*bp = b
+		envelopeBufs.Put(bp)
+	}
 }
+
+// envelopeBufs recycles writePayload's envelope buffers. A buffer grown past
+// maxPooledEnvelope by a large answer is left to the collector, so one big
+// find cannot keep its size resident.
+var envelopeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEnvelope = 64 << 10
 
 // failure is a structured v1 error together with the HTTP status the
 // blocking transports answer it with (a stream `error` event and a batch
@@ -627,7 +644,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 		}
 		return http.StatusBadRequest, err
 	}
-	if dec.More() {
+	// Anything but the end of the body after the value is trailing data:
+	// dec.More would pass a stray `}` or `]`, and what follows it.
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
 		return http.StatusBadRequest, errors.New("trailing data after JSON body")
 	}
 	return 0, nil
@@ -801,26 +824,22 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// handler answers at the deadline, while the execution slot stays held
 	// until the (count-capped / limit-bounded) enumeration finishes — a
 	// timed-out request never lets a new one oversubscribe the matcher.
-	done := make(chan wire.MatchResponse, 1)
+	done := make(chan []byte, 1)
 	eng := ds.engine() // pin this request's epoch
 	go func() {
 		defer release()
 		m := eng.Matcher()
 		if mode == "count" {
-			done <- wire.MatchResponse{Count: m.Count(q, countCap)}
+			done <- wire.AppendMatch(nil, m.Count(q, countCap), nil)
 			return
 		}
 		var rows match.Rows
 		m.FindSorted(q, match.Options{Limit: limit}, &rows)
-		resp := wire.MatchResponse{Count: rows.Len()}
-		for i := 0; i < rows.Len(); i++ {
-			resp.Results = append(resp.Results, wire.FromRow(&rows, i))
-		}
-		done <- resp
+		done <- wire.AppendMatch(nil, rows.Len(), &rows)
 	}()
 	select {
-	case resp := <-done:
-		s.writeData(w, r, resp)
+	case payload := <-done:
+		s.writePayload(w, r, payload)
 	case <-ctx.Done():
 		s.writeError(w, r, s.ctxError(r, ctx.Err(), false))
 	}

@@ -311,23 +311,46 @@ func TestMatchCountAndFind(t *testing.T) {
 			t.Fatalf("%s: server count %d, direct count %d", nq.Name, resp.Count, want)
 		}
 	}
-	rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{
-		Dataset: "ldbc", Builtin: "LDBC QUERY 3", Mode: "find", Limit: 5,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("find: got %d: %s", rec.Code, rec.Body)
+	// Find mode is compared as the bytes sent: query ids 2 and 10 order
+	// "10" before "2", as encoding/json orders the keys of a result map.
+	person := map[string]wire.Predicate{"type": {Kind: "values", Values: []wire.Value{{Kind: "string", Str: "person"}}}}
+	gaps := &wire.Query{
+		Vertices: []wire.Vertex{{ID: 2, Preds: person}, {ID: 10, Preds: person}},
+		Edges:    []wire.Edge{{ID: 4, From: 2, To: 10, Types: []string{"knows"}}},
 	}
-	resp := decodeData[wire.MatchResponse](t, rec)
-	if resp.Count != 5 || len(resp.Results) != 5 {
-		t.Fatalf("find limit not honored: count=%d results=%d", resp.Count, len(resp.Results))
+	gapsQuery, err := gaps.ToQuery()
+	if err != nil {
+		t.Fatal(err)
 	}
-	direct := le.Matcher().Find(workload.LDBCQuery3(), match.Options{Limit: 5})
-	match.SortResults(direct)
-	for i, res := range direct {
-		want, _ := json.Marshal(wire.FromResult(res))
-		got, _ := json.Marshal(resp.Results[i])
-		if !bytes.Equal(want, got) {
-			t.Fatalf("result %d differs:\nserver %s\ndirect %s", i, got, want)
+	for _, tc := range []struct {
+		req wire.MatchRequest
+		q   *query.Query
+	}{
+		{wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3", Mode: "find", Limit: 5}, workload.LDBCQuery3()},
+		{wire.MatchRequest{Dataset: "ldbc", Query: gaps, Mode: "find", Limit: 7}, gapsQuery},
+	} {
+		rec := do(t, h, "POST", "/v1/match", tc.req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("find: got %d: %s", rec.Code, rec.Body)
+		}
+		direct := le.Matcher().Find(tc.q, match.Options{Limit: tc.req.Limit})
+		match.SortResults(direct)
+		if len(direct) != tc.req.Limit {
+			t.Fatalf("find %v: %d direct results, want the limit %d", tc.req, len(direct), tc.req.Limit)
+		}
+		want := wire.MatchResponse{Count: len(direct)}
+		for _, res := range direct {
+			want.Results = append(want.Results, wire.FromResult(res))
+		}
+		wantBytes, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dataBytes(t, rec); !bytes.Equal(got, wantBytes) {
+			t.Fatalf("find %v differs:\nserver %s\ndirect %s", tc.req, got, wantBytes)
+		}
+		if tc.req.Query != nil && !bytes.Contains(wantBytes, []byte(`"vertices":{"10":`)) {
+			t.Fatalf("the custom query must key its results 10 before 2: %s", wantBytes)
 		}
 	}
 	if rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3", Mode: "scan"}); rec.Code != http.StatusBadRequest {
@@ -684,11 +707,27 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
-// TestUnparsedBodyRejected covers the strict decoder's trailing-data check.
+// TestUnparsedBodyRejected covers the strict decoder's trailing-data check on
+// every endpoint that decodes a body: a second value, and a stray `}` or `]`
+// (with or without bytes after it), which a decoder asking More() would
+// pass. Trailing whitespace is not data.
 func TestUnparsedBodyRejected(t *testing.T) {
 	h := newTestServer(t, Config{}).Handler()
-	body := []byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 3"} {"x":1}`)
-	if rec := do(t, h, "POST", "/v1/match", body); rec.Code != http.StatusBadRequest {
-		t.Fatalf("trailing data accepted: %d %s", rec.Code, rec.Body)
+	spec := `{"dataset":"ldbc","builtin":"LDBC QUERY 3"}`
+	for _, ep := range []struct{ path, body string }{
+		{"/v1/match", spec},
+		{"/v1/explain", spec},
+		{"/v1/explain/stream", spec},
+		{"/v1/explain/batch", `{"items":[` + spec + `]}`},
+		{"/v1/graph/mutate", `{"dataset":"ldbc"}`},
+	} {
+		for _, trailing := range []string{` {"x":1}`, `}`, `]`, `]garbage`, `]]]garbage`, ` "x"`} {
+			if rec := do(t, h, "POST", ep.path, []byte(ep.body+trailing)); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: trailing %q accepted: %d %s", ep.path, trailing, rec.Code, rec.Body)
+			}
+		}
+	}
+	if rec := do(t, h, "POST", "/v1/match", []byte(spec+" \n\t ")); rec.Code != http.StatusOK {
+		t.Fatalf("trailing whitespace rejected: %d %s", rec.Code, rec.Body)
 	}
 }

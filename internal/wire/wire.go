@@ -5,13 +5,19 @@
 // of the whydbd HTTP API. The one encoding is shared by internal/server (the
 // daemon), cmd/whydb (the one-shot demonstrator's -json mode), and
 // cmd/whyload (the load generator), so a report rendered anywhere is
-// byte-comparable with a report rendered everywhere else.
+// byte-comparable with a report rendered everywhere else. The daemon's hot
+// answers — explain reports and match responses — are written by the append
+// encoders of encode.go straight from the engine's values; everything else
+// goes through encoding/json from the types here, and encoding/json is the
+// reference every encoder byte is tested against.
 //
 // Design constraints:
 //
 //   - Deterministic: encoding any value twice yields identical bytes
-//     (element order follows ascending identifiers, predicate maps are
-//     struct-encoded per attribute key through Go's sorted map marshaling).
+//     (element order follows ascending identifiers; predicate maps and
+//     result maps are written in sorted key order — by encoding/json for the
+//     types here, and by the append encoders, which sort the keys
+//     themselves in the same string order).
 //   - Total on engine output: every query the engine can produce — including
 //     rewritten queries with identifier gaps left by vertex/edge deletions —
 //     round-trips through Query → ToQuery → FromQuery unchanged.
@@ -411,24 +417,6 @@ func FromResult(r match.Result) Result {
 		wr.Edges = make(map[string]int64, len(r.EdgeMap))
 		for q, d := range r.EdgeMap {
 			wr.Edges[strconv.Itoa(q)] = int64(d)
-		}
-	}
-	return wr
-}
-
-// FromRow encodes result i of a result set in row form, as FromResult
-// encodes the same result graph.
-func FromRow(r *match.Rows, i int) Result {
-	row := r.Row(i)
-	nv := len(r.VIDs)
-	wr := Result{Vertices: make(map[string]int64, nv)}
-	for s, q := range r.VIDs {
-		wr.Vertices[strconv.Itoa(q)] = int64(row[s])
-	}
-	if len(r.EIDs) > 0 {
-		wr.Edges = make(map[string]int64, len(r.EIDs))
-		for s, q := range r.EIDs {
-			wr.Edges[strconv.Itoa(q)] = int64(row[nv+s])
 		}
 	}
 	return wr
