@@ -415,6 +415,30 @@ func BenchmarkCompiledCount(b *testing.B) {
 	}
 }
 
+// BenchmarkPath1Count measures an exact (cap 0) count of one single-edge
+// LDBC plan — person -livesIn-> city, a Path(1) statistic of LDBC QUERY 2 —
+// the shape whose counts dominate the embeddings a why-query search counts.
+// The plan ends in an expansion, so the count adds up that step's admissible
+// half-edges without binding them. The count is held to the reference
+// engine's.
+func BenchmarkPath1Count(b *testing.B) {
+	lg, _ := setup()
+	m := match.New(lg)
+	q := workload.LDBCQuery2().SubqueryByEdges([]int{1})
+	want := m.ReferenceCount(q, 0)
+	if want == 0 {
+		b.Fatal("the path has no embeddings")
+	}
+	p := m.Compile(q)
+	ctx := m.NewContext()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := p.Count(ctx, 0); got != want {
+			b.Fatalf("count %d, reference %d", got, want)
+		}
+	}
+}
+
 // BenchmarkMatcher measures the raw pattern-matching substrate on the two
 // data sets (sanity baseline for all experiments).
 func BenchmarkMatcher(b *testing.B) {

@@ -27,8 +27,8 @@ type candEntry struct {
 }
 
 // has reports whether data vertex v is a member: one bound check against the
-// window and one bit test. expandOver makes the same test inline, with lo and
-// bits hoisted out of its adjacency loop.
+// window and one bit test. expandOver and countOver make the same test
+// inline, with lo and bits hoisted out of their adjacency loops.
 func (e *candEntry) has(v graph.VertexID) bool {
 	w := int(v)>>6 - e.lo
 	return uint(w) < uint(len(e.bits)) && e.bits[w]&(1<<(uint(v)&63)) != 0

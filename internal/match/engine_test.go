@@ -47,16 +47,24 @@ func TestCountAllocsZero(t *testing.T) {
 	q.AddEdge(b, c, []string{"locatedIn"}, nil)
 	q.AddVertex(personType()) // second component: exercise the unified multi-component path
 
-	p := m.Compile(q)
+	// A single edge: the plan's last step is an expansion, counted by countOver.
+	path1 := query.New()
+	a = path1.AddVertex(personType())
+	b = path1.AddVertex(personType())
+	path1.AddEdge(a, b, []string{"knows"}, nil)
+
 	ctx := m.NewContext()
-	if p.Count(ctx, 0) == 0 {
-		t.Fatal("query must have results")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		p.Count(ctx, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("Count on a compiled plan allocated %.1f times per run, want 0", allocs)
+	for name, q := range map[string]*query.Query{"two components": q, "single edge": path1} {
+		p := m.Compile(q)
+		if p.Count(ctx, 0) == 0 {
+			t.Fatalf("%s: query must have results", name)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Count(ctx, 0)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Count on a compiled plan allocated %.1f times per run, want 0", name, allocs)
+		}
 	}
 }
 
@@ -91,12 +99,22 @@ func TestCachedCountAllocsZero(t *testing.T) {
 }
 
 // TestCompiledMatchesReference cross-checks the compiled engine against the
-// retained map-based engine on a spread of query shapes over the test graph.
+// retained map-based engine on a spread of query shapes over the test graph
+// and over leafGraph: every count at caps 0, 1, 2, N−1, N and N+1 is
+// min(N, cap), N the reference's exact count, and Find returns the
+// reference's results. The leaf cases end in an expansion, the step a count
+// adds up instead of enumerating.
 func TestCompiledMatchesReference(t *testing.T) {
-	m := New(testGraph())
-	queries := map[string]*query.Query{}
+	m, lm := New(testGraph()), New(leafGraph())
+	type tcase struct {
+		m    *Matcher
+		q    *query.Query
+		leaf bool // the plan's last step is an expansion
+	}
+	queries := map[string]tcase{}
 
-	add := func(name string, q *query.Query) { queries[name] = q }
+	add := func(name string, q *query.Query) { queries[name] = tcase{m: m, q: q} }
+	addLeaf := func(name string, q *query.Query) { queries[name] = tcase{m: lm, q: q, leaf: true} }
 
 	q1 := query.New()
 	q1.AddVertex(personType())
@@ -146,10 +164,70 @@ func TestCompiledMatchesReference(t *testing.T) {
 	q8.AddEdge(a, b, nil, nil)
 	add("untyped-unconstrained", q8)
 
-	for name, q := range queries {
+	kindA := map[string]query.Predicate{"kind": query.EqS("a")}
+	kindB := map[string]query.Predicate{"kind": query.EqS("b")}
+
+	// The second component's edge runs from an a to any vertex; the first
+	// component has bound both b vertices, which are far candidates too.
+	l1 := query.New()
+	a = l1.AddVertex(kindB)
+	b = l1.AddVertex(kindB)
+	l1.AddEdge(a, b, []string{"y"}, nil)
+	a = l1.AddVertex(kindA)
+	b = l1.AddVertex(nil)
+	l1.AddEdge(a, b, []string{"x"}, nil)
+	addLeaf("leaf-second-component", l1)
+
+	// Both directions from an a vertex, one of which carries a self-loop.
+	l2 := query.New()
+	a = l2.AddVertex(kindA)
+	b = l2.AddVertex(nil)
+	l2.AddEdge(a, b, []string{"x"}, nil)
+	l2.Edge(0).Dirs = query.Both
+	addLeaf("leaf-both-self-loop", l2)
+
+	// A parallel pair of data edges a → b, filtered by an edge predicate.
+	l3 := query.New()
+	a = l3.AddVertex(kindA)
+	b = l3.AddVertex(kindB)
+	l3.AddEdge(a, b, []string{"x"}, map[string]query.Predicate{"w": query.AtLeast(2)})
+	addLeaf("leaf-parallel-pred", l3)
+
+	// A type disjunction naming a type no data edge carries.
+	l4 := query.New()
+	a = l4.AddVertex(kindA)
+	b = l4.AddVertex(nil)
+	l4.AddEdge(a, b, []string{"y", "absent"}, nil)
+	addLeaf("leaf-absent-type", l4)
+
+	// No type at all: every edge type is admitted.
+	l5 := query.New()
+	a = l5.AddVertex(kindB)
+	b = l5.AddVertex(nil)
+	l5.AddEdge(a, b, nil, nil)
+	l5.Edge(0).Dirs = query.Both
+	addLeaf("leaf-untyped", l5)
+
+	for name, tc := range queries {
+		m, q := tc.m, tc.q
+		if p := m.Compile(q); tc.leaf && p.ops[len(p.ops)-1].kind != opExpand {
+			t.Fatalf("%s: the plan ends in op kind %d, not an expansion", name, p.ops[len(p.ops)-1].kind)
+		}
 		want := m.ReferenceCount(q, 0)
-		if got := m.Count(q, 0); got != want {
-			t.Errorf("%s: compiled count %d != reference %d", name, got, want)
+		if tc.leaf && want < 2 {
+			t.Fatalf("%s: %d embeddings: the case counts too little", name, want)
+		}
+		for _, cap := range []int{0, 1, 2, want - 1, want, want + 1} {
+			if cap < 0 {
+				continue
+			}
+			exp := want
+			if cap > 0 {
+				exp = min(want, cap)
+			}
+			if got := m.Count(q, cap); got != exp {
+				t.Errorf("%s: compiled count at cap %d = %d, want min(%d, cap) = %d", name, cap, got, want, exp)
+			}
 		}
 		gotRes := m.Find(q, Options{})
 		wantRes := m.ReferenceFind(q, Options{})
@@ -159,6 +237,30 @@ func TestCompiledMatchesReference(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
+
+// leafGraph has what a counted last step must not miscount: a self-loop
+// (a1 → a1), a parallel pair (a0 → b0 twice, w 2 and 3), two edge types and
+// x edges into the b vertices a first component binds.
+func leafGraph() *graph.Graph {
+	g := graph.New(5, 11)
+	a0 := g.AddVertex(graph.Attrs{"kind": graph.S("a")})
+	a1 := g.AddVertex(graph.Attrs{"kind": graph.S("a")})
+	a2 := g.AddVertex(graph.Attrs{"kind": graph.S("a")})
+	b0 := g.AddVertex(graph.Attrs{"kind": graph.S("b")})
+	b1 := g.AddVertex(graph.Attrs{"kind": graph.S("b")})
+	g.AddEdge(a0, a1, "x", graph.Attrs{"w": graph.N(1)})
+	g.AddEdge(a0, b0, "x", graph.Attrs{"w": graph.N(2)})
+	g.AddEdge(a0, b0, "x", graph.Attrs{"w": graph.N(3)})
+	g.AddEdge(a1, a1, "x", graph.Attrs{"w": graph.N(1)})
+	g.AddEdge(a1, b0, "y", nil)
+	g.AddEdge(a0, b1, "y", nil)
+	g.AddEdge(b0, b1, "y", nil)
+	g.AddEdge(b1, a0, "x", nil)
+	g.AddEdge(a1, b1, "x", graph.Attrs{"w": graph.N(2)})
+	g.AddEdge(a2, a0, "x", nil)
+	g.AddEdge(a2, b0, "x", nil)
+	return g
 }
 
 // sameResults deep-compares two sorted result slices.

@@ -83,8 +83,11 @@ func (c *Ctx) ensure(p *Plan) {
 }
 
 // Count executes the plan and returns the number of embeddings C(Q). A
-// non-zero cap stops early once reached. Count performs no allocations on a
-// compiled plan.
+// non-zero cap stops early once reached. When the plan ends in an expansion,
+// that last step is counted, not enumerated (countOver): it binds nothing a
+// later step reads, so its admissible half-edges are simply added up. Any
+// scan order reaches min(C(Q), cap), so the count is the enumeration's.
+// Count performs no allocations on a compiled plan.
 func (p *Plan) Count(c *Ctx, cap int) int {
 	if p.nv == 0 {
 		return 0
@@ -150,13 +153,15 @@ func (c *Ctx) exec(i int) bool {
 
 	case opExpand:
 		db := c.vBind[op.fromSlot]
+		// A count's last step binds nothing a later step reads: it is counted.
+		leaf := c.mode == modeCount && i == len(p.ops)-1
 		// Forward direction: the data edge runs source → target.
 		if op.dirs.Has(query.Forward) {
 			adj := p.g.OutAdj(db)
 			if !op.fromIsSrc {
 				adj = p.g.InAdj(db)
 			}
-			if !c.expandOver(i, op, adj) {
+			if !c.expandStep(i, op, adj, leaf) {
 				return false
 			}
 		}
@@ -166,7 +171,7 @@ func (c *Ctx) exec(i int) bool {
 			if !op.fromIsSrc {
 				adj = p.g.OutAdj(db)
 			}
-			if !c.expandOver(i, op, adj) {
+			if !c.expandStep(i, op, adj, leaf) {
 				return false
 			}
 		}
@@ -206,24 +211,29 @@ func (c *Ctx) start(i int, op *planOp, dv graph.VertexID) bool {
 }
 
 // expandOver scans one packed adjacency list for the expand op, binding the
-// free vertex and edge for every admissible half-edge.
+// free vertex and edge for every admissible half-edge. A half-edge is tested
+// cheapest first: its type (already in the loaded Adj), the candidate window,
+// the visited far vertex, then the edge predicates. No visited-edge test is
+// needed: an edge bound by an earlier step has both endpoints bound, so its
+// far vertex fails the visited-vertex test — and so does a self-loop's, which
+// is the bound vertex itself. The edge bit is still set for closeOver.
 func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
 	cand := c.p.cands[op.vslot]
 	lo, words := cand.lo, cand.bits
 	for k := range adj {
 		a := &adj[k]
-		ew, eb := int(a.Edge)>>6, uint64(1)<<(uint(a.Edge)&63)
-		if c.visE[ew]&eb != 0 {
+		if !op.admits(a.Type) {
 			continue
 		}
 		dv := a.Vertex
 		vw, vb := int(dv)>>6, uint64(1)<<(uint(dv)&63)
-		if c.visV[vw]&vb != 0 || uint(vw-lo) >= uint(len(words)) || words[vw-lo]&vb == 0 {
+		if uint(vw-lo) >= uint(len(words)) || words[vw-lo]&vb == 0 || c.visV[vw]&vb != 0 {
 			continue
 		}
-		if !edgeOK(op, a) {
+		if !hasAll(op.epreds, int32(a.Edge)) {
 			continue
 		}
+		ew, eb := int(a.Edge)>>6, uint64(1)<<(uint(a.Edge)&63)
 		c.visV[vw] |= vb
 		c.visE[ew] |= eb
 		c.vBind[op.vslot] = dv
@@ -235,6 +245,45 @@ func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// expandStep runs the expand op over one adjacency list: counted when the op
+// is the last step of a count (leaf), enumerated otherwise.
+func (c *Ctx) expandStep(i int, op *planOp, adj []graph.Adj, leaf bool) bool {
+	if leaf {
+		return c.countOver(op, adj)
+	}
+	return c.expandOver(i, op, adj)
+}
+
+// countOver is expandOver for the last step of a count: it makes the same
+// tests in the same order and adds one to c.n per admissible half-edge,
+// binding and marking nothing. It returns false once a non-zero cap is
+// reached.
+func (c *Ctx) countOver(op *planOp, adj []graph.Adj) bool {
+	cand := c.p.cands[op.vslot]
+	lo, words := cand.lo, cand.bits
+	n := c.n
+	for k := range adj {
+		a := &adj[k]
+		if !op.admits(a.Type) {
+			continue
+		}
+		dv := a.Vertex
+		vw, vb := int(dv)>>6, uint64(1)<<(uint(dv)&63)
+		if uint(vw-lo) >= uint(len(words)) || words[vw-lo]&vb == 0 || c.visV[vw]&vb != 0 {
+			continue
+		}
+		if !hasAll(op.epreds, int32(a.Edge)) {
+			continue
+		}
+		if n++; n == c.cap {
+			c.n = n
+			return false
+		}
+	}
+	c.n = n
 	return true
 }
 
@@ -264,21 +313,9 @@ func (c *Ctx) closeOver(i int, op *planOp, adj []graph.Adj, want graph.VertexID)
 	return true
 }
 
-// edgeOK checks the op's type disjunction (as dense type ids, no string
-// comparison) and bound edge predicates (one column load each, no edge record)
-// against one half-edge.
+// edgeOK checks the op's type bitset (a dense type id, no string comparison)
+// and bound edge predicates (one column load each, no edge record) against
+// one half-edge.
 func edgeOK(op *planOp, a *graph.Adj) bool {
-	if !op.anyType {
-		ok := false
-		for _, t := range op.types {
-			if t == a.Type {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return hasAll(op.epreds, int32(a.Edge))
+	return op.admits(a.Type) && hasAll(op.epreds, int32(a.Edge))
 }

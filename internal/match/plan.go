@@ -91,6 +91,8 @@ const (
 
 // planOp is one compiled step of the backtracking search. Vertex and edge
 // references are dense slots into the execution context's binding arrays.
+// The edge type disjunction is a bitset over the graph's dense type ids, so
+// the per-half-edge type test (admits) is one bound check and one bit test.
 type planOp struct {
 	kind      opKind
 	vslot     int32 // vertex slot bound by this op (opStart/opExpand)
@@ -99,9 +101,18 @@ type planOp struct {
 	toSlot    int32 // edge-target slot (opClose)
 	fromIsSrc bool  // opExpand: the bound endpoint plays the edge's source role
 	dirs      query.Dir
-	anyType   bool    // empty type disjunction: any type admitted
-	types     []int32 // dense type ids admitted; types absent from the data are dropped
+	anyType   bool     // empty type disjunction: any type admitted
+	types     []uint64 // bitset of the dense type ids admitted; types absent from the data have no id
 	epreds    []boundPred
+}
+
+// admits reports whether the op's type disjunction admits dense type id t.
+func (op *planOp) admits(t int32) bool {
+	if op.anyType {
+		return true
+	}
+	w := int(t) >> 6
+	return w < len(op.types) && op.types[w]&(1<<(uint(t)&63)) != 0
 }
 
 // Plan is a compiled matching plan for one query over one data graph: query
@@ -349,7 +360,10 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 			op.anyType = len(e.Types) == 0
 			for _, t := range e.Types {
 				if id, ok := p.g.TypeID(t); ok {
-					op.types = append(op.types, id)
+					for len(op.types) <= int(id)>>6 {
+						op.types = append(op.types, 0)
+					}
+					op.types[id>>6] |= 1 << (uint(id) & 63)
 				}
 			}
 			var predBuf [4]flatPred

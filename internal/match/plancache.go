@@ -39,7 +39,7 @@ func planBytes(keyLen int, p *Plan) int {
 	n += len(p.vids)*8 + len(p.eids)*8
 	for i := range p.ops {
 		op := &p.ops[i]
-		n += 48 + len(op.types)*4
+		n += 48 + len(op.types)*8
 		for j := range op.epreds { // the codes belong to the graph
 			n += 48 + len(op.epreds[j].admit)*8
 		}
