@@ -1,8 +1,8 @@
 // Package cache is the engine's one cache: the thesis' re-use of already
 // processed queries (§1.1 contribution 4, the App. B.2 executed-query cache)
 // as a mechanism, instantiated by internal/match for candidate sets,
-// compiled plans and executed counts and by internal/stats for the three
-// cardinality statistics.
+// compiled plans and executed counts; the statistics of internal/stats are
+// lookups in the first and the last.
 //
 // A Cache maps binary canonical keys to values that are deterministic over
 // one frozen graph, so a resident value, a recomputed one and one shared

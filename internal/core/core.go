@@ -88,16 +88,16 @@ func newEngine(g *graph.Graph, m *match.Matcher, st *stats.Collector, domain *st
 // be a graph.Fork of e's graph with the batch applied and nothing else done
 // to it; Successor seals it and derives everything above it from e — CSR and
 // attribute index (graph.Seal), domain catalog (stats.Domain.Derive), and the
-// candidate, count and statistics caches less the entries the batch may have
-// changed (match.NewSuccessor, stats.NewSuccessor) — so the cost follows the
-// batch, not the graph. The result answers every query exactly as
+// candidate and count caches less the entries the batch may have changed
+// (match.NewSuccessor), which carry the statistics with them — so the cost
+// follows the batch, not the graph. The result answers every query exactly as
 // NewEngine(g) would. e is left untouched and keeps serving the requests
 // pinned to it; the successor inherits its worker count and starts its
 // counters at zero.
 func (e *Engine) Successor(g *graph.Graph) *Engine {
 	d := g.Seal()
 	m := match.NewSuccessor(e.m, g, d)
-	return newEngine(g, m, stats.NewSuccessor(m, e.st, d), e.domain.Derive(g, d), e.workers)
+	return newEngine(g, m, stats.New(m), e.domain.Derive(g, d), e.workers)
 }
 
 // SetWorkers sets the engine's worker count: how many explains whydbd admits

@@ -1,8 +1,6 @@
 package match
 
 import (
-	"encoding/binary"
-	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -10,7 +8,7 @@ import (
 )
 
 // candEntry is one cached candidate set: the data vertices satisfying a
-// flattened predicate set, with the predicates that selected them (what
+// predicate set, with the predicates that selected them, flattened (what
 // NewSuccessor tests a batch's vertices against). The set is a bitset over
 // the words lo … lo+len(bits)-1 only — the span from its smallest to its
 // largest member — so an entry costs what its members span, not the whole
@@ -74,14 +72,17 @@ const (
 	candCacheMaxBytes = 64 << 20
 )
 
-// candidates returns the shared candidate set of one flattened predicate set
-// from the cache; a miss resolves it — the access path collects its ids in
-// cs.ids — and Puts it. The entry is read-only.
-func (m *Matcher) candidates(cs *compileScratch, preds []flatPred) *candEntry {
-	cs.key = appendPredKey(cs.key[:0], preds)
+// candidates returns the shared candidate set of v's predicate set from the
+// cache, keyed by query.Vertex.AppendPredKey; a miss flattens the predicates,
+// resolves the set — the access path collects its ids in cs.ids — and Puts
+// it. The entry is read-only.
+func (m *Matcher) candidates(cs *compileScratch, v *query.Vertex) *candEntry {
+	cs.key = v.AppendPredKey(cs.key[:0])
 	if e, ok := m.candCache.Get(cs.key); ok {
 		return e
 	}
+	var predBuf [8]flatPred
+	preds := flattenPreds(predBuf[:0], v.Preds)
 	e := newCandEntry(m.candidatesFlat(preds, &cs.ids), preds)
 	m.candCache.Put(cs.key, e, e.bytes(len(cs.key)))
 	return e
@@ -93,55 +94,4 @@ func (m *Matcher) candidates(cs *compileScratch, preds []flatPred) *candEntry {
 // the plan compiler are reusing candidate sets across query variants.
 func (m *Matcher) CandCacheStats() (hits, misses, entries int) {
 	return m.candCache.Stats().Counts()
-}
-
-// appendPredKey appends an unambiguous binary encoding of a flattened
-// (key-sorted) predicate set: every string is length-prefixed, numbers are
-// raw float bits, so distinct predicate sets never collide.
-func appendPredKey(b []byte, preds []flatPred) []byte {
-	for i := range preds {
-		fp := &preds[i]
-		b = appendString(b, fp.key)
-		if fp.pred.Kind == query.Range {
-			b = append(b, 'R')
-			b = appendU64(b, math.Float64bits(fp.pred.Lo))
-			b = appendU64(b, math.Float64bits(fp.pred.Hi))
-			var f byte
-			if fp.pred.IncLo {
-				f |= 1
-			}
-			if fp.pred.IncHi {
-				f |= 2
-			}
-			b = append(b, f)
-		} else {
-			b = append(b, 'V')
-			b = binary.AppendUvarint(b, uint64(len(fp.pred.Vals)))
-			for _, v := range fp.pred.Vals {
-				b = append(b, byte(v.Kind))
-				switch v.Kind {
-				case graph.KindNumber:
-					b = appendU64(b, math.Float64bits(v.Num))
-				case graph.KindBool:
-					if v.Bool {
-						b = append(b, 1)
-					} else {
-						b = append(b, 0)
-					}
-				default:
-					b = appendString(b, v.Str)
-				}
-			}
-		}
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
 }

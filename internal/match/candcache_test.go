@@ -207,6 +207,39 @@ func FuzzCandidateSet(f *testing.F) {
 // TestFindSortedMatchesSortResults: sorting the rows in place gives Find +
 // SortResults, also when parallel data edges make rows differ only in their
 // edge bindings and when the plan's step order is not the query's edge id
+
+// TestCandidateKeySeparatesPredicateSets: predicate sets that differ in one
+// part of their key — a range's inclusive flags or bounds, a value's kind, the
+// attribute — are resolved on one matcher, each twice, and every count is a
+// fresh matcher's. Two sets sharing a key would share a cache entry.
+func TestCandidateKeySeparatesPredicateSets(t *testing.T) {
+	g := testGraph()
+	m := New(g)
+	rng := func(lo, hi float64, incLo, incHi bool) query.Predicate {
+		return query.Predicate{Kind: query.Range, Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}
+	}
+	sets := []map[string]query.Predicate{
+		{"age": rng(28, 33, true, true)},
+		{"age": rng(28, 33, false, true)},
+		{"age": rng(28, 33, true, false)},
+		{"age": rng(28, 33, false, false)},
+		{"age": rng(28, 41, true, true)},
+		{"age": query.EqN(28)},
+		{"age": query.In(graph.N(28), graph.N(41))},
+		{"name": query.EqS("Anna")},
+		{"type": query.EqS("person")},
+		{"type": query.EqS("person"), "age": query.AtMost(30)},
+	}
+	for round := 0; round < 2; round++ {
+		for _, preds := range sets {
+			v := &query.Vertex{Preds: preds}
+			if got, want := m.CandidateCount(v), New(g).CandidateCount(v); got != want {
+				t.Errorf("round %d, %v: %d candidates on a shared matcher, %d on a fresh one", round, preds, got, want)
+			}
+		}
+	}
+}
+
 // order.
 func TestFindSortedMatchesSortResults(t *testing.T) {
 	g := graph.New(0, 0)

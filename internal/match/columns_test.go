@@ -62,7 +62,7 @@ func TestReferenceIgnoresCompiledState(t *testing.T) {
 		}},
 		{"cleared bound predicate bitset", func(m *Matcher) *Matcher {
 			c := m.NewContext()
-			c.loadKey(q, "")
+			c.keyBuf = q.AppendKey(c.keyBuf[:0])
 			for _, op := range m.cachedPlan(c, q).ops {
 				for i := range op.epreds {
 					clear(op.epreds[i].admit)
@@ -124,6 +124,7 @@ func TestHighCardinalityColumns(t *testing.T) {
 		{"vertex range, edge values", query.AtMost(1e9), query.In(graph.N(0.5), graph.N(250), graph.N(-1)), nil, 2},
 		{"open range between two values", query.Open(7, 8), query.AtLeast(0), nil, 0},
 		{"half-open range", query.Predicate{Kind: query.Range, Lo: 7, Hi: 9, IncHi: true}, query.AtMost(4), []string{"next"}, 1},
+		{"repeated type", query.Between(0, 9), query.AtLeast(0), []string{"next", "next"}, 10},
 	} {
 		q := query.New()
 		a := q.AddVertex(map[string]query.Predicate{"x": tc.vpred})

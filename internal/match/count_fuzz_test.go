@@ -65,8 +65,8 @@ func fuzzPred(b *fuzzBytes) (query.Predicate, bool) {
 
 // fuzzQuery reads a query of 1–4 vertices and at most 4 edges between any
 // two of them (query self-loops included), with a direction set, a type
-// disjunction (none, x, y, both, or x with a type absent from the data) and
-// at most one predicate per element.
+// disjunction (none, x, y, both, x with a type absent from the data, or x
+// listed twice) and at most one predicate per element.
 func fuzzQuery(b *fuzzBytes) *query.Query {
 	q := query.New()
 	nv := 1 + b.next(4)
@@ -79,7 +79,7 @@ func fuzzQuery(b *fuzzBytes) *query.Query {
 	}
 	for i, ne := 0, b.next(5); i < ne; i++ {
 		from, to := b.next(nv), b.next(nv)
-		types := [][]string{nil, {"x"}, {"y"}, {"x", "y"}, {"x", "absent"}}[b.next(5)]
+		types := [][]string{nil, {"x"}, {"y"}, {"x", "y"}, {"x", "absent"}, {"x", "x"}}[b.next(6)]
 		preds := map[string]query.Predicate{}
 		if p, ok := fuzzPred(b); ok {
 			preds["w"] = p
@@ -93,7 +93,7 @@ func fuzzQuery(b *fuzzBytes) *query.Query {
 // FuzzCount: a small graph and query read from the fuzzer's bytes are
 // counted by the compiled engine at caps 0, 1, 2, 3 and 7 and enumerated by
 // FindRows, and each answer is the reference engine's: min(C, cap) and C
-// rows.
+// rows. Every query edge's EdgeCandidateCount is the reference's edge count.
 func FuzzCount(f *testing.F) {
 	// Two vertices, a self-loop and a parallel pair; an untyped two-vertex
 	// query in both directions.
@@ -104,6 +104,8 @@ func FuzzCount(f *testing.F) {
 	// two-component query with vertex and edge predicates and an absent type.
 	f.Add([]byte{5, 0, 1, 2, 3, 0, 1, 10, 0, 1, 0, 0, 1, 2, 1, 1, 2, 3, 0, 2, 3, 4, 1, 3, 4, 5, 0, 0, 5, 0, 1, 1, 0, 0, 0, 2,
 		1, 2, 1, 0, 2, 0, 0, 1, 3, 3, 1, 2, 0, 3, 3, 0, 2, 0, 1, 0, 0, 2, 0, 1, 0, 0, 2, 2, 3, 4, 3, 0, 1, 0})
+	// Two parallel x edges; one query edge listing x twice.
+	f.Add([]byte{1, 4, 4, 2, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 0, 1, 0, 1, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		g := fuzzGraph(&b)
@@ -123,6 +125,11 @@ func FuzzCount(f *testing.F) {
 		m.FindRows(m.NewContext(), q, Options{}, &rows)
 		if rows.Len() != want {
 			t.Fatalf("FindRows gave %d rows, reference %d embeddings", rows.Len(), want)
+		}
+		for _, e := range q.Edges() {
+			if got, ref := m.EdgeCandidateCount(e), m.refEdgeCount(e); got != ref {
+				t.Fatalf("edge %d (types %v): %d edge candidates, reference %d", e.ID, e.Types, got, ref)
+			}
 		}
 	})
 }

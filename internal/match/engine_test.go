@@ -82,7 +82,7 @@ func TestCachedCountAllocsZero(t *testing.T) {
 	for name, count := range map[string]func() int{
 		"Count":      func() int { return m.Count(q, 0) },
 		"CountCtx":   func() int { return m.CountCtx(ctx, q, 0) },
-		"CountKeyed": func() int { return m.CountKeyed(ctx, q, key, 0) },
+		"CountKeyed": func() int { return CountKeyed(m, ctx, key, 0, func() *query.Query { return q }) },
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			if got := count(); got != want {

@@ -31,14 +31,15 @@
 // attribute columns value by value and reads nothing the compiled engine
 // binds, indexes or caches.
 //
-// Counting has one path. Every Count* entry point resolves (canonical key,
-// cap) against the executed-count cache and, on a miss, runs the cached plan's
-// Plan.Count over the whole graph; no caller can intercept a count or
+// Counting has one path. Count, CountCtx and CountKeyed resolve (canonical
+// key, cap) against the executed-count cache and, on a miss, run the cached
+// plan's Plan.Count over the whole graph; no caller can intercept a count or
 // restrict it to part of the graph.
 package match
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -88,18 +89,20 @@ type Matcher struct {
 	ctxs  cache.FreeList[*Ctx]
 
 	// The three caches are instances of internal/cache (sharding, epoch
-	// eviction, counters and carry-over live there); what this package adds
-	// is the key encoders and the bounds below.
+	// eviction, counters and carry-over live there, the key encodings in
+	// internal/query); what this package adds is the bounds below.
 	//
-	// candCache: flattened-predicate key → shared candidate set, so
-	// compiling the thousands of query variants a rewriting search executes
-	// rescans the graph only for novel predicates.
+	// candCache: predicate-set key (query.Vertex.AppendPredKey) → shared
+	// candidate set, so compiling the thousands of query variants a
+	// rewriting search executes rescans the graph only for novel predicates;
+	// the vertex cardinalities of stats.Collector are its entries' sizes.
 	// planCache: binary canonical key → shared read-only plan, so repeat
 	// queries — almost all of them, across the rewriting searches — skip
 	// compilation entirely (see plancache.go).
 	// countCache: (binary canonical key, cap) → exact count — the App. B.2
-	// executed-query cache shared across searches and runs. Gated together
-	// with the plan cache by planOff.
+	// executed-query cache shared across searches and runs, and the home of
+	// the Path(n) statistics of stats.Collector (exact counts, cap 0). Gated
+	// together with the plan cache by planOff.
 	candCache  *cache.Cache[*candEntry]
 	planCache  *cache.Cache[*Plan]
 	countCache *cache.Cache[int]
@@ -125,27 +128,25 @@ func New(g *graph.Graph) *Matcher {
 func (m *Matcher) Graph() *graph.Graph { return m.g }
 
 // CandidateCount returns the number of data vertices matching vq
-// (the vertex cardinality statistic of §5.2.2). Like compilation, it is
-// served from the matcher's candidate cache, so the statistics collectors'
-// cold-cache probes rescan the graph only for novel predicate sets.
+// (the vertex cardinality statistic of §5.2.2). It is one lookup in the
+// matcher's candidate cache — the entry a compiled plan of vq shares — so
+// the statistics rescan the graph only for novel predicate sets.
 func (m *Matcher) CandidateCount(vq *query.Vertex) int {
 	return m.candidateEntry(vq).n
 }
 
-// candidateEntry resolves vq's shared candidate-cache entry (an attribute
-// index or a scan on a cache miss, collected in a pooled context's compile
-// scratch). The entry is shared: read only.
+// candidateEntry resolves vq's shared candidate-cache entry in a pooled
+// context's compile scratch. The entry is shared: read only.
 func (m *Matcher) candidateEntry(vq *query.Vertex) *candEntry {
 	c := m.getCtx()
 	defer m.putCtx(c)
-	var predBuf [8]flatPred
-	return m.candidates(&c.compile, flattenPreds(predBuf[:0], vq.Preds))
+	return m.candidates(&c.compile, vq)
 }
 
 // EdgeCandidateCount returns the number of data edges matching eq's type and
-// predicates, ignoring endpoints (the edge cardinality statistic of §5.2.2).
-// It is a plain scan of the type's edge lists: stats.Collector caches the
-// result by the edge's constraint key and carries it across writes.
+// predicates, ignoring endpoints (the edge cardinality statistic of §5.2.2):
+// a plain scan of the edge lists of each listed type, a type listed twice
+// scanned once.
 func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 	var predBuf [4]flatPred
 	var boundBuf [4]boundPred
@@ -155,7 +156,10 @@ func (m *Matcher) EdgeCandidateCount(eq *query.Edge) int {
 	}
 	count := 0
 	if len(eq.Types) > 0 {
-		for _, t := range eq.Types {
+		for i, t := range eq.Types {
+			if slices.Contains(eq.Types[:i], t) {
+				continue
+			}
 			for _, id := range m.g.EdgesByType(t) {
 				if hasAll(bound, int32(id)) {
 					count++
@@ -192,43 +196,47 @@ func (m *Matcher) FindCtx(c *Ctx, q *query.Query, opts Options) []Result {
 func (m *Matcher) Count(q *query.Query, cap int) int {
 	c := m.getCtx()
 	defer m.putCtx(c)
-	return m.count(c, q, "", cap)
+	return m.CountCtx(c, q, cap)
 }
 
 // CountCtx is Count against a caller-owned execution context — the hot path
 // of the relaxation (relax), MCS (mcs), and modification-tree (modtree)
 // searches, which issue thousands of counts and reuse one context each.
 func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
-	return m.count(c, q, "", cap)
+	return CountKeyed(m, c, "", cap, func() *query.Query { return q })
 }
 
-// CountKeyed is CountCtx for callers that already hold q's binary canonical
-// key (query.AppendKey) — the rewriting searches dedup executed candidates
-// on exactly that key, so passing it through skips re-deriving it. An empty
-// key means "derive it here".
-func (m *Matcher) CountKeyed(c *Ctx, q *query.Query, key string, cap int) int {
-	return m.count(c, q, key, cap)
-}
-
-// count is the one count path behind the Count* wrappers. The (key, cap)
-// pair is first resolved against the executed-count cache; only a novel pair
-// compiles (plan cache), executes and is Put. A repeat query — almost all of
-// them across a rewriting search — performs zero compilations and zero
-// allocations.
-func (m *Matcher) count(c *Ctx, q *query.Query, key string, cap int) int {
-	if q.NumVertices() == 0 {
-		return 0
+// CountKeyed is the one count path. It counts, on m and against c, the query
+// whose binary canonical key (query.AppendKey) the caller already holds: the
+// rewriting searches dedup executed candidates on exactly that key, and the
+// Path(n) statistics cut their fragment keys out of their query's key. The
+// (key, cap) pair is first resolved against the executed-count cache; build
+// returns the query and runs only when a novel pair compiles (plan cache),
+// executes and is Put, or when key is empty and must be derived. A repeat
+// query — almost all of them across a rewriting search — performs zero
+// compilations and zero allocations, and builds no query.
+func CountKeyed[K ~string | ~[]byte](m *Matcher, c *Ctx, key K, cap int, build func() *query.Query) int {
+	var q *query.Query
+	if len(key) == 0 || m.planOff {
+		if q = build(); q.NumVertices() == 0 {
+			return 0
+		}
+		if m.planOff {
+			p := m.getPlan(c, q)
+			defer m.plans.Put(p)
+			return p.Count(c, cap)
+		}
+		c.keyBuf = q.AppendKey(c.keyBuf[:0])
+	} else {
+		c.keyBuf = append(c.keyBuf[:0], key...)
 	}
-	if m.planOff {
-		p := m.getPlan(c, q)
-		defer m.plans.Put(p)
-		return p.Count(c, cap)
-	}
-	c.loadKey(q, key)
 	c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
 	c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
 	if n, ok := m.countCache.Get(c.cntBuf); ok {
 		return n
+	}
+	if q == nil {
+		q = build()
 	}
 	n := m.cachedPlan(c, q).Count(c, cap)
 	m.countCache.Put(c.cntBuf, n, 0)

@@ -10,8 +10,8 @@ import (
 )
 
 // flatPred is one (attribute key, predicate) pair of a query element,
-// flattened out of the predicate map in key order: the form candidate-cache
-// keys are encoded from, predicates are bound from and carry-over tests.
+// flattened out of the predicate map in key order: the form predicates are
+// bound from and carry-over tests.
 type flatPred struct {
 	key  string
 	pred query.Predicate
@@ -130,9 +130,8 @@ type Plan struct {
 	vids []int // vertex slot → query vertex id (ascending)
 	eids []int // edge slot → query edge id (in step order)
 
-	vpreds [][]flatPred // per vertex slot, key-sorted
-	cands  []*candEntry // per vertex slot, the shared candidate set
-	ops    []planOp
+	cands []*candEntry // per vertex slot, the shared candidate set
+	ops   []planOp
 }
 
 // compileScratch is what a compilation uses and no execution reads: the ids
@@ -188,19 +187,16 @@ func (m *Matcher) compileInto(p *Plan, q *query.Query, cs *compileScratch) {
 	p.ops = p.ops[:0]
 
 	// Grow per-slot storage.
-	for len(p.vpreds) < nv {
-		p.vpreds = append(p.vpreds, nil)
+	for len(p.cands) < nv {
 		p.cands = append(p.cands, nil)
 	}
 
-	// Flatten predicates and resolve each vertex's candidate set exactly
-	// once, through the matcher's candidate cache: the rewriting searches
-	// execute thousands of query variants that share almost all of their
-	// vertex predicates, so most compilations never rescan the graph.
+	// Resolve each vertex's candidate set exactly once, through the
+	// matcher's candidate cache: the rewriting searches execute thousands of
+	// query variants that share almost all of their vertex predicates, so
+	// most compilations never rescan the graph.
 	for s := 0; s < nv; s++ {
-		v := q.Vertex(vids[s])
-		p.vpreds[s] = flattenPreds(p.vpreds[s][:0], v.Preds)
-		p.cands[s] = m.candidates(cs, p.vpreds[s])
+		p.cands[s] = m.candidates(cs, q.Vertex(vids[s]))
 	}
 
 	p.planOps(q, cs)

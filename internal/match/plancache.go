@@ -45,7 +45,7 @@ func planBytes(keyLen int, p *Plan) int {
 		}
 	}
 	for s := 0; s < p.nv; s++ {
-		n += len(p.vpreds[s])*32 + len(p.cands[s].bits)*8 + len(p.cands[s].order)*4
+		n += len(p.cands[s].preds)*32 + len(p.cands[s].bits)*8 + len(p.cands[s].order)*4
 	}
 	return n
 }
@@ -84,21 +84,10 @@ func (m *Matcher) PlanCacheStats() (hits, misses, entries int) {
 	return m.planCache.Stats().Counts()
 }
 
-// loadKey materializes q's binary canonical key into c.keyBuf, copying the
-// caller's precomputed key when one is given (the searches dedup executed
-// candidates on exactly that key) and deriving it otherwise. Either way the
-// buffer is reused, so steady-state lookups allocate nothing.
-func (c *Ctx) loadKey(q *query.Query, key string) {
-	if key == "" {
-		c.keyBuf = q.AppendKey(c.keyBuf[:0])
-	} else {
-		c.keyBuf = append(c.keyBuf[:0], key...)
-	}
-}
-
 // cachedPlan resolves the shared compiled plan for the query whose binary
-// canonical key sits in c.keyBuf (see loadKey). A miss compiles and Puts the
-// plan, so every plan-cache miss is exactly one compilation.
+// canonical key sits in c.keyBuf (a reused buffer, so steady-state lookups
+// allocate nothing). A miss compiles and Puts the plan, so every plan-cache
+// miss is exactly one compilation.
 func (m *Matcher) cachedPlan(c *Ctx, q *query.Query) *Plan {
 	if p, ok := m.planCache.Get(c.keyBuf); ok {
 		return p

@@ -187,7 +187,7 @@ func TestCachedPlanHoldsNoScratch(t *testing.T) {
 	q.AddEdge(a, b, []string{"worksAt"}, nil)
 	q.AddEdge(b, c, []string{"locatedIn"}, nil)
 	ctx := m.NewContext()
-	ctx.loadKey(q, "")
+	ctx.keyBuf = q.AppendKey(ctx.keyBuf[:0])
 	p := m.cachedPlan(ctx, q)
 	if p.Count(ctx, 0) == 0 {
 		t.Fatal("query must have results")

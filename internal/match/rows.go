@@ -178,7 +178,7 @@ func (m *Matcher) FindRows(c *Ctx, q *query.Query, opts Options, rows *Rows) {
 		p.FindRows(c, opts, rows)
 		return
 	}
-	c.loadKey(q, "")
+	c.keyBuf = q.AppendKey(c.keyBuf[:0])
 	m.cachedPlan(c, q).FindRows(c, opts, rows)
 }
 

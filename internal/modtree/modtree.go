@@ -173,7 +173,7 @@ func (s *Searcher) execute(n *Node, opts *Options) bool {
 	card, ok := s.ex.Cached(n.key)
 	if !ok {
 		card, ok = s.ex.Execute(n.key, func(ctx *match.Ctx) int {
-			return s.m.CountKeyed(ctx, n.Query, n.key, opts.CountCap)
+			return match.CountKeyed(s.m, ctx, n.key, opts.CountCap, func() *query.Query { return n.Query })
 		})
 	}
 	n.Cardinality, n.Distance = card, opts.Goal.Distance(card)

@@ -15,12 +15,12 @@ import (
 // Key/AppendKey encode a query into an unambiguous binary form that is equal
 // for two queries exactly when their Canonical() texts are equal. The keys
 // replace Canonical() on every hot path that needs query identity — the
-// executed-query caches of the rewriting searches (App. B.2), the statistics
-// caches of §5.2, and the matcher's compiled-plan cache — because they are
-// built without fmt, strconv, or strings.Builder and because a child
-// candidate's key can be derived from its parent's key by splicing only the
-// modified element record (ApplyKeyed), instead of re-canonicalizing the
-// whole query for every generated candidate.
+// executed-query caches of the rewriting searches (App. B.2), the matcher's
+// compiled-plan and executed-count caches, and with them the statistics of
+// §5.2 — because they are built without fmt, strconv, or strings.Builder and
+// because a child candidate's key can be derived from its parent's key by
+// splicing only the modified element record (ApplyKeyed), instead of
+// re-canonicalizing the whole query for every generated candidate.
 //
 // Format: a concatenation of element records, vertices first, ids ascending
 // within each kind (the same order Canonical uses):
@@ -152,7 +152,7 @@ func appendEdgeRecord(dst []byte, e *Edge) []byte {
 		b = binary.AppendUvarint(b, uint64(e.From))
 		b = binary.AppendUvarint(b, uint64(e.To))
 		b = append(b, byte(e.Dirs))
-		return e.AppendConstraintKey(b)
+		return e.appendConstraintKey(b)
 	})
 }
 
@@ -179,17 +179,18 @@ func appendSized(dst []byte, fill func([]byte) []byte) []byte {
 }
 
 // AppendPredKey appends the canonical binary encoding of the vertex's
-// predicate set — the id-free form the statistics caches of §5.2.2 key
-// vertex cardinalities by (two vertices with equal predicate sets share one
-// statistics entry regardless of their ids).
+// predicate set — the payload of its key record, and the id-free form the
+// matcher's candidate cache keys candidate sets, and so the vertex
+// cardinalities of §5.2.2, by (two vertices with equal predicate sets share
+// one entry regardless of their ids).
 func (v *Vertex) AppendPredKey(dst []byte) []byte {
 	return appendPredsKey(dst, v.Preds)
 }
 
-// AppendConstraintKey appends the canonical binary encoding of the edge's
+// appendConstraintKey appends the canonical binary encoding of the edge's
 // type disjunction, direction set, and predicate set — the id- and
-// endpoint-free form the statistics caches key edge cardinalities by.
-func (e *Edge) AppendConstraintKey(dst []byte) []byte {
+// endpoint-free tail of its key record.
+func (e *Edge) appendConstraintKey(dst []byte) []byte {
 	dst = append(dst, byte(e.Dirs))
 	types := e.typesSorted()
 	dst = binary.AppendUvarint(dst, uint64(len(types)))
@@ -314,7 +315,7 @@ func CountMayChange(key string, edgeTypes map[string]struct{}, vertices bool) bo
 			return true
 		}
 		covered = append(covered, int(from), int(to))
-		if EdgeCountMayChange(payload[n+m+1:], edgeTypes) { // skip the record's own dirs byte
+		if edgeCountMayChange(payload[n+m+1:], edgeTypes) { // skip the record's own dirs byte
 			return true
 		}
 	}
@@ -331,10 +332,10 @@ func CountMayChange(key string, edgeTypes map[string]struct{}, vertices bool) bo
 	return false
 }
 
-// EdgeCountMayChange is CountMayChange for the number of data edges matching
-// one query edge regardless of endpoints: key is an AppendConstraintKey
-// encoding, and the count stands unless the edge admits a touched type.
-func EdgeCountMayChange(key string, edgeTypes map[string]struct{}) bool {
+// edgeCountMayChange is CountMayChange for one edge record: key is its
+// appendConstraintKey encoding, and the edge's matches stand unless it admits
+// a touched type.
+func edgeCountMayChange(key string, edgeTypes map[string]struct{}) bool {
 	if len(key) < 2 {
 		return true
 	}

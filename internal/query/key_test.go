@@ -334,15 +334,15 @@ func TestCountMayChange(t *testing.T) {
 	}
 
 	e := q.Edge(q.EdgeIDs()[0])
-	ck := string(e.AppendConstraintKey(nil))
-	if EdgeCountMayChange(ck, types("loadtest")) || !EdgeCountMayChange(ck, types(e.Types[0])) {
+	ck := string(e.appendConstraintKey(nil))
+	if edgeCountMayChange(ck, types("loadtest")) || !edgeCountMayChange(ck, types(e.Types[0])) {
 		t.Error("typed edge constraint: touched only by its own types")
 	}
-	uk := string(untyped.Edge(untyped.EdgeIDs()[0]).AppendConstraintKey(nil))
-	if !EdgeCountMayChange(uk, types("loadtest")) || EdgeCountMayChange(uk, types()) {
+	uk := string(untyped.Edge(untyped.EdgeIDs()[0]).appendConstraintKey(nil))
+	if !edgeCountMayChange(uk, types("loadtest")) || edgeCountMayChange(uk, types()) {
 		t.Error("untyped edge constraint: touched by any edge, and only by edges")
 	}
-	if !EdgeCountMayChange("", types()) || !EdgeCountMayChange(ck[:3], types()) {
+	if !edgeCountMayChange("", types()) || !edgeCountMayChange(ck[:3], types()) {
 		t.Error("malformed constraint key accepted as untouched")
 	}
 }

@@ -530,7 +530,7 @@ func (q *Query) Validate() error {
 // Canonical returns a deterministic textual form of the query, suitable as a
 // cache key for the executed-query cache of Chapter 5 and for equality
 // checks between rewritten candidates. It is on the hot path of every
-// rewriting search (executed-query dedup, statistics cache keys), so it is
+// rewriting search (executed-query dedup), so it is
 // built without fmt.
 func (q *Query) Canonical() string {
 	var b strings.Builder

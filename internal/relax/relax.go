@@ -216,7 +216,7 @@ func (r *Rewriter) Rewrite(q *query.Query, opts Options) Outcome {
 			continue
 		}
 		card, ok := ex.Execute(key, func(ctx *match.Ctx) int {
-			return r.m.CountKeyed(ctx, c.Query, key, opts.CountCap)
+			return match.CountKeyed(r.m, ctx, key, opts.CountCap, func() *query.Query { return c.Query })
 		})
 		if !ok {
 			break

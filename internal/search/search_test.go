@@ -147,7 +147,7 @@ func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 	want := make([]int, len(queries))
 	warm := mt.NewContext()
 	for i, q := range queries {
-		want[i] = mt.CountKeyed(warm, q, q.Key(), 100)
+		want[i] = match.CountKeyed(mt, warm, q.Key(), 100, func() *query.Query { return q })
 	}
 	const goroutines, rounds, distinct = 8, 25, 6
 	var wg sync.WaitGroup
@@ -165,7 +165,7 @@ func TestConcurrentExecutorsSharedMatcher(t *testing.T) {
 						continue
 					}
 					card, ok := ex.Execute(key, func(ctx *match.Ctx) int {
-						return mt.CountKeyed(ctx, q, key, 100)
+						return match.CountKeyed(mt, ctx, key, 100, func() *query.Query { return q })
 					})
 					if !ok {
 						errc <- fmt.Errorf("goroutine %d round %d: execution refused", g, round)

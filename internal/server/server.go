@@ -619,7 +619,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.PlanCache = wire.NewCacheStats(m.PlanCacheStats())
 		st.CountCache = wire.NewCacheStats(m.CountCacheStats())
 		st.CandCache = wire.NewCacheStats(m.CandCacheStats())
-		st.StatsCache = wire.NewCacheStats(eng.Stats().CacheStats())
 		kernel := eng.KernelCounters()
 		st.Kernel = make(map[string]wire.KernelCounters, len(kernel))
 		for family, c := range kernel {

@@ -608,7 +608,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("worker config not reported: %+v", ld)
 	}
 	for name, cs := range map[string]wire.CacheStats{
-		"plan": ld.PlanCache, "count": ld.CountCache, "cand": ld.CandCache, "stats": ld.StatsCache,
+		"plan": ld.PlanCache, "count": ld.CountCache, "cand": ld.CandCache,
 	} {
 		if cs.Hits+cs.Misses == 0 {
 			t.Fatalf("%s cache counters did not move: %+v", name, cs)
@@ -616,6 +616,9 @@ func TestStatsEndpoint(t *testing.T) {
 		if cs.HitRate < 0 || cs.HitRate > 1 {
 			t.Fatalf("%s cache hit rate out of range: %+v", name, cs)
 		}
+	}
+	if ld.StatsCache != (wire.CacheStats{}) {
+		t.Fatalf("statsCache is inert, want zero: %+v", ld.StatsCache)
 	}
 	// Search-kernel counters: the why-empty explain ran the coarse
 	// relaxation and the MCS traversal, so those families must report

@@ -2,11 +2,13 @@
 // cardinalities for single query vertices and edges (§5.2.2), Path(n)
 // statistics along query edges (§5.2.3), whole-query cardinality estimates,
 // and the induced-cardinality-change estimation that drives the
-// query-candidate selector of §5.3. Computed statistics are cached by the
-// canonical form of the query fragment they describe, mirroring the thesis'
-// re-use of already processed queries (§1.1, contribution 4). For a query
-// whose canonical key the caller holds — every search candidate — the
-// fragment keys are cut out of that key (Estimates), not encoded again.
+// query-candidate selector of §5.3. The statistics keep no cache of their
+// own: a vertex cardinality is the size of the matcher's shared candidate
+// set, and a Path(n) statistic is an exact count in the matcher's
+// executed-count cache, under the canonical key of the fragment it describes
+// — the thesis' re-use of already processed queries (§1.1, contribution 4).
+// For a query whose canonical key the caller holds — every search candidate
+// — the fragment keys are cut out of that key (Estimates), not encoded again.
 package stats
 
 import (
@@ -22,26 +24,14 @@ import (
 	"repro/internal/query"
 )
 
-// cardCacheCap bounds each of the three cardinality caches the way the
-// matcher bounds its count cache: a stream of never-repeating queries cannot
-// grow the collector for the life of the engine.
-const cardCacheCap = 16 << 12
-
-// Collector computes and caches query-dependent statistics over one data
-// graph. It is safe for concurrent use: the three cardinality caches are
-// internal/cache instances keyed by binary canonical encodings of query
-// fragments (query.AppendKey and the id-free element forms), and
-// cache-missing cardinality queries draw reusable matching contexts from a
-// pool so concurrent collectors stay allocation-free in the matching inner
-// loop. Every miss computes its statistic and Puts it, so the miss counter is
-// the number of statistics computed.
+// Collector computes query-dependent statistics over one data graph. It is
+// a stateless view over the matcher, whose candidate and executed-count
+// caches hold every statistic, and safe for concurrent use: Path(n) counts
+// run on matching contexts drawn from a free list and under keys built in
+// pooled buffers, so concurrent collectors stay allocation-free.
 type Collector struct {
 	m    *match.Matcher
 	ctxs cache.FreeList[*match.Ctx]
-
-	vertexCard *cache.Cache[int]
-	edgeCard   *cache.Cache[int]
-	pathCard   *cache.Cache[int]
 }
 
 // keyBufs holds *[]byte scratch for building cache keys without garbage. The
@@ -60,72 +50,25 @@ func (c *Collector) putKeyBuf(kb *[]byte) { keyBufs.Put(kb) }
 
 // New returns a collector over the matcher's data graph.
 func New(m *match.Matcher) *Collector {
-	c := &Collector{
-		m:          m,
-		vertexCard: cache.New[int](cardCacheCap, 0),
-		edgeCard:   cache.New[int](cardCacheCap, 0),
-		pathCard:   cache.New[int](cardCacheCap, 0),
-	}
+	c := &Collector{m: m}
 	c.ctxs.New = m.NewContext
 	return c
 }
 
-// NewSuccessor returns a collector over m, the matcher of the engine that
-// succeeds prev's, holding the edge and path cardinalities of prev that the
-// batch d cannot have changed (query.CountMayChange says which) — the
-// re-use of processed queries carried across a write. Vertex cardinalities
-// are not carried: each is one hit in the matcher's own carried candidate
-// cache. prev keeps serving; its hit and miss counters stay with it.
-func NewSuccessor(m *match.Matcher, prev *Collector, d *graph.Delta) *Collector {
-	c := New(m)
-	prev.edgeCard.Carry(c.edgeCard, func(key string, n int) (int, bool) {
-		return n, !query.EdgeCountMayChange(key, d.EdgeTypes)
-	})
-	prev.pathCard.Carry(c.pathCard, func(key string, n int) (int, bool) {
-		return n, !query.CountMayChange(key, d.EdgeTypes, d.Vertices)
-	})
-	return c
-}
-
-// CacheStats reports cache hits, misses, and resident entries over the three
-// cardinality caches — the resource accounting of Appendix B.2.
-func (c *Collector) CacheStats() (hits, misses, entries int) {
-	for _, cc := range []*cache.Cache[int]{c.vertexCard, c.edgeCard, c.pathCard} {
-		h, m, e := cc.Stats().Counts()
-		hits, misses, entries = hits+h, misses+m, entries+e
-	}
-	return hits, misses, entries
-}
-
 // VertexCardinality returns the exact number of data vertices matching the
-// query vertex (querying statistics for vertices, §5.2.2). The cache key is
-// the vertex's id-free binary predicate encoding, so equal predicate sets
-// share one entry regardless of vertex identifiers.
+// query vertex (querying statistics for vertices, §5.2.2): the size of its
+// candidate set in the matcher's candidate cache, keyed by the vertex's
+// id-free predicate encoding, so equal predicate sets share one entry
+// regardless of vertex identifiers.
 func (c *Collector) VertexCardinality(v *query.Vertex) int {
-	kb := c.getKeyBuf()
-	defer c.putKeyBuf(kb)
-	*kb = v.AppendPredKey(*kb)
-	if n, ok := c.vertexCard.Get(*kb); ok {
-		return n
-	}
-	n := c.m.CandidateCount(v)
-	c.vertexCard.Put(*kb, n, 0)
-	return n
+	return c.m.CandidateCount(v)
 }
 
 // EdgeCardinality returns the exact number of data edges matching the query
 // edge's type disjunction and predicates, ignoring endpoint constraints
 // (querying statistics for edges, §5.2.2).
 func (c *Collector) EdgeCardinality(e *query.Edge) int {
-	kb := c.getKeyBuf()
-	defer c.putKeyBuf(kb)
-	*kb = e.AppendConstraintKey(*kb)
-	if n, ok := c.edgeCard.Get(*kb); ok {
-		return n
-	}
-	n := c.m.EdgeCandidateCount(e)
-	c.edgeCard.Put(*kb, n, 0)
-	return n
+	return c.m.EdgeCandidateCount(e)
 }
 
 // Path1Cardinality returns the exact number of data paths matching a single
@@ -137,7 +80,7 @@ func (c *Collector) Path1Cardinality(q *query.Query, edgeID int) int {
 
 // PathCardinality returns the exact number of data paths matching the given
 // chain of query edges including endpoint predicates — Path(n), §5.2.3.
-// The cache key is derived from q in place (query.AppendKeyByEdges).
+// The count key is derived from q in place (query.AppendKeyByEdges).
 func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	if len(chain) == 0 {
 		return 0
@@ -145,23 +88,18 @@ func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 	kb := c.getKeyBuf()
 	defer c.putKeyBuf(kb)
 	*kb = q.AppendKeyByEdges(*kb, chain)
-	return c.pathCount(q, chain, *kb)
+	ctx := c.ctxs.Get()
+	defer c.ctxs.Put(ctx)
+	return c.pathCount(ctx, q, chain, *kb)
 }
 
-// pathCount resolves a path statistic under its fragment key. The subquery
-// itself is built only by a probe that misses, which runs it on a
-// collector-owned context and passes the key straight through to the
-// matcher's plan cache, so repeated probes of the same fragment never
-// recompile it.
-func (c *Collector) pathCount(q *query.Query, chain []int, key []byte) int {
-	if n, ok := c.pathCard.Get(key); ok {
-		return n
-	}
-	ctx := c.ctxs.Get()
-	n := c.m.CountKeyed(ctx, q.SubqueryByEdges(chain), string(key), 0)
-	c.ctxs.Put(ctx)
-	c.pathCard.Put(key, n, 0)
-	return n
+// pathCount resolves a path statistic under its fragment key: one exact
+// (cap 0) lookup in the matcher's count cache. The subquery itself is built
+// only by a probe that misses, which counts it on ctx with the key passed
+// straight through to the matcher's plan cache, so repeated probes of the
+// same fragment never recompile it.
+func (c *Collector) pathCount(ctx *match.Ctx, q *query.Query, chain []int, key []byte) int {
+	return match.CountKeyed(c.m, ctx, key, 0, func() *query.Query { return q.SubqueryByEdges(chain) })
 }
 
 // AveragePath1Cardinality is the mean Path(1) cardinality over all query
@@ -188,9 +126,8 @@ const estScratch = 16
 
 // Estimates returns EstimateCardinality and AveragePath1Cardinality of q from
 // one pass over its edges, each Path(1) looked up once. key is q's canonical
-// key when the caller holds it ("" derives it here): every statistics key is
-// cut out of it — a vertex record's payload is the vertex-cardinality key, two
-// endpoint records and an edge record are a Path(1) key — instead of being
+// key when the caller holds it ("" derives it here): every Path(1) key is cut
+// out of it — two endpoint records and an edge record — instead of being
 // encoded again from the predicate maps. Components multiply in order of
 // their smallest vertex id, edges and vertices in id order within each.
 func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 float64) {
@@ -206,15 +143,9 @@ func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 fl
 	// Fragment keys are built behind the key, in the same buffer.
 	*kb = slices.Grow(*kb, len(*kb))
 	qkey, frag := *kb, (*kb)[len(*kb):]
-	vcard := func(i int) float64 {
-		payload := qkey[offs[2*i+1]:offs[2*i+2]]
-		n, ok := c.vertexCard.Get(payload)
-		if !ok {
-			n = c.m.CandidateCount(vs[i])
-			c.vertexCard.Put(payload, n, 0)
-		}
-		return float64(n)
-	}
+	ctx := c.ctxs.Get()
+	defer c.ctxs.Put(ctx)
+	vcard := func(i int) float64 { return float64(c.m.CandidateCount(vs[i])) }
 
 	// Per vertex position: union-find parent, spanning-tree degree, then the
 	// running estimate of the component the position represents (dead: 0).
@@ -234,7 +165,7 @@ func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 fl
 	for j, e := range es {
 		fi, ti := q.VertexIndex(e.From), q.VertexIndex(e.To)
 		chain := [1]int{e.ID}
-		p1 := float64(c.pathCount(q, chain[:], q.AppendKeyRecordsByEdges(frag, qkey, offs, chain[:])))
+		p1 := float64(c.pathCount(ctx, q, chain[:], q.AppendKeyRecordsByEdges(frag, qkey, offs, chain[:])))
 		sum += p1
 		if a, b := query.FindRoot(parent, fi), query.FindRoot(parent, ti); a != b {
 			parent[a] = b

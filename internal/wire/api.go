@@ -234,6 +234,11 @@ func NewCacheStats(hits, misses, entries int) CacheStats {
 // one key each compute it, so no lookup waits on another and no computation
 // is shared. The type stays until the benchmark that reads
 // coalescing.shared drops it.
+//
+// DatasetStats.StatsCache is always zero as well: the statistics keep no
+// cache of their own, and their lookups count in CandCache (vertex
+// cardinalities) and CountCache (Path(n) counts). The field stays until the
+// benchmark that reads statsCache drops it.
 type CoalescingStats struct {
 	Waits  int64 `json:"waits"`
 	Shared int64 `json:"shared"`
@@ -270,7 +275,7 @@ type DatasetStats struct {
 	PlanCache      CacheStats                `json:"planCache"`
 	CountCache     CacheStats                `json:"countCache"`
 	CandCache      CacheStats                `json:"candCache"`
-	StatsCache     CacheStats                `json:"statsCache"`
+	StatsCache     CacheStats                `json:"statsCache"` // always zero; see CoalescingStats
 	Kernel         map[string]KernelCounters `json:"kernel"`
 	// Coalescing is always zero; see CoalescingStats.
 	Coalescing CoalescingStats `json:"coalescing"`
