@@ -129,9 +129,9 @@ func refAveragePath1Cardinality(c *stats.Collector, q *query.Query) float64 {
 	return sum / float64(len(ids))
 }
 
-// refInducedChange is stats.Collector.InducedChange as the coarse search
-// called it per child: the parent estimated again, and deep-cloned to apply
-// an operation whose result the search already held.
+// refInducedChange is the induced change as the coarse search once computed
+// it per child: the parent estimated again, and deep-cloned to apply an
+// operation whose result the search already held.
 func refInducedChange(c *stats.Collector, q *query.Query, op query.Op) float64 {
 	before := refEstimateCardinality(c, q)
 	after, err := query.Apply(q, op)

@@ -25,8 +25,8 @@ func TestHotExplainAllocs(t *testing.T) {
 	// 409 objects / 38.3 KB since every search runs on its request's
 	// goroutine (473 / 41.6 KB with speculative prefetch on two workers,
 	// 1 335 / 169 KB before candidates shared storage); scoring children
-	// through stats.InducedChange again — the parent re-estimated and
-	// deep-cloned per child — read 705 / 69 KB.
+	// as refInducedChange does — the parent re-estimated and deep-cloned
+	// per child — read 705 / 69 KB.
 	const maxObjects, maxBytes = 500, 48 << 10
 	lg := datagen.LDBC(datagen.DefaultLDBC().Scaled(8))
 	dcfg := datagen.DefaultDBpedia()

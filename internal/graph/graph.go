@@ -2,8 +2,7 @@
 // (Definition 1, §3.1.1): a directed multigraph G = (V, E, u, f, g, AV, AE)
 // whose vertices and edges carry multiple diverse attribute values, and whose
 // edges carry a type. The package provides an in-memory store with adjacency
-// and attribute indexes, plus the graph algorithms the why-query machinery
-// needs (weakly connected components, BFS).
+// and attribute indexes.
 //
 // The store plays the role of the GRAPHITE/SAP HANA graph runtime used by the
 // thesis' evaluation — a columnar one: a substrate the pattern matcher
@@ -338,27 +337,6 @@ func (g *Graph) VerticesByAttr(key string, value Value) ([]VertexID, bool) {
 
 // IndexedKeys reports the vertex attribute keys covered by an index, sorted.
 func (g *Graph) IndexedKeys() []string { return slices.Clone(g.indexed) }
-
-// Neighbors returns the distinct vertices adjacent to v (either direction).
-func (g *Graph) Neighbors(v VertexID) []VertexID {
-	seen := make(map[VertexID]struct{}, len(g.out[v])+len(g.in[v]))
-	var res []VertexID
-	for _, e := range g.out[v] {
-		w := g.edges[e].To
-		if _, dup := seen[w]; !dup {
-			seen[w] = struct{}{}
-			res = append(res, w)
-		}
-	}
-	for _, e := range g.in[v] {
-		w := g.edges[e].From
-		if _, dup := seen[w]; !dup {
-			seen[w] = struct{}{}
-			res = append(res, w)
-		}
-	}
-	return res
-}
 
 // Stats summarises the graph for reports and generators.
 type Stats struct {

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestValueOrderingAndString(t *testing.T) {
 	tests := []struct {
@@ -103,109 +98,10 @@ func TestVertexIndex(t *testing.T) {
 	}
 }
 
-func TestNeighborsDedup(t *testing.T) {
-	g := New(2, 2)
-	a := g.AddVertex(nil)
-	b := g.AddVertex(nil)
-	g.AddEdge(a, b, "x", nil)
-	g.AddEdge(b, a, "y", nil) // second edge, opposite direction
-	nb := g.Neighbors(a)
-	if len(nb) != 1 || nb[0] != b {
-		t.Fatalf("Neighbors = %v", nb)
-	}
-}
-
-func TestWCC(t *testing.T) {
-	g := New(6, 3)
-	for i := 0; i < 6; i++ {
-		g.AddVertex(nil)
-	}
-	g.AddEdge(0, 1, "t", nil)
-	g.AddEdge(2, 1, "t", nil) // 0-1-2 weakly connected
-	g.AddEdge(3, 4, "t", nil) // 3-4
-	// 5 isolated
-	comps := g.WeaklyConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-	sizes := []int{len(comps[0]), len(comps[1]), len(comps[2])}
-	sort.Ints(sizes)
-	if sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 3 {
-		t.Fatalf("component sizes = %v", sizes)
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := buildTriangle(t)
-	var visited int
-	g.BFS(0, func(VertexID) bool {
-		visited++
-		return visited < 2
-	})
-	if visited != 2 {
-		t.Fatalf("visited %d, want early stop at 2", visited)
-	}
-}
-
-func TestEdgesBetween(t *testing.T) {
-	g := New(3, 3)
-	a := g.AddVertex(nil)
-	b := g.AddVertex(nil)
-	g.AddVertex(nil)
-	e1 := g.AddEdge(a, b, "x", nil)
-	e2 := g.AddEdge(b, a, "y", nil)
-	got := g.EdgesBetween(a, b)
-	if len(got) != 2 || got[0] != e1 || got[1] != e2 {
-		t.Fatalf("EdgesBetween = %v", got)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	g := buildTriangle(t)
 	s := g.Summary()
 	if s.Vertices != 3 || s.Edges != 3 || s.EdgeTypes["livesIn"] != 2 || s.EdgeTypes["knows"] != 1 {
 		t.Fatalf("Summary = %+v", s)
-	}
-}
-
-// Property: WCC partitions the vertex set — every vertex appears in exactly
-// one component, and every edge's endpoints share a component.
-func TestWCCPartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		m := rng.Intn(60)
-		g := New(n, m)
-		for i := 0; i < n; i++ {
-			g.AddVertex(nil)
-		}
-		for i := 0; i < m; i++ {
-			g.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), "t", nil)
-		}
-		comps := g.WeaklyConnectedComponents()
-		owner := make(map[VertexID]int)
-		total := 0
-		for ci, c := range comps {
-			for _, v := range c {
-				if _, dup := owner[v]; dup {
-					return false
-				}
-				owner[v] = ci
-				total++
-			}
-		}
-		if total != n {
-			return false
-		}
-		for i := 0; i < g.NumEdges(); i++ {
-			e := g.Edge(EdgeID(i))
-			if owner[e.From] != owner[e.To] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -299,14 +299,15 @@ func TestPlanReusableAcrossContexts(t *testing.T) {
 	if n1, n2 := p.Count(c1, 0), p.Count(c2, 0); n1 != 3 || n2 != 3 {
 		t.Fatalf("counts = %d, %d, want 3, 3", n1, n2)
 	}
-	if got := len(p.Find(c1, Options{})); got != 3 {
-		t.Fatalf("find after counts = %d results, want 3", got)
+	var rows Rows
+	if p.FindRows(c2, Options{}, &rows); rows.Len() != 3 {
+		t.Fatalf("find after counts = %d rows, want 3", rows.Len())
 	}
-	if p.CandidateCount(a) != 4 {
-		t.Fatalf("plan candidate count = %d, want 4 persons", p.CandidateCount(a))
+	if n := m.CandidateCount(q.Vertex(a)); n != 4 {
+		t.Fatalf("candidate count = %d, want 4 persons", n)
 	}
-	if p.CandidateCount(99) != -1 {
-		t.Fatal("unknown vertex id must report -1")
+	if n1 := p.Count(c1, 0); n1 != 3 {
+		t.Fatalf("count after find = %d, want 3", n1)
 	}
 }
 

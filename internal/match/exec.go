@@ -37,7 +37,7 @@ type Ctx struct {
 	limit int   // result limit (modeFind; 0 = unlimited)
 	rows  *Rows // where modeFind appends embeddings
 
-	// found is the row buffer behind Find/FindCtx/Plan.Find, which hand out
+	// found is the row buffer behind Find and FindCtx, which hand out
 	// result graphs and have no caller-owned Rows to fill.
 	found Rows
 }
@@ -97,12 +97,6 @@ func (p *Plan) Count(c *Ctx, cap int) int {
 	c.exec(0)
 	c.p = nil
 	return c.n
-}
-
-// Find executes the plan and materializes result graphs up to opts.Limit.
-func (p *Plan) Find(c *Ctx, opts Options) []Result {
-	p.FindRows(c, opts, &c.found)
-	return c.found.Results()
 }
 
 // emit consumes one complete embedding; it returns false to stop the search.

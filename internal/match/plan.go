@@ -145,16 +145,6 @@ type compileScratch struct {
 	usedEdge []bool
 }
 
-// CandidateCount returns the compiled candidate-set size of a query vertex
-// id, or -1 when the vertex is not part of the plan.
-func (p *Plan) CandidateCount(qid int) int {
-	s := p.vertexSlot(qid)
-	if s < 0 {
-		return -1
-	}
-	return p.cands[s].n
-}
-
 // vertexSlot maps a query vertex id to its dense slot via binary search
 // (vids is ascending); -1 when absent.
 func (p *Plan) vertexSlot(qid int) int {
@@ -167,7 +157,7 @@ func (p *Plan) vertexSlot(qid int) int {
 
 // Compile builds a reusable plan for q over the matcher's data graph. The
 // plan can be executed repeatedly — and concurrently — against per-goroutine
-// contexts with Plan.Count, Plan.Find, and Plan.FindRows.
+// contexts with Plan.Count and Plan.FindRows.
 func (m *Matcher) Compile(q *query.Query) *Plan {
 	p := &Plan{}
 	m.compileInto(p, q, new(compileScratch))

@@ -4,7 +4,10 @@
 // dedup, cancellation — is the shared kernel of internal/search; this
 // package contributes the strategy: the fine-grained modification operators
 // (§6.2.2), the non-contributing-change pruning (§6.3.2), and the tree
-// orderings.
+// orderings. The baselines of §6.4.1 share the traversal as well as the
+// operator space: the exhaustive enumeration is TRAVERSESEARCHTREE's loop
+// without pruning or prioritization, and the random walk restarts from the
+// same root.
 package modtree
 
 import (
@@ -114,7 +117,9 @@ type Result struct {
 	Satisfied bool
 	// Executed counts candidate executions.
 	Executed int
-	// Generated counts generated tree nodes.
+	// Generated counts generated tree nodes: for TraverseSearchTree and
+	// Exhaustive the executed nodes, root included; RandomWalk also counts
+	// the steps whose query an earlier walk already executed.
 	Generated int
 	// Pruned counts discarded non-contributing changes and branches
 	// (§6.3.2).
@@ -131,14 +136,22 @@ type Result struct {
 // be shared between goroutines.
 type Searcher struct {
 	m  *match.Matcher
-	st *stats.Collector
 	ex *search.Executor
-	pq *search.Frontier[*Node]
+	// pq is TraverseSearchTree's frontier (nodeLess); fifo is Exhaustive's,
+	// whose order ranks no node first, so the kernel's insertion-sequence
+	// tie-break pops it breadth-first.
+	pq, fifo *search.Frontier[*Node]
 }
 
-// New returns a searcher over the matcher and statistics collector.
-func New(m *match.Matcher, st *stats.Collector) *Searcher {
-	return &Searcher{m: m, st: st, ex: search.NewExecutor(m), pq: search.NewFrontier(nodeLess)}
+// New returns a searcher over the matcher. The tree ranks nodes by executed
+// cardinalities, not estimates, so it reads nothing from the statistics
+// collector; New takes one like the other strategies' constructors do.
+func New(m *match.Matcher, _ *stats.Collector) *Searcher {
+	return &Searcher{
+		m: m, ex: search.NewExecutor(m),
+		pq:   search.NewFrontier(nodeLess),
+		fifo: search.NewFrontier(func(a, b *Node) bool { return false }),
+	}
 }
 
 // expand lists the parent's children in enumeration order, one per
@@ -188,37 +201,54 @@ func (s *Searcher) finish(res *Result) {
 	s.ex.End()
 }
 
+// root begins a run and executes its root: a clone of q, which every node
+// derives from copy-on-write, so measuring against it (not the caller's q)
+// lets the distance skip what they share. It reports false when the run is
+// already over — stopped before the root executed (res stays the zero
+// result) or the root meets the goal.
+func (s *Searcher) root(q *query.Query, opts *Options, res *Result) (*Node, bool) {
+	opts.fill()
+	s.ex.Begin(opts.Control)
+	root := &Node{Query: q.Clone()}
+	root.key = root.Query.Key()
+	if !s.execute(root, opts) {
+		return nil, false
+	}
+	res.Best, res.Generated = *root, 1
+	res.Satisfied = opts.Goal.Contains(root.Cardinality)
+	s.ex.Record(res.Best.Distance)
+	return root, !res.Satisfied
+}
+
 // TraverseSearchTree is the thesis' TRAVERSESEARCHTREE algorithm (§6.2.1):
 // best-first expansion of the modification tree toward the goal interval.
 // Every candidate is re-planned and re-executed in full, which guarantees
 // the propagation of each change through all downstream operators (§6.3.1);
 // children whose cardinality equals their parent's are non-contributing and
 // are discarded with their branches (§6.3.2).
-func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result) {
-	opts.fill()
-	ex := s.ex
-	ex.Begin(opts.Control)
+func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) Result {
+	return s.traverse(q, opts, s.pq, true)
+}
+
+// Exhaustive is the §6.4.1 enumeration baseline: TRAVERSESEARCHTREE without
+// pruning or prioritization — breadth-first expansion of the same operator
+// space.
+func (s *Searcher) Exhaustive(q *query.Query, opts Options) Result {
+	return s.traverse(q, opts, s.fifo, false)
+}
+
+// traverse is the modification-tree loop: pop a node from pq, execute its
+// children, keep the best, and stop at the first child in the goal. With
+// prune, a non-contributing child is counted in Pruned and demoted.
+func (s *Searcher) traverse(q *query.Query, opts Options, pq *search.Frontier[*Node], prune bool) (res Result) {
 	defer s.finish(&res)
-	pq := s.pq
+	root, ok := s.root(q, &opts, &res)
+	if !ok {
+		return res
+	}
+	ex := s.ex
 	pq.Reset()
-
-	// Every node derives from this clone copy-on-write, so measuring against
-	// it (not the caller's q) lets the distance skip what they share.
-	root := &Node{Query: q.Clone()}
-	q = root.Query
-	root.key = q.Key()
-	if !s.execute(root, &opts) {
-		return res
-	}
-	res.Best = *root
-	res.Satisfied = opts.Goal.Contains(root.Cardinality)
-	ex.Record(res.Best.Distance)
-	if res.Satisfied {
-		return res
-	}
 	pq.Push(root)
-	res.Generated = 1
-
 	for pq.Len() > 0 && !ex.Stopped() {
 		parent, _ := pq.Pop()
 		if parent.Depth >= opts.MaxDepth {
@@ -233,22 +263,18 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 				break
 			}
 			res.Generated++
-			child.Syntactic = metrics.SyntacticDistance(q, child.Query)
+			child.Syntactic = metrics.SyntacticDistance(root.Query, child.Query)
 			emptied := opts.Goal.Lower >= 1 && child.Cardinality == 0 && parent.Cardinality > 0
-			if child.Cardinality == parent.Cardinality || emptied {
+			if prune && (child.Cardinality == parent.Cardinality || emptied) {
 				// Non-contributing change (§6.3.2) — or one that emptied the
 				// result, which can never be the explanation of a non-empty
 				// goal: demote the branch so it only expands when no
 				// contributing branch is left, giving dependent elements a
 				// chance to propagate the change (§6.3.1) without letting
-				// dead changes lead the search.
+				// dead changes lead the search. Neither kind is in the goal.
 				res.Pruned++
 				child.Demoted = true
-				ex.Record(res.Best.Distance)
-				pq.Push(child)
-				continue
-			}
-			if better(child, &res.Best) {
+			} else if better(child, &res.Best) {
 				res.Best = *child
 				ex.Improved(search.Candidate{Query: child.Query, Ops: child.Ops, Cardinality: child.Cardinality, Distance: child.Distance})
 			}
@@ -260,7 +286,6 @@ func (s *Searcher) TraverseSearchTree(q *query.Query, opts Options) (res Result)
 			pq.Push(child)
 		}
 	}
-	res.Satisfied = opts.Goal.Contains(res.Best.Cardinality)
 	return res
 }
 
@@ -471,84 +496,18 @@ func (s *Searcher) concretizeOps(q *query.Query, opts Options) []query.Op {
 	return ops
 }
 
-// Exhaustive is the §6.4.1 enumeration baseline: breadth-first expansion of
-// the same operator space without pruning or prioritization.
-func (s *Searcher) Exhaustive(q *query.Query, opts Options) (res Result) {
-	opts.fill()
-	ex := s.ex
-	ex.Begin(opts.Control)
-	defer s.finish(&res)
-	var queue []*Node
-
-	root := &Node{Query: q.Clone()}
-	q = root.Query
-	root.key = q.Key()
-	if !s.execute(root, &opts) {
-		return res
-	}
-	res.Best = *root
-	res.Generated = 1
-	ex.Record(res.Best.Distance)
-	if opts.Goal.Contains(root.Cardinality) {
-		res.Satisfied = true
-		return res
-	}
-	queue = append(queue, root)
-	for len(queue) > 0 && !ex.Stopped() {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.Depth >= opts.MaxDepth {
-			continue
-		}
-		for _, child := range s.expand(cur, opts) {
-			if derive(cur, child) == "" || ex.Seen(child.key) {
-				continue
-			}
-			child.Ops = append(append([]query.Op(nil), cur.Ops...), child.op)
-			if !s.execute(child, &opts) {
-				break
-			}
-			res.Generated++
-			child.Syntactic = metrics.SyntacticDistance(q, child.Query)
-			if better(child, &res.Best) {
-				res.Best = *child
-				ex.Improved(search.Candidate{Query: child.Query, Ops: child.Ops, Cardinality: child.Cardinality, Distance: child.Distance})
-			}
-			ex.Record(res.Best.Distance)
-			if opts.Goal.Contains(child.Cardinality) {
-				res.Satisfied = true
-				return res
-			}
-			queue = append(queue, child)
-		}
-	}
-	res.Satisfied = opts.Goal.Contains(res.Best.Cardinality)
-	return res
-}
-
 // RandomWalk is the §6.4.1 random baseline: chains of randomly chosen
 // applicable modifications, restarted from the original query.
 func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Result) {
-	opts.fill()
-	rng := rand.New(rand.NewSource(seed))
-	ex := s.ex
-	ex.Begin(opts.Control)
 	defer s.finish(&res)
-
-	// Every walk restarts from this clone, which nothing writes.
-	root := Node{Query: q.Clone()}
-	q = root.Query
-	root.key = q.Key()
-	s.execute(&root, &opts)
-	res.Best = root
-	res.Generated = 1
-	ex.Record(res.Best.Distance)
-	if opts.Goal.Contains(root.Cardinality) {
-		res.Satisfied = true
+	root, ok := s.root(q, &opts, &res)
+	if !ok {
 		return res
 	}
+	rng := rand.New(rand.NewSource(seed))
+	ex := s.ex
 	for !ex.Stopped() {
-		cur := root
+		cur := *root
 		for depth := 0; depth < opts.MaxDepth && ex.Remaining() > 0; depth++ {
 			avail := s.Modifications(cur.Query, cur.Cardinality, opts)
 			if len(avail) == 0 {
@@ -563,7 +522,7 @@ func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Res
 			}
 			res.Generated++
 			next.Ops = append(append([]query.Op(nil), cur.Ops...), next.op)
-			next.Syntactic = metrics.SyntacticDistance(q, next.Query)
+			next.Syntactic = metrics.SyntacticDistance(root.Query, next.Query)
 			cur = next
 			if better(&cur, &res.Best) {
 				res.Best = cur
@@ -576,6 +535,5 @@ func (s *Searcher) RandomWalk(q *query.Query, opts Options, seed int64) (res Res
 			}
 		}
 	}
-	res.Satisfied = opts.Goal.Contains(res.Best.Cardinality)
 	return res
 }

@@ -1,6 +1,9 @@
 package modtree
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -186,72 +189,6 @@ func TestModificationsDirection(t *testing.T) {
 	}
 }
 
-func TestBuildPlan(t *testing.T) {
-	g := testGraph()
-	m := match.New(g)
-	st := stats.New(m)
-	q := query.New()
-	p := q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
-	u := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
-	c := q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")})
-	q.AddEdge(p, u, []string{"worksAt"}, nil)
-	q.AddEdge(u, c, []string{"locatedIn"}, nil)
-	plan := BuildPlan(st, q)
-	if len(plan.Steps) != 3 {
-		t.Fatalf("plan steps = %d, want 3", len(plan.Steps))
-	}
-	if plan.Steps[0].Kind != "scan" {
-		t.Fatal("plan must start with a scan")
-	}
-	// Most selective vertex: city or university (2 candidates each).
-	if first := plan.Steps[0].Vertex; first != c && first != u {
-		t.Fatalf("scan should start at the most selective vertex, got v%d", first)
-	}
-	if plan.String() == "" {
-		t.Fatal("empty plan rendering")
-	}
-	// Reorder by user weights puts the heavier edge first among expands.
-	re := plan.Reorder(map[int]float64{0: 5, 1: 1})
-	var expands []int
-	for _, s := range re.Steps {
-		if s.Kind == "expand" {
-			expands = append(expands, s.Edge)
-		}
-	}
-	if len(expands) != 2 || expands[0] != 0 {
-		t.Fatalf("reordered expands = %v", expands)
-	}
-}
-
-func TestPlanDisconnectedAndClosing(t *testing.T) {
-	g := testGraph()
-	m := match.New(g)
-	st := stats.New(m)
-	q := query.New()
-	a := q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
-	b := q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
-	d := q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
-	q.AddEdge(a, b, []string{"knows"}, nil)
-	q.AddEdge(a, d, []string{"knows"}, nil)
-	q.AddEdge(b, d, []string{"knows"}, nil) // triangle: one closing step
-	q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")})
-	plan := BuildPlan(st, q)
-	scans, expands, closes := 0, 0, 0
-	for _, s := range plan.Steps {
-		switch {
-		case s.Kind == "scan":
-			scans++
-		case s.Vertex == -1:
-			closes++
-		default:
-			expands++
-		}
-	}
-	if scans != 2 || expands != 2 || closes != 1 {
-		t.Fatalf("plan shape scan/expand/close = %d/%d/%d, want 2/2/1 (%s)", scans, expands, closes, plan)
-	}
-}
-
 func TestExecutionBudget(t *testing.T) {
 	s, dom := newSearcher()
 	q := query.New()
@@ -263,5 +200,110 @@ func TestExecutionBudget(t *testing.T) {
 	ex := s.Exhaustive(q, Options{Control: search.Control{MaxExecuted: 5}, Goal: metrics.Interval{Lower: 50}, Domain: dom})
 	if ex.Executed > 5 {
 		t.Fatalf("exhaustive budget exceeded: %d", ex.Executed)
+	}
+}
+
+// TestTraversalOrder pins each strategy's traversal on testGraph: what it
+// executed, pruned and found, and its convergence trace (run-length encoded,
+// value x repeats), for a why-empty, a why-so-few and a why-so-many goal with
+// and without topology changes. A change to the frontier order, to the
+// demotion of non-contributing changes or to the walk's restarts moves at
+// least one line.
+func TestTraversalOrder(t *testing.T) {
+	s, dom := newSearcher()
+	oxford := query.New()
+	p := oxford.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
+	u := oxford.AddVertex(map[string]query.Predicate{"type": query.EqS("university"), "name": query.EqS("Oxford")})
+	oxford.AddEdge(p, u, []string{"worksAt"}, nil)
+	anna := query.New()
+	p = anna.AddVertex(map[string]query.Predicate{"type": query.EqS("person"), "name": query.EqS("Anna")})
+	u = anna.AddVertex(map[string]query.Predicate{"type": query.EqS("university")})
+	anna.AddEdge(p, u, []string{"worksAt"}, map[string]query.Predicate{"sinceYear": query.EqN(2003)})
+	knows := query.New()
+	a := knows.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
+	b := knows.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
+	knows.AddEdge(a, b, []string{"knows"}, nil)
+	goals := map[string]struct {
+		q    *query.Query
+		goal metrics.Interval
+	}{
+		"why-empty":   {oxford, metrics.Interval{Lower: 2, Upper: 2}},
+		"why-so-few":  {anna, metrics.Interval{Lower: 2}},
+		"why-so-many": {knows, metrics.Interval{Lower: 1, Upper: 1}},
+	}
+	for _, c := range []struct {
+		goal     string
+		topology bool
+		strategy string
+		want     string
+	}{
+		{"why-empty", false, "tst", "executed=36 pruned=26 satisfied=true trace=2x5 1x30 0x1 ops=[delete predicate v1.name insert predicate v1.name=TU Dresden]"},
+		{"why-empty", false, "exhaustive", "executed=60 pruned=0 satisfied=false trace=2x5 1x55 ops=[extend predicate v1.name with Aalborg U]"},
+		{"why-empty", false, "random", "executed=60 pruned=0 satisfied=false trace=2x1 1x61 ops=[delete predicate v1.name]"},
+		{"why-empty", true, "tst", "executed=39 pruned=28 satisfied=true trace=2x5 1x33 0x1 ops=[delete predicate v1.name insert predicate v1.name=TU Dresden]"},
+		{"why-empty", true, "exhaustive", "executed=60 pruned=0 satisfied=false trace=2x5 1x55 ops=[extend predicate v1.name with Aalborg U]"},
+		{"why-empty", true, "random", "executed=60 pruned=0 satisfied=false trace=2x3 1x63 ops=[extend predicate v1.name with Aalborg U]"},
+		{"why-so-few", false, "tst", "executed=22 pruned=20 satisfied=true trace=1x21 0x1 ops=[extend predicate e0.sinceYear with 2001 delete predicate v0.name]"},
+		{"why-so-few", false, "exhaustive", "executed=58 pruned=0 satisfied=true trace=1x57 0x1 ops=[extend predicate v0.name with Bert extend predicate e0.sinceYear with 2008]"},
+		{"why-so-few", false, "random", `executed=7 pruned=0 satisfied=true trace=1x6 0x1 ops=[add type "locatedIn" to e0 add type "studyAt" to e0 delete predicate v0.name extend predicate v0.type with university extend predicate v1.type with person extend predicate e0.sinceYear with 2008]`},
+		{"why-so-few", true, "tst", "executed=19 pruned=17 satisfied=true trace=1x18 0x1 ops=[delete vertex v0]"},
+		{"why-so-few", true, "exhaustive", "executed=19 pruned=0 satisfied=true trace=1x18 0x1 ops=[delete vertex v0]"},
+		{"why-so-few", true, "random", `executed=6 pruned=0 satisfied=true trace=1x5 0x1 ops=[extend predicate e0.sinceYear with 2001 add type "knows" to e0 extend predicate v0.type with city delete vertex v1 extend predicate v0.name with Bert]`},
+		{"why-so-many", false, "tst", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v0.age=33]"},
+		{"why-so-many", false, "exhaustive", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v0.age=33]"},
+		{"why-so-many", false, "random", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v0.age=41 extend predicate v0.age with 33]"},
+		{"why-so-many", true, "tst", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v0.age=33]"},
+		{"why-so-many", true, "exhaustive", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v0.age=33]"},
+		{"why-so-many", true, "random", "executed=3 pruned=0 satisfied=true trace=2x1 1x1 0x1 ops=[insert predicate v1.age=28 insert predicate v0.age=28]"},
+	} {
+		g := goals[c.goal]
+		opts := Options{Control: search.Control{MaxExecuted: 60}, Goal: g.goal, Domain: dom, AllowTopology: c.topology}
+		var r Result
+		switch c.strategy {
+		case "tst":
+			r = s.TraverseSearchTree(g.q, opts)
+		case "exhaustive":
+			r = s.Exhaustive(g.q, opts)
+		case "random":
+			r = s.RandomWalk(g.q, opts, 7)
+		}
+		var trace []string
+		for i := 0; i < len(r.Trace); {
+			j := i
+			for j < len(r.Trace) && r.Trace[j] == r.Trace[i] {
+				j++
+			}
+			trace = append(trace, fmt.Sprintf("%dx%d", r.Trace[i], j-i))
+			i = j
+		}
+		got := fmt.Sprintf("executed=%d pruned=%d satisfied=%v trace=%s ops=%v",
+			r.Executed, r.Pruned, r.Satisfied, strings.Join(trace, " "), r.Best.Ops)
+		if got != c.want {
+			t.Errorf("%s topology=%v %s:\n got %s\nwant %s", c.goal, c.topology, c.strategy, got, c.want)
+		}
+	}
+}
+
+// TestCancelledBeforeRoot checks that a run whose context is done before the
+// root executes reports nothing: no execution, no node, no trace, no answer.
+func TestCancelledBeforeRoot(t *testing.T) {
+	s, dom := newSearcher()
+	q := query.New()
+	q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, goal := range []metrics.Interval{metrics.AtLeastOne, {Lower: 0, Upper: 3}} {
+		opts := Options{Control: search.Control{Ctx: ctx}, Goal: goal, Domain: dom}
+		for name, run := range map[string]func() Result{
+			"tst":        func() Result { return s.TraverseSearchTree(q, opts) },
+			"exhaustive": func() Result { return s.Exhaustive(q, opts) },
+			"random":     func() Result { return s.RandomWalk(q, opts, 7) },
+		} {
+			r := run()
+			if r.Executed != 0 || r.Generated != 0 || len(r.Trace) != 0 || r.Satisfied || r.Best.Query != nil {
+				t.Errorf("%s goal %+v: executed=%d generated=%d trace=%v satisfied=%v best=%v",
+					name, goal, r.Executed, r.Generated, r.Trace, r.Satisfied, r.Best.Query)
+			}
+		}
 	}
 }

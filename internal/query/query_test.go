@@ -2,7 +2,9 @@ package query
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/graph"
 )
@@ -354,5 +356,44 @@ func TestWCCQuery(t *testing.T) {
 	}
 	if q.IsConnected() {
 		t.Fatal("query with isolated vertex is not connected")
+	}
+}
+
+// Property: WCC partitions the vertex set — every vertex appears in exactly
+// one component, every edge's endpoints share a component, and the query is
+// connected exactly when there is one component.
+func TestWCCQueryPartitionProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		q := New()
+		for i := 0; i < n; i++ {
+			q.AddVertex(nil)
+		}
+		for i, m := 0, rng.Intn(60); i < m; i++ {
+			q.AddEdge(rng.Intn(n), rng.Intn(n), nil, nil)
+		}
+		comps := q.WeaklyConnectedComponents()
+		owner := make(map[int]int)
+		for ci, c := range comps {
+			for _, v := range c {
+				if _, dup := owner[v]; dup {
+					return false
+				}
+				owner[v] = ci
+			}
+		}
+		if len(owner) != n || q.IsConnected() != (len(comps) == 1) {
+			return false
+		}
+		for _, e := range q.Edges() {
+			if owner[e.From] != owner[e.To] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -229,20 +229,11 @@ func (c *Collector) Estimates(q *query.Query, key string) (estimate, avgPath1 fl
 	return estimate, avgPath1
 }
 
-// InducedChange estimates the relative cardinality change an operation would
-// induce (§5.3.2, calculation of induced cardinality changes). If the
-// operation is not applicable the ratio is 1 (no change). A search that
-// already holds the modified query calls InducedRatio on two estimates.
-func (c *Collector) InducedChange(q *query.Query, op query.Op) float64 {
-	after, err := query.Apply(q, op)
-	if err != nil {
-		return 1
-	}
-	return InducedRatio(c.EstimateCardinality(q), c.EstimateCardinality(after))
-}
-
-// InducedRatio is the ratio of the estimated cardinality after a change to
-// the estimate before it. Ratios above 1 mean the change relaxes the query.
+// InducedRatio is the relative cardinality change an operation induces
+// (§5.3.2, calculation of induced cardinality changes): the ratio of the
+// estimated cardinality after the change to the estimate before it. Ratios
+// above 1 mean the change relaxes the query; from an empty estimate to a
+// positive one the ratio is +Inf.
 func InducedRatio(before, after float64) float64 {
 	if before <= 0 {
 		if after > 0 {

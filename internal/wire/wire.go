@@ -293,11 +293,6 @@ func FromInterval(iv metrics.Interval) Interval {
 	return Interval{Lower: iv.Lower, Upper: iv.Upper}
 }
 
-// ToInterval decodes into a metrics interval.
-func (iv Interval) ToInterval() metrics.Interval {
-	return metrics.Interval{Lower: iv.Lower, Upper: iv.Upper}
-}
-
 // Subgraph is the Chapter 4 subgraph-based explanation: the maximum common
 // connected subgraph and the differential (failed) query part.
 type Subgraph struct {
