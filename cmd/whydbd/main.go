@@ -56,15 +56,15 @@ import (
 
 // options is everything the daemon's flags set.
 type options struct {
-	addr, datasets                     string
-	scale                              float64
-	workers                            int
-	grace, drainDelay                  time.Duration
-	queueCap                           int
-	maxQueueWait                       time.Duration
-	degradeAt, shedAt                  float64
-	latencyBudget, enterHold, exitHold time.Duration
-	inject, snapDir                    string
+	addr, datasets      string
+	scale               float64
+	workers             int
+	grace, drainDelay   time.Duration
+	queueCap            int
+	maxQueueWait        time.Duration
+	degradeAt, shedAt   float64
+	enterHold, exitHold time.Duration
+	inject, snapDir     string
 }
 
 // defineFlags declares the daemon's whole flag surface on fs (TestFlagSurface
@@ -81,7 +81,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.maxQueueWait, "max-queue-wait", 5*time.Second, "max time a request may wait for an execution slot before 504")
 	fs.Float64Var(&o.degradeAt, "degrade-at", 0.5, "pressure at which the brownout controller degrades explains")
 	fs.Float64Var(&o.shedAt, "shed-at", 0.9, "pressure at which the brownout controller sheds requests (429)")
-	fs.DurationVar(&o.latencyBudget, "latency-budget", 500*time.Millisecond, "latency EWMA mapping to pressure 1.0")
+	fs.Duration("latency-budget", 500*time.Millisecond, "inert: accepted and ignored (brownout pressure is the fullest gate's occupancy alone)")
 	fs.DurationVar(&o.enterHold, "brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold above a threshold before stepping up")
 	fs.DurationVar(&o.exitHold, "brownout-exit-hold", 2*time.Second, "how long pressure must hold below a threshold before stepping down")
 	fs.StringVar(&o.inject, "inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms' (off by default)")
@@ -115,11 +115,10 @@ func main() {
 		QueueCap:     o.queueCap,
 		MaxQueueWait: o.maxQueueWait,
 		Resilience: resilience.Config{
-			DegradeAt:     o.degradeAt,
-			ShedAt:        o.shedAt,
-			LatencyBudget: o.latencyBudget,
-			EnterHold:     o.enterHold,
-			ExitHold:      o.exitHold,
+			DegradeAt: o.degradeAt,
+			ShedAt:    o.shedAt,
+			EnterHold: o.enterHold,
+			ExitHold:  o.exitHold,
 		},
 	}
 	if o.inject != "" {

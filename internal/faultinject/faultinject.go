@@ -127,18 +127,19 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		switch k {
 		case "latency", "starve":
-			d := cfg.LatencyDur
+			// Each fault keeps its own default duration when it names none.
+			rate, dur := &cfg.PLatency, &cfg.LatencyDur
+			if k == "starve" {
+				rate, dur = &cfg.PStarve, &cfg.StarveDur
+			}
 			if hasArg {
-				var err error
-				if d, err = time.ParseDuration(arg); err != nil || d < 0 {
+				d, err := time.ParseDuration(arg)
+				if err != nil || d < 0 {
 					return Config{}, fmt.Errorf("faultinject: bad duration in %q", part)
 				}
+				*dur = d
 			}
-			if k == "latency" {
-				cfg.PLatency, cfg.LatencyDur = p, d
-			} else {
-				cfg.PStarve, cfg.StarveDur = p, d
-			}
+			*rate = p
 		case "error":
 			if hasArg {
 				return Config{}, fmt.Errorf("faultinject: error takes no argument in %q", part)

@@ -29,6 +29,20 @@ func TestParseSpec(t *testing.T) {
 	if cfg.Seed != 1 || cfg.PLatency != 0.5 || cfg.LatencyDur != 5*time.Millisecond || cfg.PError != 0 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
+	// Each fault keeps its own default duration, whatever precedes it.
+	for spec, want := range map[string][2]time.Duration{
+		"starve=0.5":                {5 * time.Millisecond, 20 * time.Millisecond},
+		"latency=0.1:1s,starve=0.2": {time.Second, 20 * time.Millisecond},
+		"starve=0.2,latency=0.1:1s": {time.Second, 20 * time.Millisecond},
+	} {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]time.Duration{cfg.LatencyDur, cfg.StarveDur}; got != want {
+			t.Errorf("ParseSpec(%q): latency %v starve %v, want %v %v", spec, got[0], got[1], want[0], want[1])
+		}
+	}
 
 	for _, bad := range []string{
 		"latency",              // not key=value

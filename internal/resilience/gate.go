@@ -56,11 +56,16 @@ func (g *Gate) InFlight() int { return int(g.inFlight.Load()) }
 // Queued is how many requests wait for a slot right now.
 func (g *Gate) Queued() int { return int(g.queued.Load()) }
 
+// occupancy is (queued + in-flight) / (queue bound + slots).
+func (g *Gate) occupancy() float64 {
+	return float64(g.queued.Load()+g.inFlight.Load()) / float64(g.queueCap+cap(g.sem))
+}
+
 // Enter runs the overload-aware admission sequence for one request:
 //
-//  1. Sample this gate's occupancy, (queued + in-flight) / (queue bound +
-//     slots), into the brownout controller; in the shedding state the
-//     request is refused with ErrShedding before it touches the queue.
+//  1. Step the brownout controller on the fullest of its gates' occupancy;
+//     in the shedding state the request is refused with ErrShedding before
+//     it touches the queue.
 //  2. Take a free execution slot at once, if there is one.
 //  3. Otherwise claim a place in the bounded queue; none left is
 //     ErrQueueFull.
@@ -71,8 +76,7 @@ func (g *Gate) Queued() int { return int(g.queued.Load()) }
 // free the slot. state is the brownout state the request must be served
 // under; it is valid whatever err is.
 func (g *Gate) Enter(ctx context.Context, maxWait time.Duration) (release func(), state State, err error) {
-	occupancy := float64(g.queued.Load()+g.inFlight.Load()) / float64(g.queueCap+cap(g.sem))
-	state = g.ctl.sample(occupancy)
+	state = g.ctl.admit()
 	if state == Shedding {
 		return nil, state, ErrShedding
 	}

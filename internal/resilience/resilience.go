@@ -3,13 +3,18 @@
 //
 // One signal, two consumers. Each dataset admits requests through a Gate
 // (execution-slot semaphore plus a bounded queue) the Controller creates.
-// From that gate's occupancy the layer decides
+// From the gates' occupancy the layer decides
 //
 //   - who may run: Gate.Enter is the admission ladder — shed, queue full,
 //     queue wait, slot;
-//   - at what quality: every Enter samples the admitting gate's occupancy
-//     into a three-state brownout controller, combined with an exponentially
-//     weighted moving average of per-endpoint latency.
+//   - at what quality: every Enter steps a three-state brownout controller
+//     whose pressure is the fullest gate's occupancy, (queued + in-flight) /
+//     (queue bound + slots), read over every gate the controller created.
+//
+// Occupancy is the only signal. By Little's law a queue's occupancy is its
+// arrival rate times its latency, so slowness under contention shows up in
+// it; a slow request with no contention does not, and degrading it would
+// free no slot for anyone.
 //
 // The brownout states:
 //
@@ -20,16 +25,16 @@
 //	shedding  new requests answer 429 with Retry-After before touching a slot
 //
 // This is the anytime-answer posture of the provenance literature (PUG, Lee
-// et al. 2018): a bounded-quality explanation delivered now beats an optimal
-// one delivered after the queue collapses. Transitions upward (toward
-// shedding) require the pressure to hold above the threshold for EnterHold —
-// a queue blip does not brown the fleet out — and transitions downward
-// require it to hold below for ExitHold, so the controller never flaps
-// around a threshold.
+// et al. 2018): under contention, a bounded-quality explanation delivered now
+// beats an optimal one delivered after the queue collapses. Transitions
+// upward (toward shedding) require the pressure to hold above the threshold
+// for EnterHold — a queue blip does not brown the fleet out — and transitions
+// downward require it to hold below for ExitHold, so the controller never
+// flaps around a threshold.
 //
-// The controller is deterministic given its observation sequence and clock
-// (Config.Now is injectable), which is what makes the brownout tests exact
-// rather than sleep-and-hope.
+// The controller is a function of its gates and its clock alone (Config.Now
+// is injectable), which is what makes the brownout tests exact rather than
+// sleep-and-hope.
 package resilience
 
 import (
@@ -65,14 +70,11 @@ func (s State) String() string {
 // Config tunes the controller. The zero value picks the documented defaults.
 type Config struct {
 	// DegradeAt is the pressure at or above which the controller degrades
-	// (0 = 0.5). Pressure is max(admission occupancy, latency fraction).
+	// (0 = 0.5). Pressure is the fullest gate's occupancy.
 	DegradeAt float64
 	// ShedAt is the pressure at or above which the controller sheds
 	// (0 = 0.9).
 	ShedAt float64
-	// LatencyBudget maps the latency EWMA to a pressure fraction: an EWMA at
-	// the budget contributes pressure 1.0 (0 = 500ms).
-	LatencyBudget time.Duration
 	// EnterHold is how long pressure must hold at or above a threshold
 	// before the controller steps up into that state (0 = 250ms).
 	EnterHold time.Duration
@@ -90,9 +92,6 @@ func (c *Config) fill() {
 	}
 	if c.ShedAt == 0 {
 		c.ShedAt = 0.9
-	}
-	if c.LatencyBudget == 0 {
-		c.LatencyBudget = 500 * time.Millisecond
 	}
 	if c.EnterHold == 0 {
 		c.EnterHold = 250 * time.Millisecond
@@ -118,17 +117,12 @@ const (
 	DegradedEpsilon = 2
 )
 
-// alpha is the EWMA weight of a new latency sample.
-const alpha = 0.2
-
 // Snapshot is the controller's observable state for /v1/stats.
 type Snapshot struct {
 	// State is the current serving state.
 	State State
-	// Pressure is the last combined pressure sample.
+	// Pressure is the fullest gate's occupancy at the latest admission.
 	Pressure float64
-	// Latency is the per-endpoint latency EWMA in milliseconds.
-	Latency map[string]float64
 	// Transitions counts entries into each state (the initial healthy state
 	// is not an entry). Keys are the State strings.
 	Transitions map[string]int64
@@ -145,21 +139,19 @@ type Controller struct {
 	mu          sync.Mutex
 	gates       []*Gate
 	state       State
-	forced      bool               // ForceState pinned the state (tests, ops drills)
-	pressure    float64            // last combined pressure
-	occupancy   float64            // the latest admission's occupancy sample
-	aboveShed   time.Time          // since when pressure has held ≥ ShedAt (zero = not)
-	aboveDeg    time.Time          // since when pressure has held ≥ DegradeAt
-	belowShed   time.Time          // since when pressure has held < ShedAt
-	belowDeg    time.Time          // since when pressure has held < DegradeAt
-	ewma        map[string]float64 // per-endpoint latency EWMA, milliseconds
+	forced      bool      // ForceState pinned the state (tests, ops drills)
+	pressure    float64   // the fullest gate's occupancy at the latest admission
+	aboveShed   time.Time // since when pressure has held ≥ ShedAt (zero = not)
+	aboveDeg    time.Time // since when pressure has held ≥ DegradeAt
+	belowShed   time.Time // since when pressure has held < ShedAt
+	belowDeg    time.Time // since when pressure has held < DegradeAt
 	transitions [3]int64
 }
 
 // NewController returns a controller in the healthy state.
 func NewController(cfg Config) *Controller {
 	cfg.fill()
-	return &Controller{cfg: cfg, ewma: make(map[string]float64)}
+	return &Controller{cfg: cfg}
 }
 
 // State returns the current serving state.
@@ -178,44 +170,16 @@ func (c *Controller) ForceState(s State) {
 	c.forced = true
 }
 
-// sample records the admitting gate's occupancy — queued and in-flight
-// requests over its queue bound and slots — and returns the serving state
-// the request must be handled under.
-func (c *Controller) sample(occupancy float64) State {
+// admit steps the state machine on the pressure of the moment — the largest
+// occupancy, (queued + in-flight) / (queue bound + slots), over the
+// controller's gates — and returns the serving state an arriving request
+// must be handled under.
+func (c *Controller) admit() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.occupancy = occupancy
-	c.evaluate()
-	return c.state
-}
-
-// ObserveLatency records one completed request's latency for an endpoint,
-// folding it into the endpoint's EWMA and re-evaluating the state. The
-// occupancy signal stays what the latest admission sampled: a full queue
-// keeps its pressure hold alive between admissions.
-func (c *Controller) ObserveLatency(endpoint string, d time.Duration) {
-	ms := float64(d.Nanoseconds()) / 1e6
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev, ok := c.ewma[endpoint]
-	if !ok {
-		c.ewma[endpoint] = ms
-	} else {
-		c.ewma[endpoint] = alpha*ms + (1-alpha)*prev
-	}
-	c.evaluate()
-}
-
-// evaluate recomputes the pressure from the two stored signals and steps the
-// state machine. Callers hold mu.
-func (c *Controller) evaluate() {
-	// Pressure is the admission occupancy or the worst endpoint EWMA over the
-	// latency budget, whichever is higher: a queue that drained while the
-	// EWMA is still far past budget keeps the controller cautious.
-	p := c.occupancy
-	budget := float64(c.cfg.LatencyBudget.Nanoseconds()) / 1e6
-	for _, ms := range c.ewma {
-		p = max(p, ms/budget)
+	p := 0.0
+	for _, g := range c.gates {
+		p = max(p, g.occupancy())
 	}
 	c.pressure = p
 	now := c.cfg.Now()
@@ -233,7 +197,7 @@ func (c *Controller) evaluate() {
 	track(p < c.cfg.ShedAt, &c.belowShed)
 	track(p < c.cfg.DegradeAt, &c.belowDeg)
 	if c.forced {
-		return
+		return c.state
 	}
 	held := func(since time.Time, hold time.Duration) bool {
 		return !since.IsZero() && now.Sub(since) >= hold
@@ -258,6 +222,7 @@ func (c *Controller) evaluate() {
 			c.setState(Degraded)
 		}
 	}
+	return c.state
 }
 
 // setState transitions and counts the entry. Callers hold mu.
@@ -276,11 +241,7 @@ func (c *Controller) Snapshot() Snapshot {
 	snap := Snapshot{
 		State:       c.state,
 		Pressure:    c.pressure,
-		Latency:     make(map[string]float64, len(c.ewma)),
 		Transitions: make(map[string]int64, 3),
-	}
-	for ep, ms := range c.ewma {
-		snap.Latency[ep] = ms
 	}
 	for s, n := range c.transitions {
 		snap.Transitions[State(s).String()] = n

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -28,57 +29,61 @@ func (c *clock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestController(ck *clock) *Controller {
-	return NewController(Config{
-		DegradeAt:     0.5,
-		ShedAt:        0.9,
-		EnterHold:     250 * time.Millisecond,
-		ExitHold:      2 * time.Second,
-		LatencyBudget: 500 * time.Millisecond,
-		Now:           ck.now,
+// newTestController returns a controller on the test clock and its one gate
+// of 4 slots and 16 queue places, the server's queueCap = 4×slots shape.
+func newTestController(ck *clock) (*Controller, *Gate) {
+	c := NewController(Config{
+		DegradeAt: 0.5,
+		ShedAt:    0.9,
+		EnterHold: 250 * time.Millisecond,
+		ExitHold:  2 * time.Second,
+		Now:       ck.now,
 	})
+	return c, c.NewGate(4, 16)
 }
 
-// observe pushes one occupancy sample expressed as queued/inFlight over a
-// 16+4 capacity split, matching the server's queueCap = 4×admitCap shape.
-func observe(c *Controller, queued, inFlight int) State {
-	return c.sample(float64(queued+inFlight) / float64(16+4))
+// observe sets a gate's counters to queued waiting and inFlight running
+// requests and steps the controller as an arriving request's Enter does.
+func observe(g *Gate, queued, inFlight int) State {
+	g.queued.Store(int64(queued))
+	g.inFlight.Store(int64(inFlight))
+	return g.ctl.admit()
 }
 
 func TestControllerStaysHealthyUnderBriefSpike(t *testing.T) {
 	ck := newClock()
-	c := newTestController(ck)
+	_, g := newTestController(ck)
 
 	// Pressure above DegradeAt but shorter than EnterHold: a blip.
-	observe(c, 10, 4) // 14/20 = 0.7
+	observe(g, 10, 4) // 14/20 = 0.7
 	ck.advance(100 * time.Millisecond)
-	observe(c, 10, 4)
+	observe(g, 10, 4)
 	ck.advance(50 * time.Millisecond)
-	observe(c, 0, 1) // back to 0.05 before the hold elapses
+	observe(g, 0, 1) // back to 0.05 before the hold elapses
 	ck.advance(300 * time.Millisecond)
-	if got := observe(c, 0, 1); got != Healthy {
+	if got := observe(g, 0, 1); got != Healthy {
 		t.Fatalf("state after brief spike = %v, want healthy", got)
 	}
 }
 
 func TestControllerDegradesAfterSustainedPressure(t *testing.T) {
 	ck := newClock()
-	c := newTestController(ck)
+	c, g := newTestController(ck)
 
-	observe(c, 10, 4) // 0.7 ≥ DegradeAt — starts the hold
+	observe(g, 10, 4) // 0.7 ≥ DegradeAt — starts the hold
 	ck.advance(250 * time.Millisecond)
-	if got := observe(c, 10, 4); got != Degraded {
+	if got := observe(g, 10, 4); got != Degraded {
 		t.Fatalf("state after sustained pressure = %v, want degraded", got)
 	}
 
 	// Recovery needs the full ExitHold below the threshold.
-	observe(c, 0, 1)
+	observe(g, 0, 1)
 	ck.advance(1 * time.Second)
-	if got := observe(c, 0, 1); got != Degraded {
+	if got := observe(g, 0, 1); got != Degraded {
 		t.Fatalf("state mid-recovery = %v, want still degraded", got)
 	}
 	ck.advance(1 * time.Second)
-	if got := observe(c, 0, 1); got != Healthy {
+	if got := observe(g, 0, 1); got != Healthy {
 		t.Fatalf("state after exit hold = %v, want healthy", got)
 	}
 
@@ -90,30 +95,30 @@ func TestControllerDegradesAfterSustainedPressure(t *testing.T) {
 
 func TestControllerShedsAndStepsDownThroughDegraded(t *testing.T) {
 	ck := newClock()
-	c := newTestController(ck)
+	c, g := newTestController(ck)
 
-	observe(c, 16, 4) // 20/20 = 1.0 ≥ ShedAt
+	observe(g, 16, 4) // 20/20 = 1.0 ≥ ShedAt
 	ck.advance(250 * time.Millisecond)
-	if got := observe(c, 16, 4); got != Shedding {
+	if got := observe(g, 16, 4); got != Shedding {
 		t.Fatalf("state under saturation = %v, want shedding", got)
 	}
 
 	// Pressure falls between the thresholds: sheds → degraded after the exit
 	// hold, but no further since pressure still exceeds DegradeAt.
-	observe(c, 10, 4) // 0.7
+	observe(g, 10, 4) // 0.7
 	ck.advance(2 * time.Second)
-	if got := observe(c, 10, 4); got != Degraded {
+	if got := observe(g, 10, 4); got != Degraded {
 		t.Fatalf("state after shed recovery = %v, want degraded", got)
 	}
 	ck.advance(10 * time.Second)
-	if got := observe(c, 10, 4); got != Degraded {
+	if got := observe(g, 10, 4); got != Degraded {
 		t.Fatalf("state with mid pressure = %v, want degraded held", got)
 	}
 
 	// Full recovery.
-	observe(c, 0, 0)
+	observe(g, 0, 0)
 	ck.advance(2 * time.Second)
-	if got := observe(c, 0, 0); got != Healthy {
+	if got := observe(g, 0, 0); got != Healthy {
 		t.Fatalf("state after full recovery = %v, want healthy", got)
 	}
 	snap := c.Snapshot()
@@ -125,32 +130,32 @@ func TestControllerShedsAndStepsDownThroughDegraded(t *testing.T) {
 	}
 }
 
-func TestControllerLatencyEWMADrivesPressure(t *testing.T) {
+// TestControllerReadsFullestGate holds one gate at 90 % while a second gate
+// admits a request every 50 ms: the idle gate's admissions must not hide the
+// full one, so the controller browns out after the enter hold.
+func TestControllerReadsFullestGate(t *testing.T) {
 	ck := newClock()
-	c := newTestController(ck)
+	c, busy := newTestController(ck)
+	idle := c.NewGate(4, 16)
 
-	// Slow explains past the 500ms budget push the latency fraction ≥ 1.
-	for i := 0; i < 10; i++ {
-		c.ObserveLatency("explain", 800*time.Millisecond)
+	observe(busy, 14, 4) // 18/20 = 0.9
+	for range 10 {
+		ck.advance(50 * time.Millisecond)
+		if release, _, err := idle.Enter(context.Background(), time.Second); err == nil {
+			release()
+		}
 	}
-	snap := c.Snapshot()
-	if snap.Latency["explain"] < 500 {
-		t.Fatalf("EWMA = %.1fms, want > budget after repeated slow samples", snap.Latency["explain"])
+	if got := c.State(); got != Degraded && got != Shedding {
+		t.Fatalf("state with one gate at 90%% = %v, want degraded or shedding", got)
 	}
-	if snap.Pressure < 1.0 {
-		t.Fatalf("pressure = %.2f, want ≥ 1.0 from latency alone", snap.Pressure)
-	}
-
-	// Even with an empty queue the latency floor keeps the hold running.
-	ck.advance(250 * time.Millisecond)
-	if got := observe(c, 0, 0); got != Shedding {
-		t.Fatalf("state with hot EWMA = %v, want shedding", got)
+	if snap := c.Snapshot(); snap.Pressure != 0.9 {
+		t.Fatalf("pressure = %v, want the full gate's 0.9", snap.Pressure)
 	}
 }
 
 func TestControllerForceStateDisablesTransitions(t *testing.T) {
 	ck := newClock()
-	c := newTestController(ck)
+	c, g := newTestController(ck)
 
 	c.ForceState(Degraded)
 	if got := c.State(); got != Degraded {
@@ -158,13 +163,13 @@ func TestControllerForceStateDisablesTransitions(t *testing.T) {
 	}
 	// No observations can move it.
 	ck.advance(time.Minute)
-	if got := observe(c, 0, 0); got != Degraded {
+	if got := observe(g, 0, 0); got != Degraded {
 		t.Fatalf("state after idle observations = %v, want pinned degraded", got)
 	}
 	ck.advance(time.Minute)
-	observe(c, 16, 4)
+	observe(g, 16, 4)
 	ck.advance(time.Minute)
-	if got := observe(c, 16, 4); got != Degraded {
+	if got := observe(g, 16, 4); got != Degraded {
 		t.Fatalf("state under saturation = %v, want pinned degraded", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/resilience"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -33,7 +32,6 @@ func TestTransportAllocs(t *testing.T) {
 		maxFindObjects, maxFindBytes       = 150, 34 << 10
 	)
 	s := newTestServer(t, Config{})
-	s.Resilience().ForceState(resilience.Healthy)
 	h := s.Handler()
 	var explains [][]byte
 	for _, nq := range workload.LDBCQueries() {

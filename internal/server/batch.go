@@ -59,8 +59,7 @@ func groupKey(p *explainPrep) string {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	inject, started := s.begin(epBatch)
-	defer s.end(epBatch, started)
+	inject := s.begin(epBatch)
 	var breq wire.BatchExplainRequest
 	if code, err := decodeBody(w, r, &breq); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)

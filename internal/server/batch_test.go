@@ -174,8 +174,8 @@ func mustUnmarshal(t *testing.T, blob []byte, v any) {
 
 // smallLDBCServer serves "ldbc" alone, from its own freshly generated small
 // engine with the given worker count, so every matcher cache starts cold. The
-// brownout controller is pinned Healthy: a slow machine must not trip
-// latency-based shedding or degradation mid-test.
+// brownout controller is pinned Healthy: a concurrent burst can fill the
+// gate's occupancy and must not trip shedding or degradation mid-test.
 func smallLDBCServer(workers int) *Server {
 	eng := core.NewEngine(datagen.LDBC(datagen.DefaultLDBC().Scaled(0.2)))
 	eng.SetWorkers(workers)

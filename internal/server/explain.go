@@ -188,8 +188,7 @@ func (s *Server) runExplain(r *http.Request, prep *explainPrep, inject faultinje
 // handleExplain is the blocking rendering: the report, or the failure under
 // its HTTP status, in one envelope.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	inject, started := s.begin(epExplain)
-	defer s.end(epExplain, started)
+	inject := s.begin(epExplain)
 	var req wire.ExplainRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)

@@ -48,8 +48,7 @@ func decodeAttrs(m map[string]wire.Value) (graph.Attrs, error) {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	inject, arrived := s.begin(epMutate)
-	defer s.end(epMutate, arrived)
+	inject := s.begin(epMutate)
 	var req wire.MutateRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)

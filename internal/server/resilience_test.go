@@ -352,6 +352,29 @@ func TestInjectedLatencyServerLayer(t *testing.T) {
 	}
 }
 
+// TestSlowRequestsStayHealthy serves sequential explains that the injector
+// delays by 400 ms each. Slowness without contention leaves every gate
+// nearly empty, so the controller stays healthy and each answer is
+// byte-identical to an uninjected server's.
+func TestSlowRequestsStayHealthy(t *testing.T) {
+	icfg, err := faultinject.ParseSpec("latency=1.0:400ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := injectorServer(t, icfg, Config{})
+	slow, plain := s.Handler(), newTestServer(t, Config{}).Handler()
+	for i, nq := range workload.LDBCQueries()[:3] {
+		req := wire.ExplainRequest{Dataset: "ldbc", Builtin: nq.Name, Failing: true, Lower: 1}
+		want := dataBytes(t, do(t, plain, "POST", "/v1/explain", req))
+		if got := dataBytes(t, do(t, slow, "POST", "/v1/explain", req)); !bytes.Equal(got, want) {
+			t.Fatalf("explain %d behind 400ms of injected latency:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if state := s.Resilience().State(); state != resilience.Healthy {
+		t.Fatalf("state after slow sequential explains = %v, want healthy", state)
+	}
+}
+
 func TestInjectedStarvationServerLayer(t *testing.T) {
 	s := injectorServer(t, faultinject.Config{Seed: 1, PStarve: 1, StarveDur: 150 * time.Millisecond}, Config{})
 	rec := do(t, s.Handler(), "POST", "/v1/explain", wire.ExplainRequest{

@@ -28,10 +28,11 @@
 // engine's worker count, so a burst queues instead of oversubscribing the
 // matcher; an admitted explain runs on its request's goroutine. This package
 // maps the rung of the gate's ladder that refused a request onto the wire
-// (admit), applies the degraded state's clamps to an explain and stamps the
-// quality bound (runExplain), and reports every request's latency back (end).
-// An admitted request runs under its own context deadline threaded through
-// core.ExplainCtx, so an abandoned one stops within one candidate execution. A handler panic is
+// (admit) and applies the degraded state's clamps to an explain and stamps
+// the quality bound (runExplain); the brownout state is a function of the
+// gates' occupancy alone. An admitted request runs under its own context
+// deadline threaded through core.ExplainCtx, so an abandoned one stops
+// within one candidate execution. A handler panic is
 // recovered to a 500 with a request id, counted and stack-logged. An optional
 // seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
@@ -212,8 +213,8 @@ type Server struct {
 }
 
 // endpoint indexes the per-endpoint request table. Each row's name is at
-// once its fault-injection site, its latency-EWMA key in the brownout
-// controller, and (through handleStats) its /v1/stats request counter.
+// once its fault-injection site and (through handleStats) its /v1/stats
+// request counter.
 type endpoint int
 
 const (
@@ -230,22 +231,15 @@ var endpointNames = [numEndpoints]string{"explain", "stream", "batch", "match", 
 // begin opens one request on an endpoint: it counts the request, draws the
 // endpoint's next fault-injection decision (the n-th request of an endpoint
 // takes draw n, so a seeded injector replays the same faults) and sleeps an
-// injected latency. It returns the decision and the arrival time, which the
-// handler hands to end when it returns.
-func (s *Server) begin(ep endpoint) (faultinject.Decision, time.Time) {
+// injected latency.
+func (s *Server) begin(ep endpoint) faultinject.Decision {
 	s.reqTotal.Add(1)
 	n := s.reqs[ep].Add(1)
-	started := time.Now()
 	inject := s.cfg.Injector.Decide(endpointNames[ep], uint64(n-1))
 	if inject.Kind == faultinject.Latency {
 		time.Sleep(inject.Latency)
 	}
-	return inject, started
-}
-
-// end reports a request's latency to the brownout controller.
-func (s *Server) end(ep endpoint, started time.Time) {
-	s.res.ObserveLatency(endpointNames[ep], time.Since(started))
+	return inject
 }
 
 // New returns an empty server with the given configuration. The server
@@ -588,7 +582,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Resilience = &wire.ResilienceStats{
 		State:          snap.State.String(),
 		Pressure:       snap.Pressure,
-		LatencyEWMAMs:  snap.Latency,
 		Transitions:    snap.Transitions,
 		QueueDepth:     snap.QueueDepth,
 		QueueCap:       snap.QueueCap,
@@ -769,8 +762,7 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	inject, started := s.begin(epMatch)
-	defer s.end(epMatch, started)
+	inject := s.begin(epMatch)
 	var req wire.MatchRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, r, code, wire.CodeInvalidSpec, "bad request body: %v", err)

@@ -21,8 +21,7 @@ import (
 )
 
 func (s *Server) handleExplainStream(w http.ResponseWriter, r *http.Request) {
-	inject, started := s.begin(epStream)
-	defer s.end(epStream, started)
+	inject := s.begin(epStream)
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
 		s.fail(w, r, http.StatusInternalServerError, wire.CodeInternal, "response writer cannot stream")

@@ -337,10 +337,9 @@ type StatsResponse struct {
 type ResilienceStats struct {
 	// State is the brownout state: "healthy", "degraded", or "shedding".
 	State string `json:"state"`
-	// Pressure is the last combined pressure sample (occupancy vs latency).
+	// Pressure is the fullest admission gate's occupancy, (queued +
+	// in-flight) / (queue bound + slots), at the latest admission.
 	Pressure float64 `json:"pressure"`
-	// LatencyEWMAMs is the per-endpoint latency EWMA in milliseconds.
-	LatencyEWMAMs map[string]float64 `json:"latencyEwmaMs,omitempty"`
 	// Transitions counts entries into each brownout state.
 	Transitions map[string]int64 `json:"transitions,omitempty"`
 	// Shed counts requests answered 429 because the controller was shedding.
