@@ -1,7 +1,7 @@
-// Benchmarks regenerating the thesis' evaluation artifacts, one per table /
-// figure (see DESIGN.md experiment index). cmd/benchrunner prints the full
-// rows and series; the benchmarks here measure the underlying computations
-// so regressions in any experiment path show up in `go test -bench`.
+// Micro-benchmarks of the layers every explanation search runs on: the
+// search kernel, plan compilation, candidate resolution, counting, result
+// enumeration and the result distance. The thesis' tables and figures are
+// defined once, in cmd/benchrunner, whose test pins them.
 package repro_test
 
 import (
@@ -14,13 +14,9 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/mcs"
 	"repro/internal/metrics"
-	"repro/internal/modtree"
 	"repro/internal/query"
-	"repro/internal/relax"
 	"repro/internal/search"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -36,258 +32,6 @@ func setup() (*repro.Graph, *repro.Graph) {
 		benchDBp = datagen.DBpedia(datagen.DefaultDBpedia())
 	})
 	return benchLDBC, benchDBp
-}
-
-// BenchmarkTableA1 measures executing LDBC QUERY 1–4 (Table A.1 row
-// regeneration).
-func BenchmarkTableA1(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	queries := workload.LDBCQueries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, nq := range queries {
-			if got := m.Count(nq.Build(), 0); got != nq.C1 {
-				b.Fatalf("%s: %d != %d", nq.Name, got, nq.C1)
-			}
-		}
-	}
-}
-
-// BenchmarkFig37 measures the syntactic-distance series of Fig. 3.7.
-func BenchmarkFig37(b *testing.B) {
-	g, _ := setup()
-	dom := stats.BuildDomain(g, 16)
-	orig := workload.LDBCQuery2()
-	cands := workload.RandomExplanations(orig, dom, 100, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cands {
-			_ = metrics.SyntacticDistance(orig, c)
-		}
-	}
-}
-
-// BenchmarkFig38 measures the result-distance series of Fig. 3.8.
-func BenchmarkFig38(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	dom := stats.BuildDomain(g, 16)
-	orig := workload.LDBCQuery2()
-	origRes := m.Find(orig, match.Options{Limit: 40})
-	cands := workload.RandomExplanations(orig, dom, 10, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cands {
-			newRes := m.Find(c, match.Options{Limit: 40})
-			_ = metrics.ResultSetDistance(origRes, newRes)
-		}
-	}
-}
-
-// BenchmarkFig39 measures the cardinality-distance series of Fig. 3.9.
-func BenchmarkFig39(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	dom := stats.BuildDomain(g, 16)
-	orig := workload.LDBCQuery1()
-	cands := workload.RandomExplanations(orig, dom, 10, 42)
-	cthr := workload.Threshold(20, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cands {
-			_ = metrics.CardinalityDistance(cthr, m.Count(c, 20000))
-		}
-	}
-}
-
-// BenchmarkFig310 measures the bucketed distance correlation of §3.2.5.
-func BenchmarkFig310(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	dom := stats.BuildDomain(g, 16)
-	orig := workload.LDBCQuery2()
-	origRes := m.Find(orig, match.Options{Limit: 40})
-	cands := workload.RandomExplanations(orig, dom, 10, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cands {
-			syn := metrics.SyntacticDistance(orig, c)
-			res := metrics.ResultSetDistance(origRes, m.Find(c, match.Options{Limit: 40}))
-			_ = syn + res
-		}
-	}
-}
-
-// BenchmarkFig4DiscoverMCS measures DISCOVERMCS with all optimizations on
-// the failing LDBC queries (Fig. 4.A).
-func BenchmarkFig4DiscoverMCS(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	q, err := workload.FailingVariant("LDBC QUERY 2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		opts mcs.Options
-	}{
-		{"naive", mcs.Options{}},
-		{"wcc", mcs.Options{UseWCC: true}},
-		{"single", mcs.Options{SinglePath: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ex := mcs.DiscoverMCS(m, st, q, variant.opts)
-				if !ex.Satisfied {
-					b.Fatal("MCS must exist")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig4QuerySize measures DISCOVERMCS cost growth with query size
-// (Fig. 4.B).
-func BenchmarkFig4QuerySize(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	q := workload.LDBCQuery2() // 3 edges
-	q.Vertex(3).Preds["name"] = repro.EqS("Atlantis")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mcs.DiscoverMCS(m, st, q, mcs.Options{UseWCC: true})
-	}
-}
-
-// BenchmarkFig4BoundedMCS measures BOUNDEDMCS under a too-many threshold
-// (Fig. 4.C).
-func BenchmarkFig4BoundedMCS(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	q := workload.LDBCQuery4()
-	bounds := metrics.Interval{Lower: 1, Upper: workload.Threshold(195, 0.2)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mcs.BoundedMCS(m, st, q, bounds, mcs.Options{UseWCC: true})
-	}
-}
-
-// BenchmarkFig5Priority measures one coarse-grained rewriting run per
-// priority function (Fig. 5.A).
-func BenchmarkFig5Priority(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	q, err := workload.FailingVariant("LDBC QUERY 1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []relax.Priority{relax.PriorityRandom, relax.PrioritySyntactic, relax.PriorityEstimatedCardinality, relax.PriorityAvgPath1, relax.PriorityCombined} {
-		b.Run(p.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := stats.New(m) // fresh cache: measure the full cost
-				rw := relax.New(m, st)
-				out := rw.Rewrite(q, relax.Options{Priority: p, MaxSolutions: 1, Seed: 7})
-				if len(out.Solutions) == 0 {
-					b.Fatal("no solution")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig5Convergence measures the traced rewriting run of Fig. 5.B.
-func BenchmarkFig5Convergence(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	rw := relax.New(m, st)
-	q, _ := workload.FailingVariant("LDBC QUERY 2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := rw.Rewrite(q, relax.Options{Control: search.Control{MaxExecuted: 40}, Priority: relax.PriorityCombined, MaxSolutions: 3})
-		if len(out.Trace) == 0 {
-			b.Fatal("no trace")
-		}
-	}
-}
-
-// BenchmarkFig5Induced measures the combined-priority rewriting (Fig. 5.C).
-func BenchmarkFig5Induced(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	rw := relax.New(m, st)
-	q, _ := workload.FailingVariant("LDBC QUERY 3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rw.Rewrite(q, relax.Options{Priority: relax.PriorityCombined, MaxSolutions: 1})
-	}
-}
-
-// BenchmarkFig5User measures one simulated-user feedback round (Fig. 5.D).
-func BenchmarkFig5User(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	rw := relax.New(m, st)
-	q, _ := workload.FailingVariant("LDBC QUERY 2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pm := relax.NewPreferenceModel(1)
-		out := rw.Rewrite(q, relax.Options{MaxSolutions: 1, AllowTopology: true, Prefs: pm})
-		if len(out.Solutions) > 0 {
-			pm.Rate(out.Solutions[0], 0)
-			_ = rw.Rewrite(q, relax.Options{MaxSolutions: 1, AllowTopology: true, Prefs: pm})
-		}
-	}
-}
-
-// BenchmarkFig6Baselines measures TST vs exhaustive vs random on one
-// too-few case (Fig. 6.A).
-func BenchmarkFig6Baselines(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	dom := stats.BuildDomain(g, 16)
-	s := modtree.New(m, st)
-	q := workload.LDBCQuery1()
-	goal := metrics.Interval{Lower: workload.Threshold(20, 2)}
-	opts := modtree.Options{Control: search.Control{MaxExecuted: 100}, Goal: goal, Domain: dom}
-	b.Run("tst", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = s.TraverseSearchTree(q, opts)
-		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = s.Exhaustive(q, opts)
-		}
-	})
-	b.Run("random", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = s.RandomWalk(q, opts, int64(i))
-		}
-	})
-}
-
-// BenchmarkFig6Topology measures TST with topology changes enabled
-// (Fig. 6.B).
-func BenchmarkFig6Topology(b *testing.B) {
-	g, _ := setup()
-	m := match.New(g)
-	st := stats.New(m)
-	dom := stats.BuildDomain(g, 16)
-	s := modtree.New(m, st)
-	q, _ := workload.FailingVariant("LDBC QUERY 1")
-	opts := modtree.Options{Control: search.Control{MaxExecuted: 100}, Goal: metrics.AtLeastOne, Domain: dom, AllowTopology: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.TraverseSearchTree(q, opts)
-	}
 }
 
 // BenchmarkSearchKernel measures the internal/search hot loop in isolation:
