@@ -185,10 +185,14 @@ func TestFigureShape(t *testing.T) {
 	})
 	t.Run("fig5.resources", func(t *testing.T) {
 		// App. B.2: the executed-candidate cache saves executions on every
-		// query.
+		// query, and the combined priority's Path(n) statistics hit the
+		// count cache on every query.
 		for _, r := range fig5Resources(e()) {
 			if r.CacheHits == 0 {
 				t.Errorf("%s: no cache hit in %d executions", r.Query, r.Executed)
+			}
+			if r.StatHits == 0 {
+				t.Errorf("%s: no statistic hit the count cache (%d entries added)", r.Query, r.StatEntries)
 			}
 		}
 	})

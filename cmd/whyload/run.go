@@ -28,8 +28,8 @@ const (
 	clsInjected
 	// clsExpired is a 504 — the request ran out of time queued or running.
 	clsExpired
-	// clsShedExhausted gave up after maxRetries 429s: the server kept
-	// shedding, which is correct overload behavior.
+	// clsShedExhausted gave up after maxRetries 429s: the server's
+	// admission queue stayed full, which is correct overload behavior.
 	clsShedExhausted
 	// clsInjectedExhausted gave up after maxRetries injected 503s.
 	clsInjectedExhausted
@@ -55,9 +55,9 @@ type sample struct {
 	result
 }
 
-// The chaos trickle is dense enough that the controller's step-down windows
-// — shedding → degraded → healthy, each gated by its exit hold — see several
-// admission and completion samples.
+// The chaos trickle is dense enough that the controller's step-down window
+// — degraded → healthy, gated by its exit hold — sees several admission and
+// completion samples.
 const trickleGap = 150 * time.Millisecond
 
 // run replays jobs round-robin from cfg.concurrency workers until
@@ -219,7 +219,7 @@ func send(client *http.Client, url string, body []byte, batch bool) result {
 }
 
 // readAnswer reads a plain JSON answer — every non-stream response, and a
-// stream refused before it opened (shedding, bad spec, queued-out deadline).
+// stream refused before it opened (full queue, bad spec, queued-out deadline).
 func (res *result) readAnswer(resp *http.Response, batch bool) {
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		res.retryAfter = time.Duration(secs) * time.Second

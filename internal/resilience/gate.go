@@ -11,8 +11,6 @@ import (
 // one of them, or the context's own error when the request's deadline or
 // cancellation ended the wait for a slot.
 var (
-	// ErrShedding: the controller is in the shedding state.
-	ErrShedding = errors.New("resilience: shedding load")
 	// ErrQueueFull: the gate's bounded queue has no place left.
 	ErrQueueFull = errors.New("resilience: admission queue full")
 	// ErrQueueWait: no execution slot came free within the maximum wait.
@@ -64,8 +62,8 @@ func (g *Gate) occupancy() float64 {
 // Enter runs the overload-aware admission sequence for one request:
 //
 //  1. Step the brownout controller on the fullest of its gates' occupancy;
-//     in the shedding state the request is refused with ErrShedding before
-//     it touches the queue.
+//     the state it returns sets the quality the request is served at, never
+//     whether it is admitted.
 //  2. Take a free execution slot at once, if there is one.
 //  3. Otherwise claim a place in the bounded queue; none left is
 //     ErrQueueFull.
@@ -77,9 +75,6 @@ func (g *Gate) occupancy() float64 {
 // under; it is valid whatever err is.
 func (g *Gate) Enter(ctx context.Context, maxWait time.Duration) (release func(), state State, err error) {
 	state = g.ctl.admit()
-	if state == Shedding {
-		return nil, state, ErrShedding
-	}
 	// Only a request that must wait takes a queue place: simultaneous
 	// arrivals at a gate with free slots are never refused as a full queue.
 	select {

@@ -64,14 +64,30 @@ func TestGateLadder(t *testing.T) {
 	if g.InFlight() != 0 || g.Queued() != 0 {
 		t.Fatalf("after release: inFlight %d queued %d, want 0 0", g.InFlight(), g.Queued())
 	}
+}
 
-	c.ForceState(Shedding)
-	if _, state, err := g.Enter(ctx, time.Minute); !errors.Is(err, ErrShedding) || state != Shedding {
-		t.Fatalf("Enter while shedding = %v, %v", state, err)
+// TestIdleGateAdmitsAfterSaturation saturates the test gate past the enter
+// hold, then empties it: one second later, well inside the exit hold, the
+// next request must take a slot. The brownout state sets only the quality it
+// is served at; the full queue is the only refusal.
+func TestIdleGateAdmitsAfterSaturation(t *testing.T) {
+	ck := newClock()
+	_, g := newTestController(ck)
+	observe(g, 16, 4) // 20/20 = 1.0
+	ck.advance(250 * time.Millisecond)
+	observe(g, 16, 4)
+
+	g.queued.Store(0)
+	g.inFlight.Store(0)
+	ck.advance(time.Second)
+	release, _, err := g.Enter(context.Background(), time.Second)
+	if err != nil {
+		t.Fatalf("Enter on an idle gate 1s after saturation = %v, want a slot", err)
 	}
-	if g.Queued() != 0 || g.InFlight() != 0 {
-		t.Fatalf("a shed request touched the gate: queued %d inFlight %d", g.Queued(), g.InFlight())
+	if g.InFlight() != 1 || g.Queued() != 0 {
+		t.Fatalf("after Enter: inFlight %d queued %d, want 1 0", g.InFlight(), g.Queued())
 	}
+	release()
 }
 
 // TestGateFreeSlotNeedsNoQueuePlace sets the queue count to its bound while a

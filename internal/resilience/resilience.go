@@ -5,9 +5,9 @@
 // (execution-slot semaphore plus a bounded queue) the Controller creates.
 // From the gates' occupancy the layer decides
 //
-//   - who may run: Gate.Enter is the admission ladder — shed, queue full,
-//     queue wait, slot;
-//   - at what quality: every Enter steps a three-state brownout controller
+//   - who may run: Gate.Enter is the admission ladder — slot, queue place,
+//     queue wait. The full queue is the only overload refusal (429);
+//   - at what quality: every Enter steps a two-state brownout controller
 //     whose pressure is the fullest gate's occupancy, (queued + in-flight) /
 //     (queue bound + slots), read over every gate the controller created.
 //
@@ -22,15 +22,18 @@
 //	degraded  explains run with a reduced execution budget and an ε-optimal
 //	          early stop (kernel-level Stop predicate); responses are marked
 //	          degraded and carry the achieved quality bound
-//	shedding  new requests answer 429 with Retry-After before touching a slot
+//
+// The controller never refuses a request: under contention it lowers the
+// quality of what it serves, and only a request that finds the bounded queue
+// full is turned away.
 //
 // This is the anytime-answer posture of the provenance literature (PUG, Lee
 // et al. 2018): under contention, a bounded-quality explanation delivered now
-// beats an optimal one delivered after the queue collapses. Transitions
-// upward (toward shedding) require the pressure to hold above the threshold
-// for EnterHold — a queue blip does not brown the fleet out — and transitions
-// downward require it to hold below for ExitHold, so the controller never
-// flaps around a threshold.
+// beats an optimal one delivered after the queue collapses — or a refusal.
+// Degrading requires the pressure to hold at or above DegradeAt for
+// EnterHold — a queue blip does not brown the fleet out — and recovering
+// requires it to hold below for ExitHold, so the controller never flaps
+// around the threshold.
 //
 // The controller is a function of its gates and its clock alone (Config.Now
 // is injectable), which is what makes the brownout tests exact rather than
@@ -51,20 +54,14 @@ const (
 	// Degraded serves explains under a reduced budget with an ε-optimal
 	// early stop, marking responses as degraded.
 	Degraded
-	// Shedding answers new requests with 429 + Retry-After.
-	Shedding
 )
 
 // String names the state for stats and logs.
 func (s State) String() string {
-	switch s {
-	case Degraded:
+	if s == Degraded {
 		return "degraded"
-	case Shedding:
-		return "shedding"
-	default:
-		return "healthy"
 	}
+	return "healthy"
 }
 
 // Config tunes the controller. The zero value picks the documented defaults.
@@ -72,14 +69,11 @@ type Config struct {
 	// DegradeAt is the pressure at or above which the controller degrades
 	// (0 = 0.5). Pressure is the fullest gate's occupancy.
 	DegradeAt float64
-	// ShedAt is the pressure at or above which the controller sheds
-	// (0 = 0.9).
-	ShedAt float64
-	// EnterHold is how long pressure must hold at or above a threshold
-	// before the controller steps up into that state (0 = 250ms).
+	// EnterHold is how long pressure must hold at or above DegradeAt before
+	// the controller degrades (0 = 250ms).
 	EnterHold time.Duration
-	// ExitHold is how long pressure must hold below a threshold before the
-	// controller steps back down one state (0 = 2s).
+	// ExitHold is how long pressure must hold below DegradeAt before the
+	// controller recovers to healthy (0 = 2s).
 	ExitHold time.Duration
 	// Now is the controller's clock (nil = time.Now); injectable for
 	// deterministic tests.
@@ -89,9 +83,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.DegradeAt == 0 {
 		c.DegradeAt = 0.5
-	}
-	if c.ShedAt == 0 {
-		c.ShedAt = 0.9
 	}
 	if c.EnterHold == 0 {
 		c.EnterHold = 250 * time.Millisecond
@@ -141,11 +132,9 @@ type Controller struct {
 	state       State
 	forced      bool      // ForceState pinned the state (tests, ops drills)
 	pressure    float64   // the fullest gate's occupancy at the latest admission
-	aboveShed   time.Time // since when pressure has held ≥ ShedAt (zero = not)
-	aboveDeg    time.Time // since when pressure has held ≥ DegradeAt
-	belowShed   time.Time // since when pressure has held < ShedAt
-	belowDeg    time.Time // since when pressure has held < DegradeAt
-	transitions [3]int64
+	above       bool      // pressure ≥ DegradeAt at the latest admission
+	since       time.Time // when pressure last crossed DegradeAt
+	transitions [2]int64
 }
 
 // NewController returns a controller in the healthy state.
@@ -183,44 +172,18 @@ func (c *Controller) admit() State {
 	}
 	c.pressure = p
 	now := c.cfg.Now()
-	track := func(above bool, since *time.Time) {
-		if above {
-			if since.IsZero() {
-				*since = now
-			}
-		} else {
-			*since = time.Time{}
-		}
+	if above := p >= c.cfg.DegradeAt; above != c.above {
+		c.above, c.since = above, now
 	}
-	track(p >= c.cfg.ShedAt, &c.aboveShed)
-	track(p >= c.cfg.DegradeAt, &c.aboveDeg)
-	track(p < c.cfg.ShedAt, &c.belowShed)
-	track(p < c.cfg.DegradeAt, &c.belowDeg)
 	if c.forced {
 		return c.state
 	}
-	held := func(since time.Time, hold time.Duration) bool {
-		return !since.IsZero() && now.Sub(since) >= hold
-	}
-	switch c.state {
-	case Healthy:
-		if held(c.aboveShed, c.cfg.EnterHold) {
-			c.setState(Shedding)
-		} else if held(c.aboveDeg, c.cfg.EnterHold) {
-			c.setState(Degraded)
-		}
-	case Degraded:
-		if held(c.aboveShed, c.cfg.EnterHold) {
-			c.setState(Shedding)
-		} else if held(c.belowDeg, c.cfg.ExitHold) {
-			c.setState(Healthy)
-		}
-	case Shedding:
-		if held(c.belowShed, c.cfg.ExitHold) {
-			// Step down one level at a time; the degraded state re-checks its
-			// own exit hold before reaching healthy.
-			c.setState(Degraded)
-		}
+	held := now.Sub(c.since)
+	switch {
+	case c.state == Healthy && c.above && held >= c.cfg.EnterHold:
+		c.setState(Degraded)
+	case c.state == Degraded && !c.above && held >= c.cfg.ExitHold:
+		c.setState(Healthy)
 	}
 	return c.state
 }
@@ -241,7 +204,7 @@ func (c *Controller) Snapshot() Snapshot {
 	snap := Snapshot{
 		State:       c.state,
 		Pressure:    c.pressure,
-		Transitions: make(map[string]int64, 3),
+		Transitions: make(map[string]int64, len(c.transitions)),
 	}
 	for s, n := range c.transitions {
 		snap.Transitions[State(s).String()] = n

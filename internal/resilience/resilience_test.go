@@ -34,7 +34,6 @@ func (c *clock) advance(d time.Duration) {
 func newTestController(ck *clock) (*Controller, *Gate) {
 	c := NewController(Config{
 		DegradeAt: 0.5,
-		ShedAt:    0.9,
 		EnterHold: 250 * time.Millisecond,
 		ExitHold:  2 * time.Second,
 		Now:       ck.now,
@@ -93,43 +92,6 @@ func TestControllerDegradesAfterSustainedPressure(t *testing.T) {
 	}
 }
 
-func TestControllerShedsAndStepsDownThroughDegraded(t *testing.T) {
-	ck := newClock()
-	c, g := newTestController(ck)
-
-	observe(g, 16, 4) // 20/20 = 1.0 ≥ ShedAt
-	ck.advance(250 * time.Millisecond)
-	if got := observe(g, 16, 4); got != Shedding {
-		t.Fatalf("state under saturation = %v, want shedding", got)
-	}
-
-	// Pressure falls between the thresholds: sheds → degraded after the exit
-	// hold, but no further since pressure still exceeds DegradeAt.
-	observe(g, 10, 4) // 0.7
-	ck.advance(2 * time.Second)
-	if got := observe(g, 10, 4); got != Degraded {
-		t.Fatalf("state after shed recovery = %v, want degraded", got)
-	}
-	ck.advance(10 * time.Second)
-	if got := observe(g, 10, 4); got != Degraded {
-		t.Fatalf("state with mid pressure = %v, want degraded held", got)
-	}
-
-	// Full recovery.
-	observe(g, 0, 0)
-	ck.advance(2 * time.Second)
-	if got := observe(g, 0, 0); got != Healthy {
-		t.Fatalf("state after full recovery = %v, want healthy", got)
-	}
-	snap := c.Snapshot()
-	want := map[string]int64{"shedding": 1, "degraded": 1, "healthy": 1}
-	for k, n := range want {
-		if snap.Transitions[k] != n {
-			t.Fatalf("transitions = %v, want %v", snap.Transitions, want)
-		}
-	}
-}
-
 // TestControllerReadsFullestGate holds one gate at 90 % while a second gate
 // admits a request every 50 ms: the idle gate's admissions must not hide the
 // full one, so the controller browns out after the enter hold.
@@ -145,8 +107,8 @@ func TestControllerReadsFullestGate(t *testing.T) {
 			release()
 		}
 	}
-	if got := c.State(); got != Degraded && got != Shedding {
-		t.Fatalf("state with one gate at 90%% = %v, want degraded or shedding", got)
+	if got := c.State(); got != Degraded {
+		t.Fatalf("state with one gate at 90%% = %v, want degraded", got)
 	}
 	if snap := c.Snapshot(); snap.Pressure != 0.9 {
 		t.Fatalf("pressure = %v, want the full gate's 0.9", snap.Pressure)
@@ -176,8 +138,8 @@ func TestControllerForceStateDisablesTransitions(t *testing.T) {
 
 func TestControllerDefaults(t *testing.T) {
 	c := NewController(Config{})
-	if c.cfg.DegradeAt != 0.5 || c.cfg.ShedAt != 0.9 {
-		t.Fatalf("default thresholds = %v/%v", c.cfg.DegradeAt, c.cfg.ShedAt)
+	if c.cfg.DegradeAt != 0.5 || c.cfg.EnterHold != 250*time.Millisecond || c.cfg.ExitHold != 2*time.Second {
+		t.Fatalf("defaults = degrade at %v, holds %v/%v", c.cfg.DegradeAt, c.cfg.EnterHold, c.cfg.ExitHold)
 	}
 	if got := c.State(); got != Healthy {
 		t.Fatalf("initial state = %v, want healthy", got)

@@ -17,7 +17,7 @@ package server
 // per distinct spec instead of one per item. Distinct groups of one dataset
 // fan out concurrently, bounded by the dataset's admission capacity so a
 // wide batch cannot starve single-request traffic, and each group passes
-// the same admission gate (shed, queue, slot wait) an individual request
+// the same admission gate (queue full, slot wait) an individual request
 // would.
 
 import (

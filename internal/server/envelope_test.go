@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/resilience"
 	"repro/internal/wire"
 )
 
@@ -18,13 +17,13 @@ func TestEnvelopeOnEveryEndpoint(t *testing.T) {
 	explainBody := wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1, Budget: 50}
 	matchBody := wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 3"}
 	cases := []struct {
-		name     string
-		method   string
-		path     string
-		body     any
-		shedding bool
-		want     int
-		wantCode wire.ErrorCode // "" = success envelope
+		name      string
+		method    string
+		path      string
+		body      any
+		fullQueue bool
+		want      int
+		wantCode  wire.ErrorCode // "" = success envelope
 	}{
 		{name: "datasets ok", method: "GET", path: "/v1/datasets", want: http.StatusOK},
 		{name: "stats ok", method: "GET", path: "/v1/stats", want: http.StatusOK},
@@ -45,15 +44,20 @@ func TestEnvelopeOnEveryEndpoint(t *testing.T) {
 		{name: "explain bound violation", method: "POST", path: "/v1/explain", body: wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Lower: 10, Upper: 5}, want: http.StatusBadRequest, wantCode: wire.CodeBoundViolation},
 		{name: "stream bound violation", method: "POST", path: "/v1/explain/stream", body: wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Budget: -1}, want: http.StatusBadRequest, wantCode: wire.CodeBoundViolation},
 
-		{name: "explain shed", method: "POST", path: "/v1/explain", body: explainBody, shedding: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
-		{name: "match shed", method: "POST", path: "/v1/match", body: matchBody, shedding: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
-		{name: "stream shed", method: "POST", path: "/v1/explain/stream", body: explainBody, shedding: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
+		// A full admission queue is the only overload refusal.
+		{name: "explain shed", method: "POST", path: "/v1/explain", body: explainBody, fullQueue: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
+		{name: "match shed", method: "POST", path: "/v1/match", body: matchBody, fullQueue: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
+		{name: "stream shed", method: "POST", path: "/v1/explain/stream", body: explainBody, fullQueue: true, want: http.StatusTooManyRequests, wantCode: wire.CodeShed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestServer(t, Config{})
-			if tc.shedding {
-				s.Resilience().ForceState(resilience.Shedding)
+			cfg := Config{}
+			if tc.fullQueue {
+				cfg = fullQueueConfig
+			}
+			s := newTestServer(t, cfg)
+			if tc.fullQueue {
+				defer saturate(t, s, s.Handler(), 1)()
 			}
 			rec := do(t, s.Handler(), tc.method, tc.path, tc.body)
 			if rec.Code != tc.want {

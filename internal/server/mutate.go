@@ -13,8 +13,8 @@ package server
 // stays impossible by construction.
 //
 // Writers serialize on the dataset's mutation mutex, but still pass through
-// the shared admission/brownout path first: under overload a mutate sheds
-// with a retryable 429 exactly like a read — degrade, never corrupt.
+// the shared admission/brownout path first: a mutate that finds the queue
+// full gets a retryable 429 exactly like a read — degrade, never corrupt.
 //
 // Validation is all-or-nothing: any bad element fails the batch with 400
 // before publication, and the discarded fork leaves the serving graph

@@ -150,36 +150,14 @@ func mustQuery(t *testing.T, req wire.ExplainRequest) *query.Query {
 	return nil
 }
 
-func TestSheddingAnswers429(t *testing.T) {
-	s := newTestServer(t, Config{})
-	s.Resilience().ForceState(resilience.Shedding)
-	h := s.Handler()
-	for _, ep := range []struct {
-		path string
-		body any
-	}{
-		{"/v1/explain", wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1}},
-		{"/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2"}},
-	} {
-		rec := do(t, h, "POST", ep.path, ep.body)
-		if rec.Code != http.StatusTooManyRequests {
-			t.Fatalf("%s while shedding = %d: %s", ep.path, rec.Code, rec.Body)
-		}
-		if rec.Header().Get("Retry-After") == "" {
-			t.Fatalf("%s: shed response missing Retry-After", ep.path)
-		}
-		if er := decodeError(t, rec); er.Code != wire.CodeShed || !er.Retryable || er.RetryAfterMs == 0 {
-			t.Fatalf("%s: shed error = %+v, want retryable code shed", ep.path, er)
-		}
-	}
-	if s.shed.Load() != 2 {
-		t.Fatalf("shed counter = %d, want 2", s.shed.Load())
-	}
-	rec := do(t, h, "GET", "/v1/stats", nil)
-	st := decodeData[wire.StatsResponse](t, rec)
-	if st.Resilience == nil || st.Resilience.State != "shedding" || st.Resilience.Shed != 2 {
-		t.Fatalf("stats resilience block = %+v", st.Resilience)
-	}
+// fullQueueConfig gives each dataset a one-place queue, which saturate(…, 1)
+// fills, and lets saturate's slow explains hold their slots for up to a
+// minute.
+var fullQueueConfig = Config{
+	MaxBudget:      10000000,
+	DefaultTimeout: time.Minute,
+	QueueCap:       1,
+	MaxQueueWait:   time.Minute,
 }
 
 // saturate occupies every execution slot of the ldbc dataset with slow
@@ -217,13 +195,42 @@ func saturate(t *testing.T, s *Server, h http.Handler, extra int) (stop func()) 
 	}
 }
 
+// TestSheddingAnswers429: shedding is a full admission queue, the only
+// overload refusal. It answers every gated endpoint 429 with Retry-After and
+// a retryable shed envelope; /v1/stats counts it under queueFull, and shed
+// stays 0.
+func TestSheddingAnswers429(t *testing.T) {
+	s := newTestServer(t, fullQueueConfig)
+	h := s.Handler()
+	stop := saturate(t, s, h, 1) // all slots busy + the 1-deep queue full
+	defer stop()
+
+	for _, ep := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/explain", wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1}},
+		{"/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2"}},
+	} {
+		rec := do(t, h, "POST", ep.path, ep.body)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s while shedding = %d: %s", ep.path, rec.Code, rec.Body)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s: shed response missing Retry-After", ep.path)
+		}
+		if er := decodeError(t, rec); er.Code != wire.CodeShed || !er.Retryable || er.RetryAfterMs == 0 {
+			t.Fatalf("%s: shed error = %+v, want retryable code shed", ep.path, er)
+		}
+	}
+	st := decodeData[wire.StatsResponse](t, do(t, h, "GET", "/v1/stats", nil))
+	if r := st.Resilience; r == nil || r.QueueFull != 2 || r.Shed != 0 || (r.State != "healthy" && r.State != "degraded") {
+		t.Fatalf("stats resilience block = %+v", st.Resilience)
+	}
+}
+
 func TestQueueFullAnswers429(t *testing.T) {
-	s := newTestServer(t, Config{
-		MaxBudget:      10000000,
-		DefaultTimeout: time.Minute,
-		QueueCap:       1,
-		MaxQueueWait:   time.Minute,
-	})
+	s := newTestServer(t, fullQueueConfig)
 	h := s.Handler()
 	stop := saturate(t, s, h, 1) // all slots busy + the 1-deep queue full
 	defer stop()
@@ -240,8 +247,8 @@ func TestQueueFullAnswers429(t *testing.T) {
 	if er := decodeError(t, rec); !strings.Contains(er.Message, "queue full") || er.Code != wire.CodeShed {
 		t.Fatalf("queue-full error body: %s", rec.Body)
 	}
-	if s.queueFull.Load() == 0 || s.expiredQueued.Load() != 0 {
-		t.Fatalf("counters: queueFull=%d expiredQueued=%d", s.queueFull.Load(), s.expiredQueued.Load())
+	if s.queueFull.Load() != 1 || s.expiredQueued.Load() != 0 {
+		t.Fatalf("counters: queueFull=%d expiredQueued=%d, want 1 0", s.queueFull.Load(), s.expiredQueued.Load())
 	}
 }
 

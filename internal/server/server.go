@@ -28,11 +28,12 @@
 // engine's worker count, so a burst queues instead of oversubscribing the
 // matcher; an admitted explain runs on its request's goroutine. This package
 // maps the rung of the gate's ladder that refused a request onto the wire
-// (admit) and applies the degraded state's clamps to an explain and stamps
-// the quality bound (runExplain); the brownout state is a function of the
-// gates' occupancy alone. An admitted request runs under its own context
-// deadline threaded through core.ExplainCtx, so an abandoned one stops
-// within one candidate execution. A handler panic is
+// (admit; a full queue is the only overload refusal, 429) and applies the
+// degraded state's clamps to an explain and stamps the quality bound
+// (runExplain); the brownout state is a function of the gates' occupancy
+// alone, and it never refuses a request. An admitted request runs under its
+// own context deadline threaded through core.ExplainCtx, so an abandoned one
+// stops within one candidate execution. A handler panic is
 // recovered to a 500 with a request id, counted and stack-logged. An optional
 // seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
@@ -201,7 +202,6 @@ type Server struct {
 	reqErrors     atomic.Int64
 	reqCancelled  atomic.Int64
 
-	shed           atomic.Int64
 	queueFull      atomic.Int64
 	expiredQueued  atomic.Int64
 	expiredRunning atomic.Int64
@@ -585,7 +585,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Transitions:    snap.Transitions,
 		QueueDepth:     snap.QueueDepth,
 		QueueCap:       snap.QueueCap,
-		Shed:           s.shed.Load(),
 		QueueFull:      s.queueFull.Load(),
 		ExpiredQueued:  s.expiredQueued.Load(),
 		ExpiredRunning: s.expiredRunning.Load(),
@@ -687,9 +686,9 @@ func (s *Server) resolveQuery(ds *dataset, builtin string, failing bool, wq *wir
 
 // admit passes one request through its dataset's gate (resilience.Gate.Enter
 // is the ladder) and maps the rung that refused it onto the wire: 429 +
-// Retry-After when shedding or when the queue is full (not 504 — the client
-// did nothing slow, the server is full), 504 expired-queued past the max
-// queue wait, the context ladder when the request's own deadline or
+// Retry-After when the queue is full, the only overload refusal (not 504 —
+// the client did nothing slow, the server is full), 504 expired-queued past
+// the max queue wait, the context ladder when the request's own deadline or
 // cancellation ended the wait. On success release frees the slot (late,
 // under the injected starve fault) and state is the brownout state to serve
 // the request under.
@@ -697,9 +696,6 @@ func (s *Server) admit(r *http.Request, ctx context.Context, ds *dataset, inject
 	release, state, err := ds.gate.Enter(ctx, s.cfg.MaxQueueWait)
 	switch {
 	case err == nil:
-	case errors.Is(err, resilience.ErrShedding):
-		s.shed.Add(1)
-		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "server shedding load, retry later")
 	case errors.Is(err, resilience.ErrQueueFull):
 		s.queueFull.Add(1)
 		return nil, state, s.newError(http.StatusTooManyRequests, wire.CodeShed, "admission queue full (%d queued), retry later", ds.gate.QueueCap())

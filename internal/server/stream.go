@@ -6,7 +6,7 @@ package server
 // quality bound, and the final ranked report follows as the `done` event
 // with exactly the bytes /v1/explain puts in the envelope's data field. The
 // stream opens once the request is admitted: failures before that (bad spec,
-// shedding 429, queue-full, queued deadline) answer plain JSON envelopes,
+// queue-full 429, queued deadline) answer plain JSON envelopes,
 // failures after it are `error` events carrying the envelope shape. A client
 // that disconnects mid-stream cancels the request context, which stops the
 // search before the next candidate execution; so does a failed event write

@@ -137,9 +137,9 @@ func TestStreamDifferential(t *testing.T) {
 }
 
 // TestStreamRefusalsAnswerPlainEnvelopes: failures before the stream opens
-// (bad spec, shedding) answer ordinary JSON error envelopes, not SSE.
+// (bad spec, full queue) answer ordinary JSON error envelopes, not SSE.
 func TestStreamRefusalsAnswerPlainEnvelopes(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, fullQueueConfig)
 	h := s.Handler()
 
 	rec := do(t, h, "POST", "/v1/explain/stream", wire.ExplainRequest{Dataset: "imdb", Builtin: "LDBC QUERY 2"})
@@ -150,7 +150,7 @@ func TestStreamRefusalsAnswerPlainEnvelopes(t *testing.T) {
 		t.Fatalf("unknown dataset code = %q", er.Code)
 	}
 
-	s.Resilience().ForceState(resilience.Shedding)
+	defer saturate(t, s, h, 1)()
 	rec = do(t, h, "POST", "/v1/explain/stream", wire.ExplainRequest{
 		Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1,
 	})
@@ -160,7 +160,7 @@ func TestStreamRefusalsAnswerPlainEnvelopes(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "text/event-stream") {
 		t.Fatalf("shed answer must not open a stream: %q", ct)
 	}
-	if er := decodeError(t, rec); er.Code != wire.CodeShed || !er.Retryable {
+	if er := decodeError(t, rec); er.Code != wire.CodeShed || !er.Retryable || !strings.Contains(er.Message, "queue full") {
 		t.Fatalf("shed stream error = %+v", er)
 	}
 }

@@ -164,8 +164,9 @@ const (
 	CodeDeadlineQueued ErrorCode = "deadline_queued"
 	// CodeDeadlineRunning: the deadline expired mid-execution (504).
 	CodeDeadlineRunning ErrorCode = "deadline_running"
-	// CodeShed: the brownout controller or the full admission queue refused
-	// the request (429, retryable after RetryAfterMs).
+	// CodeShed: the admission queue was full, the only overload refusal
+	// (429, retryable after RetryAfterMs). The brownout controller never
+	// refuses a request.
 	CodeShed ErrorCode = "shed"
 	// CodeInjected: a whydbd -inject fault produced this failure; load
 	// generators count it as explained, not as a service defect.
@@ -335,14 +336,16 @@ type StatsResponse struct {
 // ResilienceStats reports the brownout controller and overload counters
 // (GET /v1/stats, mirrored into the whyload summary).
 type ResilienceStats struct {
-	// State is the brownout state: "healthy", "degraded", or "shedding".
+	// State is the brownout state: "healthy" or "degraded".
 	State string `json:"state"`
 	// Pressure is the fullest admission gate's occupancy, (queued +
 	// in-flight) / (queue bound + slots), at the latest admission.
 	Pressure float64 `json:"pressure"`
 	// Transitions counts entries into each brownout state.
 	Transitions map[string]int64 `json:"transitions,omitempty"`
-	// Shed counts requests answered 429 because the controller was shedding.
+	// Shed is always zero: the brownout controller has no shedding state, and
+	// a full queue, the only 429, counts in QueueFull. The field stays until
+	// the benchmark that reads shed drops it.
 	Shed int64 `json:"shed"`
 	// QueueFull counts requests answered 429 because the admission queue was
 	// at capacity.

@@ -10,25 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestLDBCQueryCardinalitiesMatchTableA1(t *testing.T) {
-	g := datagen.LDBC(datagen.DefaultLDBC())
-	m := match.New(g)
-	for _, nq := range LDBCQueries() {
-		got := m.Count(nq.Build(), 0)
-		if got != nq.C1 {
-			t.Errorf("%s: cardinality = %d, recorded C1 = %d", nq.Name, got, nq.C1)
-		}
-		// Stay within 10%+1 of the thesis' Table A.1 value.
-		diff := got - nq.PaperC1
-		if diff < 0 {
-			diff = -diff
-		}
-		if float64(diff) > 0.1*float64(nq.PaperC1)+1 {
-			t.Errorf("%s: %d too far from paper C1 %d", nq.Name, got, nq.PaperC1)
-		}
-	}
-}
-
 func TestFailingVariantsAreEmpty(t *testing.T) {
 	g := datagen.LDBC(datagen.DefaultLDBC())
 	m := match.New(g)
