@@ -56,15 +56,14 @@ import (
 
 // options is everything the daemon's flags set.
 type options struct {
-	addr, datasets      string
-	scale               float64
-	workers             int
-	grace, drainDelay   time.Duration
-	queueCap            int
-	maxQueueWait        time.Duration
-	degradeAt           float64
-	enterHold, exitHold time.Duration
-	inject, snapDir     string
+	addr, datasets    string
+	scale             float64
+	workers           int
+	grace, drainDelay time.Duration
+	queueCap          int
+	maxQueueWait      time.Duration
+	degradeAt         float64
+	inject, snapDir   string
 }
 
 // defineFlags declares the daemon's whole flag surface on fs (TestFlagSurface
@@ -79,11 +78,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.drainDelay, "drain-delay", 0, "pause between flipping /readyz and starting shutdown (LB de-routing time)")
 	fs.IntVar(&o.queueCap, "queue-cap", 0, "admission queue bound per dataset (0 = 4x the dataset's execution slots)")
 	fs.DurationVar(&o.maxQueueWait, "max-queue-wait", 5*time.Second, "max time a request may wait for an execution slot before 504")
-	fs.Float64Var(&o.degradeAt, "degrade-at", 0.5, "pressure at which the brownout controller degrades explains")
-	fs.Float64("shed-at", 0.9, "inert: accepted and ignored (the brownout controller never refuses; a full admission queue is the only 429)")
+	fs.Float64Var(&o.degradeAt, "degrade-at", 0.5, "pressure (the fullest gate's occupancy) at or above which an arriving explain is served degraded")
 	fs.Duration("latency-budget", 500*time.Millisecond, "inert: accepted and ignored (brownout pressure is the fullest gate's occupancy alone)")
-	fs.DurationVar(&o.enterHold, "brownout-enter-hold", 250*time.Millisecond, "how long pressure must hold at or above -degrade-at before explains degrade")
-	fs.DurationVar(&o.exitHold, "brownout-exit-hold", 2*time.Second, "how long pressure must hold below -degrade-at before the controller recovers")
 	fs.StringVar(&o.inject, "inject", "", "fault-injection spec, e.g. 'seed=42,latency=0.1:5ms,error=0.05,cancel=0.03:4,starve=0.02:20ms' (off by default)")
 	fs.StringVar(&o.snapDir, "snapshot", "", "load each dataset from <dir>/<name>.snap (whydb pack output) instead of generating it; -scale is ignored")
 	return o
@@ -114,11 +110,7 @@ func main() {
 	cfg := server.Config{
 		QueueCap:     o.queueCap,
 		MaxQueueWait: o.maxQueueWait,
-		Resilience: resilience.Config{
-			DegradeAt: o.degradeAt,
-			EnterHold: o.enterHold,
-			ExitHold:  o.exitHold,
-		},
+		Resilience:   resilience.Config{DegradeAt: o.degradeAt},
 	}
 	if o.inject != "" {
 		icfg, err := faultinject.ParseSpec(o.inject)

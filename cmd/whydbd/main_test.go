@@ -17,10 +17,9 @@ import (
 // nightly.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "brownout-enter-hold", "brownout-exit-hold", "datasets",
-		"degrade-at", "drain-delay", "inject", "latency-budget",
-		"max-queue-wait", "queue-cap", "scale", "shed-at", "shutdown-grace",
-		"snapshot", "workers",
+		"addr", "datasets", "degrade-at", "drain-delay", "inject",
+		"latency-budget", "max-queue-wait", "queue-cap", "scale",
+		"shutdown-grace", "snapshot", "workers",
 	}
 	fs := flag.NewFlagSet("whydbd", flag.ContinueOnError)
 	defineFlags(fs)

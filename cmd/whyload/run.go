@@ -55,9 +55,10 @@ type sample struct {
 	result
 }
 
-// The chaos trickle is dense enough that the controller's step-down window
-// — degraded → healthy, gated by its exit hold — sees several admission and
-// completion samples.
+// The chaos trickle is one worker pausing trickleGap between requests: its
+// arrivals find the gates draining after the burst, so the step back to
+// healthy (the first arrival below the degrade threshold) shows before the
+// run ends, followed by several more admissions.
 const trickleGap = 150 * time.Millisecond
 
 // run replays jobs round-robin from cfg.concurrency workers until

@@ -61,9 +61,10 @@ func (g *Gate) occupancy() float64 {
 
 // Enter runs the overload-aware admission sequence for one request:
 //
-//  1. Step the brownout controller on the fullest of its gates' occupancy;
-//     the state it returns sets the quality the request is served at, never
-//     whether it is admitted.
+//  1. Read the fullest of the controller's gates' occupancy: at or above
+//     DegradeAt the request is served degraded, below it healthy. The state
+//     sets the quality the request is served at, never whether it is
+//     admitted.
 //  2. Take a free execution slot at once, if there is one.
 //  3. Otherwise claim a place in the bounded queue; none left is
 //     ErrQueueFull.

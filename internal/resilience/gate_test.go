@@ -66,28 +66,30 @@ func TestGateLadder(t *testing.T) {
 	}
 }
 
-// TestIdleGateAdmitsAfterSaturation saturates the test gate past the enter
-// hold, then empties it: one second later, well inside the exit hold, the
-// next request must take a slot. The brownout state sets only the quality it
-// is served at; the full queue is the only refusal.
+// TestIdleGateAdmitsAfterSaturation degrades an arrival at the full test
+// gate, then empties it: the next request must take a slot and be served at
+// full quality. The brownout state sets only the quality a request is served
+// at, and only the contention it finds when it arrives sets that; the full
+// queue is the only refusal.
 func TestIdleGateAdmitsAfterSaturation(t *testing.T) {
-	ck := newClock()
-	_, g := newTestController(ck)
-	observe(g, 16, 4) // 20/20 = 1.0
-	ck.advance(250 * time.Millisecond)
-	observe(g, 16, 4)
+	c, g := newTestController()
+	if got := observe(g, 16, 4); got != Degraded {
+		t.Fatalf("arrival at the full gate = %v, want degraded", got)
+	}
 
 	g.queued.Store(0)
 	g.inFlight.Store(0)
-	ck.advance(time.Second)
-	release, _, err := g.Enter(context.Background(), time.Second)
+	release, state, err := g.Enter(context.Background(), time.Second)
 	if err != nil {
-		t.Fatalf("Enter on an idle gate 1s after saturation = %v, want a slot", err)
+		t.Fatalf("Enter on an idle gate after saturation = %v, want a slot", err)
 	}
+	defer release()
 	if g.InFlight() != 1 || g.Queued() != 0 {
 		t.Fatalf("after Enter: inFlight %d queued %d, want 1 0", g.InFlight(), g.Queued())
 	}
-	release()
+	if state != Healthy {
+		t.Fatalf("Enter on an idle gate after saturation = %v at pressure %v, want healthy", state, c.Snapshot().Pressure)
+	}
 }
 
 // TestGateFreeSlotNeedsNoQueuePlace sets the queue count to its bound while a

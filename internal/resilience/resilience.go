@@ -7,9 +7,10 @@
 //
 //   - who may run: Gate.Enter is the admission ladder — slot, queue place,
 //     queue wait. The full queue is the only overload refusal (429);
-//   - at what quality: every Enter steps a two-state brownout controller
-//     whose pressure is the fullest gate's occupancy, (queued + in-flight) /
-//     (queue bound + slots), read over every gate the controller created.
+//   - at what quality: every Enter reads the pressure, the fullest gate's
+//     occupancy, (queued + in-flight) / (queue bound + slots), over every
+//     gate the controller created, and serves the arriving request degraded
+//     when it is at or above DegradeAt.
 //
 // Occupancy is the only signal. By Little's law a queue's occupancy is its
 // arrival rate times its latency, so slowness under contention shows up in
@@ -30,20 +31,17 @@
 // This is the anytime-answer posture of the provenance literature (PUG, Lee
 // et al. 2018): under contention, a bounded-quality explanation delivered now
 // beats an optimal one delivered after the queue collapses — or a refusal.
-// Degrading requires the pressure to hold at or above DegradeAt for
-// EnterHold — a queue blip does not brown the fleet out — and recovering
-// requires it to hold below for ExitHold, so the controller never flaps
-// around the threshold.
+// A request's quality is decided once, when it is admitted, from the
+// contention it finds there. No earlier admission enters the decision, so a
+// request that reaches idle gates right after a burst is served at full
+// quality.
 //
-// The controller is a function of its gates and its clock alone (Config.Now
-// is injectable), which is what makes the brownout tests exact rather than
+// The serving state is a function of its gates alone (or of ForceState's
+// pin), which is what makes the brownout tests exact rather than
 // sleep-and-hope.
 package resilience
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // State is the brownout controller's serving state.
 type State int32
@@ -66,32 +64,14 @@ func (s State) String() string {
 
 // Config tunes the controller. The zero value picks the documented defaults.
 type Config struct {
-	// DegradeAt is the pressure at or above which the controller degrades
-	// (0 = 0.5). Pressure is the fullest gate's occupancy.
+	// DegradeAt is the pressure at or above which an arriving request is
+	// served degraded (0 = 0.5). Pressure is the fullest gate's occupancy.
 	DegradeAt float64
-	// EnterHold is how long pressure must hold at or above DegradeAt before
-	// the controller degrades (0 = 250ms).
-	EnterHold time.Duration
-	// ExitHold is how long pressure must hold below DegradeAt before the
-	// controller recovers to healthy (0 = 2s).
-	ExitHold time.Duration
-	// Now is the controller's clock (nil = time.Now); injectable for
-	// deterministic tests.
-	Now func() time.Time
 }
 
 func (c *Config) fill() {
 	if c.DegradeAt == 0 {
 		c.DegradeAt = 0.5
-	}
-	if c.EnterHold == 0 {
-		c.EnterHold = 250 * time.Millisecond
-	}
-	if c.ExitHold == 0 {
-		c.ExitHold = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 }
 
@@ -110,30 +90,29 @@ const (
 
 // Snapshot is the controller's observable state for /v1/stats.
 type Snapshot struct {
-	// State is the current serving state.
+	// State is the serving state of the latest admission.
 	State State
 	// Pressure is the fullest gate's occupancy at the latest admission.
 	Pressure float64
-	// Transitions counts entries into each state (the initial healthy state
-	// is not an entry). Keys are the State strings.
+	// Transitions counts entries into each state, one per flip between
+	// consecutive admissions (the initial healthy state is not an entry).
+	// Keys are the State strings.
 	Transitions map[string]int64
 	// QueueDepth and QueueCap sum, over the controller's gates, the requests
 	// waiting for a slot and the queue bounds.
 	QueueDepth, QueueCap int
 }
 
-// Controller is the brownout state machine over its gates' occupancy. All
-// methods are safe for concurrent use.
+// Controller serves each admission at the quality its gates' occupancy
+// allows. All methods are safe for concurrent use.
 type Controller struct {
 	cfg Config
 
 	mu          sync.Mutex
 	gates       []*Gate
-	state       State
-	forced      bool      // ForceState pinned the state (tests, ops drills)
-	pressure    float64   // the fullest gate's occupancy at the latest admission
-	above       bool      // pressure ≥ DegradeAt at the latest admission
-	since       time.Time // when pressure last crossed DegradeAt
+	state       State   // the latest admission's state
+	forced      bool    // ForceState pinned the state (tests, ops drills)
+	pressure    float64 // the fullest gate's occupancy at the latest admission
 	transitions [2]int64
 }
 
@@ -143,7 +122,7 @@ func NewController(cfg Config) *Controller {
 	return &Controller{cfg: cfg}
 }
 
-// State returns the current serving state.
+// State returns the serving state of the latest admission.
 func (c *Controller) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,10 +138,10 @@ func (c *Controller) ForceState(s State) {
 	c.forced = true
 }
 
-// admit steps the state machine on the pressure of the moment — the largest
-// occupancy, (queued + in-flight) / (queue bound + slots), over the
-// controller's gates — and returns the serving state an arriving request
-// must be handled under.
+// admit reads the pressure of the moment — the largest occupancy,
+// (queued + in-flight) / (queue bound + slots), over the controller's gates —
+// and returns the serving state an arriving request must be handled under:
+// degraded at or above DegradeAt, healthy below it.
 func (c *Controller) admit() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,19 +150,12 @@ func (c *Controller) admit() State {
 		p = max(p, g.occupancy())
 	}
 	c.pressure = p
-	now := c.cfg.Now()
-	if above := p >= c.cfg.DegradeAt; above != c.above {
-		c.above, c.since = above, now
-	}
-	if c.forced {
-		return c.state
-	}
-	held := now.Sub(c.since)
-	switch {
-	case c.state == Healthy && c.above && held >= c.cfg.EnterHold:
-		c.setState(Degraded)
-	case c.state == Degraded && !c.above && held >= c.cfg.ExitHold:
-		c.setState(Healthy)
+	if !c.forced {
+		s := Healthy
+		if p >= c.cfg.DegradeAt {
+			s = Degraded
+		}
+		c.setState(s)
 	}
 	return c.state
 }

@@ -2,146 +2,133 @@ package resilience
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
 
-// clock is a deterministic test clock advanced by hand.
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newClock() *clock {
-	return &clock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *clock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *clock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// newTestController returns a controller on the test clock and its one gate
-// of 4 slots and 16 queue places, the server's queueCap = 4×slots shape.
-func newTestController(ck *clock) (*Controller, *Gate) {
-	c := NewController(Config{
-		DegradeAt: 0.5,
-		EnterHold: 250 * time.Millisecond,
-		ExitHold:  2 * time.Second,
-		Now:       ck.now,
-	})
+// newTestController returns a controller and its one gate of 4 slots and 16
+// queue places, the server's queueCap = 4×slots shape.
+func newTestController() (*Controller, *Gate) {
+	c := NewController(Config{DegradeAt: 0.5})
 	return c, c.NewGate(4, 16)
 }
 
 // observe sets a gate's counters to queued waiting and inFlight running
-// requests and steps the controller as an arriving request's Enter does.
+// requests and reads the controller as an arriving request's Enter does.
 func observe(g *Gate, queued, inFlight int) State {
 	g.queued.Store(int64(queued))
 	g.inFlight.Store(int64(inFlight))
 	return g.ctl.admit()
 }
 
-func TestControllerStaysHealthyUnderBriefSpike(t *testing.T) {
-	ck := newClock()
-	_, g := newTestController(ck)
-
-	// Pressure above DegradeAt but shorter than EnterHold: a blip.
-	observe(g, 10, 4) // 14/20 = 0.7
-	ck.advance(100 * time.Millisecond)
-	observe(g, 10, 4)
-	ck.advance(50 * time.Millisecond)
-	observe(g, 0, 1) // back to 0.05 before the hold elapses
-	ck.advance(300 * time.Millisecond)
-	if got := observe(g, 0, 1); got != Healthy {
-		t.Fatalf("state after brief spike = %v, want healthy", got)
-	}
-}
-
+// TestControllerDegradesAfterSustainedPressure steps the pressure across
+// DegradeAt and back: every admission at or above it is degraded for as long
+// as the pressure holds, and the first one below it is healthy again. Each
+// flip between consecutive admissions counts one entry.
 func TestControllerDegradesAfterSustainedPressure(t *testing.T) {
-	ck := newClock()
-	c, g := newTestController(ck)
+	c, g := newTestController()
 
-	observe(g, 10, 4) // 0.7 ≥ DegradeAt — starts the hold
-	ck.advance(250 * time.Millisecond)
-	if got := observe(g, 10, 4); got != Degraded {
-		t.Fatalf("state after sustained pressure = %v, want degraded", got)
-	}
-
-	// Recovery needs the full ExitHold below the threshold.
-	observe(g, 0, 1)
-	ck.advance(1 * time.Second)
-	if got := observe(g, 0, 1); got != Degraded {
-		t.Fatalf("state mid-recovery = %v, want still degraded", got)
-	}
-	ck.advance(1 * time.Second)
-	if got := observe(g, 0, 1); got != Healthy {
-		t.Fatalf("state after exit hold = %v, want healthy", got)
+	for i, step := range []struct {
+		queued, inFlight int
+		want             State
+	}{
+		{0, 1, Healthy},   // 1/20 = 0.05
+		{10, 4, Degraded}, // 0.7
+		{10, 4, Degraded},
+		{6, 4, Degraded}, // exactly DegradeAt
+		{5, 4, Healthy},  // 0.45
+		{5, 4, Healthy},
+		{16, 4, Degraded}, // 1.0
+		{0, 0, Healthy},
+	} {
+		if got := observe(g, step.queued, step.inFlight); got != step.want {
+			t.Fatalf("admission %d at %d queued, %d in flight = %v, want %v", i, step.queued, step.inFlight, got, step.want)
+		}
+		if got := c.State(); got != step.want {
+			t.Fatalf("State() after admission %d = %v, want %v", i, got, step.want)
+		}
 	}
 
 	snap := c.Snapshot()
-	if snap.Transitions["degraded"] != 1 || snap.Transitions["healthy"] != 1 {
-		t.Fatalf("transitions = %v, want degraded:1 healthy:1", snap.Transitions)
+	if snap.Transitions["degraded"] != 2 || snap.Transitions["healthy"] != 2 {
+		t.Fatalf("transitions = %v, want degraded:2 healthy:2", snap.Transitions)
+	}
+	if snap.Pressure != 0 || snap.State != Healthy {
+		t.Fatalf("snapshot after the last admission = %v at pressure %v, want healthy at 0", snap.State, snap.Pressure)
+	}
+}
+
+// TestFirstArrivalAtFullGateIsDegraded: the first request to reach a gate at
+// or above DegradeAt is served degraded. No earlier admission has to have
+// seen the pressure first.
+func TestFirstArrivalAtFullGateIsDegraded(t *testing.T) {
+	_, g := newTestController()
+	g.queued.Store(10) // (10 + 3) / 20 = 0.65 when the request arrives
+	g.inFlight.Store(3)
+	release, state, err := g.Enter(context.Background(), time.Second)
+	if err != nil {
+		t.Fatalf("Enter with a free slot = %v, want admission", err)
+	}
+	defer release()
+	if state != Degraded {
+		t.Fatalf("first arrival at occupancy 0.65 = %v, want degraded", state)
 	}
 }
 
 // TestControllerReadsFullestGate holds one gate at 90 % while a second gate
-// admits a request every 50 ms: the idle gate's admissions must not hide the
-// full one, so the controller browns out after the enter hold.
+// admits requests: the idle gate's admissions must not hide the full one,
+// so each of them is served degraded.
 func TestControllerReadsFullestGate(t *testing.T) {
-	ck := newClock()
-	c, busy := newTestController(ck)
+	c, busy := newTestController()
 	idle := c.NewGate(4, 16)
 
-	observe(busy, 14, 4) // 18/20 = 0.9
-	for range 10 {
-		ck.advance(50 * time.Millisecond)
-		if release, _, err := idle.Enter(context.Background(), time.Second); err == nil {
-			release()
+	busy.queued.Store(14) // 18/20 = 0.9
+	busy.inFlight.Store(4)
+	for i := range 3 {
+		release, state, err := idle.Enter(context.Background(), time.Second)
+		if err != nil {
+			t.Fatalf("Enter %d on the idle gate = %v", i, err)
+		}
+		release()
+		if state != Degraded {
+			t.Fatalf("Enter %d on the idle gate with the other at 90%% = %v, want degraded", i, state)
 		}
 	}
-	if got := c.State(); got != Degraded {
-		t.Fatalf("state with one gate at 90%% = %v, want degraded", got)
-	}
-	if snap := c.Snapshot(); snap.Pressure != 0.9 {
-		t.Fatalf("pressure = %v, want the full gate's 0.9", snap.Pressure)
+	if snap := c.Snapshot(); snap.Pressure != 0.9 || snap.Transitions["degraded"] != 1 {
+		t.Fatalf("pressure %v, degraded entries %d, want the full gate's 0.9 and 1", snap.Pressure, snap.Transitions["degraded"])
 	}
 }
 
 func TestControllerForceStateDisablesTransitions(t *testing.T) {
-	ck := newClock()
-	c, g := newTestController(ck)
+	c, g := newTestController()
 
 	c.ForceState(Degraded)
 	if got := c.State(); got != Degraded {
 		t.Fatalf("forced state = %v, want degraded", got)
 	}
-	// No observations can move it.
-	ck.advance(time.Minute)
+	// No admission can move it.
 	if got := observe(g, 0, 0); got != Degraded {
-		t.Fatalf("state after idle observations = %v, want pinned degraded", got)
+		t.Fatalf("state of an idle admission = %v, want pinned degraded", got)
 	}
-	ck.advance(time.Minute)
-	observe(g, 16, 4)
-	ck.advance(time.Minute)
-	if got := observe(g, 16, 4); got != Degraded {
-		t.Fatalf("state under saturation = %v, want pinned degraded", got)
+	c.ForceState(Healthy)
+	if got := observe(g, 16, 4); got != Healthy {
+		t.Fatalf("state of a saturated admission = %v, want pinned healthy", got)
 	}
 }
 
 func TestControllerDefaults(t *testing.T) {
 	c := NewController(Config{})
-	if c.cfg.DegradeAt != 0.5 || c.cfg.EnterHold != 250*time.Millisecond || c.cfg.ExitHold != 2*time.Second {
-		t.Fatalf("defaults = degrade at %v, holds %v/%v", c.cfg.DegradeAt, c.cfg.EnterHold, c.cfg.ExitHold)
+	if c.cfg.DegradeAt != 0.5 {
+		t.Fatalf("default DegradeAt = %v, want 0.5", c.cfg.DegradeAt)
 	}
 	if got := c.State(); got != Healthy {
 		t.Fatalf("initial state = %v, want healthy", got)
+	}
+	g := c.NewGate(4, 16)
+	if got := observe(g, 5, 4); got != Healthy {
+		t.Fatalf("admission at 0.45 = %v, want healthy", got)
+	}
+	if got := observe(g, 6, 4); got != Degraded {
+		t.Fatalf("admission at the default 0.5 = %v, want degraded", got)
 	}
 }

@@ -252,6 +252,37 @@ func TestQueueFullAnswers429(t *testing.T) {
 	}
 }
 
+// TestIdleAfterSaturationServesFullQuality fills the ldbc gate past
+// DegradeAt, so that an arrival is served degraded, frees every slot, then
+// sends one sequential explain: it finds the gates idle, so it is served at
+// full quality, byte-identical to an unloaded server's answer.
+func TestIdleAfterSaturationServesFullQuality(t *testing.T) {
+	s := newTestServer(t, fullQueueConfig)
+	h := s.Handler()
+	stop := saturate(t, s, h, 1) // all slots busy + the 1-deep queue full
+	// The probe reads the pressure at admission, then finds the queue full.
+	do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2"})
+	state := s.Resilience().State()
+	stop()
+	if state != resilience.Degraded {
+		t.Fatalf("state after an arrival at the saturated gate = %v, want degraded", state)
+	}
+
+	req := wire.ExplainRequest{Dataset: "ldbc", Builtin: "LDBC QUERY 2", Failing: true, Lower: 1}
+	want := dataBytes(t, do(t, newTestServer(t, fullQueueConfig).Handler(), "POST", "/v1/explain", req))
+	degraded := s.degradedServed.Load()
+	rec := do(t, h, "POST", "/v1/explain", req)
+	if got := decodeData[wire.Report](t, rec); got.Degraded || got.QualityBound != nil {
+		t.Fatalf("explain on idle gates after saturation served degraded (bound %+v)", got.QualityBound)
+	}
+	if got := dataBytes(t, rec); !bytes.Equal(got, want) {
+		t.Fatalf("explain after saturation differs from an unloaded server's:\n got %s\nwant %s", got, want)
+	}
+	if n := s.degradedServed.Load(); n != degraded {
+		t.Fatalf("degradedServed moved from %d to %d on an idle explain", degraded, n)
+	}
+}
+
 func TestQueueWaitExpiresWith504(t *testing.T) {
 	s := newTestServer(t, Config{
 		MaxBudget:      10000000,

@@ -336,12 +336,14 @@ type StatsResponse struct {
 // ResilienceStats reports the brownout controller and overload counters
 // (GET /v1/stats, mirrored into the whyload summary).
 type ResilienceStats struct {
-	// State is the brownout state: "healthy" or "degraded".
+	// State is the brownout state of the latest admission: "healthy" or
+	// "degraded".
 	State string `json:"state"`
 	// Pressure is the fullest admission gate's occupancy, (queued +
 	// in-flight) / (queue bound + slots), at the latest admission.
 	Pressure float64 `json:"pressure"`
-	// Transitions counts entries into each brownout state.
+	// Transitions counts entries into each brownout state, one per flip
+	// between consecutive admissions.
 	Transitions map[string]int64 `json:"transitions,omitempty"`
 	// Shed is always zero: the brownout controller has no shedding state, and
 	// a full queue, the only 429, counts in QueueFull. The field stays until
