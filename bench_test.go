@@ -208,8 +208,8 @@ func BenchmarkMatcher(b *testing.B) {
 }
 
 // BenchmarkFindRows measures enumerating a limit-100 result sample into a
-// reused row buffer — the scoring stage's read of the matcher (plan cache
-// warm, zero allocations).
+// reused row buffer — the scoring stage's read of the matcher (compiled into
+// the warm context, zero allocations).
 func BenchmarkFindRows(b *testing.B) {
 	lg, _ := setup()
 	m := match.New(lg)

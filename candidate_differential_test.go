@@ -7,7 +7,7 @@
 // deep-cloned per child, a distance walked element by element against the
 // caller's query. Those older forms are kept here as ref*, on the public
 // per-statistic API. Whole reports must not depend on the worker count or
-// the plan cache either.
+// the count cache either.
 package repro_test
 
 import (
@@ -319,7 +319,7 @@ func TestCandidateDifferential(t *testing.T) {
 	} {
 		eng := repro.NewEngine(ds.g)
 		uncached := repro.NewEngine(ds.g)
-		uncached.Matcher().SetPlanCache(false)
+		uncached.Matcher().SetCountCache(false)
 		st, ref := eng.Stats(), stats.New(eng.Matcher()) // the references fill a collector of their own
 		mt := modtree.New(eng.Matcher(), st)
 		rw := relax.New(eng.Matcher(), st)
@@ -329,17 +329,17 @@ func TestCandidateDifferential(t *testing.T) {
 		}
 		scored, sliced, skipped, solutions := 0, 0, 0, 0
 		for _, c := range corpus {
-			// Whole reports: plan cache ≡ no plan cache.
+			// Whole reports: count cache ≡ no count cache.
 			rep, err := eng.Explain(c.q, c.opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", ds.name, c.name, err)
 			}
 			orep, err := uncached.Explain(c.q, c.opts)
 			if err != nil {
-				t.Fatalf("%s %s (no plan cache): %v", ds.name, c.name, err)
+				t.Fatalf("%s %s (no count cache): %v", ds.name, c.name, err)
 			}
 			if got, want := candidateFingerprint(orep), candidateFingerprint(rep); got != want {
-				t.Errorf("%s %s: no plan cache changed the report:\n--- plan cache\n%s\n--- no plan cache\n%s", ds.name, c.name, want, got)
+				t.Errorf("%s %s: no count cache changed the report:\n--- count cache\n%s\n--- no count cache\n%s", ds.name, c.name, want, got)
 			}
 			for _, r := range rep.Rewritings {
 				if want := refSyntacticDistance(c.q, r.Query); r.Syntactic != want {

@@ -98,20 +98,17 @@ func newEnv(ds *datasets) *env {
 // the search-kernel counters per explanation family, as one series left
 // them. Kernel counters read executions(x) / dedup hits(h).
 func (e *env) counters() string {
-	ph, pm := 0, 0
 	ch, cm := 0, 0
 	for _, s := range []*source{e.ldbc, e.dbpedia} {
-		h, m, _ := s.m.PlanCacheStats()
-		ph, pm = ph+h, pm+m
-		h, m, _ = s.m.CountCacheStats()
+		h, m, _ := s.m.CountCacheStats()
 		ch, cm = ch+h, cm+m
 	}
 	k := func(name string, m *search.Metrics) string {
 		c := m.Snapshot()
 		return fmt.Sprintf("%s %dx/%dh", name, c.Executions, c.DedupHits)
 	}
-	return fmt.Sprintf("plan-cache %dh/%dm, count-cache %dh/%dm; kernel %s, %s, %s",
-		ph, pm, ch, cm, k("relax", &e.kRelax), k("modtree", &e.kModtree), k("mcs", &e.kMCS))
+	return fmt.Sprintf("count-cache %dh/%dm; kernel %s, %s, %s",
+		ch, cm, k("relax", &e.kRelax), k("modtree", &e.kModtree), k("mcs", &e.kMCS))
 }
 
 // experiment is one table or figure. run returns its rows: a slice of

@@ -1,10 +1,10 @@
-// Differential tests for the compiled-plan cache: with the cache enabled
+// Differential tests for the executed-count cache: with the cache enabled
 // (the default) every explanation search — the relaxation rewriter under all
 // five priority functions, the modification-tree searches, MCS discovery in
 // all variants, and the assembled Engine.Explain — must produce results,
 // ranks, traces, and counters byte-identical to a run with the cache
-// disabled (compile-per-execution, the pre-cache behavior). Caching may only
-// change wall-clock time, never an explanation.
+// disabled (every count compiled and executed). Caching may only change
+// wall-clock time, never an explanation.
 package repro_test
 
 import (
@@ -23,11 +23,11 @@ import (
 	"repro/internal/workload"
 )
 
-// cachePair returns two matchers over the same graph, plan cache on and off.
+// cachePair returns two matchers over the same graph, count cache on and off.
 func cachePair(g *repro.Graph) (on, off *match.Matcher) {
 	on = match.New(g)
 	off = match.New(g)
-	off.SetPlanCache(false)
+	off.SetCountCache(false)
 	return on, off
 }
 
@@ -74,7 +74,7 @@ func failingVariantFor(t *testing.T, dataset string, name string) *repro.Query {
 	return q
 }
 
-func TestPlanCacheDifferentialRelax(t *testing.T) {
+func TestCountCacheDifferentialRelax(t *testing.T) {
 	lg, _ := setup()
 	on, off := cachePair(lg)
 	stOn, stOff := stats.New(on), stats.New(off)
@@ -92,16 +92,16 @@ func TestPlanCacheDifferentialRelax(t *testing.T) {
 			got := relaxFingerprint(relax.New(on, stOn).Rewrite(q, opts))
 			want := relaxFingerprint(relax.New(off, stOff).Rewrite(q, opts))
 			if got != want {
-				t.Errorf("%s/%v: plan cache changed the rewriting:\n--- cache off\n%s--- cache on\n%s", nq.Name, p, want, got)
+				t.Errorf("%s/%v: count cache changed the rewriting:\n--- cache off\n%s--- cache on\n%s", nq.Name, p, want, got)
 			}
 		}
 	}
-	if hits, _, _ := on.PlanCacheStats(); hits == 0 {
-		t.Fatal("cached run never hit the plan cache — the differential proves nothing")
+	if hits, _, _ := on.CountCacheStats(); hits == 0 {
+		t.Fatal("cached run never hit the count cache — the differential proves nothing")
 	}
 }
 
-func TestPlanCacheDifferentialModtree(t *testing.T) {
+func TestCountCacheDifferentialModtree(t *testing.T) {
 	lg, _ := setup()
 	on, off := cachePair(lg)
 	stOn, stOff := stats.New(on), stats.New(off)
@@ -117,19 +117,19 @@ func TestPlanCacheDifferentialModtree(t *testing.T) {
 		for gi, goal := range goals {
 			opts := modtree.Options{Control: search.Control{MaxExecuted: 80}, Goal: goal, Domain: dom}
 			if got, want := modtreeFingerprint(sOn.TraverseSearchTree(q, opts)), modtreeFingerprint(sOff.TraverseSearchTree(q, opts)); got != want {
-				t.Errorf("%s goal %d: plan cache changed TST:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
+				t.Errorf("%s goal %d: count cache changed TST:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
 			}
 			if got, want := modtreeFingerprint(sOn.Exhaustive(q, opts)), modtreeFingerprint(sOff.Exhaustive(q, opts)); got != want {
-				t.Errorf("%s goal %d: plan cache changed Exhaustive:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
+				t.Errorf("%s goal %d: count cache changed Exhaustive:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
 			}
 			if got, want := modtreeFingerprint(sOn.RandomWalk(q, opts, 7)), modtreeFingerprint(sOff.RandomWalk(q, opts, 7)); got != want {
-				t.Errorf("%s goal %d: plan cache changed RandomWalk:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
+				t.Errorf("%s goal %d: count cache changed RandomWalk:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, gi, want, got)
 			}
 		}
 	}
 }
 
-func TestPlanCacheDifferentialMCS(t *testing.T) {
+func TestCountCacheDifferentialMCS(t *testing.T) {
 	_, dg := setup()
 	on, off := cachePair(dg)
 	stOn, stOff := stats.New(on), stats.New(off)
@@ -139,7 +139,7 @@ func TestPlanCacheDifferentialMCS(t *testing.T) {
 			got := mcsFingerprint(mcs.BoundedMCS(on, stOn, q, metrics.AtLeastOne, opts))
 			want := mcsFingerprint(mcs.BoundedMCS(off, stOff, q, metrics.AtLeastOne, opts))
 			if got != want {
-				t.Errorf("%s opts %+v: plan cache changed MCS:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, opts, want, got)
+				t.Errorf("%s opts %+v: count cache changed MCS:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, opts, want, got)
 			}
 		}
 	}
@@ -155,11 +155,11 @@ func explainFingerprint(rep *repro.Report) string {
 	return b.String()
 }
 
-func TestPlanCacheDifferentialExplain(t *testing.T) {
+func TestCountCacheDifferentialExplain(t *testing.T) {
 	lg, _ := setup()
 	engOn := repro.NewEngine(lg)
 	engOff := repro.NewEngine(lg)
-	engOff.Matcher().SetPlanCache(false)
+	engOff.Matcher().SetCountCache(false)
 	for _, nq := range workload.LDBCQueries() {
 		q, err := workload.FailingVariant(nq.Name)
 		if err != nil {
@@ -174,7 +174,7 @@ func TestPlanCacheDifferentialExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := explainFingerprint(repOn), explainFingerprint(repOff); got != want {
-			t.Errorf("%s: plan cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
+			t.Errorf("%s: count cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
 		}
 		tooMany := nq.Build()
 		bounds := repro.Interval{Lower: 1, Upper: workload.Threshold(nq.C1, 0.5)}
@@ -187,10 +187,10 @@ func TestPlanCacheDifferentialExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := explainFingerprint(repOn), explainFingerprint(repOff); got != want {
-			t.Errorf("%s too-many: plan cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
+			t.Errorf("%s too-many: count cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
 		}
 	}
-	if hits, _, _ := engOn.Matcher().PlanCacheStats(); hits == 0 {
-		t.Fatal("cached engine never hit the plan cache")
+	if hits, _, _ := engOn.Matcher().CountCacheStats(); hits == 0 {
+		t.Fatal("cached engine never hit the count cache — the differential proves nothing")
 	}
 }

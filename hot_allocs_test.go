@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestHotExplainAllocs pins what one hot explain — every plan, count and
-// statistics lookup a hit — leaves for the collector: the bookkeeping around
-// the hits. The corpus is the service benchmark's 16 hot specs at budget 150.
+// TestHotExplainAllocs pins what one hot explain — every count and
+// statistics lookup a hit, every result sample compiled into a warm context
+// — leaves for the collector: the bookkeeping around the hits. The corpus is the service benchmark's 16 hot specs at budget 150.
 // Machine-independent; the speed itself is whybench's
 // explain_repeat. The graphs are whybench's (-scale 8): a matching context's
 // visited bitsets grow with the data graph, and a search that builds contexts

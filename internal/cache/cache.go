@@ -1,8 +1,7 @@
 // Package cache is the engine's one cache: the thesis' re-use of already
 // processed queries (§1.1 contribution 4, the App. B.2 executed-query cache)
-// as a mechanism, instantiated by internal/match for candidate sets,
-// compiled plans and executed counts; the statistics of internal/stats are
-// lookups in the first and the last.
+// as a mechanism, instantiated by internal/match for candidate sets and
+// executed counts; the statistics of internal/stats are lookups in both.
 //
 // A Cache maps binary canonical keys to values that are deterministic over
 // one frozen graph, so a resident value, a recomputed one and one shared

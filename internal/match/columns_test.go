@@ -37,7 +37,7 @@ func TestRepeatedValueCountsOnce(t *testing.T) {
 
 // TestReferenceIgnoresCompiledState corrupts, one at a time, what the
 // compiled engine resolves a query through — the candidate cache, the bound
-// predicate bitset of a cached plan, an attribute posting list — and requires
+// predicate bitset of a compiled plan, an attribute posting list — and requires
 // the compiled count to move and the reference count not to: the reference
 // shares only the columns with the engine it checks, so it can see a wrong
 // binding, a stale cache entry or a bad index.
@@ -49,33 +49,33 @@ func TestReferenceIgnoresCompiledState(t *testing.T) {
 	q.AddVertex(map[string]query.Predicate{"type": query.EqS("city")}) // isolated
 	for _, tc := range []struct {
 		name    string
-		corrupt func(m *Matcher) *Matcher // returns the matcher to count with
+		corrupt func(m *Matcher) (count func() int) // returns the compiled count to run
 	}{
-		{"emptied candidate cache", func(m *Matcher) *Matcher {
+		{"emptied candidate cache", func(m *Matcher) func() int {
 			for _, v := range q.Vertices() {
 				e := m.candidateEntry(v)
 				e.n = 0
 				clear(e.bits)
 				e.order = e.order[:0]
 			}
-			return m
+			return func() int { return m.Count(q, 1000) } // a cap of its own: not a count-cache hit
 		}},
-		{"cleared bound predicate bitset", func(m *Matcher) *Matcher {
-			c := m.NewContext()
-			c.keyBuf = q.AppendKey(c.keyBuf[:0])
-			for _, op := range m.cachedPlan(c, q).ops {
+		{"cleared bound predicate bitset", func(m *Matcher) func() int {
+			p := m.Compile(q)
+			for _, op := range p.ops {
 				for i := range op.epreds {
 					clear(op.epreds[i].admit)
 				}
 			}
-			return m
+			return func() int { return p.Count(m.NewContext(), 0) }
 		}},
-		{"posting list pointed elsewhere", func(m *Matcher) *Matcher {
+		{"posting list pointed elsewhere", func(m *Matcher) func() int {
 			persons, _ := m.Graph().VerticesByAttr("type", graph.S("person"))
 			for i := range persons {
 				persons[i] = 6 // a city: the bound type predicate rejects every entry
 			}
-			return New(m.Graph()) // a candidate cache that has not seen the list yet
+			fresh := New(m.Graph()) // a candidate cache that has not seen the list yet
+			return func() int { return fresh.Count(q, 0) }
 		}},
 	} {
 		m := New(testGraph())
@@ -83,8 +83,7 @@ func TestReferenceIgnoresCompiledState(t *testing.T) {
 		if want != 6 || m.Count(q, 0) != want {
 			t.Fatalf("%s: reference %d, compiled %d, want 6", tc.name, want, m.Count(q, 0))
 		}
-		cm := tc.corrupt(m)
-		if got := cm.Count(q, 1000); got == want { // a cap of its own: not a count-cache hit
+		if got := tc.corrupt(m)(); got == want {
 			t.Fatalf("%s: the compiled engine still counts %d: the corruption is not read", tc.name, got)
 		}
 		if got := m.ReferenceCount(q, 0); got != want {

@@ -20,13 +20,14 @@ type Ctx struct {
 	vBind []graph.VertexID
 	eBind []graph.EdgeID
 
-	// keyBuf and cntBuf are scratch for deriving a query's binary canonical
-	// key and its (key, cap) count-cache key during cache lookups, so cache
-	// hits allocate nothing.
-	keyBuf []byte
+	// cntBuf is scratch for a query's (binary canonical key, cap)
+	// count-cache key, so cache hits allocate nothing.
 	cntBuf []byte
 
-	// compile is the scratch of the plans this context compiles.
+	// plan is what every count miss and every enumeration on this context
+	// compiles into, and compile that compilation's scratch: a warm context
+	// recompiles in place without allocating.
+	plan    Plan
 	compile compileScratch
 
 	// per-run state

@@ -32,9 +32,12 @@
 // binds, indexes or caches.
 //
 // Counting has one path. Count, CountCtx and CountKeyed resolve (canonical
-// key, cap) against the executed-count cache and, on a miss, run the cached
-// plan's Plan.Count over the whole graph; no caller can intercept a count or
-// restrict it to part of the graph.
+// key, cap) against the executed-count cache and, on a miss, compile the
+// query into the context's own plan and run Plan.Count over the whole graph;
+// no caller can intercept a count or restrict it to part of the graph.
+// Compiled plans are not cached: a count-cache hit needs none, and compiling
+// over warm candidate sets costs about what deriving the query's canonical
+// key and looking a plan up under it would.
 package match
 
 import (
@@ -80,15 +83,14 @@ type Options struct {
 
 // Matcher executes pattern-matching queries over one data graph.
 // A Matcher is safe for concurrent use once constructed: the implicit
-// Find/Count entry points draw execution contexts from an internal
-// pool and compiled plans from the shared plan cache, while the *Ctx
-// variants let hot callers pin a reusable context explicitly.
+// Find/Count entry points draw execution contexts, each with the plan it
+// compiles into, from an internal pool, while the *Ctx variants let hot
+// callers pin a reusable context explicitly.
 type Matcher struct {
-	g     *graph.Graph
-	plans cache.FreeList[*Plan]
-	ctxs  cache.FreeList[*Ctx]
+	g    *graph.Graph
+	ctxs cache.FreeList[*Ctx]
 
-	// The three caches are instances of internal/cache (sharding, epoch
+	// The two caches are instances of internal/cache (sharding, epoch
 	// eviction, counters and carry-over live there, the key encodings in
 	// internal/query); what this package adds is the bounds below.
 	//
@@ -96,17 +98,13 @@ type Matcher struct {
 	// candidate set, so compiling the thousands of query variants a
 	// rewriting search executes rescans the graph only for novel predicates;
 	// the vertex cardinalities of stats.Collector are its entries' sizes.
-	// planCache: binary canonical key → shared read-only plan, so repeat
-	// queries — almost all of them, across the rewriting searches — skip
-	// compilation entirely (see plancache.go).
 	// countCache: (binary canonical key, cap) → exact count — the App. B.2
 	// executed-query cache shared across searches and runs, and the home of
-	// the Path(n) statistics of stats.Collector (exact counts, cap 0). Gated
-	// together with the plan cache by planOff.
+	// the Path(n) statistics of stats.Collector (exact counts, cap 0).
+	// countOff bypasses it (see countcache.go).
 	candCache  *cache.Cache[*candEntry]
-	planCache  *cache.Cache[*Plan]
 	countCache *cache.Cache[int]
-	planOff    bool
+	countOff   bool
 }
 
 // New returns a matcher over g. The graph's packed adjacency is frozen here
@@ -116,10 +114,8 @@ func New(g *graph.Graph) *Matcher {
 	m := &Matcher{
 		g:          g,
 		candCache:  cache.New[*candEntry](candCacheCap, candCacheMaxBytes),
-		planCache:  cache.New[*Plan](planCacheCap, planCacheMaxBytes),
 		countCache: cache.New[int](countCacheCap, 0),
 	}
-	m.plans.New = func() *Plan { return new(Plan) }
 	m.ctxs.New = func() *Ctx { return newCtx(g) }
 	return m
 }
@@ -211,26 +207,24 @@ func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
 // rewriting searches dedup executed candidates on exactly that key, and the
 // Path(n) statistics cut their fragment keys out of their query's key. The
 // (key, cap) pair is first resolved against the executed-count cache; build
-// returns the query and runs only when a novel pair compiles (plan cache),
+// returns the query and runs only when a novel pair compiles into c's plan,
 // executes and is Put, or when key is empty and must be derived. A repeat
 // query — almost all of them across a rewriting search — performs zero
-// compilations and zero allocations, and builds no query.
+// compilations and zero allocations, and builds no query; on a warm context
+// a miss allocates nothing either but the cache entry.
 func CountKeyed[K ~string | ~[]byte](m *Matcher, c *Ctx, key K, cap int, build func() *query.Query) int {
 	var q *query.Query
-	if len(key) == 0 || m.planOff {
+	if len(key) == 0 || m.countOff {
 		if q = build(); q.NumVertices() == 0 {
 			return 0
 		}
-		if m.planOff {
-			p := m.getPlan(c, q)
-			defer m.plans.Put(p)
-			return p.Count(c, cap)
+		if m.countOff {
+			return m.compile(c, q).Count(c, cap)
 		}
-		c.keyBuf = q.AppendKey(c.keyBuf[:0])
+		c.cntBuf = q.AppendKey(c.cntBuf[:0])
 	} else {
-		c.keyBuf = append(c.keyBuf[:0], key...)
+		c.cntBuf = append(c.cntBuf[:0], key...)
 	}
-	c.cntBuf = append(c.cntBuf[:0], c.keyBuf...)
 	c.cntBuf = binary.AppendUvarint(c.cntBuf, uint64(cap))
 	if n, ok := m.countCache.Get(c.cntBuf); ok {
 		return n
@@ -238,15 +232,9 @@ func CountKeyed[K ~string | ~[]byte](m *Matcher, c *Ctx, key K, cap int, build f
 	if q == nil {
 		q = build()
 	}
-	n := m.cachedPlan(c, q).Count(c, cap)
+	n := m.compile(c, q).Count(c, cap)
 	m.countCache.Put(c.cntBuf, n, 0)
 	return n
-}
-
-func (m *Matcher) getPlan(c *Ctx, q *query.Query) *Plan {
-	p := m.plans.Get()
-	m.compileInto(p, q, &c.compile)
-	return p
 }
 
 func (m *Matcher) getCtx() *Ctx  { return m.ctxs.Get() }

@@ -36,7 +36,9 @@ func (b *boundPred) has(id int32) bool {
 // bindPreds resolves preds against cols, once per compiled edge or candidate-
 // cache miss: a value disjunction is one dictionary lookup per value, a range
 // one pass over the dictionary — which holds at most one entry per element, so
-// binding never costs more than the scan it spares. ok is false when some
+// binding never costs more than the scan it spares. Each admit bitset reuses
+// the storage of the entry that dst's spare capacity holds at its index, so a
+// plan recompiled in place binds without allocating. ok is false when some
 // predicate admits no value of its column: nothing can match.
 func bindPreds(dst []boundPred, cols map[string]*graph.Column, preds []flatPred) (bound []boundPred, ok bool) {
 	for i := range preds {
@@ -45,7 +47,13 @@ func bindPreds(dst []boundPred, cols map[string]*graph.Column, preds []flatPred)
 		if col == nil {
 			return dst, false
 		}
-		admit := make([]uint64, (len(col.Vals)+63)/64)
+		var admit []uint64
+		if n := len(dst); n < cap(dst) {
+			admit = dst[:n+1][n].admit
+		}
+		words := (len(col.Vals) + 63) / 64
+		admit = slices.Grow(admit[:0], words)[:words]
+		clear(admit)
 		if fp.pred.Kind == query.Range {
 			for c := 1; c < len(col.Vals); c++ {
 				if fp.pred.Matches(col.Vals[c]) {
@@ -135,12 +143,16 @@ type Plan struct {
 }
 
 // compileScratch is what a compilation uses and no execution reads: the ids
-// a candidate access path collects, the candidate-cache key and the
-// planner's bound-vertex and used-edge flags. It lives on the compiling Ctx,
-// so a cached plan pins none of it.
+// a candidate access path collects, the candidate-cache key, the component
+// of each vertex slot, one component's edges and the planner's bound-vertex
+// and used-edge flags. It lives on the compiling Ctx, so a plan pins none of
+// it, and a warm context compiles without allocating.
 type compileScratch struct {
 	ids      []graph.VertexID
 	key      []byte
+	compOf   []int // vertex slot → component number, components by smallest vertex id
+	compNum  []int // representative slot → component number + 1
+	edges    []int // positions in q.Edges() of the component being planned
 	bound    []bool
 	usedEdge []bool
 }
@@ -164,15 +176,26 @@ func (m *Matcher) Compile(q *query.Query) *Plan {
 	return p
 }
 
+// compile compiles q into the context's own plan and returns it: the plan
+// every count miss and every enumeration executes. It is valid until c's
+// next compilation.
+func (m *Matcher) compile(c *Ctx, q *query.Query) *Plan {
+	m.compileInto(&c.plan, q, &c.compile)
+	return &c.plan
+}
+
 // compileInto (re)compiles q into p, reusing p's backing storage and cs.
 func (m *Matcher) compileInto(p *Plan, q *query.Query, cs *compileScratch) {
 	g := m.g
 	p.g = g
-	vids := q.VertexIDs()
-	nv := len(vids)
+	vs := q.Vertices()
+	nv := len(vs)
 	p.nv = nv
 	p.ne = q.NumEdges()
-	p.vids = append(p.vids[:0], vids...)
+	p.vids = p.vids[:0]
+	for _, v := range vs {
+		p.vids = append(p.vids, v.ID)
+	}
 	p.eids = p.eids[:0]
 	p.ops = p.ops[:0]
 
@@ -185,8 +208,8 @@ func (m *Matcher) compileInto(p *Plan, q *query.Query, cs *compileScratch) {
 	// matcher's candidate cache: the rewriting searches execute thousands of
 	// query variants that share almost all of their vertex predicates, so
 	// most compilations never rescan the graph.
-	for s := 0; s < nv; s++ {
-		p.cands[s] = m.candidates(cs, q.Vertex(vids[s]))
+	for s, v := range vs {
+		p.cands[s] = m.candidates(cs, v)
 	}
 
 	p.planOps(q, cs)
@@ -259,23 +282,25 @@ func (m *Matcher) candidatesFlat(preds []flatPred, scratch *[]graph.VertexID) []
 // selectivity score candidateCount(newVertex) × typeEdgeVolume(edge).
 // Isolated vertices become bare opStart steps. All components share one
 // global step sequence, so injectivity is enforced by the shared visited
-// bitsets instead of a per-component result product.
+// bitsets instead of a per-component result product. Components are planned
+// in order of their smallest vertex id, their vertices and edges ascending;
+// everything the planner tracks lives in cs.
 func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
-	comps := q.WeaklyConnectedComponents()
-	eidsAll := q.EdgeIDs()
-
-	// Component index per vertex slot.
-	compOf := make([]int, p.nv)
-	for ci, comp := range comps {
-		for _, vid := range comp {
-			compOf[p.vertexSlot(vid)] = ci
+	// Vertex slots are positions in q.Vertices(), so the component roots
+	// are slots; number the components as their first slots appear.
+	compOf := q.ComponentRoots(cs.compOf)
+	cs.compOf = compOf
+	cs.compNum = slices.Grow(cs.compNum[:0], p.nv)[:p.nv]
+	clear(cs.compNum)
+	ncomp := 0
+	for _, r := range compOf {
+		if cs.compNum[r] == 0 {
+			ncomp++
+			cs.compNum[r] = ncomp
 		}
 	}
-	edgesByComp := make([][]int, len(comps))
-	for _, eid := range eidsAll {
-		e := q.Edge(eid)
-		ci := compOf[p.vertexSlot(e.From)]
-		edgesByComp[ci] = append(edgesByComp[ci], eid)
+	for s, r := range compOf {
+		compOf[s] = cs.compNum[r] - 1
 	}
 
 	if cap(cs.bound) < p.nv {
@@ -284,27 +309,34 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 	bound := cs.bound[:p.nv]
 	clear(bound)
 
-	for ci, comp := range comps {
-		edges := edgesByComp[ci]
+	qedges := q.Edges()
+	for ci := 0; ci < ncomp; ci++ {
+		edges := cs.edges[:0]
+		for k, e := range qedges {
+			if compOf[p.vertexSlot(e.From)] == ci {
+				edges = append(edges, k)
+			}
+		}
+		cs.edges = edges
 		if len(edges) == 0 {
 			// Isolated vertex (singleton component): bind from candidates.
-			for _, vid := range comp {
-				p.ops = append(p.ops, planOp{kind: opStart, vslot: int32(p.vertexSlot(vid)), eslot: -1})
+			for s := range compOf {
+				if compOf[s] == ci {
+					p.nextOp(opStart, int32(s))
+				}
 			}
 			continue
 		}
-		// Start vertex: fewest candidates; ties break on smaller vertex id
-		// (comp is ascending).
-		best, bestCount := -1, -1
-		for _, vid := range comp {
-			c := p.cands[p.vertexSlot(vid)].n
-			if best == -1 || c < bestCount {
-				best, bestCount = vid, c
+		// Start vertex: fewest candidates; ties break on the smaller vertex
+		// id (slots ascend with ids).
+		startSlot := -1
+		for s := range compOf {
+			if compOf[s] == ci && (startSlot == -1 || p.cands[s].n < p.cands[startSlot].n) {
+				startSlot = s
 			}
 		}
-		startSlot := p.vertexSlot(best)
 		bound[startSlot] = true
-		p.ops = append(p.ops, planOp{kind: opStart, vslot: int32(startSlot), eslot: -1})
+		p.nextOp(opStart, int32(startSlot))
 
 		if cap(cs.usedEdge) < len(edges) {
 			cs.usedEdge = make([]bool, len(edges))
@@ -314,11 +346,11 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 		for picked := 0; picked < len(edges); picked++ {
 			chosen, closing := -1, false
 			var bestScore int64
-			for i, eid := range edges {
+			for i, k := range edges {
 				if used[i] {
 					continue
 				}
-				e := q.Edge(eid)
+				e := qedges[k]
 				fs, ts := p.vertexSlot(e.From), p.vertexSlot(e.To)
 				fb, tb := bound[fs], bound[ts]
 				if fb && tb {
@@ -337,12 +369,13 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 					chosen, bestScore = i, score
 				}
 			}
-			e := q.Edge(edges[chosen])
+			e := qedges[edges[chosen]]
 			used[chosen] = true
 			fs, ts := int32(p.vertexSlot(e.From)), int32(p.vertexSlot(e.To))
-			eslot := int32(len(p.eids))
+			op := p.nextOp(opClose, -1)
+			op.eslot = int32(len(p.eids))
 			p.eids = append(p.eids, e.ID)
-			op := planOp{eslot: eslot, fromSlot: fs, toSlot: ts, dirs: e.Dirs}
+			op.fromSlot, op.toSlot, op.dirs = fs, ts, e.Dirs
 			op.anyType = len(e.Types) == 0
 			for _, t := range e.Types {
 				if id, ok := p.g.TypeID(t); ok {
@@ -354,29 +387,38 @@ func (p *Plan) planOps(q *query.Query, cs *compileScratch) {
 			}
 			var predBuf [4]flatPred
 			var ok bool
-			if op.epreds, ok = bindPreds(nil, p.g.EdgeColumns(), flattenPreds(predBuf[:0], e.Preds)); !ok {
+			if op.epreds, ok = bindPreds(op.epreds, p.g.EdgeColumns(), flattenPreds(predBuf[:0], e.Preds)); !ok {
 				// No data edge satisfies the predicates: an op that admits no
 				// type matches nothing.
-				op.anyType, op.types, op.epreds = false, nil, nil
+				op.anyType, op.types, op.epreds = false, op.types[:0], op.epreds[:0]
 			}
-			if closing {
-				op.kind = opClose
-				op.vslot = -1
-			} else if bound[fs] {
-				op.kind = opExpand
-				op.vslot = ts
-				op.fromIsSrc = true
+			switch {
+			case closing: // nextOp made it an opClose that binds no vertex
+			case bound[fs]:
+				op.kind, op.vslot, op.fromIsSrc = opExpand, ts, true
 				bound[ts] = true
-			} else {
-				op.kind = opExpand
-				op.vslot = fs
-				op.fromSlot = ts
-				op.fromIsSrc = false
+			default:
+				op.kind, op.vslot, op.fromSlot, op.fromIsSrc = opExpand, fs, ts, false
 				bound[fs] = true
 			}
-			p.ops = append(p.ops, op)
 		}
 	}
+}
+
+// nextOp appends a step of the given kind binding vertex slot vslot (-1:
+// none) and no edge. It keeps the type bitset and the bound predicates'
+// storage a previous compilation left at that index, emptied, so a plan
+// recompiled in place plans without allocating.
+func (p *Plan) nextOp(kind opKind, vslot int32) *planOp {
+	n := len(p.ops)
+	if n < cap(p.ops) {
+		p.ops = p.ops[:n+1]
+	} else {
+		p.ops = append(p.ops, planOp{})
+	}
+	op := &p.ops[n]
+	*op = planOp{kind: kind, vslot: vslot, eslot: -1, types: op.types[:0], epreds: op.epreds[:0]}
+	return op
 }
 
 // typeVolume estimates the adjacency volume a query edge's expansion scans:

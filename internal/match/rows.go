@@ -165,21 +165,10 @@ func (o rowOrder) Swap(i, j int) {
 
 // FindRows enumerates result graphs for q up to opts.Limit into rows,
 // replacing its contents. It is the one enumeration path: Find and FindCtx
-// convert its output. With a plan-cache hit and a rows value that has grown
-// to the sample size it allocates nothing.
+// convert its output. It compiles q into c's plan; on a warm context and a
+// rows value that has grown to the sample size it allocates nothing.
 func (m *Matcher) FindRows(c *Ctx, q *query.Query, opts Options, rows *Rows) {
-	if q.NumVertices() == 0 {
-		rows.reset(nil, nil)
-		return
-	}
-	if m.planOff {
-		p := m.getPlan(c, q)
-		defer m.plans.Put(p)
-		p.FindRows(c, opts, rows)
-		return
-	}
-	c.keyBuf = q.AppendKey(c.keyBuf[:0])
-	m.cachedPlan(c, q).FindRows(c, opts, rows)
+	m.compile(c, q).FindRows(c, opts, rows)
 }
 
 // FindRows executes the plan and appends one row per embedding, up to

@@ -17,11 +17,9 @@ import (
 //     or, with vertices touched, has a vertex no edge mentions
 //     (query.CountMayChange has the argument).
 //
-// Compiled plans are not carried: they hold the dense type ids and the
-// selectivity order of prev's graph, and recompiling over warm candidate
-// lists is cheap. The copy is taken while prev keeps serving — searches
-// pinned to it go on reading and writing prev only — and the new matcher's
-// hit and miss counters start at zero.
+// The copy is taken while prev keeps serving — searches pinned to it go on
+// reading and writing prev only — and the new matcher's hit and miss
+// counters start at zero.
 func NewSuccessor(prev *Matcher, g *graph.Graph, d *graph.Delta) *Matcher {
 	m := New(g)
 

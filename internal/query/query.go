@@ -457,10 +457,10 @@ func (q *Query) SubqueryByVertices(vertexIDs []int) *Query {
 	return c
 }
 
-// componentRoots runs union-find over the edges and returns, per position in
+// ComponentRoots runs union-find over the edges and returns, per position in
 // Vertices(), the position of its weakly connected component's
 // representative. scratch is reused when it is large enough.
-func (q *Query) componentRoots(scratch []int) []int {
+func (q *Query) ComponentRoots(scratch []int) []int {
 	root := slices.Grow(scratch[:0], len(q.vertices))[:len(q.vertices)]
 	for i := range root {
 		root[i] = i
@@ -488,7 +488,7 @@ func FindRoot(parent []int, x int) int {
 // connected components (§4.3.1). Isolated vertices form singleton components.
 // Components are ordered by their smallest vertex id; members ascend.
 func (q *Query) WeaklyConnectedComponents() [][]int {
-	root := q.componentRoots(nil)
+	root := q.ComponentRoots(nil)
 	comp := make([]int, len(root)) // representative position → component number + 1
 	var comps [][]int
 	for i, v := range q.vertices {
@@ -505,7 +505,7 @@ func (q *Query) WeaklyConnectedComponents() [][]int {
 // IsConnected reports whether the query graph is weakly connected.
 func (q *Query) IsConnected() bool {
 	var stack [keyScratch]int
-	root := q.componentRoots(stack[:0])
+	root := q.ComponentRoots(stack[:0])
 	for _, r := range root {
 		if r != root[0] {
 			return false

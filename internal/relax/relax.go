@@ -118,7 +118,7 @@ type Candidate struct {
 	Score float64
 
 	// ckey caches the binary canonical key (the executed-query cache key,
-	// also the matcher's plan-cache key).
+	// also the matcher's count-cache key).
 	ckey string
 }
 

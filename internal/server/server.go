@@ -608,7 +608,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Mutations:      epoch - 1,
 			LastRefreezeMs: float64(ds.lastRefreezeNs.Load()) / 1e6,
 		}
-		st.PlanCache = wire.NewCacheStats(m.PlanCacheStats())
 		st.CountCache = wire.NewCacheStats(m.CountCacheStats())
 		st.CandCache = wire.NewCacheStats(m.CandCacheStats())
 		kernel := eng.KernelCounters()

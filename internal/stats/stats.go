@@ -94,10 +94,9 @@ func (c *Collector) PathCardinality(q *query.Query, chain []int) int {
 }
 
 // pathCount resolves a path statistic under its fragment key: one exact
-// (cap 0) lookup in the matcher's count cache. The subquery itself is built
-// only by a probe that misses, which counts it on ctx with the key passed
-// straight through to the matcher's plan cache, so repeated probes of the
-// same fragment never recompile it.
+// (cap 0) lookup in the matcher's count cache. The subquery itself is built,
+// compiled and counted on ctx only by a probe that misses, so repeated probes
+// of the same fragment never rebuild or recompile it.
 func (c *Collector) pathCount(ctx *match.Ctx, q *query.Query, chain []int, key []byte) int {
 	return match.CountKeyed(c.m, ctx, key, 0, func() *query.Query { return q.SubqueryByEdges(chain) })
 }

@@ -240,6 +240,11 @@ func NewCacheStats(hits, misses, entries int) CacheStats {
 // cache of their own, and their lookups count in CandCache (vertex
 // cardinalities) and CountCache (Path(n) counts). The field stays until the
 // benchmark that reads statsCache drops it.
+//
+// DatasetStats.PlanCache is always zero too: the matcher caches no compiled
+// plans (a count-cache miss and every enumeration compile into the executing
+// context's own plan). The field stays until the benchmark that reads
+// planCache drops it.
 type CoalescingStats struct {
 	Waits  int64 `json:"waits"`
 	Shared int64 `json:"shared"`
@@ -273,7 +278,7 @@ type DatasetStats struct {
 	Refreezes      int64                     `json:"refreezes"`
 	Mutations      int64                     `json:"mutations"`
 	LastRefreezeMs float64                   `json:"lastRefreezeMs,omitempty"`
-	PlanCache      CacheStats                `json:"planCache"`
+	PlanCache      CacheStats                `json:"planCache"` // always zero; see CoalescingStats
 	CountCache     CacheStats                `json:"countCache"`
 	CandCache      CacheStats                `json:"candCache"`
 	StatsCache     CacheStats                `json:"statsCache"` // always zero; see CoalescingStats
