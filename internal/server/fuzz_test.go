@@ -13,29 +13,38 @@ import (
 	"repro/internal/wire"
 )
 
+// explainSpecSeeds are FuzzExplainSpec's seeds; the decoder's parity table
+// and FuzzDecode start from them too.
+var explainSpecSeeds = []string{
+	`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1}`,
+	`{"dataset":"ldbc","builtin":"LDBC QUERY 3","lower":5,"upper":1}`,
+	`{"dataset":"ldbc","builtin":"LDBC QUERY 1","fineGrained":true,"allowTopology":true,"budget":-1,"resultSample":5,"maxRewritings":2,"timeoutMs":100}`,
+	`{"dataset":"ldbc","query":{"vertices":[{"id":0},{"id":2,"preds":{"age":{"kind":"range","lo":-1.5,"incLo":true}}}],"edges":[{"id":0,"from":2,"to":0,"dir":"--","types":["knows","likes"]},{"id":3,"from":0,"to":0,"dir":"<-"}]},"upper":4}`,
+	`{"dataset":"ldbc","builtin":"LDBC QUERY 3"}]garbage`,
+	`{"dataset":"ldbc","query":{"vertices":[{"id":2,"preds":{"<a\u2028>":{"kind":"values","values":[{"kind":"string","str":"\u0000&\u2029"},{"kind":"number","num":1e-7}]}}},{"id":10}],"edges":[{"id":1,"from":10,"to":2,"types":["<k>"]}]}}`,
+}
+
 // FuzzExplainSpec feeds request bodies through the spec half of the explain
-// pipeline — the strict decode of decodeBody, then validateExplain — on a
-// small LDBC server. No input may panic; validation answers either a prepared
-// explain or a failure coded invalid_spec or bound_violation; the query of an
-// accepted spec keeps its canonical key through wire.FromQuery and ToQuery;
-// and the answer encoder renders it as encoding/json renders
-// wire.FromQuery — request bodies are where odd UTF-8, `<` and U+2028 reach
-// the encoder from. Nothing is executed, so an input costs what admission
-// would.
+// pipeline — decodeBody (internal/wire's one-pass decoder, or encoding/json
+// for what it declines), then validateExplain — on a small LDBC server. No
+// input may panic; validation answers either a prepared explain or a
+// failure coded invalid_spec or bound_violation; the query of an accepted
+// spec keeps its canonical key through wire.FromQuery and ToQuery; and the
+// answer encoder renders it as encoding/json renders wire.FromQuery —
+// request bodies are where odd UTF-8, `<` and U+2028 reach the encoder
+// from. Nothing is executed, so an input costs what admission would. That
+// the two decoders agree is FuzzDecode's property.
 //
 // The committed corpus (testdata/fuzz/FuzzExplainSpec) holds the query of
 // TestToQueryHugeGapIsCheap, whose identifier gap once cost seconds to
 // decode, a disjunction that repeats a value, LDBC QUERY 3 with a 20 001-
 // integer age range, and two bodies the strict decoder refuses: one carrying
-// allowPartial, one carrying workers. The seeds below add a body with a
-// stray `]` and garbage after the spec, which the decoder must refuse too.
+// allowPartial, one carrying workers. The seeds add a body with a stray `]`
+// and garbage after the spec, which the decoder must refuse too.
 func FuzzExplainSpec(f *testing.F) {
-	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 2","failing":true,"lower":1}`))
-	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 3","lower":5,"upper":1}`))
-	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 1","fineGrained":true,"allowTopology":true,"budget":-1,"resultSample":5,"maxRewritings":2,"timeoutMs":100}`))
-	f.Add([]byte(`{"dataset":"ldbc","query":{"vertices":[{"id":0},{"id":2,"preds":{"age":{"kind":"range","lo":-1.5,"incLo":true}}}],"edges":[{"id":0,"from":2,"to":0,"dir":"--","types":["knows","likes"]},{"id":3,"from":0,"to":0,"dir":"<-"}]},"upper":4}`))
-	f.Add([]byte(`{"dataset":"ldbc","builtin":"LDBC QUERY 3"}]garbage`))
-	f.Add([]byte(`{"dataset":"ldbc","query":{"vertices":[{"id":2,"preds":{"<a\u2028>":{"kind":"values","values":[{"kind":"string","str":"\u0000&\u2029"},{"kind":"number","num":1e-7}]}}},{"id":10}],"edges":[{"id":1,"from":10,"to":2,"types":["<k>"]}]}}`))
+	for _, seed := range explainSpecSeeds {
+		f.Add([]byte(seed))
+	}
 	s := smallLDBCServer(1)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req wire.ExplainRequest

@@ -40,6 +40,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -441,9 +442,10 @@ func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, data []byt
 	}
 }
 
-// envelopeBufs recycles writePayload's envelope buffers. A buffer grown past
-// maxPooledEnvelope by a large answer is left to the collector, so one big
-// find cannot keep its size resident.
+// envelopeBufs recycles writePayload's envelope buffers and decodeBody's
+// request buffers. A buffer grown past maxPooledEnvelope by a large answer
+// is left to the collector, so one big find cannot keep its size resident;
+// decodeBody reads no more than that into one.
 var envelopeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledEnvelope = 64 << 10
@@ -623,9 +625,81 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // decodeBody strictly decodes the request body into v (unknown fields and
 // trailing garbage are errors, bodies are capped at 8 MiB). The returned
 // status is 400 for malformed bodies and 413 for oversized ones.
+//
+// The first maxPooledEnvelope bytes are read into a pooled buffer. An
+// explain or match body that ends within them is decoded by internal/wire's
+// one-pass decoder. What that decoder declines, a longer body and every
+// other body go to decodeJSON, the encoding/json reference, which reads the
+// same bytes followed by the rest of the body or the read error it would
+// have streamed — so every 400 and 413, and its message, is encoding/json's.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
-	dec := json.NewDecoder(r.Body)
+	bp := envelopeBufs.Get().(*[]byte)
+	buf, code, err := decodeBuffered((*bp)[:0], r.Body, v)
+	if cap(buf) <= maxPooledEnvelope {
+		*bp = buf
+		envelopeBufs.Put(bp)
+	}
+	return code, err
+}
+
+// decodeBuffered reads body into buf and decodes it into v. It returns the
+// grown buffer for the caller to reuse: no decoded string refers to it.
+func decodeBuffered(buf []byte, body io.Reader, v any) ([]byte, int, error) {
+	buf, rest := readPrefix(buf, body, maxPooledEnvelope)
+	if rest == nil && decodeOnePass(buf, v) {
+		return buf, 0, nil
+	}
+	var replay io.Reader = bytes.NewReader(buf)
+	if rest != nil {
+		replay = io.MultiReader(replay, rest)
+	}
+	code, err := decodeJSON(replay, v)
+	return buf, code, err
+}
+
+// decodeOnePass decodes an explain or match body into v with
+// internal/wire's one-pass decoder and reports whether that decoder took
+// it; it takes no other kind of body.
+func decodeOnePass(body []byte, v any) bool {
+	switch v := v.(type) {
+	case *wire.ExplainRequest:
+		return wire.DecodeExplainRequest(body, v)
+	case *wire.MatchRequest:
+		return wire.DecodeMatchRequest(body, v)
+	}
+	return false
+}
+
+// readPrefix appends up to max bytes of r to b. rest is nil when r ended
+// within them; otherwise it is what a decode must read after b: the rest
+// of r, or the read error that stopped it.
+func readPrefix(b []byte, r io.Reader, max int) ([]byte, io.Reader) {
+	for len(b) < max {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Read(b[len(b):min(cap(b), max)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, errReader{err}
+		}
+	}
+	return b, r
+}
+
+// errReader replays a read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeJSON is the reference decode: encoding/json with unknown fields
+// refused, then nothing but the end of the body.
+func decodeJSON(body io.Reader, v any) (int, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError

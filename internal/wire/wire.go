@@ -7,9 +7,12 @@
 // cmd/whyload (the load generator), so a report rendered anywhere is
 // byte-comparable with a report rendered everywhere else. The daemon's hot
 // answers — explain reports and match responses — are written by the append
-// encoders of encode.go straight from the engine's values; everything else
-// goes through encoding/json from the types here, and encoding/json is the
-// reference every encoder byte is tested against.
+// encoders of encode.go straight from the engine's values, and its hot
+// request bodies — ExplainRequest and MatchRequest — are read by the
+// one-pass decoder of decode.go, which declines what it cannot read exactly
+// as encoding/json would. Everything else, declined bodies included, goes
+// through encoding/json from the types here, and encoding/json is the
+// reference every encoder byte and every decoded value is tested against.
 //
 // Design constraints:
 //
