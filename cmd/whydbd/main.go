@@ -23,8 +23,8 @@
 // SIGINT/SIGTERM trigger a graceful drain: /readyz flips to 503, -drain-delay
 // gives load balancers time to stop routing, then in-flight requests get
 // -shutdown-grace to finish; halfway through the grace their contexts are
-// cancelled (which stops the explanation searches within one candidate
-// execution and answers 503 + Retry-After), and at the deadline remaining
+// cancelled (which stops every explain and match within one poll stride of
+// matcher work and answers 503 + Retry-After), and at the deadline remaining
 // connections are closed.
 package main
 

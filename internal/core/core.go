@@ -282,10 +282,10 @@ func (e *Engine) Explain(q *query.Query, opts Options) (*Report, error) {
 }
 
 // ExplainCtx is Explain under a cancellation context: when ctx is cancelled
-// (client gone, deadline hit), the explanation searches stop within one
-// candidate execution and the context's error is returned — the partial
-// explanation is discarded. This is the entry point of the whydbd service
-// layer, where an abandoned request must stop burning the matcher.
+// (client gone, deadline hit), every count and enumeration stops within one
+// poll stride of matcher work and the context's error is returned — the
+// partial explanation is discarded. This is the entry point of the whydbd
+// service layer, where an abandoned request must stop burning the matcher.
 func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (*Report, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid query: %w", err)
@@ -295,7 +295,9 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 	}
 	opts.fill()
 	st := e.states.Get()
+	st.ctx.SetRequest(ctx)
 	defer func() {
+		st.ctx.SetRequest(nil)
 		if opts.ResultSample > defaultResultSample {
 			st.orig, st.cand, st.score = match.Rows{}, match.Rows{}, metrics.ResultScratch{}
 		}
@@ -306,6 +308,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		countCap = opts.Expected.Upper * 4
 	}
 	card := e.m.CountCtx(st.ctx, q, countCap)
+	// A count the request cut is partial: it must not classify.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Problem:     opts.Expected.Classify(card),
 		Cardinality: card,
@@ -445,6 +451,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, q *query.Query, opts Options) (
 		case c.Cardinality > 0:
 			c.ResultDistance = 1
 		}
+	}
+	// The last sample may have been cut.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	sortRewritings(candidates)
 	if len(candidates) > opts.MaxRewritings {

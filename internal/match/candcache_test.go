@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -284,7 +285,9 @@ func TestFindSortedMatchesSortResults(t *testing.T) {
 			want := m.Find(q, Options{Limit: limit})
 			SortResults(want)
 			var rows Rows
-			m.FindSorted(q, Options{Limit: limit}, &rows)
+			if err := m.FindSorted(context.Background(), q, Options{Limit: limit}, &rows); err != nil {
+				t.Fatal(err)
+			}
 			if rows.Len() != len(want) {
 				t.Fatalf("%s limit %d: %d rows, %d results", name, limit, rows.Len(), len(want))
 			}

@@ -41,11 +41,52 @@ type Ctx struct {
 	// found is the row buffer behind Find and FindCtx, which hand out
 	// result graphs and have no caller-owned Rows to fill.
 	found Rows
+
+	// req is the request the executions on this context serve (SetRequest;
+	// nil: never cut). work is the matcher work done on the context, summed
+	// over its executions: len(adj)+1 per adjacency scan, 1 per start
+	// candidate. Each time work reaches poll, req is polled and poll moves
+	// to the next multiple of pollStride. cut records that a poll found req
+	// done.
+	req  context.Context
+	work uint64
+	poll uint64
+	cut  bool
 }
 
-// SetRequest does nothing: an execution context holds no request state. It
-// stays, inert, until the benchmark harness that calls it stops doing so.
-func (c *Ctx) SetRequest(context.Context) {}
+// pollStride is how much matcher work an execution does between two polls
+// of its request: at the matcher's speed, well under a millisecond.
+const pollStride = 1 << 14
+
+// SetRequest makes ctx the request every later execution on the context
+// serves, and clears Cut. From then on an execution polls ctx.Err() each
+// time its work crosses a multiple of pollStride; once ctx is done, it stops
+// the way a reached cap does and the context reports Cut. A nil ctx, or one
+// that is never done (context.Background()), never cuts an execution.
+func (c *Ctx) SetRequest(ctx context.Context) { c.req, c.cut = ctx, false }
+
+// Cut reports whether an execution on the context was stopped by its
+// request since the last SetRequest. A cut count or enumeration is partial:
+// its value must be discarded, and a cut count is never cached.
+func (c *Ctx) Cut() bool { return c.cut }
+
+// tick adds n units of work and reports whether the execution must stop
+// because a poll found the request done.
+func (c *Ctx) tick(n int) bool {
+	c.work += uint64(n)
+	return c.work >= c.poll && c.expired()
+}
+
+// expired polls the request (Err, which never allocates; Done would
+// allocate a cancel context's channel) and schedules the next poll.
+func (c *Ctx) expired() bool {
+	c.poll = c.work&^(pollStride-1) + pollStride
+	if c.req != nil && c.req.Err() != nil {
+		c.cut = true
+		return true
+	}
+	return false
+}
 
 const (
 	modeCount uint8 = iota
@@ -84,10 +125,12 @@ func (c *Ctx) ensure(p *Plan) {
 }
 
 // Count executes the plan and returns the number of embeddings C(Q). A
-// non-zero cap stops early once reached. When the plan ends in an expansion,
-// that last step is counted, not enumerated (countOver): it binds nothing a
-// later step reads, so its admissible half-edges are simply added up. Any
-// scan order reaches min(C(Q), cap), so the count is the enumeration's.
+// non-zero cap stops early once reached, and so does a poll that finds the
+// context's request done (Ctx.Cut: the count is then partial). When the
+// plan ends in an expansion, that last step is counted, not enumerated
+// (countOver): it binds nothing a later step reads, so its admissible
+// half-edges are simply added up. Any scan order reaches min(C(Q), cap), so
+// the count is the enumeration's.
 // Count performs no allocations on a compiled plan.
 func (p *Plan) Count(c *Ctx, cap int) int {
 	if p.nv == 0 {
@@ -194,6 +237,9 @@ func (c *Ctx) exec(i int) bool {
 // start binds the opStart op's vertex to candidate dv unless an earlier step
 // bound dv, and runs the rest of the plan.
 func (c *Ctx) start(i int, op *planOp, dv graph.VertexID) bool {
+	if c.tick(1) {
+		return false
+	}
 	w, b := int(dv)>>6, uint64(1)<<(uint(dv)&63)
 	if c.visV[w]&b != 0 {
 		return true
@@ -213,6 +259,9 @@ func (c *Ctx) start(i int, op *planOp, dv graph.VertexID) bool {
 // far vertex fails the visited-vertex test — and so does a self-loop's, which
 // is the bound vertex itself. The edge bit is still set for closeOver.
 func (c *Ctx) expandOver(i int, op *planOp, adj []graph.Adj) bool {
+	if c.tick(len(adj) + 1) {
+		return false
+	}
 	cand := c.p.cands[op.vslot]
 	lo, words := cand.lo, cand.bits
 	for k := range adj {
@@ -257,6 +306,9 @@ func (c *Ctx) expandStep(i int, op *planOp, adj []graph.Adj, leaf bool) bool {
 // binding and marking nothing. It returns false once a non-zero cap is
 // reached.
 func (c *Ctx) countOver(op *planOp, adj []graph.Adj) bool {
+	if c.tick(len(adj) + 1) {
+		return false
+	}
 	cand := c.p.cands[op.vslot]
 	lo, words := cand.lo, cand.bits
 	n := c.n
@@ -285,6 +337,9 @@ func (c *Ctx) countOver(op *planOp, adj []graph.Adj) bool {
 // closeOver scans one packed adjacency list for the close op, admitting only
 // half-edges whose far endpoint is the already-bound want vertex.
 func (c *Ctx) closeOver(i int, op *planOp, adj []graph.Adj, want graph.VertexID) bool {
+	if c.tick(len(adj) + 1) {
+		return false
+	}
 	for k := range adj {
 		a := &adj[k]
 		if a.Vertex != want {

@@ -41,6 +41,7 @@
 package match
 
 import (
+	"context"
 	"encoding/binary"
 	"slices"
 	"sort"
@@ -195,6 +196,20 @@ func (m *Matcher) Count(q *query.Query, cap int) int {
 	return m.CountCtx(c, q, cap)
 }
 
+// CountUntil is Count serving a request: once ctx is done, the count stops
+// within one poll stride of matcher work and returns ctx's error instead of
+// a value, and the cut count is not cached.
+func (m *Matcher) CountUntil(ctx context.Context, q *query.Query, cap int) (int, error) {
+	c := m.getCtx()
+	defer m.putCtx(c)
+	c.SetRequest(ctx)
+	n := m.CountCtx(c, q, cap)
+	if c.cut {
+		return 0, ctx.Err()
+	}
+	return n, nil
+}
+
 // CountCtx is Count against a caller-owned execution context — the hot path
 // of the relaxation (relax), MCS (mcs), and modification-tree (modtree)
 // searches, which issue thousands of counts and reuse one context each.
@@ -211,7 +226,8 @@ func (m *Matcher) CountCtx(c *Ctx, q *query.Query, cap int) int {
 // executes and is Put, or when key is empty and must be derived. A repeat
 // query — almost all of them across a rewriting search — performs zero
 // compilations and zero allocations, and builds no query; on a warm context
-// a miss allocates nothing either but the cache entry.
+// a miss allocates nothing either but the cache entry. A count its request
+// cut (Ctx.Cut) is partial: it is returned but never Put.
 func CountKeyed[K ~string | ~[]byte](m *Matcher, c *Ctx, key K, cap int, build func() *query.Query) int {
 	var q *query.Query
 	if len(key) == 0 || m.countOff {
@@ -233,12 +249,20 @@ func CountKeyed[K ~string | ~[]byte](m *Matcher, c *Ctx, key K, cap int, build f
 		q = build()
 	}
 	n := m.compile(c, q).Count(c, cap)
-	m.countCache.Put(c.cntBuf, n, 0)
+	if !c.cut {
+		m.countCache.Put(c.cntBuf, n, 0)
+	}
 	return n
 }
 
-func (m *Matcher) getCtx() *Ctx  { return m.ctxs.Get() }
-func (m *Matcher) putCtx(c *Ctx) { m.ctxs.Put(c) }
+func (m *Matcher) getCtx() *Ctx { return m.ctxs.Get() }
+
+// putCtx returns c to the pool serving no request, so that no later
+// borrower's execution is cut by a request it does not serve.
+func (m *Matcher) putCtx(c *Ctx) {
+	c.SetRequest(nil)
+	m.ctxs.Put(c)
+}
 
 // sortableResults pairs results with their precomputed sort keys so the
 // comparator never rebuilds a key.

@@ -2,6 +2,7 @@ package match
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"sort"
 
@@ -115,12 +116,19 @@ func (r *Rows) SetResults(rs []Result) {
 // order: the edge columns are put in ascending query-edge id order and the
 // rows in lexicographic order of their tuples (vertex bindings by ascending
 // query-vertex id, then edge bindings by ascending query-edge id). It is Find
-// followed by SortResults without a map per result.
-func (m *Matcher) FindSorted(q *query.Query, opts Options, rows *Rows) {
+// followed by SortResults without a map per result. The enumeration serves
+// ctx as CountUntil's count does: once ctx is done it stops within one poll
+// stride and FindSorted returns ctx's error, leaving rows partial.
+func (m *Matcher) FindSorted(ctx context.Context, q *query.Query, opts Options, rows *Rows) error {
 	c := m.getCtx()
 	defer m.putCtx(c)
+	c.SetRequest(ctx)
 	m.FindRows(c, q, opts, rows)
+	if c.cut {
+		return ctx.Err()
+	}
 	rows.sort()
+	return nil
 }
 
 // sort orders the edge columns by query-edge id and then the rows
@@ -172,7 +180,8 @@ func (m *Matcher) FindRows(c *Ctx, q *query.Query, opts Options, rows *Rows) {
 }
 
 // FindRows executes the plan and appends one row per embedding, up to
-// opts.Limit, to rows (emptied first).
+// opts.Limit, to rows (emptied first). Like Count, it stops early when a
+// poll finds the context's request done, leaving rows partial (Ctx.Cut).
 func (p *Plan) FindRows(c *Ctx, opts Options, rows *Rows) {
 	rows.reset(p.vids, p.eids)
 	if p.nv == 0 {

@@ -199,8 +199,10 @@ func (r *runner) countCap() int {
 // and isolated vertices, spending one traversal recorded under key, the
 // edges' stateKey ("" without edges: nothing to dedup). Baseline executions
 // (no edges) run even when the budget is already spent — the traversal loops
-// gate on Stopped at a coarser granularity — hence ExecuteAlways.
-func (r *runner) execute(key string, edges, isolated []int) int {
+// gate on Stopped at a coarser granularity — hence ExecuteAlways. ok is
+// false when the request cut the execution: the search must stop, and card
+// means nothing.
+func (r *runner) execute(key string, edges, isolated []int) (card int, ok bool) {
 	return r.ex.ExecuteAlways(key, func(ctx *match.Ctx) int {
 		return r.m.CountCtx(ctx, r.q.Subquery(edges, isolated), r.countCap())
 	})
@@ -367,8 +369,9 @@ func (r *runner) filterIsolated(isolated []int) []int {
 func (r *runner) grow(candidates, isolated []int) {
 	if len(candidates) == 0 {
 		if len(isolated) > 0 {
-			card := r.execute("", nil, isolated)
-			r.record(nil, isolated, card)
+			if card, ok := r.execute("", nil, isolated); ok {
+				r.record(nil, isolated, card)
+			}
 		} else {
 			r.record(nil, nil, 0)
 		}
@@ -376,7 +379,10 @@ func (r *runner) grow(candidates, isolated []int) {
 	}
 	if len(isolated) > 0 {
 		// Baseline candidate: the matchable isolated vertices alone.
-		card := r.execute("", nil, isolated)
+		card, ok := r.execute("", nil, isolated)
+		if !ok {
+			return
+		}
 		r.record(nil, isolated, card)
 	}
 	ordered := r.priority(candidates)
@@ -400,7 +406,10 @@ func (r *runner) grow(candidates, isolated []int) {
 			if r.ex.Stopped() {
 				break
 			}
-			card := r.execute(key, edges, isolated)
+			card, ok := r.execute(key, edges, isolated)
+			if !ok {
+				return
+			}
 			r.record(edges, isolated, card)
 			if r.bounds.Contains(card) {
 				dfs(edges)
@@ -423,7 +432,10 @@ func (r *runner) grow(candidates, isolated []int) {
 				}
 				seen[v] = true
 				withV := append(append([]int(nil), isolated...), v)
-				card := r.execute("", nil, withV)
+				card, ok := r.execute("", nil, withV)
+				if !ok {
+					return
+				}
 				r.record(nil, withV, card)
 			}
 		}

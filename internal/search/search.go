@@ -40,8 +40,9 @@ type Control struct {
 	Workers int
 	// Ctx, when non-nil, cancels the search: it stops before the next
 	// candidate execution once Ctx is done and returns the partial result,
-	// so an abandoned request (HTTP client gone, deadline hit) stops burning
-	// the matcher within one candidate execution.
+	// and the execution running when Ctx fires is cut by the matcher and
+	// recorded nowhere, so an abandoned request (HTTP client gone, deadline
+	// hit) stops burning the matcher within one poll stride of matcher work.
 	Ctx context.Context
 	// MaxExecuted is the execution budget: the search stops after this many
 	// candidate executions (0 = the embedding package's default).
@@ -175,9 +176,11 @@ func NewExecutor(m *match.Matcher) *Executor {
 // Begin starts one search run under ctrl. The caller's fill() must have
 // resolved MaxExecuted (and CountCap, if it uses it) to concrete values.
 // Per-run state — dedup map, trace, counters — is reset; map and slice
-// storage are retained across runs.
+// storage are retained across runs. The run's executions serve ctrl.Ctx
+// (match.Ctx.SetRequest) until End.
 func (e *Executor) Begin(ctrl Control) {
 	e.ctrl = ctrl
+	e.mctx.SetRequest(ctrl.Ctx)
 	clear(e.executed)
 	e.trace = e.trace[:0]
 	e.last = 0
@@ -187,6 +190,7 @@ func (e *Executor) Begin(ctrl Control) {
 // End closes the run, flushing the kernel counters into Control.Metrics when
 // one was supplied.
 func (e *Executor) End() {
+	e.mctx.SetRequest(nil)
 	if e.ctrl.Metrics != nil {
 		e.ctrl.Metrics.add(e.Counters())
 	}
@@ -252,14 +256,16 @@ func (e *Executor) Visit(key string) bool {
 }
 
 // Execute runs one candidate execution under the kernel contract: budget and
-// cancellation are checked first (ok == false means the search must wind
-// down), then eval runs on the executor's context; the value is recorded
-// under key for dedup and counted against the budget.
+// cancellation are checked first, then eval runs on the executor's context;
+// the value is recorded under key for dedup and counted against the budget.
+// ok == false means the search must wind down: it was stopped before eval,
+// or Control.Ctx cut eval's matching (match.Ctx.Cut), whose value is then
+// partial and is recorded nowhere — no dedup key, no execution.
 func (e *Executor) Execute(key string, eval Eval) (card int, ok bool) {
 	if e.Stopped() {
 		return 0, false
 	}
-	return e.execute(key, eval), true
+	return e.execute(key, eval)
 }
 
 // ExecuteAlways is Execute without the budget/cancellation guard, for
@@ -267,21 +273,25 @@ func (e *Executor) Execute(key string, eval Eval) (card int, ok bool) {
 // baseline executions run regardless of remaining budget (mcs executes the
 // isolated-vertex baseline of every component even when the shared traversal
 // budget is already spent — see mcs.grow). An empty key skips dedup
-// recording.
-func (e *Executor) ExecuteAlways(key string, eval Eval) int {
+// recording. Like Execute, it reports false, recording nothing, when
+// Control.Ctx cut the execution.
+func (e *Executor) ExecuteAlways(key string, eval Eval) (card int, ok bool) {
 	return e.execute(key, eval)
 }
 
-func (e *Executor) execute(key string, eval Eval) int {
+func (e *Executor) execute(key string, eval Eval) (int, bool) {
 	if e.ctrl.Probe != nil {
 		e.ctrl.Probe(e.executions)
 	}
 	card := eval(e.mctx)
+	if e.mctx.Cut() {
+		return 0, false
+	}
 	if key != "" {
 		e.executed[key] = card
 	}
 	e.executions++
-	return card
+	return card, true
 }
 
 // Record appends one value to the run's trace (executed cardinalities for

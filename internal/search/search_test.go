@@ -78,8 +78,8 @@ func TestExecutorDedupAndBudget(t *testing.T) {
 	}
 	// ExecuteAlways bypasses the guard (mcs baseline semantics) and still
 	// counts the execution.
-	if got := ex.ExecuteAlways("", constEval(9)); got != 9 || ex.Executions() != 3 {
-		t.Fatalf("ExecuteAlways = %d, executions %d", got, ex.Executions())
+	if got, ok := ex.ExecuteAlways("", constEval(9)); got != 9 || !ok || ex.Executions() != 3 {
+		t.Fatalf("ExecuteAlways = (%d, %v), executions %d", got, ok, ex.Executions())
 	}
 	ex.Record(7)
 	ex.Record(1)
@@ -347,4 +347,83 @@ func TestKernelAllocsZero(t *testing.T) {
 			t.Fatalf("the measured run did not do the work: %+v", c)
 		}
 	})
+}
+
+// TestCutExecutionsLeaveNoTrace runs three executions under a request that
+// is already done — a start-only plan, a two-op plan whose last step is
+// counted, and a find — each with enough work to cross a poll stride. Each
+// must report that it was cut and must leave nothing behind: no count-cache
+// entry, no dedup key and no execution in an Executor, and a later count
+// without a request still equals the reference engine's.
+func TestCutExecutionsLeaveNoTrace(t *testing.T) {
+	// 200 persons, each knowing the next 100: the start-only plan walks
+	// 40 000 candidates, the two-op plan scans 20 000 half-edges.
+	g := graph.New(200, 20000)
+	for i := 0; i < 200; i++ {
+		g.AddVertex(graph.Attrs{"type": graph.S("person")})
+	}
+	for i := 0; i < 200; i++ {
+		for d := 1; d <= 100; d++ {
+			g.AddEdge(graph.VertexID(i), graph.VertexID((i+d)%200), "knows", nil)
+		}
+	}
+	m := match.New(g)
+	person := map[string]query.Predicate{"type": query.EqS("person")}
+	startOnly := query.New()
+	startOnly.AddVertex(person)
+	startOnly.AddVertex(person)
+	leaf := query.New()
+	leaf.AddEdge(leaf.AddVertex(person), leaf.AddVertex(person), []string{"knows"}, nil)
+	var rows match.Rows
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		eval Eval
+	}{
+		{"start-only count", startOnly, func(c *match.Ctx) int { return m.CountCtx(c, startOnly, 0) }},
+		{"leaf count", leaf, func(c *match.Ctx) int { return m.CountCtx(c, leaf, 0) }},
+		{"find", leaf, func(c *match.Ctx) int { m.FindRows(c, leaf, match.Options{}, &rows); return rows.Len() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := m.ReferenceCount(tc.q, 0)
+			_, _, entries := m.CountCacheStats()
+			done, cancel := context.WithCancel(context.Background())
+			cancel()
+			c := m.NewContext()
+			c.SetRequest(done)
+			if got := tc.eval(c); !c.Cut() {
+				t.Fatalf("an execution under a done request was not cut (it returned %d of %d)", got, want)
+			}
+			if _, _, after := m.CountCacheStats(); after != entries {
+				t.Fatalf("a cut execution grew the count cache from %d to %d entries", entries, after)
+			}
+
+			// The executor: one execution whose request fires in the probe,
+			// between the budget check and eval, and one ExecuteAlways under a
+			// request already done.
+			ex := NewExecutor(m)
+			live, fire := context.WithCancel(context.Background())
+			ex.Begin(Control{MaxExecuted: 10, Ctx: live, Probe: func(int) { fire() }})
+			if card, ok := ex.Execute("cut", tc.eval); ok {
+				t.Fatalf("Execute kept a cut execution's value %d", card)
+			}
+			ex.End()
+			ex.Begin(Control{MaxExecuted: 10, Ctx: done})
+			if card, ok := ex.ExecuteAlways("cut", tc.eval); ok {
+				t.Fatalf("ExecuteAlways kept a cut execution's value %d", card)
+			}
+			if ex.Executions() != 0 || ex.Seen("cut") {
+				t.Fatalf("a cut execution was recorded: %d executions, key seen %v", ex.Executions(), ex.Seen("cut"))
+			}
+			ex.End()
+
+			if _, _, after := m.CountCacheStats(); after != entries {
+				t.Fatalf("cut executions grew the count cache from %d to %d entries", entries, after)
+			}
+			c.SetRequest(nil)
+			if got := tc.eval(c); got != want || c.Cut() {
+				t.Fatalf("after the cut, a count without a request returned %d (cut %v), reference %d", got, c.Cut(), want)
+			}
+		})
+	}
 }

@@ -19,29 +19,45 @@ import (
 
 // TestTransportAllocs pins what a warm answer of each hot endpoint leaves
 // for the collector, driven through Server.Handler() with every cache hit:
-// the LDBC failing-variant explains at budget 150, and a find-mode
-// /v1/match at limit 100. Request and recorder set-up are counted on both,
-// so the figures are whole-request costs. Machine-independent; the speed
-// itself is whybench's explain_repeat and match_unique.
+// the LDBC failing-variant explains at budget 150, named as built-ins and
+// sent as custom queries, and a find-mode /v1/match at limit 100. Request
+// and recorder set-up are counted on all three, so the figures are
+// whole-request costs. Machine-independent; the speed itself is whybench's
+// explain_repeat and match_unique.
 func TestTransportAllocs(t *testing.T) {
-	// An explain reads 647 objects / 66 KB and a find 93 objects / 26.5 KB
-	// since request bodies are decoded by internal/wire's one-pass decoder;
-	// through encoding/json they read 653 / 67 KB and 117 / 28 KB. Encoding
-	// wire values through encoding/json, with the envelope re-marshaling the
-	// payload, read 802 / 86 KB and 1 328 / 109 KB.
+	// An explain reads 647 objects / 66 KB, the same explains as custom
+	// queries 683 / 70 KB, and a find 89 objects / 26 KB, since request
+	// bodies are decoded by internal/wire's one-pass decoder and a match
+	// runs on its handler's goroutine. Decoding explain bodies through
+	// encoding/json reads 654 / 67 KB and 723 / 73 KB: the built-in bodies
+	// are too short to show it, the custom row is there to. A find read 93
+	// objects while a goroutine ran each match, and 117 / 28 KB through
+	// encoding/json. Encoding wire values through encoding/json, with the
+	// envelope re-marshaling the payload, read 802 / 86 KB and 1 328 /
+	// 109 KB.
 	const (
 		maxExplainObjects, maxExplainBytes = 690, 70 << 10
-		maxFindObjects, maxFindBytes       = 110, 30 << 10
+		maxCustomObjects, maxCustomBytes   = 700, 71 << 10
+		maxFindObjects, maxFindBytes       = 92, 27 << 10
 	)
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	var explains [][]byte
+	var explains, customs [][]byte
 	for _, nq := range workload.LDBCQueries() {
 		body, err := json.Marshal(wire.ExplainRequest{Dataset: "ldbc", Builtin: nq.Name, Failing: true, Lower: 1, Budget: 150})
 		if err != nil {
 			t.Fatal(err)
 		}
 		explains = append(explains, body)
+		failing, err := workload.FailingVariant(nq.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq := wire.FromQuery(failing)
+		if body, err = json.Marshal(wire.ExplainRequest{Dataset: "ldbc", Query: &wq, Lower: 1, Budget: 150}); err != nil {
+			t.Fatal(err)
+		}
+		customs = append(customs, body)
 	}
 	person := map[string]wire.Predicate{"type": {Kind: "values", Values: []wire.Value{{Kind: "string", Str: "person"}}}}
 	find, err := json.Marshal(wire.MatchRequest{Dataset: "ldbc", Mode: "find", Limit: 100, Query: &wire.Query{
@@ -87,6 +103,7 @@ func TestTransportAllocs(t *testing.T) {
 		maxObjects, maxBytes uint64
 	}{
 		{"explain", "/v1/explain", explains, maxExplainObjects, maxExplainBytes},
+		{"custom explain", "/v1/explain", customs, maxCustomObjects, maxCustomBytes},
 		{"find", "/v1/match", [][]byte{find}, maxFindObjects, maxFindBytes},
 	} {
 		objects, bytes := perRequest(c.path, c.bodies)

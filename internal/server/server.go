@@ -32,8 +32,9 @@
 // degraded state's clamps to an explain and stamps the quality bound
 // (runExplain); the brownout state is a function of the gates' occupancy
 // alone, and it never refuses a request. An admitted request runs under its
-// own context deadline threaded through core.ExplainCtx, so an abandoned one
-// stops within one candidate execution. A handler panic is
+// own context deadline, threaded through core.ExplainCtx or the match entry
+// points into the matcher's poll, so an abandoned one stops within one poll
+// stride of matcher work. A handler panic is
 // recovered to a 500 with a request id, counted and stack-logged. An optional
 // seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
@@ -79,13 +80,13 @@ type Config struct {
 	MaxBudget int
 	// MaxCountCap clamps /v1/match count-mode enumeration: a request asking
 	// for an exact count (countCap 0) or a larger cap counts at most this
-	// many results (0 = 10,000,000). Keeps a cross-product query from
-	// holding an execution slot indefinitely.
+	// many results (0 = 10,000,000). Bounds a cross-product count's work
+	// even under the longest deadline.
 	MaxCountCap int
 	// MaxResultSample clamps /v1/explain's resultSample (0 = 10,000): the
 	// result-distance computation enumerates up to resultSample result
-	// graphs per rewriting with no cancellation hook, so it must stay
-	// bounded for the same reason as the match caps.
+	// graphs per rewriting and solves an assignment over them that no poll
+	// interrupts, so it must stay bounded.
 	MaxResultSample int
 	// MaxMutationBatch caps the total elements (adds + removes) of one
 	// /v1/graph/mutate batch (0 = 100,000). A batch clones the graph before
@@ -279,7 +280,7 @@ func (s *Server) BeginDrain() {
 }
 
 // CancelInFlight cancels every in-flight request context: each request stops
-// within one candidate execution and answers 503 + Retry-After. Call after
+// within one poll stride of matcher work and answers 503 + Retry-After. Call after
 // BeginDrain when the drain deadline is near.
 func (s *Server) CancelInFlight() { s.cancelDrain() }
 
@@ -879,28 +880,26 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, f)
 		return
 	}
-	// The matching engine has no in-flight cancellation hook (unlike the
-	// explanation searches), so the match runs on its own goroutine: the
-	// handler answers at the deadline, while the execution slot stays held
-	// until the (count-capped / limit-bounded) enumeration finishes — a
-	// timed-out request never lets a new one oversubscribe the matcher.
-	done := make(chan []byte, 1)
-	eng := ds.engine() // pin this request's epoch
-	go func() {
-		defer release()
-		m := eng.Matcher()
-		if mode == "count" {
-			done <- wire.AppendMatch(nil, m.Count(q, countCap), nil)
-			return
+	defer release()
+	// The match runs on the handler's goroutine: the matcher polls ctx as it
+	// works, so a timed-out match stops and frees its slot within one poll
+	// stride of matcher work.
+	m := ds.engine().Matcher() // pin this request's epoch
+	var payload []byte
+	if mode == "count" {
+		var n int
+		if n, err = m.CountUntil(ctx, q, countCap); err == nil {
+			payload = wire.AppendMatch(nil, n, nil)
 		}
+	} else {
 		var rows match.Rows
-		m.FindSorted(q, match.Options{Limit: limit}, &rows)
-		done <- wire.AppendMatch(nil, rows.Len(), &rows)
-	}()
-	select {
-	case payload := <-done:
-		s.writePayload(w, r, payload)
-	case <-ctx.Done():
-		s.writeError(w, r, s.ctxError(r, ctx.Err(), false))
+		if err = m.FindSorted(ctx, q, match.Options{Limit: limit}, &rows); err == nil {
+			payload = wire.AppendMatch(nil, rows.Len(), &rows)
+		}
 	}
+	if err != nil {
+		s.writeError(w, r, s.ctxError(r, err, false))
+		return
+	}
+	s.writePayload(w, r, payload)
 }

@@ -32,7 +32,7 @@ var (
 	dbpEng      *core.Engine
 )
 
-func engines(t *testing.T) (*core.Engine, *core.Engine) {
+func engines(t testing.TB) (*core.Engine, *core.Engine) {
 	t.Helper()
 	enginesOnce.Do(func() {
 		ldbcEng = core.NewEngine(datagen.LDBC(datagen.DefaultLDBC().Scaled(0.25)))
@@ -43,7 +43,7 @@ func engines(t *testing.T) (*core.Engine, *core.Engine) {
 	return ldbcEng, dbpEng
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	le, de := engines(t)
 	s := New(cfg)
@@ -358,6 +358,49 @@ func TestMatchCountAndFind(t *testing.T) {
 	}
 }
 
+// BenchmarkMatchHandler times one /v1/match request through Server.Handler()
+// on a warm engine: a count and a find (limit 100) of LDBC QUERY 1 sent as a
+// custom query. It is the match request path's whole per-request cost —
+// decode, admission, the matcher, encode — which whybench's match_unique
+// cannot isolate from its client. It fails unless each answers 200 with the
+// reference engine's count.
+//
+//	go test -run '^$' -bench MatchHandler -benchmem ./internal/server
+func BenchmarkMatchHandler(b *testing.B) {
+	h := newTestServer(b, Config{}).Handler()
+	le, _ := engines(b)
+	q1 := wire.FromQuery(workload.LDBCQuery1())
+	exact := le.Matcher().ReferenceCount(workload.LDBCQuery1(), 0)
+	for _, c := range []struct {
+		name string
+		req  wire.MatchRequest
+		want int
+	}{
+		{"count", wire.MatchRequest{Dataset: "ldbc", Query: &q1}, exact},
+		{"find", wire.MatchRequest{Dataset: "ldbc", Query: &q1, Mode: "find", Limit: 100}, min(exact, 100)},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := decodeData[wire.MatchResponse](b, do(b, h, "POST", "/v1/match", body)).Count; got != c.want {
+			b.Fatalf("%s answers %d, want %d", c.name, got, c.want)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", rd))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: got %d: %s", c.name, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // TestMatchRepeatedValue: a value named twice in a request's predicate is
 // named once as far as the answer goes (a predicate interval is a set).
 func TestMatchRepeatedValue(t *testing.T) {
@@ -639,7 +682,7 @@ func TestStatsEndpoint(t *testing.T) {
 // TestExplainResultSampleClamped proves a client-supplied resultSample is
 // clamped to the server maximum: the response is byte-identical to a direct
 // Explain at exactly that maximum (an unclamped 2-billion sample would
-// enumerate every embedding of every rewriting with no cancellation hook).
+// enumerate every embedding of every rewriting and score them all).
 func TestExplainResultSampleClamped(t *testing.T) {
 	h := newTestServer(t, Config{MaxResultSample: 40}).Handler()
 	le, _ := engines(t)
@@ -669,33 +712,60 @@ func TestExplainResultSampleClamped(t *testing.T) {
 	}
 }
 
-// TestMatchDeadline runs a cross-product count (four unconstrained persons,
-// millions of embeddings up to the count cap) under a tight timeout: the
-// handler must answer 504 at the deadline even though the matching engine
-// itself has no cancellation hook.
-func TestMatchDeadline(t *testing.T) {
-	// Half a billion cap: even at a nanosecond per embedding the count runs
-	// two orders of magnitude past the 40ms deadline.
-	h := newTestServer(t, Config{MaxCountCap: 500000000}).Handler()
+// hostileQuery is four isolated persons: every 4-tuple of distinct persons
+// is an embedding, so an exact count is about N⁴ for N persons. Only the
+// matcher's poll ends such a count at its request's deadline.
+func hostileQuery() *wire.Query {
 	person := map[string]wire.Predicate{
 		"type": {Kind: "values", Values: []wire.Value{{Kind: "string", Str: "person"}}},
 	}
-	req := wire.MatchRequest{
-		Dataset: "ldbc",
-		Query: &wire.Query{Vertices: []wire.Vertex{
-			{ID: 0, Preds: person}, {ID: 1, Preds: person}, {ID: 2, Preds: person}, {ID: 3, Preds: person},
-		}},
-		TimeoutMs: 40,
-	}
-	start := time.Now()
-	rec := do(t, h, "POST", "/v1/match", req)
+	return &wire.Query{Vertices: []wire.Vertex{
+		{ID: 0, Preds: person}, {ID: 1, Preds: person}, {ID: 2, Preds: person}, {ID: 3, Preds: person},
+	}}
+}
+
+// expectDeadlineRunning asserts a 504 deadline_running answer within 2 s
+// of start and, since the request ran on the handler's goroutine, an ldbc
+// execution slot already free.
+func expectDeadlineRunning(t *testing.T, s *Server, rec *httptest.ResponseRecorder, start time.Time) {
+	t.Helper()
 	elapsed := time.Since(start)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("want 504 at the deadline, got %d: %s", rec.Code, rec.Body)
 	}
-	if elapsed > 30*time.Second {
-		t.Fatalf("handler took %v to answer a 40ms deadline", elapsed)
+	if e := decodeError(t, rec); e.Code != wire.CodeDeadlineRunning {
+		t.Fatalf("want %s, got %s", wire.CodeDeadlineRunning, e.Code)
 	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("handler took %v to answer its deadline", elapsed)
+	}
+	if ds, _ := s.lookup("ldbc"); ds.gate.InFlight() != 0 {
+		t.Fatalf("the timed-out request still holds %d slot(s) after its 504", ds.gate.InFlight())
+	}
+}
+
+// TestMatchDeadline runs a cross-product count (four unconstrained persons,
+// millions of embeddings up to the count cap) under a tight timeout: the
+// count stops at its next poll, and the handler answers 504 with its slot
+// already freed.
+func TestMatchDeadline(t *testing.T) {
+	// Half a billion cap: even at a nanosecond per embedding the count runs
+	// two orders of magnitude past the 40ms deadline.
+	s := newTestServer(t, Config{MaxCountCap: 500000000})
+	start := time.Now()
+	rec := do(t, s.Handler(), "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Query: hostileQuery(), TimeoutMs: 40})
+	expectDeadlineRunning(t, s, rec, start)
+}
+
+// TestHostileExplainDeadline explains the cross-product query with no
+// upper bound, so its original count is exact: the poll must cut that
+// count at the 100 ms deadline, and the cut count must not classify (as
+// Satisfied, served 200).
+func TestHostileExplainDeadline(t *testing.T) {
+	s := newTestServer(t, Config{})
+	start := time.Now()
+	rec := do(t, s.Handler(), "POST", "/v1/explain", wire.ExplainRequest{Dataset: "ldbc", Query: hostileQuery(), Lower: 1, TimeoutMs: 100})
+	expectDeadlineRunning(t, s, rec, start)
 }
 
 // TestOversizedBodyRejected covers the 8 MiB body cap's 413 mapping.

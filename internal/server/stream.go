@@ -9,8 +9,8 @@ package server
 // queue-full 429, queued deadline) answer plain JSON envelopes,
 // failures after it are `error` events carrying the envelope shape. A client
 // that disconnects mid-stream cancels the request context, which stops the
-// search before the next candidate execution; so does a failed event write
-// (proxy buffer gone).
+// search within one poll stride of matcher work; so does a failed event
+// write (proxy buffer gone).
 
 import (
 	"encoding/json"

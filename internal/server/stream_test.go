@@ -248,3 +248,23 @@ func TestStreamClientDisconnect(t *testing.T) {
 		t.Fatal("disconnect not counted as a cancellation")
 	}
 }
+
+// TestStreamHostileDeadline streams the cross-product explain of
+// TestHostileExplainDeadline: the stream must end in a deadline_running
+// error event, and no improvement may come from the cut count.
+func TestStreamHostileDeadline(t *testing.T) {
+	s := newTestServer(t, Config{})
+	start := time.Now()
+	rec := do(t, s.Handler(), "POST", "/v1/explain/stream", wire.ExplainRequest{Dataset: "ldbc", Query: hostileQuery(), Lower: 1, TimeoutMs: 100})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("stream took %v to end at its deadline", elapsed)
+	}
+	events := parseSSE(t, rec.Body.Bytes())
+	if len(events) != 1 || events[0].name != "error" {
+		t.Fatalf("want exactly one event, an error, got %d: %s", len(events), rec.Body)
+	}
+	var env wire.Envelope
+	if err := json.Unmarshal(events[0].data, &env); err != nil || env.Error == nil || env.Error.Code != wire.CodeDeadlineRunning {
+		t.Fatalf("error event %s (%v): want %s", events[0].data, err, wire.CodeDeadlineRunning)
+	}
+}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -176,7 +177,9 @@ func TestAppendMatch(t *testing.T) {
 		q    *query.Query
 	}{{"gaps", q}, {"vertices only", vertexOnly}, {"empty", failing}, {"builtin", workload.LDBCQuery3()}} {
 		var rows match.Rows
-		m.FindSorted(tc.q, match.Options{Limit: 40}, &rows)
+		if err := m.FindSorted(context.Background(), tc.q, match.Options{Limit: 40}, &rows); err != nil {
+			t.Fatal(err)
+		}
 		resp := MatchResponse{Count: rows.Len()}
 		for _, r := range rows.Results() {
 			resp.Results = append(resp.Results, FromResult(r))
