@@ -1,10 +1,12 @@
 // Differential tests for the executed-count cache: with the cache enabled
 // (the default) every explanation search — the relaxation rewriter under all
 // five priority functions, the modification-tree searches, MCS discovery in
-// all variants, and the assembled Engine.Explain — must produce results,
-// ranks, traces, and counters byte-identical to a run with the cache
-// disabled (every count compiled and executed). Caching may only change
-// wall-clock time, never an explanation.
+// all variants — must produce results, ranks, traces, and counters
+// byte-identical to a run with the cache disabled (every count compiled and
+// executed). Caching may only change wall-clock time, never an explanation.
+// These cover knobs the engine never sets; the served explanations, with the
+// cache on and off, are held byte for byte by internal/server's
+// TestGoldenAnswers.
 package repro_test
 
 import (
@@ -142,55 +144,5 @@ func TestCountCacheDifferentialMCS(t *testing.T) {
 				t.Errorf("%s opts %+v: count cache changed MCS:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, opts, want, got)
 			}
 		}
-	}
-}
-
-// explainFingerprint serializes the full report including rewriting queries.
-func explainFingerprint(rep *repro.Report) string {
-	var b strings.Builder
-	b.WriteString(rep.Summary())
-	for _, rw := range rep.Rewritings {
-		fmt.Fprintf(&b, "\n%s", rw.Query.Canonical())
-	}
-	return b.String()
-}
-
-func TestCountCacheDifferentialExplain(t *testing.T) {
-	lg, _ := setup()
-	engOn := repro.NewEngine(lg)
-	engOff := repro.NewEngine(lg)
-	engOff.Matcher().SetCountCache(false)
-	for _, nq := range workload.LDBCQueries() {
-		q, err := workload.FailingVariant(nq.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repOn, err := engOn.Explain(q, repro.ExplainOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		repOff, err := engOff.Explain(q, repro.ExplainOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := explainFingerprint(repOn), explainFingerprint(repOff); got != want {
-			t.Errorf("%s: count cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
-		}
-		tooMany := nq.Build()
-		bounds := repro.Interval{Lower: 1, Upper: workload.Threshold(nq.C1, 0.5)}
-		repOn, err = engOn.Explain(tooMany, repro.ExplainOptions{Expected: bounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		repOff, err = engOff.Explain(tooMany, repro.ExplainOptions{Expected: bounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := explainFingerprint(repOn), explainFingerprint(repOff); got != want {
-			t.Errorf("%s too-many: count cache changed Explain:\n--- cache off\n%s\n--- cache on\n%s", nq.Name, want, got)
-		}
-	}
-	if hits, _, _ := engOn.Matcher().CountCacheStats(); hits == 0 {
-		t.Fatal("cached engine never hit the count cache — the differential proves nothing")
 	}
 }

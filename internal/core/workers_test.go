@@ -8,48 +8,20 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/workload"
 )
 
-// TestExplainWorkersInvariant checks the engine-level guarantee: the worker
-// count only sizes how many explains may run at once, so the full
-// explanation report is identical whatever it is set to.
+// TestExplainWorkersInvariant holds SetWorkers to what it is: a count the
+// engine stores for whydbd's admission gate. Workers reports what was set,
+// and a value below one resets it to GOMAXPROCS. No explain reads it (only
+// Workers and Successor do), so comparing reports across worker counts
+// would test nothing; every search runs on its caller's goroutine
+// (TestExplainStartsNoGoroutine).
 func TestExplainWorkersInvariant(t *testing.T) {
-	g := graph.New(8, 8)
-	p0 := g.AddVertex(graph.Attrs{"type": graph.S("person"), "name": graph.S("Anna")})
-	p1 := g.AddVertex(graph.Attrs{"type": graph.S("person"), "name": graph.S("Bert")})
-	u0 := g.AddVertex(graph.Attrs{"type": graph.S("university"), "name": graph.S("TU Dresden")})
-	c0 := g.AddVertex(graph.Attrs{"type": graph.S("city"), "name": graph.S("Dresden")})
-	g.AddEdge(p0, p1, "knows", nil)
-	g.AddEdge(p0, u0, "worksAt", nil)
-	g.AddEdge(p1, u0, "worksAt", nil)
-	g.AddEdge(u0, c0, "locatedIn", nil)
-	g.BuildVertexIndex("type")
-
-	q := query.New()
-	qp := q.AddVertex(map[string]query.Predicate{"type": query.EqS("person")})
-	qu := q.AddVertex(map[string]query.Predicate{"type": query.EqS("university"), "name": query.EqS("Oxford")})
-	q.AddEdge(qp, qu, []string{"worksAt"}, nil)
-
-	e := NewEngine(g)
+	e := NewEngine(graph.New(0, 0))
 	e.SetWorkers(1)
 	if e.Workers() != 1 {
 		t.Fatalf("Workers() = %d after SetWorkers(1)", e.Workers())
-	}
-	one, err := e.Explain(q, Options{Expected: metrics.AtLeastOne})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		e.SetWorkers(workers)
-		rep, err := e.Explain(q, Options{Expected: metrics.AtLeastOne})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := rep.Summary(), one.Summary(); got != want {
-			t.Fatalf("workers=%d report diverged:\n--- workers=1\n%s\n--- workers=%d\n%s", workers, want, workers, got)
-		}
 	}
 	e.SetWorkers(0)
 	if e.Workers() != runtime.GOMAXPROCS(0) {

@@ -38,6 +38,10 @@
 // recovered to a 500 with a request id, counted and stack-logged. An optional
 // seeded fault injector (whydbd -inject) exercises each of these paths
 // deterministically.
+//
+// The explain transports are held to each other by TestStreamDifferential,
+// TestBatchMatchesSequentialExplain and TestErrorParityAcrossTransports, and
+// every served answer to testdata/answers.golden by TestGoldenAnswers.
 package server
 
 import (
@@ -80,8 +84,8 @@ type Config struct {
 	MaxBudget int
 	// MaxCountCap clamps /v1/match count-mode enumeration: a request asking
 	// for an exact count (countCap 0) or a larger cap counts at most this
-	// many results (0 = 10,000,000). Bounds a cross-product count's work
-	// even under the longest deadline.
+	// many results (0 = 10,000,000) and, reaching it, answers partial. Bounds
+	// a cross-product count's work even under the longest deadline.
 	MaxCountCap int
 	// MaxResultSample clamps /v1/explain's resultSample (0 = 10,000): the
 	// result-distance computation enumerates up to resultSample result
@@ -890,6 +894,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		var n int
 		if n, err = m.CountUntil(ctx, q, countCap); err == nil {
 			payload = wire.AppendMatch(nil, n, nil)
+			if n == countCap && countCap != req.CountCap {
+				// The server's clamp stopped the count: n is a lower bound.
+				payload, _ = json.Marshal(wire.MatchResponse{Count: n, Partial: true})
+			}
 		}
 	} else {
 		var rows match.Rows

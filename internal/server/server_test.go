@@ -358,6 +358,27 @@ func TestMatchCountAndFind(t *testing.T) {
 	}
 }
 
+// TestMatchClampedCountIsPartial: a count the server's MaxCountCap stopped
+// is a lower bound and says so; a count that reaches the request's own cap
+// answers that cap alone.
+func TestMatchClampedCountIsPartial(t *testing.T) {
+	h := newTestServer(t, Config{MaxCountCap: 1000}).Handler() // the query has far more than 1000 embeddings
+	for _, tc := range []struct {
+		countCap int
+		want     string
+	}{
+		{0, `{"count":1000,"partial":true}`},
+		{5000, `{"count":1000,"partial":true}`},
+		{500, `{"count":500}`},
+		{1000, `{"count":1000}`},
+	} {
+		rec := do(t, h, "POST", "/v1/match", wire.MatchRequest{Dataset: "ldbc", Query: hostileQuery(), CountCap: tc.countCap})
+		if got := dataBytes(t, rec); string(got) != tc.want {
+			t.Errorf("countCap %d answers %s, want %s", tc.countCap, got, tc.want)
+		}
+	}
+}
+
 // BenchmarkMatchHandler times one /v1/match request through Server.Handler()
 // on a warm engine: a count and a find (limit 100) of LDBC QUERY 1 sent as a
 // custom query. It is the match request path's whole per-request cost —

@@ -71,8 +71,8 @@ type MatchRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Limit bounds enumerated results in find mode (0 = server default).
 	Limit int `json:"limit,omitempty"`
-	// CountCap aborts counting at the cap in count mode (0 = the server's
-	// maximum; always clamped to it).
+	// CountCap stops counting at the cap in count mode (0 = the server's
+	// maximum; a larger cap is lowered to it).
 	CountCap int `json:"countCap,omitempty"`
 	// TimeoutMs bounds the request's processing time (0 = server default;
 	// clamped to the server's maximum).
@@ -85,8 +85,9 @@ type MatchRequest struct {
 type MatchResponse struct {
 	Count   int      `json:"count"`
 	Results []Result `json:"results,omitempty"`
-	// Partial is always false: every count covers the whole graph. The field
-	// stays until the benchmark that reads it drops it.
+	// Partial marks a count the server's clamp stopped (CountCap 0 or above
+	// the server's maximum, and the count reached that maximum): Count is a
+	// lower bound. A count that reaches the request's own cap is not partial.
 	Partial bool `json:"partial,omitempty"`
 }
 
